@@ -33,9 +33,13 @@ race-short:
 # static zero-cost check), the optimistic suite (speculation-vs-lockstep
 # equivalence across lookahead depths and worker counts, chaos under
 # rollback, the speculation counters), and the sharded + mobile golden
-# hashes (shards=4, workers 1 and 4, optimism off and on).
+# hashes (shards=4, workers 1 and 4, optimism off and on). The barrier
+# tests run a second time on one processor, so the path where waiters
+# must hand the processor over (yield, then park) is raced on every
+# push whatever the CI host's core count.
 race-engine:
 	$(GO) test -race ./internal/engine/ ./internal/sim/ ./internal/checkpoint/
+	GOMAXPROCS=1 $(GO) test -race ./internal/engine/ -run 'Barrier'
 	$(GO) test -race ./internal/experiment/ -run 'TestSetupValidate|TestSharded|TestTiled|TestMobility|TestOptimistic'
 	$(GO) test -race . -run 'TestShardedRunMatchesGolden|TestMobileRunMatchesGolden'
 
@@ -64,7 +68,9 @@ fuzz-short:
 # committed file accumulates a timeline across revisions. The
 # micro-benchmarks get a large fixed iteration count so the lazily
 # built radio tables amortize out; the Fig8 and engine runs are
-# seconds per iteration, so a couple suffice.
+# seconds per iteration, so a couple suffice. BenchmarkEngineBarrier
+# is the engine layer's own micro-benchmark: the cost of one lockstep
+# window over empty tiles ("ns/window") at 1, 2 and 4 workers.
 bench: build
 	@rm -f bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkMediumTransmit|BenchmarkKernelSchedule' \
@@ -75,6 +81,8 @@ bench: build
 		-benchmem -benchtime 100x ./internal/rlnc/ | tee -a bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkIndexMove' \
 		-benchmem -benchtime 2000x ./internal/topology/ | tee -a bench.out
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineBarrier' \
+		-benchmem -benchtime 200000x ./internal/engine/ | tee -a bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkFig8ActiveRadioTime$$' \
 		-benchmem -benchtime 2x . | tee -a bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineGrid' \
@@ -89,11 +97,15 @@ bench: build
 # same SHA-keyed $(BENCH_OUT) history. The tiled lines carry the custom
 # "imbalance" metric and the optimistic lines "rollback-rate" and
 # "spec-depth", so every revision records balance and speculation
-# datapoints without paying for the full micro-benchmark sweep.
+# datapoints without paying for the full micro-benchmark sweep. The
+# barrier micro-benchmark ("ns/window") rides along: it takes under a
+# second.
 bench-smoke: build
 	@rm -f bench-smoke.out
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineBarrier' \
+		-benchmem -benchtime 200000x ./internal/engine/ | tee bench-smoke.out
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineGrid/(tiles|optimistic)' \
-		-benchmem -benchtime 1x -timeout 40m . | tee bench-smoke.out
+		-benchmem -benchtime 1x -timeout 40m . | tee -a bench-smoke.out
 	$(GO) run ./tools/benchjson -out $(BENCH_OUT) < bench-smoke.out
 	@echo "appended to $(BENCH_OUT)"
 

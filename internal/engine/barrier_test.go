@@ -1,0 +1,452 @@
+package engine
+
+import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"runtime"
+	"runtime/debug"
+	"strconv"
+	"testing"
+	"time"
+
+	"mnp/internal/packet"
+	"mnp/internal/radio"
+	"mnp/internal/sim"
+	"mnp/internal/topology"
+)
+
+// newUnclamped builds an engine whose worker count is not clamped to
+// the host's processors: GOMAXPROCS is raised around New, so a test can
+// then lower it and run more workers than processors on purpose.
+func newUnclamped(tb testing.TB, cfg Config, shards []*Shard) *Engine {
+	tb.Helper()
+	prev := runtime.GOMAXPROCS(0)
+	runtime.GOMAXPROCS(max(prev, cfg.Workers))
+	defer runtime.GOMAXPROCS(prev)
+	e, err := New(cfg, shards)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// setProcs sets GOMAXPROCS for the rest of the test.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// emptyShards builds n tiles over a 2×n grid whose kernels hold no
+// events and whose nodes never transmit.
+func emptyShards(tb testing.TB, n int) ([]*Shard, *radio.Geometry) {
+	tb.Helper()
+	layout, err := topology.Grid(n, 2, 10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	geo, err := radio.NewGeometry(layout, radio.DefaultParams(), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	parts, err := Partition(layout, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	shards := make([]*Shard, n)
+	for i, owned := range parts {
+		k := sim.New(int64(i + 1))
+		m, err := radio.NewShardMedium(k, geo, owned)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		shards[i] = &Shard{Kernel: k, Medium: m, Owned: owned}
+	}
+	return shards, geo
+}
+
+// tick re-arms fn on k once per window, forever: the one event that
+// keeps an otherwise empty tile from being skipped as idle.
+func tick(k *sim.Kernel, window time.Duration, fn func()) {
+	var again func()
+	again = func() {
+		fn()
+		k.MustSchedule(window, again)
+	}
+	k.MustSchedule(0, again)
+}
+
+// TestBarrierEmptyRounds runs 10 000 windows of one trivial event per
+// tile across executor counts, worker counts and processor counts —
+// including more workers than processors, where a waiter that only spun
+// would never let the worker it waits for run — and checks at every
+// barrier that each tile ran exactly once.
+func TestBarrierEmptyRounds(t *testing.T) {
+	const tiles, rounds = 8, 10000
+	for _, nExec := range []int{2, 3, 8} {
+		for _, workers := range []int{2, 4} {
+			for _, procs := range []int{1, 2} {
+				t.Run(fmt.Sprintf("exec=%d/workers=%d/procs=%d", nExec, workers, procs), func(t *testing.T) {
+					shards, geo := emptyShards(t, tiles)
+					e := newUnclamped(t, Config{Window: ConservativeWindow(geo), Workers: workers, Shards: nExec}, shards)
+					if got, want := len(e.bar.slots), min(workers, nExec); got != want {
+						t.Fatalf("%d workers, want %d", got, want)
+					}
+					setProcs(t, procs)
+					ran := make([]int, tiles)
+					for ti, sh := range shards {
+						tick(sh.Kernel, e.window, func() { ran[ti]++ })
+					}
+					round := 0
+					ok := e.RunUntil(func() bool {
+						if round > 0 { // the first call precedes the first window
+							for ti, n := range ran {
+								if n != round {
+									t.Fatalf("after window %d tile %d had run %d times", round, ti, n)
+								}
+							}
+						}
+						round++
+						return round > rounds
+					}, time.Hour)
+					if !ok {
+						t.Fatalf("stopped after %d windows, want %d", round, rounds)
+					}
+					if got := e.Stats().Windows; got != rounds {
+						t.Fatalf("Stats.Windows = %d, want %d", got, rounds)
+					}
+				})
+			}
+		}
+	}
+}
+
+// beaconRun is a small real workload for the engine alone: an 8×8 grid
+// on 4×4 tiles where every node broadcasts a beacon at random intervals
+// drawn from its tile's kernel and folds what it hears into a hash.
+// Tiles are two nodes wide, so most beacons cross a tile boundary and
+// the digest depends on the ghost exchange as well as on every tile
+// running each window exactly once.
+func beaconRun(tb testing.TB, workers int, procs int, simTime time.Duration) (digest uint64, wall time.Duration) {
+	tb.Helper()
+	layout, err := topology.Grid(8, 8, 10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	geo, err := radio.NewGeometry(layout, radio.DefaultParams(), 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tiles, err := TilePartition(layout, Grid{Rows: 4, Cols: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	heard := make([]uint64, layout.N())
+	shards := make([]*Shard, len(tiles))
+	for i, tile := range tiles {
+		k := sim.New(int64(100 + i))
+		m, err := radio.NewShardMedium(k, geo, tile.Owned)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bounds := tile.Bounds
+		shards[i] = &Shard{Kernel: k, Medium: m, Owned: tile.Owned, Bounds: &bounds}
+		for _, id := range tile.Owned {
+			if err := m.Register(id, func(p packet.Packet, meta radio.RxMeta) {
+				heard[id] = heard[id]*1099511628211 + uint64(meta.From)<<32 + uint64(meta.At)
+			}); err != nil {
+				tb.Fatal(err)
+			}
+			m.SetRadio(id, true)
+			var beacon func()
+			beacon = func() {
+				if !m.Busy(id) {
+					if _, err := m.Transmit(id, &packet.Advertise{Src: id, ProgramID: 1, ProgramSegments: 1, SegID: 1, SegNominal: 8, TotalPackets: 8}, radio.PowerSim); err != nil {
+						tb.Errorf("node %v transmit: %v", id, err)
+					}
+				}
+				k.MustSchedule(time.Duration(20+k.Rand().Intn(60))*time.Millisecond, beacon)
+			}
+			k.MustSchedule(time.Duration(k.Rand().Intn(50))*time.Millisecond, beacon)
+		}
+	}
+	e := newUnclamped(tb, Config{Window: ConservativeWindow(geo), Workers: workers, Shards: 4}, shards)
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
+	start := time.Now()
+	e.RunUntil(func() bool { return false }, simTime)
+	wall = time.Since(start)
+
+	h := fnv.New64a()
+	st := e.Stats()
+	if st.GhostsOffered == 0 {
+		tb.Fatal("no ghost crossed a tile boundary; the workload does not exercise the exchange")
+	}
+	fmt.Fprint(h, st.Windows, st.GhostsExported, st.GhostsOffered, heard)
+	for _, sh := range shards {
+		fmt.Fprint(h, sh.Kernel.Now(), sh.Medium.Deliveries())
+	}
+	return h.Sum64(), wall
+}
+
+// raceEnabled reports whether this test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestBarrierOversubscribedRun: four workers on one processor must
+// produce the inline run's digest, and in about the inline run's time —
+// every wait has to hand the processor over, not spin against the
+// worker it is waiting for (which would cost a 10 ms preemption per
+// wait: hundreds of times the inline run). The fastest of a few runs on
+// each side is compared, so a scheduling hiccup in one of them does not
+// decide it. Under the race detector the bound is 6× instead of 1.5×:
+// its checks take a slow path on memory several goroutines have
+// touched, which triples the four-worker run whatever the barrier does.
+func TestBarrierOversubscribedRun(t *testing.T) {
+	const simTime, tries = 60 * time.Second, 3
+	bound := 1.5
+	if raceEnabled() {
+		bound = 6
+	}
+	best := func(workers int) (uint64, time.Duration) {
+		var digest uint64
+		fastest := time.Duration(-1)
+		for i := 0; i < tries; i++ {
+			d, wall := beaconRun(t, workers, 1, simTime)
+			if i > 0 && d != digest {
+				t.Fatalf("workers=%d: digest %x then %x at the same seed", workers, digest, d)
+			}
+			digest = d
+			if fastest < 0 || wall < fastest {
+				fastest = wall
+			}
+		}
+		return digest, fastest
+	}
+	inline, inlineWall := best(1)
+	over, overWall := best(4)
+	if over != inline {
+		t.Fatalf("digest %x with 4 workers on 1 processor, %x inline", over, inline)
+	}
+	if float64(overWall) > bound*float64(inlineWall) {
+		t.Fatalf("4 workers on 1 processor took %v, inline %v: more than %vx", overWall, inlineWall, bound)
+	}
+	t.Logf("inline %v, 4 workers on 1 processor %v", inlineWall, overWall)
+	if two, _ := beaconRun(t, 2, 2, simTime); two != inline {
+		t.Fatalf("digest %x with 2 workers on 2 processors, %x inline", two, inline)
+	}
+}
+
+// TestBarrierGoroutinesExit: a run starts workers-1 goroutines, and
+// every one of them has exited when RunUntil returns — also when
+// RunUntil is called again on the same engine.
+func TestBarrierGoroutinesExit(t *testing.T) {
+	const workers = 4
+	shards, geo := emptyShards(t, 8)
+	e := newUnclamped(t, Config{Window: ConservativeWindow(geo), Workers: workers}, shards)
+	for _, sh := range shards {
+		tick(sh.Kernel, e.window, func() {})
+	}
+	before := runtime.NumGoroutine()
+	for run := 1; run <= 2; run++ {
+		windows := 0
+		e.RunUntil(func() bool {
+			if got := runtime.NumGoroutine() - before; got != workers-1 {
+				t.Fatalf("run %d: %d goroutines started, want %d", run, got, workers-1)
+			}
+			windows++
+			return windows > 100
+		}, time.Hour)
+		// stop has waited for every worker's deferred Done; give the
+		// last of them the instant it needs to finish returning.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() != before && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if got := runtime.NumGoroutine(); got != before {
+			t.Fatalf("run %d: %d goroutines after RunUntil, %d before", run, got, before)
+		}
+	}
+	if got := e.Stats().Windows; got != 200 {
+		t.Fatalf("Stats.Windows = %d over two runs, want 200", got)
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack
+// header. Test-only: it is how a tile's event tells which worker ran it.
+func goid() uint64 {
+	var buf [64]byte
+	f := bytes.Fields(buf[:runtime.Stack(buf[:], false)])
+	id, _ := strconv.ParseUint(string(f[1]), 10, 64)
+	return id
+}
+
+// TestBarrierRepartitionVisibleNextWindow: the repartitioner rewrites
+// the assignment at barrier k; in window k+1 every tile must already run
+// on the goroutine of the worker that now owns it. Tile loads are
+// skewed so that the first decision moves tiles between workers, and
+// then rotate so that later ones do too.
+func TestBarrierRepartitionVisibleNextWindow(t *testing.T) {
+	const tiles, nExec, workers = 8, 4, 2
+	shards, geo := emptyShards(t, tiles)
+	e := newUnclamped(t, Config{
+		Window: ConservativeWindow(geo), Workers: workers, Shards: nExec,
+		Repartition: &Repartition{Every: 4, Threshold: 1.05},
+	}, shards)
+	ranOn := make([]uint64, tiles)
+	window := 0 // written at barriers, read by tile events: ordered by the barrier
+	for ti, sh := range shards {
+		tick(sh.Kernel, e.window, func() {
+			ranOn[ti] = goid()
+			// Extra events make the tile heavy; which tiles are heavy
+			// rotates every 16 windows.
+			for i := (ti + window/16) % tiles; i > 0; i-- {
+				sh.Kernel.MustSchedule(0, func() {})
+			}
+		})
+	}
+	workerGoid := make([]uint64, workers)
+	workerGoid[0] = goid()
+	asn := e.Assignment() // in force during the window about to run
+	crossed := 0
+	e.RunUntil(func() bool {
+		if window > 0 {
+			for ti, g := range ranOn {
+				w := e.workerOf(asn[ti])
+				if workerGoid[w] == 0 {
+					workerGoid[w] = g
+				}
+				if g != workerGoid[w] {
+					t.Fatalf("window %d: tile %d (executor %d, worker %d) ran on goroutine %d, want %d",
+						window, ti, asn[ti], w, g, workerGoid[w])
+				}
+			}
+			if workerGoid[0] == workerGoid[1] {
+				t.Fatalf("both workers are goroutine %d", workerGoid[0])
+			}
+		}
+		next := e.Assignment()
+		for ti := range next {
+			if e.workerOf(next[ti]) != e.workerOf(asn[ti]) {
+				crossed++
+			}
+		}
+		asn = next
+		window++
+		return window > 200
+	}, time.Hour)
+	if crossed == 0 {
+		t.Fatalf("no tile changed worker in %d migrations; the test exercised nothing", e.Stats().Migrations)
+	}
+	t.Logf("%d migrations, %d of them between workers", e.Stats().Migrations, crossed)
+}
+
+// TestExchangeSteadyStateAllocs pins the exchange's scratch reuse: in a
+// window where tiles exported ghosts, draining, ordering and routing
+// them allocates nothing beyond what handing the outboxes back would.
+// Both tiles' bounds are placed out of every ghost's range, so the
+// exchange routes each ghost and inserts none — insertion allocates in
+// the radio, not here.
+func TestExchangeSteadyStateAllocs(t *testing.T) {
+	layout, err := topology.Grid(2, 2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo, err := radio.NewGeometry(layout, radio.DefaultParams(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := Rect{MinX: 1e6, MinY: 1e6, MaxX: 1e6 + 1, MaxY: 1e6 + 1}
+	owned := [][]packet.NodeID{{0, 3}, {1, 2}}
+	shards := make([]*Shard, len(owned))
+	for i, own := range owned {
+		k := sim.New(int64(i + 1))
+		m, err := radio.NewShardMedium(k, geo, own)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range own {
+			if err := m.Register(id, func(packet.Packet, radio.RxMeta) {}); err != nil {
+				t.Fatal(err)
+			}
+			m.SetRadio(id, true)
+		}
+		shards[i] = &Shard{Kernel: k, Medium: m, Owned: own, Bounds: &far}
+	}
+	e, err := New(Config{Window: ConservativeWindow(geo), Workers: 1}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv := &packet.Advertise{ProgramID: 1, ProgramSegments: 1, SegID: 1, SegNominal: 8, TotalPackets: 8}
+	step := func() {
+		e.advanceShards(e.barrier + e.window)
+		e.barrier += e.window
+	}
+	// window transmits one boundary frame per tile, runs the window,
+	// drains, then runs on until both frames have left the air.
+	window := func(drain func()) func() {
+		return func() {
+			var air time.Duration
+			for i, sh := range shards {
+				var err error
+				if air, err = sh.Medium.Transmit(owned[i][0], adv, radio.PowerSim); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step()
+			drain()
+			for left := air; left > 0; left -= e.window {
+				step()
+			}
+		}
+	}
+	exported := e.Stats().GhostsExported
+	withExchange := testing.AllocsPerRun(200, window(e.exchange))
+	if got := e.Stats().GhostsExported - exported; got < 400 {
+		t.Fatalf("exchange drained %d ghosts over 200 windows, want two per window", got)
+	}
+	handBack := testing.AllocsPerRun(200, window(func() {
+		for _, sh := range shards {
+			sh.Medium.TakeOutbox()
+		}
+	}))
+	if withExchange != handBack {
+		t.Fatalf("a window with exchange allocates %v, the same window without %v", withExchange, handBack)
+	}
+}
+
+// BenchmarkEngineBarrier measures what one lockstep window costs when
+// the tiles have nothing to do: 16 empty tiles, one executor per
+// worker, so ns/window is the barrier itself (release, arrival, the
+// per-tile no-op RunBefore/AdvanceTo and summary). workers=1 is the
+// inline loop; a worker count above GOMAXPROCS is the oversubscribed
+// path.
+func BenchmarkEngineBarrier(b *testing.B) {
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			shards, geo := emptyShards(b, 16)
+			e := newUnclamped(b, Config{Window: ConservativeWindow(geo), Workers: workers, Shards: workers}, shards)
+			stop := e.startWorkers()
+			defer stop()
+			next := e.window
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.advanceShards(next)
+				next += e.window
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/window")
+		})
+	}
+}

@@ -27,8 +27,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -86,10 +87,12 @@ type Config struct {
 	// It must not exceed the minimum frame airtime or cross-shard
 	// frames could be due before the barrier that carries them.
 	Window time.Duration
-	// Workers selects the execution mode: <= 1 runs the tiles inline
-	// on the calling goroutine (same results, no goroutines — the right
-	// mode on a single-CPU host); anything larger runs one goroutine
-	// per executor. 0 picks inline when the process has one CPU.
+	// Workers bounds the goroutines that advance tiles, the caller of
+	// RunUntil included: the engine uses min(Workers, executors,
+	// GOMAXPROCS) of them, each owning a fixed block of executors, and
+	// starts one fewer than that. 1 (or anything that resolves to 1)
+	// runs every tile inline on the calling goroutine; 0 means
+	// GOMAXPROCS. Results never depend on it.
 	Workers int
 	// Shards is the number of logical executors the tiles are assigned
 	// to. 0 defaults to one executor per tile (the PR 4 strip engine's
@@ -191,9 +194,8 @@ type globalEvent struct {
 // Engine drives a set of tiles in lockstep windows, scheduled onto a
 // fixed number of logical executors.
 type Engine struct {
-	shards  []*Shard // the tiles; "shard" kept for API continuity
-	window  time.Duration
-	workers int
+	shards []*Shard // the tiles; "shard" kept for API continuity
+	window time.Duration
 
 	barrier time.Duration // time of the last completed barrier
 	globals []globalEvent // pending, sorted by (at, seq)
@@ -208,9 +210,10 @@ type Engine struct {
 	replayNow time.Duration
 
 	// nExec logical executors advance the tiles; asn[tile] is the
-	// owning executor. asn is only ever written at barriers (with
-	// worker goroutines parked on their command channels), so executor
-	// goroutines read it race-free.
+	// owning executor. asn is only ever written at barriers, with
+	// every worker waiting for the next generation (barrier.go), and
+	// workers run from tile lists the coordinator derives from it
+	// there — they never read asn themselves.
 	nExec int
 	asn   []int
 
@@ -223,16 +226,16 @@ type Engine struct {
 	tileEvents    []int64
 	tileDelivered []int64
 	lastDelivered []uint64
-	execWaitNs    []int64         // per-executor barrier wait this period
-	execElapsed   []time.Duration // scratch: per-executor window wall time
+	execWaitNs    []int64 // per-executor barrier wait this period
 	periodWindows int
 
 	stats Stats
 
-	// cmd/done carry the per-window barrier protocol to the executor
-	// goroutines; both are nil in inline mode.
-	cmd  []chan execCmd
-	done chan execDone
+	// bar is the window barrier and the workers' tile lists; it has one
+	// slot per worker, so a single slot is inline mode.
+	bar *barrier
+
+	routed []routedGhost // exchange scratch, reused across windows
 
 	// Optimistic-mode state (see optimistic.go). Per-tile slices are
 	// written only by the tile's owning executor between barriers and
@@ -267,9 +270,10 @@ type execCmd struct {
 	to time.Duration
 }
 
-type execDone struct {
-	exec    int
-	elapsed time.Duration
+// routedGhost is a drained boundary frame and the tile it came from.
+type routedGhost struct {
+	g    radio.Ghost
+	from int
 }
 
 // New builds an engine over the given shards. Shards must own disjoint
@@ -287,10 +291,6 @@ func New(cfg Config, shards []*Shard) (*Engine, error) {
 			return nil, fmt.Errorf("engine: shard %d incomplete", i)
 		}
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.NumCPU()
-	}
 	nExec := cfg.Shards
 	if nExec == 0 {
 		nExec = len(shards)
@@ -301,7 +301,7 @@ func New(cfg Config, shards []*Shard) (*Engine, error) {
 	e := &Engine{
 		shards:        shards,
 		window:        cfg.Window,
-		workers:       workers,
+		bar:           newBarrier(workerCount(cfg.Workers, nExec)),
 		buffers:       make([]*Buffer, len(shards)),
 		nExec:         nExec,
 		asn:           make([]int, len(shards)),
@@ -311,13 +311,13 @@ func New(cfg Config, shards []*Shard) (*Engine, error) {
 		tileDelivered: make([]int64, len(shards)),
 		lastDelivered: make([]uint64, len(shards)),
 		execWaitNs:    make([]int64, nExec),
-		execElapsed:   make([]time.Duration, nExec),
 	}
 	// Initial assignment: contiguous tile blocks per executor. With one
 	// tile per executor (the legacy strip shape) this is the identity.
 	for ti := range e.asn {
 		e.asn[ti] = ti * nExec / len(shards)
 	}
+	e.assignTiles()
 	if cfg.Repartition != nil {
 		rep := *cfg.Repartition
 		if rep.Every <= 0 {
@@ -496,36 +496,8 @@ func (e *Engine) advanceShards(next time.Duration) {
 	e.runRound(execCmd{op: opRun, to: next})
 }
 
-// runRound has every executor run one command against each of its
-// tiles, inline or via the worker goroutines, and waits for all of
-// them — the barrier the whole lockstep design hangs on.
-func (e *Engine) runRound(cmd execCmd) {
-	if e.cmd == nil {
-		for ti := range e.shards {
-			e.execTile(cmd.op, ti, cmd.to)
-		}
-		return
-	}
-	for _, c := range e.cmd {
-		c <- cmd
-	}
-	var slowest time.Duration
-	for i := 0; i < e.nExec; i++ {
-		d := <-e.done
-		e.execElapsed[d.exec] = d.elapsed
-		if d.elapsed > slowest {
-			slowest = d.elapsed
-		}
-	}
-	if e.rep != nil || e.onLoad != nil {
-		for x, el := range e.execElapsed {
-			e.execWaitNs[x] += int64(slowest - el)
-		}
-	}
-}
-
 // execTile runs one command against one tile, on the goroutine of the
-// executor that owns it.
+// worker that owns it.
 func (e *Engine) execTile(op execOp, ti int, to time.Duration) {
 	switch op {
 	case opRun:
@@ -540,42 +512,41 @@ func (e *Engine) execTile(op execOp, ti int, to time.Duration) {
 	}
 }
 
-// exchange moves boundary-crossing frames between tiles: every tile's
-// outbox is drained, the union is ordered by (start, source,
-// sequence), and each ghost is offered to every other tile whose
-// bounding box lies within the sender's radio range (the medium then
-// ignores ghosts inaudible to its nodes). Insertion order is a pure
-// function of simulation state, so two runs — or the same run with a
-// different worker count or tile→executor assignment — exchange
-// identically. The bounds prefilter is exact-safe: Rect.Distance
-// lower-bounds the sender's distance to every node in the tile, and an
-// insertion it skips would have been a no-op (no audible receivers).
+// exchange moves boundary-crossing frames between tiles: every
+// non-empty outbox (the workers' slot summaries name them) is drained,
+// the union is ordered by (start, source, sequence) — a total order,
+// so the drain order is immaterial — and each ghost is offered to every
+// other tile whose bounding box lies within the sender's radio range
+// (the medium then ignores ghosts inaudible to its nodes). Insertion
+// order is a pure function of simulation state, so two runs — or the
+// same run with a different worker count or tile→executor assignment —
+// exchange identically. The bounds prefilter is exact-safe:
+// Rect.Distance lower-bounds the sender's distance to every node in the
+// tile, and an insertion it skips would have been a no-op (no audible
+// receivers).
 func (e *Engine) exchange() {
-	type routed struct {
-		g    radio.Ghost
-		from int
-	}
-	var all []routed
-	for i, sh := range e.shards {
-		for _, g := range sh.Medium.TakeOutbox() {
-			all = append(all, routed{g: g, from: i})
+	all := e.routed[:0]
+	for w := range e.bar.slots {
+		for _, ti := range e.bar.slots[w].ghosts {
+			for _, g := range e.shards[ti].Medium.TakeOutbox() {
+				all = append(all, routedGhost{g: g, from: ti})
+			}
 		}
 	}
+	e.routed = all
 	if len(all) == 0 {
 		return
 	}
 	e.stats.GhostsExported += int64(len(all))
-	sort.Slice(all, func(a, b int) bool {
-		ga, gb := all[a].g, all[b].g
-		if ga.Start != gb.Start {
-			return ga.Start < gb.Start
-		}
-		if ga.Src != gb.Src {
-			return ga.Src < gb.Src
-		}
-		return ga.Seq < gb.Seq
+	slices.SortFunc(all, func(a, b routedGhost) int {
+		return cmp.Or(
+			cmp.Compare(a.g.Start, b.g.Start),
+			cmp.Compare(a.g.Src, b.g.Src),
+			cmp.Compare(a.g.Seq, b.g.Seq),
+		)
 	})
-	for _, r := range all {
+	for i := range all {
+		r := &all[i]
 		for j, sh := range e.shards {
 			if j == r.from {
 				continue
@@ -644,9 +615,10 @@ func (e *Engine) endWindow() {
 // repartition re-packs tiles onto executors when the deterministic
 // per-executor load skew (max/mean of kernel events + deliveries this
 // period) exceeds the threshold. It runs at a barrier with every
-// executor goroutine parked, and only rewrites the tile→executor
-// assignment — no kernel, medium, node, or RNG state moves — so it
-// cannot affect simulation results. Returns the number of tiles moved.
+// worker waiting for its next release, and only rewrites the
+// tile→executor assignment and the workers' tile lists derived from
+// it — no kernel, medium, node, or RNG state moves — so it cannot
+// affect simulation results. Returns the number of tiles moved.
 func (e *Engine) repartition() int {
 	if e.nExec < 2 {
 		return 0
@@ -660,6 +632,7 @@ func (e *Engine) repartition() int {
 		return 0
 	}
 	copy(e.asn, newAsn)
+	e.assignTiles()
 	e.stats.Migrations += int64(moved)
 	e.stats.Repartitions++
 	return moved
@@ -732,6 +705,15 @@ func planAssignment(tload []int64, cur []int, nExec int, threshold float64) ([]i
 // window containing that event. Returns false when nothing is pending
 // anywhere, i.e. the simulation is over.
 func (e *Engine) skipIdle(limit time.Duration) bool {
+	// The workers' summaries date from the end of the round; the
+	// barrier since then only adds events (ghost insertions), never
+	// removes one, so work they show within a window is still the
+	// verdict and no tile needs touching.
+	for w := range e.bar.slots {
+		if at := e.bar.slots[w].nextAt; at >= 0 && at-e.barrier <= e.window {
+			return true
+		}
+	}
 	earliest := time.Duration(-1)
 	for _, sh := range e.shards {
 		if at, ok := sh.Kernel.NextEventAt(); ok && (earliest < 0 || at < earliest) {
@@ -781,44 +763,5 @@ func (e *Engine) replayBuffers() {
 	}
 	for _, b := range e.buffers {
 		b.recs = b.recs[:0]
-	}
-}
-
-// --- worker machinery ---
-
-// startWorkers spawns one goroutine per logical executor. Each window,
-// an executor advances exactly the tiles the current assignment gives
-// it; the assignment is only rewritten at barriers while every
-// executor is parked on its command channel, so the channel send
-// establishes the happens-before edge that makes asn reads race-free.
-// Per-tile event counters are written only by the owning executor and
-// read only at barriers, for the same reason.
-func (e *Engine) startWorkers() (stop func()) {
-	if e.workers <= 1 || len(e.shards) == 1 || e.nExec == 1 {
-		return func() {}
-	}
-	e.cmd = make([]chan execCmd, e.nExec)
-	e.done = make(chan execDone, e.nExec)
-	for x := 0; x < e.nExec; x++ {
-		c := make(chan execCmd)
-		e.cmd[x] = c
-		go func(me int) {
-			for cmd := range c {
-				start := time.Now()
-				for ti := range e.shards {
-					if e.asn[ti] != me {
-						continue
-					}
-					e.execTile(cmd.op, ti, cmd.to)
-				}
-				e.done <- execDone{exec: me, elapsed: time.Since(start)}
-			}
-		}(x)
-	}
-	return func() {
-		for _, c := range e.cmd {
-			close(c)
-		}
-		e.cmd, e.done = nil, nil
 	}
 }

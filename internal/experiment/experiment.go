@@ -181,11 +181,11 @@ type Setup struct {
 	// Sharded runs are deterministic functions of (Seed, Shards) but
 	// not bitwise identical to sequential ones — see DESIGN.md §4f.
 	Shards int
-	// Workers bounds the sharded engine's parallelism: <= 1 advances
-	// shards inline on the calling goroutine (identical results, no
-	// goroutines), anything larger runs one goroutine per executor, and
-	// 0 picks a mode from the host CPU count. Ignored on the sequential
-	// path.
+	// Workers bounds the goroutines the sharded engine advances tiles
+	// on, the one calling Run included: it uses min(Workers, Shards,
+	// GOMAXPROCS), and 1 runs everything inline on the caller. 0 means
+	// GOMAXPROCS. Results are identical at every setting. Ignored on
+	// the sequential path.
 	Workers int
 	// TileRows and TileCols partition the deployment into a 2D tile
 	// grid run by the lockstep engine, with Shards logical executors
@@ -834,7 +834,7 @@ func buildSharded(s Setup, img *image.Image, layout *topology.Layout) (*Result, 
 	case s.TileAuto:
 		workersHint := s.Workers
 		if workersHint <= 0 {
-			workersHint = runtime.NumCPU()
+			workersHint = runtime.GOMAXPROCS(0)
 		}
 		grid = engine.AutoGrid(layout, rangeFt, workersHint)
 		tiles, err = engine.TilePartition(layout, grid)

@@ -888,10 +888,12 @@ func (m *Medium) Transmit(src packet.NodeID, pkt packet.Packet, power int) (time
 
 // TakeOutbox drains and returns the boundary frames transmitted since
 // the last call, in transmit order. The engine calls it at each window
-// barrier.
+// barrier. The medium keeps the backing array for its next boundary
+// transmit, so the returned slice is valid only until the tile's next
+// window runs; copy out what must outlive it.
 func (m *Medium) TakeOutbox() []Ghost {
 	out := m.outbox
-	m.outbox = nil
+	m.outbox = out[:0]
 	return out
 }
 
