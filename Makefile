@@ -30,17 +30,15 @@ race-short:
 # repartitioning equivalence matrix, tiled chaos, repartition during
 # fault windows, observer-replay ordering under migration), the
 # mobility suite (the mobile equivalence matrix, churn chaos, and the
-# static zero-cost check), the optimistic suite (speculation-vs-lockstep
-# equivalence across lookahead depths and worker counts, chaos under
-# rollback, the speculation counters), and the sharded + mobile golden
-# hashes (shards=4, workers 1 and 4, optimism off and on). The barrier
-# tests run a second time on one processor, so the path where waiters
-# must hand the processor over (yield, then park) is raced on every
-# push whatever the CI host's core count.
+# static zero-cost check), and the sharded + mobile golden hashes
+# (shards=4, workers 1 and 4). The barrier tests run a second time on
+# one processor, so the path where waiters must hand the processor over
+# (yield, then park) is raced on every push whatever the CI host's core
+# count.
 race-engine:
-	$(GO) test -race ./internal/engine/ ./internal/sim/ ./internal/checkpoint/
+	$(GO) test -race ./internal/engine/ ./internal/sim/
 	GOMAXPROCS=1 $(GO) test -race ./internal/engine/ -run 'Barrier'
-	$(GO) test -race ./internal/experiment/ -run 'TestSetupValidate|TestSharded|TestTiled|TestMobility|TestOptimistic'
+	$(GO) test -race ./internal/experiment/ -run 'TestSetupValidate|TestSharded|TestTiled|TestMobility'
 	$(GO) test -race . -run 'TestShardedRunMatchesGolden|TestMobileRunMatchesGolden'
 
 vet:
@@ -91,20 +89,17 @@ bench: build
 	@echo "appended to $(BENCH_OUT)"
 
 # bench-smoke is the CI-sized slice of `make bench`: the tiled
-# engine-grid series (2x2, 4x4, 4x4 with the repartitioner) plus the
-# optimistic series (speculative execution at workers 1, 2, 4 with a
-# conservative baseline), one iteration per config, appended to the
-# same SHA-keyed $(BENCH_OUT) history. The tiled lines carry the custom
-# "imbalance" metric and the optimistic lines "rollback-rate" and
-# "spec-depth", so every revision records balance and speculation
-# datapoints without paying for the full micro-benchmark sweep. The
-# barrier micro-benchmark ("ns/window") rides along: it takes under a
-# second.
+# engine-grid series (2x2, 4x4, 4x4 with the repartitioner, 4x4
+# mobile), one iteration per config, appended to the same SHA-keyed
+# $(BENCH_OUT) history. The tiled lines carry the custom "imbalance"
+# metric, so every revision records a balance datapoint without paying
+# for the full micro-benchmark sweep. The barrier micro-benchmark
+# ("ns/window") rides along: it takes under a second.
 bench-smoke: build
 	@rm -f bench-smoke.out
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineBarrier' \
 		-benchmem -benchtime 200000x ./internal/engine/ | tee bench-smoke.out
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineGrid/(tiles|optimistic)' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineGrid/tiles' \
 		-benchmem -benchtime 1x -timeout 40m . | tee -a bench-smoke.out
 	$(GO) run ./tools/benchjson -out $(BENCH_OUT) < bench-smoke.out
 	@echo "appended to $(BENCH_OUT)"

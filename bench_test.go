@@ -292,64 +292,6 @@ func BenchmarkEngineGrid(b *testing.B) {
 			b.ReportMetric(imbalance, "imbalance")
 		})
 	}
-	// Optimistic series: a 900-node 30x30 dissemination on a 2x2 tile
-	// grid with speculative window execution, swept across worker
-	// counts — the recorded multi-core scaling curve for optimistic
-	// mode, with a conservative cell at the same worker count as the
-	// speedup baseline. The workload is deliberately smaller than the
-	// series above: a dense single-image dissemination rolls back
-	// often, so a speculative cell pays per-round checkpoint capture
-	// on most of its ~24k rounds and runs minutes where conservative
-	// lockstep runs seconds (EXPERIMENTS.md records the measured
-	// ratio). Alongside the timing each speculative cell reports
-	// rollback-rate (fraction of speculated windows rolled back) and
-	// spec-depth (mean windows committed per speculative round), so
-	// BENCH_sim.json records how often the ghost-free-lookahead gamble
-	// pays and how deep it runs. `make bench-smoke` includes this
-	// series, one iteration per config.
-	for _, oc := range []struct {
-		name       string
-		workers    int
-		optimistic bool
-	}{
-		{"optimistic=off-w4", 4, false},
-		{"optimistic=w1", 1, true},
-		{"optimistic=w2", 2, true},
-		{"optimistic=w4", 4, true},
-	} {
-		b.Run(oc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var rollbackRate, specDepth float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.Run(experiment.Setup{
-					Name: "engine-grid-optimistic", Rows: 30, Cols: 30, ImagePackets: 64,
-					Seed: 42 + int64(i), Shards: 4, Workers: oc.workers,
-					TileRows: 2, TileCols: 2,
-					Optimistic: oc.optimistic,
-					Limit:      12 * time.Hour,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Completed {
-					b.Fatalf("%s seed=%d: dissemination incomplete", oc.name, 42+int64(i))
-				}
-				if oc.optimistic {
-					st := res.Engine.Stats()
-					if st.SpecWindows > 0 {
-						rollbackRate = float64(st.SpecRolledBack) / float64(st.SpecWindows)
-					}
-					if st.SpecRounds > 0 {
-						specDepth = float64(st.SpecCommitted) / float64(st.SpecRounds)
-					}
-				}
-			}
-			if oc.optimistic {
-				b.ReportMetric(rollbackRate, "rollback-rate")
-				b.ReportMetric(specDepth, "spec-depth")
-			}
-		})
-	}
 }
 
 // BenchmarkKernelSchedule measures the kernel's schedule/fire and

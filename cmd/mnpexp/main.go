@@ -72,8 +72,6 @@ func run(args []string) error {
 		shards   = fs.Int("shards", 1, "spatial shards per run, advanced in lockstep (1 = classic sequential kernel); with -tiles: logical executors")
 		tiles    = fs.String("tiles", "", `2D tile grid "RxC" (e.g. 4x4) or "auto" for every run; default: -shards contiguous strips`)
 		repart   = fs.Bool("repartition", false, "adaptively migrate tiles between executors at lockstep barriers")
-		optim    = fs.Bool("optimistic", false, "speculate windows ahead of the lockstep barrier, rolling back on late cross-tile traffic (needs an engine run)")
-		lookahd  = fs.Int("lookahead", 0, "speculation depth in windows for -optimistic (0 = engine default)")
 
 		telemetryDir = fs.String("telemetry", "", "write NDJSON events + Prometheus counters for a deployment run into this directory")
 		pprofAddr    = fs.String("pprof", "", "serve /debug/pprof and /debug/vars on this address for the whole invocation")
@@ -105,7 +103,6 @@ func run(args []string) error {
 		experiment.SetDefaultTiles(tileRows, tileCols)
 	}
 	experiment.SetDefaultRepartition(*repart)
-	experiment.SetDefaultOptimistic(*optim, *lookahd)
 	if *scenPath != "" {
 		if len(fs.Args()) > 0 {
 			return fmt.Errorf("-scenario runs its own deployment; drop the experiment IDs %v", fs.Args())

@@ -56,8 +56,6 @@ func run(args []string) error {
 		workers  = fs.Int("workers", 0, "executor goroutines: 0 auto, 1 inline, N parallel (needs an engine run)")
 		tiles    = fs.String("tiles", "", `2D tile grid "RxC" (e.g. 4x4) or "auto"; default: -shards contiguous strips`)
 		repart   = fs.Bool("repartition", false, "adaptively migrate tiles between executors at lockstep barriers")
-		optim    = fs.Bool("optimistic", false, "speculate windows ahead of the lockstep barrier, rolling back on late cross-tile traffic (needs an engine run)")
-		lookahd  = fs.Int("lookahead", 0, "speculation depth in windows for -optimistic (0 = engine default)")
 		limit    = fs.Duration("limit", 6*time.Hour, "simulated time limit")
 		report   = fs.String("report", "summary", "report: summary, energy, traffic, parents, progress")
 		traceID  = fs.Int("trace", -1, "dump the protocol event trace of one node ID (-1 disables)")
@@ -116,8 +114,6 @@ func run(args []string) error {
 		TileCols:     tileCols,
 		TileAuto:     tileAuto,
 		Repartition:  *repart,
-		Optimistic:   *optim,
-		Lookahead:    *lookahd,
 		Limit:        *limit,
 	}
 	// The trace log and telemetry recorder need the run's clock (the
@@ -218,10 +214,6 @@ func run(args []string) error {
 		st := res.Engine.Stats()
 		fmt.Printf("engine: tiles %s, executors %d, windows %d, ghosts exported %d, tile migrations %d\n",
 			res.TileGrid, res.Engine.Executors(), st.Windows, st.GhostsExported, st.Migrations)
-		if *optim {
-			fmt.Printf("speculation: %d rounds, %d/%d windows committed, %d rollbacks\n",
-				st.SpecRounds, st.SpecCommitted, st.SpecWindows, st.Rollbacks)
-		}
 	}
 	fmt.Printf("mean active radio time: %s (%s excluding initial idle listening)\n",
 		res.Collector.MeanActiveRadioTime(ct).Round(time.Second),

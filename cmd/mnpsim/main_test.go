@@ -101,6 +101,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}); err == nil {
 		t.Error("bad flag accepted")
 	}
+	// The removed speculation flags fail like any unknown flag; main
+	// turns the error into exit status 1.
+	for _, args := range [][]string{{"-optimistic"}, {"-lookahead", "8"}} {
+		err := run(append(args, "-rows", "2", "-cols", "2", "-packets", "16"))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: err = %v, want the flag package's not-defined error", args, err)
+		}
+	}
 }
 
 func TestTelemetryAndLive(t *testing.T) {

@@ -191,35 +191,30 @@ func TestShardedRunMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sharded simulations in -short mode")
 	}
-	// Inline and parallel workers must produce the same bytes, and so
-	// must optimistic speculation (checkpoint, run ahead, roll back on
-	// late ghosts): run the full cross.
+	// Inline and parallel workers must produce the same bytes.
 	for _, workers := range []int{1, 4} {
-		for _, optimistic := range []bool{false, true} {
-			res, err := experiment.Run(experiment.Setup{
-				Name: "sharded-golden", Rows: 8, Cols: 8, ImagePackets: 64, Seed: 42,
-				Shards: 4, Workers: workers, Limit: 4 * time.Hour,
-				Optimistic: optimistic,
-				Invariants: &invariant.Config{},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := res.VerifyInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			snap := res.Collector.Snapshot(res.CompletionTime)
-			var b strings.Builder
-			fmt.Fprintf(&b, "completed=%v at=%v tx=%d rx=%d collisions=%d senders=%d\n",
-				res.Completed, res.CompletionTime, snap.Tx, snap.Rx, snap.Collisions, snap.SenderEvents)
-			for _, n := range res.Network.Nodes {
-				fmt.Fprintf(&b, "%v completed=%v at=%v slots=%d\n",
-					n.ID(), n.Completed(), n.CompletedAt(), n.EEPROM().Slots())
-			}
-			if got := hex.EncodeToString(sumOf(b.String())); got != goldenSharded {
-				t.Errorf("workers=%d optimistic=%v: sharded report hash = %s, want %s (sharded execution is no longer a pure function of (seed, shards))\n%s",
-					workers, optimistic, got, goldenSharded, b.String())
-			}
+		res, err := experiment.Run(experiment.Setup{
+			Name: "sharded-golden", Rows: 8, Cols: 8, ImagePackets: 64, Seed: 42,
+			Shards: 4, Workers: workers, Limit: 4 * time.Hour,
+			Invariants: &invariant.Config{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.VerifyInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		snap := res.Collector.Snapshot(res.CompletionTime)
+		var b strings.Builder
+		fmt.Fprintf(&b, "completed=%v at=%v tx=%d rx=%d collisions=%d senders=%d\n",
+			res.Completed, res.CompletionTime, snap.Tx, snap.Rx, snap.Collisions, snap.SenderEvents)
+		for _, n := range res.Network.Nodes {
+			fmt.Fprintf(&b, "%v completed=%v at=%v slots=%d\n",
+				n.ID(), n.Completed(), n.CompletedAt(), n.EEPROM().Slots())
+		}
+		if got := hex.EncodeToString(sumOf(b.String())); got != goldenSharded {
+			t.Errorf("workers=%d: sharded report hash = %s, want %s (sharded execution is no longer a pure function of (seed, shards))\n%s",
+				workers, got, goldenSharded, b.String())
 		}
 	}
 }
@@ -242,41 +237,38 @@ const goldenMobile = "140ab359e499979d7ded0d7aeb358a6378f6b95b4608cd7bcf898d1258
 
 func TestMobileRunMatchesGolden(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		for _, optimistic := range []bool{false, true} {
-			res, err := experiment.Run(experiment.Setup{
-				Name: "mobile-golden", Rows: 6, Cols: 6, ImagePackets: 64, Seed: 42,
-				Protocol: experiment.ProtocolGossip, Limit: 4 * time.Hour,
-				TileRows: 2, TileCols: 2, Shards: 4, Workers: workers,
-				Optimistic:    optimistic,
-				MobilityEvery: 2 * time.Second,
-				Mobility: func(l *topology.Layout, seed int64) (topology.Mobility, error) {
-					return topology.NewWaypoint(l, topology.WaypointConfig{
-						SpeedMin: 1, SpeedMax: 3, Pause: 5 * time.Second, Seed: seed,
-					})
-				},
-				Invariants: &invariant.Config{SenderOverlapBudget: 1 << 30},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Completed {
-				t.Fatalf("workers=%d optimistic=%v: incomplete", workers, optimistic)
-			}
-			if err := res.VerifyInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			snap := res.Collector.Snapshot(res.CompletionTime)
-			var b strings.Builder
-			fmt.Fprintf(&b, "completed=%v at=%v tx=%d rx=%d collisions=%d senders=%d\n",
-				res.Completed, res.CompletionTime, snap.Tx, snap.Rx, snap.Collisions, snap.SenderEvents)
-			for _, n := range res.Network.Nodes {
-				fmt.Fprintf(&b, "%v completed=%v at=%v slots=%d\n",
-					n.ID(), n.Completed(), n.CompletedAt(), n.EEPROM().Slots())
-			}
-			if got := hex.EncodeToString(sumOf(b.String())); got != goldenMobile {
-				t.Errorf("workers=%d optimistic=%v: mobile report hash = %s, want %s (mobile execution is no longer a pure function of (seed, grid))\n%s",
-					workers, optimistic, got, goldenMobile, b.String())
-			}
+		res, err := experiment.Run(experiment.Setup{
+			Name: "mobile-golden", Rows: 6, Cols: 6, ImagePackets: 64, Seed: 42,
+			Protocol: experiment.ProtocolGossip, Limit: 4 * time.Hour,
+			TileRows: 2, TileCols: 2, Shards: 4, Workers: workers,
+			MobilityEvery: 2 * time.Second,
+			Mobility: func(l *topology.Layout, seed int64) (topology.Mobility, error) {
+				return topology.NewWaypoint(l, topology.WaypointConfig{
+					SpeedMin: 1, SpeedMax: 3, Pause: 5 * time.Second, Seed: seed,
+				})
+			},
+			Invariants: &invariant.Config{SenderOverlapBudget: 1 << 30},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed {
+			t.Fatalf("workers=%d: incomplete", workers)
+		}
+		if err := res.VerifyInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		snap := res.Collector.Snapshot(res.CompletionTime)
+		var b strings.Builder
+		fmt.Fprintf(&b, "completed=%v at=%v tx=%d rx=%d collisions=%d senders=%d\n",
+			res.Completed, res.CompletionTime, snap.Tx, snap.Rx, snap.Collisions, snap.SenderEvents)
+		for _, n := range res.Network.Nodes {
+			fmt.Fprintf(&b, "%v completed=%v at=%v slots=%d\n",
+				n.ID(), n.Completed(), n.CompletedAt(), n.EEPROM().Slots())
+		}
+		if got := hex.EncodeToString(sumOf(b.String())); got != goldenMobile {
+			t.Errorf("workers=%d: mobile report hash = %s, want %s (mobile execution is no longer a pure function of (seed, grid))\n%s",
+				workers, got, goldenMobile, b.String())
 		}
 	}
 }

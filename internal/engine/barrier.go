@@ -11,9 +11,9 @@ import (
 // kernel events — microseconds of tile work — so the barrier that ends
 // it may cost about one microsecond when every worker is running.
 // The goroutine that calls RunUntil (the coordinator) is itself worker
-// 0; it publishes a command, bumps one generation counter to release
-// the other workers, runs its own tiles, and then reads each worker's
-// arrival counter. Nobody blocks in the scheduler on the fast path: a
+// 0; it publishes the window's end, bumps one generation counter to
+// release the other workers, runs its own tiles, and then reads each
+// worker's arrival counter. Nobody blocks in the scheduler on the fast path: a
 // waiter polls the counter it needs, then yields its processor between
 // polls, and only after a bounded number of yields parks on a condition
 // variable — so with fewer free processors than workers a wait costs a
@@ -118,11 +118,12 @@ type workerSlot struct {
 // barrier is the engine's window barrier. It lives as long as the
 // engine; the goroutines behind slots[1:] live for one RunUntil.
 type barrier struct {
-	// gen is the release generation. cmd and quit belong to the
-	// generation about to be released: the coordinator writes them, then
-	// increments gen, and workers read them only after seeing it.
+	// gen is the release generation. to (the time the round runs tiles
+	// up to) and quit belong to the generation about to be released: the
+	// coordinator writes them, then increments gen, and workers read
+	// them only after seeing it.
 	gen  atomic.Uint64
-	cmd  execCmd
+	to   time.Duration
 	quit bool
 
 	slots   []workerSlot // slots[0] is the coordinator's
@@ -181,7 +182,7 @@ func (e *Engine) work(s *workerSlot, gen uint64) {
 		if b.quit {
 			return
 		}
-		e.runSlotTimed(s, b.cmd)
+		e.runSlotTimed(s, b.to)
 		s.done.Store(gen)
 		b.arrive.wake()
 	}
@@ -189,19 +190,22 @@ func (e *Engine) work(s *workerSlot, gen uint64) {
 
 // runSlotTimed is runSlot plus the wall time the barrier-wait
 // accounting needs; only rounds shared between workers pay for it.
-func (e *Engine) runSlotTimed(s *workerSlot, cmd execCmd) {
+func (e *Engine) runSlotTimed(s *workerSlot, to time.Duration) {
 	start := time.Now()
-	e.runSlot(s, cmd)
+	e.runSlot(s, to)
 	s.elapsed = time.Since(start)
 }
 
-// runSlot runs one command against every tile of a worker's slot, on
-// that worker's goroutine, and records the slot's summary.
-func (e *Engine) runSlot(s *workerSlot, cmd execCmd) {
+// runSlot runs the kernel of every tile in a worker's slot up to
+// (exclusive) the next barrier, on that worker's goroutine, and leaves
+// each clock parked exactly at the barrier; it accumulates the per-tile
+// event counts the repartitioner reads and records the slot's summary.
+func (e *Engine) runSlot(s *workerSlot, to time.Duration) {
 	s.nextAt, s.ghosts = -1, s.ghosts[:0]
 	for _, ti := range s.tiles {
-		e.execTile(cmd.op, ti, cmd.to)
 		sh := e.shards[ti]
+		e.tileEvents[ti] += int64(sh.Kernel.RunBefore(to))
+		sh.Kernel.AdvanceTo(to)
 		if at, ok := sh.Kernel.NextEventAt(); ok && (s.nextAt < 0 || at < s.nextAt) {
 			s.nextAt = at
 		}
@@ -231,20 +235,20 @@ func (e *Engine) assignTiles() {
 	}
 }
 
-// runRound has every worker run one command against each of its tiles
-// and returns when all of them have — the barrier the whole lockstep
-// design hangs on. With one worker it is a loop over the tiles on the
-// calling goroutine.
-func (e *Engine) runRound(cmd execCmd) {
+// runRound has every worker run each of its tiles up to to and returns
+// when all of them have — the barrier the whole lockstep design hangs
+// on. With one worker it is a loop over the tiles on the calling
+// goroutine.
+func (e *Engine) runRound(to time.Duration) {
 	b := e.bar
 	if len(b.slots) == 1 {
-		e.runSlot(&b.slots[0], cmd)
+		e.runSlot(&b.slots[0], to)
 		return
 	}
-	b.cmd = cmd
+	b.to = to
 	gen := b.gen.Add(1)
 	b.release.wake()
-	e.runSlotTimed(&b.slots[0], cmd)
+	e.runSlotTimed(&b.slots[0], to)
 	slowest := b.slots[0].elapsed
 	for w := 1; w < len(b.slots); w++ {
 		s := &b.slots[w]

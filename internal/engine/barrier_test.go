@@ -390,7 +390,7 @@ func TestExchangeSteadyStateAllocs(t *testing.T) {
 	}
 	adv := &packet.Advertise{ProgramID: 1, ProgramSegments: 1, SegID: 1, SegNominal: 8, TotalPackets: 8}
 	step := func() {
-		e.advanceShards(e.barrier + e.window)
+		e.runRound(e.barrier + e.window)
 		e.barrier += e.window
 	}
 	// window transmits one boundary frame per tile, runs the window,
@@ -442,7 +442,7 @@ func BenchmarkEngineBarrier(b *testing.B) {
 			next := e.window
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.advanceShards(next)
+				e.runRound(next)
 				next += e.window
 			}
 			b.StopTimer()

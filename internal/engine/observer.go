@@ -91,19 +91,6 @@ func (b *Buffer) push(r obsRecord) {
 	b.recs = append(b.recs, r)
 }
 
-// mark returns the buffer's position for a later rewind. The optimistic
-// engine marks at speculation boundaries so records from rolled-back
-// windows are never replayed — observers only ever see committed
-// history.
-func (b *Buffer) mark() (n int, seq uint64) { return len(b.recs), b.seq }
-
-// rewind truncates the buffer back to a mark, restoring the sequence
-// counter so a deterministic replay reproduces identical records.
-func (b *Buffer) rewind(n int, seq uint64) {
-	b.recs = b.recs[:n]
-	b.seq = seq
-}
-
 // NodeEvent implements node.Observer.
 func (b *Buffer) NodeEvent(id packet.NodeID, at time.Duration, ev node.Event) {
 	b.push(obsRecord{at: at, kind: recNodeEvent, id: id, ev: ev})

@@ -7,7 +7,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strconv"
 	"strings"
@@ -70,26 +69,19 @@ func (p ProtocolKind) String() string {
 	}
 }
 
-// RegistryName maps the kind to its protoreg registration ("mnp",
-// "deluge", "moap", "xnp"); unknown kinds return "".
-func (p ProtocolKind) RegistryName() string {
-	switch p {
-	case ProtocolMNP:
-		return "mnp"
-	case ProtocolDeluge:
-		return "deluge"
-	case ProtocolMOAP:
-		return "moap"
-	case ProtocolXNP:
-		return "xnp"
-	case ProtocolRLNC:
-		return "rlnc"
-	case ProtocolGossip:
-		return "gossip"
-	default:
-		return ""
-	}
+// registryNames maps each kind to its protoreg registration.
+var registryNames = map[ProtocolKind]string{
+	ProtocolMNP:    "mnp",
+	ProtocolDeluge: "deluge",
+	ProtocolMOAP:   "moap",
+	ProtocolXNP:    "xnp",
+	ProtocolRLNC:   "rlnc",
+	ProtocolGossip: "gossip",
 }
+
+// RegistryName returns the kind's protoreg registration; unknown kinds
+// return "".
+func (p ProtocolKind) RegistryName() string { return registryNames[p] }
 
 // ProtocolByName resolves a registry name (case-insensitive) to its
 // kind — the inverse of RegistryName, used by scenario files and CLIs.
@@ -209,18 +201,6 @@ type Setup struct {
 	Repartition          bool
 	RepartitionEvery     int
 	RepartitionThreshold float64
-	// Optimistic switches the engine to optimistic window execution:
-	// executors speculate up to Lookahead windows past each barrier,
-	// checkpoint at speculation boundaries, and roll back and replay
-	// when a late cross-tile ghost invalidates the horizon. Results
-	// stay a pure function of (Seed, tile grid) — byte-identical to
-	// conservative lockstep. Requires the engine path (Shards > 1 or a
-	// multi-tile grid); the sequential path has no windows to skip.
-	Optimistic bool
-	// Lookahead is the speculation depth in windows (default 8; 1 is
-	// conservative lockstep, so the minimum is 2). Only meaningful with
-	// Optimistic.
-	Lookahead int
 }
 
 // defaultShards is what Setups that leave Shards zero get; mnpexp's
@@ -260,23 +240,6 @@ func SetDefaultTiles(rows, cols int) {
 // SetDefaultRepartition toggles the adaptive repartitioner for Setups
 // that do not choose. Not safe to call concurrently with Build.
 func SetDefaultRepartition(on bool) { defaultRepartition = on }
-
-// Optimism defaults, reached by mnpexp's -optimistic/-lookahead flags.
-var (
-	defaultOptimistic bool
-	defaultLookahead  int
-)
-
-// SetDefaultOptimistic toggles optimistic window execution for Setups
-// that do not choose, with the given speculation depth (0 keeps the
-// engine's default). Not safe to call concurrently with Build.
-func SetDefaultOptimistic(on bool, lookahead int) {
-	defaultOptimistic = on
-	if lookahead < 0 {
-		lookahead = 0
-	}
-	defaultLookahead = lookahead
-}
 
 // ParseTileSpec parses a CLI tile-grid argument: "" (no tiling),
 // "auto" (size the grid from the deployment and worker count), or
@@ -334,12 +297,6 @@ func (s Setup) withDefaults() Setup {
 	if !s.Repartition && defaultRepartition {
 		s.Repartition = true
 	}
-	if !s.Optimistic && defaultOptimistic {
-		s.Optimistic = true
-	}
-	if s.Optimistic && s.Lookahead == 0 {
-		s.Lookahead = defaultLookahead
-	}
 	return s
 }
 
@@ -393,18 +350,6 @@ func (s Setup) Validate() error {
 	}
 	if (s.RepartitionEvery != 0 || s.RepartitionThreshold != 0) && !s.Repartition {
 		return fmt.Errorf("experiment %s: repartition tuning set but repartitioning is off", s.Name)
-	}
-	if s.Lookahead < 0 {
-		return fmt.Errorf("experiment %s: lookahead %d windows is negative", s.Name, s.Lookahead)
-	}
-	if s.Lookahead == 1 {
-		return fmt.Errorf("experiment %s: lookahead 1 is conservative lockstep; use at least 2 (or 0 for the default)", s.Name)
-	}
-	if s.Lookahead > 0 && !s.Optimistic {
-		return fmt.Errorf("experiment %s: lookahead set but optimistic execution is off", s.Name)
-	}
-	if s.Optimistic && !(s.Shards > 1 || s.TileRows*s.TileCols > 1 || s.TileAuto) {
-		return fmt.Errorf("experiment %s: optimistic execution requires the tiled engine (shards > 1 or a tile grid)", s.Name)
 	}
 	if s.ImagePackets < 0 {
 		return fmt.Errorf("experiment %s: image size %d packets is negative", s.Name, s.ImagePackets)
@@ -546,13 +491,6 @@ func (r *Result) Counters() *telemetry.Counters {
 		c.Set("engine_ghosts_offered_total", st.GhostsOffered)
 		c.Set("engine_tile_migrations_total", st.Migrations)
 		c.Set("engine_repartitions_total", st.Repartitions)
-		if r.Setup.Optimistic {
-			c.Set("engine_spec_rounds_total", st.SpecRounds)
-			c.Set("engine_windows_speculated_total", st.SpecWindows)
-			c.Set("engine_windows_committed_total", st.SpecCommitted)
-			c.Set("engine_windows_rolled_back_total", st.SpecRolledBack)
-			c.Set("engine_rollbacks_total", st.Rollbacks)
-		}
 	}
 	var hits, misses, invalidations uint64
 	if r.Engine != nil {
@@ -641,7 +579,6 @@ func Build(s Setup) (*Result, error) {
 	}
 	medium.SetSink(collector)
 
-	factory := s.protocolFactory(img)
 	var checker *invariant.Checker
 	var obs node.Observer = collector
 	observers := node.MultiObserver{collector}
@@ -687,9 +624,11 @@ func Build(s Setup) (*Result, error) {
 	if len(observers) > 1 {
 		obs = observers
 	}
-	nw, err := node.NewNetwork(kernel, medium, layout, factory, obs)
+	nw, err := s.newNetwork(img, func(f node.Factory) (*node.Network, error) {
+		return node.NewNetwork(kernel, medium, layout, f, obs)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
+		return nil, err
 	}
 	if s.Faults != nil {
 		err := s.Faults.Apply(faults.Env{
@@ -766,24 +705,25 @@ func armImageCheck(checker *invariant.Checker, proto ProtocolKind, img *image.Im
 	)
 }
 
-// protocolFactory builds the per-node protocol factory shared by the
-// sequential and sharded paths by resolving the configured protocol in
-// the registry (each protocol package registers itself from init).
-// Validate has already vetted the kind and the option map, so the
-// builder cannot fail per node.
-func (s Setup) protocolFactory(img *image.Image) node.Factory {
+// newNetwork has assemble build the network from the per-node protocol
+// factory shared by the sequential and sharded paths, which resolves
+// the configured protocol in the registry (each protocol package
+// registers itself from init). node.Factory has no error result, so a
+// builder that fails for a node hands it a nil protocol, which node.New
+// rejects, and the builder's error is reported in place of that
+// rejection.
+func (s Setup) newNetwork(img *image.Image, assemble func(node.Factory) (*node.Network, error)) (*node.Network, error) {
 	name := s.Protocol.RegistryName()
 	builder, ok := protoreg.Lookup(name)
 	if !ok {
-		// Unreachable after Validate; a nil factory would be a silent
-		// misconfiguration, so fail loudly.
-		panic(fmt.Sprintf("experiment %s: protocol %q not registered", s.Name, name))
+		return nil, fmt.Errorf("experiment %s: protocol %q not registered", s.Name, name)
 	}
 	var tune any
 	if s.MNP != nil {
 		tune = s.MNP
 	}
-	return func(id packet.NodeID) (node.Protocol, node.Config) {
+	var failed error
+	nw, err := assemble(func(id packet.NodeID) (node.Protocol, node.Config) {
 		ncfg := node.Config{TxPower: s.Power}
 		if s.Battery != nil {
 			ncfg.Battery = s.Battery(id)
@@ -796,10 +736,18 @@ func (s Setup) protocolFactory(img *image.Image) node.Factory {
 			Tune:    tune,
 		})
 		if err != nil {
-			panic(fmt.Sprintf("experiment %s: building %s for node %v: %v", s.Name, name, id, err))
+			failed = fmt.Errorf("building %s for node %v: %w", name, id, err)
+			return nil, ncfg
 		}
 		return p, ncfg
+	})
+	if failed != nil {
+		err = failed
 	}
+	if err != nil {
+		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
+	}
+	return nw, nil
 }
 
 // buildSharded assembles an engine-driven deployment: the layout is
@@ -910,8 +858,6 @@ func buildSharded(s Setup, img *image.Image, layout *topology.Layout) (*Result, 
 		Shards:      executors,
 		Repartition: rep,
 		OnLoad:      onLoad,
-		Optimistic:  s.Optimistic,
-		Lookahead:   s.Lookahead,
 	}, shards)
 	if err != nil {
 		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
@@ -977,9 +923,11 @@ func buildSharded(s Setup, img *image.Image, layout *topology.Layout) (*Result, 
 		}
 		return sh.Kernel, sh.Medium, obs
 	}
-	nw, err := node.NewPartitionedNetwork(layout, s.protocolFactory(img), place)
+	nw, err := s.newNetwork(img, func(f node.Factory) (*node.Network, error) {
+		return node.NewPartitionedNetwork(layout, f, place)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
+		return nil, err
 	}
 	if s.Faults != nil {
 		clocks := make([]func() time.Duration, len(shards))
@@ -988,7 +936,7 @@ func buildSharded(s Setup, img *image.Image, layout *topology.Layout) (*Result, 
 			clocks[i] = sh.Kernel.Now
 			mediums[i] = sh.Medium
 		}
-		env := faults.ShardedEnv{
+		err := s.Faults.ApplySharded(faults.ShardedEnv{
 			At:      eng.At,
 			Network: nw,
 			Mediums: mediums,
@@ -996,35 +944,10 @@ func buildSharded(s Setup, img *image.Image, layout *topology.Layout) (*Result, 
 			ShardOf: func(id packet.NodeID) int { return shardOf[id] },
 			Seed:    s.Seed,
 			Base:    s.BaseID,
-		}
-		if s.Optimistic {
-			// Per-node fault RNGs live in event closures the checkpoint
-			// walker cannot reach from any root; register each with its
-			// owning tile so speculative draws rewind with the tile.
-			env.OnRNG = func(id packet.NodeID, rng *rand.Rand) {
-				sh := shards[shardOf[id]]
-				sh.Roots = append(sh.Roots, rng)
-			}
-		}
-		if err := s.Faults.ApplySharded(env); err != nil {
+		})
+		if err != nil {
 			return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
 		}
-	}
-	if s.Optimistic {
-		// Checkpoint roots and journals per tile: the snapshot walker
-		// covers the kernel, the medium, and every owned node (battery,
-		// timers, protocol state, RNG cursor); the EEPROM stores and the
-		// tile collector carry their own bounded journals. Completion
-		// progress tracked outside the tiles is rewound on rollback.
-		for i, sh := range shards {
-			sh.Journals = append(sh.Journals, collectors[i])
-		}
-		for _, n := range nw.Nodes {
-			sh := shards[shardOf[n.ID()]]
-			sh.Roots = append(sh.Roots, n)
-			sh.Journals = append(sh.Journals, n.EEPROM())
-		}
-		eng.SetOnRollback(nw.RewindCompletion)
 	}
 	if s.Mobility != nil {
 		model, merr := s.Mobility(layout, s.Seed)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,7 +9,9 @@ import (
 
 	"mnp/internal/faults"
 	"mnp/internal/invariant"
+	"mnp/internal/node"
 	"mnp/internal/packet"
+	"mnp/internal/protoreg"
 )
 
 // TestSetupValidate exercises the deployment validation Build applies
@@ -210,5 +213,41 @@ func TestShardedChaosPartitionHeal(t *testing.T) {
 	}
 	if res.CompletionTime <= 90*time.Second {
 		t.Fatalf("completed at %v, inside the partition window", res.CompletionTime)
+	}
+}
+
+// failNodeKind selects a protocol whose builder rejects node 2 and
+// builds MNP for every other node. Registered once per process: the
+// registry rejects duplicates, and -count reruns tests.
+const failNodeKind = ProtocolKind(99)
+
+func init() {
+	mnp, _ := protoreg.Lookup("mnp")
+	protoreg.Register("failnode", func(b protoreg.Build) (node.Protocol, error) {
+		if b.ID == 2 {
+			return nil, errors.New("no flash part fitted")
+		}
+		return mnp(b)
+	})
+	registryNames[failNodeKind] = "failnode"
+}
+
+// TestBuildReportsBuilderFailure checks that a protocol builder failing
+// for one node surfaces as a Build error naming that node, on the
+// sequential and the sharded path alike.
+func TestBuildReportsBuilderFailure(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		_, err := Build(Setup{
+			Name: "failnode", Rows: 2, Cols: 2, ImagePackets: 8,
+			Protocol: failNodeKind, Shards: shards,
+		})
+		if err == nil {
+			t.Fatalf("shards=%d: Build accepted a builder that fails for node 2", shards)
+		}
+		for _, want := range []string{"building failnode for node n2", "no flash part fitted"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("shards=%d: Build error %q lacks %q", shards, err, want)
+			}
+		}
 	}
 }

@@ -122,19 +122,6 @@ func TestTiledEquivalenceMatrix(t *testing.T) {
 					t.Fatalf("grid %s seed %d: 2-executor digest %s, want %s — executor count leaked into results",
 						g, seed, dig, want)
 				}
-				// Optimistic execution is scheduling too: speculation with
-				// rollback must land on the same digest as lockstep.
-				s.Name = fmt.Sprintf("tiled-matrix-%s-s%d-opt", g, seed)
-				s.Repartition, s.RepartitionEvery, s.RepartitionThreshold = false, 0, 0
-				s.Optimistic = true
-				dig, res := tiledDigest(t, s)
-				if dig != want {
-					t.Fatalf("grid %s seed %d: optimistic digest %s, want %s — speculation leaked into results",
-						g, seed, dig, want)
-				}
-				if res.Engine.Stats().SpecRounds == 0 {
-					t.Fatalf("grid %s seed %d: optimistic cell never speculated", g, seed)
-				}
 			}
 		}
 	}

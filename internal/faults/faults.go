@@ -298,12 +298,6 @@ type ShardedEnv struct {
 	Seed int64
 	// Base is exempt from Wildcard targeting and random crashes.
 	Base packet.NodeID
-	// OnRNG, when set, receives each per-node EEPROM-fault RNG as it is
-	// created. The optimistic engine registers these as checkpoint
-	// roots: the RNGs live only inside write-fault closures, where the
-	// snapshot walker cannot reach them, yet their draw sequence is
-	// simulation state that must rewind with everything else.
-	OnRNG func(id packet.NodeID, rng *rand.Rand)
 }
 
 // ApplySharded schedules the plan onto a sharded run. Semantics match
@@ -416,12 +410,7 @@ func (p *Plan) applyEEPROMSharded(env ShardedEnv, ev Event) error {
 		now := env.Clocks[env.ShardOf(id)]
 		// A per-node RNG keyed on (seed, node) keeps the fault draw
 		// sequence independent of how writes interleave across shards.
-		// The counting wrapper forwards draws unchanged (same sequence)
-		// while stamping the state for O(1) idle checkpoints.
-		rng := rand.New(sim.NewCountingSource(rand.NewSource(env.Seed<<16 ^ 0xFA17 ^ int64(id)*0x9E3779B9)))
-		if env.OnRNG != nil {
-			env.OnRNG(id, rng)
-		}
+		rng := rand.New(rand.NewSource(env.Seed<<16 ^ 0xFA17 ^ int64(id)*0x9E3779B9))
 		ev := ev
 		n.EEPROM().SetWriteFault(func(seg, pkt int) error {
 			t := now()

@@ -89,10 +89,6 @@ type Collector struct {
 	// Concurrent-sender tracking.
 	activeData []senderWindow
 	violations int
-
-	// journal, when armed by Begin, records first-touch undo state so
-	// Rollback can rewind the collector (see journal.go).
-	journal *journal
 }
 
 type senderWindow struct {
@@ -126,10 +122,6 @@ var _ node.Observer = (*Collector)(nil)
 // FrameSent implements radio.TrafficSink.
 func (c *Collector) FrameSent(src packet.NodeID, kind packet.Kind, bytes int) {
 	minute := int(c.now() / time.Minute)
-	if j := c.journal; j != nil && j.active {
-		j.touch(c, src)
-		j.touchWindow(c, minute)
-	}
 	st := &c.nodes[src]
 	st.tx++
 	class := packet.ClassOf(kind)
@@ -161,9 +153,6 @@ func (c *Collector) FrameSent(src packet.NodeID, kind packet.Kind, bytes int) {
 
 // FrameReceived implements radio.TrafficSink.
 func (c *Collector) FrameReceived(dst, src packet.NodeID, kind packet.Kind, bytes int) {
-	if j := c.journal; j != nil && j.active {
-		j.touch(c, dst)
-	}
 	st := &c.nodes[dst]
 	st.rx++
 	st.rxByClass[packet.ClassOf(kind)]++
@@ -176,9 +165,6 @@ func (c *Collector) FrameReceived(dst, src packet.NodeID, kind packet.Kind, byte
 
 // FrameCollided implements radio.TrafficSink.
 func (c *Collector) FrameCollided(dst, src packet.NodeID, kind packet.Kind) {
-	if j := c.journal; j != nil && j.active {
-		j.touch(c, dst)
-	}
 	c.nodes[dst].collided++
 }
 
@@ -186,9 +172,6 @@ func (c *Collector) FrameCollided(dst, src packet.NodeID, kind packet.Kind) {
 
 // NodeEvent implements node.Observer.
 func (c *Collector) NodeEvent(id packet.NodeID, at time.Duration, ev node.Event) {
-	if j := c.journal; j != nil && j.active {
-		j.touch(c, id)
-	}
 	st := &c.nodes[id]
 	switch ev.Kind {
 	case node.EventGotCode:
@@ -207,9 +190,6 @@ func (c *Collector) NodeEvent(id packet.NodeID, at time.Duration, ev node.Event)
 		c.senders = append(c.senders, SenderEvent{At: at, Node: id, Seg: ev.Seg})
 	case node.EventGotSegment:
 		if _, ok := st.segTimes[ev.Seg]; !ok {
-			if j := c.journal; j != nil && j.active {
-				j.noteSegAdd(id, ev.Seg)
-			}
 			st.segTimes[ev.Seg] = at
 		}
 	case node.EventDecodeOps:
@@ -219,17 +199,11 @@ func (c *Collector) NodeEvent(id packet.NodeID, at time.Duration, ev node.Event)
 
 // RadioState implements node.Observer.
 func (c *Collector) RadioState(id packet.NodeID, at time.Duration, on bool) {
-	if j := c.journal; j != nil && j.active {
-		j.touch(c, id)
-	}
 	c.nodes[id].radio = append(c.nodes[id].radio, radioInterval{at: at, on: on})
 }
 
 // StorageOp implements node.Observer.
 func (c *Collector) StorageOp(id packet.NodeID, write bool, seg, pkt, bytes int) {
-	if j := c.journal; j != nil && j.active {
-		j.touch(c, id)
-	}
 	if write {
 		c.nodes[id].eepromWriteBytes += bytes
 		return

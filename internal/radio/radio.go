@@ -414,22 +414,17 @@ type Medium struct {
 
 	// links is the bounded LRU cache of per-(power, src) rows. Each
 	// medium has its own, so shards never contend on a shared table.
-	// The cache fields carry checkpoint:"skip": rows are pure caches of
-	// geometry (stamp-validated on every lookup), so a speculation
-	// rollback leaves them alone — restoring the LRU list head/tail
-	// words while the map kept newer entries would corrupt the list.
-	links                  map[linkKey]*linkRow `checkpoint:"skip"`
-	lruHead                *linkRow             `checkpoint:"skip"`
-	lruTail                *linkRow             `checkpoint:"skip"`
+	links                  map[linkKey]*linkRow
+	lruHead                *linkRow
+	lruTail                *linkRow
 	lruCap                 int
 	cacheInvalidations     uint64
 	cacheHits, cacheMisses uint64
 
 	// dec reuses one decoded message per kind across frame deliveries;
 	// handlers treat incoming packets as read-only and copy at the
-	// storage boundary, so reuse is invisible to them. Skipped by
-	// checkpoints: decode results are pure functions of frame bytes.
-	dec packet.DecodeCache `checkpoint:"skip"`
+	// storage boundary, so reuse is invisible to them.
+	dec packet.DecodeCache
 
 	// owned flags the nodes this Medium simulates; nil (the sequential
 	// case) means all of them. Handlers, radio state, and deliveries
@@ -898,10 +893,8 @@ func (m *Medium) TakeOutbox() []Ghost {
 }
 
 // Outbox returns the pending boundary-crossing frames without draining
-// them. The optimistic engine peeks every tile's outbox after a
-// speculation round to find the earliest window in which a reachable
-// ghost was transmitted — the commit horizon — before any exchange
-// happens.
+// them. The engine's workers read it after running a tile, only to tell
+// the barrier's slot summary which outboxes the exchange must drain.
 func (m *Medium) Outbox() []Ghost { return m.outbox }
 
 // InsertGhost replays a boundary frame from another shard into this

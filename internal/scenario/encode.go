@@ -110,8 +110,7 @@ func (s *Scenario) EncodeTOML() []byte {
 	hasRun := r.Seed != 0 || len(r.Seeds) > 0 || r.ImagePackets != 0 || r.Power != 0 ||
 		r.Base != 0 || r.Limit != 0 || r.Shards != 0 || r.Workers != 0 ||
 		r.TileRows != 0 || r.TileCols != 0 || r.Repartition ||
-		r.RepartitionEvery != 0 || r.RepartitionThreshold != 0 ||
-		r.Optimistic || r.Lookahead != 0
+		r.RepartitionEvery != 0 || r.RepartitionThreshold != 0
 	if hasRun {
 		e.section("run")
 		if r.Seed != 0 {
@@ -135,10 +134,6 @@ func (s *Scenario) EncodeTOML() []byte {
 		}
 		e.optInt("repartition_every", r.RepartitionEvery)
 		e.optFloat("repartition_threshold", r.RepartitionThreshold)
-		if r.Optimistic {
-			e.kv("optimistic", true)
-		}
-		e.optInt("lookahead", r.Lookahead)
 	}
 
 	if bat := s.Battery; bat != nil {

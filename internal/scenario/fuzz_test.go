@@ -21,6 +21,7 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Add([]byte("version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[mobility]\nkind = \"waypoint\"\nspeed_min = 1\nspeed_max = 3\npause = \"5s\"\nevery = \"2s\"\nseed = 3\n"))
 	f.Add([]byte("key = \"unclosed"))
 	f.Add([]byte("[[a]]\n[[a]]\nx = 1\n[a.b]\ny = 2\n"))
+	f.Add([]byte("version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\noptimistic = true\nlookahead = 8\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := Parse(data)
 		if err != nil {

@@ -172,11 +172,6 @@ type Run struct {
 	Repartition          bool    `json:"repartition,omitempty"`
 	RepartitionEvery     int     `json:"repartition_every,omitempty"`
 	RepartitionThreshold float64 `json:"repartition_threshold,omitempty"`
-	// Optimistic switches the engine to optimistic window execution
-	// (speculate up to Lookahead windows, roll back on late ghosts);
-	// results stay byte-identical to lockstep. See DESIGN.md §4l.
-	Optimistic bool `json:"optimistic,omitempty"`
-	Lookahead  int  `json:"lookahead,omitempty"`
 }
 
 // Battery assigns initial battery fractions declaratively — the
@@ -756,8 +751,6 @@ func (s *Scenario) Compile() (experiment.Setup, error) {
 		Repartition:          s.Run.Repartition,
 		RepartitionEvery:     s.Run.RepartitionEvery,
 		RepartitionThreshold: s.Run.RepartitionThreshold,
-		Optimistic:           s.Run.Optimistic,
-		Lookahead:            s.Run.Lookahead,
 	}
 	if setup.Name == "" {
 		setup.Name = "scenario"

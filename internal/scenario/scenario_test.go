@@ -288,6 +288,9 @@ func TestParseRejects(t *testing.T) {
 		{"mobility-trace-no-file", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[mobility]\nkind = \"trace\"\n", "requires a file"},
 		{"mobility-static-params", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[mobility]\nkind = \"static\"\nspeed_min = 1\n", "no parameters"},
 		{"mobility-unknown-key", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[mobility]\nkind = \"waypoint\"\nspeed_min = 1\nspeed_max = 2\nvelocity = 9\n", "velocity"},
+		// Keys of the removed speculative engine mode fail like any typo.
+		{"removed-optimistic", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\noptimistic = true\n", "optimistic"},
+		{"removed-lookahead", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\nlookahead = 8\n", "lookahead"},
 		{"toml-syntax", "version = \n", "missing value"},
 		{"dup-key", "version = 1\nversion = 1\n", "duplicate key"},
 	}
