@@ -6,7 +6,7 @@ BENCH_OUT ?= BENCH_sim.json
 
 FUZZTIME ?= 10s
 
-.PHONY: build test race race-short race-engine vet fuzz-short bench bench-smoke clean
+.PHONY: build test race race-short race-engine vet fmt-check fuzz-short bench bench-smoke clean
 
 build:
 	$(GO) build ./...
@@ -22,13 +22,14 @@ race:
 race-short:
 	$(GO) test -race -short ./...
 
-# race-engine exercises the sharded lockstep engine under the race
-# detector: the engine, tile-partition, and kernel-window unit tests,
-# the sharded experiment suite (sequential-vs-sharded equivalence at
-# shards 1 and 4, determinism with inline and parallel workers,
-# sharded chaos), the tiled suite (the grid x workers{1,2,4} x
-# repartitioning equivalence matrix, tiled chaos, repartition during
-# fault windows, observer-replay ordering under migration), the
+# race-engine exercises the lockstep engine under the race detector:
+# the engine, tile-partition, and kernel-window unit tests, the sharded
+# experiment suite (one-tile-vs-strips equivalence at shards 1 and 4,
+# determinism with inline and parallel workers, sharded chaos, strip
+# orientation), the tiled suite (the grid x workers{1,2,4} x
+# repartitioning equivalence matrix, the one-tile Build contract, tiled
+# chaos, repartition during fault windows, observer-replay ordering
+# under migration), the
 # mobility suite (the mobile equivalence matrix, churn chaos, and the
 # static zero-cost check), and the sharded + mobile golden hashes
 # (shards=4, workers 1 and 4). The barrier tests run a second time on
@@ -43,6 +44,10 @@ race-engine:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any file is not gofmt-clean (it lists them).
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # fuzz-short runs each native fuzz target for a fixed small budget
 # (override with FUZZTIME=30s etc.). The go tool accepts one -fuzz

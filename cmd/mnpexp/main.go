@@ -69,9 +69,9 @@ func run(args []string) error {
 		rows     = fs.Int("rows", 8, "deployment grid rows (-faults / -telemetry runs)")
 		cols     = fs.Int("cols", 8, "deployment grid cols (-faults / -telemetry runs)")
 		packets  = fs.Int("packets", 128, "deployment image size in packets (-faults / -telemetry runs)")
-		shards   = fs.Int("shards", 1, "spatial shards per run, advanced in lockstep (1 = classic sequential kernel); with -tiles: logical executors")
-		tiles    = fs.String("tiles", "", `2D tile grid "RxC" (e.g. 4x4) or "auto" for every run; default: -shards contiguous strips`)
-		repart   = fs.Bool("repartition", false, "adaptively migrate tiles between executors at lockstep barriers")
+		shards   = fs.Int("shards", 1, "contiguous strips advanced in lockstep (1 = one tile, the classic single kernel); with -tiles: logical executors (-faults / -telemetry runs)")
+		tiles    = fs.String("tiles", "", `2D tile grid "RxC" (e.g. 4x4) or "auto"; default: -shards contiguous strips (-faults / -telemetry runs)`)
+		repart   = fs.Bool("repartition", false, "adaptively migrate tiles between executors at lockstep barriers (-faults / -telemetry runs)")
 
 		telemetryDir = fs.String("telemetry", "", "write NDJSON events + Prometheus counters for a deployment run into this directory")
 		pprofAddr    = fs.String("pprof", "", "serve /debug/pprof and /debug/vars on this address for the whole invocation")
@@ -89,20 +89,23 @@ func run(args []string) error {
 		return err
 	}
 	defer stopProf()
-	// Predefined specs fix everything but the seed; the shard count,
-	// tile grid, and repartitioner reach them through the package
-	// defaults.
-	experiment.SetDefaultShards(*shards)
 	tileRows, tileCols, tileAuto, err := experiment.ParseTileSpec(*tiles)
 	if err != nil {
 		return err
 	}
-	if tileAuto {
-		experiment.SetDefaultTiles(-1, -1)
-	} else {
-		experiment.SetDefaultTiles(tileRows, tileCols)
+	// The engine flags configure the one deployment -faults/-telemetry
+	// build. Paper specs are single-kernel by definition and scenario
+	// files carry their own [run] keys, so anywhere else a set flag
+	// would be silently ignored: refuse it by name instead.
+	engineFlag := ""
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "shards" || f.Name == "tiles" || f.Name == "repartition" {
+			engineFlag = "-" + f.Name
+		}
+	})
+	if engineFlag != "" && (*scenPath != "" || *csvDir != "" || len(fs.Args()) > 0) {
+		return fmt.Errorf("%s reaches only -faults/-telemetry deployments; experiment IDs and -csv run the paper's single-kernel setups, and a -scenario file sets shards/tiles in its [run] table", engineFlag)
 	}
-	experiment.SetDefaultRepartition(*repart)
 	if *scenPath != "" {
 		if len(fs.Args()) > 0 {
 			return fmt.Errorf("-scenario runs its own deployment; drop the experiment IDs %v", fs.Args())
@@ -116,7 +119,13 @@ func run(args []string) error {
 		if len(fs.Args()) > 0 {
 			return fmt.Errorf("-faults/-telemetry run their own deployment; drop the experiment IDs %v", fs.Args())
 		}
-		return runDeploy(*faultStr, *rows, *cols, *packets, *seed, *telemetryDir, *progress)
+		return runDeploy(experiment.Setup{
+			Name: "deploy", Rows: *rows, Cols: *cols, ImagePackets: *packets,
+			Seed: *seed, Limit: 12 * time.Hour,
+			Shards: *shards, TileRows: tileRows, TileCols: tileCols, TileAuto: tileAuto,
+			Repartition: *repart,
+			Invariants:  &invariant.Config{},
+		}, *faultStr, *telemetryDir, *progress)
 	}
 	if *list {
 		for _, s := range experiment.AllSpecs() {
@@ -212,28 +221,21 @@ func run(args []string) error {
 	return nil
 }
 
-// runDeploy executes one dissemination run — optionally under a parsed
-// fault plan — with the invariant checker attached, then reports the
-// outcome: who died, who completed, how many EEPROM faults were
-// absorbed, and whether every surviving image is byte-identical and
-// every protocol invariant held. With telemetryDir set, the run also
+// runDeploy executes the dissemination run setup describes — optionally
+// under a parsed fault plan — with the invariant checker attached, then
+// reports the outcome: who died, who completed, how many EEPROM faults
+// were absorbed, and whether every surviving image is byte-identical
+// and every protocol invariant held. With telemetryDir set, the run also
 // streams NDJSON events and dumps the final counters in Prometheus
 // text format.
-func runDeploy(spec string, rows, cols, packets int, seed int64, telemetryDir string, progress bool) error {
-	var plan *faults.Plan
+func runDeploy(setup experiment.Setup, spec string, telemetryDir string, progress bool) error {
 	if spec != "" {
-		var err error
-		plan, err = faults.ParseSpec(spec)
+		plan, err := faults.ParseSpec(spec)
 		if err != nil {
 			return err
 		}
 		fmt.Println(plan)
-	}
-	setup := experiment.Setup{
-		Name: "deploy", Rows: rows, Cols: cols, ImagePackets: packets,
-		Seed: seed, Limit: 12 * time.Hour,
-		Faults:     plan,
-		Invariants: &invariant.Config{},
+		setup.Faults = plan
 	}
 	return execDeploy(setup, telemetryDir, progress)
 }

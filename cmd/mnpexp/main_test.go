@@ -249,3 +249,40 @@ func TestErrors(t *testing.T) {
 		t.Error("empty seed list accepted")
 	}
 }
+
+// TestEngineFlagsReachOnlyDeployments pins where -shards/-tiles/
+// -repartition go: explicitly into the -faults/-telemetry deployment
+// (the run must reach the lockstep engine), and nowhere else — with
+// experiment IDs, -csv or -scenario the flag is refused by name rather
+// than silently dropped.
+func TestEngineFlagsReachOnlyDeployments(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-shards", []string{"-shards", "2", "T1"}},
+		{"-tiles", []string{"-tiles", "2x2", "-csv", t.TempDir()}},
+		{"-repartition", []string{"-repartition", "-scenario", "deploy.toml"}},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
+
+	dir := artifactDir(t)
+	_, err := capture(t, func() error {
+		return run([]string{"-shards", "4", "-faults", "reboot:7@30s+10s", "-telemetry", dir,
+			"-rows", "4", "-cols", "4", "-packets", "32", "-seed", "11"})
+	})
+	if err != nil {
+		t.Fatalf("sharded faulted run failed: %v", err)
+	}
+	dump, err := os.ReadFile(filepath.Join(dir, "counters.prom"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(dump), "\nengine_windows_total ") {
+		t.Errorf("-shards 4 -faults did not run on the engine; counters:\n%s", dump)
+	}
+}

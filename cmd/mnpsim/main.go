@@ -2,17 +2,17 @@
 //
 //	mnpsim -rows 10 -cols 10 -packets 640 -protocol mnp -report energy
 //
-// Protocols: mnp (default), deluge, moap, xnp, rlnc. Reports: summary
-// (default), energy, traffic, parents, progress.
+// Protocols: mnp (default) or any other registered one (-h lists them).
+// Reports: summary (default), energy, traffic, parents, progress.
 //
 // Telemetry and profiling (all default off): -telemetry dir/ streams
 // the run as NDJSON plus a Prometheus counters dump; -pprof,
 // -cpuprofile and -tracefile capture profiles; -live prints progress
 // on stderr.
 //
-// -shards N partitions the deployment into N spatial shards advanced
-// in conservative lockstep (deterministic per (seed, shards); see
-// DESIGN.md §4f); -workers controls shard parallelism. -tiles RxC (or
+// -shards N cuts the deployment into N contiguous strips advanced in
+// conservative lockstep (deterministic per (seed, shards); see
+// DESIGN.md §4f); -workers controls tile parallelism. -tiles RxC (or
 // "auto") switches to 2D tile partitioning with -shards logical
 // executors, and -repartition migrates tiles between executors at
 // barriers when load skews (results stay a pure function of
@@ -30,6 +30,7 @@ import (
 	"mnp/internal/experiment"
 	"mnp/internal/node"
 	"mnp/internal/packet"
+	"mnp/internal/protoreg"
 	"mnp/internal/radio"
 	"mnp/internal/telemetry"
 	"mnp/internal/trace"
@@ -49,7 +50,7 @@ func run(args []string) error {
 		cols     = fs.Int("cols", 10, "grid columns")
 		spacing  = fs.Float64("spacing", 10, "inter-node spacing in feet")
 		packets  = fs.Int("packets", 640, "program size in 22-byte packets")
-		protocol = fs.String("protocol", "mnp", "protocol: mnp, deluge, moap, xnp, rlnc, gossip")
+		protocol = fs.String("protocol", "mnp", "protocol: "+strings.Join(protoreg.Names(), ", "))
 		power    = fs.Int("power", radio.PowerSim, "TinyOS transmit power level (1,3,4,20,50,255)")
 		seed     = fs.Int64("seed", 1, "simulation seed")
 		shards   = fs.Int("shards", 1, "spatial shards run in lockstep (1 = classic sequential kernel); with -tiles: logical executors")
@@ -77,22 +78,9 @@ func run(args []string) error {
 	}
 	defer stopProf()
 
-	var proto experiment.ProtocolKind
-	switch strings.ToLower(*protocol) {
-	case "mnp":
-		proto = experiment.ProtocolMNP
-	case "deluge":
-		proto = experiment.ProtocolDeluge
-	case "moap":
-		proto = experiment.ProtocolMOAP
-	case "xnp":
-		proto = experiment.ProtocolXNP
-	case "rlnc":
-		proto = experiment.ProtocolRLNC
-	case "gossip":
-		proto = experiment.ProtocolGossip
-	default:
-		return fmt.Errorf("unknown protocol %q", *protocol)
+	proto, ok := experiment.ProtocolByName(*protocol)
+	if !ok {
+		return fmt.Errorf("unknown protocol %q (valid: %s)", *protocol, strings.Join(protoreg.Names(), ", "))
 	}
 
 	tileRows, tileCols, tileAuto, err := experiment.ParseTileSpec(*tiles)

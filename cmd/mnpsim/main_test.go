@@ -101,6 +101,15 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}); err == nil {
 		t.Error("bad flag accepted")
 	}
+	// A negative worker count used to mean 1 to the engine and
+	// GOMAXPROCS to the automatic grid; now it is an error (exit 1).
+	err := run([]string{"-rows", "2", "-cols", "2", "-packets", "16", "-workers", "-3"})
+	if err == nil || !strings.Contains(err.Error(), "worker count -3") {
+		t.Errorf("-workers -3: err = %v, want the negative-worker-count error", err)
+	}
+	if err := run([]string{"-protocol", "bogus"}); err == nil || !strings.Contains(err.Error(), "gossip") {
+		t.Errorf("-protocol bogus: err = %v, want an error listing the registered protocols", err)
+	}
 	// The removed speculation flags fail like any unknown flag; main
 	// turns the error into exit status 1.
 	for _, args := range [][]string{{"-optimistic"}, {"-lookahead", "8"}} {

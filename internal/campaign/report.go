@@ -136,5 +136,5 @@ func faultLabel(spec string) string {
 // rounded to the millisecond so float noise cannot leak into report
 // bytes.
 func msDuration(ms float64) time.Duration {
-	return (time.Duration(ms*float64(time.Millisecond))).Round(time.Millisecond)
+	return (time.Duration(ms * float64(time.Millisecond))).Round(time.Millisecond)
 }

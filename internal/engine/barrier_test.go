@@ -50,12 +50,13 @@ func emptyShards(tb testing.TB, n int) ([]*Shard, *radio.Geometry) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	parts, err := Partition(layout, n)
+	tiles, err := TilePartition(layout, StripGrid(layout, n))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	shards := make([]*Shard, n)
-	for i, owned := range parts {
+	for i, tile := range tiles {
+		owned := tile.Owned
 		k := sim.New(int64(i + 1))
 		m, err := radio.NewShardMedium(k, geo, owned)
 		if err != nil {

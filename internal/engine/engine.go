@@ -1,29 +1,29 @@
-// Package engine is the execution layer between one experiment and the
-// simulation substrate. It offers two strategies over the same node,
-// radio, and kernel code: the sequential strategy (one kernel drives
-// everything, exactly the behavior the golden hashes pin down) and a
-// sharded strategy that spatially partitions the deployment into K
-// shards — each owning a kernel, a radio shard over the shared channel
-// geometry, and its nodes — and advances them in conservative lockstep
-// windows.
+// Package engine runs a deployment that experiment.Build cut into
+// several tiles. Each tile owns a kernel, a radio shard over the shared
+// channel geometry, and its nodes; the engine advances the tiles in
+// conservative lockstep windows over the same node, radio, and kernel
+// code a one-tile deployment runs on its single kernel with no engine
+// at all. TilePartition cuts the tiles (contiguous strips are its 1×K
+// or K×1 grid, see StripGrid), logical executors advance them, and the
+// repartitioner moves tiles between executors.
 //
-// The window length is the minimum cross-shard interaction latency: the
+// The window length is the minimum cross-tile interaction latency: the
 // airtime of the smallest possible frame. A frame transmitted in one
 // window cannot end, and therefore cannot be delivered or finish
-// corrupting anyone, before the next barrier; so shards run a window
+// corrupting anyone, before the next barrier; so tiles run a window
 // completely independently and exchange the boundary-crossing frames
 // (radio.Ghost records) at the barrier. Outboxes are merged by
 // (start, source, sequence) — a pure function of simulation state —
-// never by goroutine arrival order, which is what makes a sharded run a
-// deterministic function of (seed, shard count) even under -race.
+// never by goroutine arrival order, which is what makes an engine run a
+// deterministic function of (seed, tile grid) even under -race.
 //
-// What sharding approximates (documented in DESIGN.md §4f): carrier
-// sense and collisions across a shard boundary take effect at the next
+// What tiling approximates (documented in DESIGN.md §4f): carrier
+// sense and collisions across a tile boundary take effect at the next
 // barrier rather than instantly (at most one window late, the window
 // being one minimal frame airtime), and per-delivery random draws come
-// from the owning shard's RNG stream rather than the single global one,
-// so a sharded run is statistically — not bitwise — equivalent to the
-// sequential run of the same seed.
+// from the owning tile's RNG stream rather than the single global one,
+// so an engine run is statistically — not bitwise — equivalent to the
+// one-tile run of the same seed.
 package engine
 
 import (
@@ -202,7 +202,7 @@ type routedGhost struct {
 
 // New builds an engine over the given shards. Shards must own disjoint
 // node sets covering the deployment; the caller (experiment.Build)
-// constructs them from Partition.
+// constructs them from TilePartition.
 func New(cfg Config, shards []*Shard) (*Engine, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("engine: no shards")

@@ -10,105 +10,6 @@ import (
 	"mnp/internal/topology"
 )
 
-func TestPartitionShapes(t *testing.T) {
-	layout, err := topology.Grid(5, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := Partition(layout, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 4 {
-		t.Fatalf("got %d shards, want 4", len(parts))
-	}
-	// 15 nodes over 4 shards: sizes 4,4,4,3, disjoint, covering all.
-	seen := make(map[packet.NodeID]int)
-	for i, p := range parts {
-		want := 4
-		if i == 3 {
-			want = 3
-		}
-		if len(p) != want {
-			t.Fatalf("shard %d has %d nodes, want %d", i, len(p), want)
-		}
-		for _, id := range p {
-			if prev, dup := seen[id]; dup {
-				t.Fatalf("node %v in shards %d and %d", id, prev, i)
-			}
-			seen[id] = i
-		}
-	}
-	if len(seen) != layout.N() {
-		t.Fatalf("shards cover %d nodes, want %d", len(seen), layout.N())
-	}
-	// The 5x3 grid is taller than wide, so strips cut across Y: a
-	// shard's nodes must span a Y-range disjoint from later shards'.
-	maxY := func(p []packet.NodeID) float64 {
-		m := -1.0
-		for _, id := range p {
-			pt, err := layout.Pos(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pt.Y > m {
-				m = pt.Y
-			}
-		}
-		return m
-	}
-	minY := func(p []packet.NodeID) float64 {
-		m := 1e18
-		for _, id := range p {
-			pt, _ := layout.Pos(id)
-			if pt.Y < m {
-				m = pt.Y
-			}
-		}
-		return m
-	}
-	for i := 1; i < len(parts); i++ {
-		if maxY(parts[i-1]) > minY(parts[i]) {
-			t.Fatalf("shards %d and %d overlap along the cut axis", i-1, i)
-		}
-	}
-}
-
-func TestPartitionDeterministic(t *testing.T) {
-	layout, _ := topology.Grid(6, 6, 10)
-	a, err := Partition(layout, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := Partition(layout, 4)
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			t.Fatalf("shard %d sizes differ", i)
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatalf("shard %d diverges at %d: %v vs %v", i, j, a[i][j], b[i][j])
-			}
-		}
-	}
-}
-
-func TestPartitionErrors(t *testing.T) {
-	layout, _ := topology.Grid(2, 2, 10)
-	if _, err := Partition(nil, 2); err == nil {
-		t.Error("nil layout accepted")
-	}
-	if _, err := Partition(layout, 0); err == nil {
-		t.Error("zero shards accepted")
-	}
-	if _, err := Partition(layout, 5); err == nil {
-		t.Error("more shards than nodes accepted")
-	}
-	if parts, err := Partition(layout, 4); err != nil || len(parts) != 4 {
-		t.Errorf("one node per shard: parts=%d err=%v", len(parts), err)
-	}
-}
-
 func TestConservativeWindow(t *testing.T) {
 	layout, _ := topology.Grid(2, 2, 10)
 	geo, err := radio.NewGeometry(layout, radio.DefaultParams(), 1)
@@ -159,9 +60,10 @@ func TestEngineNewValidation(t *testing.T) {
 func TestEngineSkipsIdleWindows(t *testing.T) {
 	layout, _ := topology.Grid(2, 2, 10)
 	geo, _ := radio.NewGeometry(layout, radio.DefaultParams(), 1)
-	parts, _ := Partition(layout, 2)
-	shards := make([]*Shard, len(parts))
-	for i, owned := range parts {
+	tiles, _ := TilePartition(layout, Grid{1, 2})
+	shards := make([]*Shard, len(tiles))
+	for i, tile := range tiles {
+		owned := tile.Owned
 		k := sim.New(int64(i + 1))
 		m, err := radio.NewShardMedium(k, geo, owned)
 		if err != nil {
@@ -203,9 +105,10 @@ func TestEngineSkipsIdleWindows(t *testing.T) {
 func TestEnginePredStopsAtBarrier(t *testing.T) {
 	layout, _ := topology.Grid(2, 2, 10)
 	geo, _ := radio.NewGeometry(layout, radio.DefaultParams(), 1)
-	parts, _ := Partition(layout, 2)
-	shards := make([]*Shard, len(parts))
-	for i, owned := range parts {
+	tiles, _ := TilePartition(layout, Grid{1, 2})
+	shards := make([]*Shard, len(tiles))
+	for i, tile := range tiles {
+		owned := tile.Owned
 		k := sim.New(int64(i + 1))
 		m, _ := radio.NewShardMedium(k, geo, owned)
 		shards[i] = &Shard{Kernel: k, Medium: m, Owned: owned}
@@ -219,6 +122,25 @@ func TestEnginePredStopsAtBarrier(t *testing.T) {
 	for _, sh := range shards {
 		if now := sh.Kernel.Now(); now > 5*time.Second+e.Window() {
 			t.Fatalf("engine overshot: shard clock at %v", now)
+		}
+	}
+}
+
+// TestStripGrid pins the axis K strips cut across: the longer one, with
+// ties (and a single strip) going to columns.
+func TestStripGrid(t *testing.T) {
+	for _, tc := range []struct {
+		rows, cols, k int
+		want          Grid
+	}{
+		{2, 6, 3, Grid{1, 3}},
+		{6, 2, 3, Grid{3, 1}},
+		{4, 4, 3, Grid{1, 3}},
+		{6, 2, 1, Grid{1, 1}},
+	} {
+		layout, _ := topology.Grid(tc.rows, tc.cols, 10)
+		if got := StripGrid(layout, tc.k); got != tc.want {
+			t.Errorf("%dx%d layout, %d strips: grid %s, want %s", tc.rows, tc.cols, tc.k, got, tc.want)
 		}
 	}
 }

@@ -142,6 +142,32 @@ func boundsOf(pts []topology.Point, owned []packet.NodeID) Rect {
 	return r
 }
 
+// extent returns the width and height of the layout's bounding box.
+func extent(layout *topology.Layout) (x, y float64) {
+	var b Rect
+	for i, p := range layout.Points() {
+		if i == 0 {
+			b = Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
+		}
+		b.MinX, b.MaxX = math.Min(b.MinX, p.X), math.Max(b.MaxX, p.X)
+		b.MinY, b.MaxY = math.Min(b.MinY, p.Y), math.Max(b.MaxY, p.Y)
+	}
+	return b.MaxX - b.MinX, b.MaxY - b.MinY
+}
+
+// StripGrid is the grid that cuts a layout into k contiguous strips
+// across its longer axis: 1×k, or k×1 when the layout is strictly
+// taller than wide — so only nodes near k−1 short cuts have cross-tile
+// neighbors.
+func StripGrid(layout *topology.Layout, k int) Grid {
+	if k > 1 {
+		if x, y := extent(layout); y > x {
+			return Grid{Rows: k, Cols: 1}
+		}
+	}
+	return Grid{Rows: 1, Cols: k}
+}
+
 // AutoGrid picks a tile grid for a deployment from its extent, the
 // radio range, and the intended worker count. Tiles are kept at least
 // one radio range on a side where the extent allows it — thinner tiles
@@ -154,15 +180,7 @@ func AutoGrid(layout *topology.Layout, rangeFt float64, workers int) Grid {
 	if n < 1 {
 		return Grid{Rows: 1, Cols: 1}
 	}
-	pts := layout.Points()
-	bounds := Rect{MinX: math.Inf(1), MinY: math.Inf(1), MaxX: math.Inf(-1), MaxY: math.Inf(-1)}
-	for _, p := range pts {
-		bounds.MinX = math.Min(bounds.MinX, p.X)
-		bounds.MinY = math.Min(bounds.MinY, p.Y)
-		bounds.MaxX = math.Max(bounds.MaxX, p.X)
-		bounds.MaxY = math.Max(bounds.MaxY, p.Y)
-	}
-	extX, extY := bounds.MaxX-bounds.MinX, bounds.MaxY-bounds.MinY
+	extX, extY := extent(layout)
 	if workers < 1 {
 		workers = 1
 	}

@@ -1,0 +1,130 @@
+package experiment
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"mnp/internal/engine"
+	"mnp/internal/protoreg"
+)
+
+// outcomeDigest hashes a finished run's observable outcome — verdict,
+// completion time, aggregate traffic, every node's row — whoever drove
+// it.
+func outcomeDigest(res *Result) string {
+	snap := res.Collector.Snapshot(res.CompletionTime)
+	var b strings.Builder
+	fmt.Fprintf(&b, "completed=%v at=%v tx=%d rx=%d collisions=%d senders=%d\n",
+		res.Completed, res.CompletionTime, snap.Tx, snap.Rx, snap.Collisions, snap.SenderEvents)
+	for _, n := range res.Network.Nodes {
+		fmt.Fprintf(&b, "%v completed=%v at=%v slots=%d\n",
+			n.ID(), n.Completed(), n.CompletedAt(), n.EEPROM().Slots())
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestTiledOneTileContract pins what a single-tile Build hands back,
+// however the single tile was asked for: no engine, a zero TileGrid,
+// and the one kernel, medium and collector exposed on the Result and
+// the Network — so a caller that starts the network and steps
+// res.Kernel by hand (the path bench/ drives) reaches exactly the
+// outcome Run does.
+func TestTiledOneTileContract(t *testing.T) {
+	want := ""
+	for _, shards := range []int{0, 1} {
+		for _, tile := range []int{0, 1} {
+			s := Setup{
+				Name: fmt.Sprintf("one-tile-s%d-t%d", shards, tile),
+				Rows: 4, Cols: 4, ImagePackets: 32, Seed: 42, Limit: time.Hour,
+				Shards: shards, TileRows: tile, TileCols: tile,
+			}
+			res, err := Build(s)
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name, err)
+			}
+			if res.Engine != nil || res.TileGrid != (engine.Grid{}) {
+				t.Fatalf("%s: engine %v, grid %s on a single tile", s.Name, res.Engine != nil, res.TileGrid)
+			}
+			if res.Kernel == nil || res.Medium == nil || res.Collector == nil {
+				t.Fatalf("%s: kernel %v medium %v collector %v, want all set before the run",
+					s.Name, res.Kernel != nil, res.Medium != nil, res.Collector != nil)
+			}
+			if res.Network.Kernel != res.Kernel || res.Network.Medium != res.Medium {
+				t.Fatalf("%s: network is not bound to the result's kernel and medium", s.Name)
+			}
+			res.Network.Start()
+			res.Completed = res.Kernel.RunUntil(res.Network.AllCompleted, res.Setup.Limit)
+			res.CompletionTime = res.Network.CompletionTime()
+			if !res.Completed {
+				t.Fatalf("%s: hand-driven run incomplete", s.Name)
+			}
+			ran, err := Run(s)
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name, err)
+			}
+			hand, run := outcomeDigest(res), outcomeDigest(ran)
+			if hand != run {
+				t.Fatalf("%s: hand-driven digest %s, Run digest %s", s.Name, hand, run)
+			}
+			if want == "" {
+				want = run
+			} else if run != want {
+				t.Fatalf("%s: digest %s, want %s — the spelling of one tile leaked into results", s.Name, run, want)
+			}
+		}
+	}
+}
+
+// TestShardedStripOrientation checks the grid Shards strips resolve to:
+// cuts run across the longer axis, ties go to columns, and the Result
+// reports the orientation the engine really ran (the strips' shape is
+// engine.TestTilePartitionStrips' business).
+func TestShardedStripOrientation(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		rows, cols int
+		want       engine.Grid
+	}{
+		{"wide", 2, 6, engine.Grid{Rows: 1, Cols: 3}},
+		{"tall", 6, 2, engine.Grid{Rows: 3, Cols: 1}},
+		{"square", 4, 4, engine.Grid{Rows: 1, Cols: 3}},
+	} {
+		res, err := Build(Setup{Name: tc.name, Rows: tc.rows, Cols: tc.cols, ImagePackets: 8, Shards: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Engine == nil || res.TileGrid != tc.want {
+			t.Fatalf("%s: engine %v, grid %s, want %s", tc.name, res.Engine != nil, res.TileGrid, tc.want)
+		}
+	}
+}
+
+// TestProtocolTableCoversRegistry fails when a protocol is registered
+// with protoreg but has no row in the experiment table: every
+// registered name must resolve to a kind whose RegistryName is that
+// name again and whose display name is not the unknown-kind fallback.
+func TestProtocolTableCoversRegistry(t *testing.T) {
+	for _, name := range protoreg.Names() {
+		kind, ok := ProtocolByName(name)
+		if !ok {
+			t.Errorf("protocol %q is registered but has no row in the experiment table", name)
+			continue
+		}
+		if got := kind.RegistryName(); got != name {
+			t.Errorf("%q resolves to kind %d, whose registry name is %q", name, int(kind), got)
+		}
+		if strings.HasPrefix(kind.String(), "Protocol(") {
+			t.Errorf("%q (kind %d) has no display name", name, int(kind))
+		}
+	}
+	for _, e := range protocols {
+		if _, ok := protoreg.Lookup(e.registry); !ok {
+			t.Errorf("table row %s names %q, which is not registered", e.display, e.registry)
+		}
+	}
+}

@@ -49,46 +49,52 @@ const (
 	ProtocolGossip
 )
 
-// String returns the protocol name.
-func (p ProtocolKind) String() string {
-	switch p {
-	case ProtocolMNP:
-		return "MNP"
-	case ProtocolDeluge:
-		return "Deluge"
-	case ProtocolMOAP:
-		return "MOAP"
-	case ProtocolXNP:
-		return "XNP"
-	case ProtocolRLNC:
-		return "RLNC"
-	case ProtocolGossip:
-		return "Gossip"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
-	}
+type protocolEntry struct {
+	kind     ProtocolKind
+	display  string
+	registry string
 }
 
-// registryNames maps each kind to its protoreg registration.
-var registryNames = map[ProtocolKind]string{
-	ProtocolMNP:    "mnp",
-	ProtocolDeluge: "deluge",
-	ProtocolMOAP:   "moap",
-	ProtocolXNP:    "xnp",
-	ProtocolRLNC:   "rlnc",
-	ProtocolGossip: "gossip",
+// protocols is the one protocol table: each kind's report name and its
+// protoreg registration. String, RegistryName, ProtocolByName and the
+// CLIs all read it, so adding a protocol is a register.go plus a row
+// here (TestProtocolTableCoversRegistry fails on a missing row).
+var protocols = []protocolEntry{
+	{ProtocolMNP, "MNP", "mnp"},
+	{ProtocolDeluge, "Deluge", "deluge"},
+	{ProtocolMOAP, "MOAP", "moap"},
+	{ProtocolXNP, "XNP", "xnp"},
+	{ProtocolRLNC, "RLNC", "rlnc"},
+	{ProtocolGossip, "Gossip", "gossip"},
+}
+
+// String returns the protocol name.
+func (p ProtocolKind) String() string {
+	for _, e := range protocols {
+		if e.kind == p {
+			return e.display
+		}
+	}
+	return fmt.Sprintf("Protocol(%d)", int(p))
 }
 
 // RegistryName returns the kind's protoreg registration; unknown kinds
 // return "".
-func (p ProtocolKind) RegistryName() string { return registryNames[p] }
+func (p ProtocolKind) RegistryName() string {
+	for _, e := range protocols {
+		if e.kind == p {
+			return e.registry
+		}
+	}
+	return ""
+}
 
 // ProtocolByName resolves a registry name (case-insensitive) to its
 // kind — the inverse of RegistryName, used by scenario files and CLIs.
 func ProtocolByName(name string) (ProtocolKind, bool) {
-	for _, p := range []ProtocolKind{ProtocolMNP, ProtocolDeluge, ProtocolMOAP, ProtocolXNP, ProtocolRLNC, ProtocolGossip} {
-		if strings.EqualFold(name, p.RegistryName()) {
-			return p, true
+	for _, e := range protocols {
+		if strings.EqualFold(name, e.registry) {
+			return e.kind, true
 		}
 	}
 	return 0, false
@@ -140,15 +146,15 @@ type Setup struct {
 	// Observer, when non-nil, receives node observations alongside the
 	// metrics collector (e.g. a trace.Log).
 	Observer node.Observer
-	// Faults, when non-nil, is a fault plan scheduled onto the kernel
-	// before the run starts (crashes, reboots, partitions, EEPROM
-	// errors). Plans are seeded from Seed and fully reproducible.
+	// Faults, when non-nil, is a fault plan scheduled onto the
+	// deployment before the run starts (crashes, reboots, partitions,
+	// EEPROM errors). Plans are seeded from Seed and fully reproducible.
 	Faults *faults.Plan
 	// Mobility, when non-nil, builds the run's mobility model over the
 	// final layout (after grid construction); nil keeps the deployment
 	// static and every existing golden hash byte-identical. The factory
 	// receives the run seed so scenario files can defer seeding. Moves
-	// are applied at MobilityEvery boundaries — on the sharded path that
+	// are applied at MobilityEvery boundaries — on several tiles that
 	// means engine barriers, with workers parked, so tiled results stay
 	// a pure function of (Seed, tile grid).
 	Mobility func(l *topology.Layout, seed int64) (topology.Mobility, error)
@@ -166,26 +172,27 @@ type Setup struct {
 	// a final counters summary. Nil (the default) leaves the run
 	// byte-identical to an uninstrumented one.
 	Telemetry *telemetry.Recorder
-	// Shards splits the deployment into that many spatially contiguous
-	// shards run in conservative lockstep by internal/engine. 0 (the
-	// default) takes the package default (SetDefaultShards); 1 runs the
-	// classic single-kernel path, byte-identical to earlier releases.
-	// Sharded runs are deterministic functions of (Seed, Shards) but
-	// not bitwise identical to sequential ones — see DESIGN.md §4f.
+	// Shards, with no tile grid set, cuts the deployment into that many
+	// contiguous strips (engine.StripGrid: a 1×Shards tile grid, or
+	// Shards×1 for a layout strictly taller than wide) run in
+	// conservative lockstep by internal/engine, one executor per strip.
+	// 0 means 1, and 1 is a single tile: the classic simulator on one
+	// kernel, no engine, byte-identical to earlier releases. Several
+	// tiles are a deterministic function of (Seed, tile grid) but not
+	// bitwise identical to one — see DESIGN.md §4f.
 	Shards int
-	// Workers bounds the goroutines the sharded engine advances tiles
-	// on, the one calling Run included: it uses min(Workers, Shards,
+	// Workers bounds the goroutines the engine advances tiles on, the
+	// one calling Run included: it uses min(Workers, Shards,
 	// GOMAXPROCS), and 1 runs everything inline on the caller. 0 means
-	// GOMAXPROCS. Results are identical at every setting. Ignored on
-	// the sequential path.
+	// GOMAXPROCS; negative is rejected. Results are identical at every
+	// setting. Ignored on a single tile.
 	Workers int
 	// TileRows and TileCols partition the deployment into a 2D tile
 	// grid run by the lockstep engine, with Shards logical executors
 	// (default 1) advancing the tiles. Results are a pure function of
 	// (Seed, tile grid) — independent of Shards, Workers, and the
-	// repartitioner. Both zero (the default) keeps the legacy layout:
-	// Shards contiguous strips, one per executor. A 1×1 grid runs the
-	// classic sequential path, byte-identical to earlier releases.
+	// repartitioner. Both zero (the default) means Shards strips. A 1×1
+	// grid is a single tile, exactly as Shards = 1.
 	TileRows, TileCols int
 	// TileAuto sizes the tile grid automatically from the deployment
 	// extent, the radio range, and the worker count (engine.AutoGrid).
@@ -197,49 +204,11 @@ type Setup struct {
 	// max/mean load skew exceeds RepartitionThreshold (default 1.25).
 	// Migration is quantized to barriers and moves no simulation
 	// state, so it never affects results. Ignored (with a validated
-	// no-op) on the sequential path.
+	// no-op) on a single tile.
 	Repartition          bool
 	RepartitionEvery     int
 	RepartitionThreshold float64
 }
-
-// defaultShards is what Setups that leave Shards zero get; mnpexp's
-// -shards flag reaches the predefined spec Setups through it.
-var defaultShards = 1
-
-// SetDefaultShards sets the shard count for Setups that do not choose
-// one. n < 1 resets to the sequential default. Not safe to call
-// concurrently with Build.
-func SetDefaultShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	defaultShards = n
-}
-
-// Package defaults for tiling and repartitioning, reached by mnpexp's
-// -tiles/-repartition flags the same way -shards reaches defaultShards.
-var (
-	defaultTileRows, defaultTileCols int
-	defaultTileAuto                  bool
-	defaultRepartition               bool
-)
-
-// SetDefaultTiles sets the tile grid for Setups that do not choose one:
-// rows×cols when both are positive, automatic sizing when either is
-// negative, none (the legacy strip layout) when both are zero. Not safe
-// to call concurrently with Build.
-func SetDefaultTiles(rows, cols int) {
-	if rows < 0 || cols < 0 {
-		defaultTileRows, defaultTileCols, defaultTileAuto = 0, 0, true
-		return
-	}
-	defaultTileRows, defaultTileCols, defaultTileAuto = rows, cols, false
-}
-
-// SetDefaultRepartition toggles the adaptive repartitioner for Setups
-// that do not choose. Not safe to call concurrently with Build.
-func SetDefaultRepartition(on bool) { defaultRepartition = on }
 
 // ParseTileSpec parses a CLI tile-grid argument: "" (no tiling),
 // "auto" (size the grid from the deployment and worker count), or
@@ -282,20 +251,10 @@ func (s Setup) withDefaults() Setup {
 		s.Limit = 12 * time.Hour
 	}
 	if s.Shards == 0 {
-		s.Shards = defaultShards
+		s.Shards = 1
 	}
 	if s.Mobility != nil && s.MobilityEvery == 0 {
 		s.MobilityEvery = 10 * time.Second
-	}
-	if s.TileRows == 0 && s.TileCols == 0 && !s.TileAuto {
-		if defaultTileAuto {
-			s.TileAuto = true
-		} else if defaultTileRows > 0 && defaultTileCols > 0 {
-			s.TileRows, s.TileCols = defaultTileRows, defaultTileCols
-		}
-	}
-	if !s.Repartition && defaultRepartition {
-		s.Repartition = true
 	}
 	return s
 }
@@ -324,6 +283,9 @@ func (s Setup) Validate() error {
 	}
 	if s.Shards > n {
 		return fmt.Errorf("experiment %s: %d shards exceed the %d-node deployment", s.Name, s.Shards, n)
+	}
+	if s.Workers < 0 {
+		return fmt.Errorf("experiment %s: worker count %d is negative (0 means GOMAXPROCS)", s.Name, s.Workers)
 	}
 	if s.TileRows < 0 || s.TileCols < 0 {
 		return fmt.Errorf("experiment %s: tile grid %dx%d is invalid: rows and cols must be non-negative", s.Name, s.TileRows, s.TileCols)
@@ -398,21 +360,22 @@ type Result struct {
 	Image     *image.Image
 	Kernel    *sim.Kernel
 
-	// Engine drives a sharded run (Setup.Shards > 1 or a multi-tile
-	// grid); nil on the sequential path. Kernel and Medium are nil when
-	// Engine is set — no single pair exists — and Collector holds the
-	// deterministic cross-shard merge, available once the run finishes.
+	// Engine drives a deployment of several tiles; nil on a single
+	// tile. Kernel and Medium are nil when Engine is set — no single
+	// pair exists — and Collector holds the deterministic cross-tile
+	// merge, available once the run finishes.
 	Engine *engine.Engine
-	// TileGrid is the tile partition the engine ran over (1×Shards for
-	// legacy strips); zero on the sequential path.
+	// TileGrid is the tile partition the engine ran over (strips report
+	// their real orientation, 1×Shards or Shards×1); zero on a single
+	// tile.
 	TileGrid engine.Grid
 	// Loads collects the engine's per-period load reports (one entry
 	// per report period, each with per-executor event/delivery/wait
-	// figures and the tiles migrated at that barrier). Empty on the
-	// sequential path.
+	// figures and the tiles migrated at that barrier). Empty on a
+	// single tile.
 	Loads []engine.LoadReport
-	// Now is the run's observation clock: Kernel.Now sequentially, the
-	// engine's replay-aware clock when sharded. Bind lazily-clocked
+	// Now is the run's observation clock: Kernel.Now on a single tile,
+	// the engine's replay-aware clock otherwise. Bind lazily-clocked
 	// observers (trace logs, telemetry recorders) to it.
 	Now func() time.Duration
 
@@ -425,9 +388,11 @@ type Result struct {
 	// CompletionTime is the instant the last node completed.
 	CompletionTime time.Duration
 
-	// Per-shard state merged by RunToCompletion.
-	shardCollectors []*metrics.Collector
-	shardOf         []int
+	// tiles is the deployment as Build cut it; on several tiles
+	// RunToCompletion merges tileCollectors by tileOf.
+	tiles          []*engine.Shard
+	tileCollectors []*metrics.Collector
+	tileOf         []int
 }
 
 // Run executes the deployment until full coverage or the time limit.
@@ -441,11 +406,13 @@ func Run(s Setup) (*Result, error) {
 	return res, nil
 }
 
-// RunToCompletion starts every node, drives the simulation (whichever
-// engine Build selected) until full coverage or the time limit, and
-// finalizes the result's merged collector. Callers needing to schedule
-// instrumentation between Build and the run use it in place of driving
-// res.Kernel by hand; sequential results can still be driven manually.
+// RunToCompletion starts every node, drives the simulation until full
+// coverage or the time limit, and finalizes the result's merged
+// collector. Callers needing to schedule instrumentation between Build
+// and the run use it in place of driving res.Kernel by hand; single-tile
+// results can still be driven manually. The two drivers stay distinct
+// because they stop at different instants: the kernel tests the
+// predicate after every event, the engine at window barriers.
 func (r *Result) RunToCompletion() {
 	r.Network.Start()
 	if r.Engine != nil {
@@ -457,14 +424,15 @@ func (r *Result) RunToCompletion() {
 	r.finalizeShards()
 }
 
-// finalizeShards merges per-shard collectors into Result.Collector
-// deterministically (per-node rows from the owning shard, summed
-// timelines, (time, node)-merged sender logs). A no-op sequentially.
+// finalizeShards merges per-tile collectors into Result.Collector
+// deterministically (per-node rows from the owning tile, summed
+// timelines, (time, node)-merged sender logs). A no-op on a single
+// tile, whose collector is already the result's.
 func (r *Result) finalizeShards() {
-	if r.Engine == nil || r.Collector != nil {
+	if r.Collector != nil {
 		return
 	}
-	merged, err := metrics.MergeShards(r.shardCollectors, r.shardOf)
+	merged, err := metrics.MergeShards(r.tileCollectors, r.tileOf)
 	if err != nil {
 		// The collectors and owner map were built together in Build;
 		// a mismatch is a harness bug, not a runtime condition.
@@ -475,7 +443,7 @@ func (r *Result) finalizeShards() {
 
 // Counters builds the run's final counter registry: the metrics
 // snapshot up to completion (or the limit), plus the engine's
-// window/ghost/migration totals on sharded runs. The telemetry
+// window/ghost/migration totals on several tiles. The telemetry
 // summary record and the CLIs' counters.prom dumps both come from
 // here, so the two surfaces always agree.
 func (r *Result) Counters() *telemetry.Counters {
@@ -493,13 +461,9 @@ func (r *Result) Counters() *telemetry.Counters {
 		c.Set("engine_repartitions_total", st.Repartitions)
 	}
 	var hits, misses, invalidations uint64
-	if r.Engine != nil {
-		for _, sh := range r.Engine.Shards() {
-			h, m, inv, _ := sh.Medium.CacheStats()
-			hits, misses, invalidations = hits+h, misses+m, invalidations+inv
-		}
-	} else if r.Medium != nil {
-		hits, misses, invalidations, _ = r.Medium.CacheStats()
+	for _, tile := range r.tiles {
+		h, m, inv, _ := tile.Medium.CacheStats()
+		hits, misses, invalidations = hits+h, misses+m, invalidations+inv
 	}
 	c.Set("radio_link_cache_hits_total", int64(hits))
 	c.Set("radio_link_cache_misses_total", int64(misses))
@@ -519,11 +483,25 @@ func (r *Result) FinishTelemetry() {
 
 // Build constructs the deployment without starting the protocols, so
 // callers can schedule fault injection or custom instrumentation first;
-// follow with res.Network.Start() and drive res.Kernel directly.
+// follow with res.RunToCompletion(), or — on a single tile, where
+// res.Kernel is set — res.Network.Start() and drive res.Kernel directly.
+//
+// Every deployment is a list of tiles, each a kernel, a medium over the
+// shared channel Geometry, and a collector. One tile is the classic
+// simulator: the kernel is seeded with Seed itself, the medium owns
+// every node (no ownership table, no partition sort), observers hang
+// directly on the nodes, and no engine exists. Several tiles get
+// per-tile seeds and the lockstep engine, with single-instance
+// observers fed through its barrier replay. Everything downstream — the
+// invariant checker, faults, mobility — sees the difference only
+// through the now/at pair below.
 func Build(s Setup) (*Result, error) {
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {
 		return nil, err
+	}
+	fail := func(err error) (*Result, error) {
+		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
 	}
 	raw := s.ImageData
 	if raw == nil {
@@ -533,59 +511,122 @@ func Build(s Setup) (*Result, error) {
 	}
 	img, err := image.New(1, raw)
 	if err != nil {
-		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
+		return fail(err)
 	}
 	layout := s.Layout
 	if layout == nil {
-		var err error
 		layout, err = topology.Grid(s.Rows, s.Cols, s.Spacing)
 		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
+			return fail(err)
 		}
 	}
 	if int(s.BaseID) >= layout.N() {
-		return nil, fmt.Errorf("experiment %s: base %v outside the %d-node layout", s.Name, s.BaseID, layout.N())
+		return fail(fmt.Errorf("base %v outside the %d-node layout", s.BaseID, layout.N()))
 	}
-	// The engine path serves legacy strip sharding (Shards > 1) and any
-	// multi-tile grid. A 1×1 grid is the whole deployment in one cell:
-	// it routes to the sequential path below, byte-identical to every
-	// pre-tiling golden hash.
-	if s.Shards > 1 || s.TileRows*s.TileCols > 1 || s.TileAuto {
-		return buildSharded(s, img, layout)
-	}
-	// Events scale with nodes (a few timers and an in-flight frame
-	// each); sizing the heap up front keeps 10k-node runs from
-	// re-growing it mid-run. Capacity never affects event order.
-	kernel := sim.NewSized(s.Seed, 4*layout.N())
 	rp := radio.DefaultParams()
 	if s.Radio != nil {
 		rp = *s.Radio
 	}
-	medium, err := radio.NewMedium(kernel, layout, rp, s.Seed+1)
+	geo, err := radio.NewGeometry(layout, rp, s.Seed+1)
 	if err != nil {
-		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
+		return fail(err)
 	}
-	rangeFt, err := medium.RangeFor(s.Power)
+	rangeFt, err := geo.RangeFor(s.Power)
 	if err != nil {
-		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
+		return fail(err)
 	}
-	collector, err := metrics.NewCollector(metrics.Config{
-		Layout:            layout,
-		Airtime:           medium.Airtime,
-		NeighborhoodRange: rangeFt,
-	}, kernel.Now)
+	grid, cuts, err := s.partition(layout, rangeFt)
 	if err != nil {
-		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
+		return fail(err)
 	}
-	medium.SetSink(collector)
+	tiles := make([]*engine.Shard, len(cuts))
+	collectors := make([]*metrics.Collector, len(cuts))
+	for i, cut := range cuts {
+		// Events scale with nodes (a few timers and an in-flight frame
+		// each); sizing the heap up front keeps 10k-node runs from
+		// re-growing it mid-run. Capacity never affects event order.
+		seed, sizeHint := s.Seed, 4*layout.N()
+		if len(cuts) > 1 {
+			// Distinct RNG streams per tile; the stride keeps tile seeds
+			// clear of the seed+1 (link noise) and seed+77 (image fill)
+			// derivations. Seeds depend on the tile index only — never on
+			// executors or workers — so results are a pure function of
+			// (Seed, tile grid).
+			seed, sizeHint = s.Seed+0x5EED*int64(i+1), 4*len(cut.Owned)+64
+		}
+		kernel := sim.NewSized(seed, sizeHint)
+		medium, err := radio.NewShardMedium(kernel, geo, cut.Owned)
+		if err != nil {
+			return fail(err)
+		}
+		collectors[i], err = metrics.NewCollector(metrics.Config{
+			Layout:            layout,
+			Airtime:           geo.Airtime,
+			NeighborhoodRange: rangeFt,
+		}, kernel.Now)
+		if err != nil {
+			return fail(err)
+		}
+		medium.SetSink(collectors[i])
+		bounds := cut.Bounds
+		tiles[i] = &engine.Shard{Kernel: kernel, Medium: medium, Owned: cut.Owned, Bounds: &bounds}
+	}
+	res := &Result{Setup: s, Layout: layout, Image: img, tiles: tiles}
 
-	var checker *invariant.Checker
-	var obs node.Observer = collector
-	observers := node.MultiObserver{collector}
+	// now and at are the only two things that differ between one tile
+	// and several: the observation clock, and how a whole-deployment
+	// action is scheduled at simulated time t. At Build time the kernel
+	// clock is zero and a re-arm from inside an action runs at the
+	// action's nominal instant, so on one tile every at(t, fn) is the
+	// kernel event MustSchedule(t, fn) always was.
+	k0 := tiles[0].Kernel
+	now, at := k0.Now, func(t time.Duration, fn func()) { k0.MustSchedule(t-k0.Now(), fn) }
+	var eng *engine.Engine
+	if len(tiles) == 1 {
+		res.Kernel, res.Medium, res.Collector = k0, tiles[0].Medium, collectors[0]
+	} else {
+		var rep *engine.Repartition
+		if s.Repartition {
+			rep = &engine.Repartition{Every: s.RepartitionEvery, Threshold: s.RepartitionThreshold}
+		}
+		eng, err = engine.New(engine.Config{
+			Window:      engine.ConservativeWindow(geo),
+			Workers:     s.Workers,
+			Shards:      min(s.Shards, len(tiles)),
+			Repartition: rep,
+			OnLoad: func(lr engine.LoadReport) {
+				res.Loads = append(res.Loads, lr)
+				if s.Telemetry != nil {
+					for _, sl := range lr.Shards {
+						s.Telemetry.Load(lr.Barrier, lr.Window, sl.Shard, sl.Tiles, sl.Events, sl.Delivered, sl.WaitNs, lr.Migrations)
+					}
+				}
+			},
+		}, tiles)
+		if err != nil {
+			return fail(err)
+		}
+		now, at = eng.Now, eng.At
+		res.Engine, res.TileGrid = eng, grid
+		res.tileCollectors, res.tileOf = collectors, engine.TileOf(layout.N(), cuts)
+	}
+	res.Now = now
+
+	// Single-instance observers, in a fixed order: user observer,
+	// telemetry, invariant checker. One tile chains them behind its
+	// collector on every node; several feed them the merged stream
+	// through the engine's barrier replay.
+	var shared node.MultiObserver
 	if s.Observer != nil {
-		observers = append(observers, s.Observer)
+		shared = append(shared, s.Observer)
 	}
 	if s.Telemetry != nil {
+		if eng != nil {
+			// Single-tile callers bind their recorder to res.Now
+			// themselves; the engine's replay clock has to be in place
+			// before the first barrier.
+			s.Telemetry.SetClock(now)
+		}
 		// The stream opens with the run's identity, then the full fault
 		// plan — emitted up front so a reader of a truncated stream still
 		// knows what was going to be injected.
@@ -595,12 +636,12 @@ func Build(s Setup) (*Result, error) {
 				s.Telemetry.Fault(ev.At, ev.Kind.String(), ev.Describe())
 			}
 		}
-		observers = append(observers, s.Telemetry)
+		shared = append(shared, s.Telemetry)
 	}
 	if s.Invariants != nil {
 		icfg := *s.Invariants
-		icfg.Now = kernel.Now
-		icfg.Airtime = medium.Airtime
+		icfg.Now = now
+		icfg.Airtime = geo.Airtime
 		icfg.Neighbor = func(a, b packet.NodeID) bool {
 			d, err := layout.Distance(a, b)
 			return err == nil && d <= rangeFt
@@ -614,69 +655,121 @@ func Build(s Setup) (*Result, error) {
 				}
 			}
 		}
-		checker, err = invariant.New(icfg)
+		res.Invariants, err = invariant.New(icfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
+			return fail(err)
 		}
-		observers = append(observers, checker)
-		medium.SetTap(checker.PacketSent)
+		shared = append(shared, res.Invariants)
+		if eng == nil {
+			res.Medium.SetTap(res.Invariants.PacketSent)
+		} else {
+			eng.SetTap(res.Invariants.PacketSent)
+			for i, tile := range tiles {
+				tile.Medium.SetTap(eng.ShardObserver(i).PacketSent)
+			}
+		}
 	}
-	if len(observers) > 1 {
-		obs = observers
+	observers := make([]node.Observer, len(tiles))
+	for i := range tiles {
+		switch {
+		case len(shared) == 0:
+			observers[i] = collectors[i]
+		case eng == nil:
+			observers[i] = append(node.MultiObserver{collectors[i]}, shared...)
+		default:
+			observers[i] = node.MultiObserver{collectors[i], eng.ShardObserver(i)}
+		}
 	}
-	nw, err := s.newNetwork(img, func(f node.Factory) (*node.Network, error) {
-		return node.NewNetwork(kernel, medium, layout, f, obs)
+	if eng != nil && len(shared) > 0 {
+		eng.SetObserver(shared)
+	}
+	tileOf := func(id packet.NodeID) int {
+		if res.tileOf == nil {
+			return 0
+		}
+		return res.tileOf[id]
+	}
+	nw, err := s.newNetwork(img, layout, func(id packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer) {
+		i := tileOf(id)
+		return tiles[i].Kernel, tiles[i].Medium, observers[i]
 	})
 	if err != nil {
 		return nil, err
 	}
+	nw.Kernel, nw.Medium = res.Kernel, res.Medium
+	res.Network = nw
+
 	if s.Faults != nil {
-		err := s.Faults.Apply(faults.Env{
-			Kernel:  kernel,
-			Network: nw,
-			Medium:  medium,
-			Seed:    s.Seed,
-			Base:    s.BaseID,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
+		env := faults.Env{At: at, Network: nw, TileOf: tileOf, Seed: s.Seed, Base: s.BaseID}
+		for _, tile := range tiles {
+			env.Mediums = append(env.Mediums, tile.Medium)
+			env.Clocks = append(env.Clocks, tile.Kernel.Now)
+		}
+		if err := s.Faults.Apply(env); err != nil {
+			return fail(err)
 		}
 	}
 	if s.Mobility != nil {
 		model, err := s.Mobility(layout, s.Seed)
 		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
+			return fail(err)
 		}
-		// A self-re-arming kernel event applies position updates at
-		// every nominal instant k×MobilityEvery. The model is stepped
-		// with the nominal time, so trajectories are independent of
-		// everything but (seed, step) — the sharded path below feeds
-		// the same instants through engine barriers.
-		geo := medium.Geometry()
-		var step func(nominal time.Duration)
-		step = func(nominal time.Duration) {
-			for _, mv := range model.Moves(nominal) {
-				geo.MoveNode(mv.ID, mv.To)
-			}
-			if next := nominal + s.MobilityEvery; next <= s.Limit {
-				kernel.MustSchedule(s.MobilityEvery, func() { step(next) })
-			}
+		// Position updates land at every nominal instant k×MobilityEvery
+		// through at — on several tiles that is an engine barrier with
+		// every worker parked, the only point a mutation of the shared
+		// Geometry is safe. The model is stepped with the nominal instant
+		// (not the barrier time), and ConservativeWindow is
+		// grid-independent, so trajectories depend on nothing but
+		// (seed, step) and tiled runs stay a pure function of (Seed, tile
+		// grid) under mobility. The engine's ghost-filter bounds are
+		// refreshed from the moved layout before the next window opens.
+		var arm func(nominal time.Duration)
+		arm = func(nominal time.Duration) {
+			at(nominal, func() {
+				moved := model.Moves(nominal)
+				for _, mv := range moved {
+					geo.MoveNode(mv.ID, mv.To)
+				}
+				if eng != nil && len(moved) > 0 {
+					for _, tile := range tiles {
+						*tile.Bounds = engine.BoundsOf(layout, tile.Owned)
+					}
+				}
+				if next := nominal + s.MobilityEvery; next <= s.Limit {
+					arm(next)
+				}
+			})
 		}
-		kernel.MustSchedule(s.MobilityEvery, func() { step(s.MobilityEvery) })
+		arm(s.MobilityEvery)
 	}
-	armImageCheck(checker, s.Protocol, img, nw)
-	return &Result{
-		Setup:     s,
-		Layout:    layout,
-		Medium:    medium,
-		Network:   nw,
-		Collector: collector,
-		Image:     img,
-		Kernel:    kernel,
-		Now:       kernel.Now,
+	armImageCheck(res.Invariants, s.Protocol, img, nw)
+	return res, nil
+}
 
-		Invariants: checker,
-	}, nil
+// partition chooses the run's tile grid — explicit, automatic, or
+// Shards strips — and cuts the layout into it. A grid of one tile (the
+// default) returns the zero Grid and a single cut with nil Owned: the
+// whole deployment, which costs no sort, map, or per-node flag however
+// large it is.
+func (s Setup) partition(layout *topology.Layout, rangeFt float64) (engine.Grid, []engine.Tile, error) {
+	var grid engine.Grid
+	switch {
+	case s.TileRows > 0:
+		grid = engine.Grid{Rows: s.TileRows, Cols: s.TileCols}
+	case s.TileAuto:
+		workers := s.Workers
+		if workers == 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		grid = engine.AutoGrid(layout, rangeFt, workers)
+	default:
+		grid = engine.StripGrid(layout, s.Shards)
+	}
+	if grid.Tiles() == 1 {
+		return engine.Grid{}, []engine.Tile{{}}, nil
+	}
+	cuts, err := engine.TilePartition(layout, grid)
+	return grid, cuts, err
 }
 
 // armImageCheck installs the segment-image-integrity invariant on a
@@ -705,14 +798,13 @@ func armImageCheck(checker *invariant.Checker, proto ProtocolKind, img *image.Im
 	)
 }
 
-// newNetwork has assemble build the network from the per-node protocol
-// factory shared by the sequential and sharded paths, which resolves
-// the configured protocol in the registry (each protocol package
-// registers itself from init). node.Factory has no error result, so a
-// builder that fails for a node hands it a nil protocol, which node.New
-// rejects, and the builder's error is reported in place of that
-// rejection.
-func (s Setup) newNetwork(img *image.Image, assemble func(node.Factory) (*node.Network, error)) (*node.Network, error) {
+// newNetwork builds the network over place from the per-node protocol
+// factory, which resolves the configured protocol in the registry (each
+// protocol package registers itself from init). node.Factory has no
+// error result, so a builder that fails for a node hands it a nil
+// protocol, which node.New rejects, and the builder's error is reported
+// in place of that rejection.
+func (s Setup) newNetwork(img *image.Image, layout *topology.Layout, place func(packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer)) (*node.Network, error) {
 	name := s.Protocol.RegistryName()
 	builder, ok := protoreg.Lookup(name)
 	if !ok {
@@ -723,7 +815,7 @@ func (s Setup) newNetwork(img *image.Image, assemble func(node.Factory) (*node.N
 		tune = s.MNP
 	}
 	var failed error
-	nw, err := assemble(func(id packet.NodeID) (node.Protocol, node.Config) {
+	nw, err := node.NewPartitionedNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
 		ncfg := node.Config{TxPower: s.Power}
 		if s.Battery != nil {
 			ncfg.Battery = s.Battery(id)
@@ -740,7 +832,7 @@ func (s Setup) newNetwork(img *image.Image, assemble func(node.Factory) (*node.N
 			return nil, ncfg
 		}
 		return p, ncfg
-	})
+	}, place)
 	if failed != nil {
 		err = failed
 	}
@@ -748,251 +840,6 @@ func (s Setup) newNetwork(img *image.Image, assemble func(node.Factory) (*node.N
 		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
 	}
 	return nw, nil
-}
-
-// buildSharded assembles an engine-driven deployment: the layout is
-// partitioned into tiles (an explicit or automatic 2D grid, or the
-// legacy contiguous strips when only Shards is set), each tile gets a
-// kernel, a radio shard over the shared channel geometry, and a
-// collector, nodes are pinned to the tile owning them, and
-// single-instance observers (trace logs, telemetry, the invariant
-// checker) are fed through the engine's deterministic barrier replay.
-// Logical executors advance the tiles; on the legacy path there is one
-// tile per executor, reproducing the PR 4 strip engine exactly.
-func buildSharded(s Setup, img *image.Image, layout *topology.Layout) (*Result, error) {
-	rp := radio.DefaultParams()
-	if s.Radio != nil {
-		rp = *s.Radio
-	}
-	geo, err := radio.NewGeometry(layout, rp, s.Seed+1)
-	if err != nil {
-		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
-	}
-	rangeFt, err := geo.RangeFor(s.Power)
-	if err != nil {
-		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
-	}
-	var tiles []engine.Tile
-	var grid engine.Grid
-	executors := s.Shards
-	switch {
-	case s.TileRows > 0:
-		grid = engine.Grid{Rows: s.TileRows, Cols: s.TileCols}
-		tiles, err = engine.TilePartition(layout, grid)
-	case s.TileAuto:
-		workersHint := s.Workers
-		if workersHint <= 0 {
-			workersHint = runtime.GOMAXPROCS(0)
-		}
-		grid = engine.AutoGrid(layout, rangeFt, workersHint)
-		tiles, err = engine.TilePartition(layout, grid)
-	default:
-		// Legacy strips: K tiles, one per executor, with the exact
-		// partition, ordering, and seeds of the pre-tiling engine.
-		grid = engine.Grid{Rows: 1, Cols: s.Shards}
-		var parts [][]packet.NodeID
-		parts, err = engine.Partition(layout, s.Shards)
-		if err == nil {
-			tiles = make([]engine.Tile, len(parts))
-			for i, owned := range parts {
-				tiles[i] = engine.Tile{Row: 0, Col: i, Owned: owned, Bounds: engine.BoundsOf(layout, owned)}
-			}
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
-	}
-	if executors < 1 {
-		executors = 1
-	}
-	if executors > len(tiles) {
-		executors = len(tiles)
-	}
-	shardOf := make([]int, layout.N())
-	shards := make([]*engine.Shard, len(tiles))
-	collectors := make([]*metrics.Collector, len(tiles))
-	for i, tile := range tiles {
-		owned := tile.Owned
-		for _, id := range owned {
-			shardOf[id] = i
-		}
-		// Distinct RNG streams per tile; the stride keeps tile seeds
-		// clear of the seed+1 (link noise) and seed+77 (image fill)
-		// derivations. Seeds depend on the tile index only — never on
-		// executors or workers — so results are a pure function of
-		// (Seed, tile grid).
-		kernel := sim.NewSized(s.Seed+0x5EED*int64(i+1), 4*len(owned)+64)
-		medium, err := radio.NewShardMedium(kernel, geo, owned)
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
-		}
-		collector, err := metrics.NewCollector(metrics.Config{
-			Layout:            layout,
-			Airtime:           geo.Airtime,
-			NeighborhoodRange: rangeFt,
-		}, kernel.Now)
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
-		}
-		medium.SetSink(collector)
-		collectors[i] = collector
-		bounds := tile.Bounds
-		shards[i] = &engine.Shard{Kernel: kernel, Medium: medium, Owned: owned, Bounds: &bounds}
-	}
-	var rep *engine.Repartition
-	if s.Repartition {
-		rep = &engine.Repartition{Every: s.RepartitionEvery, Threshold: s.RepartitionThreshold}
-	}
-	res := &Result{}
-	onLoad := func(lr engine.LoadReport) {
-		res.Loads = append(res.Loads, lr)
-		if s.Telemetry != nil {
-			for _, sl := range lr.Shards {
-				s.Telemetry.Load(lr.Barrier, lr.Window, sl.Shard, sl.Tiles, sl.Events, sl.Delivered, sl.WaitNs, lr.Migrations)
-			}
-		}
-	}
-	eng, err := engine.New(engine.Config{
-		Window:      engine.ConservativeWindow(geo),
-		Workers:     s.Workers,
-		Shards:      executors,
-		Repartition: rep,
-		OnLoad:      onLoad,
-	}, shards)
-	if err != nil {
-		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
-	}
-
-	// Single-instance observers see the merged stream via barrier
-	// replay, in the same relative order the sequential path wires
-	// them: user observer, telemetry, invariant checker.
-	var checker *invariant.Checker
-	var globalObs node.MultiObserver
-	if s.Observer != nil {
-		globalObs = append(globalObs, s.Observer)
-	}
-	if s.Telemetry != nil {
-		s.Telemetry.SetClock(eng.Now)
-		s.Telemetry.Meta(s.Name, s.Seed, layout.N(), img.TotalPackets(), s.Protocol.String())
-		if s.Faults != nil {
-			for _, ev := range s.Faults.Events {
-				s.Telemetry.Fault(ev.At, ev.Kind.String(), ev.Describe())
-			}
-		}
-		globalObs = append(globalObs, s.Telemetry)
-	}
-	if s.Invariants != nil {
-		icfg := *s.Invariants
-		icfg.Now = eng.Now
-		icfg.Airtime = geo.Airtime
-		icfg.Neighbor = func(a, b packet.NodeID) bool {
-			d, err := layout.Distance(a, b)
-			return err == nil && d <= rangeFt
-		}
-		if s.Telemetry != nil {
-			rec, prev := s.Telemetry, icfg.OnViolation
-			icfg.OnViolation = func(v invariant.Violation) {
-				rec.Violation(v.At, v.Node, v.Rule, v.Detail)
-				if prev != nil {
-					prev(v)
-				}
-			}
-		}
-		checker, err = invariant.New(icfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
-		}
-		globalObs = append(globalObs, checker)
-		eng.SetTap(checker.PacketSent)
-		for i, sh := range shards {
-			sh.Medium.SetTap(eng.ShardObserver(i).PacketSent)
-		}
-	}
-	buffering := len(globalObs) > 0 || checker != nil
-	if len(globalObs) == 1 {
-		eng.SetObserver(globalObs[0])
-	} else if len(globalObs) > 1 {
-		eng.SetObserver(globalObs)
-	}
-
-	place := func(id packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer) {
-		sh := shards[shardOf[id]]
-		var obs node.Observer = collectors[shardOf[id]]
-		if buffering {
-			obs = node.MultiObserver{obs, eng.ShardObserver(shardOf[id])}
-		}
-		return sh.Kernel, sh.Medium, obs
-	}
-	nw, err := s.newNetwork(img, func(f node.Factory) (*node.Network, error) {
-		return node.NewPartitionedNetwork(layout, f, place)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if s.Faults != nil {
-		clocks := make([]func() time.Duration, len(shards))
-		mediums := make([]*radio.Medium, len(shards))
-		for i, sh := range shards {
-			clocks[i] = sh.Kernel.Now
-			mediums[i] = sh.Medium
-		}
-		err := s.Faults.ApplySharded(faults.ShardedEnv{
-			At:      eng.At,
-			Network: nw,
-			Mediums: mediums,
-			Clocks:  clocks,
-			ShardOf: func(id packet.NodeID) int { return shardOf[id] },
-			Seed:    s.Seed,
-			Base:    s.BaseID,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
-		}
-	}
-	if s.Mobility != nil {
-		model, merr := s.Mobility(layout, s.Seed)
-		if merr != nil {
-			return nil, fmt.Errorf("experiment %s: %w", s.Name, merr)
-		}
-		// Position updates ride the engine's global-event queue, so they
-		// land at barriers with every worker parked — the only point a
-		// mutation of the shared Geometry is safe. The model is stepped
-		// with the nominal instant k×MobilityEvery (not the barrier
-		// time), and ConservativeWindow is grid-independent, so tiled
-		// runs stay a pure function of (Seed, tile grid) under mobility.
-		// Each shard's ghost-filter bounds are refreshed from the moved
-		// layout before the next window opens.
-		var arm func(nominal time.Duration)
-		arm = func(nominal time.Duration) {
-			eng.At(nominal, func() {
-				moved := model.Moves(nominal)
-				for _, mv := range moved {
-					geo.MoveNode(mv.ID, mv.To)
-				}
-				if len(moved) > 0 {
-					for _, sh := range shards {
-						*sh.Bounds = engine.BoundsOf(layout, sh.Owned)
-					}
-				}
-				if next := nominal + s.MobilityEvery; next <= s.Limit {
-					arm(next)
-				}
-			})
-		}
-		arm(s.MobilityEvery)
-	}
-	armImageCheck(checker, s.Protocol, img, nw)
-	res.Setup = s
-	res.Layout = layout
-	res.Network = nw
-	res.Image = img
-	res.Engine = eng
-	res.Now = eng.Now
-	res.TileGrid = grid
-	res.Invariants = checker
-	res.shardCollectors = collectors
-	res.shardOf = shardOf
-	return res, nil
 }
 
 // LoadMatrix flattens the run's engine load reports into one

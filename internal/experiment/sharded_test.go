@@ -32,6 +32,7 @@ func TestSetupValidate(t *testing.T) {
 		{"zero-shards", func(s *Setup) { s.Shards = 0 }, "at least 1"},
 		{"negative-shards", func(s *Setup) { s.Shards = -2 }, "at least 1"},
 		{"too-many-shards", func(s *Setup) { s.Shards = 5 }, "exceed"},
+		{"negative-workers", func(s *Setup) { s.Workers = -3 }, "worker count -3 is negative"},
 		{"negative-image", func(s *Setup) { s.ImagePackets = -1 }, "negative"},
 		{"negative-limit", func(s *Setup) { s.Limit = -time.Second }, "negative"},
 		{"unknown-protocol", func(s *Setup) { s.Protocol = ProtocolKind(42) }, "unknown protocol kind 42"},
@@ -229,7 +230,7 @@ func init() {
 		}
 		return mnp(b)
 	})
-	registryNames[failNodeKind] = "failnode"
+	protocols = append(protocols, protocolEntry{failNodeKind, "FailNode", "failnode"})
 }
 
 // TestBuildReportsBuilderFailure checks that a protocol builder failing

@@ -1,8 +1,8 @@
 // Package faults turns failure scenarios into declarative,
 // seed-deterministic plans. A Plan is a list of timed events — node
 // crashes, crash+reboot cycles, link degradation, network partitions,
-// EEPROM write errors — that Apply schedules onto the simulation
-// kernel before the run starts. Because the plan's randomness comes
+// EEPROM write errors — that Apply schedules onto the deployment
+// before the run starts. Because the plan's randomness comes
 // from a dedicated RNG derived from the run seed, a faulted run is as
 // reproducible as a clean one: same seed, same failures, same result.
 //
@@ -29,7 +29,6 @@ import (
 	"mnp/internal/node"
 	"mnp/internal/packet"
 	"mnp/internal/radio"
-	"mnp/internal/sim"
 )
 
 // Kind discriminates fault events.
@@ -107,8 +106,7 @@ func DegradeLink(src, dst packet.NodeID, bidi bool, from, to time.Duration, drop
 }
 
 // degradeMatch builds the per-frame drop function of one degrade
-// event, shared by the sequential and sharded appliers. Wildcard
-// endpoints match any node.
+// event. Wildcard endpoints match any node.
 func degradeMatch(ev Event) func(src, dst packet.NodeID) float64 {
 	end := func(want, got packet.NodeID) bool { return want == Wildcard || want == got }
 	return func(src, dst packet.NodeID) float64 {
@@ -135,11 +133,24 @@ func RandomCrashes(count int, from, to time.Duration) Event {
 	return Event{Kind: KindRandomCrashes, Count: count, At: from, Until: to}
 }
 
-// Env is what Apply needs from the harness.
+// Env is what Apply needs from the harness: the deployment as a list of
+// tiles (one tile is the classic single-kernel simulator), a scheduler
+// for whole-network actions, and per-tile clocks for the hooks that
+// install on one tile's medium or nodes.
 type Env struct {
-	Kernel  *sim.Kernel
+	// At schedules fn at simulated time t: a kernel event on one tile,
+	// engine.At — the first window barrier not earlier than t, every
+	// tile quiesced, so at most one minimal frame airtime late — across
+	// several.
+	At      func(t time.Duration, fn func())
 	Network *node.Network
-	Medium  *radio.Medium
+	// Mediums are the per-tile radio mediums, Clocks the matching
+	// per-tile kernel clocks.
+	Mediums []*radio.Medium
+	Clocks  []func() time.Duration
+	// TileOf maps a node to the tile that owns it; nil is allowed only
+	// with a single tile.
+	TileOf func(packet.NodeID) int
 	// Seed derives the plan's private RNG; use the run seed so faulted
 	// runs replay exactly.
 	Seed int64
@@ -194,127 +205,23 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Apply schedules every event in the plan onto env's kernel. Call it
-// after the network is built and before the run starts. The composite
-// link-fault hook is installed once; overlapping rules take the
+// Apply schedules every event in the plan through env.At. Call it
+// after the network is built and before the run starts. Whole-network
+// events (crashes, reboots, random kills) go through env.At; the
+// composite link-fault hook is installed once per medium against that
+// tile's clock (tile clocks agree to within one window, and rule
+// windows are orders of magnitude longer); overlapping rules take the
 // maximum drop.
 func (p *Plan) Apply(env Env) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if env.Kernel == nil || env.Network == nil || env.Medium == nil {
-		return fmt.Errorf("faults: env needs kernel, network, and medium")
+	if env.At == nil || env.Network == nil || len(env.Mediums) == 0 ||
+		len(env.Clocks) != len(env.Mediums) || (len(env.Mediums) > 1 && env.TileOf == nil) {
+		return fmt.Errorf("faults: env needs scheduler, network, per-tile mediums with clocks, and a tile map for several tiles")
 	}
 	// Private RNG: decoupled from the kernel RNG so installing a plan
 	// never perturbs the protocol's random draws.
-	rng := rand.New(rand.NewSource(env.Seed<<16 ^ 0xFA17))
-
-	var rules []linkRule
-	for _, ev := range p.Events {
-		ev := ev
-		switch ev.Kind {
-		case KindCrash:
-			if int(ev.Node) >= len(env.Network.Nodes) {
-				return fmt.Errorf("faults: crash target %v does not exist", ev.Node)
-			}
-			env.Kernel.MustSchedule(ev.At, func() {
-				env.Network.Nodes[ev.Node].Kill()
-			})
-		case KindReboot:
-			if int(ev.Node) >= len(env.Network.Nodes) {
-				return fmt.Errorf("faults: reboot target %v does not exist", ev.Node)
-			}
-			env.Kernel.MustSchedule(ev.At, func() {
-				env.Network.Nodes[ev.Node].Crash()
-			})
-			env.Kernel.MustSchedule(ev.At+ev.Downtime, func() {
-				if err := env.Network.Restart(ev.Node); err != nil {
-					panic(fmt.Sprintf("faults: restart %v: %v", ev.Node, err))
-				}
-			})
-		case KindPartition:
-			inside := make(map[packet.NodeID]bool, len(ev.Group))
-			for _, id := range ev.Group {
-				inside[id] = true
-			}
-			rules = append(rules, linkRule{
-				from: ev.At, to: ev.Until,
-				match: func(src, dst packet.NodeID) float64 {
-					if inside[src] != inside[dst] {
-						return 1
-					}
-					return 0
-				},
-			})
-		case KindDegrade:
-			rules = append(rules, linkRule{
-				from: ev.At, to: ev.Until,
-				match: degradeMatch(ev),
-			})
-		case KindEEPROM:
-			if err := p.applyEEPROM(env, ev, rng); err != nil {
-				return err
-			}
-		case KindRandomCrashes:
-			p.applyRandomCrashes(env, ev, rng)
-		}
-	}
-	if len(rules) > 0 {
-		kernel := env.Kernel
-		env.Medium.SetLinkFault(func(src, dst packet.NodeID) float64 {
-			now := kernel.Now()
-			drop := 0.0
-			for _, r := range rules {
-				if now < r.from || (r.to > 0 && now >= r.to) {
-					continue
-				}
-				if d := r.match(src, dst); d > drop {
-					drop = d
-				}
-			}
-			return drop
-		})
-	}
-	return nil
-}
-
-// ShardedEnv is what ApplySharded needs from the sharded engine
-// harness. Whole-network actions go through At (executed at window
-// barriers with every shard quiesced); per-link and per-node hooks
-// install on each shard against that shard's clock.
-type ShardedEnv struct {
-	// At schedules fn at the first window barrier not earlier than t
-	// (wire it to engine.At). Actions quantize to barriers, i.e. fire
-	// at most one window — one minimal frame airtime — late.
-	At      func(t time.Duration, fn func())
-	Network *node.Network
-	// Mediums are the per-shard radio mediums.
-	Mediums []*radio.Medium
-	// Clocks are the matching per-shard kernel clocks.
-	Clocks []func() time.Duration
-	// ShardOf maps a node to the shard that owns it.
-	ShardOf func(packet.NodeID) int
-	// Seed derives the plan's private RNG, as in Env.
-	Seed int64
-	// Base is exempt from Wildcard targeting and random crashes.
-	Base packet.NodeID
-}
-
-// ApplySharded schedules the plan onto a sharded run. Semantics match
-// Apply with two deliberate deviations, both deterministic for a fixed
-// (seed, shard count): whole-network events (crashes, reboots, random
-// kills) fire at the first window barrier at or after their nominal
-// time, and EEPROM write faults draw from per-node RNGs derived from
-// (seed, node) instead of one shared plan RNG, so the draw sequence
-// cannot depend on cross-shard write interleaving.
-func (p *Plan) ApplySharded(env ShardedEnv) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if env.At == nil || env.Network == nil || len(env.Mediums) == 0 ||
-		len(env.Clocks) != len(env.Mediums) || env.ShardOf == nil {
-		return fmt.Errorf("faults: sharded env needs scheduler, network, and per-shard mediums with clocks")
-	}
 	rng := rand.New(rand.NewSource(env.Seed<<16 ^ 0xFA17))
 
 	var rules []linkRule
@@ -360,17 +267,14 @@ func (p *Plan) ApplySharded(env ShardedEnv) error {
 				match: degradeMatch(ev),
 			})
 		case KindEEPROM:
-			if err := p.applyEEPROMSharded(env, ev); err != nil {
+			if err := p.applyEEPROM(env, ev, rng); err != nil {
 				return err
 			}
 		case KindRandomCrashes:
-			p.applyRandomCrashesSharded(env, ev, rng)
+			p.applyRandomCrashes(env, ev, rng)
 		}
 	}
 	if len(rules) > 0 {
-		// Every shard applies the same rule set against its own clock;
-		// shard clocks agree to within one window, and rule windows are
-		// orders of magnitude longer.
 		for i, m := range env.Mediums {
 			now := env.Clocks[i]
 			m.SetLinkFault(func(src, dst packet.NodeID) float64 {
@@ -391,64 +295,6 @@ func (p *Plan) ApplySharded(env ShardedEnv) error {
 	return nil
 }
 
-func (p *Plan) applyEEPROMSharded(env ShardedEnv, ev Event) error {
-	var targets []packet.NodeID
-	if ev.Node == Wildcard {
-		for i := range env.Network.Nodes {
-			if id := packet.NodeID(i); id != env.Base {
-				targets = append(targets, id)
-			}
-		}
-	} else {
-		if int(ev.Node) >= len(env.Network.Nodes) {
-			return fmt.Errorf("faults: eeprom target %v does not exist", ev.Node)
-		}
-		targets = []packet.NodeID{ev.Node}
-	}
-	for _, id := range targets {
-		n := env.Network.Nodes[id]
-		now := env.Clocks[env.ShardOf(id)]
-		// A per-node RNG keyed on (seed, node) keeps the fault draw
-		// sequence independent of how writes interleave across shards.
-		rng := rand.New(rand.NewSource(env.Seed<<16 ^ 0xFA17 ^ int64(id)*0x9E3779B9))
-		ev := ev
-		n.EEPROM().SetWriteFault(func(seg, pkt int) error {
-			t := now()
-			if t < ev.At || (ev.Until > 0 && t >= ev.Until) {
-				return nil
-			}
-			if ev.Drop >= 1 || rng.Float64() < ev.Drop {
-				return fmt.Errorf("eeprom: injected write fault at slot (%d,%d)", seg, pkt)
-			}
-			return nil
-		})
-	}
-	return nil
-}
-
-func (p *Plan) applyRandomCrashesSharded(env ShardedEnv, ev Event, rng *rand.Rand) {
-	span := ev.Until - ev.At
-	for i := 0; i < ev.Count; i++ {
-		at := ev.At
-		if ev.Count > 1 {
-			at += span * time.Duration(i) / time.Duration(ev.Count-1)
-		}
-		env.At(at, func() {
-			var candidates []packet.NodeID
-			for i, n := range env.Network.Nodes {
-				if id := packet.NodeID(i); id != env.Base && !n.Dead() {
-					candidates = append(candidates, id)
-				}
-			}
-			if len(candidates) == 0 {
-				return
-			}
-			victim := candidates[rng.Intn(len(candidates))]
-			env.Network.Nodes[victim].Kill()
-		})
-	}
-}
-
 func (p *Plan) applyEEPROM(env Env, ev Event, rng *rand.Rand) error {
 	var targets []packet.NodeID
 	if ev.Node == Wildcard {
@@ -463,16 +309,23 @@ func (p *Plan) applyEEPROM(env Env, ev Event, rng *rand.Rand) error {
 		}
 		targets = []packet.NodeID{ev.Node}
 	}
-	kernel := env.Kernel
 	for _, id := range targets {
-		n := env.Network.Nodes[id]
-		ev := ev
-		n.EEPROM().SetWriteFault(func(seg, pkt int) error {
-			now := kernel.Now()
-			if now < ev.At || (ev.Until > 0 && now >= ev.Until) {
+		now, draws := env.Clocks[0], rng
+		if len(env.Mediums) > 1 {
+			// One kernel has one total write order, so on one tile every
+			// target draws from the shared plan stream (the chaos goldens
+			// pin that sequence). Across tiles the interleaving of writes
+			// is undefined, so each node gets its own stream keyed on
+			// (seed, node) and the draw sequence cannot depend on it.
+			now = env.Clocks[env.TileOf(id)]
+			draws = rand.New(rand.NewSource(env.Seed<<16 ^ 0xFA17 ^ int64(id)*0x9E3779B9))
+		}
+		env.Network.Nodes[id].EEPROM().SetWriteFault(func(seg, pkt int) error {
+			t := now()
+			if t < ev.At || (ev.Until > 0 && t >= ev.Until) {
 				return nil
 			}
-			if ev.Drop >= 1 || rng.Float64() < ev.Drop {
+			if ev.Drop >= 1 || draws.Float64() < ev.Drop {
 				return fmt.Errorf("eeprom: injected write fault at slot (%d,%d)", seg, pkt)
 			}
 			return nil
@@ -488,7 +341,7 @@ func (p *Plan) applyRandomCrashes(env Env, ev Event, rng *rand.Rand) {
 		if ev.Count > 1 {
 			at += span * time.Duration(i) / time.Duration(ev.Count-1)
 		}
-		env.Kernel.MustSchedule(at, func() {
+		env.At(at, func() {
 			var candidates []packet.NodeID
 			for i, n := range env.Network.Nodes {
 				if id := packet.NodeID(i); id != env.Base && !n.Dead() {

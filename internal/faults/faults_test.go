@@ -5,7 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"mnp/internal/node"
 	"mnp/internal/packet"
+	"mnp/internal/radio"
+	"mnp/internal/sim"
+	"mnp/internal/topology"
 )
 
 func TestParseSpecGrammar(t *testing.T) {
@@ -164,5 +168,106 @@ func TestPlanString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() missing %q in:\n%s", want, s)
 		}
+	}
+}
+
+// writer is the smallest protocol that exercises the EEPROM: one write
+// to a fresh slot every second.
+type writer struct {
+	rt   node.Runtime
+	next int
+}
+
+func (w *writer) Init(rt node.Runtime) {
+	w.rt = rt
+	rt.SetTimer(1, time.Second)
+}
+func (w *writer) OnPacket(packet.Packet, packet.NodeID) {}
+func (w *writer) OnTimer(id node.TimerID) {
+	_ = w.rt.Store(1, w.next, []byte{byte(w.next)})
+	w.next++
+	w.rt.SetTimer(id, time.Second)
+}
+
+// twoTileEnv builds a 2×2 deployment cut into two tiles (nodes 0–1 and
+// 2–3), each with its own kernel and medium, every node a writer.
+func twoTileEnv(t *testing.T) (Env, []*sim.Kernel) {
+	t.Helper()
+	layout, err := topology.Grid(2, 2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo, err := radio.NewGeometry(layout, radio.DefaultParams(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tileOf := func(id packet.NodeID) int { return int(id) / 2 }
+	kernels := []*sim.Kernel{sim.New(1), sim.New(2)}
+	env := Env{At: func(time.Duration, func()) {}, TileOf: tileOf, Seed: 42}
+	for i, k := range kernels {
+		m, err := radio.NewShardMedium(k, geo, []packet.NodeID{packet.NodeID(2 * i), packet.NodeID(2*i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Mediums = append(env.Mediums, m)
+		env.Clocks = append(env.Clocks, k.Now)
+	}
+	env.Network, err = node.NewPartitionedNetwork(layout,
+		func(packet.NodeID) (node.Protocol, node.Config) { return &writer{}, node.Config{} },
+		func(id packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer) {
+			return kernels[tileOf(id)], env.Mediums[tileOf(id)], nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env, kernels
+}
+
+func TestApplyRejectsTilesWithoutTileMap(t *testing.T) {
+	env, _ := twoTileEnv(t)
+	plan := &Plan{Events: []Event{EEPROMErrors(Wildcard, 0.5, 0, 0)}}
+	if err := plan.Apply(env); err != nil {
+		t.Fatalf("complete two-tile env rejected: %v", err)
+	}
+	env.TileOf = nil
+	if err := plan.Apply(env); err == nil {
+		t.Fatal("Apply accepted two mediums without a tile map")
+	}
+}
+
+// TestEEPROMFaultsIgnoreTileOrder is what the per-node draw stream is
+// for: across tiles the interleaving of writes is undefined, so the
+// faults each node absorbs must not depend on which tile runs first.
+func TestEEPROMFaultsIgnoreTileOrder(t *testing.T) {
+	counts := func(order []int) []int {
+		env, kernels := twoTileEnv(t)
+		env.Base = 0
+		plan := &Plan{Events: []Event{EEPROMErrors(Wildcard, 0.5, 10*time.Second, 50*time.Second)}}
+		if err := plan.Apply(env); err != nil {
+			t.Fatal(err)
+		}
+		env.Network.Start()
+		for _, i := range order {
+			kernels[i].Run(time.Minute)
+		}
+		var out []int
+		for _, n := range env.Network.Nodes {
+			out = append(out, n.EEPROM().FaultCount())
+		}
+		return out
+	}
+	a, b := counts([]int{0, 1}), counts([]int{1, 0})
+	total := 0
+	for id := range a {
+		if a[id] != b[id] {
+			t.Errorf("node %d absorbed %d faults with tile 0 first, %d with tile 1 first", id, a[id], b[id])
+		}
+		total += a[id]
+	}
+	if a[0] != 0 {
+		t.Errorf("base absorbed %d faults; wildcard targeting exempts it", a[0])
+	}
+	if total == 0 {
+		t.Fatal("no faults injected; the comparison is vacuous")
 	}
 }

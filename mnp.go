@@ -60,7 +60,9 @@ func Simulate(s Setup) (*Result, error) {
 
 // Build constructs a deployment without starting it, for callers that
 // want to schedule fault injection or extra instrumentation first:
-// follow with res.Network.Start() and drive res.Kernel.
+// follow with res.RunToCompletion() — or, on a single tile (the
+// default), res.Network.Start() and drive res.Kernel; it is nil when an
+// engine runs several tiles.
 func Build(s Setup) (*Result, error) {
 	return experiment.Build(s)
 }
