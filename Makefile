@@ -74,11 +74,15 @@ fuzz-short:
 # seconds per iteration, so a couple suffice. BenchmarkEngineBarrier
 # is the engine layer's own micro-benchmark: the cost of one lockstep
 # window over empty tiles ("ns/window") at 1, 2 and 4 workers.
+# BenchmarkFleetBuild is fleet set-up per mote ("B/mote", "allocs/mote",
+# "ns/mote") on a 10 000-mote Build.
 bench: build
 	@rm -f bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkMediumTransmit|BenchmarkKernelSchedule' \
 		-benchmem -benchtime 2000x . | tee bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkGeometryBuild' \
+		-benchmem -benchtime 20x . | tee -a bench.out
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetBuild' \
 		-benchmem -benchtime 20x . | tee -a bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkRLNCDecode' \
 		-benchmem -benchtime 100x ./internal/rlnc/ | tee -a bench.out

@@ -12,6 +12,7 @@ package mnp
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -208,6 +209,43 @@ func BenchmarkGeometryBuild(b *testing.B) {
 			b.ReportMetric(float64(fp), "geo-B")
 		})
 	}
+}
+
+// BenchmarkFleetBuild measures what a mote costs before it does
+// anything: experiment.Build of a 10 000-mote (100x100) MNP fleet,
+// reported per mote as wall time, allocations and live heap (HeapAlloc
+// across the build, GC on both sides). It is the ledger series for
+// fleet set-up — the cost the 100k benchmark workload and the 250k
+// scale example pay N times. Feeds BENCH_sim.json via `make bench`.
+func BenchmarkFleetBuild(b *testing.B) {
+	const motes = 100 * 100
+	heap := func() (alloc, mallocs uint64) {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc, ms.Mallocs
+	}
+	b.ReportAllocs()
+	var live, allocs float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		h0, m0 := heap()
+		b.StartTimer()
+		res, err := experiment.Build(experiment.Setup{
+			Name: "fleet-build", Rows: 100, Cols: 100, ImagePackets: 48, Seed: 42,
+		})
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		h1, m1 := heap()
+		runtime.KeepAlive(res)
+		live, allocs = float64(h1)-float64(h0), float64(m1-m0)
+		b.StartTimer()
+	}
+	b.ReportMetric(live/motes, "B/mote")
+	b.ReportMetric(allocs/motes, "allocs/mote")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/motes, "ns/mote")
 }
 
 // BenchmarkEngineGrid measures the sharded lockstep engine against the

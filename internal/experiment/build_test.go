@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -126,5 +127,32 @@ func TestProtocolTableCoversRegistry(t *testing.T) {
 		if _, ok := protoreg.Lookup(e.registry); !ok {
 			t.Errorf("table row %s names %q, which is not registered", e.display, e.registry)
 		}
+	}
+}
+
+// TestFleetBytesPerMote is the budget on what a mote costs before it
+// does anything: Build of a 20 000-mote fleet may keep at most 2 KB of
+// heap per mote. An eagerly seeded math/rand source alone is 4.9 KB, so
+// any per-mote state that should have been created on first use shows
+// up here.
+func TestFleetBytesPerMote(t *testing.T) {
+	const rows, cols, budget = 100, 200, 2048
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	res, err := Build(Setup{Name: "fleet-budget", Rows: rows, Cols: cols, ImagePackets: 48, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := heap()
+	runtime.KeepAlive(res)
+	perMote := (int64(after) - int64(before)) / (rows * cols)
+	t.Logf("%d B/mote", perMote)
+	if perMote > budget {
+		t.Fatalf("Build keeps %d B of heap per mote, budget %d", perMote, budget)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"time"
 
+	"mnp/internal/density"
 	"mnp/internal/image"
 	"mnp/internal/node"
 	"mnp/internal/packet"
@@ -109,19 +110,15 @@ type Gossip struct {
 
 	// peers caches the last beacon heard per neighbor, feeding the
 	// server-density estimate that scales the push pace.
-	peers map[packet.NodeID]peerInfo
-}
-
-type peerInfo struct {
-	seen time.Duration
-	segs int
+	peers density.Table
 }
 
 var _ node.Protocol = (*Gossip)(nil)
 
 // New returns a Gossip instance.
 func New(cfg Config) *Gossip {
-	return &Gossip{cfg: cfg.withDefaults()}
+	cfg = cfg.withDefaults()
+	return &Gossip{cfg: cfg, peers: density.New(cfg.AdvInterval, cfg.AdvJitter)}
 }
 
 // Init implements node.Protocol.
@@ -255,30 +252,11 @@ func (g *Gossip) learn(a *packet.GossipAdv) {
 	g.scheduleAdv()
 }
 
-// serverCount estimates how many nodes (self included) currently hold
-// segment seg in this neighborhood, from recently heard beacons. Stale
-// entries are pruned as a side effect.
-func (g *Gossip) serverCount(seg int) int {
-	horizon := 2 * (g.cfg.AdvInterval + g.cfg.AdvJitter)
-	now := g.rt.Now()
-	n := 1
-	for id, p := range g.peers {
-		if now-p.seen > horizon {
-			delete(g.peers, id)
-			continue
-		}
-		if p.segs >= seg {
-			n++
-		}
-	}
-	return n
-}
-
 // dataPace is the inter-frame spacing while pushing: the base interval
 // scaled by the number of co-located servers, plus jitter so equal
 // estimates do not lockstep.
 func (g *Gossip) dataPace() time.Duration {
-	servers := g.serverCount(g.demandSeg)
+	servers := g.peers.Servers(g.rt.Now(), g.demandSeg)
 	base := time.Duration(servers) * g.cfg.DataInterval
 	return base + time.Duration(g.rt.Rand().Int63n(int64(g.cfg.DataInterval)))
 }
@@ -290,10 +268,7 @@ func (g *Gossip) onAdv(a *packet.GossipAdv) {
 	if !g.known || a.ProgramID != g.programID {
 		return
 	}
-	if g.peers == nil {
-		g.peers = make(map[packet.NodeID]peerInfo)
-	}
-	g.peers[a.Src] = peerInfo{seen: g.rt.Now(), segs: int(a.CompleteSegs)}
+	g.peers.Heard(a.Src, g.rt.Now(), int(a.CompleteSegs))
 	if int(a.CompleteSegs) >= g.completeSegs {
 		return // the neighbor is not behind us; nothing to push
 	}

@@ -192,8 +192,11 @@ type Node struct {
 	proto    Protocol
 	store    *eeprom.Store
 	observer Observer
-	rng      *rand.Rand
-	cfg      Config
+	// rng is nil until the mote first draws (see Rand): a math/rand
+	// source is 4.9 KB and 13 µs to seed, and in a windowed run of a
+	// large fleet most motes never draw.
+	rng *rand.Rand
+	cfg Config
 
 	// timers and timerFns are indexed by TimerID: protocol timer IDs
 	// are small and dense, so a slice beats a map on the per-event hot
@@ -246,7 +249,6 @@ func New(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Protocol, cfg C
 		proto:    proto,
 		store:    store,
 		observer: obs,
-		rng:      rand.New(rand.NewSource(int64(id)*0x9E3779B9 ^ 0x51F1)),
 		cfg:      cfg,
 		battery:  cfg.Battery,
 		txPower:  cfg.TxPower,
@@ -349,8 +351,17 @@ func (n *Node) ID() packet.NodeID { return n.id }
 // Now implements Runtime.
 func (n *Node) Now() time.Duration { return n.kernel.Now() }
 
-// Rand implements Runtime.
-func (n *Node) Rand() *rand.Rand { return n.rng }
+// Rand implements Runtime. The generator is seeded on the first call:
+// the seed depends only on the id, so the stream is the one an eagerly
+// seeded generator would give, and it outlives Crash/Restart. Only the
+// worker that owns the mote's tile runs its events, so no lock guards
+// the nil check.
+func (n *Node) Rand() *rand.Rand {
+	if n.rng == nil {
+		n.rng = rand.New(rand.NewSource(int64(n.id)*0x9E3779B9 ^ 0x51F1))
+	}
+	return n.rng
+}
 
 // queuedFrame pairs a packet with the transmit power selected when it
 // was queued, so a later SetTxPower does not retroactively change it.
@@ -380,11 +391,11 @@ func (n *Node) Send(p packet.Packet) error {
 func (n *Node) QueueLen() int { return len(n.queue) }
 
 func (n *Node) initialBackoff() time.Duration {
-	return time.Duration(1+n.rng.Intn(initialBackoffSlots)) * n.cfg.BackoffSlot
+	return time.Duration(1+n.Rand().Intn(initialBackoffSlots)) * n.cfg.BackoffSlot
 }
 
 func (n *Node) congestionBackoff() time.Duration {
-	return time.Duration(1+n.rng.Intn(congestionSlots)) * n.cfg.BackoffSlot
+	return time.Duration(1+n.Rand().Intn(congestionSlots)) * n.cfg.BackoffSlot
 }
 
 func (n *Node) scheduleAttempt(after time.Duration) {

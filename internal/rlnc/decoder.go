@@ -50,7 +50,8 @@ func (d *decoder) addRow(coeffs, payload []byte) (ops int, innovative bool) {
 			d.rank++
 			return ops, true
 		}
-		addScaledRow(row, d.rows[p], row[p])
+		// A stored pivot row is zero left of its pivot column.
+		addScaledRow(row[p:], d.rows[p][p:], row[p])
 		ops++
 	}
 }
@@ -69,7 +70,7 @@ func (d *decoder) reduce() (ops int) {
 	for p := d.k - 1; p > 0; p-- {
 		for q := 0; q < p; q++ {
 			if c := d.rows[q][p]; c != 0 {
-				addScaledRow(d.rows[q], d.rows[p], c)
+				addScaledRow(d.rows[q][p:], d.rows[p][p:], c)
 				ops++
 			}
 		}

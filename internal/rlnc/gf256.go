@@ -9,6 +9,10 @@ package rlnc
 var (
 	gfExp [512]byte // gfExp[i] = g^i, doubled so Mul skips a mod 255
 	gfLog [256]byte // gfLog[gfExp[i]] = i; gfLog[0] unused
+	// gfProd[a][b] = a*b: 64 KB, so the row kernel is one lookup per
+	// byte with no zero test. A row operation uses a single 256-byte
+	// line of it.
+	gfProd [256][256]byte
 )
 
 func init() {
@@ -25,6 +29,11 @@ func init() {
 	}
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
+	}
+	for a := 1; a < 256; a++ {
+		for b := 1; b < 256; b++ {
+			gfProd[a][b] = gfMul(byte(a), byte(b))
+		}
 	}
 }
 
@@ -70,11 +79,10 @@ func addScaledRow(dst, src []byte, c byte) {
 			dst[i] ^= v
 		}
 	default:
-		lc := int(gfLog[c])
+		t := &gfProd[c]
+		dst = dst[:len(src)]
 		for i, v := range src {
-			if v != 0 {
-				dst[i] ^= gfExp[int(gfLog[v])+lc]
-			}
+			dst[i] ^= t[v]
 		}
 	}
 }

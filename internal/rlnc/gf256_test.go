@@ -122,3 +122,42 @@ func TestRowOpsMatchScalar(t *testing.T) {
 		}
 	}
 }
+
+// The product table is what addScaledRow reads; it must agree with the
+// log/exp multiply on every pair, zeros included.
+func TestProductTableMatchesMul(t *testing.T) {
+	for a := 0; a < 256; a++ {
+		for b := 0; b < 256; b++ {
+			if got, want := gfProd[a][b], gfMul(byte(a), byte(b)); got != want {
+				t.Fatalf("gfProd[%#x][%#x] = %#x, gfMul gives %#x", a, b, got, want)
+			}
+		}
+	}
+}
+
+// The decoder hands addScaledRow sub-slices starting at the pivot
+// column. For every coefficient and a spread of offsets the kernel must
+// match the scalar reference inside the window and leave the bytes
+// outside it alone.
+func TestAddScaledRowOnOffsetSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 96
+	src, dst := make([]byte, n), make([]byte, n)
+	for c := 0; c < 256; c++ {
+		for _, off := range []int{0, 1, rng.Intn(n), n - 1, n} {
+			rng.Read(src)
+			rng.Read(dst)
+			src[rng.Intn(n)] = 0 // zeros take the same path as everything else
+			want := append([]byte(nil), dst...)
+			for i := off; i < n; i++ {
+				want[i] ^= gfMul(src[i], byte(c))
+			}
+			addScaledRow(dst[off:], src[off:], byte(c))
+			for i := range dst {
+				if dst[i] != want[i] {
+					t.Fatalf("c=%#x offset %d: byte %d is %#x, scalar reference %#x", c, off, i, dst[i], want[i])
+				}
+			}
+		}
+	}
+}

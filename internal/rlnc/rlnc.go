@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"time"
 
+	"mnp/internal/density"
 	"mnp/internal/image"
 	"mnp/internal/node"
 	"mnp/internal/packet"
@@ -113,19 +114,15 @@ type RLNC struct {
 	// the aggregate near one frame per DataInterval. Without this, a
 	// dense neighborhood serving one straggler saturates the channel
 	// and collisions stop the straggler's rank from ever advancing.
-	peers map[packet.NodeID]peerInfo
-}
-
-type peerInfo struct {
-	seen time.Duration
-	segs int
+	peers density.Table
 }
 
 var _ node.Protocol = (*RLNC)(nil)
 
 // New returns an RLNC instance.
 func New(cfg Config) *RLNC {
-	return &RLNC{cfg: cfg.withDefaults()}
+	cfg = cfg.withDefaults()
+	return &RLNC{cfg: cfg, peers: density.New(cfg.AdvInterval, cfg.AdvJitter)}
 }
 
 // Init implements node.Protocol.
@@ -253,30 +250,11 @@ func (r *RLNC) learn(a *packet.RlncAdv) {
 	r.scheduleAdv()
 }
 
-// serverCount estimates how many nodes (self included) currently hold
-// segment seg in this neighborhood, from recently heard
-// advertisements. Stale entries are pruned as a side effect.
-func (r *RLNC) serverCount(seg int) int {
-	horizon := 2 * (r.cfg.AdvInterval + r.cfg.AdvJitter)
-	now := r.rt.Now()
-	n := 1
-	for id, p := range r.peers {
-		if now-p.seen > horizon {
-			delete(r.peers, id)
-			continue
-		}
-		if p.segs >= seg {
-			n++
-		}
-	}
-	return n
-}
-
 // dataPace is the inter-frame spacing while serving: the base interval
 // scaled by the number of co-located servers, plus jitter so equal
 // estimates do not lockstep.
 func (r *RLNC) dataPace() time.Duration {
-	servers := r.serverCount(r.demandSeg)
+	servers := r.peers.Servers(r.rt.Now(), r.demandSeg)
 	base := time.Duration(servers) * r.cfg.DataInterval
 	return base + time.Duration(r.rt.Rand().Int63n(int64(r.cfg.DataInterval)))
 }
@@ -288,10 +266,7 @@ func (r *RLNC) onAdv(a *packet.RlncAdv) {
 	if !r.known || a.ProgramID != r.programID {
 		return
 	}
-	if r.peers == nil {
-		r.peers = make(map[packet.NodeID]peerInfo)
-	}
-	r.peers[a.Src] = peerInfo{seen: r.rt.Now(), segs: int(a.CompleteSegs)}
+	r.peers.Heard(a.Src, r.rt.Now(), int(a.CompleteSegs))
 	if int(a.CompleteSegs) >= r.completeSegs {
 		return // the neighbor is not behind us; nothing to serve
 	}
