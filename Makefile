@@ -23,7 +23,8 @@ race-short:
 	$(GO) test -race -short ./...
 
 # race-engine exercises the lockstep engine under the race detector:
-# the engine, tile-partition, and kernel-window unit tests, the sharded
+# the engine, tile-partition, and kernel unit tests (the window
+# primitives and the Reset-vs-cancel-and-schedule model test), the sharded
 # experiment suite (one-tile-vs-strips equivalence at shards 1 and 4,
 # determinism with inline and parallel workers, sharded chaos, strip
 # orientation), the tiled suite (the grid x workers{1,2,4} x
@@ -63,6 +64,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzIndexMoves' -fuzztime $(FUZZTIME) ./internal/topology/
 	$(GO) test -run '^$$' -fuzz 'FuzzTilePartition' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz 'FuzzRLNCDecode' -fuzztime $(FUZZTIME) ./internal/rlnc/
+	$(GO) test -run '^$$' -fuzz 'FuzzKernelReset' -fuzztime $(FUZZTIME) ./internal/sim/
 
 # bench runs the simulation-substrate micro-benchmarks plus the
 # end-to-end Figure 8 regeneration and the sharded-engine scaling

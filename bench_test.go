@@ -332,9 +332,11 @@ func BenchmarkEngineGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelSchedule measures the kernel's schedule/fire and
-// schedule/cancel cycles — the per-event cost every simulated timer and
-// frame pays.
+// BenchmarkKernelSchedule measures the kernel's schedule/fire,
+// schedule/cancel and re-arm cycles — the per-event cost every
+// simulated timer and frame pays. rearm pushes one pending timer out
+// again (a download watchdog on each data packet) against a queue of
+// 1 024 other pending events.
 func BenchmarkKernelSchedule(b *testing.B) {
 	b.Run("fire", func(b *testing.B) {
 		k := sim.New(1)
@@ -353,6 +355,19 @@ func BenchmarkKernelSchedule(b *testing.B) {
 			t := k.MustSchedule(time.Microsecond, fn)
 			t.Cancel()
 			k.Step() // reaps the cancelled event
+		}
+	})
+	b.Run("rearm", func(b *testing.B) {
+		k := sim.New(1)
+		fn := func() {}
+		for i := 0; i < 1024; i++ {
+			k.MustSchedule(time.Duration(i+1)*time.Second, fn)
+		}
+		t := k.MustSchedule(3*time.Second, fn)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			t = k.Reset(t, 3*time.Second, fn)
 		}
 	})
 }

@@ -206,19 +206,23 @@ func raceEnabled() bool {
 }
 
 // TestBarrierOversubscribedRun: four workers on one processor must
-// produce the inline run's digest, and in about the inline run's time —
-// every wait has to hand the processor over, not spin against the
-// worker it is waiting for (which would cost a 10 ms preemption per
+// produce the inline run's digest, and in the inline run's order of
+// time — every wait has to hand the processor over, not spin against
+// the worker it is waiting for (which would cost a 10 ms preemption per
 // wait: hundreds of times the inline run). The fastest of a few runs on
 // each side is compared, so a scheduling hiccup in one of them does not
-// decide it. Under the race detector the bound is 6× instead of 1.5×:
-// its checks take a slow path on memory several goroutines have
+// decide it. The bound is 3×: a healthy barrier reads 1.24–1.45× on an
+// idle two-core host and up to 1.55× while other packages' tests share
+// the cores, so a 1.5× bound failed on load, not on the barrier, and a
+// faster inline run only tightened it; the failure this exists to catch
+// is two orders of magnitude away. Under the race detector the bound is
+// 10×: its checks take a slow path on memory several goroutines have
 // touched, which triples the four-worker run whatever the barrier does.
 func TestBarrierOversubscribedRun(t *testing.T) {
 	const simTime, tries = 60 * time.Second, 3
-	bound := 1.5
+	bound := 3.0
 	if raceEnabled() {
-		bound = 6
+		bound = 10
 	}
 	best := func(workers int) (uint64, time.Duration) {
 		var digest uint64

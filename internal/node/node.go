@@ -426,7 +426,11 @@ func (n *Node) attempt() {
 		n.scheduleAttempt(n.congestionBackoff())
 		return
 	}
-	n.queue = n.queue[1:]
+	// Shift down instead of re-slicing from the front, which would give
+	// up a slot of capacity per frame and make the next Send reallocate.
+	last := copy(n.queue, n.queue[1:])
+	n.queue[last] = queuedFrame{}
+	n.queue = n.queue[:last]
 	n.kernel.MustSchedule(air+interFrameGap, n.afterTxFn)
 }
 
@@ -449,7 +453,6 @@ func (n *Node) SetTimer(id TimerID, d time.Duration) {
 		n.timers = append(n.timers, sim.Timer{})
 		n.timerFns = append(n.timerFns, nil)
 	}
-	n.timers[id].Cancel()
 	if n.timerFns[id] == nil {
 		id := id
 		n.timerFns[id] = func() {
@@ -459,7 +462,9 @@ func (n *Node) SetTimer(id TimerID, d time.Duration) {
 			}
 		}
 	}
-	n.timers[id] = n.kernel.MustSchedule(d, n.timerFns[id])
+	// Reset replaces a pending timer where it sits in the kernel's queue:
+	// a watchdog pushed out by every packet heard stays one entry.
+	n.timers[id] = n.kernel.Reset(n.timers[id], d, n.timerFns[id])
 }
 
 // CancelTimer implements Runtime.

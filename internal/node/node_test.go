@@ -154,6 +154,26 @@ func TestQueueDrainsInOrder(t *testing.T) {
 	if r.nodes[0].QueueLen() != 0 {
 		t.Fatal("queue not drained")
 	}
+
+	// Dequeuing shifts the queue down and keeps its capacity, so once
+	// every pool is warm a send/transmit cycle allocates nothing. (The
+	// receiver is switched off: echoProto copies what it is handed.)
+	r.nodes[1].RadioOff()
+	q := &packet.Query{Src: 0, ProgramID: 1, SegID: 1}
+	cycle := func() {
+		if err := r.nodes[0].Send(q); err != nil {
+			t.Fatal(err)
+		}
+		r.k.Run(r.k.Now() + time.Second)
+	}
+	// AllocsPerRun floors its mean: warm past any spare capacity a
+	// front re-slice could still be consuming one slot at a time.
+	for i := 0; i < DefaultQueueCap; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs > 0 {
+		t.Fatalf("a send/transmit cycle on a warm node allocates %.1f times, want 0", allocs)
+	}
 }
 
 func TestQueueCapEnforced(t *testing.T) {
@@ -208,6 +228,37 @@ func TestTimersFireReplaceAndCancel(t *testing.T) {
 	}
 	if rt.TimerPending(1) {
 		t.Fatal("fired timer still pending")
+	}
+
+	// A watchdog re-armed on every packet of a stream: one kernel entry
+	// throughout, one firing, at the last deadline, and in the order a
+	// cancel-and-reschedule at that moment would give it among the events
+	// of that instant.
+	const watchdog, timeout = TimerID(4), 3 * time.Second
+	r.protos[0].timers = nil
+	mark := func(id TimerID) func() {
+		return func() { r.protos[0].timers = append(r.protos[0].timers, id) }
+	}
+	for i := 0; i < 1000; i++ {
+		r.k.MustSchedule(30*time.Millisecond, func() {})
+		r.k.Step()
+		if i == 999 {
+			r.k.MustSchedule(timeout, mark(-1))
+		}
+		rt.SetTimer(watchdog, timeout)
+		if r.k.Pending() != 1+i/999 {
+			t.Fatalf("after %d re-arms the kernel holds %d entries", i+1, r.k.Pending())
+		}
+	}
+	r.k.MustSchedule(timeout, mark(-2))
+	deadline := r.k.Now() + timeout
+	if at, ok := r.k.NextEventAt(); !ok || at != deadline {
+		t.Fatalf("next event at %v, want the last deadline %v", at, deadline)
+	}
+	r.k.Run(time.Hour)
+	got = r.protos[0].timers
+	if len(got) != 3 || got[0] != -1 || got[1] != watchdog || got[2] != -2 {
+		t.Fatalf("firings = %v, want [-1 %d -2]", got, watchdog)
 	}
 }
 

@@ -138,14 +138,22 @@ func (NopSink) FrameCollided(packet.NodeID, packet.NodeID, packet.Kind) {}
 
 var _ TrafficSink = NopSink{}
 
+// nodeState is one mote's radio. The three flags sit together so the
+// struct stays 48 bytes: every tile's medium holds one per mote of the
+// whole deployment.
 type nodeState struct {
-	handler   FrameHandler
-	on        bool
-	onSince   time.Duration
-	txStart   time.Duration
-	txEnd     time.Duration
-	everTx    bool
-	destroyed bool
+	handler FrameHandler
+	onSince time.Duration
+	txStart time.Duration
+	txEnd   time.Duration
+	// carrierUntil is the latest end-of-frame among the transmissions,
+	// local and ghost, that this mote transmitted or could hear when they
+	// started. Frames are never withdrawn from the air early (Destroy and
+	// a crash leave them to finish), so the maximum alone answers Busy.
+	carrierUntil time.Duration
+	on           bool
+	everTx       bool
+	destroyed    bool
 }
 
 // transmission is one frame in the air. full, ber, and deliver are
@@ -184,8 +192,6 @@ func (t *transmission) posOf(id packet.NodeID) int {
 	}
 	return -1
 }
-
-func (t *transmission) isAudible(id packet.NodeID) bool { return t.posOf(id) >= 0 }
 
 // deliverLen returns how many receivers this medium delivers to.
 func (t *transmission) deliverLen() int {
@@ -433,6 +439,10 @@ type Medium struct {
 	outbox    []Ghost
 	ghostSeq  uint64
 	delivered uint64 // cumulative successful frame deliveries
+
+	// success memoizes the per-delivery frame-success power; see
+	// frameSuccess.
+	success []successEntry
 
 	// tap, when set, observes every transmitted frame in decoded form
 	// (invariant checkers need packet contents, which TrafficSink
@@ -695,19 +705,21 @@ func (m *Medium) Owns(id packet.NodeID) bool {
 // transmission. A node hears a transmission if it is within the
 // transmitter's range.
 func (m *Medium) Busy(id packet.NodeID) bool {
-	now := m.kernel.Now()
-	for _, t := range m.active {
-		if t.end <= now {
-			continue
-		}
-		if t.src == id {
-			return true
-		}
-		if t.isAudible(id) {
-			return true
+	return m.nodes[id].carrierUntil > m.kernel.Now()
+}
+
+// occupy records t on the carrier of its transmitter and of every mote
+// in its audible list, in O(degree) at the start of the frame, so Busy
+// never has to search the active transmissions.
+func (m *Medium) occupy(t *transmission) {
+	if st := &m.nodes[t.src]; st.carrierUntil < t.end {
+		st.carrierUntil = t.end
+	}
+	for _, id := range t.full {
+		if st := &m.nodes[id]; st.carrierUntil < t.end {
+			st.carrierUntil = t.end
 		}
 	}
-	return false
 }
 
 // Transmitting reports whether node id is mid-transmission.
@@ -857,6 +869,7 @@ func (m *Medium) Transmit(src packet.NodeID, pkt packet.Packet, power int) (time
 	st.txEnd = t.end
 	st.everTx = true
 	m.active = append(m.active, t)
+	m.occupy(t)
 	m.sink.FrameSent(src, t.kind, t.bytes)
 	if m.tap != nil {
 		m.tap(src, pkt, air)
@@ -940,6 +953,7 @@ func (m *Medium) InsertGhost(g Ghost) error {
 		m.collide(t, u)
 	}
 	m.active = append(m.active, t)
+	m.occupy(t)
 	if _, err := m.kernel.ScheduleAt(t.end, t.finishFn); err != nil {
 		return fmt.Errorf("radio: ghost from %v: %w", g.Src, err)
 	}
@@ -1002,8 +1016,7 @@ func (m *Medium) finish(t *transmission) {
 			m.sink.FrameCollided(r, t.src, t.kind)
 			continue
 		}
-		p := math.Pow(1-t.ber[fi], float64(t.bytes*8))
-		if m.kernel.Rand().Float64() >= p {
+		if m.kernel.Rand().Float64() >= m.frameSuccess(t.ber[fi], t.bytes*8) {
 			continue // channel bit errors
 		}
 		if m.linkFault != nil {
@@ -1030,6 +1043,37 @@ func (m *Medium) finish(t *transmission) {
 		}
 	}
 	m.recycle(t)
+}
+
+// successEntry is one slot of the frame-success memo. n is bits+1, so
+// the zero entry matches no key.
+type successEntry struct {
+	ber uint64 // math.Float64bits of the link's bit-error rate
+	n   int
+	p   float64
+}
+
+// successBits sizes the memo: 4 096 slots, 96 KB per medium. A
+// streaming sender draws the same (link, frame size) pair once per data
+// packet, so a table far smaller than the link count still hits.
+const successBits = 12
+
+// frameSuccess returns (1-ber)^bits, the probability that a frame of
+// the given size survives the link's bit errors. The power is computed
+// on a miss only and remembered, bit for bit, in a direct-mapped table
+// keyed by the exact (ber, bits) pair. The table is one fixed block per
+// medium, allocated on the first delivery — not a slice per link row,
+// which mobility would rebuild with every row.
+func (m *Medium) frameSuccess(ber float64, bits int) float64 {
+	if m.success == nil {
+		m.success = make([]successEntry, 1<<successBits)
+	}
+	key := math.Float64bits(ber)
+	e := &m.success[(key^uint64(bits))*0x9E3779B97F4A7C15>>(64-successBits)]
+	if e.ber != key || e.n != bits+1 {
+		*e = successEntry{ber: key, n: bits + 1, p: math.Pow(1-ber, float64(bits))}
+	}
+	return e.p
 }
 
 // Deliveries returns the cumulative count of successful frame

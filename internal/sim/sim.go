@@ -76,11 +76,14 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 //
 // Fired and cancelled events are recycled through a free list, so a
 // Timer remembers the generation of the event it was issued for and
-// quietly expires when the event's slot is reused — a stale handle can
-// never cancel someone else's event.
+// quietly expires when the event's slot is reused — a stale handle
+// cannot cancel someone else's event. The generation is 32 bits wide
+// (it shares a word with the event's flags so the due key fits in 48
+// bytes), so the guarantee holds until one slot has been reused 2³²
+// times under a single live handle.
 type Timer struct {
 	ev  *event
-	gen uint64
+	gen uint32
 }
 
 // Cancel prevents the timer's callback from running. Cancelling an
@@ -127,6 +130,28 @@ func (k *Kernel) ScheduleAt(when time.Duration, fn func()) (Timer, error) {
 	return k.at(when, fn), nil
 }
 
+// Reset re-arms t: it is exactly t.Cancel() followed by
+// MustSchedule(delay, fn) — one sequence number is consumed and fn runs
+// at (now+delay, that number) — and returns the timer to use from then
+// on (t itself must not be used again). When t is still pending and the
+// new instant is not earlier than the entry's place in the queue, the
+// entry stays where it is and only its due key moves; Step and peek put
+// it at its due key when it surfaces. A watchdog pushed out by every
+// packet heard therefore occupies one queue slot however often it is
+// re-armed, instead of leaving a cancelled entry behind each time. Like
+// MustSchedule, Reset panics on a negative delay.
+func (k *Kernel) Reset(t Timer, delay time.Duration, fn func()) Timer {
+	if ev := t.ev; delay >= 0 && t.Active() && k.now+delay >= ev.at {
+		// The new sequence number exceeds ev.seq, so the due key is after
+		// the position key and the heap invariant still holds.
+		ev.due, ev.dueSeq, ev.fn = k.now+delay, k.seq, fn
+		k.seq++
+		return t
+	}
+	t.Cancel()
+	return k.MustSchedule(delay, fn)
+}
+
 func (k *Kernel) at(when time.Duration, fn func()) Timer {
 	var ev *event
 	if n := len(k.free); n > 0 {
@@ -138,6 +163,7 @@ func (k *Kernel) at(when time.Duration, fn func()) Timer {
 		ev = &event{}
 	}
 	ev.at, ev.seq, ev.fn = when, k.seq, fn
+	ev.due, ev.dueSeq = when, k.seq
 	k.seq++
 	k.push(ev)
 	return Timer{ev: ev, gen: ev.gen}
@@ -151,13 +177,31 @@ func (k *Kernel) recycle(ev *event) {
 	k.free = append(k.free, ev)
 }
 
+// stale reports whether a surfaced entry must be settled instead of
+// run: it was cancelled, or Reset moved its due key past its position.
+func (e *event) stale() bool { return e.cancelled || e.dueSeq != e.seq }
+
+// settle disposes of a popped stale entry: a cancelled one is recycled,
+// a re-armed one goes back into the heap at its due key. The position
+// key is rewritten only here, while the entry is out of the heap — an
+// edit in place would break the order among equal-time entries — and
+// the clock is never set from an entry that still has to move.
+func (k *Kernel) settle(ev *event) {
+	if ev.cancelled {
+		k.recycle(ev)
+		return
+	}
+	ev.at, ev.seq = ev.due, ev.dueSeq
+	k.push(ev)
+}
+
 // Step executes the next pending event. It returns false when the
 // queue is empty.
 func (k *Kernel) Step() bool {
 	for len(k.queue) > 0 {
 		ev := k.pop()
-		if ev.cancelled {
-			k.recycle(ev)
+		if ev.stale() {
+			k.settle(ev)
 			continue
 		}
 		k.now = ev.at
@@ -258,15 +302,18 @@ func (k *Kernel) RunUntil(pred func() bool, limit time.Duration) bool {
 }
 
 // Pending returns the number of events waiting (including cancelled
-// ones not yet reaped).
+// ones not yet reaped). A timer re-armed through Reset counts once,
+// however many times it was re-armed.
 func (k *Kernel) Pending() int { return len(k.queue) }
 
+// peek returns the time of the earliest live event. Cancelled entries
+// and entries whose due key moved past their position are settled on
+// the way, so the answer is a due time, never a stale position.
 func (k *Kernel) peek() (time.Duration, bool) {
 	for len(k.queue) > 0 {
 		ev := k.queue[0]
-		if ev.cancelled {
-			k.pop()
-			k.recycle(ev)
+		if ev.stale() {
+			k.settle(k.pop())
 			continue
 		}
 		return ev.at, true
@@ -274,11 +321,19 @@ func (k *Kernel) peek() (time.Duration, bool) {
 	return 0, false
 }
 
+// event is one queue entry. (at, seq) is its position key — what the
+// heap is ordered by, fixed while the entry is queued; (due, dueSeq) is
+// when its callback runs. They are equal unless Reset pushed the
+// callback out in place, and position ≤ due always holds, so when an
+// entry with equal keys is the heap minimum no live callback anywhere
+// in the queue is due before it.
 type event struct {
 	at        time.Duration
 	seq       uint64
-	gen       uint64
+	due       time.Duration
+	dueSeq    uint64
 	fn        func()
+	gen       uint32
 	cancelled bool
 	fired     bool
 }
