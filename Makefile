@@ -64,6 +64,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzIndexMoves' -fuzztime $(FUZZTIME) ./internal/topology/
 	$(GO) test -run '^$$' -fuzz 'FuzzTilePartition' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz 'FuzzRLNCDecode' -fuzztime $(FUZZTIME) ./internal/rlnc/
+	$(GO) test -run '^$$' -fuzz 'FuzzRLNCEncode' -fuzztime $(FUZZTIME) ./internal/rlnc/
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelReset' -fuzztime $(FUZZTIME) ./internal/sim/
 
 # bench runs the simulation-substrate micro-benchmarks plus the
@@ -77,7 +78,10 @@ fuzz-short:
 # is the engine layer's own micro-benchmark: the cost of one lockstep
 # window over empty tiles ("ns/window") at 1, 2 and 4 workers.
 # BenchmarkFleetBuild is fleet set-up per mote ("B/mote", "allocs/mote",
-# "ns/mote") on a 10 000-mote Build.
+# "ns/mote") on a 10 000-mote Build. The rlnc lines are one 128x22
+# segment decoded, one coded frame drawn and encoded (against the
+# table, and through the row-at-a-time reference loop the table
+# replaced) and one segment tabulated.
 bench: build
 	@rm -f bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkMediumTransmit|BenchmarkKernelSchedule' \
@@ -86,8 +90,8 @@ bench: build
 		-benchmem -benchtime 20x . | tee -a bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetBuild' \
 		-benchmem -benchtime 20x . | tee -a bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkRLNCDecode' \
-		-benchmem -benchtime 100x ./internal/rlnc/ | tee -a bench.out
+	$(GO) test -run '^$$' -bench 'BenchmarkRLNCDecode|BenchmarkRLNCEncode' \
+		-benchmem -benchtime 2000x ./internal/rlnc/ | tee -a bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkIndexMove' \
 		-benchmem -benchtime 2000x ./internal/topology/ | tee -a bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineBarrier' \

@@ -272,3 +272,49 @@ func TestMobileRunMatchesGolden(t *testing.T) {
 		}
 	}
 }
+
+// goldenRLNC pins the full per-node outcome of a coded run: a 2×8
+// corridor at 15 ft spacing, two 128-packet segments relayed hop by
+// hop. The other goldens are all MNP or gossip, and the bench's sim_*
+// metrics carry neither the decode-op count nor the energy ledger, so
+// this is the hash that says a change to internal/rlnc's arithmetic
+// (elimination order, encoder, coefficient draws) left every frame on
+// the air, every charged row operation and every flushed byte alone.
+// Recorded on 8751253, before the single-pass decoder and the
+// Four-Russians encoder landed.
+const goldenRLNC = "29289068d8c118abbedd737444a00dcace99f62895e5b1159225545de7b9bb06"
+
+func TestRLNCRunMatchesGolden(t *testing.T) {
+	res, err := experiment.Run(experiment.Setup{
+		Name: "rlnc-golden", Rows: 2, Cols: 8, Spacing: 15, ImagePackets: 256, Seed: 42,
+		Protocol: experiment.ProtocolRLNC, Limit: 6 * time.Hour,
+		Invariants: &invariant.Config{SenderOverlapBudget: 1 << 30},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatalf("incomplete: %d/%d", res.Network.CompletedCount(), res.Layout.N())
+	}
+	if err := res.VerifyImages(); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.VerifyInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	snap := res.Collector.Snapshot(res.CompletionTime)
+	var b strings.Builder
+	fmt.Fprintf(&b, "completed=%v at=%v tx=%d rx=%d collisions=%d decodeOps=%d eepromWritten=%d\n",
+		res.Completed, res.CompletionTime, snap.Tx, snap.Rx, snap.Collisions,
+		snap.DecodeOps, snap.EEPROMWriteBytes)
+	for _, n := range res.Network.Nodes {
+		l := res.Collector.Ledger(n.ID(), res.CompletionTime)
+		fmt.Fprintf(&b, "%v completed=%v at=%v tx=%d rx=%d decodeOps=%d eepromWrites=%d slots=%d used=%d\n",
+			n.ID(), n.Completed(), n.CompletedAt(), l.TxPackets, l.RxPackets,
+			l.DecodeRowOps, l.EEPROMWrites, n.EEPROM().Slots(), n.EEPROM().Used())
+	}
+	if got := hex.EncodeToString(sumOf(b.String())); got != goldenRLNC {
+		t.Errorf("rlnc run report hash = %s, want %s (the coding layer changed what it sends, counts or stores)\n%s",
+			got, goldenRLNC, b.String())
+	}
+}

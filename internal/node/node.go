@@ -7,6 +7,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -370,14 +371,21 @@ type queuedFrame struct {
 	power int
 }
 
+// Send's refusals. Protocols send best-effort and drop the error, a
+// saturated sender thousands of times per run, so they are made once.
+var (
+	errDead      = errors.New("node: dead")
+	errQueueFull = errors.New("node: MAC queue full")
+)
+
 // Send implements Runtime: enqueue for CSMA transmission at the
 // current transmit power.
 func (n *Node) Send(p packet.Packet) error {
 	if n.dead {
-		return fmt.Errorf("node %v: dead", n.id)
+		return errDead
 	}
 	if len(n.queue) >= n.cfg.QueueCap {
-		return fmt.Errorf("node %v: MAC queue full", n.id)
+		return errQueueFull
 	}
 	n.queue = append(n.queue, queuedFrame{pkt: p, power: n.txPower})
 	if !n.sending {

@@ -186,6 +186,21 @@ func TestQueueCapEnforced(t *testing.T) {
 	if err == nil {
 		t.Fatal("queue overfill accepted")
 	}
+	// Protocols drop Send's error, and a saturated sender is refused
+	// tens of thousands of times a run: a refusal must cost nothing.
+	q := &packet.Query{Src: 0, ProgramID: 1, SegID: 1}
+	refused := func() {
+		if r.nodes[0].Send(q) == nil {
+			t.Fatal("send accepted")
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, refused); allocs != 0 {
+		t.Fatalf("a send refused by a full queue allocates %.1f times, want 0", allocs)
+	}
+	r.nodes[0].Crash()
+	if allocs := testing.AllocsPerRun(100, refused); allocs != 0 {
+		t.Fatalf("a send refused by a dead node allocates %.1f times, want 0", allocs)
+	}
 }
 
 func TestRadioOffPausesQueueAndOnResumes(t *testing.T) {

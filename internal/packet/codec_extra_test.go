@@ -84,10 +84,12 @@ func TestCRCTableMatchesBitwiseReference(t *testing.T) {
 		[]byte("123456789"),
 		bytes.Repeat([]byte{0xA5, 0x5A}, 100),
 	}
-	for seed := byte(0); seed < 32; seed++ {
-		b := make([]byte, int(seed)*3+1)
+	// Every length 0–300, so each tail the four-byte step leaves (0 to
+	// 3 bytes) follows every count of whole steps a frame can have.
+	for n := 0; n <= 300; n++ {
+		b := make([]byte, n)
 		for i := range b {
-			b[i] = seed*7 + byte(i)*13
+			b[i] = byte(n)*7 + byte(i)*13
 		}
 		inputs = append(inputs, b)
 	}

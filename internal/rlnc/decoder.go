@@ -14,10 +14,14 @@ type decoder struct {
 	// column p, laid out as k coefficient bytes followed by w payload
 	// bytes.
 	rows [][]byte
+	// slab backs every row: k rows of k+w bytes. Row number rank is the
+	// next free one, and an arriving frame is reduced in it, so a
+	// dependent frame leaves nothing behind and addRow never allocates.
+	slab []byte
 }
 
 func newDecoder(k, w int) *decoder {
-	return &decoder{k: k, w: w, rows: make([][]byte, k)}
+	return &decoder{k: k, w: w, rows: make([][]byte, k), slab: make([]byte, k*(k+w))}
 }
 
 // addRow folds one coded packet into the basis. It returns the number
@@ -29,31 +33,30 @@ func (d *decoder) addRow(coeffs, payload []byte) (ops int, innovative bool) {
 	if len(coeffs) < d.k || len(payload) > d.w || d.rank == d.k {
 		return 0, false
 	}
-	row := make([]byte, d.k+d.w)
+	n := d.k + d.w
+	row := d.slab[d.rank*n:][:n]
 	copy(row, coeffs[:d.k])
-	copy(row[d.k:], payload)
-	for {
-		p := -1
-		for i, c := range row[:d.k] {
-			if c != 0 {
-				p = i
-				break
-			}
+	pad := row[d.k+copy(row[d.k:], payload):]
+	clear(pad) // a dependent frame may have been reduced here before
+	// One left-to-right pass: a stored pivot row is zero left of its
+	// pivot and 1 on it, so eliminating column p leaves row[:p+1] zero
+	// and the search for the next non-zero resumes at p+1.
+	for p := 0; p < d.k; p++ {
+		c := row[p]
+		if c == 0 {
+			continue
 		}
-		if p < 0 {
-			return ops, false // linearly dependent on the basis
-		}
-		if d.rows[p] == nil {
-			scaleRow(row, gfInv(row[p]))
-			ops++
-			d.rows[p] = row
-			d.rank++
-			return ops, true
-		}
-		// A stored pivot row is zero left of its pivot column.
-		addScaledRow(row[p:], d.rows[p][p:], row[p])
 		ops++
+		if pivot := d.rows[p]; pivot != nil {
+			addScaledRow(row[p:], pivot[p:], c)
+			continue
+		}
+		scaleRow(row[p:], gfInv(c))
+		d.rows[p] = row
+		d.rank++
+		return ops, true
 	}
+	return ops, false // linearly dependent on the basis
 }
 
 // complete reports whether the basis has full rank.
@@ -67,10 +70,16 @@ func (d *decoder) reduce() (ops int) {
 	if !d.complete() {
 		panic("rlnc: reduce before full rank")
 	}
+	// By the time row p is the source it is already [0…0 1 0…0 |
+	// payload] — every later pivot has been eliminated from it — so
+	// only the payload columns of the target can change: clear the one
+	// coefficient and do the row operation on the payload alone.
 	for p := d.k - 1; p > 0; p-- {
+		src := d.rows[p][d.k:]
 		for q := 0; q < p; q++ {
 			if c := d.rows[q][p]; c != 0 {
-				addScaledRow(d.rows[q][p:], d.rows[p][p:], c)
+				d.rows[q][p] = 0
+				addScaledRow(d.rows[q][d.k:], src, c)
 				ops++
 			}
 		}

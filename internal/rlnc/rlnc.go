@@ -99,10 +99,9 @@ type RLNC struct {
 	flushSeg     int      // decoded segment mid-flush to EEPROM (0 = none)
 
 	// Sender side: RAM cache of the segment currently being served, so
-	// each coded packet costs one pass over the cached rows instead of
+	// each coded packet costs one pass over the cached table instead of
 	// k EEPROM reads.
-	txSeg   int
-	txRows  [][]byte
+	enc     encoder
 	attempt uint32 // coded-frame counter; seeds the coefficient draws
 
 	demandSeg   int // lowest segment a lagging neighbor needs (0 = none)
@@ -304,26 +303,17 @@ func (r *RLNC) dataTick() {
 // sendCoded broadcasts one fresh random linear combination of seg.
 func (r *RLNC) sendCoded(seg int) {
 	k := r.packetsIn(seg)
-	if r.txSeg != seg {
-		rows := make([][]byte, k)
-		for i := 0; i < k; i++ {
-			p := r.rt.Load(seg, i)
-			if p == nil {
-				return // only complete segments are served
-			}
-			row := make([]byte, r.payloadLen)
-			copy(row, p) // the image's final packet is shorter: zero-pad
-			rows[i] = row
+	if r.enc.seg != seg {
+		load := func(i int) []byte { return r.rt.Load(seg, i) }
+		if !r.enc.fill(seg, k, r.payloadLen, load) {
+			return // only complete segments are served
 		}
-		r.txSeg, r.txRows = seg, rows
 	}
 	r.attempt++
-	coeffs := make([]byte, k)
+	buf := make([]byte, k+r.payloadLen)
+	coeffs, payload := buf[:k:k], buf[k:]
 	drawCoeffs(coeffs, r.rt.ID(), seg, r.attempt)
-	payload := make([]byte, r.payloadLen)
-	for i, c := range coeffs {
-		addScaledRow(payload, r.txRows[i], c)
-	}
+	r.enc.encode(payload, coeffs)
 	_ = r.rt.Send(&packet.RlncData{
 		Src:       r.rt.ID(),
 		ProgramID: r.programID,
@@ -334,32 +324,27 @@ func (r *RLNC) sendCoded(seg int) {
 }
 
 // drawCoeffs fills dst with the coefficient vector of (src, seg,
-// attempt): a splitmix64 stream keyed by the triple, so a frame's
-// coefficients are reproducible from its header alone and two senders
-// never draw identical combinations. An all-zero draw (probability
-// 256^-k) degrades to a unit vector rather than a wasted frame.
+// attempt): a splitmix64 stream keyed by the triple, each output laid
+// down low byte first, so a frame's coefficients are reproducible from
+// its header alone and two senders never draw identical combinations.
+// An all-zero draw (probability 256^-k) degrades to a unit vector
+// rather than a wasted frame.
 func drawCoeffs(dst []byte, src packet.NodeID, seg int, attempt uint32) {
 	s := uint64(src)<<40 ^ uint64(uint32(seg))<<32 ^ uint64(attempt)
-	nonzero := false
-	var buf uint64
-	bits := 0
-	for i := range dst {
-		if bits == 0 {
-			s += 0x9E3779B97F4A7C15
-			z := s
-			z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-			z = (z ^ z>>27) * 0x94D049BB133111EB
-			buf = z ^ z>>31
-			bits = 8
+	var drawn uint64 // OR of every byte stored
+	for i := 0; i < len(dst); i += 8 {
+		s += 0x9E3779B97F4A7C15
+		z := s
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		z ^= z >> 31
+		if rest := len(dst) - i; rest < 8 {
+			z &= 1<<(8*rest) - 1
 		}
-		dst[i] = byte(buf)
-		buf >>= 8
-		bits--
-		if dst[i] != 0 {
-			nonzero = true
-		}
+		putWord(dst[i:], z)
+		drawn |= z
 	}
-	if !nonzero {
+	if drawn == 0 {
 		dst[int(attempt)%len(dst)] = 1
 	}
 }
