@@ -66,6 +66,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzRLNCDecode' -fuzztime $(FUZZTIME) ./internal/rlnc/
 	$(GO) test -run '^$$' -fuzz 'FuzzRLNCEncode' -fuzztime $(FUZZTIME) ./internal/rlnc/
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelReset' -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -run '^$$' -fuzz 'FuzzStoreOps' -fuzztime $(FUZZTIME) ./internal/eeprom/
 
 # bench runs the simulation-substrate micro-benchmarks plus the
 # end-to-end Figure 8 regeneration and the sharded-engine scaling
@@ -78,17 +79,18 @@ fuzz-short:
 # is the engine layer's own micro-benchmark: the cost of one lockstep
 # window over empty tiles ("ns/window") at 1, 2 and 4 workers.
 # BenchmarkFleetBuild is fleet set-up per mote ("B/mote", "allocs/mote",
-# "ns/mote") on a 10 000-mote Build. The rlnc lines are one 128x22
-# segment decoded, one coded frame drawn and encoded (against the
-# table, and through the row-at-a-time reference loop the table
-# replaced) and one segment tabulated.
+# "ns/mote") on a 10 000-mote Build; BenchmarkStoreFill is one 128x22
+# segment written to a mote's flash model and read back. The rlnc lines
+# are one 128x22 segment decoded, one coded frame drawn and encoded
+# (against the table, and through the row-at-a-time reference loop the
+# table replaced) and one segment tabulated.
 bench: build
 	@rm -f bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkMediumTransmit|BenchmarkKernelSchedule' \
 		-benchmem -benchtime 2000x . | tee bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkGeometryBuild' \
 		-benchmem -benchtime 20x . | tee -a bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetBuild' \
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetBuild|BenchmarkStoreFill' \
 		-benchmem -benchtime 20x . | tee -a bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkRLNCDecode|BenchmarkRLNCEncode' \
 		-benchmem -benchtime 2000x ./internal/rlnc/ | tee -a bench.out

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"mnp/internal/eeprom"
 	"mnp/internal/experiment"
 	"mnp/internal/metrics"
 	"mnp/internal/packet"
@@ -246,6 +247,37 @@ func BenchmarkFleetBuild(b *testing.B) {
 	b.ReportMetric(live/motes, "B/mote")
 	b.ReportMetric(allocs/motes, "allocs/mote")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/motes, "ns/mote")
+}
+
+// BenchmarkStoreFill measures what one segment costs a mote's flash
+// model: 128 packets of 22 B written in order to a fresh store, then
+// read back. B/op and allocs/op are the ledger: every mote of every run
+// pays them once per segment. Feeds BENCH_sim.json via `make bench`.
+func BenchmarkStoreFill(b *testing.B) {
+	const packets, size = 128, 22
+	payload := make([]byte, size)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	b.ReportAllocs()
+	read := 0
+	for i := 0; i < b.N; i++ {
+		st, err := eeprom.New(eeprom.DefaultCapacity)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for pkt := 0; pkt < packets; pkt++ {
+			if err := st.Write(1, pkt, payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for pkt := 0; pkt < packets; pkt++ {
+			read += len(st.Read(1, pkt))
+		}
+	}
+	if read != b.N*packets*size {
+		b.Fatalf("read back %d bytes, want %d", read, b.N*packets*size)
+	}
 }
 
 // BenchmarkEngineGrid measures the sharded lockstep engine against the

@@ -8,9 +8,10 @@
 //
 // An entry older than the horizon — two maximal beacon periods — is
 // never counted, and the owner's clock is monotone, so the moment such
-// an entry is dropped is unobservable. The table drops them on every
-// scan, inserts included, which bounds its size by the motes heard
-// within one horizon however many a roaming mote has ever met.
+// an entry is dropped is unobservable. The table drops them on the
+// first call, inserts included, at which one could be stale, which
+// bounds its size by the motes heard within one horizon however many a
+// roaming mote has ever met.
 package density
 
 import (
@@ -24,6 +25,10 @@ import (
 // beats a map on every operation the protocols perform.
 type Table struct {
 	horizon time.Duration
+	// oldest is a lower bound on every entry's seen: while now-oldest is
+	// within the horizon no entry can be stale, and Heard and Servers
+	// skip the evicting scan.
+	oldest  time.Duration
 	entries []entry
 }
 
@@ -39,50 +44,49 @@ func New(interval, jitter time.Duration) Table {
 	return Table{horizon: 2 * (interval + jitter)}
 }
 
-// evict removes entry i if it is older than the horizon at now, moving
-// the last entry into its place, and reports whether it did.
-func (t *Table) evict(i int, now time.Duration) bool {
-	if now-t.entries[i].seen <= t.horizon {
-		return false
+// sweep removes every entry older than the horizon at now, moving the
+// last entry into each vacated place, and makes oldest exact again.
+func (t *Table) sweep(now time.Duration) {
+	if now-t.oldest <= t.horizon {
+		return
 	}
-	last := len(t.entries) - 1
-	t.entries[i] = t.entries[last]
-	t.entries = t.entries[:last]
-	return true
+	t.oldest = now
+	for i := 0; i < len(t.entries); {
+		if seen := t.entries[i].seen; now-seen <= t.horizon {
+			t.oldest = min(t.oldest, seen)
+			i++
+			continue
+		}
+		last := len(t.entries) - 1
+		t.entries[i] = t.entries[last]
+		t.entries = t.entries[:last]
+	}
 }
 
 // Heard records a beacon from id, heard at now, advertising segs
 // complete segments.
 func (t *Table) Heard(id packet.NodeID, now time.Duration, segs int) {
+	t.sweep(now)
+	t.oldest = min(t.oldest, now) // holds the bound even if a clock steps back
 	fresh := entry{seen: now, id: id, segs: int32(segs)}
-	known := false
-	for i := 0; i < len(t.entries); {
-		if t.evict(i, now) {
-			continue
-		}
+	for i := range t.entries {
 		if t.entries[i].id == id {
 			t.entries[i] = fresh
-			known = true
+			return
 		}
-		i++
 	}
-	if !known {
-		t.entries = append(t.entries, fresh)
-	}
+	t.entries = append(t.entries, fresh)
 }
 
 // Servers estimates how many motes, the owner included, hold segment
 // seg in this neighbourhood at now.
 func (t *Table) Servers(now time.Duration, seg int) int {
+	t.sweep(now)
 	n := 1
-	for i := 0; i < len(t.entries); {
-		if t.evict(i, now) {
-			continue
-		}
+	for i := range t.entries {
 		if int(t.entries[i].segs) >= seg {
 			n++
 		}
-		i++
 	}
 	return n
 }

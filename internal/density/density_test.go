@@ -2,6 +2,7 @@ package density
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,6 +42,56 @@ func (m *mapModel) serverCount(now time.Duration, seg int) int {
 	return n
 }
 
+// scanModel is the table as it was before the watermark, kept as the
+// reference for contents and order: every scan, inserts included, tests
+// every entry against the horizon and swap-removes the stale ones.
+type scanModel struct {
+	horizon time.Duration
+	entries []entry
+}
+
+func (m *scanModel) evict(i int, now time.Duration) bool {
+	if now-m.entries[i].seen <= m.horizon {
+		return false
+	}
+	last := len(m.entries) - 1
+	m.entries[i] = m.entries[last]
+	m.entries = m.entries[:last]
+	return true
+}
+
+func (m *scanModel) heard(id packet.NodeID, now time.Duration, segs int) {
+	fresh := entry{seen: now, id: id, segs: int32(segs)}
+	known := false
+	for i := 0; i < len(m.entries); {
+		if m.evict(i, now) {
+			continue
+		}
+		if m.entries[i].id == id {
+			m.entries[i] = fresh
+			known = true
+		}
+		i++
+	}
+	if !known {
+		m.entries = append(m.entries, fresh)
+	}
+}
+
+func (m *scanModel) servers(now time.Duration, seg int) int {
+	n := 1
+	for i := 0; i < len(m.entries); {
+		if m.evict(i, now) {
+			continue
+		}
+		if int(m.entries[i].segs) >= seg {
+			n++
+		}
+		i++
+	}
+	return n
+}
+
 const (
 	testInterval = 2 * time.Second
 	testJitter   = 500 * time.Millisecond
@@ -48,14 +99,16 @@ const (
 )
 
 // Random beacons and count queries on a monotone clock: the table and
-// the map model agree at every query. Clock steps are drawn so that
-// gaps of exactly one horizon occur (kept), as do gaps one tick longer
-// (dropped).
+// the map model agree at every query, and the table holds the same
+// entries in the same order as the scan model after every operation.
+// Clock steps are drawn so that gaps of exactly one horizon occur
+// (kept), as do gaps one tick longer (dropped).
 func TestServersMatchesMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tab := New(testInterval, testJitter)
 		ref := mapModel{horizon: testHorizon}
+		scan := scanModel{horizon: testHorizon}
 		ids := 1 + rng.Intn(60)
 		now := time.Duration(0)
 		for op := 0; op < 5000; op++ {
@@ -73,11 +126,21 @@ func TestServersMatchesMapModel(t *testing.T) {
 				id, segs := packet.NodeID(rng.Intn(ids)), rng.Intn(6)
 				tab.Heard(id, now, segs)
 				ref.heard(id, now, segs)
+				scan.heard(id, now, segs)
+				if !slices.Equal(tab.entries, scan.entries) {
+					t.Fatalf("seed %d op %d: after Heard(%v, %v, %d) table %v (Len %d), scan model %v",
+						seed, op, id, now, segs, tab.entries, tab.Len(), scan.entries)
+				}
 				continue
 			}
 			seg := rng.Intn(7)
-			if got, want := tab.Servers(now, seg), ref.serverCount(now, seg); got != want {
+			got := tab.Servers(now, seg)
+			if want := ref.serverCount(now, seg); got != want {
 				t.Fatalf("seed %d op %d: Servers(%v, %d) = %d, map model %d", seed, op, now, seg, got, want)
+			}
+			if want := scan.servers(now, seg); got != want || !slices.Equal(tab.entries, scan.entries) {
+				t.Fatalf("seed %d op %d: Servers(%v, %d) = %d leaving %v (Len %d), scan model %d leaving %v",
+					seed, op, now, seg, got, tab.entries, tab.Len(), want, scan.entries)
 			}
 			// The model has just pruned, so it holds exactly the live set.
 			if tab.Len() != len(ref.peers) {

@@ -4,26 +4,48 @@
 // The store tracks write counts per packet slot so tests can assert the
 // paper's invariant: "we guarantee that each packet in a segment is
 // written to EEPROM only once."
+//
+// Read lends: it returns a view into the store's memory, and the store
+// never again writes a byte it has lent, so a view keeps reading what
+// it read when taken for as long as anyone holds it.
 package eeprom
 
 import (
+	"bytes"
 	"fmt"
 )
 
 // DefaultCapacity is the Mica-2/XSM external flash size in bytes.
 const DefaultCapacity = 512 * 1024
 
-// slot is one (segment, packet) cell. present distinguishes an empty
+// minRowSlots is the smallest slot count a segment row is built with.
+const minRowSlots = 16
+
+// slot is one (segment, packet) cell: n payload bytes at the slot's
+// stride offset in the row's slab. present distinguishes an empty
 // payload from an unwritten slot.
 type slot struct {
-	data    []byte
-	writes  int
-	present bool
+	n, writes int32
+	present   bool
+}
+
+// segRow is one segment: every payload in one slab, slot i at
+// data[i*stride:]. The stride is the longest payload the row has seen,
+// learned from its first write. Views handed out by Read point into
+// data, so bytes of a present slot are never overwritten in place; a
+// write that would have to (a differing rewrite) or cannot fit (a
+// longer payload, a packet index past the slab) moves the row to a
+// fresh slab and leaves the old one to whoever still reads it.
+type segRow struct {
+	data   []byte
+	stride int
+	slots  []slot
 }
 
 // Store is a per-node packet store keyed by (segment, packet). It is
 // not safe for concurrent use; in the DES a node owns its store, and in
-// the live runtime each node goroutine owns its own.
+// the live runtime each node goroutine owns its own. Views returned by
+// Read may be read from any goroutine while the owner keeps writing.
 //
 // Slots live in dense per-segment rows rather than a map: segment and
 // packet IDs are small (MNP caps a segment at 128 packets), and the
@@ -32,9 +54,8 @@ type slot struct {
 type Store struct {
 	capacity int
 	used     int
-	reads    int
 	count    int
-	segs     [][]slot // indexed by segment ID, rows grown on demand
+	segs     []segRow // indexed by segment ID, rows built on first write
 
 	// writeFault, when set, is consulted before each write; a non-nil
 	// error fails the write with no state change (the flash driver
@@ -53,14 +74,39 @@ func New(capacity int) (*Store, error) {
 
 // at returns the slot for (seg, pkt), or nil if it was never written.
 func (s *Store) at(seg, pkt int) *slot {
-	if seg < 0 || seg >= len(s.segs) || pkt < 0 || pkt >= len(s.segs[seg]) {
+	if seg < 0 || seg >= len(s.segs) || pkt < 0 || pkt >= len(s.segs[seg].slots) {
 		return nil
 	}
-	sl := &s.segs[seg][pkt]
+	sl := &s.segs[seg].slots[pkt]
 	if !sl.present {
 		return nil
 	}
 	return sl
+}
+
+// payload returns the bytes of slot i, clipped so that an append by the
+// borrower cannot reach the next slot.
+func (r *segRow) payload(i int) []byte {
+	off := i * r.stride
+	end := off + int(r.slots[i].n)
+	return r.data[off:end:end]
+}
+
+// reshape moves the row to a fresh slab of nSlots slots of the given
+// stride, neither smaller than the row's own.
+func (r *segRow) reshape(nSlots, stride int) {
+	data := make([]byte, nSlots*stride)
+	for i := range r.slots {
+		if r.slots[i].present {
+			copy(data[i*stride:], r.payload(i))
+		}
+	}
+	if nSlots > len(r.slots) {
+		slots := make([]slot, nSlots)
+		copy(slots, r.slots)
+		r.slots = slots
+	}
+	r.data, r.stride = data, stride
 }
 
 // Write stores the payload for packet pkt of segment seg (copying it).
@@ -77,20 +123,34 @@ func (s *Store) Write(seg, pkt int, payload []byte) error {
 		}
 	}
 	for seg >= len(s.segs) {
-		s.segs = append(s.segs, nil)
+		s.segs = append(s.segs, segRow{})
 	}
-	row := s.segs[seg]
-	for pkt >= len(row) {
-		row = append(row, slot{})
+	row := &s.segs[seg]
+	occupied := pkt < len(row.slots) && row.slots[pkt].present
+	prev := 0
+	if occupied {
+		prev = int(row.slots[pkt].n)
 	}
-	s.segs[seg] = row
-	sl := &row[pkt]
-	prev := len(sl.data)
 	if s.used-prev+len(payload) > s.capacity {
 		return fmt.Errorf("eeprom: capacity exceeded (%d + %d > %d)", s.used-prev, len(payload), s.capacity)
 	}
+	if occupied && bytes.Equal(row.payload(pkt), payload) {
+		row.slots[pkt].writes++
+		return nil
+	}
+	// An occupied slot's bytes may be on loan, so a differing rewrite
+	// goes to a fresh slab like a payload or index the slab cannot hold.
+	if occupied || pkt >= len(row.slots) || len(payload) > row.stride {
+		nSlots := max(len(row.slots), minRowSlots)
+		for pkt >= nSlots {
+			nSlots *= 2
+		}
+		row.reshape(nSlots, max(row.stride, len(payload)))
+	}
+	sl := &row.slots[pkt]
+	copy(row.data[pkt*row.stride:], payload)
 	s.used += len(payload) - prev
-	sl.data = append(sl.data[:0], payload...)
+	sl.n = int32(len(payload))
 	sl.writes++
 	if !sl.present {
 		sl.present = true
@@ -99,18 +159,19 @@ func (s *Store) Write(seg, pkt int, payload []byte) error {
 	return nil
 }
 
-// Read returns a copy of the payload stored for (seg, pkt), or nil if
-// the slot is empty.
+// Read returns the payload stored for (seg, pkt) as a read-only view
+// into the store, or nil if the slot is empty or holds an empty
+// payload. The view stays valid and unchanged through any later Write,
+// EraseSegment or Erase; appending to it reallocates.
 func (s *Store) Read(seg, pkt int) []byte {
 	sl := s.at(seg, pkt)
-	if sl == nil {
+	if sl == nil || sl.n == 0 {
 		return nil
 	}
-	s.reads++
-	return append([]byte(nil), sl.data...)
+	return s.segs[seg].payload(pkt)
 }
 
-// Has reports whether the slot holds data, without counting as a read.
+// Has reports whether the slot has been written.
 func (s *Store) Has(seg, pkt int) bool {
 	return s.at(seg, pkt) != nil
 }
@@ -121,21 +182,21 @@ func (s *Store) WriteCount(seg, pkt int) int {
 	if sl == nil {
 		return 0
 	}
-	return sl.writes
+	return int(sl.writes)
 }
 
 // MaxWriteCount returns the largest write count over all slots; 1 means
 // the write-once invariant held.
 func (s *Store) MaxWriteCount() int {
-	maxC := 0
-	for _, row := range s.segs {
-		for i := range row {
-			if row[i].present && row[i].writes > maxC {
-				maxC = row[i].writes
+	maxC := int32(0)
+	for i := range s.segs {
+		for _, sl := range s.segs[i].slots {
+			if sl.present && sl.writes > maxC {
+				maxC = sl.writes
 			}
 		}
 	}
-	return maxC
+	return int(maxC)
 }
 
 // SetWriteFault installs (or, with nil, removes) a write-fault
@@ -153,7 +214,8 @@ func (s *Store) Used() int { return s.used }
 func (s *Store) Slots() int { return s.count }
 
 // Erase drops all contents and counters, as the fail state does when a
-// node "releases EEPROM resource".
+// node "releases EEPROM resource". Slabs still on loan are left to
+// their readers.
 func (s *Store) Erase() {
 	s.segs = nil
 	s.used = 0
@@ -165,12 +227,11 @@ func (s *Store) EraseSegment(seg int) {
 	if seg < 0 || seg >= len(s.segs) {
 		return
 	}
-	row := s.segs[seg]
-	for i := range row {
-		if row[i].present {
-			s.used -= len(row[i].data)
+	for _, sl := range s.segs[seg].slots {
+		if sl.present {
+			s.used -= int(sl.n)
 			s.count--
 		}
 	}
-	s.segs[seg] = nil
+	s.segs[seg] = segRow{}
 }

@@ -246,15 +246,15 @@ func TestRectDistance(t *testing.T) {
 }
 
 // boundaryWant is the O(n²) brute-force reference: a node is a
-// boundary node iff Layout.Within finds any in-range neighbor owned by
-// a different tile.
+// boundary node iff a scan of every other node finds an in-range
+// neighbor owned by a different tile.
 func boundaryWant(layout *topology.Layout, tileOf []int, rangeFt float64) []packet.NodeID {
 	var out []packet.NodeID
-	for i := 0; i < layout.N(); i++ {
-		id := packet.NodeID(i)
-		for _, nb := range layout.Within(id, rangeFt) {
-			if tileOf[nb] != tileOf[i] {
-				out = append(out, id)
+	pts := layout.Points()
+	for i, p := range pts {
+		for j, q := range pts {
+			if j != i && tileOf[j] != tileOf[i] && p.Distance(q) <= rangeFt {
+				out = append(out, packet.NodeID(i))
 				break
 			}
 		}

@@ -156,3 +156,30 @@ func TestFleetBytesPerMote(t *testing.T) {
 		t.Fatalf("Build keeps %d B of heap per mote, budget %d", perMote, budget)
 	}
 }
+
+// TestRunAllocsPerFrame is the budget on what the data path buys while
+// a run is in flight: a 10×10, 128-packet MNP run (Build excluded) may
+// allocate at most 2.0 heap objects per transmitted frame. A store that
+// buys a slice per stored packet and a copy per packet served reads 3.0
+// here; the slab and the lent view read 1.7, and what is left are
+// the protocol's message structs and bit-vector clones.
+func TestRunAllocsPerFrame(t *testing.T) {
+	const budget = 2.0
+	res, err := Build(Setup{Name: "allocs-per-frame", Rows: 10, Cols: 10, ImagePackets: 128, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res.RunToCompletion()
+	runtime.ReadMemStats(&after)
+	if !res.Completed {
+		t.Fatal("run did not complete")
+	}
+	frames := res.Collector.Snapshot(res.CompletionTime).Tx
+	perFrame := float64(after.Mallocs-before.Mallocs) / float64(frames)
+	t.Logf("%d objects over %d frames: %.2f per frame", after.Mallocs-before.Mallocs, frames, perFrame)
+	if perFrame > budget {
+		t.Fatalf("the run allocates %.2f heap objects per transmitted frame, budget %.1f", perFrame, budget)
+	}
+}

@@ -55,7 +55,8 @@ type Runtime interface {
 
 	// Store writes a received packet payload to EEPROM.
 	Store(seg, pkt int, payload []byte) error
-	// Load reads a payload back (nil if absent).
+	// Load reads a payload back (nil if absent): a read-only view lent
+	// by the store, valid and unchanged for as long as it is held.
 	Load(seg, pkt int) []byte
 	// HasPacket reports whether (seg, pkt) is stored, without the cost
 	// of a read.

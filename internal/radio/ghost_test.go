@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -128,5 +129,64 @@ func TestDeliveriesCountsOnlySuccess(t *testing.T) {
 	n2.k.Run(time.Second)
 	if got := n2.m.Deliveries(); got != 1 {
 		t.Fatalf("Deliveries() = %d after an in-range transmission, want 1", got)
+	}
+}
+
+// Exporting a boundary frame buys nothing once the outbox and its frame
+// arena have their size: a window of boundary transmits followed by the
+// barrier's TakeOutbox allocates as little as the same window on a
+// medium with no foreign receiver — and the arena hands every ghost its
+// own frame.
+func TestBoundaryTransmitAllocations(t *testing.T) {
+	layout, err := topology.Grid(2, 2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := func(owned []packet.NodeID) (allocs float64, ghosts int) {
+		k := sim.New(1)
+		geo, err := NewGeometry(layout, cleanParams(), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewShardMedium(k, geo, owned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range owned {
+			if err := m.Register(id, func(packet.Packet, RxMeta) {}); err != nil {
+				t.Fatal(err)
+			}
+			m.SetRadio(id, true)
+		}
+		pkts := []packet.Packet{adv(0), &packet.Data{Src: 0, ProgramID: 1, SegID: 1, PacketID: 3, Payload: make([]byte, 22)}}
+		want := [][]byte{packet.AppendEncode(nil, pkts[0]), packet.AppendEncode(nil, pkts[1])}
+		run := func() {
+			for _, p := range pkts {
+				if _, err := m.Transmit(0, p, PowerSim); err != nil {
+					t.Fatal(err)
+				}
+				k.Run(k.Now() + time.Second)
+			}
+			out := m.TakeOutbox()
+			ghosts = len(out)
+			for i, g := range out {
+				if !bytes.Equal(g.Frame, want[i]) {
+					t.Fatalf("ghost %d carries frame %x, want %x", i, g.Frame, want[i])
+				}
+			}
+		}
+		run() // warms the transmission pool, the outbox and the arena
+		return testing.AllocsPerRun(20, run), ghosts
+	}
+	local, n := window([]packet.NodeID{0, 1, 2, 3})
+	if n != 0 {
+		t.Fatalf("a medium owning every mote exported %d ghosts", n)
+	}
+	boundary, n := window([]packet.NodeID{0, 3})
+	if n != 2 {
+		t.Fatalf("boundary window exported %d ghosts, want 2", n)
+	}
+	if boundary > local {
+		t.Fatalf("boundary window: %v allocs, %v without a foreign receiver — the export should add none", boundary, local)
 	}
 }

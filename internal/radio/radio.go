@@ -225,6 +225,9 @@ type Geometry struct {
 	n      int
 	pts    []topology.Point // layout's backing points, written only by MoveNode
 	index  *topology.Index  // grid hash, cell edge = max radio range
+	// berLogSpan is ln(BERCeil/BERFloor), the exponent linkBER scales
+	// by the squared range fraction.
+	berLogSpan float64
 
 	// moveStamp is a global monotone counter of position updates;
 	// cellEpoch[c] records the stamp of the last move whose old or new
@@ -267,6 +270,8 @@ func NewGeometry(layout *topology.Layout, p Params, seed int64) (*Geometry, erro
 		n:      layout.N(),
 		pts:    layout.Points(),
 		index:  index,
+
+		berLogSpan: math.Log(p.BERCeil / p.BERFloor),
 	}, nil
 }
 
@@ -296,22 +301,25 @@ func (g *Geometry) Footprint() uint64 {
 
 // computeLinks materializes the audible neighbor list and directed link
 // BERs for one (power, src) pair: exactly the row the dense per-power
-// table used to hold, built from the spatial index in O(degree). Pure
-// and safe for concurrent use; results depend only on (layout, params,
-// seed).
-func (g *Geometry) computeLinks(power int, src packet.NodeID) ([]packet.NodeID, []float64, error) {
+// table used to hold, built from the spatial index in O(degree). The
+// geometry is only read (it is shared across tiles); the query lands in
+// this medium's scratch and the row is copied out at its exact size.
+// Results depend only on (layout, params, seed).
+func (m *Medium) computeLinks(power int, src packet.NodeID) ([]packet.NodeID, []float64, error) {
+	g := m.geo
 	rng, err := g.RangeFor(power)
 	if err != nil {
 		return nil, nil, err
 	}
-	ids := g.index.AppendWithin(src, rng, nil)
-	if len(ids) == 0 {
+	m.scratch = g.index.AppendWithin(src, rng, m.scratch[:0])
+	if len(m.scratch) == 0 {
 		return nil, nil, nil
 	}
+	ids := slices.Clone(m.scratch)
 	ber := make([]float64, len(ids))
 	p := g.pts[src]
 	for i, dst := range ids {
-		ber[i] = g.linkBER(src, dst, p.Distance(g.pts[dst]), rng)
+		ber[i] = g.linkBER(p.Distance(g.pts[dst]), rng, m.linkNoise(src, dst))
 	}
 	return ids, ber, nil
 }
@@ -340,7 +348,6 @@ func (g *Geometry) MoveNode(id packet.NodeID, to topology.Point) {
 	if c := g.index.CellIndex(to); c != from {
 		g.cellEpoch[c] = g.moveStamp
 	}
-	g.layout.InvalidateDistanceCache()
 }
 
 // Moves returns how many MoveNode calls the geometry has absorbed.
@@ -426,6 +433,11 @@ type Medium struct {
 	lruCap                 int
 	cacheInvalidations     uint64
 	cacheHits, cacheMisses uint64
+	// scratch receives each link-row query before the exact-size
+	// copy-out; noise memoizes the per-link asymmetry factor, see
+	// linkNoise.
+	scratch []packet.NodeID
+	noise   []noiseEntry
 
 	// dec reuses one decoded message per kind across frame deliveries;
 	// handlers treat incoming packets as read-only and copy at the
@@ -435,8 +447,11 @@ type Medium struct {
 	// owned flags the nodes this Medium simulates; nil (the sequential
 	// case) means all of them. Handlers, radio state, and deliveries
 	// exist only for owned nodes.
-	owned     []bool
-	outbox    []Ghost
+	owned  []bool
+	outbox []Ghost
+	// arena backs the Frame of every ghost in outbox; TakeOutbox resets
+	// both together.
+	arena     []byte
 	ghostSeq  uint64
 	delivered uint64 // cumulative successful frame deliveries
 
@@ -581,8 +596,11 @@ func (m *Medium) linkRowFor(power int, src packet.NodeID) (*linkRow, error) {
 		m.cacheInvalidations++
 		m.lruUnlink(row)
 		delete(m.links, key)
+		if m.noise == nil && m.geo.params.AsymSigma > 0 {
+			m.noise = make([]noiseEntry, 1<<noiseBits)
+		}
 	}
-	full, ber, err := m.geo.computeLinks(power, src)
+	full, ber, err := m.computeLinks(power, src)
 	if err != nil {
 		return nil, err
 	}
@@ -876,6 +894,8 @@ func (m *Medium) Transmit(src packet.NodeID, pkt packet.Packet, power int) (time
 	}
 	if row.boundary {
 		p := m.geo.pts[src]
+		off := len(m.arena)
+		m.arena = append(m.arena, t.frame...)
 		m.outbox = append(m.outbox, Ghost{
 			Src:     src,
 			Kind:    t.kind,
@@ -883,7 +903,7 @@ func (m *Medium) Transmit(src packet.NodeID, pkt packet.Packet, power int) (time
 			Start:   now,
 			End:     t.end,
 			Seq:     m.ghostSeq,
-			Frame:   append([]byte(nil), t.frame...),
+			Frame:   m.arena[off:len(m.arena):len(m.arena)],
 			X:       p.X,
 			Y:       p.Y,
 			RangeFt: row.rangeFt,
@@ -896,12 +916,14 @@ func (m *Medium) Transmit(src packet.NodeID, pkt packet.Packet, power int) (time
 
 // TakeOutbox drains and returns the boundary frames transmitted since
 // the last call, in transmit order. The engine calls it at each window
-// barrier. The medium keeps the backing array for its next boundary
-// transmit, so the returned slice is valid only until the tile's next
-// window runs; copy out what must outlive it.
+// barrier. The medium keeps the backing arrays, of the slice and of the
+// frames in it, for its next boundary transmit, so the returned ghosts
+// are valid only until the tile's next window runs; copy out what must
+// outlive it (InsertGhost does).
 func (m *Medium) TakeOutbox() []Ghost {
 	out := m.outbox
 	m.outbox = out[:0]
+	m.arena = m.arena[:0]
 	return out
 }
 
@@ -1083,20 +1105,17 @@ func (m *Medium) frameSuccess(ber float64, bits int) float64 {
 // as a load signal without breaking determinism.
 func (m *Medium) Deliveries() uint64 { return m.delivered }
 
-// linkBER computes the directed link's bit-error rate: a floor near
-// the transmitter rising exponentially to BERCeil at the communication
-// range, times a stable per-directed-link lognormal factor. It depends
+// linkBER computes a directed link's bit-error rate: a floor near the
+// transmitter rising exponentially to BERCeil at the communication
+// range, times the link's noise factor (Medium.linkNoise). It depends
 // only on immutable run state, so sparse and dense construction orders
 // produce identical values.
-func (g *Geometry) linkBER(src, dst packet.NodeID, dist, txRange float64) float64 {
+func (g *Geometry) linkBER(dist, txRange, noise float64) float64 {
 	frac := dist / txRange
 	if frac > 1 {
 		return 1
 	}
-	base := g.params.BERFloor * math.Exp(math.Log(g.params.BERCeil/g.params.BERFloor)*frac*frac)
-	if g.params.AsymSigma > 0 {
-		base *= linkNoise(g.seed, src, dst, g.params.AsymSigma)
-	}
+	base := g.params.BERFloor * math.Exp(g.berLogSpan*frac*frac) * noise
 	if base > 1 {
 		base = 1
 	}
@@ -1104,7 +1123,8 @@ func (g *Geometry) linkBER(src, dst packet.NodeID, dist, txRange float64) float6
 }
 
 // linkNoise returns a deterministic lognormal factor for the directed
-// link (src, dst), independent of event ordering.
+// link (src, dst): a function of the seed and the two IDs only,
+// independent of positions and event ordering.
 func linkNoise(seed int64, src, dst packet.NodeID, sigma float64) float64 {
 	h := splitmix64(uint64(seed) ^ uint64(src)<<32 ^ uint64(dst)<<16 ^ 0x9E3779B97F4A7C15)
 	// Two uniforms via Box–Muller for one standard normal draw.
@@ -1124,6 +1144,38 @@ func linkNoise(seed int64, src, dst packet.NodeID, sigma float64) float64 {
 		f = 4
 	}
 	return f
+}
+
+// noiseEntry is one slot of the link-noise memo. A link never joins a
+// mote to itself, so the zero entry matches no key.
+type noiseEntry struct {
+	src, dst packet.NodeID
+	f        float64
+}
+
+// noiseBits sizes the memo: 32 768 slots, 512 KB per medium.
+const noiseBits = 15
+
+// linkNoise returns the noise factor linkBER takes for (src, dst): 1
+// without asymmetry, else the link's lognormal draw. Mobility rebuilds
+// a link row whenever a mote in its disc moves, although only the
+// distance term of each BER moved; once the first row has been
+// invalidated the draws are remembered, bit for bit, in a direct-mapped
+// table — one fixed block per medium (the frameSuccess precedent) that
+// static runs never allocate.
+func (m *Medium) linkNoise(src, dst packet.NodeID) float64 {
+	g := m.geo
+	if g.params.AsymSigma <= 0 {
+		return 1
+	}
+	if m.noise == nil {
+		return linkNoise(g.seed, src, dst, g.params.AsymSigma)
+	}
+	e := &m.noise[(uint64(src)<<32|uint64(dst))*0x9E3779B97F4A7C15>>(64-noiseBits)]
+	if e.src != src || e.dst != dst {
+		*e = noiseEntry{src: src, dst: dst, f: linkNoise(g.seed, src, dst, g.params.AsymSigma)}
+	}
+	return e.f
 }
 
 func splitmix64(x uint64) uint64 {

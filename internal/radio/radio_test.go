@@ -397,13 +397,13 @@ func TestLinkBERMonotonicInDistance(t *testing.T) {
 	n := newTestNet(t, l, cleanParams())
 	prev := -1.0
 	for d := 0.0; d <= 27; d += 3 {
-		ber := n.m.geo.linkBER(0, 1, d, 27)
+		ber := n.m.geo.linkBER(d, 27, n.m.linkNoise(0, 1))
 		if ber < prev {
 			t.Fatalf("BER decreased with distance at %g ft", d)
 		}
 		prev = ber
 	}
-	if got := n.m.geo.linkBER(0, 1, 30, 27); got != 1 {
+	if got := n.m.geo.linkBER(30, 27, n.m.linkNoise(0, 1)); got != 1 {
 		t.Fatalf("beyond-range BER = %g, want 1", got)
 	}
 }

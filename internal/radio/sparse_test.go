@@ -27,12 +27,11 @@ func TestSparseGeometryMatchesBruteForceAcrossSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist := layout.DistanceMatrix()
 		n := layout.N()
 		for power, rangeFt := range params.TxRangeFeet {
 			for id := 0; id < n; id++ {
 				src := packet.NodeID(id)
-				want := layout.Within(src, rangeFt)
+				want := bruteWithin(layout, src, rangeFt)
 				row, err := m.linkRowFor(power, src)
 				if err != nil {
 					t.Fatal(err)
@@ -46,7 +45,7 @@ func TestSparseGeometryMatchesBruteForceAcrossSeeds(t *testing.T) {
 						t.Fatalf("seed %d power %d node %d: audible[%d] = %v, want %v",
 							seed, power, id, i, row.full[i], nb)
 					}
-					fresh := m.geo.linkBER(src, nb, dist[id*n+int(nb)], rangeFt)
+					fresh := freshBER(m.geo, src, nb, rangeFt)
 					if row.ber[i] != fresh {
 						t.Fatalf("seed %d power %d link %d->%v: sparse BER %g, brute force %g",
 							seed, power, id, nb, row.ber[i], fresh)

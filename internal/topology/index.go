@@ -121,9 +121,9 @@ func (ix *Index) Footprint() uint64 {
 }
 
 // AppendWithin appends to dst the IDs of all nodes other than id at
-// distance <= radius from node id, in ascending ID order — exactly
-// Layout.Within, but touching only the cells overlapping the query
-// disc. Pass a reused dst[:0] to query without allocating.
+// distance <= radius from node id, in ascending ID order, touching only
+// the cells overlapping the query disc. Pass a reused dst[:0] to query
+// without allocating.
 func (ix *Index) AppendWithin(id packet.NodeID, radius float64, dst []packet.NodeID) []packet.NodeID {
 	p := ix.pts[id]
 	base := len(dst)

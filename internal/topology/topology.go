@@ -29,10 +29,6 @@ type Layout struct {
 	points []Point
 	rows   int
 	cols   int
-
-	// dist caches the dense pairwise distance matrix; see
-	// DistanceMatrix.
-	dist []float64
 }
 
 // Grid places rows×cols motes with the given spacing (feet), row-major
@@ -151,43 +147,9 @@ func (l *Layout) Distance(a, b packet.NodeID) (float64, error) {
 	return pa.Distance(pb), nil
 }
 
-// DistanceMatrix returns the dense row-major N×N matrix of pairwise
-// distances in feet: entry [a*N+b] is the distance between nodes a and
-// b. Geometry is immutable, so the matrix is computed once on first
-// call and cached; like the rest of a simulation's state it is not safe
-// to build from multiple goroutines concurrently. The radio layer uses
-// it to precompute per-power neighbor tables instead of re-deriving
-// distances on every frame.
-func (l *Layout) DistanceMatrix() []float64 {
-	if l.dist != nil {
-		return l.dist
-	}
-	n := len(l.points)
-	d := make([]float64, n*n)
-	for a := 0; a < n; a++ {
-		row := d[a*n : (a+1)*n]
-		pa := l.points[a]
-		for b := a + 1; b < n; b++ {
-			v := pa.Distance(l.points[b])
-			row[b] = v
-			d[b*n+a] = v
-		}
-	}
-	l.dist = d
-	return d
-}
-
-// InvalidateDistanceCache drops the cached DistanceMatrix. Mobility
-// models mutate node positions through the spatial index's shared
-// point slice; the radio geometry calls this on every move so a stale
-// matrix is never served afterwards. Distance and Pos always read the
-// live points and need no invalidation.
-func (l *Layout) InvalidateDistanceCache() { l.dist = nil }
-
 // NeighborsWithin returns, for every node, the IDs of all other nodes
 // at distance <= radius in ascending ID order — one precomputed
-// adjacency table for the whole layout. Row id is identical to
-// Within(id, radius).
+// adjacency table for the whole layout.
 func (l *Layout) NeighborsWithin(radius float64) [][]packet.NodeID {
 	n := len(l.points)
 	ix, err := NewIndex(l, indexCell(radius))
@@ -209,25 +171,6 @@ func indexCell(radius float64) float64 {
 		return radius
 	}
 	return 1
-}
-
-// Within returns the IDs of all nodes other than id at distance <=
-// radius, in ascending ID order.
-func (l *Layout) Within(id packet.NodeID, radius float64) []packet.NodeID {
-	p, err := l.Pos(id)
-	if err != nil {
-		return nil
-	}
-	var out []packet.NodeID
-	for i, q := range l.points {
-		if packet.NodeID(i) == id {
-			continue
-		}
-		if p.Distance(q) <= radius {
-			out = append(out, packet.NodeID(i))
-		}
-	}
-	return out
 }
 
 // GridCoord returns the (row, col) of node id in a grid layout.
