@@ -24,7 +24,8 @@ race-short:
 
 # race-engine exercises the lockstep engine under the race detector:
 # the engine, tile-partition, and kernel unit tests (the window
-# primitives and the Reset-vs-cancel-and-schedule model test), the sharded
+# primitives and the model test: Reset against cancel-and-schedule, the
+# queue against the reference kernel), the sharded
 # experiment suite (one-tile-vs-strips equivalence at shards 1 and 4,
 # determinism with inline and parallel workers, sharded chaos, strip
 # orientation), the tiled suite (the grid x workers{1,2,4} x
@@ -74,10 +75,14 @@ fuzz-short:
 # history entry — keyed by git SHA and date — to $(BENCH_OUT), so the
 # committed file accumulates a timeline across revisions. The
 # micro-benchmarks get a large fixed iteration count so the lazily
-# built radio tables amortize out; the Fig8 and engine runs are
-# seconds per iteration, so a couple suffice. BenchmarkEngineBarrier
+# built radio tables amortize out (the kernel's nanosecond lines get a
+# million, as in bench-smoke: at 2 000 they scattered by ±30 %); the
+# Fig8 and engine runs are seconds per iteration, so a couple suffice. BenchmarkEngineBarrier
 # is the engine layer's own micro-benchmark: the cost of one lockstep
 # window over empty tiles ("ns/window") at 1, 2 and 4 workers.
+# BenchmarkKernelSchedule's chain lines are a callback rescheduling
+# itself against 1 024 pending events, alone and (chain-gc) beside a
+# goroutine that keeps the collector's mark phase on.
 # BenchmarkFleetBuild is fleet set-up per mote ("B/mote", "allocs/mote",
 # "ns/mote") on a 10 000-mote Build; BenchmarkStoreFill is one 128x22
 # segment written to a mote's flash model and read back. The rlnc lines
@@ -86,8 +91,10 @@ fuzz-short:
 # table replaced) and one segment tabulated.
 bench: build
 	@rm -f bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkMediumTransmit|BenchmarkKernelSchedule' \
+	$(GO) test -run '^$$' -bench 'BenchmarkMediumTransmit' \
 		-benchmem -benchtime 2000x . | tee bench.out
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelSchedule' \
+		-benchmem -benchtime 1000000x . | tee -a bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkGeometryBuild' \
 		-benchmem -benchtime 20x . | tee -a bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetBuild|BenchmarkStoreFill' \
@@ -111,11 +118,15 @@ bench: build
 # $(BENCH_OUT) history. The tiled lines carry the custom "imbalance"
 # metric, so every revision records a balance datapoint without paying
 # for the full micro-benchmark sweep. The barrier micro-benchmark
-# ("ns/window") rides along: it takes under a second.
+# ("ns/window") and the kernel's schedule/fire/re-arm/chain cycles ride
+# along: each takes under a second, and a million iterations keep the
+# nanosecond lines out of the timer's noise.
 bench-smoke: build
 	@rm -f bench-smoke.out
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineBarrier' \
 		-benchmem -benchtime 200000x ./internal/engine/ | tee bench-smoke.out
+	$(GO) test -run '^$$' -bench 'BenchmarkKernelSchedule' \
+		-benchmem -benchtime 1000000x . | tee -a bench-smoke.out
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineGrid/tiles' \
 		-benchmem -benchtime 1x -timeout 40m . | tee -a bench-smoke.out
 	$(GO) run ./tools/benchjson -out $(BENCH_OUT) < bench-smoke.out

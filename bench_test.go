@@ -368,7 +368,13 @@ func BenchmarkEngineGrid(b *testing.B) {
 // schedule/cancel and re-arm cycles — the per-event cost every
 // simulated timer and frame pays. rearm pushes one pending timer out
 // again (a download watchdog on each data packet) against a queue of
-// 1 024 other pending events.
+// 1 024 other pending events. chain is the MAC retry shape: a callback
+// that schedules its own successor against the same 1 024, so the
+// firing event's slot is refilled from the root. chain-gc is chain
+// while another goroutine allocates, so the collector's mark phase —
+// and with it the write barrier on every pointer the kernel stores — is
+// on for much of the run, as it is in a sweep of short cells; its ns/op
+// is a demonstration of that tax, not a gate.
 func BenchmarkKernelSchedule(b *testing.B) {
 	b.Run("fire", func(b *testing.B) {
 		k := sim.New(1)
@@ -401,5 +407,39 @@ func BenchmarkKernelSchedule(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			t = k.Reset(t, 3*time.Second, fn)
 		}
+	})
+	chain := func(b *testing.B) {
+		k := sim.New(1)
+		for i := 0; i < 1024; i++ {
+			k.MustSchedule(time.Duration(i+1)*time.Hour, func() {})
+		}
+		var retry func()
+		retry = func() { k.MustSchedule(time.Microsecond, retry) }
+		retry()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k.Step()
+		}
+	}
+	b.Run("chain", chain)
+	b.Run("chain-gc", func(b *testing.B) {
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			// A few MB live, like a campaign cell, and garbage on top.
+			live := make([][]byte, 4096)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					live[i%len(live)] = make([]byte, 1024)
+				}
+			}
+		}()
+		chain(b)
+		close(stop)
+		<-done
 	})
 }

@@ -51,6 +51,8 @@ func (f *fakeRuntime) Send(p packet.Packet) error {
 	return nil
 }
 
+func (f *fakeRuntime) QueueFull() bool { return false }
+
 func (f *fakeRuntime) SetTimer(id node.TimerID, d time.Duration) { f.timers[id] = d }
 func (f *fakeRuntime) CancelTimer(id node.TimerID)               { delete(f.timers, id) }
 func (f *fakeRuntime) TimerPending(id node.TimerID) bool {

@@ -546,7 +546,11 @@ func Build(s Setup) (*Result, error) {
 		// entry, so the deepest queue measured on the benchmark workloads
 		// is 1.3 events per mote on the dense 20×20 flood and 1.9 under
 		// mobile gossip. Sizing the heap up front keeps 10k-node runs from
-		// re-growing it mid-run; capacity never affects event order.
+		// re-growing it mid-run, and the kernel carves what the hint says —
+		// a 16-mote campaign cell gets 64 events, not a fixed 1 024 — and
+		// doubles if a run goes deeper (the deepest campaign-slice cell
+		// queues 357 events on at most 64 motes); capacity never affects
+		// event order.
 		seed, sizeHint := s.Seed, 2*layout.N()
 		if len(cuts) > 1 {
 			// Distinct RNG streams per tile; the stride keeps tile seeds

@@ -313,6 +313,10 @@ func (ln *liveNode) Send(p packet.Packet) error {
 	}
 }
 
+// QueueFull implements node.Runtime: the hub's buffer is the only
+// queue a live mote has.
+func (ln *liveNode) QueueFull() bool { return len(ln.net.hub) == cap(ln.net.hub) }
+
 // SetTimer implements node.Runtime.
 func (ln *liveNode) SetTimer(id node.TimerID, d time.Duration) {
 	ln.CancelTimer(id)

@@ -107,6 +107,9 @@ func (s *subRuntime) Rand() *rand.Rand { return s.parent().Rand() }
 // Send implements Runtime.
 func (s *subRuntime) Send(p packet.Packet) error { return s.parent().Send(p) }
 
+// QueueFull implements Runtime.
+func (s *subRuntime) QueueFull() bool { return s.parent().QueueFull() }
+
 // timerID namespaces a subprotocol timer into the shared space.
 func (s *subRuntime) timerID(id TimerID) TimerID {
 	return id*TimerID(len(s.demux.subs)) + TimerID(s.idx)

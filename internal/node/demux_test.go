@@ -186,6 +186,17 @@ func TestDemuxDelegates(t *testing.T) {
 	if err := a.rt.Send(&packet.Query{Src: 0, ProgramID: 1, SegID: 1}); err != nil {
 		t.Fatalf("Send not delegated: %v", err)
 	}
+	for !n.QueueFull() {
+		if a.rt.QueueFull() {
+			t.Fatal("subprotocol sees a full queue before the mote's is")
+		}
+		if err := a.rt.Send(&packet.Query{Src: 0, ProgramID: 1, SegID: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !a.rt.QueueFull() {
+		t.Fatal("QueueFull not delegated")
+	}
 }
 
 func TestDemuxCompletionRequiresAll(t *testing.T) {

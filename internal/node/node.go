@@ -34,6 +34,9 @@ type Runtime interface {
 
 	// Send queues p for CSMA broadcast at the current transmit power.
 	Send(p packet.Packet) error
+	// QueueFull reports whether Send would refuse a frame for want of
+	// room, so a protocol can skip building one that costs something.
+	QueueFull() bool
 	// SetTimer schedules OnTimer(id) after d, replacing any pending
 	// timer with the same ID.
 	SetTimer(id TimerID, d time.Duration)
@@ -385,7 +388,7 @@ func (n *Node) Send(p packet.Packet) error {
 	if n.dead {
 		return errDead
 	}
-	if len(n.queue) >= n.cfg.QueueCap {
+	if n.QueueFull() {
 		return errQueueFull
 	}
 	n.queue = append(n.queue, queuedFrame{pkt: p, power: n.txPower})
@@ -395,6 +398,9 @@ func (n *Node) Send(p packet.Packet) error {
 	}
 	return nil
 }
+
+// QueueFull implements Runtime.
+func (n *Node) QueueFull() bool { return len(n.queue) >= n.cfg.QueueCap }
 
 // QueueLen reports the number of frames waiting in the MAC queue.
 func (n *Node) QueueLen() int { return len(n.queue) }

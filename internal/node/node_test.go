@@ -181,6 +181,10 @@ func TestQueueCapEnforced(t *testing.T) {
 	r.nodes[0].RadioOn()
 	var err error
 	for i := 0; i < DefaultQueueCap+1; i++ {
+		// QueueFull is the refusal, asked ahead of time.
+		if full := r.nodes[0].QueueFull(); full != (i == DefaultQueueCap) {
+			t.Fatalf("QueueFull = %v with %d frames queued", full, i)
+		}
 		err = r.nodes[0].Send(&packet.Query{Src: 0, ProgramID: 1, SegID: 1})
 	}
 	if err == nil {

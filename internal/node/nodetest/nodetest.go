@@ -72,6 +72,9 @@ func (r *Runtime) Send(p packet.Packet) error {
 	return nil
 }
 
+// QueueFull implements node.Runtime: Send captures without bound.
+func (r *Runtime) QueueFull() bool { return false }
+
 // SetTimer implements node.Runtime.
 func (r *Runtime) SetTimer(id node.TimerID, d time.Duration) {
 	r.timers[id] = r.Clock + d

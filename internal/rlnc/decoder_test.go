@@ -317,6 +317,72 @@ type quietRuntime struct{ *nodetest.Runtime }
 
 func (quietRuntime) Send(packet.Packet) error { return nil }
 
+// fullRuntime is a mote whose MAC queue is full while *full is set. It
+// counts the reads the protocol makes and fails the test if a frame is
+// handed to a queue that was asked and said no.
+type fullRuntime struct {
+	*nodetest.Runtime
+	t     *testing.T
+	full  *bool
+	loads *int
+}
+
+func (f fullRuntime) QueueFull() bool { return *f.full }
+
+func (f fullRuntime) Load(seg, pkt int) []byte {
+	*f.loads++
+	return f.Runtime.Load(seg, pkt)
+}
+
+func (f fullRuntime) Send(p packet.Packet) error {
+	if *f.full {
+		f.t.Error("sendCoded built a frame for a full queue")
+	}
+	return f.Runtime.Send(p)
+}
+
+// A frame the MAC queue would refuse is not encoded, and nothing else
+// about serving changes: the attempt is spent, the encoder table is
+// filled (its reads are the mote's EEPROM traffic) and the next frame
+// that does go out is the one a mote that encoded every refused frame
+// would have sent.
+func TestSendCodedSkipsRefusedFrame(t *testing.T) {
+	im, err := image.Random(1, 2, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full bool
+	var loads, refLoads int
+	rt := fullRuntime{nodetest.New(0), t, &full, &loads}
+	ref := fullRuntime{nodetest.New(0), t, new(bool), &refLoads}
+	r, want := New(Config{Base: true, Image: im}), New(Config{Base: true, Image: im})
+	r.Init(rt)
+	want.Init(ref)
+	for i, step := range []struct {
+		seg  int
+		full bool
+	}{{1, true}, {1, false}, {2, true}, {2, true}, {2, false}, {1, false}} {
+		full = step.full
+		sent := len(rt.Sent)
+		r.sendCoded(step.seg)
+		want.sendCoded(step.seg)
+		if r.attempt != want.attempt || loads != refLoads || r.enc.seg != want.enc.seg {
+			t.Fatalf("step %d: attempt %d loads %d table for segment %d; encoding every frame gives %d, %d, %d",
+				i, r.attempt, loads, r.enc.seg, want.attempt, refLoads, want.enc.seg)
+		}
+		if step.full {
+			if len(rt.Sent) != sent {
+				t.Fatalf("step %d: a frame was queued on a full queue", i)
+			}
+			continue
+		}
+		got, exp := rt.Sent[len(rt.Sent)-1].(*packet.RlncData), ref.Sent[len(ref.Sent)-1].(*packet.RlncData)
+		if !bytes.Equal(got.Coeffs, exp.Coeffs) || !bytes.Equal(got.Payload, exp.Payload) || got.Seg != exp.Seg {
+			t.Fatalf("step %d: frame after refused attempts differs from the frame of the same attempt", i)
+		}
+	}
+}
+
 func randomSegment(rng *rand.Rand, k, w int) [][]byte {
 	rows := make([][]byte, k)
 	for i := range rows {

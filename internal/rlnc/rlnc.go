@@ -310,6 +310,12 @@ func (r *RLNC) sendCoded(seg int) {
 		}
 	}
 	r.attempt++
+	if r.rt.QueueFull() {
+		// Send would refuse the frame. The attempt is spent either way —
+		// the coefficients are a function of it, not a draw — so only the
+		// combine is spared.
+		return
+	}
 	buf := make([]byte, k+r.payloadLen)
 	coeffs, payload := buf[:k:k], buf[k:]
 	drawCoeffs(coeffs, r.rt.ID(), seg, r.attempt)

@@ -1,27 +1,32 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 )
 
-// Fired and cancelled events return to the free list and are reused for
-// later schedules.
+// Fired and cancelled events return to the free list, by id, and are
+// reused for later schedules.
 func TestEventFreeListReuse(t *testing.T) {
 	k := New(1)
 	tm := k.MustSchedule(time.Millisecond, func() {})
 	ev := tm.ev
 	k.Run(time.Second)
-	if len(k.free) != 1 || k.free[0] != ev {
+	if len(k.free) != 1 || k.event(k.free[0]) != ev {
 		t.Fatalf("fired event not recycled (free list %d entries)", len(k.free))
 	}
 	tm2 := k.MustSchedule(time.Millisecond, func() {})
 	if tm2.ev != ev {
 		t.Fatal("new schedule did not reuse the recycled event")
 	}
+	if len(k.free) != 0 || k.next != 1 {
+		t.Fatalf("reuse left %d ids free and %d handed out, want 0 and 1", len(k.free), k.next)
+	}
 	tm2.Cancel()
 	k.Run(time.Second)
-	if len(k.free) != 1 || k.free[0] != ev {
+	if len(k.free) != 1 || k.event(k.free[0]) != ev {
 		t.Fatal("cancelled event not recycled")
 	}
 }
@@ -64,5 +69,115 @@ func TestSteadyStateSchedulingAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state scheduling allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// A callback that schedules its own successor — the MAC retry, a
+// periodic timer — refills the slot it fired from and allocates nothing,
+// however deep the queue around it.
+func TestSelfReschedulingFireAllocFree(t *testing.T) {
+	k := NewSized(1, 64)
+	for i := 1; i <= 40; i++ {
+		k.MustSchedule(time.Duration(i)*time.Hour, func() {})
+	}
+	var tick func()
+	tick = func() { k.MustSchedule(time.Microsecond, tick) }
+	tick()
+	depth := k.Pending()
+	if allocs := testing.AllocsPerRun(1000, func() { k.Step() }); allocs > 0 {
+		t.Fatalf("a self-rescheduling fire allocates %.1f per op, want 0", allocs)
+	}
+	if k.Pending() != depth || k.next != uint32(depth) || len(k.free) != 0 {
+		t.Fatalf("after 1000 refills: %d pending, %d events handed out, %d free; want %d, %d, 0",
+			k.Pending(), k.next, len(k.free), depth, depth)
+	}
+}
+
+// The slab grows a block at a time and blocks never move: a handle
+// issued before the growth still cancels its own event and no other,
+// and every id resolves to a distinct event.
+func TestSlabGrowthKeepsHandlesValid(t *testing.T) {
+	k := NewSized(1, 1) // carves minBlock
+	if k.carved != minBlock || cap(k.queue) != minBlock {
+		t.Fatalf("a hint of 1 carved %d events and %d slots, want %d of each", k.carved, cap(k.queue), minBlock)
+	}
+	fired := make(map[int]bool)
+	var handles []Timer
+	for i := 0; i < 5*minBlock; i++ {
+		i := i
+		handles = append(handles, k.MustSchedule(time.Duration(i)*time.Millisecond, func() { fired[i] = true }))
+	}
+	if want := uint32(8 * minBlock); k.carved != want || len(k.more) != 3 {
+		t.Fatalf("after %d schedules: %d events in 1+%d blocks, want %d in 1+3 (64, 64, 128, 256)", len(handles), k.carved, len(k.more), want)
+	}
+	seen := make(map[*event]bool)
+	for id := uint32(0); id < k.carved; id++ {
+		seen[k.event(id)] = true
+	}
+	if len(seen) != int(k.carved) {
+		t.Fatalf("%d ids resolve to %d distinct events", k.carved, len(seen))
+	}
+	for i, h := range handles {
+		if !h.Active() || h.ev != k.event(uint32(i)) {
+			t.Fatalf("handle %d, issued before the slab grew, is no longer its event's", i)
+		}
+	}
+	handles[3].Cancel()          // first block
+	handles[minBlock+5].Cancel() // second
+	handles[4*minBlock].Cancel() // last
+	k.Run(time.Hour)
+	for i := range handles {
+		if cancelled := i == 3 || i == minBlock+5 || i == 4*minBlock; fired[i] == cancelled {
+			t.Fatalf("event %d: fired %v, cancelled %v", i, fired[i], cancelled)
+		}
+	}
+	if len(k.free) != len(handles) {
+		t.Fatalf("%d of %d events came back to the free list", len(k.free), len(handles))
+	}
+}
+
+// New carves nothing until the first schedule.
+func TestNewCarvesLazily(t *testing.T) {
+	k := New(1)
+	if k.carved != 0 || k.first != nil || k.queue != nil {
+		t.Fatal("New carved events before anything was scheduled")
+	}
+	k.MustSchedule(0, func() {})
+	if k.carved != minBlock {
+		t.Fatalf("first schedule carved %d events, want %d", k.carved, minBlock)
+	}
+}
+
+// The queue is invisible to the collector only as long as a slot holds
+// no pointer, at any depth; a hinted kernel carves one per entry, next
+// to the 48-byte event TestResetAllocFreeAndEventSize pins.
+func TestSlotIsPointerFree(t *testing.T) {
+	var walk func(reflect.Type) bool
+	walk = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return true
+		case reflect.Array:
+			return walk(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !walk(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false // pointer, slice, string, map, chan, func, interface
+	}
+	if !walk(reflect.TypeOf(slot{})) {
+		t.Fatal("slot holds a pointer: the collector scans the queue and every sift pays the write barrier")
+	}
+	if walk(reflect.TypeOf(event{})) {
+		t.Fatal("the walk is broken: event holds a func")
+	}
+	if sz := unsafe.Sizeof(slot{}); sz > 24 {
+		t.Fatalf("slot is %d bytes, want at most 24", sz)
 	}
 }

@@ -8,58 +8,146 @@ import (
 	"unsafe"
 )
 
-// Reset is specified as Cancel followed by MustSchedule. The model test
-// and the fuzz target below hold it to that: one script drives a kernel
-// that re-arms through Reset and a twin that cancels and schedules, and
-// everything observable must agree after every step.
+// Two specifications hold the kernel, and one script checks both. Reset
+// is specified as Cancel followed by MustSchedule: a kernel that re-arms
+// through Reset and a twin that cancels and schedules must agree on
+// everything observable. And the queue — keys in pointer-free slots, a
+// firing event's slot refilled from the root — is specified by the
+// kernel it replaced, kept as refKernel in ref_test.go: the two must
+// agree on everything observable and on Pending exactly, after every
+// step, through every way of running, with callbacks that schedule
+// nothing, one event or several, cancel and re-arm their own and other
+// handles, and look at the queue while they run.
 
-// firing is one executed callback: when it ran and which arm call (in
-// script order) it belonged to.
-type firing struct {
-	at time.Duration
-	id int
+// handle is what a script holds for an armed slot.
+type handle interface {
+	Cancel()
+	Active() bool
 }
 
-// resetDriver runs a script against one kernel. reset selects how a
-// slot is re-armed; nothing else differs between the twins.
-type resetDriver struct {
-	k      *Kernel
+// scripted is the part of the kernel API a script drives. rearm and
+// schedule hide the two Timer types.
+type scripted interface {
+	Now() time.Duration
+	Step() bool
+	Run(limit time.Duration) int
+	RunBefore(limit time.Duration) int
+	RunUntil(pred func() bool, limit time.Duration) bool
+	AdvanceTo(t time.Duration)
+	NextEventAt() (time.Duration, bool)
+	Pending() int
+	Stop()
+	schedule(delay time.Duration, fn func()) handle
+	rearm(h handle, delay time.Duration, fn func()) handle
+}
+
+type newKernel struct{ *Kernel }
+
+func (k newKernel) schedule(d time.Duration, fn func()) handle { return k.MustSchedule(d, fn) }
+func (k newKernel) rearm(h handle, d time.Duration, fn func()) handle {
+	t, _ := h.(Timer) // a slot never armed holds the zero Timer
+	return k.Reset(t, d, fn)
+}
+
+type oldKernel struct{ *refKernel }
+
+func (k oldKernel) schedule(d time.Duration, fn func()) handle { return k.MustSchedule(d, fn) }
+func (k oldKernel) rearm(h handle, d time.Duration, fn func()) handle {
+	t, _ := h.(refTimer)
+	return k.Reset(t, d, fn)
+}
+
+// record is one thing a run made observable, in order: a callback that
+// fired ('f': when, and which arm call in script order), what
+// NextEventAt said inside a callback ('n': the instant, 1 if there was
+// one), or what a run call returned ('r': events executed, or RunUntil's
+// verdict).
+type record struct {
+	what byte
+	at   time.Duration
+	id   int
+}
+
+// scriptDriver runs a script against one kernel. reset selects how a
+// slot is re-armed; nothing else differs between the drivers.
+type scriptDriver struct {
+	k      scripted
 	reset  bool
-	slots  [6]Timer
-	log    []firing
+	slots  [6]handle
+	log    []record
+	pend   []int // Pending as seen from inside callbacks
 	nextID int
 }
 
 // scriptDelay maps a script byte to a delay. The range is small, and
-// zero is in it, so equal instants, same-instant re-arms and re-arms
-// shorter than the pending deadline are all common.
+// zero is in it, so equal instants, same-instant re-arms, re-arms
+// shorter than the pending deadline, and schedules before, at and after
+// everything queued are all common.
 func scriptDelay(b byte) time.Duration {
 	return time.Duration(b%8) * time.Millisecond
 }
 
-// arm re-arms slot s. chain is consumed by the callback: a non-empty
-// chain re-arms another slot (possibly its own, by then a stale handle)
-// from inside the callback.
-func (d *resetDriver) arm(s int, delay time.Duration, chain []byte) {
-	id := d.nextID
-	d.nextID++
-	fn := func() {
-		d.log = append(d.log, firing{d.k.Now(), id})
-		if len(chain) >= 2 {
-			d.arm(int(chain[0])%len(d.slots), scriptDelay(chain[1]), chain[2:])
-		}
-	}
+// arm re-arms slot s with a callback that logs itself and then runs
+// prog.
+func (d *scriptDriver) arm(s int, delay time.Duration, prog []byte) {
+	fn := d.callback(prog)
 	if d.reset {
-		d.slots[s] = d.k.Reset(d.slots[s], delay, fn)
+		d.slots[s] = d.k.rearm(d.slots[s], delay, fn)
 		return
 	}
-	d.slots[s].Cancel()
-	d.slots[s] = d.k.MustSchedule(delay, fn)
+	if d.slots[s] != nil {
+		d.slots[s].Cancel()
+	}
+	d.slots[s] = d.k.schedule(delay, fn)
+}
+
+func (d *scriptDriver) callback(prog []byte) func() {
+	id := d.nextID
+	d.nextID++
+	return func() {
+		d.log = append(d.log, record{'f', d.k.Now(), id})
+		d.exec(prog)
+	}
+}
+
+// exec interprets a callback's program, (op, arg) pairs, from inside
+// the callback — that is, while the firing event's slot is a hole at
+// the root of the new kernel's queue.
+func (d *scriptDriver) exec(prog []byte) {
+	for len(prog) >= 2 {
+		op, arg := prog[0], prog[1]
+		prog = prog[2:]
+		slot := int(op>>3) % len(d.slots)
+		switch op % 8 {
+		case 0, 1: // re-arm a slot — its own, by then a stale handle, or another; the rest of the program moves into that callback
+			d.arm(slot, scriptDelay(arg), prog)
+			return
+		case 2: // re-arm a slot and carry on: several schedules from one callback
+			d.arm(slot, scriptDelay(arg), nil)
+		case 3: // a one-shot beside the timers
+			d.k.schedule(scriptDelay(arg), d.callback(nil))
+		case 4:
+			if h := d.slots[slot]; h != nil {
+				h.Cancel()
+			}
+		case 5: // looks at the root: closes the hole, settles what surfaced
+			at, ok := d.k.NextEventAt()
+			n := 0
+			if ok {
+				n = 1
+			}
+			d.log = append(d.log, record{'n', at, n})
+		case 6: // counts without looking
+			d.pend = append(d.pend, d.k.Pending())
+		case 7:
+			d.k.Stop()
+		}
+	}
 }
 
 // step interprets one operation from the front of data and returns the
 // rest, or nil when the script is exhausted.
-func (d *resetDriver) step(data []byte) []byte {
+func (d *scriptDriver) step(data []byte) []byte {
 	take := func(n int) []byte {
 		if len(data) < n {
 			data = nil
@@ -69,91 +157,138 @@ func (d *resetDriver) step(data []byte) []byte {
 		data = data[n:]
 		return a
 	}
+	ran := func(n int) { d.log = append(d.log, record{'r', d.k.Now(), n}) }
 	op := take(1)
 	if op == nil {
 		return nil
 	}
 	switch op[0] % 8 {
-	case 0, 1, 2: // re-arm a slot, the callback chaining up to two more
+	case 0, 1, 2: // re-arm a slot, the callback running a program of up to four operations
 		a := take(3)
 		if a == nil {
 			return nil
 		}
-		chain := take(2 * int(a[2]%3))
-		d.arm(int(a[0])%len(d.slots), scriptDelay(a[1]), chain)
+		prog := take(2 * int(a[2]%5))
+		d.arm(int(a[0])%len(d.slots), scriptDelay(a[1]), prog)
 	case 3: // cancel a slot (re-armed or not, pending or not)
 		if a := take(1); a != nil {
-			d.slots[int(a[0])%len(d.slots)].Cancel()
+			if h := d.slots[int(a[0])%len(d.slots)]; h != nil {
+				h.Cancel()
+			}
 		}
 	case 4: // a plain one-shot beside the timers
 		if a := take(1); a != nil {
-			id := d.nextID
-			d.nextID++
-			d.k.MustSchedule(scriptDelay(a[0]), func() { d.log = append(d.log, firing{d.k.Now(), id}) })
+			d.k.schedule(scriptDelay(a[0]), d.callback(nil))
 		}
 	case 5:
 		d.k.Step()
 	case 6: // an engine window: run strictly before the barrier, park on it
 		if a := take(1); a != nil {
 			barrier := d.k.Now() + scriptDelay(a[0])
-			d.k.RunBefore(barrier)
+			for {
+				ran(d.k.RunBefore(barrier))
+				// A callback may have stopped the run short of the barrier.
+				if next, ok := d.k.NextEventAt(); !ok || next >= barrier {
+					break
+				}
+			}
 			d.k.AdvanceTo(barrier)
 		}
-	case 7:
+	case 7: // run to a limit, or until so many more records are logged
 		if a := take(1); a != nil {
-			d.k.Run(d.k.Now() + scriptDelay(a[0]))
+			limit := d.k.Now() + scriptDelay(a[0])
+			if a[0]&0x40 == 0 {
+				ran(d.k.Run(limit))
+				break
+			}
+			want := len(d.log) + int(a[0]>>3)%4
+			n := 0
+			if d.k.RunUntil(func() bool { return len(d.log) >= want }, limit) {
+				n = 1
+			}
+			ran(n)
 		}
 	}
 	return data
 }
 
-// runResetScript drives the twins through data and fails on the first
-// observable difference.
-func runResetScript(t *testing.T, data []byte) {
+// runScript drives the three kernels through data and fails on the
+// first observable difference.
+func runScript(t *testing.T, data []byte) {
 	t.Helper()
-	a := &resetDriver{k: New(1), reset: true}
-	b := &resetDriver{k: New(1)}
-	compared := 0 // firings already found equal
-	check := func(step int) {
+	a := &scriptDriver{k: newKernel{New(1)}, reset: true}
+	b := &scriptDriver{k: newKernel{New(1)}}
+	c := &scriptDriver{k: oldKernel{&refKernel{}}, reset: true}
+	compared := 0 // records already found equal
+	// same compares what every pair of drivers must agree on.
+	same := func(step int, x *scriptDriver, xn string, y *scriptDriver, yn string, look bool) {
 		t.Helper()
-		if a.k.Now() != b.k.Now() {
-			t.Fatalf("step %d: clocks differ: Reset %v, Cancel+Schedule %v", step, a.k.Now(), b.k.Now())
+		if x.k.Now() != y.k.Now() {
+			t.Fatalf("step %d: clocks differ: %s %v, %s %v", step, xn, x.k.Now(), yn, y.k.Now())
 		}
-		an, aok := a.k.NextEventAt()
-		bn, bok := b.k.NextEventAt()
-		if an != bn || aok != bok {
-			t.Fatalf("step %d: NextEventAt differs: Reset (%v, %v), Cancel+Schedule (%v, %v)", step, an, aok, bn, bok)
-		}
-		for s := range a.slots {
-			if a.slots[s].Active() != b.slots[s].Active() {
-				t.Fatalf("step %d: slot %d Active differs: Reset %v, Cancel+Schedule %v",
-					step, s, a.slots[s].Active(), b.slots[s].Active())
+		if look {
+			xa, xok := x.k.NextEventAt()
+			ya, yok := y.k.NextEventAt()
+			if xa != ya || xok != yok {
+				t.Fatalf("step %d: NextEventAt differs: %s (%v, %v), %s (%v, %v)", step, xn, xa, xok, yn, ya, yok)
 			}
 		}
-		if len(a.log) != len(b.log) {
-			t.Fatalf("step %d: Reset fired %d callbacks, Cancel+Schedule %d", step, len(a.log), len(b.log))
-		}
-		for ; compared < len(a.log); compared++ {
-			if i := compared; a.log[i] != b.log[i] {
-				t.Fatalf("step %d: firing %d differs: Reset %+v, Cancel+Schedule %+v", step, i, a.log[i], b.log[i])
+		for s := range x.slots {
+			xs, ys := x.slots[s] != nil && x.slots[s].Active(), y.slots[s] != nil && y.slots[s].Active()
+			if xs != ys {
+				t.Fatalf("step %d: slot %d Active differs: %s %v, %s %v", step, s, xn, xs, yn, ys)
 			}
 		}
+		if len(x.log) != len(y.log) {
+			t.Fatalf("step %d: %s logged %d records, %s %d", step, xn, len(x.log), yn, len(y.log))
+		}
+		for i := compared; i < len(x.log); i++ {
+			if x.log[i] != y.log[i] {
+				t.Fatalf("step %d: record %d differs: %s %c%+v, %s %c%+v", step, i, xn, x.log[i].what, x.log[i], yn, y.log[i].what, y.log[i])
+			}
+		}
+	}
+	// look says whether this check may call NextEventAt, which closes a
+	// hole and settles stale roots on the way: the script decides, so
+	// roots also surface in Step and Pending is also compared unsettled.
+	check := func(step int, look bool) {
+		t.Helper()
+		same(step, a, "Reset", b, "Cancel+Schedule", look)
+		same(step, a, "keys", c, "pointers", look)
+		compared = len(a.log)
 		if a.k.Pending() > b.k.Pending() {
 			t.Fatalf("step %d: Reset queue holds %d entries, Cancel+Schedule %d", step, a.k.Pending(), b.k.Pending())
 		}
+		// The hole lives only as long as the callback that left it: a
+		// callback that schedules nothing has it closed by Step.
+		if a.k.(newKernel).hole || b.k.(newKernel).hole {
+			t.Fatalf("step %d: a hole is open at the root with no callback running", step)
+		}
+		if a.k.Pending() != c.k.Pending() {
+			t.Fatalf("step %d: Pending differs: keys %d, pointers %d", step, a.k.Pending(), c.k.Pending())
+		}
+		if fmt.Sprint(a.pend) != fmt.Sprint(c.pend) {
+			t.Fatalf("step %d: Pending inside callbacks differs: keys %v, pointers %v", step, a.pend, c.pend)
+		}
+		a.pend, c.pend = a.pend[:0], c.pend[:0]
 	}
 	step := 0
 	for rest := data; rest != nil; step++ {
+		look := len(rest) > 0 && rest[0]&0x80 == 0
 		next := a.step(rest)
 		b.step(rest)
+		c.step(rest)
 		rest = next
-		check(step)
+		check(step, look)
 	}
-	a.k.Run(time.Hour)
-	b.k.Run(time.Hour)
-	check(step)
-	if a.k.Pending() != 0 {
-		t.Fatalf("%d entries left in the Reset kernel after the drain", a.k.Pending())
+	// Drain. A callback may still Stop a run, so run until nothing is
+	// left; programs only shrink, so this ends.
+	for a.k.Pending() > 0 || b.k.Pending() > 0 || c.k.Pending() > 0 {
+		a.k.Run(time.Hour)
+		b.k.Run(time.Hour)
+		c.k.Run(time.Hour)
+		step++
+		check(step, true)
 	}
 }
 
@@ -162,19 +297,24 @@ func TestResetMatchesCancelThenSchedule(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 3000)
 		rng.Read(data)
-		runResetScript(t, data)
+		runScript(t, data)
 	}
 }
 
 func FuzzKernelReset(f *testing.F) {
-	f.Add([]byte{0, 0, 5, 0, 0, 0, 7, 0, 0, 0, 2, 0, 5, 5})             // pushed out, then pulled in (the fallback)
-	f.Add([]byte{0, 1, 3, 1, 1, 0, 2, 0, 0, 0, 3, 1, 3, 1, 6, 4, 7, 7}) // callback re-arms its own slot and a pending one
-	f.Add([]byte{0, 2, 4, 0, 4, 4, 0, 2, 4, 0, 4, 4, 3, 2, 6, 4, 6, 0}) // equal instants, cancel of a re-armed timer
+	f.Add([]byte{0, 0, 5, 0, 0, 0, 7, 0, 0, 0, 2, 0, 5, 5})                   // pushed out, then pulled in (the fallback)
+	f.Add([]byte{0, 0, 7, 0, 0, 1, 3, 2, 10, 1, 0, 5, 6, 4, 7, 7})            // callback re-arms its own slot and a pending one
+	f.Add([]byte{0, 2, 4, 0, 4, 4, 0, 2, 4, 0, 4, 4, 3, 2, 6, 4, 6, 0})       // equal instants, cancel of a re-armed timer
+	f.Add([]byte{4, 7, 0, 0, 1, 0, 0x85, 0x85})                               // a callback that schedules nothing: Step closes the hole
+	f.Add([]byte{4, 3, 4, 3, 0, 0, 1, 4, 3, 0, 3, 3, 2, 2, 3, 5, 0x85, 5, 5}) // several schedules from one callback: zero delay, equal to and later than the queue
+	f.Add([]byte{4, 5, 0, 0, 1, 2, 6, 0, 5, 0, 0x85, 5})                      // Pending, then NextEventAt, from inside a callback: the hole is discounted, then closed
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 6, 0, 0x86, 2, 0, 0, 7, 0, 0x85, 7, 7})    // a stale root surfaces, sinks to its due key, and is re-armed again
+	f.Add([]byte{4, 5, 0, 0, 1, 3, 7, 0, 8, 1, 7, 0, 7, 7, 7, 0x5F, 7, 7})    // Stop from inside a callback, under Run and under RunUntil
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		runResetScript(t, data)
+		runScript(t, data)
 	})
 }
 

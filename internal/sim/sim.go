@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -15,18 +16,32 @@ import (
 // for concurrent use; everything in a simulation executes inside event
 // callbacks on one goroutine.
 type Kernel struct {
-	now     time.Duration
-	seq     uint64
-	queue   eventHeap
-	free    []*event
+	now   time.Duration
+	seq   uint64
+	queue eventHeap
+	// hole is set while a callback runs and has scheduled nothing yet:
+	// queue[0] still holds the firing event's slot, which is no longer
+	// part of the queue. The callback's first schedule refills it;
+	// otherwise whatever looks at the queue from inside the callback, or
+	// Step when the callback returns, closes it with an ordinary pop.
+	hole bool
+	// Events live in blocks that never move, so a Timer can point at
+	// one: first holds the size hint, and each block of more holds as
+	// many events as everything carved before it. Ids below next have
+	// been handed out; free holds the recycled ones.
+	first   []event
+	more    [][]event
+	carved  uint32
+	next    uint32
+	free    []uint32
 	rng     *rand.Rand
 	stopped bool
 }
 
-// initialQueueCap pre-sizes the event heap and free list so
-// steady-state scheduling never grows either: a 400-node deployment
-// keeps on the order of one timer and one in-flight frame per node.
-const initialQueueCap = 1024
+// minBlock is the smallest first block of events: a kernel built
+// without a useful hint (a test, a campaign cell of sixteen motes)
+// starts here and doubles on demand.
+const minBlock = 64
 
 // New returns a kernel whose RNG is seeded with seed. Two kernels with
 // the same seed and the same schedule of callbacks produce identical
@@ -35,31 +50,45 @@ func New(seed int64) *Kernel {
 	return NewSized(seed, 0)
 }
 
-// NewSized returns a kernel whose event heap and free list are
-// pre-sized for roughly hint simultaneous events, so large deployments
-// (which keep a few timers and an in-flight frame per node) never grow
-// either mid-run. A hint at or below the default capacity behaves
-// exactly like New; capacity never changes scheduling order.
+// NewSized returns a kernel that has carved max(hint, 64) events and a
+// queue of as many slots before the first schedule, so a deployment
+// that says how deep its queue gets (a few timers and an in-flight
+// frame per node) never grows either mid-run and neighbouring events
+// share cache lines. A kernel that outgrows what it carved doubles its
+// event slab a block at a time; a hint of zero or less is New, which
+// carves its first block at the first schedule. Capacity never changes
+// scheduling order.
 func NewSized(seed int64, hint int) *Kernel {
-	c := initialQueueCap
-	if hint > c {
-		c = hint
-	}
-	k := &Kernel{
-		queue: make(eventHeap, 0, c),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
 	if hint > 0 {
-		// Carve the free list out of one contiguous block: scheduling
-		// stays allocation-free from the first event and neighboring
-		// events share cache lines.
-		block := make([]event, c)
-		k.free = make([]*event, 0, c)
-		for i := range block {
-			k.free = append(k.free, &block[i])
-		}
+		k.grow(max(hint, minBlock))
+		k.queue = make(eventHeap, 0, k.carved)
 	}
 	return k
+}
+
+// grow carves one more block of n events. It runs only when every
+// carved event is queued, so the free list is empty and is re-made with
+// room for all of them.
+func (k *Kernel) grow(n int) {
+	if k.first == nil {
+		k.first = make([]event, n)
+	} else {
+		k.more = append(k.more, make([]event, n))
+	}
+	k.carved += uint32(n)
+	k.free = make([]uint32, 0, k.carved)
+}
+
+// event returns the event with the given id. more[b] starts at id
+// len(first)<<b.
+func (k *Kernel) event(id uint32) *event {
+	n := uint32(len(k.first))
+	if id < n {
+		return &k.first[id]
+	}
+	b := bits.Len32(id/n) - 1
+	return &k.more[b][id-n<<b]
 }
 
 // Now returns the current virtual time (elapsed since simulation
@@ -142,8 +171,8 @@ func (k *Kernel) ScheduleAt(when time.Duration, fn func()) (Timer, error) {
 // MustSchedule, Reset panics on a negative delay.
 func (k *Kernel) Reset(t Timer, delay time.Duration, fn func()) Timer {
 	if ev := t.ev; delay >= 0 && t.Active() && k.now+delay >= ev.at {
-		// The new sequence number exceeds ev.seq, so the due key is after
-		// the position key and the heap invariant still holds.
+		// The new sequence number exceeds the slot's, so the due key is
+		// after the position key and the heap invariant still holds.
 		ev.due, ev.dueSeq, ev.fn = k.now+delay, k.seq, fn
 		k.seq++
 		return t
@@ -153,65 +182,95 @@ func (k *Kernel) Reset(t Timer, delay time.Duration, fn func()) Timer {
 }
 
 func (k *Kernel) at(when time.Duration, fn func()) Timer {
-	var ev *event
+	var id uint32
 	if n := len(k.free); n > 0 {
-		ev = k.free[n-1]
-		k.free[n-1] = nil
+		id = k.free[n-1]
 		k.free = k.free[:n-1]
-		ev.cancelled, ev.fired = false, false
 	} else {
-		ev = &event{}
+		if k.next == k.carved {
+			k.grow(max(int(k.carved), minBlock))
+		}
+		id = k.next
+		k.next++
 	}
-	ev.at, ev.seq, ev.fn = when, k.seq, fn
-	ev.due, ev.dueSeq = when, k.seq
+	ev := k.event(id)
+	ev.at, ev.due, ev.dueSeq, ev.fn = when, when, k.seq, fn
+	ev.cancelled, ev.fired = false, false
+	k.push(slot{at: when, seq: k.seq, id: id})
 	k.seq++
-	k.push(ev)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
-// recycle returns a popped event to the free list, bumping its
-// generation so stale Timer handles expire.
-func (k *Kernel) recycle(ev *event) {
+// recycle returns an event that left the queue to the free list,
+// bumping its generation so stale Timer handles expire.
+func (k *Kernel) recycle(ev *event, id uint32) {
 	ev.gen++
 	ev.fn = nil
-	k.free = append(k.free, ev)
+	k.free = append(k.free, id)
 }
 
-// stale reports whether a surfaced entry must be settled instead of
-// run: it was cancelled, or Reset moved its due key past its position.
-func (e *event) stale() bool { return e.cancelled || e.dueSeq != e.seq }
+// stale reports whether an entry that surfaced under position sequence
+// seq must be settled instead of run: it was cancelled, or Reset moved
+// its due key past its position.
+func (e *event) stale(seq uint64) bool { return e.cancelled || e.dueSeq != seq }
 
-// settle disposes of a popped stale entry: a cancelled one is recycled,
-// a re-armed one goes back into the heap at its due key. The position
-// key is rewritten only here, while the entry is out of the heap — an
-// edit in place would break the order among equal-time entries — and
-// the clock is never set from an entry that still has to move.
-func (k *Kernel) settle(ev *event) {
+// settle disposes of the stale entry at the root: a cancelled one is
+// popped and recycled, a re-armed one sinks from the root to its due
+// key. The position key is rewritten only here, as the entry is
+// re-placed — an edit in place would break the order among equal-time
+// entries — and the clock is never set from an entry that still has to
+// move.
+func (k *Kernel) settle(ev *event, id uint32) {
 	if ev.cancelled {
-		k.recycle(ev)
+		k.pop()
+		k.recycle(ev, id)
 		return
 	}
-	ev.at, ev.seq = ev.due, ev.dueSeq
-	k.push(ev)
+	ev.at = ev.due
+	k.sink(slot{at: ev.due, seq: ev.dueSeq, id: id})
 }
 
 // Step executes the next pending event. It returns false when the
 // queue is empty.
+//
+// The firing event is not popped: it is recycled, its generation bumped
+// before the callback as ever, and its slot left at the root as a hole
+// while the callback runs. The first event the callback schedules — a
+// timer re-arming itself, the MAC's next attempt, a frame's end — sinks
+// from there, one sift instead of a pop's and a push's. The queue then
+// holds exactly the entries a pop followed by that push would have left
+// in it, and the order on keys is total, so events come out in the same
+// order. While the hole is open nothing else is placed at the root: the
+// first push closes it, and pop, peek and Pending close or discount it
+// before they look.
 func (k *Kernel) Step() bool {
+	k.closeHole()
 	for len(k.queue) > 0 {
-		ev := k.pop()
-		if ev.stale() {
-			k.settle(ev)
+		s := k.queue[0]
+		ev := k.event(s.id)
+		if ev.stale(s.seq) {
+			k.settle(ev, s.id)
 			continue
 		}
-		k.now = ev.at
+		k.now = s.at
 		ev.fired = true
 		fn := ev.fn
-		k.recycle(ev)
+		k.recycle(ev, s.id)
+		k.hole = true
 		fn()
+		k.closeHole()
 		return true
 	}
 	return false
+}
+
+// closeHole removes the fired event's slot if the callback left it
+// open.
+func (k *Kernel) closeHole() {
+	if k.hole {
+		k.hole = false
+		k.pop()
+	}
 }
 
 // Stop makes the current Run return after the executing event
@@ -303,33 +362,41 @@ func (k *Kernel) RunUntil(pred func() bool, limit time.Duration) bool {
 
 // Pending returns the number of events waiting (including cancelled
 // ones not yet reaped). A timer re-armed through Reset counts once,
-// however many times it was re-armed.
-func (k *Kernel) Pending() int { return len(k.queue) }
+// however many times it was re-armed, and inside a callback the event
+// being fired is not counted.
+func (k *Kernel) Pending() int {
+	if k.hole {
+		return len(k.queue) - 1
+	}
+	return len(k.queue)
+}
 
 // peek returns the time of the earliest live event. Cancelled entries
 // and entries whose due key moved past their position are settled on
 // the way, so the answer is a due time, never a stale position.
 func (k *Kernel) peek() (time.Duration, bool) {
+	k.closeHole()
 	for len(k.queue) > 0 {
-		ev := k.queue[0]
-		if ev.stale() {
-			k.settle(k.pop())
+		s := k.queue[0]
+		ev := k.event(s.id)
+		if ev.stale(s.seq) {
+			k.settle(ev, s.id)
 			continue
 		}
-		return ev.at, true
+		return s.at, true
 	}
 	return 0, false
 }
 
-// event is one queue entry. (at, seq) is its position key — what the
-// heap is ordered by, fixed while the entry is queued; (due, dueSeq) is
-// when its callback runs. They are equal unless Reset pushed the
-// callback out in place, and position ≤ due always holds, so when an
-// entry with equal keys is the heap minimum no live callback anywhere
-// in the queue is due before it.
+// event is the body of one queue entry; its slot in the heap carries
+// the position key (at, seq) the heap is ordered by, fixed while the
+// entry is queued, and the event keeps a copy of the position time for
+// Reset. (due, dueSeq) is when its callback runs. The two keys are
+// equal unless Reset pushed the callback out in place, and position ≤
+// due always holds, so when an entry with equal keys is the heap
+// minimum no live callback anywhere in the queue is due before it.
 type event struct {
 	at        time.Duration
-	seq       uint64
 	due       time.Duration
 	dueSeq    uint64
 	fn        func()
@@ -338,75 +405,91 @@ type event struct {
 	fired     bool
 }
 
-// before orders events by (time, insertion sequence) so equal-time
-// events run FIFO and runs are deterministic. The order is total —
-// sequence numbers are unique — so any heap arity pops events in the
-// same order.
-func (e *event) before(f *event) bool {
-	if e.at != f.at {
-		return e.at < f.at
-	}
-	return e.seq < f.seq
+// slot is one heap element: the position key and the id of the event it
+// stands for. It holds no pointer, so the collector neither scans the
+// queue nor sees a write barrier on a sift — which is what a run short
+// enough to spend much of its time in the mark phase was paying for.
+type slot struct {
+	at  time.Duration
+	seq uint64
+	id  uint32
 }
 
-// eventHeap is a 4-ary min-heap of events. Quad-ary beats binary here:
+// before orders slots by (time, insertion sequence) so equal-time
+// events run FIFO and runs are deterministic. The order is total —
+// sequence numbers are unique — so the pop order depends only on the
+// set of keys queued, not on the heap's arity or on how an entry got
+// to its place.
+func (s *slot) before(t *slot) bool {
+	if s.at != t.at {
+		return s.at < t.at
+	}
+	return s.seq < t.seq
+}
+
+// eventHeap is a 4-ary min-heap of slots. Quad-ary beats binary here:
 // the tree is half as deep, sift-down touches fewer cache lines, and
 // the kernel pops exactly as many events as it pushes. The sift
 // routines move a hole instead of swapping, and are inlined free of
 // interface calls — container/heap was the top CPU cost of a 400-node
 // run.
-type eventHeap []*event
+type eventHeap []slot
 
-// push inserts ev, sifting the hole up from the new leaf.
-func (k *Kernel) push(ev *event) {
-	q := append(k.queue, ev)
+// push inserts s: into the hole a firing event left at the root if one
+// is open, otherwise sifting up from a new leaf.
+func (k *Kernel) push(s slot) {
+	if k.hole {
+		k.hole = false
+		k.sink(s)
+		return
+	}
+	// Appending in place stores the queue's pointer only when it grows;
+	// assigning a local back would pay the write barrier on every push.
+	k.queue = append(k.queue, s)
+	q := k.queue
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !ev.before(q[p]) {
+		if !s.before(&q[p]) {
 			break
 		}
 		q[i] = q[p]
 		i = p
 	}
-	q[i] = ev
-	k.queue = q
+	q[i] = s
 }
 
-// pop removes and returns the minimum event, sifting the displaced
-// last leaf down from the root.
-func (k *Kernel) pop() *event {
-	q := k.queue
-	n := len(q) - 1
-	min := q[0]
-	last := q[n]
-	q[n] = nil
-	q = q[:n]
-	k.queue = q
+// pop removes the root, sifting the displaced last leaf down from it.
+func (k *Kernel) pop() {
+	n := len(k.queue) - 1
+	last := k.queue[n]
+	k.queue = k.queue[:n]
 	if n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			m := c
-			for j := c + 1; j < end; j++ {
-				if q[j].before(q[m]) {
-					m = j
-				}
-			}
-			if !q[m].before(last) {
-				break
-			}
-			q[i] = q[m]
-			i = m
-		}
-		q[i] = last
+		k.sink(last)
 	}
-	return min
+}
+
+// sink overwrites the root with s and sifts it down to its place.
+func (k *Kernel) sink(s slot) {
+	q := k.queue
+	n := len(q)
+	i := 0
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&s) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = s
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -59,13 +60,26 @@ type Doc struct {
 	CPU     string   `json:"cpu,omitempty"`
 	Results []Result `json:"results"`
 	Summary *Summary `json:"summary,omitempty"`
+	// Procs is the GOMAXPROCS the benchmarks ran under: the -N suffix
+	// the harness appends to their names, 1 when it appends none.
+	Procs int `json:"-"`
 }
 
-// Entry is one history element: a run stamped with its revision.
+// Entry is one history element: a run stamped with its revision and
+// with how many processors it had — the host's logical CPUs and the
+// GOMAXPROCS the benchmarks ran under — without which a CPU model says
+// little about a timing. Entries older than the two fields lack them.
 type Entry struct {
-	SHA  string `json:"sha"`
-	Date string `json:"date"`
+	SHA        string `json:"sha"`
+	Date       string `json:"date"`
+	Nproc      int    `json:"nproc,omitempty"`
+	GOMAXPROCS int    `json:"GOMAXPROCS,omitempty"`
 	Doc
+}
+
+// newEntry stamps doc, parsed on this host from a run made on it.
+func newEntry(sha, date string, doc *Doc) Entry {
+	return Entry{SHA: sha, Date: date, Nproc: runtime.NumCPU(), GOMAXPROCS: doc.Procs, Doc: *doc}
 }
 
 // History is the -out file format.
@@ -117,7 +131,7 @@ func main() {
 	if date == "" {
 		date = time.Now().UTC().Format("2006-01-02")
 	}
-	if err := appendHistory(outPath, Entry{SHA: sha, Date: date, Doc: *doc}); err != nil {
+	if err := appendHistory(outPath, newEntry(sha, date, doc)); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -203,9 +217,10 @@ func parse(sc *bufio.Scanner) (*Doc, error) {
 		case strings.HasPrefix(line, "cpu:"):
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
-			r, ok := parseLine(line)
+			r, procs, ok := parseLine(line)
 			if ok {
 				doc.Results = append(doc.Results, r)
+				doc.Procs = max(doc.Procs, procs)
 			}
 		}
 	}
@@ -257,22 +272,24 @@ func seriesKey(name string) string {
 //	BenchmarkMediumTransmit/active=32-8  2000  36168 ns/op  8051 B/op  210 allocs/op
 //
 // Unit-carrying fields appear as "<value> <unit>" pairs after the
-// iteration count; unknown units are ignored.
-func parseLine(line string) (Result, bool) {
+// iteration count; unknown units are ignored. The second result is the
+// GOMAXPROCS the name's suffix states.
+func parseLine(line string) (Result, int, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return Result{}, false
+		return Result{}, 0, false
 	}
-	name := fields[0]
-	// Strip the -<GOMAXPROCS> suffix the harness appends.
+	name, procs := fields[0], 1
+	// Strip the -<GOMAXPROCS> suffix the harness appends (it appends
+	// none at GOMAXPROCS 1).
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Result{}, false
+		return Result{}, 0, false
 	}
 	r := Result{Name: name, Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
@@ -295,5 +312,5 @@ func parseLine(line string) (Result, bool) {
 			}
 		}
 	}
-	return r, true
+	return r, procs, true
 }

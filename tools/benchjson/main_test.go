@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -180,26 +181,65 @@ func TestLoadHistoryRejectsGarbage(t *testing.T) {
 }
 
 func TestParseLineEdgeCases(t *testing.T) {
-	// Name without a -N suffix survives unstripped.
-	r, ok := parseLine("BenchmarkPlain 100 5 ns/op")
-	if !ok || r.Name != "BenchmarkPlain" || r.Iterations != 100 {
-		t.Fatalf("parseLine = %+v, %v", r, ok)
+	// Name without a -N suffix survives unstripped: GOMAXPROCS was 1.
+	r, procs, ok := parseLine("BenchmarkPlain 100 5 ns/op")
+	if !ok || r.Name != "BenchmarkPlain" || r.Iterations != 100 || procs != 1 {
+		t.Fatalf("parseLine = %+v, %d, %v", r, procs, ok)
 	}
 	// Non-numeric iteration count is rejected.
-	if _, ok := parseLine("BenchmarkBad abc 5 ns/op"); ok {
+	if _, _, ok := parseLine("BenchmarkBad abc 5 ns/op"); ok {
 		t.Fatal("parseLine accepted a bad iteration count")
 	}
 	// Short lines are rejected.
-	if _, ok := parseLine("BenchmarkShort 100"); ok {
+	if _, _, ok := parseLine("BenchmarkShort 100"); ok {
 		t.Fatal("parseLine accepted a short line")
 	}
 	// Unknown units are captured as metrics; known ones still land.
-	r, ok = parseLine("BenchmarkMixed-4 10 7 ns/op 3 widgets/op 9 B/op")
-	if !ok || r.NsPerOp != 7 || r.BytesPerOp != 9 || r.Name != "BenchmarkMixed" {
-		t.Fatalf("parseLine = %+v", r)
+	r, procs, ok = parseLine("BenchmarkMixed-4 10 7 ns/op 3 widgets/op 9 B/op")
+	if !ok || r.NsPerOp != 7 || r.BytesPerOp != 9 || r.Name != "BenchmarkMixed" || procs != 4 {
+		t.Fatalf("parseLine = %+v, %d", r, procs)
 	}
 	if r.Metrics["widgets/op"] != 3 {
 		t.Fatalf("custom metric lost: %+v", r.Metrics)
+	}
+}
+
+// TestEntryRecordsProcessors: a history entry says how many processors
+// the run had — the host's count and the GOMAXPROCS in the benchmark
+// names — and entries written before the fields existed keep their
+// shape when the file is rewritten around them.
+func TestEntryRecordsProcessors(t *testing.T) {
+	doc, err := parse(bufio.NewScanner(strings.NewReader(sampleBench)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEntry("ccc3333", "2026-10-03", doc)
+	if e.Nproc != runtime.NumCPU() || e.GOMAXPROCS != 8 {
+		t.Fatalf("entry has nproc %d GOMAXPROCS %d, want %d and the names' 8", e.Nproc, e.GOMAXPROCS, runtime.NumCPU())
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
+	if err := appendHistory(path, Entry{SHA: "old0000", Date: "2026-08-01", Doc: *doc}); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendHistory(path, e); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), `"nproc"`); n != 1 {
+		t.Fatalf("%d entries carry nproc, want the new one only:\n%s", n, data)
+	}
+	if !strings.Contains(string(data), `"GOMAXPROCS": 8`) {
+		t.Fatalf("GOMAXPROCS not written:\n%s", data)
+	}
+	hist, err := loadHistory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hist.History[1]; got.Nproc != e.Nproc || got.GOMAXPROCS != 8 || got.SHA != "ccc3333" {
+		t.Fatalf("entry read back as %+v", got)
 	}
 }
 
