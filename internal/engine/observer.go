@@ -75,8 +75,8 @@ func (r *obsRecord) deliver(obs node.Observer, tap radio.Tap) {
 
 // Buffer captures one shard's observations for barrier replay. It
 // implements node.Observer, and PacketSent matches radio.Tap. Packets
-// captured by the tap are retained until the next barrier; the harness
-// treats packets as immutable after Transmit, so retention is safe.
+// captured by the tap are retained until the next barrier; the medium
+// decodes a packet for the tap alone, so retention is safe.
 type Buffer struct {
 	now  func() time.Duration
 	recs []obsRecord

@@ -182,8 +182,8 @@ func WireSize(p Packet) int {
 func Encode(p Packet) []byte { return AppendEncode(nil, p) }
 
 // AppendEncode serializes p into a self-describing frame appended to
-// dst, reusing dst's capacity. The simulator's radio uses it to encode
-// each transmission into a pooled buffer without allocating.
+// dst, reusing dst's capacity. A mote's MAC queue uses it to encode
+// each frame at Send into a reused slot without allocating.
 func AppendEncode(dst []byte, p Packet) []byte {
 	start := len(dst)
 	dst = appendNodeID(dst, p.Dest())
@@ -224,17 +224,9 @@ func decodeWith(cache *DecodeCache, frame []byte, verifyCRC bool) (Packet, error
 			return nil, fmt.Errorf("packet: CRC mismatch (got %#04x, want %#04x)", got, want)
 		}
 	}
-	_, destLen, err := readNodeID(frame)
+	kind, body, err := header(frame)
 	if err != nil {
-		return nil, fmt.Errorf("packet: bad destination address: %w", err)
-	}
-	if len(frame) < destLen+5 {
-		return nil, fmt.Errorf("packet: frame too short (%d bytes)", len(frame))
-	}
-	kind := Kind(frame[destLen])
-	plen := int(frame[destLen+2])
-	if len(frame) != destLen+5+plen {
-		return nil, fmt.Errorf("packet: length field %d disagrees with frame size %d", plen, len(frame))
+		return nil, err
 	}
 	var p Packet
 	if cache != nil {
@@ -245,10 +237,38 @@ func decodeWith(cache *DecodeCache, frame []byte, verifyCRC bool) (Packet, error
 	if err != nil {
 		return nil, err
 	}
-	if err := p.decodePayload(frame[destLen+3 : destLen+3+plen]); err != nil {
+	if err := p.decodePayload(body); err != nil {
 		return nil, fmt.Errorf("packet: decode %s: %w", kind, err)
 	}
 	return p, nil
+}
+
+// FrameKind returns the message kind of an encoded frame, read from its
+// header: the framing is checked, the CRC and the payload are not. The
+// radio uses it to account a frame it carries as bytes.
+func FrameKind(frame []byte) (Kind, error) {
+	kind, _, err := header(frame)
+	return kind, err
+}
+
+// header checks a frame's framing — address, length field, overall
+// size — and returns its kind and payload.
+func header(frame []byte) (Kind, []byte, error) {
+	if len(frame) < FrameOverhead {
+		return 0, nil, fmt.Errorf("packet: frame too short (%d bytes)", len(frame))
+	}
+	_, destLen, err := readNodeID(frame)
+	if err != nil {
+		return 0, nil, fmt.Errorf("packet: bad destination address: %w", err)
+	}
+	if len(frame) < destLen+5 {
+		return 0, nil, fmt.Errorf("packet: frame too short (%d bytes)", len(frame))
+	}
+	plen := int(frame[destLen+2])
+	if len(frame) != destLen+5+plen {
+		return 0, nil, fmt.Errorf("packet: length field %d disagrees with frame size %d", plen, len(frame))
+	}
+	return Kind(frame[destLen]), frame[destLen+3 : destLen+3+plen], nil
 }
 
 func newByKind(k Kind) (Packet, error) {

@@ -443,6 +443,8 @@ type Medium struct {
 	// handlers treat incoming packets as read-only and copy at the
 	// storage boundary, so reuse is invisible to them.
 	dec packet.DecodeCache
+	// encoded is Transmit's scratch frame; TransmitFrame copies it.
+	encoded []byte
 
 	// owned flags the nodes this Medium simulates; nil (the sequential
 	// case) means all of them. Handlers, radio state, and deliveries
@@ -494,7 +496,9 @@ type Ghost struct {
 }
 
 // Tap observes a successfully started transmission: the decoded packet
-// and its airtime. Implementations must not re-enter the medium.
+// and its airtime. The packet is decoded for the tap alone, so the tap
+// may keep it; an untapped medium decodes nothing at transmit.
+// Implementations must not re-enter the medium.
 type Tap func(src packet.NodeID, p packet.Packet, air time.Duration)
 
 // SetTap installs the transmission tap (nil to remove).
@@ -836,11 +840,22 @@ func (m *Medium) collide(t, u *transmission) {
 	}
 }
 
-// Transmit broadcasts pkt from src at the given power level and
-// returns the frame's airtime. The caller must keep the radio on for
-// the duration. Transmission fails if the radio is off, the node is
-// destroyed, or a previous transmission is still in the air.
+// Transmit encodes pkt and broadcasts it from src through
+// TransmitFrame, the one transmit path. Motes hand the medium frames
+// their MAC queue encoded at Send; Transmit is for callers that hold a
+// packet, such as a replay of captured traffic.
 func (m *Medium) Transmit(src packet.NodeID, pkt packet.Packet, power int) (time.Duration, error) {
+	m.encoded = packet.AppendEncode(m.encoded[:0], pkt)
+	return m.TransmitFrame(src, m.encoded, power)
+}
+
+// TransmitFrame broadcasts an encoded frame from src at the given power
+// level and returns its airtime. The medium copies the frame, so the
+// caller may reuse it once TransmitFrame returns. The caller must keep
+// the radio on for the duration. Transmission fails if the radio is
+// off, the node is destroyed, a previous transmission is still in the
+// air, or the frame's header is malformed.
+func (m *Medium) TransmitFrame(src packet.NodeID, frame []byte, power int) (time.Duration, error) {
 	st := &m.nodes[src]
 	if st.destroyed {
 		return 0, fmt.Errorf("radio: node %v is destroyed", src)
@@ -852,15 +867,19 @@ func (m *Medium) Transmit(src packet.NodeID, pkt packet.Packet, power int) (time
 	if st.everTx && st.txEnd > now {
 		return 0, fmt.Errorf("radio: node %v already transmitting", src)
 	}
+	kind, err := packet.FrameKind(frame)
+	if err != nil {
+		return 0, fmt.Errorf("radio: frame from node %v: %w", src, err)
+	}
 	row, err := m.linkRowFor(power, src)
 	if err != nil {
 		return 0, err
 	}
 	t := m.newTransmission()
-	t.frame = packet.AppendEncode(t.frame[:0], pkt)
+	t.frame = append(t.frame[:0], frame...)
 	air := m.Airtime(len(t.frame))
 	t.src = src
-	t.kind = pkt.Kind()
+	t.kind = kind
 	t.bytes = len(t.frame)
 	t.start = now
 	t.end = now + air
@@ -890,7 +909,13 @@ func (m *Medium) Transmit(src packet.NodeID, pkt packet.Packet, power int) (time
 	m.occupy(t)
 	m.sink.FrameSent(src, t.kind, t.bytes)
 	if m.tap != nil {
-		m.tap(src, pkt, air)
+		// The tap keeps what it is handed (the engine until the next
+		// barrier, a capture for good), so it gets a packet of its own.
+		p, err := packet.DecodeTrusted(t.frame)
+		if err != nil {
+			panic(fmt.Sprintf("radio: frame from node %v undecodable at transmit: %v", src, err))
+		}
+		m.tap(src, p, air)
 	}
 	if row.boundary {
 		p := m.geo.pts[src]
@@ -1051,8 +1076,8 @@ func (m *Medium) finish(t *transmission) {
 			var err error
 			decoded, err = m.dec.Decode(t.frame)
 			if err != nil {
-				// The frame was produced by Encode at transmit time;
-				// failing to decode it is an invariant violation, not a
+				// The frame was produced by Encode at Send; failing
+				// to decode it is an invariant violation, not a
 				// channel condition — surface it instead of silently
 				// dropping every delivery.
 				panic(fmt.Sprintf("radio: frame from node %v undecodable at finish: %v", t.src, err))
