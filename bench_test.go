@@ -250,9 +250,10 @@ func BenchmarkFleetBuild(b *testing.B) {
 }
 
 // BenchmarkStoreFill measures what one segment costs a mote's flash
-// model: 128 packets of 22 B written in order to a fresh store, then
-// read back. B/op and allocs/op are the ledger: every mote of every run
-// pays them once per segment. Feeds BENCH_sim.json via `make bench`.
+// model: 128 packets of 22 B written in order to a fresh store, carved
+// at the segment's packet count as a mote's writes are, then read back.
+// B/op and allocs/op are the ledger: every mote of every run pays them
+// once per segment. Feeds BENCH_sim.json via `make bench`.
 func BenchmarkStoreFill(b *testing.B) {
 	const packets, size = 128, 22
 	payload := make([]byte, size)
@@ -267,7 +268,7 @@ func BenchmarkStoreFill(b *testing.B) {
 			b.Fatal(err)
 		}
 		for pkt := 0; pkt < packets; pkt++ {
-			if err := st.Write(1, pkt, payload); err != nil {
+			if err := st.WriteSized(1, pkt, packets, payload); err != nil {
 				b.Fatal(err)
 			}
 		}

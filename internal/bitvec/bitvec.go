@@ -193,14 +193,15 @@ func (v *Vector) Indices() []int {
 
 // Bytes serializes the vector into the wire form carried by download
 // requests: ceil(n/8) bytes, little-endian bit order within each byte.
-func (v *Vector) Bytes() []byte {
-	out := make([]byte, (v.n+7)/8)
-	for i := 0; i < v.n; i++ {
-		if v.Get(i) {
-			out[i/8] |= 1 << (uint(i) % 8)
-		}
+func (v *Vector) Bytes() []byte { return v.AppendBytes(nil) }
+
+// AppendBytes appends the wire form Bytes returns to dst. The words
+// already hold the bits in that order, so it is a little-endian copy.
+func (v *Vector) AppendBytes(dst []byte) []byte {
+	for i := 0; i < (v.n+7)/8; i++ {
+		dst = append(dst, byte(v.words[i/8]>>(8*(i%8))))
 	}
-	return out
+	return dst
 }
 
 // Decode reconstructs an n-bit vector from its wire form. Extra bits in

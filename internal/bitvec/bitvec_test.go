@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -289,6 +290,29 @@ func TestQuickBytesRoundTrip(t *testing.T) {
 		}
 		got, err := Decode(n, v.Bytes())
 		return err == nil && got.Equal(v)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: AppendBytes lays down, after whatever dst holds, the bytes a
+// bit-at-a-time serialization gives — the wire form download requests
+// carry.
+func TestQuickAppendBytesIsBitwise(t *testing.T) {
+	f := func(seed int64, nRaw uint8, prefix []byte) bool {
+		n := int(nRaw)%MaxBits + 1
+		rng := rand.New(rand.NewSource(seed))
+		v := MustNew(n)
+		want := make([]byte, (n+7)/8)
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 1 {
+				v.Set(i)
+				want[i/8] |= 1 << (i % 8)
+			}
+		}
+		got := v.AppendBytes(prefix)
+		return bytes.Equal(got[:len(prefix)], prefix) && bytes.Equal(got[len(prefix):], want) && bytes.Equal(v.Bytes(), want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

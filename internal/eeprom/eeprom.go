@@ -22,12 +22,14 @@ const DefaultCapacity = 512 * 1024
 const minRowSlots = 16
 
 // slot is one (segment, packet) cell: n payload bytes at the slot's
-// stride offset in the row's slab. present distinguishes an empty
-// payload from an unwritten slot.
+// stride offset in the row's slab. Every write counts, so writes > 0
+// tells an empty payload from an unwritten slot, and a slot is 8 bytes.
 type slot struct {
 	n, writes int32
-	present   bool
 }
+
+// present reports whether the slot has been written.
+func (sl *slot) present() bool { return sl.writes > 0 }
 
 // segRow is one segment: every payload in one slab, slot i at
 // data[i*stride:]. The stride is the longest payload the row has seen,
@@ -78,7 +80,7 @@ func (s *Store) at(seg, pkt int) *slot {
 		return nil
 	}
 	sl := &s.segs[seg].slots[pkt]
-	if !sl.present {
+	if !sl.present() {
 		return nil
 	}
 	return sl
@@ -97,7 +99,7 @@ func (r *segRow) payload(i int) []byte {
 func (r *segRow) reshape(nSlots, stride int) {
 	data := make([]byte, nSlots*stride)
 	for i := range r.slots {
-		if r.slots[i].present {
+		if r.slots[i].present() {
 			copy(data[i*stride:], r.payload(i))
 		}
 	}
@@ -109,10 +111,20 @@ func (r *segRow) reshape(nSlots, stride int) {
 	r.data, r.stride = data, stride
 }
 
-// Write stores the payload for packet pkt of segment seg (copying it).
-// Rewriting an occupied slot is permitted — the protocol is supposed to
-// avoid it, and WriteCount exposes violations.
+// Write stores the payload for packet pkt of segment seg (copying it)
+// when the segment's packet count is not known: a row the packet does
+// not fit grows by doubling from minRowSlots. Rewriting an occupied
+// slot is permitted — the protocol is supposed to avoid it, and
+// WriteCount exposes violations.
 func (s *Store) Write(seg, pkt int, payload []byte) error {
+	return s.WriteSized(seg, pkt, 0, payload)
+}
+
+// WriteSized is Write for a segment of segPackets packets: a row built
+// or moved for this write is carved at that many slots, so filling the
+// segment copies its slab once instead of once per doubling. A count
+// that does not cover pkt is ignored.
+func (s *Store) WriteSized(seg, pkt, segPackets int, payload []byte) error {
 	if seg < 1 || pkt < 0 {
 		return fmt.Errorf("eeprom: invalid slot (%d,%d)", seg, pkt)
 	}
@@ -126,7 +138,7 @@ func (s *Store) Write(seg, pkt int, payload []byte) error {
 		s.segs = append(s.segs, segRow{})
 	}
 	row := &s.segs[seg]
-	occupied := pkt < len(row.slots) && row.slots[pkt].present
+	occupied := pkt < len(row.slots) && row.slots[pkt].present()
 	prev := 0
 	if occupied {
 		prev = int(row.slots[pkt].n)
@@ -142,6 +154,9 @@ func (s *Store) Write(seg, pkt int, payload []byte) error {
 	// goes to a fresh slab like a payload or index the slab cannot hold.
 	if occupied || pkt >= len(row.slots) || len(payload) > row.stride {
 		nSlots := max(len(row.slots), minRowSlots)
+		if pkt < segPackets {
+			nSlots = max(len(row.slots), segPackets)
+		}
 		for pkt >= nSlots {
 			nSlots *= 2
 		}
@@ -150,12 +165,11 @@ func (s *Store) Write(seg, pkt int, payload []byte) error {
 	sl := &row.slots[pkt]
 	copy(row.data[pkt*row.stride:], payload)
 	s.used += len(payload) - prev
-	sl.n = int32(len(payload))
-	sl.writes++
-	if !sl.present {
-		sl.present = true
+	if !sl.present() {
 		s.count++
 	}
+	sl.n = int32(len(payload))
+	sl.writes++
 	return nil
 }
 
@@ -191,7 +205,7 @@ func (s *Store) MaxWriteCount() int {
 	maxC := int32(0)
 	for i := range s.segs {
 		for _, sl := range s.segs[i].slots {
-			if sl.present && sl.writes > maxC {
+			if sl.writes > maxC {
 				maxC = sl.writes
 			}
 		}
@@ -228,7 +242,7 @@ func (s *Store) EraseSegment(seg int) {
 		return
 	}
 	for _, sl := range s.segs[seg].slots {
-		if sl.present {
+		if sl.present() {
 			s.used -= int(sl.n)
 			s.count--
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func TestNewRejectsBadCapacity(t *testing.T) {
@@ -253,6 +254,10 @@ func (s *refStore) EraseSegment(seg int) {
 // sides of every doubling of a 16-slot row, and sparse outliers.
 var scriptPkts = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 16, 17, 31, 32, 63, 64, 127, 128, 300}
 
+// scriptCounts are the segment sizes a script's writes declare: none,
+// smaller than the packet indexes, and sizes a row is carved at.
+var scriptCounts = []int{0, 1, 8, 48, 128, 200}
+
 const (
 	scriptSegs     = 4 // writes go to segments 1..4, probes to 0..5
 	scriptCapacity = 400
@@ -288,10 +293,13 @@ func runStoreScript(t *testing.T, data []byte) {
 		data = data[1:]
 		return int(b)
 	}
+	// The declared segment size shapes the slab, never the contents,
+	// so the reference ignores it.
 	write := func(step int, seg, pkt int, payload []byte) {
-		got, want := s.Write(seg, pkt, payload), ref.Write(seg, pkt, payload)
+		count := scriptCounts[(step+seg)%len(scriptCounts)]
+		got, want := s.WriteSized(seg, pkt, count, payload), ref.Write(seg, pkt, payload)
 		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
-			t.Fatalf("step %d: Write(%d,%d,%v) = %v, reference %v", step, seg, pkt, payload, got, want)
+			t.Fatalf("step %d: WriteSized(%d,%d,%d,%v) = %v, reference %v", step, seg, pkt, count, payload, got, want)
 		}
 	}
 	for step := 0; len(data) > 0; step++ {
@@ -425,11 +433,32 @@ func TestStoreAllocations(t *testing.T) {
 		t.Errorf("Read: %v allocs, want 0", n)
 	}
 	_ = sink
+
+	// A segment whose size is declared is carved once: filling 128
+	// packets in order buys its slab and slot table a single time, where
+	// a row growing from 16 slots buys both again at 32, 64 and 128.
+	fill := func(count int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			s, _ := New(DefaultCapacity)
+			for pkt := 0; pkt < 128; pkt++ {
+				if err := s.WriteSized(1, pkt, count, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	if sized, grown := fill(128), fill(0); grown-sized != 6 {
+		t.Errorf("filling a 128-packet segment: %v allocs declared, %v grown; want 6 fewer declared", sized, grown)
+	}
+	// A slot's bookkeeping is a third of a 22-byte payload's slab room.
+	if size := unsafe.Sizeof(slot{}); size != 8 {
+		t.Errorf("a slot is %d bytes, want 8", size)
+	}
 }
 
-// A lent view is read from another goroutine (the livenet hub encodes a
-// sender's queued payload) while the owner keeps using its store. Run
-// under -race: the owner never writes a byte the view covers.
+// A lent view may be read from another goroutine while the owner keeps
+// using its store. Run under -race: the owner never writes a byte the
+// view covers.
 func TestLentViewReadConcurrently(t *testing.T) {
 	s, _ := New(DefaultCapacity)
 	want := bytes.Repeat([]byte{0xA5}, 22)

@@ -184,7 +184,7 @@ func (w *writer) Init(rt node.Runtime) {
 }
 func (w *writer) OnPacket(packet.Packet, packet.NodeID) {}
 func (w *writer) OnTimer(id node.TimerID) {
-	_ = w.rt.Store(1, w.next, []byte{byte(w.next)})
+	_ = w.rt.Store(1, w.next, 0, []byte{byte(w.next)}) // an open-ended segment
 	w.next++
 	w.rt.SetTimer(id, time.Second)
 }

@@ -7,6 +7,8 @@ import (
 	"mnp/internal/experiment"
 	"mnp/internal/gossip"
 	"mnp/internal/invariant"
+	"mnp/internal/node/nodetest"
+	"mnp/internal/packet"
 	"mnp/internal/radio"
 	"mnp/internal/topology"
 )
@@ -71,5 +73,24 @@ func TestPeerTableStaysNeighbourhoodSized(t *testing.T) {
 	}
 	if peakTable > 2*peakDegree {
 		t.Fatalf("a mote's density table reached %d entries; the largest radio degree was %d", peakTable, peakDegree)
+	}
+}
+
+// A beacon whose geometry no image has — a last segment that is empty
+// or longer than a segment — is not learned from: learning it would
+// carve flash for packets no frame can address. The same beacon with a
+// consistent packet count is.
+func TestBeaconGeometryMustBeAnImages(t *testing.T) {
+	for _, tc := range []struct {
+		total uint16
+		learn bool
+	}{{65535, false}, {8, false}, {12, true}, {9, true}} {
+		rt := nodetest.New(1)
+		rt.Attach(gossip.New(gossip.DefaultConfig()))
+		rt.Deliver(&packet.GossipAdv{Src: 0, ProgramID: 1, Segments: 3, SegPackets: 4,
+			TotalPackets: tc.total, PayloadLen: 8, Tail: 8, CompleteSegs: 3}, 0)
+		if learned := len(rt.PendingTimers()) > 0; learned != tc.learn {
+			t.Errorf("3 segments of 4 packets, %d in all: learned %v, want %v", tc.total, learned, tc.learn)
+		}
 	}
 }

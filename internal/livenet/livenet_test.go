@@ -8,6 +8,7 @@ import (
 	"mnp/internal/deluge"
 	"mnp/internal/image"
 	"mnp/internal/node"
+	"mnp/internal/node/nodetest"
 	"mnp/internal/packet"
 	"mnp/internal/radio"
 	"mnp/internal/topology"
@@ -167,58 +168,62 @@ func TestBatteryAssignment(t *testing.T) {
 	}
 }
 
-func TestLiveRuntimeSurface(t *testing.T) {
-	img, err := image.Random(1, 1, 8, image.WithSegmentPackets(8), image.WithPayloadSize(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := topology.Line(2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(Config{Layout: l, Radio: cleanRadio(), TimeScale: 400, Seed: 8}, mnpFactory(t, img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stop the goroutines first: the runtime surface below is owned by
-	// the node loop while it runs.
-	n.WaitAllComplete(10 * time.Second)
-	n.Stop()
-	ln := n.nodes[1]
-	if ln.ID() != 1 {
-		t.Fatal("ID wrong")
-	}
-	if ln.Now() < 0 {
-		t.Fatal("negative Now")
-	}
-	ln.SetTxPower(radio.PowerFull)
-	if ln.TxPower() != radio.PowerFull {
-		t.Fatal("power not kept")
-	}
-	ln.Event(node.Event{Kind: node.EventGotSegment}) // no-op must not panic
-	// Storage surface: out-of-band writes are observable through the
-	// same runtime view. (The protocol goroutine also writes here, but
-	// a disjoint segment avoids interference.)
-	if ln.HasPacket(200, 0) {
-		t.Fatal("phantom packet")
-	}
-	if err := ln.Store(200, 0, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	if !ln.HasPacket(200, 0) || ln.Load(200, 0) == nil {
-		t.Fatal("store surface broken")
-	}
-	// Send with the radio off errors; IsRadioOn reflects state.
-	offNode := &liveNode{id: 9, net: n}
-	if offNode.IsRadioOn() {
-		t.Fatal("fresh node radio on")
-	}
-	if err := offNode.Send(&packet.StartSignal{Src: 9, ProgramID: 1}); err == nil {
-		t.Fatal("radio-off send accepted")
-	}
-	if !ln.TimerPending(0) && ln.TimerPending(0) {
-		t.Fatal("unreachable")
-	}
+// idle is a protocol that does nothing.
+type idle struct{}
+
+func (idle) Init(node.Runtime)                     {}
+func (idle) OnPacket(packet.Packet, packet.NodeID) {}
+func (idle) OnTimer(node.TimerID)                  {}
+
+// TestRuntimeContract holds a live mote to the contract node.Node
+// keeps. While the network runs a mote's runtime belongs to its
+// goroutine, so the subject is node 0 of a stopped two-mote network:
+// its Sends stay on the hub, where the test reads them back as bytes.
+func TestRuntimeContract(t *testing.T) {
+	nodetest.RunContract(t, nodetest.Contract{
+		New: func(t *testing.T, p node.Protocol) nodetest.Subject {
+			l, err := topology.Line(2, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := New(Config{Layout: l, Radio: cleanRadio(), Seed: 1}, func(id packet.NodeID) node.Protocol {
+				if id == 0 {
+					return p
+				}
+				return idle{}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Stop() // Init has run: a mote's loop starts with it
+			ln := n.nodes[0]
+			return nodetest.Subject{
+				Aired: func() [][]byte {
+					var frames [][]byte
+					for {
+						select {
+						case tx := <-n.hub:
+							frames = append(frames, tx.frame)
+						default:
+							return frames
+						}
+					}
+				},
+				Refusals: []nodetest.Refusal{
+					{Name: "radio-off", Apply: ln.RadioOff},
+					{Name: "medium-congested", Apply: func() {
+						for !ln.QueueFull() {
+							if err := ln.Send(&packet.Query{Src: 0, ProgramID: 1, SegID: 1}); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}},
+				},
+			}
+		},
+		NoFiring: "livenet timers are time.AfterFunc on the wall clock, delivered through the mote's " +
+			"goroutine, so their firing cannot be stepped to an instant",
+	})
 }
 
 func TestStopIsIdempotentAndTerminates(t *testing.T) {

@@ -158,11 +158,11 @@ func (s *subRuntime) SetTxPower(level int) { s.parent().SetTxPower(level) }
 func (s *subRuntime) TxPower() int { return s.parent().TxPower() }
 
 // Store implements Runtime, partitioned by segment space.
-func (s *subRuntime) Store(seg, pkt int, payload []byte) error {
+func (s *subRuntime) Store(seg, pkt, segPackets int, payload []byte) error {
 	if seg < 1 || seg >= SegSpace {
 		return fmt.Errorf("node: segment %d outside demux segment space", seg)
 	}
-	return s.parent().Store(s.idx*SegSpace+seg, pkt, payload)
+	return s.parent().Store(s.idx*SegSpace+seg, pkt, segPackets, payload)
 }
 
 // Load implements Runtime.

@@ -107,10 +107,10 @@ func TestDemuxTimerNamespacing(t *testing.T) {
 
 func TestDemuxStoragePartitioned(t *testing.T) {
 	_, n, _, a, b := demuxRig(t)
-	if err := a.rt.Store(1, 0, []byte{0xA}); err != nil {
+	if err := a.rt.Store(1, 0, 8, []byte{0xA}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.rt.Store(1, 0, []byte{0xB}); err != nil {
+	if err := b.rt.Store(1, 0, 8, []byte{0xB}); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.rt.Load(1, 0); len(got) != 1 || got[0] != 0xA {
@@ -123,10 +123,10 @@ func TestDemuxStoragePartitioned(t *testing.T) {
 		t.Fatal("HasPacket lost partitioned slots")
 	}
 	// Invalid segments are rejected instead of clobbering a sibling.
-	if err := a.rt.Store(0, 0, []byte{1}); err == nil {
+	if err := a.rt.Store(0, 0, 8, []byte{1}); err == nil {
 		t.Fatal("segment 0 accepted")
 	}
-	if err := a.rt.Store(SegSpace, 0, []byte{1}); err == nil {
+	if err := a.rt.Store(SegSpace, 0, 8, []byte{1}); err == nil {
 		t.Fatal("out-of-space segment accepted")
 	}
 	if a.rt.Load(SegSpace, 0) != nil || a.rt.HasPacket(0, 0) {

@@ -21,7 +21,7 @@ func RandomPacket(rng *rand.Rand) packet.Packet {
 	payload := make([]byte, rng.Intn(40))
 	rng.Read(payload)
 
-	switch rng.Intn(18) {
+	switch rng.Intn(22) {
 	case 0:
 		return &packet.Advertise{
 			Src: src, ProgramID: prog, ProgramSegments: uint8(rng.Intn(256)),
@@ -71,8 +71,26 @@ func RandomPacket(rng *rand.Rand) packet.Packet {
 		return &packet.XnpData{Src: src, ProgramID: prog, Seq: uint16(rng.Intn(1 << 12)), Total: uint16(rng.Intn(1 << 12)), Payload: payload}
 	case 16:
 		return &packet.XnpQueryStatus{Src: src, ProgramID: prog}
-	default:
+	case 17:
 		return &packet.XnpStatus{Src: src, DestID: dst, ProgramID: prog, Seq: uint16(rng.Intn(1 << 16))}
+	case 18:
+		return &packet.RlncAdv{
+			Src: src, ProgramID: prog, Segments: uint8(rng.Intn(256)), SegPackets: pkts,
+			TotalPackets: uint16(rng.Intn(1 << 16)), PayloadLen: uint8(rng.Intn(64)), Tail: uint8(rng.Intn(64)),
+			CompleteSegs: uint8(rng.Intn(256)), Rank: uint8(rng.Intn(256)),
+		}
+	case 19:
+		coeffs := make([]byte, rng.Intn(int(pkts)+1))
+		rng.Read(coeffs)
+		return &packet.RlncData{Src: src, ProgramID: prog, Seg: seg, Coeffs: coeffs, Payload: payload}
+	case 20:
+		return &packet.GossipAdv{
+			Src: src, ProgramID: prog, Segments: uint8(rng.Intn(256)), SegPackets: pkts,
+			TotalPackets: uint16(rng.Intn(1 << 16)), PayloadLen: uint8(rng.Intn(64)), Tail: uint8(rng.Intn(64)),
+			CompleteSegs: uint8(rng.Intn(256)), Have: uint8(rng.Intn(256)),
+		}
+	default:
+		return &packet.GossipData{Src: src, ProgramID: prog, Seg: seg, Pkt: uint8(rng.Intn(256)), Payload: payload}
 	}
 }
 

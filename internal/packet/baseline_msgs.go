@@ -70,7 +70,7 @@ func (r *DelugeReq) appendPayload(b []byte) []byte {
 	b = appendNodeID(b, r.DestID)
 	b = append(b, r.ProgramID, r.Page, r.PagePackets)
 	if r.Missing != nil {
-		b = append(b, r.Missing.Bytes()...)
+		b = r.Missing.AppendBytes(b)
 	}
 	return b
 }

@@ -56,6 +56,12 @@ func TestDecodeTrusted(t *testing.T) {
 		if _, err := DecodeTrusted(frame[:3]); err == nil {
 			t.Fatalf("%s: DecodeTrusted accepted a truncated frame", p.Kind())
 		}
+		if k, err := FrameKind(frame); err != nil || k != p.Kind() {
+			t.Fatalf("%s: FrameKind = %v, %v", p.Kind(), k, err)
+		}
+		if _, err := FrameKind(frame[:len(frame)-1]); err == nil {
+			t.Fatalf("%s: FrameKind accepted a frame shorter than its length field", p.Kind())
+		}
 	}
 }
 

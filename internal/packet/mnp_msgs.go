@@ -78,7 +78,7 @@ func (r *DownloadRequest) appendPayload(b []byte) []byte {
 	b = appendNodeID(b, r.DestID)
 	b = append(b, r.ProgramID, r.SegID, r.SegPackets, r.EchoReqCtr)
 	if r.Missing != nil {
-		b = append(b, r.Missing.Bytes()...)
+		b = r.Missing.AppendBytes(b)
 	}
 	return b
 }

@@ -1,0 +1,149 @@
+package protoreg_test
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"mnp/internal/bitvec"
+	"mnp/internal/image"
+	"mnp/internal/node/nodetest"
+	"mnp/internal/packet"
+	"mnp/internal/protoreg"
+)
+
+// frameOf wraps a message body in TOS_Msg framing: the broadcast
+// address, the kind, the group, the length and a checksum that
+// DecodeTrusted does not read.
+func frameOf(kind packet.Kind, body []byte) []byte {
+	f := append([]byte{0xFF, 0xFF, byte(kind), 0x7d, byte(len(body))}, body...)
+	return append(f, 0, 0)
+}
+
+// chunkOf is p as one fuzz-input chunk: [kind][len][body][fires].
+func chunkOf(p packet.Packet, fires byte) []byte {
+	frame := packet.Encode(p)
+	start := 2 + 3 // address, kind, group, length
+	if frame[0] == 0xFF && frame[1] == 0xFE {
+		start += 4 // a wide address
+	}
+	body := frame[start : len(frame)-2]
+	c := append([]byte{byte(p.Kind()) - 1, byte(len(body))}, body...)
+	return append(c, fires)
+}
+
+// FuzzProtocolPackets feeds arbitrary frames of every packet kind to
+// every registered protocol, a receiver and a base of each, on the
+// nodetest runtime. Whatever arrives, a protocol never panics, and
+// every frame it sends in reply decodes and re-encodes to itself.
+//
+// Input: repeated chunks of [kind][len][len bytes of body][fires]. The
+// framing is built here, so the fuzzer spends its mutations on message
+// fields rather than on length bytes and checksums; a body that does
+// not parse as its kind is dropped, as a mote drops it. fires%4 timers
+// fire after each frame.
+func FuzzProtocolPackets(f *testing.F) {
+	img, err := image.Random(1, 2, 5, image.WithSegmentPackets(4), image.WithPayloadSize(8))
+	if err != nil {
+		f.Fatal(err)
+	}
+	missing := bitvec.MustNew(4)
+	missing.Set(2)
+	payload := make([]byte, 8)
+	// A plausible exchange per protocol family, so the state machines get
+	// past learning the image before the mutations start.
+	for _, seq := range [][]packet.Packet{
+		{
+			&packet.Advertise{Src: 0, ProgramID: 1, ProgramSegments: 2, SegID: 1, SegNominal: 4, TotalPackets: 8, ReqCtr: 1},
+			&packet.DownloadRequest{Src: 2, DestID: 1, ProgramID: 1, SegID: 1, SegPackets: 4, EchoReqCtr: 1, Missing: missing},
+			&packet.StartDownload{Src: 0, ProgramID: 1, SegID: 1, SegPackets: 4},
+			&packet.Data{Src: 0, ProgramID: 1, SegID: 1, PacketID: 0, Payload: payload},
+			&packet.EndDownload{Src: 0, ProgramID: 1, SegID: 1},
+			&packet.Query{Src: 0, ProgramID: 1, SegID: 1},
+			&packet.RepairRequest{Src: 2, DestID: 0, ProgramID: 1, SegID: 1, PacketID: 3},
+			&packet.StartSignal{Src: 0, ProgramID: 1},
+		},
+		{
+			&packet.DelugeAdv{Src: 0, ProgramID: 1, Version: 1, NumPages: 1, HavePages: 1, PagePackets: 48, TotalPackets: 8},
+			&packet.DelugeReq{Src: 2, DestID: 0, ProgramID: 1, Page: 1, PagePackets: 4, Missing: missing},
+			&packet.DelugeData{Src: 0, ProgramID: 1, Page: 1, PacketID: 0, Payload: payload},
+		},
+		{
+			&packet.MoapPublish{Src: 0, ProgramID: 1, Version: 1, Total: 8},
+			&packet.MoapSubscribe{Src: 2, DestID: 0, ProgramID: 1},
+			&packet.MoapData{Src: 0, ProgramID: 1, Seq: 0, Total: 8, Payload: payload},
+			&packet.MoapNak{Src: 2, DestID: 0, ProgramID: 1, Seq: 3},
+		},
+		{
+			&packet.XnpData{Src: 0, ProgramID: 1, Seq: 0, Total: 8, Payload: payload},
+			&packet.XnpQueryStatus{Src: 0, ProgramID: 1},
+			&packet.XnpStatus{Src: 2, DestID: 0, ProgramID: 1, Seq: 3},
+		},
+		{
+			&packet.RlncAdv{Src: 0, ProgramID: 1, Segments: 2, SegPackets: 4, TotalPackets: 8, PayloadLen: 8, Tail: 8, CompleteSegs: 2},
+			&packet.RlncData{Src: 0, ProgramID: 1, Seg: 1, Coeffs: []byte{1, 0, 0, 0}, Payload: payload},
+		},
+		{
+			&packet.GossipAdv{Src: 0, ProgramID: 1, Segments: 2, SegPackets: 4, TotalPackets: 8, PayloadLen: 8, Tail: 8, CompleteSegs: 2},
+			&packet.GossipData{Src: 0, ProgramID: 1, Seg: 1, Pkt: 1, Payload: payload},
+		},
+	} {
+		var in []byte
+		for _, p := range seq {
+			in = append(in, chunkOf(p, 1)...)
+		}
+		f.Add(in)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var mixed []byte
+	for i := 0; i < 64; i++ {
+		if c := chunkOf(nodetest.RandomPacket(rng), byte(i)); len(c) <= 256 {
+			mixed = append(mixed, c...)
+		}
+	}
+	f.Add(mixed)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			data = data[:4096]
+		}
+		for _, name := range protoreg.Names() {
+			build, _ := protoreg.Lookup(name)
+			for _, base := range []bool{false, true} {
+				b := protoreg.Build{ID: 1}
+				if base {
+					b = protoreg.Build{ID: 0, Base: true, Image: img}
+				}
+				p, err := build(b)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				rt := nodetest.New(b.ID)
+				rt.Attach(p)
+				for in := data; len(in) >= 2; {
+					kind := packet.Kind(in[0]%uint8(packet.KindGossipData) + 1)
+					n := min(int(in[1]), len(in)-2)
+					body := in[2 : 2+n]
+					in = in[2+n:]
+					if m, err := packet.DecodeTrusted(frameOf(kind, body)); err == nil {
+						rt.Deliver(m, m.Source())
+					}
+					if len(in) > 0 {
+						for i := 0; i < int(in[0]%4) && rt.FireNext(); i++ {
+						}
+						in = in[1:]
+					}
+				}
+				for i, frame := range rt.Frames {
+					m, err := packet.Decode(frame)
+					if err != nil {
+						t.Fatalf("%s (base %v): frame %d does not decode: %v", name, base, i, err)
+					}
+					if again := packet.Encode(m); !bytes.Equal(again, frame) {
+						t.Fatalf("%s (base %v): frame %d re-encodes as %x, sent as %x", name, base, i, again, frame)
+					}
+				}
+			}
+		}
+	})
+}

@@ -7,6 +7,7 @@ import (
 
 	"mnp/internal/core"
 	_ "mnp/internal/deluge"
+	_ "mnp/internal/gossip"
 	_ "mnp/internal/moap"
 	"mnp/internal/packet"
 	"mnp/internal/protoreg"
@@ -15,7 +16,7 @@ import (
 )
 
 func TestAllProtocolsRegistered(t *testing.T) {
-	want := []string{"deluge", "mnp", "moap", "rlnc", "xnp"}
+	want := []string{"deluge", "gossip", "mnp", "moap", "rlnc", "xnp"}
 	got := protoreg.Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)

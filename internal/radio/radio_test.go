@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -116,6 +117,43 @@ func TestBasicDelivery(t *testing.T) {
 	got, ok := r.pkt.(*packet.Advertise)
 	if !ok || got.Src != 0 || got.SegID != 1 {
 		t.Fatalf("wrong packet delivered: %#v", r.pkt)
+	}
+}
+
+// TestTransmitFrame: the medium takes the kind from the frame header,
+// refuses a malformed header, copies the frame so the caller may reuse
+// its buffer at once, and hands a tap a packet decoded for it alone.
+// Transmit is the same path behind an encode.
+func TestTransmitFrame(t *testing.T) {
+	l, _ := topology.Line(2, 10)
+	n := newTestNet(t, l, cleanParams())
+	n.allOn()
+	var tapped []packet.Packet
+	n.m.SetTap(func(_ packet.NodeID, p packet.Packet, _ time.Duration) { tapped = append(tapped, p) })
+	if _, err := n.m.TransmitFrame(0, []byte{0xFF, 0xFF, byte(packet.KindAdvertise), 0x7d, 9, 0, 0}, PowerSim); err == nil {
+		t.Fatal("a frame whose length field disagrees with its size was transmitted")
+	}
+	want := packet.Encode(adv(0))
+	frame := append([]byte(nil), want...)
+	if _, err := n.m.TransmitFrame(0, frame, PowerSim); err != nil {
+		t.Fatal(err)
+	}
+	clear(frame) // reused before the frame has finished
+	n.k.Run(time.Second)
+	if len(n.rxs) != 1 || !bytes.Equal(packet.Encode(n.rxs[0].pkt), want) {
+		t.Fatalf("delivered %v, want the frame as it was at TransmitFrame", n.rxs)
+	}
+	if _, err := n.m.Transmit(0, adv(0), PowerSim); err != nil {
+		t.Fatal(err)
+	}
+	n.k.Run(2 * time.Second)
+	if len(tapped) != 2 || tapped[0] == tapped[1] {
+		t.Fatalf("tap saw %d packets (distinct %v), want 2 of its own", len(tapped), len(tapped) == 2 && tapped[0] != tapped[1])
+	}
+	for i, p := range tapped {
+		if !bytes.Equal(packet.Encode(p), want) {
+			t.Fatalf("tapped packet %d is %#v", i, p)
+		}
 	}
 }
 
