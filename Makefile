@@ -28,10 +28,9 @@ race-short:
 # queue against the reference kernel), the sharded
 # experiment suite (one-tile-vs-strips equivalence at shards 1 and 4,
 # determinism with inline and parallel workers, sharded chaos, strip
-# orientation), the tiled suite (the grid x workers{1,2,4} x
-# repartitioning equivalence matrix, the one-tile Build contract, tiled
-# chaos, repartition during fault windows, observer-replay ordering
-# under migration), the
+# orientation), the tiled suite (the grid x workers{1,2,4} equivalence
+# matrix, the one-tile Build contract, tiled chaos, observer-replay
+# ordering with parallel workers), the
 # mobility suite (the mobile equivalence matrix, churn chaos, and the
 # static zero-cost check), and the sharded + mobile golden hashes
 # (shards=4, workers 1 and 4). The barrier tests run a second time on
@@ -114,8 +113,7 @@ bench: build
 	@echo "appended to $(BENCH_OUT)"
 
 # bench-smoke is the CI-sized slice of `make bench`: the tiled
-# engine-grid series (2x2, 4x4, 4x4 with the repartitioner, 4x4
-# mobile), one iteration per config, appended to the same SHA-keyed
+# engine-grid series (2x2, 4x4, 4x4 mobile), one iteration per config, appended to the same SHA-keyed
 # $(BENCH_OUT) history. The tiled lines carry the custom "imbalance"
 # metric, so every revision records a balance datapoint without paying
 # for the full micro-benchmark sweep. The barrier micro-benchmark

@@ -311,26 +311,23 @@ func BenchmarkEngineGrid(b *testing.B) {
 		})
 	}
 	// Tiled series: the same 3600-node dissemination on explicit 2D
-	// tile grids, all at four executors, with and without the adaptive
-	// repartitioner. Each run reports the mean per-window load
-	// imbalance (max/mean across executors, 1.0 is perfect) alongside
-	// the timing, so BENCH_sim.json records the balance curve the
-	// repartitioner is supposed to flatten. `make bench-smoke` runs
-	// just this series, one iteration per config.
+	// tile grids, all at four executors. Each run reports the mean
+	// per-window load imbalance (max/mean across executors, 1.0 is
+	// perfect) alongside the timing, so BENCH_sim.json records the
+	// balance of each grid. `make bench-smoke` runs just this series,
+	// one iteration per config.
 	for _, tc := range []struct {
 		name       string
 		rows, cols int
-		repart     bool
 		mobile     bool
 	}{
-		{"tiles=2x2", 2, 2, false, false},
-		{"tiles=4x4", 4, 4, false, false},
-		{"tiles=4x4-repart", 4, 4, true, false},
+		{"tiles=2x2", 2, 2, false},
+		{"tiles=4x4", 4, 4, false},
 		// The mobile cell prices barrier-quantized position updates: a
 		// random-waypoint walk moves every node through the run, so each
 		// window pays index maintenance plus link-row invalidation on top
 		// of the static baseline above it.
-		{"tiles=4x4-mobile", 4, 4, false, true},
+		{"tiles=4x4-mobile", 4, 4, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -340,8 +337,7 @@ func BenchmarkEngineGrid(b *testing.B) {
 					Name: "engine-grid-tiled", Rows: 60, Cols: 60, ImagePackets: 64,
 					Seed: 42 + int64(i), Shards: 4,
 					TileRows: tc.rows, TileCols: tc.cols,
-					Repartition: tc.repart,
-					Limit:       12 * time.Hour,
+					Limit: 12 * time.Hour,
 				}
 				if tc.mobile {
 					setup.Mobility = func(l *topology.Layout, seed int64) (topology.Mobility, error) {

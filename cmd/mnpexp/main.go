@@ -70,8 +70,7 @@ func run(args []string) error {
 		cols     = fs.Int("cols", 8, "deployment grid cols (-faults / -telemetry runs)")
 		packets  = fs.Int("packets", 128, "deployment image size in packets (-faults / -telemetry runs)")
 		shards   = fs.Int("shards", 1, "contiguous strips advanced in lockstep (1 = one tile, the classic single kernel); with -tiles: logical executors (-faults / -telemetry runs)")
-		tiles    = fs.String("tiles", "", `2D tile grid "RxC" (e.g. 4x4) or "auto"; default: -shards contiguous strips (-faults / -telemetry runs)`)
-		repart   = fs.Bool("repartition", false, "adaptively migrate tiles between executors at lockstep barriers (-faults / -telemetry runs)")
+		tiles    = fs.String("tiles", "", `2D tile grid "RxC" (e.g. 4x4); default: -shards contiguous strips (-faults / -telemetry runs)`)
 
 		telemetryDir = fs.String("telemetry", "", "write NDJSON events + Prometheus counters for a deployment run into this directory")
 		pprofAddr    = fs.String("pprof", "", "serve /debug/pprof and /debug/vars on this address for the whole invocation")
@@ -89,7 +88,7 @@ func run(args []string) error {
 		return err
 	}
 	defer stopProf()
-	tileRows, tileCols, tileAuto, err := experiment.ParseTileSpec(*tiles)
+	tileRows, tileCols, err := experiment.ParseTileSpec(*tiles)
 	if err != nil {
 		return err
 	}
@@ -99,7 +98,7 @@ func run(args []string) error {
 	// would be silently ignored: refuse it by name instead.
 	engineFlag := ""
 	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" || f.Name == "tiles" || f.Name == "repartition" {
+		if f.Name == "shards" || f.Name == "tiles" {
 			engineFlag = "-" + f.Name
 		}
 	})
@@ -122,9 +121,8 @@ func run(args []string) error {
 		return runDeploy(experiment.Setup{
 			Name: "deploy", Rows: *rows, Cols: *cols, ImagePackets: *packets,
 			Seed: *seed, Limit: 12 * time.Hour,
-			Shards: *shards, TileRows: tileRows, TileCols: tileCols, TileAuto: tileAuto,
-			Repartition: *repart,
-			Invariants:  &invariant.Config{},
+			Shards: *shards, TileRows: tileRows, TileCols: tileCols,
+			Invariants: &invariant.Config{},
 		}, *faultStr, *telemetryDir, *progress)
 	}
 	if *list {

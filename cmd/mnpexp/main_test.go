@@ -248,10 +248,20 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-seeds", ", ,", "T1"}); err == nil {
 		t.Error("empty seed list accepted")
 	}
+	// The repartitioner and automatic tiling are gone: their flag is an
+	// unknown flag and "auto" is not a tile grid.
+	if err := run([]string{"-repartition", "-telemetry", t.TempDir()}); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -repartition") {
+		t.Errorf("-repartition: err = %v, want the flag package's not-defined error", err)
+	}
+	if err := run([]string{"-tiles", "auto", "-telemetry", t.TempDir()}); err == nil ||
+		!strings.Contains(err.Error(), `want "RxC"`) {
+		t.Errorf("-tiles auto: err = %v, want the tile-grid error naming the RxC form", err)
+	}
 }
 
-// TestEngineFlagsReachOnlyDeployments pins where -shards/-tiles/
-// -repartition go: explicitly into the -faults/-telemetry deployment
+// TestEngineFlagsReachOnlyDeployments pins where -shards/-tiles go:
+// explicitly into the -faults/-telemetry deployment
 // (the run must reach the lockstep engine), and nowhere else — with
 // experiment IDs, -csv or -scenario the flag is refused by name rather
 // than silently dropped.
@@ -262,7 +272,7 @@ func TestEngineFlagsReachOnlyDeployments(t *testing.T) {
 	}{
 		{"-shards", []string{"-shards", "2", "T1"}},
 		{"-tiles", []string{"-tiles", "2x2", "-csv", t.TempDir()}},
-		{"-repartition", []string{"-repartition", "-scenario", "deploy.toml"}},
+		{"-shards", []string{"-shards", "2", "-scenario", "deploy.toml"}},
 	} {
 		err := run(tc.args)
 		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {

@@ -12,11 +12,10 @@
 //
 // -shards N cuts the deployment into N contiguous strips advanced in
 // conservative lockstep (deterministic per (seed, shards); see
-// DESIGN.md §4f); -workers controls tile parallelism. -tiles RxC (or
-// "auto") switches to 2D tile partitioning with -shards logical
-// executors, and -repartition migrates tiles between executors at
-// barriers when load skews (results stay a pure function of
-// (seed, tile grid); see DESIGN.md §4i).
+// DESIGN.md §4f); -workers controls tile parallelism. -tiles RxC
+// switches to 2D tile partitioning with -shards logical executors
+// (results stay a pure function of (seed, tile grid); see DESIGN.md
+// §4i).
 package main
 
 import (
@@ -55,8 +54,7 @@ func run(args []string) error {
 		seed     = fs.Int64("seed", 1, "simulation seed")
 		shards   = fs.Int("shards", 1, "spatial shards run in lockstep (1 = classic sequential kernel); with -tiles: logical executors")
 		workers  = fs.Int("workers", 0, "executor goroutines: 0 auto, 1 inline, N parallel (needs an engine run)")
-		tiles    = fs.String("tiles", "", `2D tile grid "RxC" (e.g. 4x4) or "auto"; default: -shards contiguous strips`)
-		repart   = fs.Bool("repartition", false, "adaptively migrate tiles between executors at lockstep barriers")
+		tiles    = fs.String("tiles", "", `2D tile grid "RxC" (e.g. 4x4); default: -shards contiguous strips`)
 		limit    = fs.Duration("limit", 6*time.Hour, "simulated time limit")
 		report   = fs.String("report", "summary", "report: summary, energy, traffic, parents, progress")
 		traceID  = fs.Int("trace", -1, "dump the protocol event trace of one node ID (-1 disables)")
@@ -83,7 +81,7 @@ func run(args []string) error {
 		return fmt.Errorf("unknown protocol %q (valid: %s)", *protocol, strings.Join(protoreg.Names(), ", "))
 	}
 
-	tileRows, tileCols, tileAuto, err := experiment.ParseTileSpec(*tiles)
+	tileRows, tileCols, err := experiment.ParseTileSpec(*tiles)
 	if err != nil {
 		return err
 	}
@@ -100,8 +98,6 @@ func run(args []string) error {
 		Workers:      *workers,
 		TileRows:     tileRows,
 		TileCols:     tileCols,
-		TileAuto:     tileAuto,
-		Repartition:  *repart,
 		Limit:        *limit,
 	}
 	// The trace log and telemetry recorder need the run's clock (the
@@ -200,8 +196,8 @@ func run(args []string) error {
 	}
 	if res.Engine != nil {
 		st := res.Engine.Stats()
-		fmt.Printf("engine: tiles %s, executors %d, windows %d, ghosts exported %d, tile migrations %d\n",
-			res.TileGrid, res.Engine.Executors(), st.Windows, st.GhostsExported, st.Migrations)
+		fmt.Printf("engine: tiles %s, executors %d, windows %d, ghosts exported %d\n",
+			res.TileGrid, res.Engine.Executors(), st.Windows, st.GhostsExported)
 	}
 	fmt.Printf("mean active radio time: %s (%s excluding initial idle listening)\n",
 		res.Collector.MeanActiveRadioTime(ct).Round(time.Second),

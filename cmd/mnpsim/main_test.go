@@ -110,13 +110,17 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-protocol", "bogus"}); err == nil || !strings.Contains(err.Error(), "gossip") {
 		t.Errorf("-protocol bogus: err = %v, want an error listing the registered protocols", err)
 	}
-	// The removed speculation flags fail like any unknown flag; main
-	// turns the error into exit status 1.
-	for _, args := range [][]string{{"-optimistic"}, {"-lookahead", "8"}} {
+	// The removed speculation and repartitioner flags fail like any
+	// unknown flag; main turns the error into exit status 1.
+	for _, args := range [][]string{{"-optimistic"}, {"-lookahead", "8"}, {"-repartition"}} {
 		err := run(append(args, "-rows", "2", "-cols", "2", "-packets", "16"))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
 			t.Errorf("%v: err = %v, want the flag package's not-defined error", args, err)
 		}
+	}
+	err = run([]string{"-tiles", "auto", "-rows", "2", "-cols", "2", "-packets", "16"})
+	if err == nil || !strings.Contains(err.Error(), `want "RxC"`) {
+		t.Errorf("-tiles auto: err = %v, want the tile-grid error naming the RxC form", err)
 	}
 }
 

@@ -101,9 +101,7 @@ type workerSlot struct {
 	// store publishes the fields below and every tile write of the round.
 	done    atomic.Uint64
 	elapsed time.Duration // wall time of that generation's tile work
-	// tiles is the worker's tile list, in tile order. The coordinator
-	// rebuilds it whenever the assignment changes, while the worker
-	// waits for the next generation.
+	// tiles is the worker's tile list, in tile order, fixed by New.
 	tiles []int
 	// What the coordinator's serial section needs to know about the
 	// worker's tiles, gathered by the worker while their kernels and
@@ -199,7 +197,7 @@ func (e *Engine) runSlotTimed(s *workerSlot, to time.Duration) {
 // runSlot runs the kernel of every tile in a worker's slot up to
 // (exclusive) the next barrier, on that worker's goroutine, and leaves
 // each clock parked exactly at the barrier; it accumulates the per-tile
-// event counts the repartitioner reads and records the slot's summary.
+// event counts the load reports read and records the slot's summary.
 func (e *Engine) runSlot(s *workerSlot, to time.Duration) {
 	s.nextAt, s.ghosts = -1, s.ghosts[:0]
 	for _, ti := range s.tiles {
@@ -216,24 +214,9 @@ func (e *Engine) runSlot(s *workerSlot, to time.Duration) {
 }
 
 // workerOf maps an executor to the worker that owns it: contiguous
-// blocks, fixed for the engine's lifetime. Tiles move between executors
-// (the repartitioner) but an executor never moves between workers, so a
-// tile changes processor only when the repartitioner says so.
+// blocks, fixed for the engine's lifetime, so a tile always runs on the
+// same worker goroutine.
 func (e *Engine) workerOf(exec int) int { return exec * len(e.bar.slots) / e.nExec }
-
-// assignTiles rebuilds every worker's tile list from the current
-// tile→executor assignment. Callers hold the barrier: every worker has
-// arrived and none has been released.
-func (e *Engine) assignTiles() {
-	b := e.bar
-	for w := range b.slots {
-		b.slots[w].tiles = b.slots[w].tiles[:0]
-	}
-	for ti, x := range e.asn {
-		s := &b.slots[e.workerOf(x)]
-		s.tiles = append(s.tiles, ti)
-	}
-}
 
 // runRound has every worker run each of its tiles up to to and returns
 // when all of them have — the barrier the whole lockstep design hangs

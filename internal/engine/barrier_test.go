@@ -297,18 +297,34 @@ func goid() uint64 {
 	return id
 }
 
-// TestBarrierRepartitionVisibleNextWindow: the repartitioner rewrites
-// the assignment at barrier k; in window k+1 every tile must already run
-// on the goroutine of the worker that now owns it. Tile loads are
-// skewed so that the first decision moves tiles between workers, and
-// then rotate so that later ones do too.
-func TestBarrierRepartitionVisibleNextWindow(t *testing.T) {
+// TestBarrierTilesKeepTheirWorker: New fixes the tile→executor→worker
+// mapping as contiguous blocks, and every window each tile runs on the
+// goroutine of that worker. Tile loads are skewed and rotate, which
+// must move nothing; load reports keep one entry per executor.
+func TestBarrierTilesKeepTheirWorker(t *testing.T) {
 	const tiles, nExec, workers = 8, 4, 2
 	shards, geo := emptyShards(t, tiles)
+	reports := 0
 	e := newUnclamped(t, Config{
 		Window: ConservativeWindow(geo), Workers: workers, Shards: nExec,
-		Repartition: &Repartition{Every: 4, Threshold: 1.05},
+		OnLoad: func(lr LoadReport) {
+			reports++
+			if len(lr.Shards) != nExec {
+				t.Fatalf("load report has %d executors, want %d", len(lr.Shards), nExec)
+			}
+			for x, l := range lr.Shards {
+				if l.Shard != x || l.Tiles != tiles/nExec {
+					t.Fatalf("executor %d: report %+v, want %d tiles", x, l, tiles/nExec)
+				}
+			}
+		},
 	}, shards)
+	for ti := 0; ti < tiles; ti++ {
+		if x, w := e.execOf(ti), e.workerOf(e.execOf(ti)); x != ti*nExec/tiles || w != x*workers/nExec {
+			t.Fatalf("tile %d on executor %d, worker %d; want the contiguous blocks %d, %d",
+				ti, x, w, ti*nExec/tiles, ti*nExec/tiles*workers/nExec)
+		}
+	}
 	ranOn := make([]uint64, tiles)
 	window := 0 // written at barriers, read by tile events: ordered by the barrier
 	for ti, sh := range shards {
@@ -323,38 +339,31 @@ func TestBarrierRepartitionVisibleNextWindow(t *testing.T) {
 	}
 	workerGoid := make([]uint64, workers)
 	workerGoid[0] = goid()
-	asn := e.Assignment() // in force during the window about to run
-	crossed := 0
 	e.RunUntil(func() bool {
 		if window > 0 {
 			for ti, g := range ranOn {
-				w := e.workerOf(asn[ti])
+				w := e.workerOf(e.execOf(ti))
 				if workerGoid[w] == 0 {
 					workerGoid[w] = g
 				}
 				if g != workerGoid[w] {
-					t.Fatalf("window %d: tile %d (executor %d, worker %d) ran on goroutine %d, want %d",
-						window, ti, asn[ti], w, g, workerGoid[w])
+					t.Fatalf("window %d: tile %d (worker %d) ran on goroutine %d, want %d",
+						window, ti, w, g, workerGoid[w])
 				}
 			}
 			if workerGoid[0] == workerGoid[1] {
 				t.Fatalf("both workers are goroutine %d", workerGoid[0])
 			}
 		}
-		next := e.Assignment()
-		for ti := range next {
-			if e.workerOf(next[ti]) != e.workerOf(asn[ti]) {
-				crossed++
-			}
-		}
-		asn = next
 		window++
 		return window > 200
 	}, time.Hour)
-	if crossed == 0 {
-		t.Fatalf("no tile changed worker in %d migrations; the test exercised nothing", e.Stats().Migrations)
+	if reports != 200/loadEvery {
+		t.Fatalf("%d load reports over 200 windows, want %d", reports, 200/loadEvery)
 	}
-	t.Logf("%d migrations, %d of them between workers", e.Stats().Migrations, crossed)
+	if m := e.Stats().Migrations; m != 0 {
+		t.Fatalf("Stats.Migrations = %d, want 0", m)
+	}
 }
 
 // TestExchangeSteadyStateAllocs pins the exchange's scratch reuse: in a

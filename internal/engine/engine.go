@@ -4,8 +4,8 @@
 // conservative lockstep windows over the same node, radio, and kernel
 // code a one-tile deployment runs on its single kernel with no engine
 // at all. TilePartition cuts the tiles (contiguous strips are its 1×K
-// or K×1 grid, see StripGrid), logical executors advance them, and the
-// repartitioner moves tiles between executors.
+// or K×1 grid, see StripGrid), and logical executors advance them on a
+// tile→executor→worker mapping fixed when New builds the engine.
 //
 // The window length is the minimum cross-tile interaction latency: the
 // airtime of the smallest possible frame. A frame transmitted in one
@@ -42,9 +42,8 @@ import (
 // Shard is one partition cell of the deployment — since PR 7 a *tile*:
 // a kernel, a radio shard over the shared geometry, and the IDs of the
 // nodes it owns. All simulation state lives in the tile; the executors
-// that advance tiles each window carry none, which is what lets the
-// repartitioner migrate a tile between executors without touching
-// results.
+// that advance tiles each window carry none, so results do not depend
+// on which executor advances a tile.
 type Shard struct {
 	Kernel *sim.Kernel
 	Medium *radio.Medium
@@ -73,42 +72,21 @@ type Config struct {
 	// Shards is the number of logical executors the tiles are assigned
 	// to. 0 defaults to one executor per tile (the PR 4 strip engine's
 	// shape). Executors are a scheduling concept only: results are
-	// independent of the executor count, the tile→executor assignment,
-	// and hence of anything the repartitioner does.
+	// independent of the executor count and of the tile→executor
+	// assignment, which New fixes as contiguous tile blocks.
 	Shards int
-	// Repartition, when non-nil, enables the adaptive repartitioner:
-	// at the end of every Every-window period the engine compares
-	// per-executor loads (tile kernel events + frame deliveries, both
-	// deterministic) and re-packs tiles onto executors when the
-	// max/mean skew exceeds Threshold. Migration happens only at
-	// barriers and moves no simulation state.
-	Repartition *Repartition
-	// OnLoad, when non-nil, receives a load report at the end of every
-	// report period (Repartition.Every windows, or every 32 when the
-	// repartitioner is off). Reports include wall-clock barrier wait
-	// per executor; the repartitioner itself never reads wall time.
+	// OnLoad, when non-nil, receives a load report every loadEvery
+	// windows. Reports include wall-clock barrier wait per executor.
 	OnLoad func(LoadReport)
 }
 
-// Repartition tunes the adaptive tile repartitioner.
-type Repartition struct {
-	// Every is the decision period in windows; 0 defaults to 32.
-	Every int
-	// Threshold is the max/mean executor-load ratio above which the
-	// engine re-packs tiles; 0 defaults to 1.25. Values at or below 1
-	// re-pack whenever any imbalance exists.
-	Threshold float64
-}
-
-const (
-	defaultRepartitionEvery     = 32
-	defaultRepartitionThreshold = 1.25
-)
+// loadEvery is the load report period in windows.
+const loadEvery = 32
 
 // ShardLoad is one executor's share of a load report period.
 type ShardLoad struct {
 	Shard     int   // executor index
-	Tiles     int   // tiles currently assigned to it
+	Tiles     int   // tiles assigned to it
 	Events    int64 // kernel events executed this period (deterministic)
 	Delivered int64 // frames delivered to its nodes this period (deterministic)
 	WaitNs    int64 // wall-clock time spent waiting at barriers (diagnostic only)
@@ -116,21 +94,21 @@ type ShardLoad struct {
 
 // LoadReport is the per-period load summary handed to Config.OnLoad.
 type LoadReport struct {
-	Window     int           // windows completed at the end of the period
-	Barrier    time.Duration // simulated time of the closing barrier
-	Shards     []ShardLoad   // one entry per executor
-	Migrations int           // tiles migrated at this barrier
+	Window  int           // windows completed at the end of the period
+	Barrier time.Duration // simulated time of the closing barrier
+	Shards  []ShardLoad   // one entry per executor
 }
 
 // Stats are cumulative engine counters. Every field is deterministic:
-// equal for equal (seed, tile grid, executor count, repartitioner
-// config), independent of worker count.
+// equal for equal (seed, tile grid, executor count), independent of
+// worker count.
 type Stats struct {
 	Windows        int64 // lockstep windows executed (idle skips excluded)
 	GhostsExported int64 // boundary frames drained from tile outboxes
 	GhostsOffered  int64 // ghost insertions attempted after bounds routing
-	Migrations     int64 // tiles moved between executors
-	Repartitions   int64 // barriers at which at least one tile moved
+	// Migrations is always 0 — tiles never move between executors —
+	// and stays only because bench/traced.go reads it.
+	Migrations int64
 }
 
 // ConservativeWindow returns the largest safe lockstep window for a
@@ -165,22 +143,13 @@ type Engine struct {
 	// while replaying buffered observations, the barrier otherwise.
 	replayNow time.Duration
 
-	// nExec logical executors advance the tiles; asn[tile] is the
-	// owning executor. asn is only ever written at barriers, with
-	// every worker waiting for the next generation (barrier.go), and
-	// workers run from tile lists the coordinator derives from it
-	// there — they never read asn themselves.
-	nExec int
-	asn   []int
-
-	rep    *Repartition // resolved (defaults filled), nil when off
+	// nExec logical executors advance the tiles; execOf gives a tile's.
+	nExec  int
 	onLoad func(LoadReport)
-	every  int // report/decision period in windows
 
-	// Per-tile load accumulators for the current period, plus the
+	// Per-tile event counts for the current load period, plus the
 	// delivery counter watermark from the previous period.
 	tileEvents    []int64
-	tileDelivered []int64
 	lastDelivered []uint64
 	execWaitNs    []int64 // per-executor barrier wait this period
 	periodWindows int
@@ -228,30 +197,14 @@ func New(cfg Config, shards []*Shard) (*Engine, error) {
 		bar:           newBarrier(workerCount(cfg.Workers, nExec)),
 		buffers:       make([]*Buffer, len(shards)),
 		nExec:         nExec,
-		asn:           make([]int, len(shards)),
 		onLoad:        cfg.OnLoad,
-		every:         defaultRepartitionEvery,
 		tileEvents:    make([]int64, len(shards)),
-		tileDelivered: make([]int64, len(shards)),
 		lastDelivered: make([]uint64, len(shards)),
 		execWaitNs:    make([]int64, nExec),
 	}
-	// Initial assignment: contiguous tile blocks per executor. With one
-	// tile per executor (the legacy strip shape) this is the identity.
-	for ti := range e.asn {
-		e.asn[ti] = ti * nExec / len(shards)
-	}
-	e.assignTiles()
-	if cfg.Repartition != nil {
-		rep := *cfg.Repartition
-		if rep.Every <= 0 {
-			rep.Every = defaultRepartitionEvery
-		}
-		if rep.Threshold == 0 {
-			rep.Threshold = defaultRepartitionThreshold
-		}
-		e.rep = &rep
-		e.every = rep.Every
+	for ti := range shards {
+		s := &e.bar.slots[e.workerOf(e.execOf(ti))]
+		s.tiles = append(s.tiles, ti)
 	}
 	for i := range e.buffers {
 		e.buffers[i] = &Buffer{now: shards[i].Kernel.Now}
@@ -262,13 +215,12 @@ func New(cfg Config, shards []*Shard) (*Engine, error) {
 // Stats returns the engine's cumulative counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Assignment returns a copy of the current tile→executor assignment.
-func (e *Engine) Assignment() []int {
-	return append([]int(nil), e.asn...)
-}
-
 // Executors returns the number of logical executors.
 func (e *Engine) Executors() int { return e.nExec }
+
+// execOf maps a tile to its executor: contiguous tile blocks, so with
+// one tile per executor (the strip shape) it is the identity.
+func (e *Engine) execOf(tile int) int { return tile * e.nExec / len(e.shards) }
 
 // Shards returns the engine's shards (read-only; useful to tests and
 // fault wiring).
@@ -386,8 +338,8 @@ func (e *Engine) runGlobals() {
 // other tile whose bounding box lies within the sender's radio range
 // (the medium then ignores ghosts inaudible to its nodes). Insertion
 // order is a pure function of simulation state, so two runs — or the
-// same run with a different worker count or tile→executor assignment —
-// exchange identically. The bounds prefilter is exact-safe:
+// same run with a different worker count or executor count — exchange
+// identically. The bounds prefilter is exact-safe:
 // Rect.Distance lower-bounds the sender's distance to every node in the
 // tile, and an insertion it skips would have been a no-op (no audible
 // receivers).
@@ -431,45 +383,35 @@ func (e *Engine) exchange() {
 }
 
 // endWindow closes a lockstep window: counts it, and at the end of
-// each report period gathers per-executor loads, lets the
-// repartitioner re-pack tiles, and emits the load report.
+// each report period gathers per-executor loads and emits the load
+// report.
 func (e *Engine) endWindow() {
 	e.stats.Windows++
-	if e.rep == nil && e.onLoad == nil {
+	if e.onLoad == nil {
 		return
 	}
 	e.periodWindows++
-	if e.periodWindows < e.every {
+	if e.periodWindows < loadEvery {
 		return
+	}
+	loads := make([]ShardLoad, e.nExec)
+	for x := range loads {
+		loads[x].Shard = x
+		loads[x].WaitNs = e.execWaitNs[x]
 	}
 	for ti, sh := range e.shards {
 		d := sh.Medium.Deliveries()
-		e.tileDelivered[ti] = int64(d - e.lastDelivered[ti])
+		l := &loads[e.execOf(ti)]
+		l.Tiles++
+		l.Events += e.tileEvents[ti]
+		l.Delivered += int64(d - e.lastDelivered[ti])
 		e.lastDelivered[ti] = d
 	}
-	migrated := 0
-	if e.rep != nil {
-		migrated = e.repartition()
-	}
-	if e.onLoad != nil {
-		loads := make([]ShardLoad, e.nExec)
-		for x := range loads {
-			loads[x].Shard = x
-			loads[x].WaitNs = e.execWaitNs[x]
-		}
-		for ti := range e.shards {
-			l := &loads[e.asn[ti]]
-			l.Tiles++
-			l.Events += e.tileEvents[ti]
-			l.Delivered += e.tileDelivered[ti]
-		}
-		e.onLoad(LoadReport{
-			Window:     int(e.stats.Windows),
-			Barrier:    e.barrier,
-			Shards:     loads,
-			Migrations: migrated,
-		})
-	}
+	e.onLoad(LoadReport{
+		Window:  int(e.stats.Windows),
+		Barrier: e.barrier,
+		Shards:  loads,
+	})
 	for ti := range e.tileEvents {
 		e.tileEvents[ti] = 0
 	}
@@ -477,92 +419,6 @@ func (e *Engine) endWindow() {
 		e.execWaitNs[x] = 0
 	}
 	e.periodWindows = 0
-}
-
-// repartition re-packs tiles onto executors when the deterministic
-// per-executor load skew (max/mean of kernel events + deliveries this
-// period) exceeds the threshold. It runs at a barrier with every
-// worker waiting for its next release, and only rewrites the
-// tile→executor assignment and the workers' tile lists derived from
-// it — no kernel, medium, node, or RNG state moves — so it cannot
-// affect simulation results. Returns the number of tiles moved.
-func (e *Engine) repartition() int {
-	if e.nExec < 2 {
-		return 0
-	}
-	tload := make([]int64, len(e.shards))
-	for ti := range e.shards {
-		tload[ti] = e.tileEvents[ti] + e.tileDelivered[ti]
-	}
-	newAsn, moved := planAssignment(tload, e.asn, e.nExec, e.rep.Threshold)
-	if moved == 0 {
-		return 0
-	}
-	copy(e.asn, newAsn)
-	e.assignTiles()
-	e.stats.Migrations += int64(moved)
-	e.stats.Repartitions++
-	return moved
-}
-
-// planAssignment decides the next tile→executor assignment from
-// per-tile loads: if the current assignment's max/mean executor load
-// exceeds threshold, tiles are greedily re-packed heaviest-first onto
-// the least-loaded executor (LPT), ties keeping the current owner to
-// minimize churn, then the lowest executor index. Pure function — the
-// core the repartitioner's determinism rests on.
-func planAssignment(tload []int64, cur []int, nExec int, threshold float64) ([]int, int) {
-	var total int64
-	eload := make([]int64, nExec)
-	for ti, l := range tload {
-		eload[cur[ti]] += l
-		total += l
-	}
-	if total == 0 {
-		return cur, 0
-	}
-	var max int64
-	for _, l := range eload {
-		if l > max {
-			max = l
-		}
-	}
-	mean := float64(total) / float64(nExec)
-	if float64(max) <= threshold*mean {
-		return cur, 0
-	}
-	order := make([]int, len(tload))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ta, tb := order[a], order[b]
-		if tload[ta] != tload[tb] {
-			return tload[ta] > tload[tb]
-		}
-		return ta < tb
-	})
-	sums := make([]int64, nExec)
-	next := make([]int, len(tload))
-	for _, ti := range order {
-		best := 0
-		for x := 1; x < nExec; x++ {
-			if sums[x] < sums[best] {
-				best = x
-			} else if sums[x] == sums[best] && x == cur[ti] {
-				best = x
-			}
-		}
-		next[ti] = best
-		sums[best] += tload[ti]
-	}
-	moved := 0
-	for ti := range next {
-		if next[ti] != cur[ti] {
-			moved++
-		}
-	}
-	return next, moved
 }
 
 // skipIdle fast-forwards over empty windows: when the earliest pending

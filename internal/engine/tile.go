@@ -168,62 +168,6 @@ func StripGrid(layout *topology.Layout, k int) Grid {
 	return Grid{Rows: 1, Cols: k}
 }
 
-// AutoGrid picks a tile grid for a deployment from its extent, the
-// radio range, and the intended worker count. Tiles are kept at least
-// one radio range on a side where the extent allows it — thinner tiles
-// buy no extra parallelism, only more boundary ghost traffic — and the
-// grid aims for about four tiles per worker so the adaptive
-// repartitioner has units to migrate. The result is a pure function of
-// its inputs.
-func AutoGrid(layout *topology.Layout, rangeFt float64, workers int) Grid {
-	n := layout.N()
-	if n < 1 {
-		return Grid{Rows: 1, Cols: 1}
-	}
-	extX, extY := extent(layout)
-	if workers < 1 {
-		workers = 1
-	}
-	if rangeFt <= 0 {
-		rangeFt = 1
-	}
-	maxCols := int(extX/rangeFt) + 1
-	maxRows := int(extY/rangeFt) + 1
-	target := 4 * workers
-	rows, cols := 1, 1
-	for rows*cols < target {
-		growCols := extX/float64(cols) >= extY/float64(rows)
-		switch {
-		case growCols && cols < maxCols:
-			cols++
-		case rows < maxRows:
-			rows++
-		case cols < maxCols:
-			cols++
-		default:
-			// Both axes are down to one radio range per tile; splitting
-			// further buys no parallelism, only ghost traffic.
-			return clampGridToNodes(Grid{Rows: rows, Cols: cols}, n)
-		}
-	}
-	return clampGridToNodes(Grid{Rows: rows, Cols: cols}, n)
-}
-
-// clampGridToNodes shrinks a grid until it has no more tiles than
-// nodes, so TilePartition never sees an over-fine grid.
-func clampGridToNodes(g Grid, n int) Grid {
-	for g.Rows*g.Cols > n {
-		if g.Cols >= g.Rows && g.Cols > 1 {
-			g.Cols--
-		} else if g.Rows > 1 {
-			g.Rows--
-		} else {
-			break
-		}
-	}
-	return g
-}
-
 // BoundaryNodes returns, in ascending ID order, every node that has at
 // least one neighbor within rangeFt owned by a different tile —
 // exactly the nodes whose transmissions the engine must export as

@@ -334,140 +334,6 @@ func TestBoundaryNodesErrors(t *testing.T) {
 	}
 }
 
-// AutoGrid is a pure function of (layout, range, workers): it never
-// exceeds the node count, never goes below 1×1, scales the tile count
-// with the worker count while the extent allows, and respects the
-// one-radio-range-per-tile floor on tile width.
-func TestAutoGridProperties(t *testing.T) {
-	layout, err := topology.Grid(20, 20, 10) // 400 nodes, 190ft square
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := 0
-	for _, workers := range []int{1, 2, 4, 8} {
-		g := AutoGrid(layout, 15, workers)
-		if g != AutoGrid(layout, 15, workers) {
-			t.Fatalf("AutoGrid not deterministic for workers=%d", workers)
-		}
-		if g.Rows < 1 || g.Cols < 1 || g.Tiles() > layout.N() {
-			t.Fatalf("workers=%d: grid %s invalid for %d nodes", workers, g, layout.N())
-		}
-		if g.Tiles() < prev {
-			t.Fatalf("workers=%d: tile count %d shrank below %d with fewer workers",
-				workers, g.Tiles(), prev)
-		}
-		prev = g.Tiles()
-		if _, err := TilePartition(layout, g); err != nil {
-			t.Fatalf("workers=%d: AutoGrid output rejected: %v", workers, err)
-		}
-	}
-	// Even absurd worker counts cannot push tiles below one radio range
-	// on a side: 190ft / 100ft range caps each axis at 2.
-	if g := AutoGrid(layout, 100, 64); g.Rows > 2 || g.Cols > 2 {
-		t.Fatalf("range floor ignored: %s for a 190ft extent at 100ft range", g)
-	}
-}
-
-func TestAutoGridDegenerate(t *testing.T) {
-	one, err := topology.FromPoints("one", []topology.Point{{X: 5, Y: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := AutoGrid(one, 10, 8); g != (Grid{1, 1}) {
-		t.Fatalf("single node: %s, want 1x1", g)
-	}
-	// Colinear along X: zero Y extent means rows can never split.
-	pts := make([]topology.Point, 40)
-	for i := range pts {
-		pts[i] = topology.Point{X: float64(i) * 10, Y: 3}
-	}
-	line, err := topology.FromPoints("line", pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := AutoGrid(line, 25, 4)
-	if g.Rows != 1 {
-		t.Fatalf("colinear-x layout produced %s, want a single row", g)
-	}
-	if _, err := TilePartition(line, g); err != nil {
-		t.Fatalf("AutoGrid output rejected: %v", err)
-	}
-}
-
-// planAssignment unit tests: the pure LPT core the repartitioner's
-// determinism rests on.
-func TestPlanAssignment(t *testing.T) {
-	t.Run("balanced-no-move", func(t *testing.T) {
-		next, moved := planAssignment([]int64{10, 10, 10, 10}, []int{0, 1, 2, 3}, 4, 1.25)
-		if moved != 0 || !reflect.DeepEqual(next, []int{0, 1, 2, 3}) {
-			t.Fatalf("balanced loads moved %d tiles: %v", moved, next)
-		}
-	})
-	t.Run("idle-no-move", func(t *testing.T) {
-		if _, moved := planAssignment([]int64{0, 0, 0}, []int{0, 0, 1}, 2, 1.0); moved != 0 {
-			t.Fatalf("all-idle period moved %d tiles", moved)
-		}
-	})
-	t.Run("skew-repacks-lpt", func(t *testing.T) {
-		// One executor holds everything; LPT must spread the light tiles.
-		next, moved := planAssignment([]int64{10, 1, 1, 1}, []int{0, 0, 0, 0}, 2, 1.25)
-		want := []int{0, 1, 1, 1}
-		if moved != 3 || !reflect.DeepEqual(next, want) {
-			t.Fatalf("got %v (%d moved), want %v (3 moved)", next, moved, want)
-		}
-	})
-	t.Run("tie-keeps-current-owner", func(t *testing.T) {
-		// Tiles 0 and 1 carry equal load; tile 0's owner (1) must win the
-		// empty-executor tie so only tile 1 migrates.
-		next, moved := planAssignment([]int64{4, 4, 0, 0}, []int{1, 1, 0, 0}, 2, 1.0)
-		if next[0] != 1 {
-			t.Fatalf("tile 0 moved off its owner on a tie: %v", next)
-		}
-		if moved != 1 || next[1] != 0 {
-			t.Fatalf("got %v (%d moved), want tile 1 alone moving to executor 0", next, moved)
-		}
-	})
-	t.Run("threshold-gates", func(t *testing.T) {
-		// Both tiles on executor 0: max/mean = 2.0 exactly. At threshold
-		// 2.0 the skew is tolerated; at 1.25 the light tile migrates.
-		loads, cur := []int64{6, 2}, []int{0, 0}
-		if _, moved := planAssignment(loads, cur, 2, 2.0); moved != 0 {
-			t.Fatal("threshold 2.0 did not gate a 2.0x skew")
-		}
-		next, moved := planAssignment(loads, cur, 2, 1.25)
-		if moved != 1 || next[1] != 1 {
-			t.Fatalf("threshold 1.25: got %v (%d moved), want tile 1 on executor 1", next, moved)
-		}
-	})
-	t.Run("deterministic", func(t *testing.T) {
-		loads := []int64{9, 7, 7, 3, 1, 1, 0, 5}
-		cur := []int{0, 0, 1, 1, 2, 2, 3, 3}
-		a, am := planAssignment(loads, cur, 4, 1.1)
-		b, bm := planAssignment(loads, cur, 4, 1.1)
-		if am != bm || !reflect.DeepEqual(a, b) {
-			t.Fatalf("identical inputs diverged: %v vs %v", a, b)
-		}
-		// The repack must not be worse than the input's balance.
-		imbalance := func(asn []int) float64 {
-			sums := make([]int64, 4)
-			var total, max int64
-			for ti, x := range asn {
-				sums[x] += loads[ti]
-				total += loads[ti]
-			}
-			for _, s := range sums {
-				if s > max {
-					max = s
-				}
-			}
-			return float64(max) * 4 / float64(total)
-		}
-		if imbalance(a) > imbalance(cur) {
-			t.Fatalf("repack worsened imbalance: %g -> %g", imbalance(cur), imbalance(a))
-		}
-	})
-}
-
 func TestTileOf(t *testing.T) {
 	tiles := []Tile{
 		{Owned: []packet.NodeID{0, 3}},

@@ -7,7 +7,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -190,36 +189,18 @@ type Setup struct {
 	// TileRows and TileCols partition the deployment into a 2D tile
 	// grid run by the lockstep engine, with Shards logical executors
 	// (default 1) advancing the tiles. Results are a pure function of
-	// (Seed, tile grid) — independent of Shards, Workers, and the
-	// repartitioner. Both zero (the default) means Shards strips. A 1×1
-	// grid is a single tile, exactly as Shards = 1.
+	// (Seed, tile grid) — independent of Shards and Workers. Both zero
+	// (the default) means Shards strips. A 1×1 grid is a single tile,
+	// exactly as Shards = 1.
 	TileRows, TileCols int
-	// TileAuto sizes the tile grid automatically from the deployment
-	// extent, the radio range, and the worker count (engine.AutoGrid).
-	// Mutually exclusive with TileRows/TileCols.
-	TileAuto bool
-	// Repartition enables the engine's adaptive repartitioner:
-	// executor loads are compared every RepartitionEvery windows
-	// (default 32) and whole tiles migrate between executors when the
-	// max/mean load skew exceeds RepartitionThreshold (default 1.25).
-	// Migration is quantized to barriers and moves no simulation
-	// state, so it never affects results. Ignored (with a validated
-	// no-op) on a single tile.
-	Repartition          bool
-	RepartitionEvery     int
-	RepartitionThreshold float64
 }
 
-// ParseTileSpec parses a CLI tile-grid argument: "" (no tiling),
-// "auto" (size the grid from the deployment and worker count), or
+// ParseTileSpec parses a CLI tile-grid argument: "" (no tiling) or
 // "RxC" (e.g. "4x4"). Shared by the mnpsim and mnpexp flags.
-func ParseTileSpec(spec string) (rows, cols int, auto bool, err error) {
+func ParseTileSpec(spec string) (rows, cols int, err error) {
 	spec = strings.TrimSpace(strings.ToLower(spec))
 	if spec == "" {
-		return 0, 0, false, nil
-	}
-	if spec == "auto" {
-		return 0, 0, true, nil
+		return 0, 0, nil
 	}
 	r, c, ok := strings.Cut(spec, "x")
 	if ok {
@@ -228,10 +209,10 @@ func ParseTileSpec(spec string) (rows, cols int, auto bool, err error) {
 			cols, err = strconv.Atoi(strings.TrimSpace(c))
 		}
 		if err == nil && rows > 0 && cols > 0 {
-			return rows, cols, false, nil
+			return rows, cols, nil
 		}
 	}
-	return 0, 0, false, fmt.Errorf(`tile grid %q: want "RxC" (e.g. 4x4) or "auto"`, spec)
+	return 0, 0, fmt.Errorf(`tile grid %q: want "RxC" (e.g. 4x4)`, spec)
 }
 
 func (s Setup) withDefaults() Setup {
@@ -294,24 +275,12 @@ func (s Setup) Validate() error {
 		return fmt.Errorf("experiment %s: tile grid %dx%d is invalid: set both rows and cols (or neither)", s.Name, s.TileRows, s.TileCols)
 	}
 	if tiles := s.TileRows * s.TileCols; tiles > 0 {
-		if s.TileAuto {
-			return fmt.Errorf("experiment %s: tile grid %dx%d and automatic tiling are mutually exclusive", s.Name, s.TileRows, s.TileCols)
-		}
 		if tiles > n {
 			return fmt.Errorf("experiment %s: %dx%d tile grid has %d tiles for the %d-node deployment", s.Name, s.TileRows, s.TileCols, tiles, n)
 		}
 		if s.Shards > tiles {
 			return fmt.Errorf("experiment %s: %d executors exceed the %d-tile grid", s.Name, s.Shards, tiles)
 		}
-	}
-	if s.RepartitionEvery < 0 {
-		return fmt.Errorf("experiment %s: repartition period %d windows is negative", s.Name, s.RepartitionEvery)
-	}
-	if s.RepartitionThreshold != 0 && s.RepartitionThreshold < 1 {
-		return fmt.Errorf("experiment %s: repartition threshold %g must be at least 1 (or 0 for the default)", s.Name, s.RepartitionThreshold)
-	}
-	if (s.RepartitionEvery != 0 || s.RepartitionThreshold != 0) && !s.Repartition {
-		return fmt.Errorf("experiment %s: repartition tuning set but repartitioning is off", s.Name)
 	}
 	if s.ImagePackets < 0 {
 		return fmt.Errorf("experiment %s: image size %d packets is negative", s.Name, s.ImagePackets)
@@ -371,8 +340,7 @@ type Result struct {
 	TileGrid engine.Grid
 	// Loads collects the engine's per-period load reports (one entry
 	// per report period, each with per-executor event/delivery/wait
-	// figures and the tiles migrated at that barrier). Empty on a
-	// single tile.
+	// figures). Empty on a single tile.
 	Loads []engine.LoadReport
 	// Now is the run's observation clock: Kernel.Now on a single tile,
 	// the engine's replay-aware clock otherwise. Bind lazily-clocked
@@ -443,7 +411,7 @@ func (r *Result) finalizeShards() {
 
 // Counters builds the run's final counter registry: the metrics
 // snapshot up to completion (or the limit), plus the engine's
-// window/ghost/migration totals on several tiles. The telemetry
+// window/ghost totals on several tiles. The telemetry
 // summary record and the CLIs' counters.prom dumps both come from
 // here, so the two surfaces always agree.
 func (r *Result) Counters() *telemetry.Counters {
@@ -457,8 +425,6 @@ func (r *Result) Counters() *telemetry.Counters {
 		c.Set("engine_windows_total", st.Windows)
 		c.Set("engine_ghosts_exported_total", st.GhostsExported)
 		c.Set("engine_ghosts_offered_total", st.GhostsOffered)
-		c.Set("engine_tile_migrations_total", st.Migrations)
-		c.Set("engine_repartitions_total", st.Repartitions)
 	}
 	var hits, misses, invalidations uint64
 	for _, tile := range r.tiles {
@@ -535,7 +501,7 @@ func Build(s Setup) (*Result, error) {
 	if err != nil {
 		return fail(err)
 	}
-	grid, cuts, err := s.partition(layout, rangeFt)
+	grid, cuts, err := s.partition(layout)
 	if err != nil {
 		return fail(err)
 	}
@@ -591,20 +557,15 @@ func Build(s Setup) (*Result, error) {
 	if len(tiles) == 1 {
 		res.Kernel, res.Medium, res.Collector = k0, tiles[0].Medium, collectors[0]
 	} else {
-		var rep *engine.Repartition
-		if s.Repartition {
-			rep = &engine.Repartition{Every: s.RepartitionEvery, Threshold: s.RepartitionThreshold}
-		}
 		eng, err = engine.New(engine.Config{
-			Window:      engine.ConservativeWindow(geo),
-			Workers:     s.Workers,
-			Shards:      min(s.Shards, len(tiles)),
-			Repartition: rep,
+			Window:  engine.ConservativeWindow(geo),
+			Workers: s.Workers,
+			Shards:  min(s.Shards, len(tiles)),
 			OnLoad: func(lr engine.LoadReport) {
 				res.Loads = append(res.Loads, lr)
 				if s.Telemetry != nil {
 					for _, sl := range lr.Shards {
-						s.Telemetry.Load(lr.Barrier, lr.Window, sl.Shard, sl.Tiles, sl.Events, sl.Delivered, sl.WaitNs, lr.Migrations)
+						s.Telemetry.Load(lr.Barrier, lr.Window, sl.Shard, sl.Tiles, sl.Events, sl.Delivered, sl.WaitNs, 0)
 					}
 				}
 			},
@@ -752,23 +713,13 @@ func Build(s Setup) (*Result, error) {
 	return res, nil
 }
 
-// partition chooses the run's tile grid — explicit, automatic, or
-// Shards strips — and cuts the layout into it. A grid of one tile (the
-// default) returns the zero Grid and a single cut with nil Owned: the
-// whole deployment, which costs no sort, map, or per-node flag however
-// large it is.
-func (s Setup) partition(layout *topology.Layout, rangeFt float64) (engine.Grid, []engine.Tile, error) {
-	var grid engine.Grid
-	switch {
-	case s.TileRows > 0:
-		grid = engine.Grid{Rows: s.TileRows, Cols: s.TileCols}
-	case s.TileAuto:
-		workers := s.Workers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		grid = engine.AutoGrid(layout, rangeFt, workers)
-	default:
+// partition chooses the run's tile grid — explicit, or Shards strips —
+// and cuts the layout into it. A grid of one tile (the default) returns
+// the zero Grid and a single cut with nil Owned: the whole deployment,
+// which costs no sort, map, or per-node flag however large it is.
+func (s Setup) partition(layout *topology.Layout) (engine.Grid, []engine.Tile, error) {
+	grid := engine.Grid{Rows: s.TileRows, Cols: s.TileCols}
+	if grid.Tiles() == 0 {
 		grid = engine.StripGrid(layout, s.Shards)
 	}
 	if grid.Tiles() == 1 {

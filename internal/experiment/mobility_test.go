@@ -76,43 +76,36 @@ func TestMobilityValidate(t *testing.T) {
 // determinism property to time-varying topologies: with a waypoint
 // model driving position updates through engine barriers, the outcome
 // for a fixed (seed, tile grid) must stay byte-identical across worker
-// counts and with the repartitioner off or on. The 1×1 grid routes the
-// same mobile setup down the sequential path.
+// counts. The 1×1 grid routes the same mobile setup down the
+// sequential path.
 func TestMobilityEquivalenceMatrix(t *testing.T) {
 	grids := []engine.Grid{{Rows: 1, Cols: 1}, {Rows: 2, Cols: 2}}
 	for _, g := range grids {
 		want := ""
 		for _, workers := range []int{1, 2, 4} {
-			for _, repart := range []bool{false, true} {
-				if g.Tiles() == 1 && (workers > 1 || repart) {
-					continue // no scheduling knobs on the sequential path
-				}
-				s := Setup{
-					Name: fmt.Sprintf("mobile-matrix-%s-w%d-r%v", g, workers, repart),
-					Rows: 6, Cols: 6, ImagePackets: 32, Seed: 42,
-					Protocol: ProtocolGossip, Limit: 3 * time.Hour,
-					Mobility: waypoint(1, 3, 5*time.Second), MobilityEvery: 2 * time.Second,
-					TileRows: g.Rows, TileCols: g.Cols,
-					Shards: 4, Workers: workers,
-				}
-				if g.Tiles() == 1 {
-					s.Shards = 1
-				}
-				if repart {
-					s.Repartition = true
-					s.RepartitionEvery = 4
-					s.RepartitionThreshold = 1.1
-				}
-				dig, res := tiledDigest(t, s)
-				if want == "" {
-					want = dig
-				} else if dig != want {
-					t.Fatalf("grid %s workers %d repart %v: digest %s, want %s — mobility broke (seed, grid) purity",
-						g, workers, repart, dig, want)
-				}
-				if moves := geometryOf(res).Moves(); moves == 0 {
-					t.Fatalf("grid %s: no node ever moved; the matrix is vacuous", g)
-				}
+			if g.Tiles() == 1 && workers > 1 {
+				continue // no scheduling knobs on the sequential path
+			}
+			s := Setup{
+				Name: fmt.Sprintf("mobile-matrix-%s-w%d", g, workers),
+				Rows: 6, Cols: 6, ImagePackets: 32, Seed: 42,
+				Protocol: ProtocolGossip, Limit: 3 * time.Hour,
+				Mobility: waypoint(1, 3, 5*time.Second), MobilityEvery: 2 * time.Second,
+				TileRows: g.Rows, TileCols: g.Cols,
+				Shards: 4, Workers: workers,
+			}
+			if g.Tiles() == 1 {
+				s.Shards = 1
+			}
+			dig, res := tiledDigest(t, s)
+			if want == "" {
+				want = dig
+			} else if dig != want {
+				t.Fatalf("grid %s workers %d: digest %s, want %s — mobility broke (seed, grid) purity",
+					g, workers, dig, want)
+			}
+			if moves := geometryOf(res).Moves(); moves == 0 {
+				t.Fatalf("grid %s: no node ever moved; the matrix is vacuous", g)
 			}
 		}
 	}

@@ -324,26 +324,7 @@ func runF13(seed int64) (string, error) {
 	// Diagonal-vs-edge propagation: in Deluge, hidden-terminal
 	// collisions make the diagonal significantly slower than the edge;
 	// MNP's sender selection removes the effect.
-	var diagSum, edgeSum time.Duration
-	samples := 0
-	for k := 4; k <= 12; k += 2 {
-		diag := packet.NodeID(k*res.Layout.Cols() + k)
-		edgeDist := int(math.Round(float64(k) * math.Sqrt2))
-		if edgeDist >= res.Layout.Cols() {
-			edgeDist = res.Layout.Cols() - 1
-		}
-		edge := packet.NodeID(edgeDist)
-		dt, ok1 := res.Collector.GotCodeAt(diag)
-		et, ok2 := res.Collector.GotCodeAt(edge)
-		if !ok1 || !ok2 {
-			continue
-		}
-		diagSum += dt
-		edgeSum += et
-		samples++
-	}
-	if samples > 0 {
-		ratio := diagSum.Seconds() / edgeSum.Seconds()
+	if ratio, ok := diagEdgeRatio(res); ok {
 		fmt.Fprintf(&b, "MNP diagonal/edge arrival-time ratio at equal distance: %.2f (1.0 = uniform wavefront)\n", ratio)
 	}
 	// The contrast the paper draws with [6]: in a *dense* network,
@@ -354,7 +335,7 @@ func runF13(seed int64) (string, error) {
 	for _, proto := range []ProtocolKind{ProtocolMNP, ProtocolDeluge} {
 		sum, n := 0.0, 0
 		for trial := int64(0); trial < 5; trial++ {
-			r, ok, err := diagEdgeRatio(proto, 4, seed+trial*31)
+			r, ok, err := denseDiagEdgeRatio(proto, 4, seed+trial*31)
 			if err != nil {
 				return "", err
 			}
@@ -372,44 +353,44 @@ func runF13(seed int64) (string, error) {
 	return b.String(), nil
 }
 
-// diagEdgeRatio runs a single-segment dissemination and compares code
-// arrival times at diagonal nodes against edge nodes at equal
-// Euclidean distance from the base corner.
-func diagEdgeRatio(proto ProtocolKind, spacing float64, seed int64) (float64, bool, error) {
+// denseDiagEdgeRatio runs a single-segment dissemination at the given
+// spacing and returns its diagEdgeRatio; ok is false when the run did
+// not complete.
+func denseDiagEdgeRatio(proto ProtocolKind, spacing float64, seed int64) (float64, bool, error) {
 	res, err := Run(Setup{
 		Name: fmt.Sprintf("F13 contrast %v", proto), Rows: 20, Cols: 20,
 		Spacing:      spacing,
 		ImagePackets: image.DefaultSegmentPackets,
 		Protocol:     proto, Seed: seed, Limit: 12 * time.Hour,
 	})
-	if err != nil {
+	if err != nil || !res.Completed {
 		return 0, false, err
 	}
-	if !res.Completed {
-		return 0, false, nil
-	}
+	ratio, ok := diagEdgeRatio(res)
+	return ratio, ok, nil
+}
+
+// diagEdgeRatio compares code arrival times at diagonal nodes (k, k),
+// k = 4, 6, …, 12, against edge nodes at equal Euclidean distance from
+// the base corner (k·√2 along row 0, clamped to the grid): the sum of
+// the diagonal times over the sum of the edge times. ok is false when
+// no pair was sampled.
+func diagEdgeRatio(res *Result) (ratio float64, ok bool) {
+	cols := res.Layout.Cols()
 	var diagSum, edgeSum time.Duration
-	samples := 0
 	for k := 4; k <= 12; k += 2 {
-		diag := packet.NodeID(k*res.Layout.Cols() + k)
-		edgeDist := int(math.Round(float64(k) * math.Sqrt2))
-		if edgeDist >= res.Layout.Cols() {
-			edgeDist = res.Layout.Cols() - 1
+		edgeDist := min(int(math.Round(float64(k)*math.Sqrt2)), cols-1)
+		dt, ok1 := res.Collector.GotCodeAt(packet.NodeID(k*cols + k))
+		et, ok2 := res.Collector.GotCodeAt(packet.NodeID(edgeDist))
+		if ok1 && ok2 {
+			diagSum += dt
+			edgeSum += et
 		}
-		edge := packet.NodeID(edgeDist)
-		dt, ok1 := res.Collector.GotCodeAt(diag)
-		et, ok2 := res.Collector.GotCodeAt(edge)
-		if !ok1 || !ok2 {
-			continue
-		}
-		diagSum += dt
-		edgeSum += et
-		samples++
 	}
-	if samples == 0 || edgeSum == 0 {
-		return 0, false, nil
+	if edgeSum == 0 {
+		return 0, false
 	}
-	return diagSum.Seconds() / edgeSum.Seconds(), true, nil
+	return diagSum.Seconds() / edgeSum.Seconds(), true
 }
 
 // --- Section 5: Deluge comparison ---

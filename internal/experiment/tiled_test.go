@@ -10,8 +10,6 @@ import (
 
 	"mnp/internal/engine"
 	"mnp/internal/faults"
-	"mnp/internal/invariant"
-	"mnp/internal/metrics"
 	"mnp/internal/node"
 	"mnp/internal/packet"
 )
@@ -49,62 +47,48 @@ func tiledDigest(t *testing.T, s Setup) (string, *Result) {
 
 // TestTiledEquivalenceMatrix is the headline determinism property of
 // the tiled engine: for a fixed (seed, tile grid), the simulation
-// outcome is byte-identical across every worker count, every executor
-// count, and with the adaptive repartitioner off or on — scheduling is
-// pure mechanism, never policy that leaks into results. The 1×1 grid
+// outcome is byte-identical across every worker count and every
+// executor count — scheduling is pure mechanism, never policy that
+// leaks into results. The 1×1 grid
 // routes down the sequential path and so also proves the tile plumbing
 // adds nothing to a plain run.
 func TestTiledEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("72-cell simulation matrix in -short mode")
+		t.Skip("36-cell simulation matrix in -short mode")
 	}
 	grids := []engine.Grid{{Rows: 1, Cols: 1}, {Rows: 2, Cols: 2}, {Rows: 4, Cols: 2}, {Rows: 4, Cols: 4}}
-	var totalMigrations int64
 	for _, g := range grids {
 		for _, seed := range []int64{42, 7, 99} {
 			want := ""
 			for _, workers := range []int{1, 2, 4} {
-				for _, repart := range []bool{false, true} {
-					s := Setup{
-						Name: fmt.Sprintf("tiled-matrix-%s-s%d-w%d-r%v", g, seed, workers, repart),
-						Rows: 6, Cols: 6, ImagePackets: 32, Seed: seed,
-						Limit:    3 * time.Hour,
-						TileRows: g.Rows, TileCols: g.Cols,
-						Shards: 4, Workers: workers,
+				s := Setup{
+					Name: fmt.Sprintf("tiled-matrix-%s-s%d-w%d", g, seed, workers),
+					Rows: 6, Cols: 6, ImagePackets: 32, Seed: seed,
+					Limit:    3 * time.Hour,
+					TileRows: g.Rows, TileCols: g.Cols,
+					Shards: 4, Workers: workers,
+				}
+				if g.Tiles() == 1 {
+					s.Shards = 1
+				}
+				dig, res := tiledDigest(t, s)
+				if want == "" {
+					want = dig
+				} else if dig != want {
+					t.Fatalf("grid %s seed %d workers %d: digest %s, want %s — results are not a pure function of (seed, grid)",
+						g, seed, workers, dig, want)
+				}
+				if g.Tiles() == 1 {
+					if res.Engine != nil {
+						t.Fatalf("1x1 grid did not take the sequential path")
 					}
-					if g.Tiles() == 1 {
-						s.Shards = 1
-					}
-					if repart {
-						s.Repartition = true
-						s.RepartitionEvery = 4
-						s.RepartitionThreshold = 1.1
-					}
-					dig, res := tiledDigest(t, s)
-					if want == "" {
-						want = dig
-					} else if dig != want {
-						t.Fatalf("grid %s seed %d workers %d repart %v: digest %s, want %s — results are not a pure function of (seed, grid)",
-							g, seed, workers, repart, dig, want)
-					}
-					if g.Tiles() == 1 {
-						if res.Engine != nil {
-							t.Fatalf("1x1 grid did not take the sequential path")
-						}
-						continue
-					}
-					if res.Engine == nil {
-						t.Fatalf("grid %s run skipped the engine", g)
-					}
-					if res.TileGrid != g {
-						t.Fatalf("ran grid %s, asked for %s", res.TileGrid, g)
-					}
-					st := res.Engine.Stats()
-					if repart {
-						totalMigrations += st.Migrations
-					} else if st.Migrations != 0 {
-						t.Fatalf("grid %s: %d migrations with the repartitioner off", g, st.Migrations)
-					}
+					continue
+				}
+				if res.Engine == nil {
+					t.Fatalf("grid %s run skipped the engine", g)
+				}
+				if res.TileGrid != g {
+					t.Fatalf("ran grid %s, asked for %s", res.TileGrid, g)
 				}
 			}
 			// Executor count is a scheduling knob too: re-run one cell of
@@ -116,7 +100,6 @@ func TestTiledEquivalenceMatrix(t *testing.T) {
 					Limit:    3 * time.Hour,
 					TileRows: g.Rows, TileCols: g.Cols,
 					Shards: 2, Workers: 2,
-					Repartition: true, RepartitionEvery: 4, RepartitionThreshold: 1.1,
 				}
 				if dig, _ := tiledDigest(t, s); dig != want {
 					t.Fatalf("grid %s seed %d: 2-executor digest %s, want %s — executor count leaked into results",
@@ -125,18 +108,10 @@ func TestTiledEquivalenceMatrix(t *testing.T) {
 			}
 		}
 	}
-	// The equivalence above would be vacuous if the repartitioner never
-	// fired; the aggressive (every=4, threshold=1.1) tuning must have
-	// actually migrated tiles somewhere in the matrix.
-	if totalMigrations == 0 {
-		t.Fatal("no cell of the matrix migrated a single tile; the repartitioner never engaged")
-	}
-	t.Logf("matrix clean; repartitioning cells moved %d tiles in total", totalMigrations)
 }
 
 // TestTiledValidate covers the tile-specific validation Build applies:
-// grid shape, exclusivity with auto-sizing, tile budget, executor
-// bounds, and repartitioner tuning.
+// grid shape, tile budget, and executor bounds.
 func TestTiledValidate(t *testing.T) {
 	valid := Setup{Name: "v", Rows: 4, Cols: 4, Spacing: 10, Shards: 2, TileRows: 2, TileCols: 2}
 	cases := []struct {
@@ -147,17 +122,8 @@ func TestTiledValidate(t *testing.T) {
 		{"valid-tiles", func(s *Setup) {}, ""},
 		{"negative-rows", func(s *Setup) { s.TileRows = -1 }, "non-negative"},
 		{"one-sided-grid", func(s *Setup) { s.TileCols = 0 }, "both rows and cols"},
-		{"grid-and-auto", func(s *Setup) { s.TileAuto = true }, "mutually exclusive"},
 		{"too-many-tiles", func(s *Setup) { s.TileRows, s.TileCols = 5, 5 }, "tiles"},
 		{"shards-exceed-tiles", func(s *Setup) { s.Shards = 5 }, "exceed"},
-		{"negative-period", func(s *Setup) { s.Repartition = true; s.RepartitionEvery = -1 }, "negative"},
-		{"sub-one-threshold", func(s *Setup) { s.Repartition = true; s.RepartitionThreshold = 0.5 }, "at least 1"},
-		{"tuning-without-repartition", func(s *Setup) { s.RepartitionEvery = 8 }, "repartition"},
-		{"repartition-ok", func(s *Setup) {
-			s.Repartition = true
-			s.RepartitionEvery, s.RepartitionThreshold = 8, 1.5
-		}, ""},
-		{"auto-ok", func(s *Setup) { s.TileRows, s.TileCols = 0, 0; s.TileAuto = true }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,54 +195,6 @@ func TestTiledChaosCrashDuringForward(t *testing.T) {
 	}
 }
 
-// TestTiledRepartitionDuringFaults proves migration is invisible to
-// the simulation even while a fault window is reshaping the load: the
-// same faulted run with the repartitioner off and on must produce
-// identical digests and identical ghost-exchange totals — no boundary
-// frame dropped or duplicated across a migration barrier — while the
-// on-run demonstrably moves tiles.
-func TestTiledRepartitionDuringFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full faulted simulations in -short mode")
-	}
-	base := Setup{
-		Name: "tiled-repart-faults", Rows: 5, Cols: 5, ImagePackets: 64, Seed: 42,
-		Limit:    4 * time.Hour,
-		TileRows: 4, TileCols: 4, Shards: 4, Workers: 2,
-		Invariants: &invariant.Config{},
-		Faults: &faults.Plan{Events: []faults.Event{
-			faults.Partition([]packet.NodeID{15, 16, 17, 18, 19, 20, 21, 22, 23, 24},
-				10*time.Second, 90*time.Second),
-		}},
-	}
-	off := base
-	off.Name += "-off"
-	on := base
-	on.Name += "-on"
-	on.Repartition, on.RepartitionEvery, on.RepartitionThreshold = true, 4, 1.1
-	digOff, resOff := tiledDigest(t, off)
-	digOn, resOn := tiledDigest(t, on)
-	if digOff != digOn {
-		t.Fatalf("repartitioning changed a faulted run: %s vs %s", digOff, digOn)
-	}
-	stOff, stOn := resOff.Engine.Stats(), resOn.Engine.Stats()
-	if stOff.GhostsExported != stOn.GhostsExported {
-		t.Fatalf("ghost totals diverged: %d exported without repartitioning, %d with — a boundary frame was dropped or duplicated",
-			stOff.GhostsExported, stOn.GhostsExported)
-	}
-	if stOff.Migrations != 0 {
-		t.Fatalf("%d migrations with the repartitioner off", stOff.Migrations)
-	}
-	if stOn.Migrations == 0 {
-		t.Fatal("the fault window never triggered a migration; the test is vacuous")
-	}
-	if resOn.CompletionTime <= 90*time.Second {
-		t.Fatalf("completed at %v, inside the partition window", resOn.CompletionTime)
-	}
-	t.Logf("digests equal across %d migrations (%d repartition barriers, %d ghosts)",
-		stOn.Migrations, stOn.Repartitions, stOn.GhostsExported)
-}
-
 // orderObserver asserts the replayed global observation stream is
 // totally ordered by (time, node): timestamps never run backwards, and
 // within one timestamp node IDs never decrease. Storage operations
@@ -307,17 +225,16 @@ func (o *orderObserver) RadioState(id packet.NodeID, at time.Duration, on bool) 
 func (o *orderObserver) StorageOp(packet.NodeID, bool, int, int, int) {}
 
 // TestTiledObserverReplayOrder is the ordering regression test for
-// barrier replay under migration: with parallel workers, an aggressive
-// repartitioner, and a mid-run crash, a single global observer must
-// still see one stream sorted by (time, node) — migrating a tile to
-// another executor must not reorder or tear its buffered observations.
+// barrier replay: with parallel workers and a mid-run crash, a single
+// global observer must still see one stream sorted by (time, node) —
+// tiles run on different workers must not reorder or tear their
+// buffered observations.
 func TestTiledObserverReplayOrder(t *testing.T) {
 	obs := &orderObserver{t: t}
 	res, err := Run(Setup{
 		Name: "tiled-replay-order", Rows: 6, Cols: 6, ImagePackets: 32, Seed: 7,
 		Limit:    3 * time.Hour,
 		TileRows: 4, TileCols: 4, Shards: 4, Workers: 4,
-		Repartition: true, RepartitionEvery: 4, RepartitionThreshold: 1.1,
 		Observer: obs,
 		Faults: &faults.Plan{Events: []faults.Event{
 			faults.Crash(14, 50*time.Second),
@@ -331,70 +248,5 @@ func TestTiledObserverReplayOrder(t *testing.T) {
 	}
 	if obs.events == 0 {
 		t.Fatal("global observer saw no events")
-	}
-	if st := res.Engine.Stats(); st.Migrations == 0 {
-		t.Fatal("no tile migrated; the ordering claim was not exercised under migration")
-	} else {
-		t.Logf("stream of %d observations stayed ordered across %d migrations",
-			obs.events, st.Migrations)
-	}
-}
-
-// TestTiledWavefrontSkew records the load-balance story behind the
-// tile design: a dissemination wavefront sweeping outward from the
-// base keeps strip partitions badly skewed (the strip holding the
-// front does all the work), while 2D tiles plus the adaptive
-// repartitioner spread the front across executors. Loads are
-// deterministic (kernel events + deliveries), so the comparison is a
-// stable regression check, and the logged numbers feed README /
-// EXPERIMENTS.md.
-func TestTiledWavefrontSkew(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full 8x8 simulations in -short mode")
-	}
-	run := func(s Setup) metrics.LoadSummary {
-		s.Rows, s.Cols, s.ImagePackets, s.Seed = 8, 8, 64, 42
-		s.Limit = 4 * time.Hour
-		res, err := Run(s)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-		if !res.Completed {
-			t.Fatalf("%s: incomplete", s.Name)
-		}
-		sum := metrics.SummarizeLoads(res.LoadMatrix())
-		if sum.Periods == 0 {
-			t.Fatalf("%s: no load reports collected", s.Name)
-		}
-		return sum
-	}
-	strips := run(Setup{Name: "skew-strips", Shards: 4, Workers: 1})
-	tiled := run(Setup{
-		Name: "skew-tiled", TileRows: 4, TileCols: 4, Shards: 4, Workers: 1,
-		Repartition: true, RepartitionEvery: 8, RepartitionThreshold: 1.1,
-	})
-	t.Logf("wavefront skew (max/mean executor load): strips mean=%.2f worst=%.2f over %d periods; 4x4 tiles+repartition mean=%.2f worst=%.2f over %d periods",
-		strips.Mean, strips.Max, strips.Periods, tiled.Mean, tiled.Max, tiled.Periods)
-	if tiled.Mean >= strips.Mean {
-		t.Fatalf("tiles+repartitioning did not reduce mean imbalance: %.3f vs strips %.3f",
-			tiled.Mean, strips.Mean)
-	}
-}
-
-// TestTiledAutoGridRuns exercises the auto-sized grid end to end: the
-// run must pick a non-trivial grid, complete, and report it.
-func TestTiledAutoGridRuns(t *testing.T) {
-	res, err := Run(Setup{
-		Name: "tiled-auto", Rows: 6, Cols: 6, ImagePackets: 24, Seed: 42,
-		TileAuto: true, Shards: 2, Workers: 2, Limit: 3 * time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatal("incomplete")
-	}
-	if res.Engine == nil || res.TileGrid.Tiles() < 2 {
-		t.Fatalf("auto tiling produced grid %s without an engine run", res.TileGrid)
 	}
 }

@@ -179,6 +179,9 @@ func (idle) OnTimer(node.TimerID)                  {}
 // keeps. While the network runs a mote's runtime belongs to its
 // goroutine, so the subject is node 0 of a stopped two-mote network:
 // its Sends stay on the hub, where the test reads them back as bytes.
+// Two rows are waived: timer firing (NoFiring says why) and
+// crash-restart, since a live mote has no power-failure model — faults
+// are injected only into simulated deployments.
 func TestRuntimeContract(t *testing.T) {
 	nodetest.RunContract(t, nodetest.Contract{
 		New: func(t *testing.T, p node.Protocol) nodetest.Subject {

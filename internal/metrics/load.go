@@ -2,16 +2,15 @@ package metrics
 
 // Load-balance statistics for the tiled engine: the per-executor load
 // vectors the engine reports each period are summarized here into the
-// max/mean imbalance figures the repartitioner acts on and the
-// experiment reports record.
+// max/mean imbalance figures the experiment reports and benchmarks
+// record.
 
 // Imbalance returns the max/mean ratio of a per-shard load vector: 1
 // for a perfectly balanced period, k when the busiest executor carries
 // k times the mean. An idle (all-zero) vector is perfectly balanced by
 // definition and yields 1, not 0 — max/mean is a ratio ≥ 1 whenever it
-// is defined, and callers compare it against repartition thresholds
-// that an artificial 0 would always pass. Only an empty vector (no
-// executors) returns 0.
+// is defined, and an artificial 0 would read as better than perfect.
+// Only an empty vector (no executors) returns 0.
 func Imbalance(loads []int64) float64 {
 	if len(loads) == 0 {
 		return 0

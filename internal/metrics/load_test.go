@@ -13,8 +13,8 @@ func TestImbalance(t *testing.T) {
 	}{
 		{"empty", nil, 0},
 		// All-zero is perfectly balanced, not pathological: the ratio
-		// must stay ≥ 1 wherever it is defined so threshold comparisons
-		// (im > 1.5 ⇒ repartition) never fire on an idle period.
+		// must stay ≥ 1 wherever it is defined, so an idle period never
+		// reads as better than a balanced one.
 		{"idle", []int64{0, 0, 0}, 1},
 		{"idle-single", []int64{0}, 1},
 		{"balanced", []int64{5, 5, 5, 5}, 1},

@@ -38,6 +38,14 @@ func moteContract(wrap func(p node.Protocol) node.Protocol) nodetest.Contract {
 		}
 		n.Start()
 		return nodetest.Subject{
+			Crash: func() func(node.Protocol) {
+				n.Crash()
+				return func(p node.Protocol) {
+					if err := n.Restart(wrap(p)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			},
 			Aired: func() [][]byte {
 				k.RunUntil(func() bool { return n.QueueLen() == 0 }, k.Now()+time.Hour)
 				f := aired

@@ -32,6 +32,11 @@ type Subject struct {
 	// Refusals are the ways the runtime refuses a Send. The suite builds
 	// a fresh subject for each and applies that subject's refusal.
 	Refusals []Refusal
+	// Crash fails the runtime as a power failure does, and restart
+	// revives it with a fresh protocol instance, running its Init. Nil
+	// waives the crash-restart row: the runtime has no power-failure
+	// model.
+	Crash func() (restart func(p node.Protocol))
 }
 
 // Refusal puts a subject in a state where Send must refuse.
@@ -211,6 +216,59 @@ func RunContract(t *testing.T, c Contract) {
 		s.Advance(10 * time.Millisecond)
 		if len(p.fired) != 2 || p.fired[1] != 1 || rt.TimerPending(1) {
 			t.Fatalf("fired %v by 45 ms (timer 1 pending %v), want [2 1]", p.fired, rt.TimerPending(1))
+		}
+	})
+
+	t.Run("crash-restart", func(t *testing.T) {
+		p, s := build(t)
+		if s.Crash == nil {
+			t.Skip("crash-restart waived: the runtime has no power-failure model")
+		}
+		const seg = 2
+		if err := p.rt.Store(seg, 0, 4, []byte{5, 6, 7}); err != nil {
+			t.Fatal(err)
+		}
+		p.rt.SetTimer(1, 10*time.Millisecond)
+		restart := s.Crash()
+		// Dead: nothing goes on the air and no timer fires.
+		if err := p.rt.Send(&packet.Query{Src: p.rt.ID(), ProgramID: 1, SegID: 1}); err == nil {
+			t.Fatal("a crashed runtime accepted a Send")
+		}
+		if s.Advance != nil {
+			s.Advance(20 * time.Millisecond)
+		}
+		if len(p.fired) != 0 {
+			t.Fatalf("timers %v fired on a crashed runtime", p.fired)
+		}
+		if got := s.Aired(); len(got) != 0 {
+			t.Fatalf("a crashed runtime aired %x", got)
+		}
+		// Rebooted: the EEPROM is what it was, RAM is new.
+		q := &contractProto{}
+		restart(q)
+		if q.rt == nil {
+			t.Fatal("restart did not run the new protocol's Init")
+		}
+		if got := q.rt.Load(seg, 0); !bytes.Equal(got, []byte{5, 6, 7}) {
+			t.Fatalf("EEPROM after restart loads %v, want [5 6 7]", got)
+		}
+		if q.rt.TimerPending(1) {
+			t.Fatal("a timer armed before the crash is pending after restart")
+		}
+		next := &packet.Query{Src: q.rt.ID(), ProgramID: 1, SegID: 2}
+		if err := q.rt.Send(next); err != nil {
+			t.Fatalf("Send after restart: %v", err)
+		}
+		if got := s.Aired(); len(got) != 1 || !bytes.Equal(got[0], packet.Encode(next)) {
+			t.Fatalf("aired %x after restart, want only the frame sent then", got)
+		}
+		if s.Advance == nil {
+			return
+		}
+		q.rt.SetTimer(2, 10*time.Millisecond)
+		s.Advance(20 * time.Millisecond)
+		if len(p.fired) != 0 || len(q.fired) != 1 || q.fired[0] != 2 {
+			t.Fatalf("after restart the old protocol got %v and the new one %v, want [] and [2]", p.fired, q.fired)
 		}
 	})
 

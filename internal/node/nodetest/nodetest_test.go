@@ -121,7 +121,9 @@ func TestDeliverRoutesToProtocol(t *testing.T) {
 // TestRuntimeContract holds the fake runtime to what node.Node
 // promises: the frames its Send records are the encodings of the
 // packets as they were at Send, a Full queue refuses without encoding,
-// and storage and timers behave as on a mote.
+// and storage and timers behave as on a mote. A crash is modelled as a
+// mote's power failure: the queue refuses, timers and radio are lost,
+// and the EEPROM store is kept for the protocol the restart attaches.
 func TestRuntimeContract(t *testing.T) {
 	RunContract(t, Contract{New: func(t *testing.T, p node.Protocol) Subject {
 		rt := New(1)
@@ -135,6 +137,14 @@ func TestRuntimeContract(t *testing.T) {
 			},
 			Advance:  rt.Advance,
 			Refusals: []Refusal{{Name: "queue-full", Apply: func() { rt.Full = true }}},
+			Crash: func() func(node.Protocol) {
+				rt.Full, rt.Radio = true, false
+				clear(rt.timers)
+				return func(p node.Protocol) {
+					rt.Full = false
+					rt.Attach(p)
+				}
+			},
 		}
 	}})
 }

@@ -100,8 +100,8 @@ func TestShardGhostCarriesRouting(t *testing.T) {
 	}
 }
 
-// TestDeliveriesCountsOnlySuccess: the delivery counter the
-// repartitioner reads must track successful receptions, not attempts —
+// TestDeliveriesCountsOnlySuccess: the delivery counter the engine's
+// load reports read must track successful receptions, not attempts —
 // an out-of-range transmission moves nothing.
 func TestDeliveriesCountsOnlySuccess(t *testing.T) {
 	layout, err := topology.Line(2, 100) // 100 ft apart, PowerSim range 27 ft

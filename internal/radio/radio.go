@@ -1126,7 +1126,7 @@ func (m *Medium) frameSuccess(ber float64, bits int) float64 {
 // Deliveries returns the cumulative count of successful frame
 // deliveries to this medium's nodes. It is a pure function of
 // simulation state (every term in the delivery decision is), which is
-// what lets the engine's repartitioner use per-window delivery deltas
+// what lets the engine's load reports use per-period delivery deltas
 // as a load signal without breaking determinism.
 func (m *Medium) Deliveries() uint64 { return m.delivered }
 

@@ -109,8 +109,7 @@ func (s *Scenario) EncodeTOML() []byte {
 	r := &s.Run
 	hasRun := r.Seed != 0 || len(r.Seeds) > 0 || r.ImagePackets != 0 || r.Power != 0 ||
 		r.Base != 0 || r.Limit != 0 || r.Shards != 0 || r.Workers != 0 ||
-		r.TileRows != 0 || r.TileCols != 0 || r.Repartition ||
-		r.RepartitionEvery != 0 || r.RepartitionThreshold != 0
+		r.TileRows != 0 || r.TileCols != 0
 	if hasRun {
 		e.section("run")
 		if r.Seed != 0 {
@@ -129,11 +128,6 @@ func (s *Scenario) EncodeTOML() []byte {
 		e.optInt("workers", r.Workers)
 		e.optInt("tile_rows", r.TileRows)
 		e.optInt("tile_cols", r.TileCols)
-		if r.Repartition {
-			e.kv("repartition", true)
-		}
-		e.optInt("repartition_every", r.RepartitionEvery)
-		e.optFloat("repartition_threshold", r.RepartitionThreshold)
 	}
 
 	if bat := s.Battery; bat != nil {

@@ -164,14 +164,9 @@ type Run struct {
 	Shards  int `json:"shards,omitempty"`
 	Workers int `json:"workers,omitempty"`
 	// TileRows/TileCols select a 2D tile grid for the engine (both or
-	// neither); Repartition enables the adaptive tile repartitioner,
-	// tuned by RepartitionEvery (windows per decision) and
-	// RepartitionThreshold (max/mean skew trigger). See DESIGN.md §4i.
-	TileRows             int     `json:"tile_rows,omitempty"`
-	TileCols             int     `json:"tile_cols,omitempty"`
-	Repartition          bool    `json:"repartition,omitempty"`
-	RepartitionEvery     int     `json:"repartition_every,omitempty"`
-	RepartitionThreshold float64 `json:"repartition_threshold,omitempty"`
+	// neither). See DESIGN.md §4i.
+	TileRows int `json:"tile_rows,omitempty"`
+	TileCols int `json:"tile_cols,omitempty"`
 }
 
 // Battery assigns initial battery fractions declaratively — the
@@ -745,12 +740,8 @@ func (s *Scenario) Compile() (experiment.Setup, error) {
 		Limit:        time.Duration(s.Run.Limit),
 		Shards:       s.Run.Shards,
 		Workers:      s.Run.Workers,
-
-		TileRows:             s.Run.TileRows,
-		TileCols:             s.Run.TileCols,
-		Repartition:          s.Run.Repartition,
-		RepartitionEvery:     s.Run.RepartitionEvery,
-		RepartitionThreshold: s.Run.RepartitionThreshold,
+		TileRows:     s.Run.TileRows,
+		TileCols:     s.Run.TileCols,
 	}
 	if setup.Name == "" {
 		setup.Name = "scenario"

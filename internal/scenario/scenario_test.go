@@ -63,9 +63,6 @@ shards = 2
 workers = 1
 tile_rows = 2
 tile_cols = 3
-repartition = true
-repartition_every = 8
-repartition_threshold = 1.5
 
 [battery]
 default = 0.9
@@ -115,8 +112,7 @@ func TestParseFullDocument(t *testing.T) {
 	if !reflect.DeepEqual(sc.SeedList(), []int64{7, 11, 13}) {
 		t.Fatalf("seeds = %v", sc.SeedList())
 	}
-	if sc.Run.TileRows != 2 || sc.Run.TileCols != 3 || !sc.Run.Repartition ||
-		sc.Run.RepartitionEvery != 8 || sc.Run.RepartitionThreshold != 1.5 {
+	if sc.Run.TileRows != 2 || sc.Run.TileCols != 3 {
 		t.Fatalf("tile knobs = %+v", sc.Run)
 	}
 	if sc.Battery == nil || len(sc.Battery.Rules) != 1 {
@@ -193,17 +189,18 @@ cols = 3
 [mobility]
 kind = "static"
 `,
-		// A [run] section whose only content is the repartition flag:
-		// the encoder's run-section predicate must not drop it.
-		"repartition-only": `
+		// A [run] section whose only content is the tile grid: the
+		// encoder's run-section predicate must not drop it.
+		"tiles-only": `
 version = 1
-name = "rep"
+name = "tiles"
 [topology]
 kind = "grid"
 rows = 4
 cols = 4
 [run]
-repartition = true
+tile_rows = 2
+tile_cols = 2
 `,
 	}
 	for name, doc := range docs {
@@ -291,6 +288,7 @@ func TestParseRejects(t *testing.T) {
 		// Keys of the removed speculative engine mode fail like any typo.
 		{"removed-optimistic", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\noptimistic = true\n", "optimistic"},
 		{"removed-lookahead", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\nlookahead = 8\n", "lookahead"},
+		{"removed-repartition", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\nrepartition = true\n", `unknown field "repartition"`},
 		{"toml-syntax", "version = \n", "missing value"},
 		{"dup-key", "version = 1\nversion = 1\n", "duplicate key"},
 	}
@@ -346,8 +344,7 @@ func TestCompileClosures(t *testing.T) {
 	if setup.Shards != 2 || setup.Workers != 1 || setup.Seed != 7 {
 		t.Errorf("run params = shards %d workers %d seed %d", setup.Shards, setup.Workers, setup.Seed)
 	}
-	if setup.TileRows != 2 || setup.TileCols != 3 || !setup.Repartition ||
-		setup.RepartitionEvery != 8 || setup.RepartitionThreshold != 1.5 {
+	if setup.TileRows != 2 || setup.TileCols != 3 {
 		t.Errorf("tile knobs lost in compilation: %+v", setup)
 	}
 	if setup.Radio == nil || setup.Radio.TxRangeFeet[radio.PowerSim] != 30 {

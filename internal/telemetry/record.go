@@ -99,7 +99,9 @@ type Record struct {
 	// the end of the period, Shard the executor index, Tiles how many
 	// tiles it held, Events/Delivered the deterministic load it
 	// executed, WaitNs its wall-clock barrier wait (diagnostic only),
-	// and Migrations the tiles moved at the closing barrier.
+	// and Migrations the tiles moved at the closing barrier (always 0:
+	// the engine's tile mapping is fixed; dropping the field would be a
+	// SchemaVersion change).
 	Win        int   `json:"win,omitempty"`
 	Shard      int   `json:"shard,omitempty"`
 	Tiles      int   `json:"tiles,omitempty"`

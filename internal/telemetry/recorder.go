@@ -66,8 +66,8 @@ func (r *Recorder) Violation(at time.Duration, id packet.NodeID, rule, detail st
 // over the report period ending at barrier (window lockstep windows
 // into the run), executed events kernel events, delivered delivered
 // frames, waited waitNs at barriers, and migrations tiles moved at the
-// closing barrier. The engine emits one record per executor per
-// period.
+// closing barrier (the engine's mapping is fixed, so it passes 0). The
+// engine emits one record per executor per period.
 func (r *Recorder) Load(barrier time.Duration, window, shard, tiles int, events, delivered, waitNs int64, migrations int) {
 	r.s.Emit(Record{
 		Type: TypeLoad, T: int64(barrier), Win: window, Shard: shard, Tiles: tiles,
