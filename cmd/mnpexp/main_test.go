@@ -3,11 +3,8 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
-
-	"mnp/internal/telemetry"
 )
 
 func capture(t *testing.T, fn func() error) (string, error) {
@@ -86,124 +83,6 @@ func TestMultiSeedRun(t *testing.T) {
 	}
 }
 
-// artifactDir returns where a test should write its inspectable
-// output: MNP_ARTIFACT_DIR if set (CI uploads that directory when a
-// job fails), else a scratch dir.
-func artifactDir(t *testing.T) string {
-	if d := os.Getenv("MNP_ARTIFACT_DIR"); d != "" {
-		sub := filepath.Join(d, strings.ReplaceAll(t.Name(), "/", "_"))
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		return sub
-	}
-	return t.TempDir()
-}
-
-// TestTelemetryRun replays a 3×5-grid deployment with -telemetry and
-// verifies the two artifacts: every NDJSON line parses back into a
-// Record (meta first, summary last), and the Prometheus dump carries
-// the run's counters.
-func TestTelemetryRun(t *testing.T) {
-	dir := artifactDir(t)
-	out, err := capture(t, func() error {
-		return run([]string{"-telemetry", dir, "-rows", "3", "-cols", "5", "-packets", "64", "-seed", "11", "-progress"})
-	})
-	if err != nil {
-		t.Fatalf("telemetry run failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "telemetry:") {
-		t.Errorf("report does not mention telemetry:\n%s", out)
-	}
-
-	f, err := os.Open(filepath.Join(dir, "events.ndjson"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	recs, err := telemetry.ReadAll(f)
-	if err != nil {
-		t.Fatalf("NDJSON stream does not fully parse: %v", err)
-	}
-	if len(recs) < 100 {
-		t.Fatalf("only %d records for a 15-node run", len(recs))
-	}
-	first, last := recs[0], recs[len(recs)-1]
-	if first.Type != telemetry.TypeMeta || first.V != telemetry.SchemaVersion ||
-		first.Nodes != 15 || first.Seed != 11 || first.Protocol != "MNP" {
-		t.Errorf("meta record = %+v", first)
-	}
-	if last.Type != telemetry.TypeSummary || last.Counters["mnp_nodes_completed"] != 15 {
-		t.Errorf("summary record = %+v", last)
-	}
-	types := map[string]int{}
-	for _, r := range recs {
-		types[r.Type]++
-	}
-	for _, want := range []string{telemetry.TypeEvent, telemetry.TypeRadio, telemetry.TypeStorage} {
-		if types[want] == 0 {
-			t.Errorf("stream has no %q records (got %v)", want, types)
-		}
-	}
-	if types[telemetry.TypeViolation] != 0 {
-		t.Errorf("clean run recorded %d violations", types[telemetry.TypeViolation])
-	}
-
-	prom, err := os.ReadFile(filepath.Join(dir, "counters.prom"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dump := string(prom)
-	for _, want := range []string{
-		"# TYPE mnp_tx_frames_total counter",
-		"mnp_nodes 15",
-		"mnp_nodes_completed 15",
-		`mnp_tx_frames_total{class="data"}`,
-	} {
-		if !strings.Contains(dump, want) {
-			t.Errorf("Prometheus dump missing %q:\n%s", want, dump)
-		}
-	}
-	// The summary record and the Prometheus dump are two views of the
-	// same registry; spot-check they agree.
-	if tx := last.Counters["mnp_tx_frames_total"]; tx <= 0 ||
-		!strings.Contains(dump, "mnp_tx_frames_total "+strconv.FormatInt(tx, 10)+"\n") {
-		t.Errorf("summary tx=%d not found in dump:\n%s", tx, dump)
-	}
-}
-
-// TestTelemetryWithFaults exercises the combined path: a fault plan
-// plus telemetry; the fault events must appear in the stream.
-func TestTelemetryWithFaults(t *testing.T) {
-	dir := artifactDir(t)
-	_, err := capture(t, func() error {
-		return run([]string{"-telemetry", dir, "-faults", "reboot:7@30s+10s",
-			"-rows", "3", "-cols", "5", "-packets", "64", "-seed", "11"})
-	})
-	if err != nil {
-		t.Fatalf("faulted telemetry run failed: %v", err)
-	}
-	f, err := os.Open(filepath.Join(dir, "events.ndjson"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	recs, err := telemetry.ReadAll(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range recs {
-		if r.Type == telemetry.TypeFault && r.Kind == "reboot" {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Error("stream carries no reboot fault record")
-	}
-}
-
 // TestProfilingFlags smoke-tests -cpuprofile and -trace: both files
 // must exist and be non-empty after a short run.
 func TestProfilingFlags(t *testing.T) {
@@ -226,12 +105,6 @@ func TestProfilingFlags(t *testing.T) {
 	}
 }
 
-func TestTelemetryRejectsExperimentIDs(t *testing.T) {
-	if err := run([]string{"-telemetry", t.TempDir(), "T1"}); err == nil {
-		t.Error("-telemetry with experiment IDs accepted")
-	}
-}
-
 func TestErrors(t *testing.T) {
 	if err := run(nil); err == nil {
 		t.Error("no experiments accepted")
@@ -248,51 +121,16 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-seeds", ", ,", "T1"}); err == nil {
 		t.Error("empty seed list accepted")
 	}
-	// The repartitioner and automatic tiling are gone: their flag is an
-	// unknown flag and "auto" is not a tile grid.
-	if err := run([]string{"-repartition", "-telemetry", t.TempDir()}); err == nil ||
-		!strings.Contains(err.Error(), "flag provided but not defined: -repartition") {
-		t.Errorf("-repartition: err = %v, want the flag package's not-defined error", err)
-	}
-	if err := run([]string{"-tiles", "auto", "-telemetry", t.TempDir()}); err == nil ||
-		!strings.Contains(err.Error(), `want "RxC"`) {
-		t.Errorf("-tiles auto: err = %v, want the tile-grid error naming the RxC form", err)
-	}
-}
-
-// TestEngineFlagsReachOnlyDeployments pins where -shards/-tiles go:
-// explicitly into the -faults/-telemetry deployment
-// (the run must reach the lockstep engine), and nowhere else — with
-// experiment IDs, -csv or -scenario the flag is refused by name rather
-// than silently dropped.
-func TestEngineFlagsReachOnlyDeployments(t *testing.T) {
-	for _, tc := range []struct {
-		flag string
-		args []string
-	}{
-		{"-shards", []string{"-shards", "2", "T1"}},
-		{"-tiles", []string{"-tiles", "2x2", "-csv", t.TempDir()}},
-		{"-shards", []string{"-shards", "2", "-scenario", "deploy.toml"}},
+	// The repartitioner and the deploy modes are gone: deployments run
+	// through mnpsim (flags) and mnprun (files), so each removed flag
+	// fails like any unknown flag; main turns the error into exit 1.
+	for _, args := range [][]string{
+		{"-repartition"}, {"-faults", "x"}, {"-scenario", "f"}, {"-telemetry", "d"},
+		{"-rows", "3"}, {"-shards", "2"}, {"-tiles", "2x2"},
 	} {
-		err := run(tc.args)
-		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
-			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		err := run(append(args, "T1"))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: err = %v, want the flag package's not-defined error", args, err)
 		}
-	}
-
-	dir := artifactDir(t)
-	_, err := capture(t, func() error {
-		return run([]string{"-shards", "4", "-faults", "reboot:7@30s+10s", "-telemetry", dir,
-			"-rows", "4", "-cols", "4", "-packets", "32", "-seed", "11"})
-	})
-	if err != nil {
-		t.Fatalf("sharded faulted run failed: %v", err)
-	}
-	dump, err := os.ReadFile(filepath.Join(dir, "counters.prom"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(dump), "\nengine_windows_total ") {
-		t.Errorf("-shards 4 -faults did not run on the engine; counters:\n%s", dump)
 	}
 }

@@ -8,11 +8,19 @@
 //
 // A document with a [scenario] table or sweep axes (protocols, seeds,
 // [[topologies]], fault_plans) is a campaign plan; anything else is a
-// single scenario. Campaigns write cells.ndjson (one finished cell per
-// line, resumable) and report.txt into -out; the aggregated comparison
-// report also goes to stdout and is byte-deterministic: the same plan
-// produces the same report regardless of worker count or how many
-// times the campaign was interrupted and resumed.
+// single scenario. A scenario whose [run] seeds lists several seeds is
+// a one-axis campaign over them. Campaigns write cells.ndjson (one
+// finished cell per line, resumable) and report.txt into -out; the
+// aggregated comparison report also goes to stdout and is
+// byte-deterministic: the same plan produces the same report regardless
+// of worker count or how many times the campaign was interrupted and
+// resumed.
+//
+// A single-seed scenario runs with its [telemetry] table honoured (an
+// NDJSON event stream and a Prometheus counters dump in dir, live
+// progress on stderr) and fails unless every survivor holds a
+// byte-identical image and, with [invariants] enabled, every protocol
+// invariant held.
 package main
 
 import (
@@ -24,6 +32,7 @@ import (
 	"mnp/internal/campaign"
 	"mnp/internal/experiment"
 	"mnp/internal/scenario"
+	"mnp/internal/telemetry"
 )
 
 func main() {
@@ -73,13 +82,48 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if isCampaign(data) {
-		return runCampaign(path, data, dir, *workers, *maxCells, *quiet)
+	plan, sc, err := parse(path, data)
+	if err != nil {
+		return err
+	}
+	if plan != nil {
+		return runCampaign(plan, dir, *workers, *maxCells, *quiet)
 	}
 	if dir != "" || *maxCells != 0 {
-		return fmt.Errorf("%s is a single scenario; -out/-resume/-max-cells apply to campaign plans", path)
+		return fmt.Errorf("%s is a single scenario; -out/-resume/-max-cells apply to campaign plans and seed lists", path)
 	}
-	return runScenario(path, data)
+	return runScenario(sc)
+}
+
+// parse reads a document as a campaign plan, or as a single scenario
+// when it is one with one seed. A seed list makes a scenario a one-axis
+// campaign; its [telemetry] table would need one stream per cell, so
+// the two together are an error.
+func parse(path string, data []byte) (*campaign.Plan, *scenario.Scenario, error) {
+	if isCampaign(data) {
+		plan, err := campaign.ParsePlan(data)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
+		}
+		return plan, nil, nil
+	}
+	sc, err := scenario.Parse(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	seeds := sc.SeedList()
+	if len(seeds) == 1 {
+		sc.Run.Seed, sc.Run.Seeds = seeds[0], nil
+		return nil, sc, nil
+	}
+	if sc.Telemetry != nil {
+		return nil, nil, fmt.Errorf("%s: [telemetry] streams one run, but [run] seeds lists %d; drop the table or run one seed", path, len(seeds))
+	}
+	plan, err := campaign.PlanForScenario(*sc, seeds, 0)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return plan, nil, nil
 }
 
 // isCampaign sniffs the document kind: campaign plans have a nested
@@ -97,11 +141,7 @@ func isCampaign(data []byte) bool {
 	return false
 }
 
-func runCampaign(path string, data []byte, dir string, workers, maxCells int, quiet bool) error {
-	plan, err := campaign.ParsePlan(data)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
+func runCampaign(plan *campaign.Plan, dir string, workers, maxCells int, quiet bool) error {
 	r := &campaign.Runner{Plan: plan, Dir: dir, Workers: workers, MaxCells: maxCells}
 	if !quiet {
 		r.Logf = func(format string, args ...any) {
@@ -130,36 +170,71 @@ func runCampaign(path string, data []byte, dir string, workers, maxCells int, qu
 	return nil
 }
 
-// runScenario runs one deployment with full verification — the
-// scenario-file equivalent of mnpexp's deploy mode.
-func runScenario(path string, data []byte) error {
-	sc, err := scenario.Parse(data)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
+// runScenario runs one deployment and verifies it: who died, who
+// completed, how many EEPROM faults were absorbed, whether every
+// survivor's image is byte-identical and, with a checker attached,
+// whether every protocol invariant held.
+func runScenario(sc *scenario.Scenario) error {
 	setup, err := sc.Compile()
 	if err != nil {
 		return err
+	}
+	var (
+		prog *telemetry.Progress
+		tel  *telemetry.Dir
+	)
+	if t := sc.Telemetry; t != nil {
+		if t.Progress {
+			n := setup.Rows * setup.Cols
+			if setup.Layout != nil {
+				n = setup.Layout.N()
+			}
+			prog = telemetry.NewProgress(os.Stderr, setup.Name, n, time.Second)
+			setup.Observer = prog
+		}
+		if t.Dir != "" {
+			if tel, err = telemetry.CreateDir(t.Dir); err != nil {
+				return err
+			}
+			defer tel.Close()
+			setup.Telemetry = tel.Recorder()
+		}
 	}
 	res, err := experiment.Run(setup)
 	if err != nil {
 		return err
 	}
-	dead, completed := 0, 0
+	if prog != nil {
+		prog.Final()
+	}
+
+	dead, completed, eepromFaults := 0, 0, 0
 	for _, n := range res.Network.Nodes {
 		if n.Dead() {
 			dead++
 		} else if n.Completed() {
 			completed++
 		}
+		eepromFaults += n.EEPROM().FaultCount()
 	}
 	fmt.Printf("scenario %s: %d nodes, %d dead, %d survivors completed\n",
 		setup.Name, res.Layout.N(), dead, completed)
+	if eepromFaults > 0 {
+		fmt.Printf("eeprom: absorbed %d injected write faults\n", eepromFaults)
+	}
 	if res.Completed {
 		fmt.Printf("completion: %v\n", res.CompletionTime.Round(time.Millisecond))
 	} else {
 		fmt.Println("completion: survivors did not all finish within the limit")
 	}
+	if tel != nil {
+		line, err := tel.Finish(res.Counters())
+		if err != nil {
+			return err
+		}
+		fmt.Println(line)
+	}
+
 	if err := res.VerifyImages(); err != nil {
 		return fmt.Errorf("image verification: %w", err)
 	}
@@ -167,8 +242,8 @@ func runScenario(path string, data []byte) error {
 	if err := res.VerifyInvariants(); err != nil {
 		return fmt.Errorf("invariant check: %w", err)
 	}
-	if setup.Invariants != nil {
-		fmt.Println("invariants: all held")
+	if res.Invariants != nil {
+		fmt.Println("invariants: write-once, in-order, advertisement, sleep, sender-exclusivity all held")
 	}
 	if !res.Completed {
 		return fmt.Errorf("deployment incomplete")

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"mnp/internal/telemetry"
 )
 
 // testPlan is the acceptance-bar campaign: 2 protocols x 2 seeds x 2
@@ -139,6 +143,215 @@ func TestCampaignDeterministicAndResumable(t *testing.T) {
 	}
 	if string(reportC) != string(reportA) {
 		t.Errorf("resumed report differs from uninterrupted run:\n--- resumed\n%s\n--- reference\n%s", reportC, reportA)
+	}
+}
+
+// seedListScenario is a 3x3 deployment swept over three seeds: a
+// one-axis campaign.
+const seedListScenario = `
+version = 1
+name = "seed-list"
+[topology]
+kind = "grid"
+rows = 3
+cols = 3
+[run]
+seeds = [1, 2, 3]
+image_packets = 16
+limit = "4h"
+`
+
+// TestSeedListIsCampaign runs a scenario with a seed list as the
+// campaign it is: one cell per seed, checkpointed into -out, and a run
+// stopped by -max-cells resumes to the uninterrupted report's bytes.
+func TestSeedListIsCampaign(t *testing.T) {
+	path := writeFile(t, "seeds.toml", seedListScenario)
+	full, part := t.TempDir(), t.TempDir()
+	if err := run([]string{"-quiet", path, "-out", full}); err != nil {
+		t.Fatal(err)
+	}
+	report, err := os.ReadFile(filepath.Join(full, "report.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(report), "3 cells") {
+		t.Errorf("report does not cover one cell per seed:\n%s", report)
+	}
+	if err := run([]string{"-quiet", path, "-out", part, "-max-cells", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(part, "report.txt")); !os.IsNotExist(err) {
+		t.Fatal("interrupted seed list wrote a report")
+	}
+	if err := run([]string{"-quiet", path, "-out", part}); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := os.ReadFile(filepath.Join(part, "report.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resumed) != string(report) {
+		t.Errorf("resumed report differs:\n--- resumed\n%s\n--- reference\n%s", resumed, report)
+	}
+}
+
+// TestSeedListRejectsTelemetry: one telemetry directory holds one run's
+// stream, so a seed list with a [telemetry] table is refused by name
+// rather than run with the table dropped.
+func TestSeedListRejectsTelemetry(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "tel")
+	path := writeFile(t, "seeds.toml", seedListScenario+fmt.Sprintf("[telemetry]\ndir = %q\n", dir))
+	err := run([]string{"-quiet", path})
+	if err == nil || !strings.Contains(err.Error(), "[telemetry]") {
+		t.Fatalf("err = %v, want an error naming the [telemetry] table", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Error("refused run created the telemetry directory")
+	}
+}
+
+// artifactDir returns where a test should write its inspectable
+// output: MNP_ARTIFACT_DIR if set (CI uploads that directory when a
+// job fails), else a scratch dir.
+func artifactDir(t *testing.T) string {
+	if d := os.Getenv("MNP_ARTIFACT_DIR"); d != "" {
+		sub := filepath.Join(d, strings.ReplaceAll(t.Name(), "/", "_"))
+		if err := os.MkdirAll(sub, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	return t.TempDir()
+}
+
+// telemetryScenario is a 15-node deployment (rows x cols grid, seed 11)
+// with the invariant checker attached and its [telemetry] table
+// pointing at dir; faults and run hold extra top-level and [run] lines.
+func telemetryScenario(dir string, rows, cols, packets int, faults, run string) string {
+	return fmt.Sprintf(`version = 1
+name = "telemetry"
+%s
+[topology]
+kind = "grid"
+rows = %d
+cols = %d
+[run]
+seed = 11
+image_packets = %d
+limit = "12h"
+%s
+[invariants]
+enabled = true
+[telemetry]
+dir = %q
+progress = true
+`, faults, rows, cols, packets, run, dir)
+}
+
+// readStream parses a telemetry directory's NDJSON stream.
+func readStream(t *testing.T, dir string) []telemetry.Record {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, "events.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := telemetry.ReadAll(f)
+	if err != nil {
+		t.Fatalf("NDJSON stream does not fully parse: %v", err)
+	}
+	return recs
+}
+
+// TestTelemetryRun runs a 3x5-grid scenario with a [telemetry] table
+// and verifies the two files it writes: every NDJSON line parses back
+// into a Record (meta first, summary last), and the Prometheus dump
+// carries the run's counters.
+func TestTelemetryRun(t *testing.T) {
+	dir := artifactDir(t)
+	path := writeFile(t, "telemetry.toml", telemetryScenario(dir, 3, 5, 64, "", ""))
+	if err := run([]string{path}); err != nil {
+		t.Fatalf("telemetry run failed: %v", err)
+	}
+	recs := readStream(t, dir)
+	if len(recs) < 100 {
+		t.Fatalf("only %d records for a 15-node run", len(recs))
+	}
+	first, last := recs[0], recs[len(recs)-1]
+	if first.Type != telemetry.TypeMeta || first.V != telemetry.SchemaVersion ||
+		first.Nodes != 15 || first.Seed != 11 || first.Protocol != "MNP" {
+		t.Errorf("meta record = %+v", first)
+	}
+	if last.Type != telemetry.TypeSummary || last.Counters["mnp_nodes_completed"] != 15 {
+		t.Errorf("summary record = %+v", last)
+	}
+	types := map[string]int{}
+	for _, r := range recs {
+		types[r.Type]++
+	}
+	for _, want := range []string{telemetry.TypeEvent, telemetry.TypeRadio, telemetry.TypeStorage} {
+		if types[want] == 0 {
+			t.Errorf("stream has no %q records (got %v)", want, types)
+		}
+	}
+	if types[telemetry.TypeViolation] != 0 {
+		t.Errorf("clean run recorded %d violations", types[telemetry.TypeViolation])
+	}
+
+	prom, err := os.ReadFile(filepath.Join(dir, "counters.prom"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := string(prom)
+	for _, want := range []string{
+		"# TYPE mnp_tx_frames_total counter",
+		"mnp_nodes 15",
+		"mnp_nodes_completed 15",
+		`mnp_tx_frames_total{class="data"}`,
+	} {
+		if !strings.Contains(dump, want) {
+			t.Errorf("Prometheus dump missing %q:\n%s", want, dump)
+		}
+	}
+	// The summary record and the Prometheus dump are two views of the
+	// same registry; spot-check they agree.
+	if tx := last.Counters["mnp_tx_frames_total"]; tx <= 0 ||
+		!strings.Contains(dump, "mnp_tx_frames_total "+strconv.FormatInt(tx, 10)+"\n") {
+		t.Errorf("summary tx=%d not found in dump:\n%s", tx, dump)
+	}
+}
+
+// TestTelemetryWithFaults exercises the combined path: a fault plan
+// plus telemetry; the fault events must appear in the stream.
+func TestTelemetryWithFaults(t *testing.T) {
+	dir := artifactDir(t)
+	path := writeFile(t, "faults.toml", telemetryScenario(dir, 3, 5, 64, `faults = "reboot:7@30s+10s"`, ""))
+	if err := run([]string{path}); err != nil {
+		t.Fatalf("faulted telemetry run failed: %v", err)
+	}
+	for _, r := range readStream(t, dir) {
+		if r.Type == telemetry.TypeFault && r.Kind == "reboot" {
+			return
+		}
+	}
+	t.Error("stream carries no reboot fault record")
+}
+
+// TestShardedScenarioTelemetry runs a faulted scenario on four strips:
+// the run must reach the lockstep engine, whose window count lands in
+// the counters dump.
+func TestShardedScenarioTelemetry(t *testing.T) {
+	dir := artifactDir(t)
+	path := writeFile(t, "sharded.toml", telemetryScenario(dir, 4, 4, 32, `faults = "reboot:7@30s+10s"`, "shards = 4"))
+	if err := run([]string{path}); err != nil {
+		t.Fatalf("sharded faulted run failed: %v", err)
+	}
+	dump, err := os.ReadFile(filepath.Join(dir, "counters.prom"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(dump), "\nengine_windows_total ") {
+		t.Errorf("shards = 4 did not run on the engine; counters:\n%s", dump)
 	}
 }
 

@@ -13,16 +13,15 @@
 // -shards N cuts the deployment into N contiguous strips advanced in
 // conservative lockstep (deterministic per (seed, shards); see
 // DESIGN.md §4f); -workers controls tile parallelism. -tiles RxC
-// switches to 2D tile partitioning with -shards logical executors
-// (results stay a pure function of (seed, tile grid); see DESIGN.md
-// §4i).
+// switches to 2D tile partitioning with -shards logical executors, one
+// per tile by default (results stay a pure function of (seed, tile
+// grid); see DESIGN.md §4i).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -52,7 +51,7 @@ func run(args []string) error {
 		protocol = fs.String("protocol", "mnp", "protocol: "+strings.Join(protoreg.Names(), ", "))
 		power    = fs.Int("power", radio.PowerSim, "TinyOS transmit power level (1,3,4,20,50,255)")
 		seed     = fs.Int64("seed", 1, "simulation seed")
-		shards   = fs.Int("shards", 1, "spatial shards run in lockstep (1 = classic sequential kernel); with -tiles: logical executors")
+		shards   = fs.Int("shards", 0, "spatial shards run in lockstep (0 or 1 = classic sequential kernel); with -tiles: logical executors (0 = one per tile)")
 		workers  = fs.Int("workers", 0, "executor goroutines: 0 auto, 1 inline, N parallel (needs an engine run)")
 		tiles    = fs.String("tiles", "", `2D tile grid "RxC" (e.g. 4x4); default: -shards contiguous strips`)
 		limit    = fs.Duration("limit", 6*time.Hour, "simulated time limit")
@@ -100,24 +99,17 @@ func run(args []string) error {
 		TileCols:     tileCols,
 		Limit:        *limit,
 	}
-	// The trace log and telemetry recorder need the run's clock (the
-	// kernel sequentially, the engine's replay clock when sharded),
-	// which exists only after the deployment is built; bind it lazily.
+	// The trace log reads the run's clock (the kernel sequentially, the
+	// engine's replay clock when sharded), which exists once Build
+	// returns; nothing is traced before the run starts.
 	var (
-		clock func() time.Duration
-		tlog  *trace.Log
+		res       *experiment.Result
+		tlog      *trace.Log
+		observers node.MultiObserver
 	)
-	lazyNow := func() time.Duration {
-		if clock == nil {
-			return 0
-		}
-		return clock()
-	}
-	var observers node.MultiObserver
 	if *traceID >= 0 {
 		id := packet.NodeID(*traceID)
-		var err error
-		tlog, err = trace.NewLog(lazyNow,
+		tlog, err = trace.NewLog(func() time.Duration { return res.Now() },
 			trace.WithNodeFilter(func(n packet.NodeID) bool { return n == id }))
 		if err != nil {
 			return err
@@ -136,52 +128,28 @@ func run(args []string) error {
 	default:
 		setup.Observer = observers
 	}
-	var stream *telemetry.Stream
+	var tel *telemetry.Dir
 	if *telemetryDir != "" {
-		if err := os.MkdirAll(*telemetryDir, 0o755); err != nil {
+		if tel, err = telemetry.CreateDir(*telemetryDir); err != nil {
 			return err
 		}
-		stream, err = telemetry.CreateStream(filepath.Join(*telemetryDir, "events.ndjson"))
-		if err != nil {
-			return err
-		}
-		defer stream.Close()
-		rec, err := telemetry.NewRecorder(stream, lazyNow)
-		if err != nil {
-			return err
-		}
-		setup.Telemetry = rec
+		defer tel.Close()
+		setup.Telemetry = tel.Recorder()
 	}
-	res, err := experiment.Build(setup)
-	if err != nil {
+	if res, err = experiment.Build(setup); err != nil {
 		return err
 	}
-	clock = res.Now
 	res.RunToCompletion()
 	res.FinishTelemetry()
 	if prog != nil {
 		prog.Final()
 	}
-	if stream != nil {
-		counters := res.Counters()
-		counters.PublishExpvar("mnp")
-		promPath := filepath.Join(*telemetryDir, "counters.prom")
-		pf, err := os.Create(promPath)
+	if tel != nil {
+		line, err := tel.Finish(res.Counters())
 		if err != nil {
 			return err
 		}
-		if err := counters.WritePrometheus(pf); err != nil {
-			pf.Close()
-			return err
-		}
-		if err := pf.Close(); err != nil {
-			return err
-		}
-		if err := stream.Close(); err != nil {
-			return fmt.Errorf("telemetry stream: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "telemetry: %d NDJSON records in %s, counters in %s\n",
-			stream.Lines(), filepath.Join(*telemetryDir, "events.ndjson"), promPath)
+		fmt.Fprintln(os.Stderr, line)
 	}
 
 	ct := res.CompletionTime

@@ -150,3 +150,17 @@ func TestTelemetryAndLive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTilesDefaultExecutors pins -shards' default on a tile grid: one
+// executor per tile, so -workers has tiles to spread.
+func TestTilesDefaultExecutors(t *testing.T) {
+	out, err := capture(t, func() error {
+		return run([]string{"-rows", "4", "-cols", "4", "-packets", "16", "-tiles", "2x2", "-workers", "2"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "engine: tiles 2x2, executors 4,") {
+		t.Errorf("want 4 executors on the 2x2 grid:\n%s", out)
+	}
+}

@@ -99,8 +99,8 @@ func ParsePlan(data []byte) (*Plan, error) {
 }
 
 // PlanForScenario wraps a single scenario as a degenerate campaign
-// sweeping only the given seeds — how mnpexp's seed fan-out rides the
-// campaign machinery.
+// sweeping only the given seeds — how mnprun runs a scenario whose
+// [run] seeds lists several.
 func PlanForScenario(sc scenario.Scenario, seeds []int64, workers int) (*Plan, error) {
 	name := sc.Name
 	if name == "" {

@@ -175,8 +175,9 @@ type Setup struct {
 	// contiguous strips (engine.StripGrid: a 1×Shards tile grid, or
 	// Shards×1 for a layout strictly taller than wide) run in
 	// conservative lockstep by internal/engine, one executor per strip.
-	// 0 means 1, and 1 is a single tile: the classic simulator on one
-	// kernel, no engine, byte-identical to earlier releases. Several
+	// 0 means 1 (one executor per tile with a tile grid), and 1 is a
+	// single tile: the classic simulator on one kernel, no engine,
+	// byte-identical to earlier releases. Several
 	// tiles are a deterministic function of (Seed, tile grid) but not
 	// bitwise identical to one — see DESIGN.md §4f.
 	Shards int
@@ -188,7 +189,7 @@ type Setup struct {
 	Workers int
 	// TileRows and TileCols partition the deployment into a 2D tile
 	// grid run by the lockstep engine, with Shards logical executors
-	// (default 1) advancing the tiles. Results are a pure function of
+	// (default one per tile) advancing the tiles. Results are a pure function of
 	// (Seed, tile grid) — independent of Shards and Workers. Both zero
 	// (the default) means Shards strips. A 1×1 grid is a single tile,
 	// exactly as Shards = 1.
@@ -196,7 +197,7 @@ type Setup struct {
 }
 
 // ParseTileSpec parses a CLI tile-grid argument: "" (no tiling) or
-// "RxC" (e.g. "4x4"). Shared by the mnpsim and mnpexp flags.
+// "RxC" (e.g. "4x4"), as mnpsim's -tiles flag takes it.
 func ParseTileSpec(spec string) (rows, cols int, err error) {
 	spec = strings.TrimSpace(strings.ToLower(spec))
 	if spec == "" {
@@ -231,7 +232,7 @@ func (s Setup) withDefaults() Setup {
 	if s.Limit == 0 {
 		s.Limit = 12 * time.Hour
 	}
-	if s.Shards == 0 {
+	if s.Shards == 0 && s.TileRows*s.TileCols == 0 {
 		s.Shards = 1
 	}
 	if s.Mobility != nil && s.MobilityEvery == 0 {
@@ -259,8 +260,8 @@ func (s Setup) Validate() error {
 	if n == 0 {
 		return fmt.Errorf("experiment %s: layout has no nodes", s.Name)
 	}
-	if s.Shards < 1 {
-		return fmt.Errorf("experiment %s: shard count %d must be at least 1", s.Name, s.Shards)
+	if s.Shards < 0 || s.Shards == 0 && s.TileRows*s.TileCols == 0 {
+		return fmt.Errorf("experiment %s: shard count %d must be at least 1 (0 only with a tile grid: one executor per tile)", s.Name, s.Shards)
 	}
 	if s.Shards > n {
 		return fmt.Errorf("experiment %s: %d shards exceed the %d-node deployment", s.Name, s.Shards, n)
@@ -343,8 +344,9 @@ type Result struct {
 	// figures). Empty on a single tile.
 	Loads []engine.LoadReport
 	// Now is the run's observation clock: Kernel.Now on a single tile,
-	// the engine's replay-aware clock otherwise. Bind lazily-clocked
-	// observers (trace logs, telemetry recorders) to it.
+	// the engine's replay-aware clock otherwise. Build binds
+	// Setup.Telemetry to it; bind other lazily-clocked observers (trace
+	// logs) to it.
 	Now func() time.Duration
 
 	// Invariants is the attached checker, nil unless Setup.Invariants
@@ -412,7 +414,7 @@ func (r *Result) finalizeShards() {
 // Counters builds the run's final counter registry: the metrics
 // snapshot up to completion (or the limit), plus the engine's
 // window/ghost totals on several tiles. The telemetry
-// summary record and the CLIs' counters.prom dumps both come from
+// summary record and the CLIs' Prometheus dumps both come from
 // here, so the two surfaces always agree.
 func (r *Result) Counters() *telemetry.Counters {
 	until := r.CompletionTime
@@ -588,12 +590,9 @@ func Build(s Setup) (*Result, error) {
 		shared = append(shared, s.Observer)
 	}
 	if s.Telemetry != nil {
-		if eng != nil {
-			// Single-tile callers bind their recorder to res.Now
-			// themselves; the engine's replay clock has to be in place
-			// before the first barrier.
-			s.Telemetry.SetClock(now)
-		}
+		// Storage records carry no timestamp of their own; they read
+		// the run clock (the engine's replay clock on several tiles).
+		s.Telemetry.SetClock(now)
 		// The stream opens with the run's identity, then the full fault
 		// plan — emitted up front so a reader of a truncated stream still
 		// knows what was going to be injected.

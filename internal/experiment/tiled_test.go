@@ -124,6 +124,7 @@ func TestTiledValidate(t *testing.T) {
 		{"one-sided-grid", func(s *Setup) { s.TileCols = 0 }, "both rows and cols"},
 		{"too-many-tiles", func(s *Setup) { s.TileRows, s.TileCols = 5, 5 }, "tiles"},
 		{"shards-exceed-tiles", func(s *Setup) { s.Shards = 5 }, "exceed"},
+		{"shards-unset", func(s *Setup) { s.Shards = 0 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,6 +141,20 @@ func TestTiledValidate(t *testing.T) {
 				t.Fatalf("Validate() = %v, want substring %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestTiledShardsDefaultToOnePerTile pins the default executor count
+// on a tile grid: Shards unset is the engine's one executor per tile,
+// so Workers can spread the tiles instead of being capped at one.
+func TestTiledShardsDefaultToOnePerTile(t *testing.T) {
+	res, err := Build(Setup{Name: "tiled-default-shards", Rows: 4, Cols: 4, ImagePackets: 8,
+		TileRows: 2, TileCols: 2, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Engine == nil || res.Engine.Executors() != 4 {
+		t.Fatalf("engine = %v, want 4 executors on the 2x2 grid", res.Engine)
 	}
 }
 

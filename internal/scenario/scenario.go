@@ -192,8 +192,8 @@ type Invariants struct {
 }
 
 // Telemetry directs the runner to stream the run as NDJSON + counters
-// into Dir. The scenario layer only carries the directive; wiring the
-// recorder (which needs the run clock) is the runner's job.
+// into Dir. The scenario layer only carries the directive; opening the
+// directory and wiring its recorder is the runner's job.
 type Telemetry struct {
 	Dir      string `json:"dir,omitempty"`
 	Progress bool   `json:"progress,omitempty"`
@@ -725,8 +725,8 @@ func (m *Mobility) Label() string {
 // Compile lowers the document into an executable experiment.Setup.
 // Declarative battery and tune rules become the Setup's closure
 // fields; everything else maps directly. Telemetry is NOT wired here —
-// the recorder needs the run clock, which exists only after Build —
-// so runners handle the Telemetry directive themselves.
+// opening its directory is I/O — so runners handle the Telemetry
+// directive themselves.
 func (s *Scenario) Compile() (experiment.Setup, error) {
 	if err := s.Validate(); err != nil {
 		return experiment.Setup{}, err

@@ -257,3 +257,51 @@ func TestRecorderUnknownEventKind(t *testing.T) {
 		t.Errorf("got %+v, want kind event-99", recs)
 	}
 }
+
+// TestDirWritesStreamAndCounters drives a telemetry directory the way a
+// run does: records through its recorder, then Finish with the final
+// counters. Both files must exist, and Close after Finish is harmless.
+func TestDirWritesStreamAndCounters(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "nested", "tel")
+	d, err := CreateDir(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := d.Recorder()
+	rec.Meta("dir", 1, 2, 3, "MNP")
+	rec.StorageOp(1, true, 0, 0, 22) // before any clock is bound: t = 0
+	rec.SetClock(func() time.Duration { return time.Second })
+	c := NewCounters()
+	c.Set("mnp_nodes", 2)
+	rec.Summary(c.Snapshot())
+	line, err := d.Finish(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close after Finish: %v", err)
+	}
+	if !strings.Contains(line, "3 NDJSON records") {
+		t.Errorf("summary line = %q", line)
+	}
+	f, err := os.Open(filepath.Join(path, eventsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[0].Type != TypeMeta || recs[1].T != 0 ||
+		recs[2].Type != TypeSummary || recs[2].T != int64(time.Second) {
+		t.Errorf("stream = %+v", recs)
+	}
+	prom, err := os.ReadFile(filepath.Join(path, countersFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(prom), "mnp_nodes 2\n") {
+		t.Errorf("counters dump = %q", prom)
+	}
+}
