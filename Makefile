@@ -63,6 +63,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzScenarioParse' -fuzztime $(FUZZTIME) ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz 'FuzzGridIndex' -fuzztime $(FUZZTIME) ./internal/topology/
 	$(GO) test -run '^$$' -fuzz 'FuzzIndexMoves' -fuzztime $(FUZZTIME) ./internal/topology/
+	$(GO) test -run '^$$' -fuzz 'FuzzLinkRowRepair' -fuzztime $(FUZZTIME) ./internal/radio/
 	$(GO) test -run '^$$' -fuzz 'FuzzTilePartition' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz 'FuzzRLNCDecode' -fuzztime $(FUZZTIME) ./internal/rlnc/
 	$(GO) test -run '^$$' -fuzz 'FuzzRLNCEncode' -fuzztime $(FUZZTIME) ./internal/rlnc/

@@ -44,7 +44,8 @@ func bruteWithin(l *topology.Layout, id packet.NodeID, radius float64) []packet.
 
 // freshBER evaluates a directed link's BER from the layout's current
 // positions the way linkBER did before the log span was hoisted and the
-// noise factor memoized: the reference rows must match bit for bit.
+// noise factor carried in the row: the reference rows must match bit
+// for bit.
 func freshBER(g *Geometry, src, dst packet.NodeID, txRange float64) float64 {
 	frac := g.pts[src].Distance(g.pts[dst]) / txRange
 	if frac > 1 {

@@ -388,13 +388,19 @@ type linkKey struct {
 
 // linkRow is the materialized channel state for one (power, source)
 // pair: the full audible list with aligned BERs, plus this medium's
-// delivery view of it. Rows are immutable once built; eviction just
-// drops the cache's reference, so in-flight transmissions still
-// borrowing the slices stay valid.
+// delivery view of it. A row found stale is repaired in place (see
+// repair), but never under a frame still in the air: a repair that
+// finds its arrays lent to an active transmission writes fresh ones,
+// and eviction just drops the cache's reference, so in-flight
+// transmissions keep the slices they started with.
 type linkRow struct {
-	key     linkKey
-	full    []packet.NodeID
-	ber     []float64
+	key  linkKey
+	full []packet.NodeID
+	ber  []float64
+	// noise is aligned with full: each link's asymmetry factor, carried
+	// across repairs so a surviving link never draws it again. Nil until
+	// the row's first repair; rows of a static run never carry it.
+	noise   []float64
 	rangeFt float64
 	// deliver indexes the receivers this medium owns; nil = all
 	// (unsharded).
@@ -403,8 +409,8 @@ type linkRow struct {
 	// shard, so frames from this source must be exported as ghosts.
 	boundary bool
 	// stamp is the geometry's regionStamp over the row's coverage disc
-	// at build time; a mismatch on lookup means the source or its
-	// audible set moved and the row must be rebuilt.
+	// at build or repair time; a mismatch on lookup means the source or
+	// its audible set moved and the row must be repaired.
 	stamp uint64
 
 	prev, next *linkRow // LRU list, most recent at head
@@ -433,11 +439,10 @@ type Medium struct {
 	lruCap                 int
 	cacheInvalidations     uint64
 	cacheHits, cacheMisses uint64
-	// scratch receives each link-row query before the exact-size
-	// copy-out; noise memoizes the per-link asymmetry factor, see
-	// linkNoise.
+	// scratch receives each link-row query before it is copied into the
+	// row; merged stages a repair's noise factors, see repair.
 	scratch []packet.NodeID
-	noise   []noiseEntry
+	merged  []float64
 
 	// dec reuses one decoded message per kind across frame deliveries;
 	// handlers treat incoming packets as read-only and copy at the
@@ -586,23 +591,20 @@ func (m *Medium) CacheHitRate() float64 {
 // row is identical to the evicted one. Under mobility a cached row is
 // revalidated against the geometry's per-cell move stamps, so a row
 // whose source or audible set moved is never served stale — it is
-// dropped (counted as an invalidation) and rebuilt like a miss. The
-// old row object is left intact: in-flight transmissions still
-// borrowing its slices keep the channel state they started with.
+// repaired in place (counted as an invalidation plus a miss), keeping
+// its map entry and LRU position.
 func (m *Medium) linkRowFor(power int, src packet.NodeID) (*linkRow, error) {
 	key := linkKey{power: power, src: src}
 	if row, ok := m.links[key]; ok {
-		if m.geo.regionStamp(src, row.rangeFt) == row.stamp {
+		if m.geo.regionStamp(src, row.rangeFt) != row.stamp {
+			m.cacheInvalidations++
+			m.cacheMisses++
+			m.repair(row)
+		} else {
 			m.cacheHits++
-			m.lruMoveFront(row)
-			return row, nil
 		}
-		m.cacheInvalidations++
-		m.lruUnlink(row)
-		delete(m.links, key)
-		if m.noise == nil && m.geo.params.AsymSigma > 0 {
-			m.noise = make([]noiseEntry, 1<<noiseBits)
-		}
+		m.lruMoveFront(row)
+		return row, nil
 	}
 	full, ber, err := m.computeLinks(power, src)
 	if err != nil {
@@ -613,14 +615,7 @@ func (m *Medium) linkRowFor(power int, src packet.NodeID) (*linkRow, error) {
 	row := &linkRow{key: key, full: full, ber: ber, rangeFt: rangeFt,
 		stamp: m.geo.regionStamp(src, rangeFt)}
 	if m.owned != nil {
-		row.deliver = make([]int32, 0, len(full))
-		for i, dst := range full {
-			if m.owned[dst] {
-				row.deliver = append(row.deliver, int32(i))
-			} else {
-				row.boundary = true
-			}
-		}
+		m.route(row, make([]int32, 0, len(full)))
 	}
 	m.links[key] = row
 	m.lruPushFront(row)
@@ -630,6 +625,85 @@ func (m *Medium) linkRowFor(power int, src packet.NodeID) (*linkRow, error) {
 		delete(m.links, evict.key)
 	}
 	return row, nil
+}
+
+// repair brings a stale row to the geometry's current positions: the
+// index query gives the new audible list, a merge-walk against the old
+// one carries each surviving link's noise factor over (exact, since the
+// factor is a pure function of (seed, src, dst)) so only a newly
+// audible link draws, and every BER is recomputed because distances
+// moved. The row's own arrays are written in place unless a frame in
+// the air still reads them or they are too short; then fresh ones are
+// taken, with headroom.
+func (m *Medium) repair(row *linkRow) {
+	g := m.geo
+	src := row.key.src
+	m.scratch = g.index.AppendWithin(src, row.rangeFt, m.scratch[:0])
+	m.merged = m.merged[:0]
+	i := 0 // a row built on a miss has no noise yet: every link draws
+	for _, dst := range m.scratch {
+		for i < len(row.noise) && row.full[i] < dst {
+			i++
+		}
+		if i < len(row.noise) && row.full[i] == dst {
+			m.merged = append(m.merged, row.noise[i])
+		} else {
+			m.merged = append(m.merged, m.linkNoise(src, dst))
+		}
+	}
+	n, lent := len(m.scratch), m.lent(row)
+	row.full = reuse(row.full, n, lent)
+	row.ber = reuse(row.ber, n, lent)
+	row.noise = reuse(row.noise, n, false) // read by repairs alone, never lent
+	copy(row.full, m.scratch)
+	copy(row.noise, m.merged)
+	p := g.pts[src]
+	for i, dst := range row.full {
+		row.ber[i] = g.linkBER(p.Distance(g.pts[dst]), row.rangeFt, row.noise[i])
+	}
+	if m.owned != nil {
+		m.route(row, reuse(row.deliver, n, lent)[:0])
+	}
+	row.stamp = g.regionStamp(src, row.rangeFt)
+}
+
+// lent reports whether a transmission in the air, local or ghost, still
+// borrows the row's arrays.
+func (m *Medium) lent(row *linkRow) bool {
+	if len(row.full) == 0 {
+		return false // a frame holding an empty list reads nothing
+	}
+	for _, t := range m.active {
+		if len(t.full) > 0 && &t.full[0] == &row.full[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// reuse returns s resliced to length n when it may be written in place,
+// else a fresh array with headroom, so a neighbourhood that gains a mote
+// or two does not reallocate at every step.
+func reuse[T any](s []T, n int, fresh bool) []T {
+	if !fresh && cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n, n+n/4+2)
+}
+
+// route fills an owned medium's delivery view of the row into deliver:
+// the positions of the receivers this medium owns, and whether any
+// audible receiver is owned elsewhere.
+func (m *Medium) route(row *linkRow, deliver []int32) {
+	row.boundary = false
+	for i, dst := range row.full {
+		if m.owned[dst] {
+			deliver = append(deliver, int32(i))
+		} else {
+			row.boundary = true
+		}
+	}
+	row.deliver = deliver
 }
 
 func (m *Medium) lruPushFront(row *linkRow) {
@@ -1035,13 +1109,6 @@ func (m *Medium) resolveWithCapture(t, u *transmission) {
 }
 
 func (m *Medium) finish(t *transmission) {
-	// Drop t from the active list.
-	for i, u := range m.active {
-		if u == t {
-			m.active = append(m.active[:i], m.active[i+1:]...)
-			break
-		}
-	}
 	// The frame is decoded at most once per delivery pass, through the
 	// medium's reuse cache, and the decoded message shared by every
 	// receiver. Handlers treat incoming packets as read-only and every
@@ -1087,6 +1154,15 @@ func (m *Medium) finish(t *transmission) {
 		m.sink.FrameReceived(r, t.src, t.kind, t.bytes)
 		if st.handler != nil {
 			st.handler(decoded, RxMeta{From: t.src, Bytes: t.bytes, At: m.kernel.Now()})
+		}
+	}
+	// Only now does t leave the active list, so a repair a handler above
+	// triggered saw its row's arrays as lent. t ends at this instant, so
+	// a transmit from a handler skipped it in collision marking.
+	for i, u := range m.active {
+		if u == t {
+			m.active = append(m.active[:i], m.active[i+1:]...)
+			break
 		}
 	}
 	m.recycle(t)
@@ -1171,36 +1247,16 @@ func linkNoise(seed int64, src, dst packet.NodeID, sigma float64) float64 {
 	return f
 }
 
-// noiseEntry is one slot of the link-noise memo. A link never joins a
-// mote to itself, so the zero entry matches no key.
-type noiseEntry struct {
-	src, dst packet.NodeID
-	f        float64
-}
-
-// noiseBits sizes the memo: 32 768 slots, 512 KB per medium.
-const noiseBits = 15
-
 // linkNoise returns the noise factor linkBER takes for (src, dst): 1
-// without asymmetry, else the link's lognormal draw. Mobility rebuilds
-// a link row whenever a mote in its disc moves, although only the
-// distance term of each BER moved; once the first row has been
-// invalidated the draws are remembered, bit for bit, in a direct-mapped
-// table — one fixed block per medium (the frameSuccess precedent) that
-// static runs never allocate.
+// without asymmetry, else the link's lognormal draw. A repaired row
+// carries the factors of its surviving links, so under mobility only a
+// newly audible link pays for the draw.
 func (m *Medium) linkNoise(src, dst packet.NodeID) float64 {
 	g := m.geo
 	if g.params.AsymSigma <= 0 {
 		return 1
 	}
-	if m.noise == nil {
-		return linkNoise(g.seed, src, dst, g.params.AsymSigma)
-	}
-	e := &m.noise[(uint64(src)<<32|uint64(dst))*0x9E3779B97F4A7C15>>(64-noiseBits)]
-	if e.src != src || e.dst != dst {
-		*e = noiseEntry{src: src, dst: dst, f: linkNoise(g.seed, src, dst, g.params.AsymSigma)}
-	}
-	return e.f
+	return linkNoise(g.seed, src, dst, g.params.AsymSigma)
 }
 
 func splitmix64(x uint64) uint64 {
