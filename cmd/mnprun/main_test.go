@@ -377,3 +377,45 @@ func nonEmptyLines(s string) []string {
 	}
 	return out
 }
+
+// TestCheckedInFilesParse reads every scenario and campaign plan kept
+// in the repository the way mnprun does, and expands or compiles it, so
+// a removed or renamed key cannot strand a checked-in file.
+func TestCheckedInFilesParse(t *testing.T) {
+	var paths []string
+	for _, pattern := range []string{"../../examples/*/*.toml", "../../bench/workloads/*.toml"} {
+		matches, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, matches...)
+	}
+	if len(paths) < 7 {
+		t.Fatalf("found %d checked-in files (%v), want at least 7", len(paths), paths)
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, sc, err := parse(path, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan != nil {
+				cells, err := plan.Expand()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(cells) == 0 {
+					t.Fatal("plan expands to no cells")
+				}
+				return
+			}
+			if _, err := sc.Compile(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

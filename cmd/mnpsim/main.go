@@ -75,11 +75,6 @@ func run(args []string) error {
 	}
 	defer stopProf()
 
-	proto, ok := experiment.ProtocolByName(*protocol)
-	if !ok {
-		return fmt.Errorf("unknown protocol %q (valid: %s)", *protocol, strings.Join(protoreg.Names(), ", "))
-	}
-
 	tileRows, tileCols, err := experiment.ParseTileSpec(*tiles)
 	if err != nil {
 		return err
@@ -90,7 +85,7 @@ func run(args []string) error {
 		Cols:         *cols,
 		Spacing:      *spacing,
 		ImagePackets: *packets,
-		Protocol:     proto,
+		Protocol:     experiment.ProtocolKind(*protocol),
 		Power:        *power,
 		Seed:         *seed,
 		Shards:       *shards,
@@ -155,7 +150,7 @@ func run(args []string) error {
 	ct := res.CompletionTime
 	fmt.Printf("topology: %s (%d nodes), program: %d packets (%.1f KB), protocol: %s, power: %d, seed: %d\n",
 		res.Layout.Name(), res.Layout.N(), res.Image.TotalPackets(),
-		float64(res.Image.Size())/1024, proto, *power, *seed)
+		float64(res.Image.Size())/1024, res.Setup.Protocol, *power, *seed)
 	if res.Completed {
 		fmt.Printf("completed: all %d nodes in %s\n", res.Layout.N(), ct.Round(time.Second))
 	} else {

@@ -14,10 +14,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"strconv"
 	"time"
 
 	"mnp"
-	"mnp/internal/core"
 	"mnp/internal/packet"
 )
 
@@ -25,6 +25,16 @@ func main() {
 	lowBattery := func(id packet.NodeID) bool { return id != 0 && id%4 == 0 }
 
 	run := func(extensions bool) *mnp.Result {
+		var options map[string]string
+		if extensions {
+			options = map[string]string{
+				"battery_aware":   "true",
+				"low_power":       strconv.Itoa(mnp.PowerWeak),
+				"idle_duty_cycle": "true",
+				"idle_on_period":  "500ms",
+				"idle_off_period": "1500ms",
+			}
+		}
 		res, err := mnp.Simulate(mnp.Setup{
 			Name:         fmt.Sprintf("lowpower ext=%v", extensions),
 			Rows:         8,
@@ -39,16 +49,7 @@ func main() {
 				}
 				return 1.0
 			},
-			MNP: func(_ packet.NodeID, c *core.Config) {
-				if !extensions {
-					return
-				}
-				c.BatteryAware = true
-				c.LowPower = mnp.PowerWeak
-				c.IdleDutyCycle = true
-				c.IdleOnPeriod = 500 * time.Millisecond
-				c.IdleOffPeriod = 1500 * time.Millisecond
-			},
+			ProtocolOptions: options,
 		})
 		if err != nil {
 			log.Fatal(err)

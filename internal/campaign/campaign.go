@@ -12,7 +12,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"mnp/internal/faults"
@@ -33,7 +32,7 @@ type Plan struct {
 	// Name labels the report and the checkpoint header.
 	Name string `json:"name,omitempty"`
 	// Protocols is the protocol axis (protoreg names: mnp, deluge,
-	// moap, xnp). Default: the base scenario's protocol.
+	// moap, xnp, rlnc, gossip). Default: the base scenario's protocol.
 	Protocols []string `json:"protocols,omitempty"`
 	// Seeds is the seed axis. Default: the base scenario's seed list.
 	Seeds []int64 `json:"seeds,omitempty"`
@@ -118,19 +117,6 @@ func PlanForScenario(sc scenario.Scenario, seeds []int64, workers int) (*Plan, e
 	}
 	if _, err := p.Expand(); err != nil {
 		return nil, err
-	}
-	return p, nil
-}
-
-// ParsePlanFile reads and parses path.
-func ParsePlanFile(path string) (*Plan, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	p, err := ParsePlan(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return p, nil
 }
@@ -266,8 +252,7 @@ func (p *Plan) derive(proto string, topo scenario.Topology, mob *scenario.Mobili
 
 	// Options: an explicit per-protocol entry wins; otherwise the base
 	// options carry over only to the base protocol (MNP knobs make no
-	// sense on Deluge cells), and tune rules — MNP-only by definition —
-	// ride along on the same condition.
+	// sense on Deluge cells).
 	switch {
 	case p.ProtocolOptions[proto] != nil:
 		sc.Protocol.Options = p.ProtocolOptions[proto]
@@ -275,9 +260,6 @@ func (p *Plan) derive(proto string, topo scenario.Topology, mob *scenario.Mobili
 		// keep base options
 	default:
 		sc.Protocol.Options = nil
-	}
-	if proto != "mnp" {
-		sc.Protocol.Tune = nil
 	}
 
 	parts := []string{proto, fmt.Sprintf("s%d", seed), topo.Label()}

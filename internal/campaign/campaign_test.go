@@ -166,10 +166,9 @@ cols = 2`, "protocls"},
 kind = "grid"
 rows = 2
 cols = 2
-[[scenario.protocol.tune]]
+[[scenario.battery.rules]]
 nodes = "99"
-[scenario.protocol.tune.options]
-no_sleep = true`, "tune rule"},
+level = 0.5`, "cell mnp_s0_grid-2x2: scenario mnp_s0_grid-2x2: battery rule 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"mnp/internal/node"
-	"mnp/internal/packet"
 	"mnp/internal/protoreg"
 )
 
@@ -34,7 +33,7 @@ func ApplyOptions(cfg *Config, options map[string]string) error {
 }
 
 func init() {
-	protoreg.Register("mnp", func(b protoreg.Build) (node.Protocol, error) {
+	protoreg.Register("mnp", "MNP", func(b protoreg.Build) (node.Protocol, error) {
 		cfg := DefaultConfig()
 		if b.Base {
 			cfg.Base = true
@@ -42,9 +41,6 @@ func init() {
 		}
 		if err := ApplyOptions(&cfg, b.Options); err != nil {
 			return nil, err
-		}
-		if tune, ok := b.Tune.(func(packet.NodeID, *Config)); ok && tune != nil {
-			tune(b.ID, &cfg)
 		}
 		return New(cfg), nil
 	})

@@ -21,7 +21,7 @@ func ApplyOptions(cfg *Config, options map[string]string) error {
 }
 
 func init() {
-	protoreg.Register("deluge", func(b protoreg.Build) (node.Protocol, error) {
+	protoreg.Register("deluge", "Deluge", func(b protoreg.Build) (node.Protocol, error) {
 		cfg := DefaultConfig()
 		if b.Base {
 			cfg.Base = true

@@ -105,31 +105,6 @@ func TestShardedStripOrientation(t *testing.T) {
 	}
 }
 
-// TestProtocolTableCoversRegistry fails when a protocol is registered
-// with protoreg but has no row in the experiment table: every
-// registered name must resolve to a kind whose RegistryName is that
-// name again and whose display name is not the unknown-kind fallback.
-func TestProtocolTableCoversRegistry(t *testing.T) {
-	for _, name := range protoreg.Names() {
-		kind, ok := ProtocolByName(name)
-		if !ok {
-			t.Errorf("protocol %q is registered but has no row in the experiment table", name)
-			continue
-		}
-		if got := kind.RegistryName(); got != name {
-			t.Errorf("%q resolves to kind %d, whose registry name is %q", name, int(kind), got)
-		}
-		if strings.HasPrefix(kind.String(), "Protocol(") {
-			t.Errorf("%q (kind %d) has no display name", name, int(kind))
-		}
-	}
-	for _, e := range protocols {
-		if _, ok := protoreg.Lookup(e.registry); !ok {
-			t.Errorf("table row %s names %q, which is not registered", e.display, e.registry)
-		}
-	}
-}
-
 // TestFleetBytesPerMote is the budget on what a mote costs before it
 // does anything: Build of a 20 000-mote fleet may keep at most 2 KB of
 // heap per mote. An eagerly seeded math/rand source alone is 4.9 KB, so
@@ -192,8 +167,7 @@ func TestRunAllocsPerFrame(t *testing.T) {
 	}
 	rows := []row{{"mnp-10x10", Setup{Rows: 10, Cols: 10, ImagePackets: 128}, 0.6, false}}
 	for _, name := range protoreg.Names() {
-		kind, _ := ProtocolByName(name)
-		if kind == failNodeKind {
+		if name == "failnode" {
 			continue // a fixture whose constructor fails for one mote, not a protocol
 		}
 		budget, ok := allocBudgets[name]
@@ -201,11 +175,11 @@ func TestRunAllocsPerFrame(t *testing.T) {
 			t.Errorf("protocol %q has no allocation budget", name)
 			continue
 		}
-		rows = append(rows, row{name + "-8x8", Setup{Rows: 8, Cols: 8, ImagePackets: 128, Protocol: kind, Limit: time.Hour}, budget, partialRuns[name]})
+		rows = append(rows, row{name + "-8x8", Setup{Rows: 8, Cols: 8, ImagePackets: 128, Protocol: ProtocolKind(name), Limit: time.Hour}, budget, partialRuns[name]})
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			if testing.Short() && row.setup.Protocol != 0 {
+			if testing.Short() && row.setup.Protocol != "" {
 				t.Skip("the per-protocol rows run in the full suite; rlnc's alone is seconds under -race")
 			}
 			s := row.setup

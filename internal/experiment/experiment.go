@@ -13,14 +13,16 @@ import (
 
 	// The protocol packages register themselves with protoreg from
 	// init; the experiment layer builds them only through the registry.
-	// core is imported by name for the typed MNP tuning hook.
+	// MNP (core) is imported after the baselines: import order sets the
+	// linker's code layout, and the benchmark's wall times move with it.
 	_ "mnp/internal/deluge"
 	_ "mnp/internal/gossip"
 	_ "mnp/internal/moap"
 	_ "mnp/internal/rlnc"
 	_ "mnp/internal/xnp"
 
-	"mnp/internal/core"
+	_ "mnp/internal/core"
+
 	"mnp/internal/engine"
 	"mnp/internal/faults"
 	"mnp/internal/image"
@@ -35,68 +37,28 @@ import (
 	"mnp/internal/topology"
 )
 
-// ProtocolKind selects the dissemination protocol under test.
-type ProtocolKind int
+// ProtocolKind names the dissemination protocol under test: a protoreg
+// registration, matched case-insensitively. "" means MNP. Any
+// registered name works, not only the constants below.
+type ProtocolKind string
 
-// Protocols available to experiments.
+// Protocols registered by this module's protocol packages.
 const (
-	ProtocolMNP ProtocolKind = iota + 1
-	ProtocolDeluge
-	ProtocolMOAP
-	ProtocolXNP
-	ProtocolRLNC
-	ProtocolGossip
+	ProtocolMNP    ProtocolKind = "mnp"
+	ProtocolDeluge ProtocolKind = "deluge"
+	ProtocolMOAP   ProtocolKind = "moap"
+	ProtocolXNP    ProtocolKind = "xnp"
+	ProtocolRLNC   ProtocolKind = "rlnc"
+	ProtocolGossip ProtocolKind = "gossip"
 )
 
-type protocolEntry struct {
-	kind     ProtocolKind
-	display  string
-	registry string
-}
-
-// protocols is the one protocol table: each kind's report name and its
-// protoreg registration. String, RegistryName, ProtocolByName and the
-// CLIs all read it, so adding a protocol is a register.go plus a row
-// here (TestProtocolTableCoversRegistry fails on a missing row).
-var protocols = []protocolEntry{
-	{ProtocolMNP, "MNP", "mnp"},
-	{ProtocolDeluge, "Deluge", "deluge"},
-	{ProtocolMOAP, "MOAP", "moap"},
-	{ProtocolXNP, "XNP", "xnp"},
-	{ProtocolRLNC, "RLNC", "rlnc"},
-	{ProtocolGossip, "Gossip", "gossip"},
-}
-
-// String returns the protocol name.
+// String returns the protocol's registered display name ("MNP",
+// "Deluge"); an unregistered name prints as itself.
 func (p ProtocolKind) String() string {
-	for _, e := range protocols {
-		if e.kind == p {
-			return e.display
-		}
+	if d, ok := protoreg.Display(string(p)); ok {
+		return d
 	}
-	return fmt.Sprintf("Protocol(%d)", int(p))
-}
-
-// RegistryName returns the kind's protoreg registration; unknown kinds
-// return "".
-func (p ProtocolKind) RegistryName() string {
-	for _, e := range protocols {
-		if e.kind == p {
-			return e.registry
-		}
-	}
-	return ""
-}
-
-// ProtocolByName resolves a registry name (case-insensitive) to its
-// kind — the inverse of RegistryName, used by scenario files and CLIs.
-func ProtocolByName(name string) (ProtocolKind, bool) {
-	for _, e := range protocols {
-		if strings.EqualFold(name, e.registry) {
-			return e.kind, true
-		}
-	}
-	return 0, false
+	return string(p)
 }
 
 // Setup describes one simulated deployment.
@@ -122,8 +84,8 @@ type Setup struct {
 	// ProtocolOptions are declarative, protocol-specific knobs applied
 	// to every node after the package defaults (keys are defined by
 	// each protocol's register.go — e.g. "no_sleep", "data_interval"
-	// for MNP). They are the serializable face of the tuning closures:
-	// scenario files compile into this map. Nil keeps the defaults,
+	// for MNP). They are the one way to tune a protocol; scenario
+	// files compile into this map. Nil keeps the defaults,
 	// byte-identical to earlier releases.
 	ProtocolOptions map[string]string
 	// BaseID places the base station (default node 0, a grid corner).
@@ -136,8 +98,6 @@ type Setup struct {
 	Seed int64
 	// Radio overrides the channel model when non-nil.
 	Radio *radio.Params
-	// MNP tweaks the core protocol configuration (MNP runs only).
-	MNP func(id packet.NodeID, c *core.Config)
 	// Battery assigns initial battery fractions (default 1.0).
 	Battery func(id packet.NodeID) float64
 	// Limit bounds the simulated time (default 12 h).
@@ -223,7 +183,8 @@ func (s Setup) withDefaults() Setup {
 	if s.ImagePackets == 0 {
 		s.ImagePackets = image.DefaultSegmentPackets
 	}
-	if s.Protocol == 0 {
+	s.Protocol = ProtocolKind(strings.ToLower(string(s.Protocol)))
+	if s.Protocol == "" {
 		s.Protocol = ProtocolMNP
 	}
 	if s.Power == 0 {
@@ -295,25 +256,18 @@ func (s Setup) Validate() error {
 	if s.Limit < 0 {
 		return fmt.Errorf("experiment %s: time limit %v is negative", s.Name, s.Limit)
 	}
-	// Protocol 0 is "unset" (Build defaults it to MNP); anything else
-	// must map to a registered protocol rather than falling through to
-	// a default branch at build time.
-	if s.Protocol != 0 {
-		name := s.Protocol.RegistryName()
-		if name == "" {
-			return fmt.Errorf("experiment %s: unknown protocol kind %d (valid: %s)",
-				s.Name, int(s.Protocol), strings.Join(protoreg.Names(), ", "))
-		}
-		if _, ok := protoreg.Lookup(name); !ok {
-			return fmt.Errorf("experiment %s: protocol %q is not registered", s.Name, name)
+	// An unset protocol is MNP (withDefaults); anything else must be
+	// registered rather than fail at build time.
+	name := ProtocolMNP
+	if s.Protocol != "" {
+		name = s.Protocol
+		if _, ok := protoreg.Lookup(string(name)); !ok {
+			return fmt.Errorf("experiment %s: unknown protocol %q (valid: %s)",
+				s.Name, name, strings.Join(protoreg.Names(), ", "))
 		}
 	}
 	if len(s.ProtocolOptions) > 0 {
-		name := s.Protocol.RegistryName()
-		if name == "" {
-			name = ProtocolMNP.RegistryName()
-		}
-		if err := protoreg.ValidateOptions(name, s.ProtocolOptions); err != nil {
+		if err := protoreg.ValidateOptions(string(name), s.ProtocolOptions); err != nil {
 			return fmt.Errorf("experiment %s: %w", s.Name, err)
 		}
 	}
@@ -761,14 +715,10 @@ func armImageCheck(checker *invariant.Checker, proto ProtocolKind, img *image.Im
 // protocol, which node.New rejects, and the builder's error is reported
 // in place of that rejection.
 func (s Setup) newNetwork(img *image.Image, layout *topology.Layout, place func(packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer)) (*node.Network, error) {
-	name := s.Protocol.RegistryName()
+	name := string(s.Protocol)
 	builder, ok := protoreg.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("experiment %s: protocol %q not registered", s.Name, name)
-	}
-	var tune any
-	if s.MNP != nil {
-		tune = s.MNP
 	}
 	var failed error
 	nw, err := node.NewPartitionedNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
@@ -781,7 +731,6 @@ func (s Setup) newNetwork(img *image.Image, layout *topology.Layout, place func(
 			Base:    id == s.BaseID,
 			Image:   img,
 			Options: s.ProtocolOptions,
-			Tune:    tune,
 		})
 		if err != nil {
 			failed = fmt.Errorf("building %s for node %v: %w", name, id, err)

@@ -62,6 +62,9 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestRunDefaults(t *testing.T) {
+	if s := (Setup{Protocol: "Deluge"}).withDefaults(); s.Protocol != ProtocolDeluge {
+		t.Fatalf("withDefaults kept protocol %q, want the registry name %q", s.Protocol, ProtocolDeluge)
+	}
 	s := Setup{Rows: 1, Cols: 2}.withDefaults()
 	if s.Spacing != 10 || s.ImagePackets != image.DefaultSegmentPackets ||
 		s.Protocol != ProtocolMNP || s.Power != radio.PowerSim || s.Limit != 12*time.Hour {
@@ -69,10 +72,18 @@ func TestRunDefaults(t *testing.T) {
 	}
 }
 
+// TestProtocolStrings pins the display names reports print (F8's
+// header, the telemetry meta record): each comes from the protocol's
+// registration, any capitalization of the name finds it, and an
+// unregistered name prints as itself.
 func TestProtocolStrings(t *testing.T) {
-	for _, p := range []ProtocolKind{ProtocolMNP, ProtocolDeluge, ProtocolMOAP, ProtocolXNP, ProtocolKind(9)} {
-		if p.String() == "" {
-			t.Errorf("empty name for protocol %d", p)
+	for p, want := range map[ProtocolKind]string{
+		ProtocolMNP: "MNP", ProtocolDeluge: "Deluge", ProtocolMOAP: "MOAP",
+		ProtocolXNP: "XNP", ProtocolRLNC: "RLNC", ProtocolGossip: "Gossip",
+		"Deluge": "Deluge", "gcp": "gcp",
+	} {
+		if got := p.String(); got != want {
+			t.Errorf("ProtocolKind(%q).String() = %q, want %q", string(p), got, want)
 		}
 	}
 }

@@ -35,9 +35,10 @@ func TestSetupValidate(t *testing.T) {
 		{"negative-workers", func(s *Setup) { s.Workers = -3 }, "worker count -3 is negative"},
 		{"negative-image", func(s *Setup) { s.ImagePackets = -1 }, "negative"},
 		{"negative-limit", func(s *Setup) { s.Limit = -time.Second }, "negative"},
-		{"unknown-protocol", func(s *Setup) { s.Protocol = ProtocolKind(42) }, "unknown protocol kind 42"},
-		{"negative-protocol", func(s *Setup) { s.Protocol = ProtocolKind(-1) }, "unknown protocol kind"},
+		{"unknown-protocol", func(s *Setup) { s.Protocol = "gcp" }, `unknown protocol "gcp"`},
+		{"negative-protocol", func(s *Setup) { s.Protocol = " mnp" }, "unknown protocol"}, // names are not trimmed
 		{"known-protocol", func(s *Setup) { s.Protocol = ProtocolDeluge }, ""},
+		{"capitalized-protocol", func(s *Setup) { s.Protocol = "Deluge" }, ""},
 		{"bad-option-value", func(s *Setup) {
 			s.Protocol = ProtocolMNP
 			s.ProtocolOptions = map[string]string{"advertise_count": "many"}
@@ -217,20 +218,17 @@ func TestShardedChaosPartitionHeal(t *testing.T) {
 	}
 }
 
-// failNodeKind selects a protocol whose builder rejects node 2 and
-// builds MNP for every other node. Registered once per process: the
-// registry rejects duplicates, and -count reruns tests.
-const failNodeKind = ProtocolKind(99)
-
+// failnode is a protocol whose builder rejects node 2 and builds MNP
+// for every other node. Registered once per process: the registry
+// rejects duplicates, and -count reruns tests.
 func init() {
 	mnp, _ := protoreg.Lookup("mnp")
-	protoreg.Register("failnode", func(b protoreg.Build) (node.Protocol, error) {
+	protoreg.Register("failnode", "FailNode", func(b protoreg.Build) (node.Protocol, error) {
 		if b.ID == 2 {
 			return nil, errors.New("no flash part fitted")
 		}
 		return mnp(b)
 	})
-	protocols = append(protocols, protocolEntry{failNodeKind, "FailNode", "failnode"})
 }
 
 // TestBuildReportsBuilderFailure checks that a protocol builder failing
@@ -240,7 +238,7 @@ func TestBuildReportsBuilderFailure(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		_, err := Build(Setup{
 			Name: "failnode", Rows: 2, Cols: 2, ImagePackets: 8,
-			Protocol: failNodeKind, Shards: shards,
+			Protocol: "failnode", Shards: shards,
 		})
 		if err == nil {
 			t.Fatalf("shards=%d: Build accepted a builder that fails for node 2", shards)

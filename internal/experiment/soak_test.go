@@ -58,7 +58,7 @@ func TestSoakInvariantsAcrossSeeds(t *testing.T) {
 				if err := res.VerifyImages(); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				if s.Protocol == 0 || s.Protocol == ProtocolMNP {
+				if s.Protocol == "" || s.Protocol == ProtocolMNP {
 					if viol := res.Collector.ConcurrencyViolations(); viol > 2 {
 						t.Fatalf("seed %d: %d concurrent same-neighborhood senders", seed, viol)
 					}

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
-	"mnp/internal/core"
 	"mnp/internal/energy"
 	"mnp/internal/image"
 	"mnp/internal/packet"
@@ -441,12 +441,10 @@ func runA1(seed int64) (string, error) {
 		res, err := Run(Setup{
 			Name: fmt.Sprintf("A1 selection-off=%v", off),
 			Rows: 10, Cols: 10,
-			ImagePackets: 2 * image.DefaultSegmentPackets,
-			Seed:         seed,
-			Limit:        12 * time.Hour,
-			MNP: func(_ packet.NodeID, c *core.Config) {
-				c.NoSenderSelection = off
-			},
+			ImagePackets:    2 * image.DefaultSegmentPackets,
+			Seed:            seed,
+			Limit:           12 * time.Hour,
+			ProtocolOptions: map[string]string{"no_sender_selection": strconv.FormatBool(off)},
 		})
 		if err != nil {
 			return "", err
@@ -473,12 +471,10 @@ func runA2(seed int64) (string, error) {
 		res, err := Run(Setup{
 			Name: fmt.Sprintf("A2 nosleep=%v", off),
 			Rows: 10, Cols: 10,
-			ImagePackets: 2 * image.DefaultSegmentPackets,
-			Seed:         seed,
-			Limit:        12 * time.Hour,
-			MNP: func(_ packet.NodeID, c *core.Config) {
-				c.NoSleep = off
-			},
+			ImagePackets:    2 * image.DefaultSegmentPackets,
+			Seed:            seed,
+			Limit:           12 * time.Hour,
+			ProtocolOptions: map[string]string{"no_sleep": strconv.FormatBool(off)},
 		})
 		if err != nil {
 			return "", err
@@ -506,13 +502,11 @@ func runA3(seed int64) (string, error) {
 		res, err := Run(Setup{
 			Name: fmt.Sprintf("A3 repair-off=%v", off),
 			Rows: 6, Cols: 6,
-			ImagePackets: image.DefaultSegmentPackets,
-			Seed:         seed,
-			Radio:        &lossy,
-			Limit:        12 * time.Hour,
-			MNP: func(_ packet.NodeID, c *core.Config) {
-				c.QueryUpdate = !off
-			},
+			ImagePackets:    image.DefaultSegmentPackets,
+			Seed:            seed,
+			Radio:           &lossy,
+			Limit:           12 * time.Hour,
+			ProtocolOptions: map[string]string{"query_update": strconv.FormatBool(!off)},
 		})
 		if err != nil {
 			return "", err
@@ -552,9 +546,9 @@ func runA4(seed int64) (string, error) {
 					}
 					return 1.0
 				},
-				MNP: func(_ packet.NodeID, c *core.Config) {
-					c.BatteryAware = aware
-					c.LowPower = radio.PowerWeak
+				ProtocolOptions: map[string]string{
+					"battery_aware": strconv.FormatBool(aware),
+					"low_power":     strconv.Itoa(radio.PowerWeak),
 				},
 			})
 			if err != nil {
@@ -602,10 +596,10 @@ func runA5(seed int64) (string, error) {
 			ImagePackets: 5 * image.DefaultSegmentPackets,
 			Seed:         seed,
 			Limit:        12 * time.Hour,
-			MNP: func(_ packet.NodeID, c *core.Config) {
-				c.IdleDutyCycle = duty
-				c.IdleOnPeriod = 500 * time.Millisecond
-				c.IdleOffPeriod = 1500 * time.Millisecond
+			ProtocolOptions: map[string]string{
+				"idle_duty_cycle": strconv.FormatBool(duty),
+				"idle_on_period":  (500 * time.Millisecond).String(),
+				"idle_off_period": (1500 * time.Millisecond).String(),
 			},
 		})
 		if err != nil {

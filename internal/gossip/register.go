@@ -17,7 +17,7 @@ func ApplyOptions(cfg *Config, options map[string]string) error {
 }
 
 func init() {
-	protoreg.Register("gossip", func(b protoreg.Build) (node.Protocol, error) {
+	protoreg.Register("gossip", "Gossip", func(b protoreg.Build) (node.Protocol, error) {
 		cfg := DefaultConfig()
 		if b.Base {
 			cfg.Base = true

@@ -19,7 +19,7 @@ func ApplyOptions(cfg *Config, options map[string]string) error {
 }
 
 func init() {
-	protoreg.Register("moap", func(b protoreg.Build) (node.Protocol, error) {
+	protoreg.Register("moap", "MOAP", func(b protoreg.Build) (node.Protocol, error) {
 		cfg := DefaultConfig()
 		if b.Base {
 			cfg.Base = true

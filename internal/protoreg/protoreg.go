@@ -1,9 +1,10 @@
-// Package protoreg is the dissemination-protocol registry. Each
-// protocol package (core, deluge, moap, xnp) registers a named builder
-// from an init function; the experiment layer and the declarative
-// scenario layer look protocols up by name instead of switching over a
-// hard-coded enum, so adding a protocol is one Register call away and
-// scenario files can say `name = "deluge"` without the experiment
+// Package protoreg is the dissemination-protocol registry, the one
+// place that knows a protocol. Each protocol package (core, deluge,
+// moap, xnp, rlnc, gossip) registers a named builder and its display
+// name from an init function; the experiment layer, the CLIs and the
+// declarative scenario layer select a protocol by that name and tune
+// it with string options, so adding a protocol is one Register call
+// and scenario files can say `name = "deluge"` without the experiment
 // package knowing every implementation.
 package protoreg
 
@@ -34,23 +35,28 @@ type Build struct {
 	// register.go); an unknown key is an error. Nil leaves the protocol
 	// at its package defaults, byte-identical to pre-registry builds.
 	Options map[string]string
-	// Tune is an optional protocol-specific typed hook applied after
-	// Options — e.g. func(packet.NodeID, *core.Config) for MNP. Builders
-	// that do not recognize the value ignore it.
-	Tune any
 }
 
 // Builder constructs one node's protocol instance.
 type Builder func(Build) (node.Protocol, error)
 
-var registry = map[string]Builder{}
+type entry struct {
+	display string
+	build   Builder
+}
 
-// Register adds a protocol under a unique lower-case name. It is meant
-// to be called from package init functions and panics on duplicates or
+var registry = map[string]entry{}
+
+// Register adds a protocol under a unique lower-case name, with the
+// display name reports print for it ("MNP", "Deluge"). It is meant to
+// be called from package init functions and panics on duplicates or
 // empty names — both are programmer errors.
-func Register(name string, b Builder) {
+func Register(name, display string, b Builder) {
 	if name == "" || strings.ToLower(name) != name {
 		panic(fmt.Sprintf("protoreg: invalid protocol name %q (must be non-empty lower-case)", name))
+	}
+	if display == "" {
+		panic(fmt.Sprintf("protoreg: empty display name for %q", name))
 	}
 	if b == nil {
 		panic(fmt.Sprintf("protoreg: nil builder for %q", name))
@@ -58,13 +64,20 @@ func Register(name string, b Builder) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("protoreg: protocol %q registered twice", name))
 	}
-	registry[name] = b
+	registry[name] = entry{display, b}
 }
 
 // Lookup finds a registered builder by name (case-insensitive).
 func Lookup(name string) (Builder, bool) {
-	b, ok := registry[strings.ToLower(name)]
-	return b, ok
+	e, ok := registry[strings.ToLower(name)]
+	return e.build, ok
+}
+
+// Display returns a registered protocol's display name
+// (case-insensitive lookup).
+func Display(name string) (string, bool) {
+	e, ok := registry[strings.ToLower(name)]
+	return e.display, ok
 }
 
 // Names lists the registered protocols in sorted order.

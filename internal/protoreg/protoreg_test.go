@@ -5,11 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"mnp/internal/core"
+	_ "mnp/internal/core"
 	_ "mnp/internal/deluge"
 	_ "mnp/internal/gossip"
 	_ "mnp/internal/moap"
-	"mnp/internal/packet"
 	"mnp/internal/protoreg"
 	_ "mnp/internal/rlnc"
 	_ "mnp/internal/xnp"
@@ -26,15 +25,22 @@ func TestAllProtocolsRegistered(t *testing.T) {
 			t.Fatalf("Names() = %v, want %v", got, want)
 		}
 	}
-	for _, name := range want {
+	display := []string{"Deluge", "Gossip", "MNP", "MOAP", "RLNC", "XNP"}
+	for i, name := range want {
 		if _, ok := protoreg.Lookup(name); !ok {
 			t.Errorf("Lookup(%q) missing", name)
 		}
+		if got, ok := protoreg.Display(name); !ok || got != display[i] {
+			t.Errorf("Display(%q) = %q, %v; want %q", name, got, ok, display[i])
+		}
 	}
-	// Lookup is case-insensitive — CLI flags and scenario files may
-	// capitalize.
+	// Lookup and Display are case-insensitive — CLI flags and scenario
+	// files may capitalize.
 	if _, ok := protoreg.Lookup("MNP"); !ok {
 		t.Error("Lookup is case-sensitive; want insensitive")
+	}
+	if got, _ := protoreg.Display("Deluge"); got != "Deluge" {
+		t.Errorf("Display(Deluge) = %q; want case-insensitive lookup", got)
 	}
 }
 
@@ -128,19 +134,17 @@ func TestOptsAtomicCommit(t *testing.T) {
 	}
 }
 
-func TestMNPBuilderAppliesOptionsAndTune(t *testing.T) {
+// TestMNPBuilderAppliesOptions checks that the registered MNP builder
+// builds from an option map and refuses a bad one: options are the
+// only way to tune a protocol.
+func TestMNPBuilderAppliesOptions(t *testing.T) {
 	b, ok := protoreg.Lookup("mnp")
 	if !ok {
 		t.Fatal("mnp not registered")
 	}
-	var tuned packet.NodeID
 	p, err := b(protoreg.Build{
 		ID:      7,
-		Options: map[string]string{"data_interval": "45ms"},
-		Tune: func(id packet.NodeID, c *core.Config) {
-			tuned = id
-			c.AdvertiseCount = 9
-		},
+		Options: map[string]string{"data_interval": "45ms", "advertise_count": "9"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +152,7 @@ func TestMNPBuilderAppliesOptionsAndTune(t *testing.T) {
 	if p == nil {
 		t.Fatal("builder returned nil protocol")
 	}
-	if tuned != 7 {
-		t.Fatalf("tune hook saw node %v, want 7", tuned)
+	if _, err := b(protoreg.Build{ID: 7, Options: map[string]string{"advertise_count": "nine"}}); err == nil {
+		t.Fatal("builder accepted a malformed option")
 	}
-	_ = time.Millisecond // options parsing covered by ValidateOptions cases
 }

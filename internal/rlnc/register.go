@@ -17,7 +17,7 @@ func ApplyOptions(cfg *Config, options map[string]string) error {
 }
 
 func init() {
-	protoreg.Register("rlnc", func(b protoreg.Build) (node.Protocol, error) {
+	protoreg.Register("rlnc", "RLNC", func(b protoreg.Build) (node.Protocol, error) {
 		cfg := DefaultConfig()
 		if b.Base {
 			cfg.Base = true

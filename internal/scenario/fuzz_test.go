@@ -1,17 +1,16 @@
 package scenario
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
 
 // FuzzScenarioParse drives arbitrary bytes through the TOML/JSON
-// front end. Properties: Parse never panics, and any document that
-// parses must round-trip through the canonical encoder to an
-// identical value and a byte-stable encoding. (Documents naming a
-// points file are skipped from the re-parse check only if the file
-// genuinely resolves — the fuzzer has no filesystem.)
+// front end. Properties: Parse never panics, two parses of the same
+// bytes are DeepEqual, and an accepted document compiles without
+// panicking. (Documents naming a points file are not compiled — the
+// fuzzer has no filesystem — nor are ones whose layout is too large to
+// build quickly.)
 func FuzzScenarioParse(f *testing.F) {
 	f.Add([]byte(fullDoc))
 	f.Add([]byte("version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n"))
@@ -27,16 +26,16 @@ func FuzzScenarioParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc1 := sc.EncodeTOML()
-		again, err := Parse(enc1)
+		again, err := Parse(data)
 		if err != nil {
-			t.Fatalf("canonical encoding failed to re-parse: %v\ninput: %q\nencoding:\n%s", err, data, enc1)
+			t.Fatalf("second parse of the same bytes failed: %v", err)
 		}
 		if !reflect.DeepEqual(sc, again) {
-			t.Fatalf("round trip changed the document\nfirst:  %+v\nsecond: %+v", sc, again)
+			t.Fatalf("two parses of the same bytes differ\nfirst:  %+v\nsecond: %+v", sc, again)
 		}
-		if enc2 := again.EncodeTOML(); !bytes.Equal(enc1, enc2) {
-			t.Fatalf("encoding is not a fixed point:\n%s\n---\n%s", enc1, enc2)
+		if n, _ := sc.Topology.nodeCount(); sc.Topology.Kind == "file" || n > 256 || sc.Topology.Attempts > 64 {
+			return
 		}
+		_, _ = sc.Compile() // an error is an answer; a panic fails the fuzz
 	})
 }

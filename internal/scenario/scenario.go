@@ -1,9 +1,9 @@
 // Package scenario is the declarative configuration layer: a
 // versioned TOML/JSON document that describes one simulated deployment
-// — topology, radio model, protocol choice and tuning, battery rules,
+// — topology, radio model, protocol name and options, battery rules,
 // fault plan, invariants, telemetry, sharding, seeds — and compiles
 // into an experiment.Setup. Where experiment.Setup carries Go closures
-// (MNP, Battery), a Scenario carries serializable rules, so every
+// (Battery, Mobility), a Scenario carries serializable rules, so every
 // sweep in the evaluation is reproducible from a checked-in artifact
 // rather than a hand-wired main function. internal/campaign expands
 // matrices of scenarios into run sets.
@@ -19,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"mnp/internal/core"
 	"mnp/internal/experiment"
 	"mnp/internal/faults"
 	"mnp/internal/invariant"
@@ -29,8 +28,7 @@ import (
 	"mnp/internal/topology"
 )
 
-// Version is the scenario schema version this package reads and
-// writes.
+// Version is the scenario schema version this package reads.
 const Version = 1
 
 // Scenario is one deployment described declaratively. The zero value
@@ -123,25 +121,13 @@ type Mobility struct {
 
 // Protocol selects and tunes the dissemination protocol.
 type Protocol struct {
-	// Name is a protoreg registration: mnp (default), deluge, moap,
-	// xnp.
+	// Name is a protoreg registration, any capitalization: mnp
+	// (default), deluge, moap, xnp, rlnc, gossip.
 	Name string `json:"name,omitempty"`
 	// Options are protocol-specific knobs applied to every node; see
 	// each protocol package's register.go for the key set. Values may
 	// be strings, numbers, or booleans.
 	Options map[string]any `json:"options,omitempty"`
-	// Tune rules override Options on a node subset — the declarative
-	// replacement for experiment.Setup.MNP. Rules apply in order; later
-	// rules win. MNP only.
-	Tune []TuneRule `json:"tune,omitempty"`
-}
-
-// TuneRule applies protocol options to the nodes a selector matches.
-type TuneRule struct {
-	// Nodes selects targets: "*", "7", "3-9", or a comma list of
-	// those.
-	Nodes   string         `json:"nodes"`
-	Options map[string]any `json:"options"`
 }
 
 // Run sets the execution parameters.
@@ -274,55 +260,10 @@ func Parse(data []byte) (*Scenario, error) {
 	if err := decodeStrict(generic, &sc); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	sc.normalizeEmpty()
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	return &sc, nil
-}
-
-// normalizeEmpty collapses explicitly-empty maps and arrays to nil, so
-// a document that spells out an empty table ("[protocol.options]" with
-// no keys) decodes to the same value as one that omits it. The
-// canonical encoder skips empty collections, so without this the
-// parse → encode → parse round trip would not be a fixed point.
-func (s *Scenario) normalizeEmpty() {
-	if len(s.Topology.Points) == 0 {
-		s.Topology.Points = nil
-	}
-	if s.Radio != nil && len(s.Radio.RangeFeet) == 0 {
-		s.Radio.RangeFeet = nil
-	}
-	if len(s.Protocol.Options) == 0 {
-		s.Protocol.Options = nil
-	}
-	if len(s.Protocol.Tune) == 0 {
-		s.Protocol.Tune = nil
-	}
-	for i := range s.Protocol.Tune {
-		if len(s.Protocol.Tune[i].Options) == 0 {
-			s.Protocol.Tune[i].Options = nil
-		}
-	}
-	if len(s.Run.Seeds) == 0 {
-		s.Run.Seeds = nil
-	}
-	if s.Battery != nil && len(s.Battery.Rules) == 0 {
-		s.Battery.Rules = nil
-	}
-}
-
-// ParseFile reads and parses path.
-func ParseFile(path string) (*Scenario, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	sc, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return sc, nil
 }
 
 // ParseDocument exposes the TOML/JSON front end to sibling config
@@ -395,22 +336,6 @@ func (s *Scenario) Validate() error {
 	}
 	if err := protoreg.ValidateOptions(proto, opts); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	if len(s.Protocol.Tune) > 0 && !strings.EqualFold(proto, "mnp") {
-		return fmt.Errorf("scenario %s: tune rules require protocol mnp, not %s", s.Name, proto)
-	}
-	for i, rule := range s.Protocol.Tune {
-		if _, err := parseNodeSet(rule.Nodes, n); err != nil {
-			return fmt.Errorf("scenario %s: tune rule %d: %w", s.Name, i, err)
-		}
-		ropts, err := optionStrings(rule.Options)
-		if err != nil {
-			return fmt.Errorf("scenario %s: tune rule %d: %w", s.Name, i, err)
-		}
-		var scratch core.Config
-		if err := core.ApplyOptions(&scratch, ropts); err != nil {
-			return fmt.Errorf("scenario %s: tune rule %d: %w", s.Name, i, err)
-		}
 	}
 	if s.Battery != nil {
 		if s.Battery.Default < 0 || s.Battery.Default > 1 {
@@ -723,8 +648,8 @@ func (m *Mobility) Label() string {
 }
 
 // Compile lowers the document into an executable experiment.Setup.
-// Declarative battery and tune rules become the Setup's closure
-// fields; everything else maps directly. Telemetry is NOT wired here —
+// Declarative battery rules and the mobility section become the
+// Setup's closure fields; everything else maps directly. Telemetry is NOT wired here —
 // opening its directory is I/O — so runners handle the Telemetry
 // directive themselves.
 func (s *Scenario) Compile() (experiment.Setup, error) {
@@ -771,28 +696,13 @@ func (s *Scenario) Compile() (experiment.Setup, error) {
 		setup.MobilityEvery = time.Duration(m.Every)
 	}
 
-	proto := s.Protocol.Name
-	if proto == "" {
-		proto = "mnp"
-	}
-	kind, ok := experiment.ProtocolByName(proto)
-	if !ok {
-		return experiment.Setup{}, fmt.Errorf("scenario %s: unknown protocol %q", s.Name, proto)
-	}
-	setup.Protocol = kind
+	setup.Protocol = experiment.ProtocolKind(s.Protocol.Name)
 	if len(s.Protocol.Options) > 0 {
 		opts, err := optionStrings(s.Protocol.Options)
 		if err != nil {
 			return experiment.Setup{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
 		setup.ProtocolOptions = opts
-	}
-	if len(s.Protocol.Tune) > 0 {
-		tune, err := s.compileTune()
-		if err != nil {
-			return experiment.Setup{}, fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-		setup.MNP = tune
 	}
 
 	if s.Battery != nil {
@@ -818,43 +728,6 @@ func (s *Scenario) Compile() (experiment.Setup, error) {
 		}
 	}
 	return setup, nil
-}
-
-// compileTune lowers tune rules into the typed MNP hook. Selector and
-// option validity were established by Validate, so the closure applies
-// rules unconditionally.
-func (s *Scenario) compileTune() (func(packet.NodeID, *core.Config), error) {
-	n, err := s.Topology.nodeCount()
-	if err != nil {
-		return nil, err
-	}
-	type compiled struct {
-		match func(packet.NodeID) bool
-		opts  map[string]string
-	}
-	rules := make([]compiled, 0, len(s.Protocol.Tune))
-	for i, rule := range s.Protocol.Tune {
-		match, err := parseNodeSet(rule.Nodes, n)
-		if err != nil {
-			return nil, fmt.Errorf("tune rule %d: %w", i, err)
-		}
-		opts, err := optionStrings(rule.Options)
-		if err != nil {
-			return nil, fmt.Errorf("tune rule %d: %w", i, err)
-		}
-		rules = append(rules, compiled{match, opts})
-	}
-	return func(id packet.NodeID, cfg *core.Config) {
-		for _, r := range rules {
-			if r.match(id) {
-				// Validate dry-ran every rule; an error here is
-				// impossible by construction.
-				if err := core.ApplyOptions(cfg, r.opts); err != nil {
-					panic(fmt.Sprintf("scenario: tune rule: %v", err))
-				}
-			}
-		}
-	}, nil
 }
 
 // compileBattery lowers battery rules into the battery closure.

@@ -1,7 +1,7 @@
 package scenario
 
 import (
-	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"mnp/internal/core"
 	"mnp/internal/experiment"
 	"mnp/internal/packet"
 	"mnp/internal/radio"
@@ -47,11 +46,6 @@ name = "mnp"
 no_sleep = true
 advertise_count = 3
 data_interval = "45ms"
-
-[[protocol.tune]]
-nodes = "6-11"
-[protocol.tune.options]
-sleep_factor = 2.0
 
 [run]
 seed = 7
@@ -100,9 +94,6 @@ func TestParseFullDocument(t *testing.T) {
 	if got := sc.Protocol.Options["advertise_count"]; got != float64(3) {
 		t.Fatalf("advertise_count = %v (%T)", got, got)
 	}
-	if len(sc.Protocol.Tune) != 1 || sc.Protocol.Tune[0].Nodes != "6-11" {
-		t.Fatalf("tune = %+v", sc.Protocol.Tune)
-	}
 	if int(sc.Run.Power) != radio.PowerSim {
 		t.Fatalf("power = %d, want %d", sc.Run.Power, radio.PowerSim)
 	}
@@ -126,9 +117,9 @@ func TestParseFullDocument(t *testing.T) {
 	}
 }
 
-// TestRoundTripStable pins the serialization fixed point: parsing a
-// document, encoding it, and re-parsing must reproduce the identical
-// typed value AND identical canonical bytes.
+// TestRoundTripStable parses and compiles each fixture, and pins that
+// its JSON encoding — the form a campaign plan's fingerprint hashes —
+// parses back to the identical document: the json tags are the schema.
 func TestRoundTripStable(t *testing.T) {
 	docs := map[string]string{
 		"full": fullDoc,
@@ -189,8 +180,7 @@ cols = 3
 [mobility]
 kind = "static"
 `,
-		// A [run] section whose only content is the tile grid: the
-		// encoder's run-section predicate must not drop it.
+		// A [run] section whose only content is the tile grid.
 		"tiles-only": `
 version = 1
 name = "tiles"
@@ -205,28 +195,23 @@ tile_cols = 2
 	}
 	for name, doc := range docs {
 		t.Run(name, func(t *testing.T) {
-			s1, err := Parse([]byte(doc))
+			sc, err := Parse([]byte(doc))
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc1 := s1.EncodeTOML()
-			s2, err := Parse(enc1)
+			if _, err := sc.Compile(); err != nil {
+				t.Fatal(err)
+			}
+			enc, err := json.Marshal(sc)
 			if err != nil {
-				t.Fatalf("re-parsing canonical encoding: %v\n%s", err, enc1)
-			}
-			if !reflect.DeepEqual(s1, s2) {
-				t.Fatalf("round-trip changed the document:\nfirst:  %+v\nsecond: %+v", s1, s2)
-			}
-			enc2 := s2.EncodeTOML()
-			if !bytes.Equal(enc1, enc2) {
-				t.Fatalf("canonical encoding is not a fixed point:\n%s\n---\n%s", enc1, enc2)
-			}
-			// Compile must succeed both times.
-			if _, err := s1.Compile(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s2.Compile(); err != nil {
-				t.Fatal(err)
+			again, err := Parse(enc)
+			if err != nil {
+				t.Fatalf("re-parsing the JSON encoding: %v\n%s", err, enc)
+			}
+			if !reflect.DeepEqual(sc, again) {
+				t.Fatalf("JSON round trip changed the document:\nfirst:  %+v\nsecond: %+v", sc, again)
 			}
 		})
 	}
@@ -254,13 +239,27 @@ func TestParseJSON(t *testing.T) {
 	if setup.Limit != 2*time.Hour {
 		t.Fatalf("limit = %v", setup.Limit)
 	}
-	// JSON and its canonical TOML encoding parse identically.
-	again, err := Parse(sc.EncodeTOML())
+	// The JSON document and its hand-written TOML twin parse
+	// identically.
+	twin, err := Parse([]byte(`
+version = 1
+name = "json"
+[topology]
+kind = "grid"
+rows = 3
+cols = 5
+[run]
+seed = 42
+image_packets = 64
+limit = "2h"
+[protocol]
+name = "xnp"
+`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sc, again) {
-		t.Fatal("JSON → TOML round trip changed the document")
+	if !reflect.DeepEqual(sc, twin) {
+		t.Fatalf("JSON and TOML twins differ:\njson: %+v\ntoml: %+v", sc, twin)
 	}
 }
 
@@ -278,7 +277,6 @@ func TestParseRejects(t *testing.T) {
 		{"bad-battery", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[battery]\n[[battery.rules]]\nnodes = \"*\"\nlevel = 1.5\n", "outside [0, 1]"},
 		{"bad-power", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\npower = 99\n", "power level 99"},
 		{"bad-base", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\nbase = 9\n", "base 9"},
-		{"tune-non-mnp", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[protocol]\nname = \"deluge\"\n[[protocol.tune]]\nnodes = \"*\"\n[protocol.tune.options]\nno_sleep = true\n", "tune rules require protocol mnp"},
 		{"mobility-no-kind", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[mobility]\nspeed_min = 1\nspeed_max = 2\n", "kind is required"},
 		{"mobility-bad-kind", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[mobility]\nkind = \"brownian\"\n", "unknown kind"},
 		{"mobility-bad-speeds", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[mobility]\nkind = \"waypoint\"\nspeed_min = 3\nspeed_max = 1\n", "speeds"},
@@ -289,6 +287,9 @@ func TestParseRejects(t *testing.T) {
 		{"removed-optimistic", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\noptimistic = true\n", "optimistic"},
 		{"removed-lookahead", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\nlookahead = 8\n", "lookahead"},
 		{"removed-repartition", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\nrepartition = true\n", `unknown field "repartition"`},
+		// Per-node tune rules are gone: a protocol is tuned by its
+		// fleet-wide options alone.
+		{"removed-tune", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[[protocol.tune]]\nnodes = \"*\"\n[protocol.tune.options]\nno_sleep = true\n", `unknown field "tune"`},
 		{"toml-syntax", "version = \n", "missing value"},
 		{"dup-key", "version = 1\nversion = 1\n", "duplicate key"},
 	}
@@ -302,9 +303,10 @@ func TestParseRejects(t *testing.T) {
 	}
 }
 
-// TestCompileClosures verifies the declarative battery and tune rules
-// lower into closures with the documented semantics (later rules win,
-// defaults apply elsewhere).
+// TestCompileClosures verifies the declarative battery rules lower into
+// a closure with the documented semantics (later rules win, the
+// default applies elsewhere) and every other section maps onto its
+// Setup field.
 func TestCompileClosures(t *testing.T) {
 	sc, err := Parse([]byte(fullDoc))
 	if err != nil {
@@ -322,20 +324,6 @@ func TestCompileClosures(t *testing.T) {
 		if got := setup.Battery(id); got != want {
 			t.Errorf("battery(%v) = %g, want %g", id, got, want)
 		}
-	}
-
-	if setup.MNP == nil {
-		t.Fatal("tune rules did not compile")
-	}
-	in := core.DefaultConfig()
-	setup.MNP(8, &in)
-	if in.SleepFactor != 2.0 {
-		t.Errorf("tune rule on node 8: sleep factor %g, want 2", in.SleepFactor)
-	}
-	out := core.DefaultConfig()
-	setup.MNP(20, &out)
-	if out.SleepFactor != core.DefaultConfig().SleepFactor {
-		t.Errorf("tune rule leaked onto node 20: sleep factor %g", out.SleepFactor)
 	}
 
 	if setup.ProtocolOptions["no_sleep"] != "true" || setup.ProtocolOptions["advertise_count"] != "3" {
@@ -432,7 +420,7 @@ enabled = true
 	if setup.Limit != 6*time.Hour {
 		t.Fatalf("limit = %v", setup.Limit)
 	}
-	if setup.Radio != nil || setup.ProtocolOptions != nil || setup.MNP != nil || setup.Battery != nil {
+	if setup.Radio != nil || setup.ProtocolOptions != nil || setup.Battery != nil {
 		t.Fatal("defaults must compile to nil overrides (golden-hash byte identity)")
 	}
 	if setup.Shards != 0 {

@@ -17,7 +17,7 @@ func ApplyOptions(cfg *Config, options map[string]string) error {
 }
 
 func init() {
-	protoreg.Register("xnp", func(b protoreg.Build) (node.Protocol, error) {
+	protoreg.Register("xnp", "XNP", func(b protoreg.Build) (node.Protocol, error) {
 		cfg := DefaultConfig()
 		if b.Base {
 			cfg.Base = true

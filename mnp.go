@@ -5,7 +5,8 @@
 // recovery, aggressive radio sleeping — together with the substrate it
 // was evaluated on (a TOSSIM-style discrete-event mote simulator with
 // a Mica-2 radio model and Table-1 energy accounting) and the
-// baselines it was compared against (Deluge, MOAP, XNP).
+// baselines it was compared against (Deluge, MOAP, XNP), plus coded
+// (RLNC) and gossip dissemination.
 //
 // The package is a thin facade: Simulate runs one deployment,
 // Experiments/RunExperiment reproduce the paper's tables and figures.
@@ -30,17 +31,20 @@ type (
 	Result = experiment.Result
 	// Spec reproduces one of the paper's tables or figures.
 	Spec = experiment.Spec
-	// ProtocolKind selects the dissemination protocol.
+	// ProtocolKind selects the dissemination protocol by its registry
+	// name (case-insensitive; "" means MNP).
 	ProtocolKind = experiment.ProtocolKind
 )
 
-// Protocols runnable by Simulate.
+// Protocols runnable by Simulate. Any registered protocol name works
+// as well, as mnp.ProtocolKind(name).
 const (
 	ProtocolMNP    = experiment.ProtocolMNP
 	ProtocolDeluge = experiment.ProtocolDeluge
 	ProtocolMOAP   = experiment.ProtocolMOAP
 	ProtocolXNP    = experiment.ProtocolXNP
 	ProtocolRLNC   = experiment.ProtocolRLNC
+	ProtocolGossip = experiment.ProtocolGossip
 )
 
 // TinyOS power levels with configured ranges.

@@ -32,18 +32,22 @@ func TestRunExperimentTable1(t *testing.T) {
 }
 
 func TestSimulateFacade(t *testing.T) {
-	res, err := Simulate(Setup{
-		Name: "facade", Rows: 2, Cols: 2, ImagePackets: 32,
-		Protocol: ProtocolMNP, Power: PowerSim, Seed: 1,
-		Limit: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatal("facade run incomplete")
-	}
-	if err := res.VerifyImages(); err != nil {
-		t.Fatal(err)
+	// Every protocol the facade names runs through it, and so does a
+	// registered name spelled as a ProtocolKind.
+	for _, proto := range []ProtocolKind{ProtocolMNP, ProtocolGossip, ProtocolKind("Deluge")} {
+		res, err := Simulate(Setup{
+			Name: "facade", Rows: 2, Cols: 2, ImagePackets: 32,
+			Protocol: proto, Power: PowerSim, Seed: 1,
+			Limit: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed {
+			t.Fatalf("%s: facade run incomplete", proto)
+		}
+		if err := res.VerifyImages(); err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
 	}
 }
