@@ -29,30 +29,21 @@ import (
 // benchSpec runs one experiment spec per benchmark iteration.
 func benchSpec(b *testing.B, id string) {
 	b.Helper()
-	spec, ok := findSpec(id)
+	spec, ok := experiment.ByID(id)
 	if !ok {
 		b.Fatalf("experiment %s not registered", id)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := spec.Run(42 + int64(i))
+		rep, err := spec.Run(42 + int64(i))
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
-		if i == 0 && !strings.Contains(out, "\n") {
+		if i == 0 && !strings.Contains(rep.Text, "\n") {
 			b.Fatalf("%s produced an empty report", id)
 		}
-		b.SetBytes(int64(len(out)))
+		b.SetBytes(int64(len(rep.Text)))
 	}
-}
-
-func findSpec(id string) (Spec, bool) {
-	for _, s := range Experiments() {
-		if s.ID == id {
-			return s, true
-		}
-	}
-	return Spec{}, false
 }
 
 // BenchmarkTable1EnergyCosts regenerates Table 1 (per-operation energy

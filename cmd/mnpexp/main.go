@@ -1,8 +1,10 @@
 // Command mnpexp reproduces the paper's tables and figures:
 //
-//	mnpexp -list          # show available experiments
-//	mnpexp T1 F5 EDEL     # run specific experiments
-//	mnpexp all            # run everything (minutes of CPU)
+//	mnpexp -list                          # show available experiments
+//	mnpexp T1 F5 EDEL                     # run specific experiments
+//	mnpexp all                            # run everything (minutes of CPU)
+//	mnpexp -seeds 1,2,3 -workers 2 F8     # one run per (experiment, seed)
+//	mnpexp -csv out/ F8 F10 F11 F12 F13   # also write the plotted series
 //
 // Deployments described in flags run through mnpsim, and scenario
 // files and campaign plans through mnprun; mnpexp keeps only the
@@ -18,11 +20,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
-	"mnp"
 	"mnp/internal/experiment"
 	"mnp/internal/telemetry"
 )
@@ -39,11 +43,10 @@ func run(args []string) error {
 	var (
 		list     = fs.Bool("list", false, "list experiments and exit")
 		seed     = fs.Int64("seed", 42, "simulation seed")
-		seeds    = fs.String("seeds", "", "comma-separated seed list; runs each experiment once per seed on a worker pool")
-		workers  = fs.Int("workers", 0, "worker pool size for -seeds (0 = GOMAXPROCS)")
-		parallel = fs.Bool("parallel", false, "run the selected experiments concurrently")
-		csvDir   = fs.String("csv", "", "write the series figures' raw data as CSV files into this directory and exit")
-		progress = fs.Bool("progress", false, "report -seeds sweep progress on stderr")
+		seeds    = fs.String("seeds", "", "comma-separated seed list; runs each experiment once per seed")
+		workers  = fs.Int("workers", 0, "worker pool size for the (experiment, seed) runs (0 = GOMAXPROCS)")
+		csvDir   = fs.String("csv", "", "also write each named figure's plotted series as <name>.csv into this directory")
+		progress = fs.Bool("progress", false, "report per-experiment progress on stderr")
 
 		pprofAddr  = fs.String("pprof", "", "serve /debug/pprof and /debug/vars on this address for the whole invocation")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -65,16 +68,6 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	if *csvDir != "" {
-		paths, err := experiment.WriteCSVs(*csvDir, *seed)
-		if err != nil {
-			return err
-		}
-		for _, p := range paths {
-			fmt.Println("wrote", p)
-		}
-		return nil
-	}
 	ids := fs.Args()
 	if len(ids) == 0 {
 		return fmt.Errorf("no experiments named; try -list or 'all'")
@@ -91,66 +84,105 @@ func run(args []string) error {
 			specs = append(specs, s)
 		}
 	}
+	seedList := []int64{*seed}
 	if *seeds != "" {
-		seedList, err := parseSeeds(*seeds)
-		if err != nil {
+		if *csvDir != "" {
+			return fmt.Errorf("-csv writes one file per series and cannot take -seeds")
+		}
+		if seedList, err = parseSeeds(*seeds); err != nil {
 			return err
 		}
-		// Multi-seed fan-out: each experiment runs once per seed on a
-		// worker pool. RunSeeds merges deterministically — reports come
-		// back in seed-list order no matter which worker finishes first.
-		for si, s := range specs {
-			if *progress {
-				fmt.Fprintf(os.Stderr, "sweep: %s (%d/%d), %d seeds on %d workers\n",
-					s.ID, si+1, len(specs), len(seedList), *workers)
-			}
-			for _, r := range mnp.RunSeeds(s, seedList, *workers) {
-				if r.Err != nil {
-					return fmt.Errorf("%s seed %d: %w", s.ID, r.Seed, r.Err)
-				}
-				fmt.Printf("=== %s — %s (seed %d) ===\n", s.ID, s.Title, r.Seed)
-				fmt.Println(r.Report)
-			}
+	}
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			return err
 		}
-		return nil
 	}
-	if !*parallel {
-		for _, s := range specs {
-			fmt.Printf("=== %s — %s ===\n", s.ID, s.Title)
-			out, err := s.Run(*seed)
-			if err != nil {
-				return fmt.Errorf("%s: %w", s.ID, err)
-			}
-			fmt.Println(out)
+
+	// Every (experiment, seed) pair is an independent simulation: run
+	// them on one pool and print the reports in job order, so the
+	// output is the same at any worker count.
+	type job struct {
+		spec experiment.Spec
+		seed int64
+		rep  experiment.Report
+		err  error
+		done chan struct{}
+	}
+	var jobs []*job
+	for _, s := range specs {
+		for _, sd := range seedList {
+			jobs = append(jobs, &job{spec: s, seed: sd, done: make(chan struct{})})
 		}
-		return nil
 	}
-	// Parallel: every spec is an independent simulation; run them all
-	// concurrently and print the reports in the original order.
-	type outcome struct {
-		out string
-		err error
+	n := *workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
-	results := make([]outcome, len(specs))
-	var wg sync.WaitGroup
-	for i, s := range specs {
-		i, s := i, s
+	var (
+		next atomic.Int64
+		stop atomic.Bool
+		wg   sync.WaitGroup
+	)
+	// On an early return, workers finish the job in hand and quit.
+	defer wg.Wait()
+	defer stop.Store(true)
+	for w := 0; w < min(n, len(jobs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := s.Run(*seed)
-			results[i] = outcome{out: out, err: err}
+			for !stop.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(jobs) {
+					return
+				}
+				j := jobs[i]
+				if *progress && i%len(seedList) == 0 {
+					fmt.Fprintf(os.Stderr, "sweep: %s (%d/%d), %d seeds on %d workers\n",
+						j.spec.ID, i/len(seedList)+1, len(specs), len(seedList), n)
+				}
+				j.rep, j.err = j.spec.Run(j.seed)
+				close(j.done)
+			}
 		}()
 	}
-	wg.Wait()
-	for i, s := range specs {
-		if results[i].err != nil {
-			return fmt.Errorf("%s: %w", s.ID, results[i].err)
+	var series []experiment.Series
+	for _, j := range jobs {
+		<-j.done
+		id, title := j.spec.ID, j.spec.Title
+		if *seeds != "" {
+			id, title = fmt.Sprintf("%s seed %d", id, j.seed), fmt.Sprintf("%s (seed %d)", title, j.seed)
 		}
-		fmt.Printf("=== %s — %s ===\n", s.ID, s.Title)
-		fmt.Println(results[i].out)
+		if j.err != nil {
+			return fmt.Errorf("%s: %w", id, j.err)
+		}
+		fmt.Printf("=== %s — %s ===\n", j.spec.ID, title)
+		fmt.Println(j.rep.Text)
+		series = append(series, j.rep.Series...)
+	}
+	if *csvDir == "" {
+		return nil
+	}
+	for _, s := range series {
+		path := filepath.Join(*csvDir, s.Name+".csv")
+		if err := writeCSV(path, s); err != nil {
+			return err
+		}
+		fmt.Println("wrote", path)
 	}
 	return nil
+}
+
+func writeCSV(path string, s experiment.Series) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := s.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func parseSeeds(list string) ([]int64, error) {

@@ -209,18 +209,8 @@ func printEnergy(res *experiment.Result) {
 
 func printTraffic(res *experiment.Result) {
 	fmt.Println("\nmessages per minute (adv / req / data):")
-	adv := res.Collector.WindowCounts(packet.ClassAdvertisement)
-	req := res.Collector.WindowCounts(packet.ClassRequest)
-	data := res.Collector.WindowCounts(packet.ClassData)
-	for m := 0; m < len(data); m++ {
-		a, r := 0, 0
-		if m < len(adv) {
-			a = adv[m]
-		}
-		if m < len(req) {
-			r = req[m]
-		}
-		fmt.Printf("  minute %3d: %5d / %5d / %5d\n", m, a, r, data[m])
+	for m, w := range res.Collector.MessageMix() {
+		fmt.Printf("  minute %3d: %5d / %5d / %5d\n", m, w[0], w[1], w[2])
 	}
 }
 

@@ -43,55 +43,6 @@ func TestF8ReportMatchesSeedRevision(t *testing.T) {
 	}
 }
 
-// RunSeeds must produce byte-identical reports to serial runs, in seed
-// order, regardless of worker count — the parallel fan-out may not
-// perturb any individual simulation.
-func TestRunSeedsDeterministicMerge(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full F8 simulations in -short mode")
-	}
-	spec, ok := experiment.ByID("F8")
-	if !ok {
-		t.Fatal("F8 spec missing")
-	}
-	seeds := []int64{42, 7}
-	runs := RunSeeds(spec, seeds, 2)
-	if len(runs) != len(seeds) {
-		t.Fatalf("got %d runs, want %d", len(runs), len(seeds))
-	}
-	for i, r := range runs {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if r.Seed != seeds[i] {
-			t.Fatalf("run %d has seed %d, want %d (merge order broken)", i, r.Seed, seeds[i])
-		}
-		want := goldenF8[r.Seed]
-		if got := hex.EncodeToString(sumOf(r.Report)); got != want {
-			t.Errorf("RunSeeds seed %d report hash = %s, want %s", r.Seed, got, want)
-		}
-	}
-}
-
-func TestRunSeedsEdgeCases(t *testing.T) {
-	spec, _ := experiment.ByID("T1")
-	if got := RunSeeds(spec, nil, 4); len(got) != 0 {
-		t.Fatalf("RunSeeds(nil seeds) returned %d runs", len(got))
-	}
-	// workers <= 0 and workers > len(seeds) both work.
-	for _, workers := range []int{0, 8} {
-		runs := RunSeeds(spec, []int64{1, 2, 3}, workers)
-		for i, r := range runs {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-			if r.Seed != []int64{1, 2, 3}[i] {
-				t.Fatalf("workers=%d: run %d out of order", workers, i)
-			}
-		}
-	}
-}
-
 // goldenChaos pins the full per-node outcome of a crash+reboot run at
 // seed 42: fault plans draw from their own seeded RNG, so a faulted
 // run must be exactly as reproducible as a clean one. If this hash

@@ -41,12 +41,15 @@ func TestAllSpecsRegistered(t *testing.T) {
 
 func TestTable1Report(t *testing.T) {
 	s, _ := ByID("T1")
-	out, err := s.Run(1)
+	rep, err := s.Run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rep.Series) != 0 {
+		t.Errorf("T1 has %d series, want none", len(rep.Series))
+	}
 	for _, want := range []string{"Transmitting a packet", "20.000", "Idle listening", "83.333"} {
-		if !strings.Contains(out, want) {
+		if !strings.Contains(rep.Text, want) {
 			t.Errorf("T1 report missing %q", want)
 		}
 	}

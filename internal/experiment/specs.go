@@ -1,9 +1,10 @@
 package experiment
 
 import (
+	"encoding/csv"
 	"fmt"
+	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -22,8 +23,44 @@ type Spec struct {
 	ID string
 	// Title describes the paper artifact.
 	Title string
-	// Run executes the workload and renders the report.
-	Run func(seed int64) (string, error)
+	// Run executes the workload and returns its report.
+	Run func(seed int64) (Report, error)
+}
+
+// Report is one spec's result: the rendered text and the plotted
+// series behind it, both drawn from the same runs.
+type Report struct {
+	Text   string
+	Series []Series
+}
+
+// Series is the raw data of one plotted figure: a named table of
+// numbers, written as <Name>.csv for plotting. Decimals[j] is the
+// number of digits after the point in column j.
+type Series struct {
+	Name     string
+	Header   []string
+	Decimals []int
+	Rows     [][]float64
+}
+
+// WriteCSV writes the header and one record per row.
+func (s Series) WriteCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(s.Header); err != nil {
+		return err
+	}
+	rec := make([]string, len(s.Header))
+	for _, row := range s.Rows {
+		for j, v := range row {
+			rec[j] = strconv.FormatFloat(v, 'f', s.Decimals[j], 64)
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 // AllSpecs returns every experiment in paper order.
@@ -61,7 +98,7 @@ func ByID(id string) (Spec, bool) {
 
 // --- Table 1 ---
 
-func runT1(int64) (string, error) {
+func runT1(int64) (Report, error) {
 	c := energy.Table1
 	var b strings.Builder
 	b.WriteString("Table 1: power required by various Mica operations (nAh)\n")
@@ -73,7 +110,7 @@ func runT1(int64) (string, error) {
 	idlePerSec := c.IdleListenMs * 1000
 	fmt.Fprintf(&b, "  (1 s of idle listening = %.0f nAh = %.0f packet transmissions)\n",
 		idlePerSec, idlePerSec/c.TransmitPacket)
-	return b.String(), nil
+	return Report{Text: b.String()}, nil
 }
 
 // --- Figures 5–7: testbed sender-selection experiments ---
@@ -81,7 +118,7 @@ func runT1(int64) (string, error) {
 // testbedPackets is the testbed program size: 100 packets (2.2 KB).
 const testbedPackets = 100
 
-func runTestbed(name string, rows, cols int, powers []int, seed int64) (string, error) {
+func runTestbed(name string, rows, cols int, powers []int, seed int64) (Report, error) {
 	var b strings.Builder
 	for _, power := range powers {
 		res, err := Run(Setup{
@@ -95,29 +132,29 @@ func runTestbed(name string, rows, cols int, powers []int, seed int64) (string, 
 			Limit:        4 * time.Hour,
 		})
 		if err != nil {
-			return "", err
+			return Report{}, err
 		}
 		if err := res.VerifyImages(); err != nil {
-			return "", fmt.Errorf("%s: %w", res.Setup.Name, err)
+			return Report{}, fmt.Errorf("%s: %w", res.Setup.Name, err)
 		}
 		b.WriteString(runSummary(res))
 		b.WriteString(renderParentMap(res))
 		b.WriteByte('\n')
 	}
-	return b.String(), nil
+	return Report{Text: b.String()}, nil
 }
 
-func runF5(seed int64) (string, error) {
+func runF5(seed int64) (Report, error) {
 	return runTestbed("F5 indoor 3x5", 3, 5,
 		[]int{radio.PowerIndoorHigh, radio.PowerIndoorLow}, seed)
 }
 
-func runF6(seed int64) (string, error) {
+func runF6(seed int64) (Report, error) {
 	return runTestbed("F6 outdoor 5x5", 5, 5,
 		[]int{radio.PowerFull, radio.PowerOutdoorLow}, seed)
 }
 
-func runF7(seed int64) (string, error) {
+func runF7(seed int64) (Report, error) {
 	return runTestbed("F7 outdoor 2x10", 2, 10,
 		[]int{radio.PowerFull, radio.PowerOutdoorLow}, seed)
 }
@@ -146,10 +183,10 @@ func sim20x20(name string, seed int64, segments int) (*Result, error) {
 	return res, nil
 }
 
-func runF8(seed int64) (string, error) {
+func runF8(seed int64) (Report, error) {
 	res, err := sim20x20("F8 20x20 ART", seed, 5)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	ct := res.CompletionTime
 	art := func(id packet.NodeID) time.Duration {
@@ -162,13 +199,30 @@ func runF8(seed int64) (string, error) {
 		100*res.Collector.MeanActiveRadioTime(ct).Seconds()/ct.Seconds())
 	b.WriteString(renderRingSummary(res, "active radio time", art))
 	b.WriteString(renderDurationGrid(res, "active radio time by location", art))
-	return b.String(), nil
+	// The plotted series carries Figure 9's column too: the same run
+	// with each node's clock started at its first advertisement.
+	series := Series{
+		Name:     "f8_art",
+		Header:   []string{"node", "row", "col", "art_s", "art_no_idle_s"},
+		Decimals: []int{0, 0, 0, 1, 1},
+	}
+	for i := 0; i < res.Layout.N(); i++ {
+		id := packet.NodeID(i)
+		r, c, _ := res.Layout.GridCoord(id)
+		from, ok := res.Collector.FirstAdvertisementHeard(id)
+		if !ok {
+			from = 0
+		}
+		series.Rows = append(series.Rows, []float64{float64(i), float64(r), float64(c),
+			art(id).Seconds(), res.Collector.ActiveRadioTime(id, from, ct).Seconds()})
+	}
+	return Report{Text: b.String(), Series: []Series{series}}, nil
 }
 
-func runF9(seed int64) (string, error) {
+func runF9(seed int64) (Report, error) {
 	res, err := sim20x20("F9 20x20 ART w/o initial idle", seed, 5)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	ct := res.CompletionTime
 	art := func(id packet.NodeID) time.Duration {
@@ -196,25 +250,32 @@ func runF9(seed int64) (string, error) {
 	}
 	fmt.Fprintf(&b, "spread: min %s, max %s (max/min %.1fx)\n", fmtDur(minV), fmtDur(maxV),
 		maxV.Seconds()/math.Max(minV.Seconds(), 1))
-	return b.String(), nil
+	return Report{Text: b.String()}, nil
 }
 
-func runF10(seed int64) (string, error) {
+func runF10(seed int64) (Report, error) {
 	var b strings.Builder
 	b.WriteString("F10: 20x20 grid, program size 1..10 segments\n")
 	b.WriteString("segments    KB   completion        ART   ART w/o initial idle\n")
+	series := Series{
+		Name:     "f10_sweep",
+		Header:   []string{"segments", "kb", "completion_s", "art_s", "art_no_idle_s"},
+		Decimals: []int{0, 1, 1, 1, 1},
+	}
 	var xs, ys []float64
 	for segs := 1; segs <= 10; segs++ {
 		res, err := sim20x20(fmt.Sprintf("F10 %d segments", segs), seed+int64(segs), segs)
 		if err != nil {
-			return "", err
+			return Report{}, err
 		}
 		ct := res.CompletionTime
+		kb := float64(res.Image.Size()) / 1024
+		art := res.Collector.MeanActiveRadioTime(ct)
+		artNoIdle := res.Collector.MeanActiveRadioTimeAfterFirstAdv(ct)
 		fmt.Fprintf(&b, "%8d %5.1f %12s %10s %10s\n",
-			segs, float64(res.Image.Size())/1024,
-			fmtDur(ct),
-			fmtDur(res.Collector.MeanActiveRadioTime(ct)),
-			fmtDur(res.Collector.MeanActiveRadioTimeAfterFirstAdv(ct)))
+			segs, kb, fmtDur(ct), fmtDur(art), fmtDur(artNoIdle))
+		series.Rows = append(series.Rows, []float64{float64(segs), kb,
+			ct.Seconds(), art.Seconds(), artNoIdle.Seconds()})
 		xs = append(xs, float64(segs))
 		ys = append(ys, ct.Seconds())
 	}
@@ -222,31 +283,38 @@ func runF10(seed int64) (string, error) {
 	// linearly with program size.
 	line, err := stats.LinearFit(xs, ys)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	fmt.Fprintf(&b, "linear fit: completion = %s + %s/segment (R^2 = %.4f)\n",
 		fmtDur(time.Duration(line.Intercept*float64(time.Second))),
 		fmtDur(time.Duration(line.Slope*float64(time.Second))), line.R2)
-	return b.String(), nil
+	return Report{Text: b.String(), Series: []Series{series}}, nil
 }
 
-func runF11(seed int64) (string, error) {
+func runF11(seed int64) (Report, error) {
 	res, err := sim20x20("F11 20x20 tx/rx distribution", seed, 5)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	var b strings.Builder
 	b.WriteString(runSummary(res))
+	series := Series{
+		Name:     "f11_traffic",
+		Header:   []string{"node", "row", "col", "tx", "rx"},
+		Decimals: []int{0, 0, 0, 0, 0},
+	}
 	totalTx, totalRx, maxTx := 0, 0, 0
 	var maxTxNode packet.NodeID
 	for i := 0; i < res.Layout.N(); i++ {
 		id := packet.NodeID(i)
-		tx := res.Collector.TxCount(id)
+		tx, rx := res.Collector.TxCount(id), res.Collector.RxCount(id)
 		totalTx += tx
-		totalRx += res.Collector.RxCount(id)
+		totalRx += rx
 		if tx > maxTx {
 			maxTx, maxTxNode = tx, id
 		}
+		r, c, _ := res.Layout.GridCoord(id)
+		series.Rows = append(series.Rows, []float64{float64(i), float64(r), float64(c), float64(tx), float64(rx)})
 	}
 	fmt.Fprintf(&b, "messages sent: total %d, mean %.0f per node, max %d at %v (base station is n0)\n",
 		totalTx, float64(totalTx)/float64(res.Layout.N()), maxTx, maxTxNode)
@@ -260,57 +328,47 @@ func runF11(seed int64) (string, error) {
 		center, res.Collector.RxCount(center), corner, res.Collector.RxCount(corner))
 	b.WriteString(renderIntGrid(res, "transmissions", res.Collector.TxCount))
 	b.WriteString(renderIntGrid(res, "receptions", res.Collector.RxCount))
-	return b.String(), nil
+	return Report{Text: b.String(), Series: []Series{series}}, nil
 }
 
-func runF12(seed int64) (string, error) {
+func runF12(seed int64) (Report, error) {
 	res, err := sim20x20("F12 20x20 message timeline", seed, 5)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	var b strings.Builder
 	b.WriteString(runSummary(res))
-	adv := res.Collector.WindowCounts(packet.ClassAdvertisement)
-	req := res.Collector.WindowCounts(packet.ClassRequest)
-	data := res.Collector.WindowCounts(packet.ClassData)
+	series := Series{
+		Name:     "f12_timeline",
+		Header:   []string{"minute", "advertisements", "requests", "data"},
+		Decimals: []int{0, 0, 0, 0},
+	}
 	b.WriteString("minute  advertisements  requests  data\n")
-	n := len(data)
-	for m := 0; m < n; m++ {
-		a, r := 0, 0
-		if m < len(adv) {
-			a = adv[m]
-		}
-		if m < len(req) {
-			r = req[m]
-		}
-		fmt.Fprintf(&b, "%6d %15d %9d %5d\n", m, a, r, data[m])
+	mix := res.Collector.MessageMix()
+	for m, w := range mix {
+		fmt.Fprintf(&b, "%6d %15d %9d %5d\n", m, w[0], w[1], w[2])
+		series.Rows = append(series.Rows, []float64{float64(m), float64(w[0]), float64(w[1]), float64(w[2])})
 	}
 	// The paper's observation: the data rate stays nearly constant
 	// through the dissemination (a smooth pipeline).
-	if n > 4 {
-		mid := data[1 : n-1]
-		sort.Ints(append([]int(nil), mid...))
-		minD, maxD := mid[0], mid[0]
+	if n := len(mix); n > 4 {
+		mid := mix[1 : n-1]
+		minD, maxD := mid[0][2], mid[0][2]
 		sum := 0
-		for _, v := range mid {
-			if v < minD {
-				minD = v
-			}
-			if v > maxD {
-				maxD = v
-			}
-			sum += v
+		for _, w := range mid {
+			minD, maxD = min(minD, w[2]), max(maxD, w[2])
+			sum += w[2]
 		}
 		fmt.Fprintf(&b, "data msgs/minute during dissemination: mean %.0f, min %d, max %d\n",
 			float64(sum)/float64(len(mid)), minD, maxD)
 	}
-	return b.String(), nil
+	return Report{Text: b.String(), Series: []Series{series}}, nil
 }
 
-func runF13(seed int64) (string, error) {
+func runF13(seed int64) (Report, error) {
 	res, err := sim20x20("F13 propagation progress", seed, 1)
 	if err != nil {
-		return "", err
+		return Report{}, err
 	}
 	ct := res.CompletionTime
 	var b strings.Builder
@@ -320,6 +378,16 @@ func runF13(seed int64) (string, error) {
 		t := ct * time.Duration(pct) / 100
 		fmt.Fprintf(&b, "  %3d%% of time (%8s): %5.1f%% of nodes\n",
 			pct, fmtDur(t), 100*res.Collector.CompletedFractionAt(t))
+	}
+	// The plotted curve is finer than the text: 0–100 % in 5 % steps.
+	series := Series{
+		Name:     "f13_progress",
+		Header:   []string{"t_s", "fraction_complete"},
+		Decimals: []int{1, 4},
+	}
+	for pct := 0; pct <= 100; pct += 5 {
+		t := ct * time.Duration(pct) / 100
+		series.Rows = append(series.Rows, []float64{t.Seconds(), res.Collector.CompletedFractionAt(t)})
 	}
 	// Diagonal-vs-edge propagation: in Deluge, hidden-terminal
 	// collisions make the diagonal significantly slower than the edge;
@@ -337,7 +405,7 @@ func runF13(seed int64) (string, error) {
 		for trial := int64(0); trial < 5; trial++ {
 			r, ok, err := denseDiagEdgeRatio(proto, 4, seed+trial*31)
 			if err != nil {
-				return "", err
+				return Report{}, err
 			}
 			if ok {
 				sum += r
@@ -350,7 +418,7 @@ func runF13(seed int64) (string, error) {
 		}
 		fmt.Fprintf(&b, "  %-7v diagonal/edge arrival-time ratio: %.2f (%d runs)\n", proto, sum/float64(n), n)
 	}
-	return b.String(), nil
+	return Report{Text: b.String(), Series: []Series{series}}, nil
 }
 
 // denseDiagEdgeRatio runs a single-segment dissemination at the given
@@ -395,7 +463,7 @@ func diagEdgeRatio(res *Result) (ratio float64, ok bool) {
 
 // --- Section 5: Deluge comparison ---
 
-func runEDEL(seed int64) (string, error) {
+func runEDEL(seed int64) (Report, error) {
 	var b strings.Builder
 	b.WriteString("MNP vs Deluge: 20x20 grid, 5 segments (14.1 KB)\n")
 	b.WriteString("protocol  completion   mean ART   ART w/o initial idle   msgs sent\n")
@@ -409,10 +477,10 @@ func runEDEL(seed int64) (string, error) {
 			Limit:        12 * time.Hour,
 		})
 		if err != nil {
-			return "", err
+			return Report{}, err
 		}
 		if !res.Completed {
-			return "", fmt.Errorf("%s incomplete", proto)
+			return Report{}, fmt.Errorf("%s incomplete", proto)
 		}
 		ct := res.CompletionTime
 		totalTx := 0
@@ -428,12 +496,12 @@ func runEDEL(seed int64) (string, error) {
 	b.WriteString("(Deluge keeps its radio on for the whole run: its idle listening time equals\n" +
 		" the completion time; MNP trades moderately longer completion for far less\n" +
 		" active radio time, the dominant energy cost)\n")
-	return b.String(), nil
+	return Report{Text: b.String()}, nil
 }
 
 // --- Ablations ---
 
-func runA1(seed int64) (string, error) {
+func runA1(seed int64) (Report, error) {
 	var b strings.Builder
 	b.WriteString("A1: sender selection on vs off (10x10, 2 segments)\n")
 	b.WriteString("variant            completion  concurrent-senders  collisions\n")
@@ -447,7 +515,7 @@ func runA1(seed int64) (string, error) {
 			ProtocolOptions: map[string]string{"no_sender_selection": strconv.FormatBool(off)},
 		})
 		if err != nil {
-			return "", err
+			return Report{}, err
 		}
 		collisions := 0
 		for i := 0; i < res.Layout.N(); i++ {
@@ -460,10 +528,10 @@ func runA1(seed int64) (string, error) {
 		fmt.Fprintf(&b, "%-18s %11s %19d %11d\n", name, fmtDur(res.CompletionTime),
 			res.Collector.ConcurrencyViolations(), collisions)
 	}
-	return b.String(), nil
+	return Report{Text: b.String()}, nil
 }
 
-func runA2(seed int64) (string, error) {
+func runA2(seed int64) (Report, error) {
 	var b strings.Builder
 	b.WriteString("A2: sleeping on vs off (10x10, 2 segments)\n")
 	b.WriteString("variant        completion   mean ART   ART/completion\n")
@@ -477,7 +545,7 @@ func runA2(seed int64) (string, error) {
 			ProtocolOptions: map[string]string{"no_sleep": strconv.FormatBool(off)},
 		})
 		if err != nil {
-			return "", err
+			return Report{}, err
 		}
 		ct := res.CompletionTime
 		art := res.Collector.MeanActiveRadioTime(ct)
@@ -488,10 +556,10 @@ func runA2(seed int64) (string, error) {
 		fmt.Fprintf(&b, "%-14s %10s %10s %13.0f%%\n", name, fmtDur(ct), fmtDur(art),
 			100*art.Seconds()/ct.Seconds())
 	}
-	return b.String(), nil
+	return Report{Text: b.String()}, nil
 }
 
-func runA3(seed int64) (string, error) {
+func runA3(seed int64) (Report, error) {
 	lossy := radio.DefaultParams()
 	lossy.BERFloor = 5e-4
 	lossy.BERCeil = 3e-2
@@ -509,7 +577,7 @@ func runA3(seed int64) (string, error) {
 			ProtocolOptions: map[string]string{"query_update": strconv.FormatBool(!off)},
 		})
 		if err != nil {
-			return "", err
+			return Report{}, err
 		}
 		dataTx := 0
 		for i := 0; i < res.Layout.N(); i++ {
@@ -521,10 +589,10 @@ func runA3(seed int64) (string, error) {
 		}
 		fmt.Fprintf(&b, "%-15s %10s %16d\n", name, fmtDur(res.CompletionTime), dataTx)
 	}
-	return b.String(), nil
+	return Report{Text: b.String()}, nil
 }
 
-func runA4(seed int64) (string, error) {
+func runA4(seed int64) (Report, error) {
 	var b strings.Builder
 	b.WriteString("A4: battery-aware sender selection (8x8 at 12 ft, 2 segments; odd nodes at 10% battery)\n")
 	b.WriteString("variant          low-batt elections  healthy elections  low-batt data tx  healthy data tx\n")
@@ -552,7 +620,7 @@ func runA4(seed int64) (string, error) {
 				},
 			})
 			if err != nil {
-				return "", err
+				return Report{}, err
 			}
 			for _, ev := range res.Collector.SenderEvents() {
 				if ev.Node%2 == 1 {
@@ -578,10 +646,10 @@ func runA4(seed int64) (string, error) {
 		fmt.Fprintf(&b, "%-16s %19d %18d %17d %16d\n", name, lowElect, highElect, lowData, highData)
 	}
 	b.WriteString("(battery-aware advertising shifts forwarding duty toward healthy nodes)\n")
-	return b.String(), nil
+	return Report{Text: b.String()}, nil
 }
 
-func runA5(seed int64) (string, error) {
+func runA5(seed int64) (Report, error) {
 	// The paper (§4.2): "we can use a protocol such as S-MAC or SS-TDMA
 	// … a node could sleep for most of the time before the propagation
 	// wave arrives." Here the idle state duty-cycles 25% until first
@@ -603,10 +671,10 @@ func runA5(seed int64) (string, error) {
 			},
 		})
 		if err != nil {
-			return "", err
+			return Report{}, err
 		}
 		if !res.Completed {
-			return "", fmt.Errorf("A5 duty=%v incomplete", duty)
+			return Report{}, fmt.Errorf("A5 duty=%v incomplete", duty)
 		}
 		ct := res.CompletionTime
 		art := res.Collector.MeanActiveRadioTime(ct)
@@ -618,10 +686,10 @@ func runA5(seed int64) (string, error) {
 			100*art.Seconds()/ct.Seconds())
 	}
 	b.WriteString("(duty-cycling the pre-contact idle state recovers much of the Figure 9 saving)\n")
-	return b.String(), nil
+	return Report{Text: b.String()}, nil
 }
 
-func runA6(seed int64) (string, error) {
+func runA6(seed int64) (Report, error) {
 	// §6: "in our experiments and simulation, we kept the base station
 	// at the corner. Hence, we expect that this algorithm can be easily
 	// extended to the case where the network size is 4 times larger
@@ -649,10 +717,10 @@ func runA6(seed int64) (string, error) {
 			Limit:        12 * time.Hour,
 		})
 		if err != nil {
-			return "", err
+			return Report{}, err
 		}
 		if !res.Completed {
-			return "", fmt.Errorf("A6 %s incomplete (%d/%d)", v.name,
+			return Report{}, fmt.Errorf("A6 %s incomplete (%d/%d)", v.name,
 				res.Network.CompletedCount(), res.Layout.N())
 		}
 		ct := res.CompletionTime
@@ -662,5 +730,5 @@ func runA6(seed int64) (string, error) {
 	}
 	fmt.Fprintf(&b, "completion ratio (4x network / baseline): %.2f — the paper predicts ~1\n",
 		completions[1].Seconds()/completions[0].Seconds())
-	return b.String(), nil
+	return Report{Text: b.String()}, nil
 }

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/csv"
 	"encoding/hex"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,10 +34,30 @@ var specGolden = map[string]string{
 	"A6":   "0cf6bddebb810086bf0f3e24c569aae78309a16700eae5f7269952015568b761",
 }
 
+// seriesGolden pins the SHA-256 of every plotted series' CSV bytes at
+// seed 42, keyed by series name. The digests were recorded from the
+// CSV files written before the specs produced their series, and must
+// never be edited to make a change pass.
+var seriesGolden = map[string]string{
+	"f8_art":       "6379ee0f635cff1af9e1cd3251f97d99f107ccf071ed6b2dd9f8e5000455b225",
+	"f10_sweep":    "b6e116dd70cfdae1bdb5a37ad528efdf244c29b3076a7e863a1bfed385cfc2b6",
+	"f11_traffic":  "7305d6bd0c0f95606ccd07ff733be4a2fdd7bbeb2afc39c8fee13ac095c55a1b",
+	"f12_timeline": "2bff7de100219bcbadac813e6889ec327a0fc21ffb6743068034b927b7b8c9ab",
+	"f13_progress": "1430fbd4d9ca64df1cc95e1d86940f94d70efc50e53b4aa8a898838ace8d77d3",
+}
+
+// seriesOf names the series each spec plots; specs not listed plot
+// none.
+var seriesOf = map[string]string{
+	"F8": "f8_art", "F10": "f10_sweep", "F11": "f11_traffic",
+	"F12": "f12_timeline", "F13": "f13_progress",
+}
+
 // TestAllSpecsProduceReports runs every paper experiment end to end,
-// sanity-checks its report and pins its bytes against specGolden. This
-// is the same work `cmd/mnpexp all` and the benchmark suite do, so it
-// takes a couple of CPU minutes; skip it in -short runs.
+// sanity-checks its report, pins its text against specGolden and its
+// series against seriesGolden. This is the same work `cmd/mnpexp all`
+// and the benchmark suite do, so it takes a couple of CPU minutes;
+// skip it in -short runs.
 func TestAllSpecsProduceReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short mode")
@@ -61,19 +84,131 @@ func TestAllSpecsProduceReports(t *testing.T) {
 	for _, spec := range AllSpecs() {
 		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
-			out, err := spec.Run(42)
+			rep, err := spec.Run(42)
 			if err != nil {
 				t.Fatalf("%s: %v", spec.ID, err)
 			}
 			for _, want := range keyContent[spec.ID] {
-				if !strings.Contains(out, want) {
+				if !strings.Contains(rep.Text, want) {
 					t.Errorf("%s report missing %q", spec.ID, want)
 				}
 			}
-			sum := sha256.Sum256([]byte(out))
+			sum := sha256.Sum256([]byte(rep.Text))
 			if got := hex.EncodeToString(sum[:]); got != specGolden[spec.ID] {
 				t.Errorf("%s report sha256 = %s, want %s", spec.ID, got, specGolden[spec.ID])
 			}
+			name, plots := seriesOf[spec.ID]
+			if !plots {
+				if len(rep.Series) != 0 {
+					t.Errorf("%s has %d series, want none", spec.ID, len(rep.Series))
+				}
+				return
+			}
+			if len(rep.Series) != 1 || rep.Series[0].Name != name {
+				t.Fatalf("%s: %d series, want one named %s", spec.ID, len(rep.Series), name)
+			}
+			s := rep.Series[0]
+			checkSeriesShape(t, s)
+			var buf bytes.Buffer
+			if err := s.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			sum = sha256.Sum256(buf.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != seriesGolden[name] {
+				t.Errorf("%s.csv sha256 = %s, want %s", name, got, seriesGolden[name])
+			}
 		})
+	}
+}
+
+// checkSeriesShape asserts what a plot of each series relies on: one
+// decimals entry and one cell per header column, a row per node on the
+// 20x20 grid, segments 1..10 in the sweep, and a progress curve that
+// ends with every node holding the segment.
+func checkSeriesShape(t *testing.T, s Series) {
+	t.Helper()
+	if len(s.Decimals) != len(s.Header) {
+		t.Fatalf("%s: %d decimals for %d columns", s.Name, len(s.Decimals), len(s.Header))
+	}
+	for i, row := range s.Rows {
+		if len(row) != len(s.Header) {
+			t.Fatalf("%s row %d: %d cells, want %d", s.Name, i, len(row), len(s.Header))
+		}
+	}
+	switch s.Name {
+	case "f8_art", "f11_traffic":
+		if len(s.Rows) != 400 {
+			t.Errorf("%s: %d rows, want 400", s.Name, len(s.Rows))
+		}
+	case "f10_sweep":
+		if len(s.Rows) != 10 {
+			t.Fatalf("f10_sweep: %d rows, want 10", len(s.Rows))
+		}
+		for i, row := range s.Rows {
+			if row[0] != float64(i+1) {
+				t.Errorf("f10_sweep row %d: segments %v, want %d", i, row[0], i+1)
+			}
+		}
+	case "f12_timeline":
+		if len(s.Rows) < 5 {
+			t.Errorf("f12_timeline: %d minutes, want >= 5", len(s.Rows))
+		}
+	case "f13_progress":
+		if len(s.Rows) != 21 {
+			t.Fatalf("f13_progress: %d rows, want 21", len(s.Rows))
+		}
+		if last := s.Rows[20][1]; last != 1 {
+			t.Errorf("progress curve ends at %v, want 1", last)
+		}
+	}
+}
+
+// TestWriteCSVs checks the CSV rendering every plotted series goes
+// through: a header record, one record per row with one cell per
+// column, and each cell printed with its column's decimals, so the
+// file reads back as the numbers it was written from. It renders a
+// small series by hand; the shape of the real series is checked on the
+// runs TestAllSpecsProduceReports makes.
+func TestWriteCSVs(t *testing.T) {
+	s := Series{
+		Name:     "progress",
+		Header:   []string{"percent", "fraction", "node"},
+		Decimals: []int{1, 4, 0},
+		Rows:     [][]float64{{0, 0.0025, 3}, {50, 0.5, 17}, {100, 1, 399}},
+	}
+	var buf bytes.Buffer
+	if err := s.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "percent,fraction,node\n0.0,0.0025,3\n50.0,0.5000,17\n100.0,1.0000,399\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteCSV wrote\n%s\nwant\n%s", got, want)
+	}
+	records, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != len(s.Rows)+1 {
+		t.Fatalf("%d records, want %d", len(records), len(s.Rows)+1)
+	}
+	for i, rec := range records[1:] {
+		for j, cell := range rec {
+			v, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				t.Fatalf("row %d: non-numeric cell %q", i, cell)
+			}
+			if v != s.Rows[i][j] {
+				t.Errorf("row %d col %d reads back as %v, want %v", i, j, v, s.Rows[i][j])
+			}
+		}
+	}
+
+	// A header-only series is still a valid file.
+	buf.Reset()
+	if err := (Series{Header: []string{"minute"}}).WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != "minute\n" {
+		t.Fatalf("empty series wrote %q, want %q", got, "minute\n")
 	}
 }

@@ -212,13 +212,12 @@ func (c *Collector) StorageOp(id packet.NodeID, write bool, seg, pkt, bytes int)
 }
 
 // MergeShards combines per-shard collectors into one collector
-// equivalent to what a single collector would have recorded, the same
-// way RunSeeds merges per-seed results: by data, deterministically,
-// never by goroutine arrival order. Every per-node statistic is written
-// only by the shard owning that node (FrameSent keys on the source,
-// FrameReceived/FrameCollided on the destination, node observations on
-// the node itself), so per-node rows are taken verbatim from the owner
-// named by ownerOf; the per-minute traffic windows are summed; sender
+// equivalent to what a single collector would have recorded. It merges
+// by data, deterministically, never by goroutine arrival order. Every
+// per-node statistic is written only by the shard owning that node
+// (FrameSent keys on the source, FrameReceived/FrameCollided on the
+// destination, node observations on the node itself), so per-node rows
+// are taken verbatim from the owner named by ownerOf; the per-minute traffic windows are summed; sender
 // events are merged by (At, Node); and concurrency violations are
 // summed (each shard checks its own senders — cross-shard concurrent
 // senders are a documented approximation of the sharded engine).
@@ -424,15 +423,13 @@ func (c *Collector) SenderEvents() []SenderEvent {
 // NeighborhoodRange of the new sender.
 func (c *Collector) ConcurrencyViolations() int { return c.violations }
 
-// WindowCounts returns the per-minute transmission counts for a class,
-// as a dense series from minute 0 through the last active minute.
-func (c *Collector) WindowCounts(class packet.Class) []int {
-	out := make([]int, len(c.windows))
-	if int(class) >= numClasses {
-		return out
-	}
-	for m := range c.windows {
-		out[m] = c.windows[m][class]
+// MessageMix returns the per-minute (advertisement, request, data)
+// transmission counts of Figure 12, one row per minute from minute 0
+// through the last active minute.
+func (c *Collector) MessageMix() [][3]int {
+	out := make([][3]int, len(c.windows))
+	for m, w := range c.windows {
+		out[m] = [3]int{w[packet.ClassAdvertisement], w[packet.ClassRequest], w[packet.ClassData]}
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -85,13 +86,9 @@ func TestWindowCounts(t *testing.T) {
 	c.FrameSent(0, packet.KindData, 34)
 	c.FrameSent(0, packet.KindAdvertise, 16)
 
-	data := c.WindowCounts(packet.ClassData)
-	if len(data) != 3 || data[0] != 2 || data[1] != 0 || data[2] != 1 {
-		t.Fatalf("data windows = %v", data)
-	}
-	adv := c.WindowCounts(packet.ClassAdvertisement)
-	if adv[2] != 1 {
-		t.Fatalf("adv windows = %v", adv)
+	want := [][3]int{{0, 0, 2}, {0, 0, 0}, {1, 0, 1}}
+	if got := c.MessageMix(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("MessageMix = %v, want %v", got, want)
 	}
 }
 

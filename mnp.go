@@ -29,7 +29,8 @@ type (
 	Setup = experiment.Setup
 	// Result is a completed run with its metrics collector.
 	Result = experiment.Result
-	// Spec reproduces one of the paper's tables or figures.
+	// Spec reproduces one of the paper's tables or figures: its Run
+	// returns a Report, the rendered text plus the plotted series.
 	Spec = experiment.Spec
 	// ProtocolKind selects the dissemination protocol by its registry
 	// name (case-insensitive; "" means MNP).
@@ -77,11 +78,12 @@ func Experiments() []Spec {
 }
 
 // RunExperiment reproduces one table or figure by ID (T1, F5..F13,
-// EDEL, A1..A4) and returns its rendered report.
+// EDEL, A1..A6) and returns its rendered report.
 func RunExperiment(id string, seed int64) (string, error) {
 	spec, ok := experiment.ByID(id)
 	if !ok {
 		return "", fmt.Errorf("mnp: unknown experiment %q", id)
 	}
-	return spec.Run(seed)
+	rep, err := spec.Run(seed)
+	return rep.Text, err
 }

@@ -16,6 +16,18 @@ func TestExperimentsList(t *testing.T) {
 			t.Fatalf("incomplete spec %+v", s)
 		}
 	}
+	// A spec's Run returns a Report; RunExperiment hands back its text.
+	rep, err := specs[0].Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := RunExperiment(specs[0].ID, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Text != text || len(rep.Series) != 0 {
+		t.Fatalf("%s: Report{%q, %d series}, RunExperiment %q", specs[0].ID, rep.Text, len(rep.Series), text)
+	}
 }
 
 func TestRunExperimentTable1(t *testing.T) {
