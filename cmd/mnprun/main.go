@@ -46,7 +46,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("mnprun", flag.ContinueOnError)
 	var (
 		out      = fs.String("out", "", "campaign checkpoint directory (cells.ndjson, report.txt); campaigns re-run with the same -out resume")
-		resume   = fs.String("resume", "", "alias for -out")
 		workers  = fs.Int("workers", 0, "concurrent cells (0 = plan's setting, then GOMAXPROCS)")
 		maxCells = fs.Int("max-cells", 0, "stop after running this many new cells (0 = run everything)")
 		quiet    = fs.Bool("quiet", false, "suppress per-cell progress on stderr")
@@ -73,11 +72,6 @@ func run(args []string) error {
 			return fmt.Errorf("one file at a time; unexpected %v", fs.Args())
 		}
 	}
-	dir := *out
-	if dir == "" {
-		dir = *resume
-	}
-
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -87,10 +81,10 @@ func run(args []string) error {
 		return err
 	}
 	if plan != nil {
-		return runCampaign(plan, dir, *workers, *maxCells, *quiet)
+		return runCampaign(plan, *out, *workers, *maxCells, *quiet)
 	}
-	if dir != "" || *maxCells != 0 {
-		return fmt.Errorf("%s is a single scenario; -out/-resume/-max-cells apply to campaign plans and seed lists", path)
+	if *out != "" || *maxCells != 0 {
+		return fmt.Errorf("%s is a single scenario; -out/-max-cells apply to campaign plans and seed lists", path)
 	}
 	return runScenario(sc)
 }
@@ -133,7 +127,7 @@ func isCampaign(data []byte) bool {
 	if err != nil {
 		return false // let the scenario parser report the error
 	}
-	for _, key := range []string{"scenario", "protocols", "seeds", "topologies", "mobilities", "fault_plans", "protocol_options"} {
+	for _, key := range []string{"scenario", "protocols", "seeds", "topologies", "mobilities", "fault_plans"} {
 		if _, ok := generic[key]; ok {
 			return true
 		}

@@ -356,15 +356,26 @@ func TestShardedScenarioTelemetry(t *testing.T) {
 }
 
 func TestUsageErrors(t *testing.T) {
-	if err := run([]string{}); err == nil {
-		t.Error("no-args run succeeded")
-	}
-	if err := run([]string{"/nonexistent/plan.toml"}); err == nil {
-		t.Error("missing file accepted")
-	}
 	bad := writeFile(t, "bad.toml", "version = 1\nprotocols = [\"warp\"]\n[scenario.topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n")
-	if err := run([]string{bad}); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
-		t.Errorf("bad plan error = %v", err)
+	single := writeFile(t, "scenario.toml", testScenario)
+	cases := []struct {
+		name    string
+		args    []string
+		wantErr string
+	}{
+		{"no-args", []string{}, "no scenario or plan file"},
+		{"missing-file", []string{"/nonexistent/plan.toml"}, "no such file"},
+		{"bad-plan", []string{bad}, "unknown protocol"},
+		{"scenario-max-cells", []string{single, "-max-cells", "2"}, "single scenario; -out/-max-cells apply"},
+		{"resume-removed", []string{bad, "-resume", t.TempDir()}, "flag provided but not defined: -resume"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := run(c.args)
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("run(%v) = %v, want error containing %q", c.args, err, c.wantErr)
+			}
+		})
 	}
 }
 

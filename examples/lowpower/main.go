@@ -14,7 +14,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"strconv"
 	"time"
 
 	"mnp"
@@ -27,13 +26,7 @@ func main() {
 	run := func(extensions bool) *mnp.Result {
 		var options map[string]string
 		if extensions {
-			options = map[string]string{
-				"battery_aware":   "true",
-				"low_power":       strconv.Itoa(mnp.PowerWeak),
-				"idle_duty_cycle": "true",
-				"idle_on_period":  "500ms",
-				"idle_off_period": "1500ms",
-			}
+			options = map[string]string{"battery_aware": "true", "idle_duty_cycle": "true"}
 		}
 		res, err := mnp.Simulate(mnp.Setup{
 			Name:         fmt.Sprintf("lowpower ext=%v", extensions),

@@ -46,7 +46,7 @@ func main() {
 	calibBase := packet.NodeID(layout.N() - 2) // an even node at the far corner
 	wantsCalib := func(id packet.NodeID) bool { return id%2 == 0 }
 
-	nw, err := node.NewNetwork(kernel, medium, layout, func(id packet.NodeID) (node.Protocol, node.Config) {
+	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
 		ncfg := node.Config{TxPower: radio.PowerSim}
 		fw := core.DefaultConfig()
 		if id == 0 {
@@ -70,7 +70,7 @@ func main() {
 			log.Fatal(err)
 		}
 		return d, ncfg
-	}, nil)
+	}, func(packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer) { return kernel, medium, nil })
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func main() {
 
 	fmt.Printf("disseminating firmware (%.1f KB) to all %d motes and calibration (%.1f KB) to the %d even motes…\n",
 		float64(firmware.Size())/1024, layout.N(), float64(calib.Size())/1024, layout.N()/2)
-	if !nw.RunUntilComplete(8 * time.Hour) {
+	if !kernel.RunUntil(nw.AllCompleted, 8*time.Hour) {
 		log.Fatalf("incomplete: %d/%d motes", nw.CompletedCount(), layout.N())
 	}
 	fmt.Printf("every mote finished its subscriptions in %s (simulated)\n",

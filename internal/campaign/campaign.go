@@ -49,11 +49,6 @@ type Plan struct {
 	// plans without the axis keep their historical keys and resume
 	// cleanly from old checkpoints.
 	Mobilities []scenario.Mobility `json:"mobilities,omitempty"`
-	// ProtocolOptions maps a protocol name to the option set its cells
-	// run with, overriding the base scenario's options for that
-	// protocol. Protocols without an entry inherit the base options
-	// when they match the base protocol, package defaults otherwise.
-	ProtocolOptions map[string]map[string]any `json:"protocol_options,omitempty"`
 	// Workers bounds campaign parallelism (cells run concurrently, one
 	// single-threaded simulation each). 0 picks GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
@@ -151,11 +146,6 @@ func (p *Plan) normalize() error {
 		seen[name] = true
 		p.Protocols[i] = name
 	}
-	for name := range p.ProtocolOptions {
-		if _, ok := protoreg.Lookup(name); !ok {
-			return fmt.Errorf("campaign %s: protocol_options for unknown protocol %q", p.Name, name)
-		}
-	}
 	if len(p.Seeds) == 0 {
 		p.Seeds = p.Scenario.SeedList()
 	}
@@ -250,15 +240,9 @@ func (p *Plan) derive(proto string, topo scenario.Topology, mob *scenario.Mobili
 	sc.Faults = faultSpec
 	sc.Protocol.Name = proto
 
-	// Options: an explicit per-protocol entry wins; otherwise the base
-	// options carry over only to the base protocol (MNP knobs make no
-	// sense on Deluge cells).
-	switch {
-	case p.ProtocolOptions[proto] != nil:
-		sc.Protocol.Options = p.ProtocolOptions[proto]
-	case proto == p.baseProtocol():
-		// keep base options
-	default:
+	// The base options carry over only to the base protocol (MNP knobs
+	// make no sense on Deluge cells).
+	if proto != p.baseProtocol() {
 		sc.Protocol.Options = nil
 	}
 

@@ -180,15 +180,14 @@ level = 0.5`, "cell mnp_s0_grid-2x2: scenario mnp_s0_grid-2x2: battery rule 0"},
 	}
 }
 
-// TestProtocolOptionRouting checks which cells inherit the base
-// scenario's options and which get per-protocol overrides.
+// TestProtocolOptionRouting checks that only the base protocol's cells
+// inherit the base scenario's options, and that a plan has no
+// per-protocol option tables: the strict decoder rejects them.
 func TestProtocolOptionRouting(t *testing.T) {
-	p := parseTestPlan(t, `
+	const base = `
 version = 1
 protocols = ["mnp", "deluge", "xnp"]
 seeds = [1]
-[protocol_options.deluge]
-page_packets = 32
 [scenario]
 [scenario.topology]
 kind = "grid"
@@ -196,7 +195,8 @@ rows = 2
 cols = 2
 [scenario.protocol.options]
 no_sleep = true
-`)
+`
+	p := parseTestPlan(t, base)
 	cells, err := p.Expand()
 	if err != nil {
 		t.Fatal(err)
@@ -208,12 +208,14 @@ no_sleep = true
 	if got := byProto["mnp"].Scenario.Protocol.Options["no_sleep"]; got != true {
 		t.Errorf("mnp cell lost the base options: %v", byProto["mnp"].Scenario.Protocol.Options)
 	}
-	// TOML integers ride through the generic-map round trip as float64.
-	if got := byProto["deluge"].Scenario.Protocol.Options["page_packets"]; got != float64(32) {
-		t.Errorf("deluge cell missing its override: %v", byProto["deluge"].Scenario.Protocol.Options)
+	for _, proto := range []string{"deluge", "xnp"} {
+		if opts := byProto[proto].Scenario.Protocol.Options; opts != nil {
+			t.Errorf("%s cell inherited mnp options: %v", proto, opts)
+		}
 	}
-	if opts := byProto["xnp"].Scenario.Protocol.Options; opts != nil {
-		t.Errorf("xnp cell inherited mnp options: %v", opts)
+	_, err = ParsePlan([]byte(base + "[protocol_options.deluge]\npage_packets = 32\n"))
+	if err == nil || !strings.Contains(err.Error(), "protocol_options") {
+		t.Fatalf("plan with [protocol_options.deluge]: error %v, want the strict decoder to reject it", err)
 	}
 }
 

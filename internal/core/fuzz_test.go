@@ -44,12 +44,8 @@ func TestFuzzVariantsNeverPanic(t *testing.T) {
 		func(c *Config) { c.NoSenderSelection = true },
 		func(c *Config) { c.NoSleep = true },
 		func(c *Config) { c.QueryUpdate = false },
-		func(c *Config) { c.BatteryAware = true; c.LowPower = 1 },
-		func(c *Config) {
-			c.IdleDutyCycle = true
-			c.IdleOnPeriod = 500000000
-			c.IdleOffPeriod = 1500000000
-		},
+		func(c *Config) { c.BatteryAware = true },
+		func(c *Config) { c.IdleDutyCycle = true },
 	}
 	for i, mod := range mods {
 		rng := rand.New(rand.NewSource(int64(i) + 99))

@@ -18,6 +18,7 @@ import (
 	"mnp/internal/image"
 	"mnp/internal/node"
 	"mnp/internal/packet"
+	"mnp/internal/radio"
 )
 
 // State is the MNP state-machine state.
@@ -71,6 +72,44 @@ const (
 // neighbors sleeping through the first broadcast still catch one.
 const startSignalRepeats = 3
 
+// Protocol timing. The paper's text lost these digits, so each value
+// is a reconstruction; DESIGN.md §2 lists them with the other
+// reconstructed constants.
+const (
+	// advertiseCount is K: advertisements sent in a round before the
+	// forwarding decision.
+	advertiseCount = 5
+	// advertiseInterval is the base advertisement spacing; actual gaps
+	// are uniform in [0.5, 1.5] of the current interval.
+	advertiseInterval = 500 * time.Millisecond
+	// maxAdvertiseInterval caps the exponential slow-down applied when
+	// a round ends with no requesters.
+	maxAdvertiseInterval = 64 * time.Second
+	// dataInterval paces packet transmission within a segment.
+	dataInterval = 30 * time.Millisecond
+	// downloadTimeout bounds the wait for the next packet from the
+	// parent before giving up (fail state).
+	downloadTimeout = 3 * time.Second
+	// sleepFactor scales the sleep duration relative to the expected
+	// segment transmission time.
+	sleepFactor = 1.0
+)
+
+// Energy extensions (Config.IdleDutyCycle, Config.BatteryAware).
+const (
+	// idleOnPeriod is the listen window of the idle duty cycle.
+	idleOnPeriod = 500 * time.Millisecond
+	// idleOffPeriod is the sleep window of the idle duty cycle: 25 %
+	// listening before first contact.
+	idleOffPeriod = 1500 * time.Millisecond
+	// lowPower is the advertisement power level used when the battery
+	// is below batteryLowWater.
+	lowPower = radio.PowerWeak
+	// batteryLowWater is the battery fraction below which lowPower is
+	// used.
+	batteryLowWater = 0.25
+)
+
 // Config tunes the protocol. Zero values select the defaults the
 // evaluation uses.
 type Config struct {
@@ -81,24 +120,6 @@ type Config struct {
 	// ignored elsewhere (receivers learn the geometry from
 	// advertisements).
 	Image *image.Image
-
-	// AdvertiseCount is K: advertisements sent in a round before the
-	// forwarding decision.
-	AdvertiseCount int
-	// AdvertiseInterval is the base advertisement spacing; actual gaps
-	// are uniform in [0.5, 1.5] of the current interval.
-	AdvertiseInterval time.Duration
-	// MaxAdvertiseInterval caps the exponential slow-down applied when
-	// a round ends with no requesters.
-	MaxAdvertiseInterval time.Duration
-	// DataInterval paces packet transmission within a segment.
-	DataInterval time.Duration
-	// DownloadTimeout bounds the wait for the next packet from the
-	// parent before giving up (fail state).
-	DownloadTimeout time.Duration
-	// SleepFactor scales the sleep duration relative to the expected
-	// segment transmission time.
-	SleepFactor float64
 
 	// NoPipelining selects the basic protocol (§3.1.1): a node becomes
 	// a source only once it holds the entire program.
@@ -125,68 +146,29 @@ type Config struct {
 	// IdleDutyCycle enables the paper's S-MAC-style suggestion for
 	// removing initial idle listening: a node that has not yet heard
 	// any advertisement duty-cycles its radio in the idle state,
-	// listening for IdleOnPeriod and sleeping for IdleOffPeriod, until
-	// the propagation wave arrives. Zero periods disable the feature.
+	// listening for idleOnPeriod and sleeping for idleOffPeriod, until
+	// the propagation wave arrives.
 	IdleDutyCycle bool
-	// IdleOnPeriod is the listen window of the idle duty cycle.
-	IdleOnPeriod time.Duration
-	// IdleOffPeriod is the sleep window of the idle duty cycle.
-	IdleOffPeriod time.Duration
 
 	// BatteryAware enables the §6 extension: advertisements are sent
-	// at reduced power when the battery is low, shrinking the follower
-	// set so that drained nodes lose the sender election.
+	// at lowPower when the battery is below batteryLowWater, shrinking
+	// the follower set so that drained nodes lose the sender election.
 	BatteryAware bool
-	// LowPower is the advertisement power level used when the battery
-	// is below BatteryLowWater.
-	LowPower int
-	// BatteryLowWater is the battery fraction below which LowPower is
-	// used.
-	BatteryLowWater float64
 }
 
 // DefaultConfig returns the configuration used by the paper-shaped
 // experiments (query/update enabled, pipelining on).
 func DefaultConfig() Config {
 	return Config{
-		AdvertiseCount:       5,
-		AdvertiseInterval:    500 * time.Millisecond,
-		MaxAdvertiseInterval: 64 * time.Second,
-		DataInterval:         30 * time.Millisecond,
-		DownloadTimeout:      3 * time.Second,
-		SleepFactor:          1.0,
-		QueryUpdate:          true,
-		RepairThreshold:      16,
-		BatteryLowWater:      0.25,
+		QueryUpdate:     true,
+		RepairThreshold: 16,
 	}
 }
 
 // withDefaults fills zero fields from DefaultConfig.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.AdvertiseCount == 0 {
-		c.AdvertiseCount = d.AdvertiseCount
-	}
-	if c.AdvertiseInterval == 0 {
-		c.AdvertiseInterval = d.AdvertiseInterval
-	}
-	if c.MaxAdvertiseInterval == 0 {
-		c.MaxAdvertiseInterval = d.MaxAdvertiseInterval
-	}
-	if c.DataInterval == 0 {
-		c.DataInterval = d.DataInterval
-	}
-	if c.DownloadTimeout == 0 {
-		c.DownloadTimeout = d.DownloadTimeout
-	}
-	if c.SleepFactor == 0 {
-		c.SleepFactor = d.SleepFactor
-	}
 	if c.RepairThreshold == 0 {
-		c.RepairThreshold = d.RepairThreshold
-	}
-	if c.BatteryLowWater == 0 {
-		c.BatteryLowWater = d.BatteryLowWater
+		c.RepairThreshold = DefaultConfig().RepairThreshold
 	}
 	return c
 }
@@ -408,8 +390,8 @@ func (m *MNP) enterIdle() {
 	// duty-cycle the radio (the paper's S-MAC suggestion for removing
 	// initial idle listening). After first contact the idle state
 	// listens continuously, as the requester role requires.
-	if m.cfg.IdleDutyCycle && !m.waveSeen && m.cfg.IdleOnPeriod > 0 && m.cfg.IdleOffPeriod > 0 {
-		m.rt.SetTimer(timerIdleDuty, m.jitter(m.cfg.IdleOnPeriod))
+	if m.cfg.IdleDutyCycle && !m.waveSeen {
+		m.rt.SetTimer(timerIdleDuty, m.jitter(idleOnPeriod))
 	}
 }
 
@@ -424,15 +406,15 @@ func (m *MNP) idleDutyTick() {
 	}
 	if m.rt.IsRadioOn() {
 		m.rt.RadioOff()
-		m.rt.SetTimer(timerIdleDuty, m.jitter(m.cfg.IdleOffPeriod))
+		m.rt.SetTimer(timerIdleDuty, m.jitter(idleOffPeriod))
 		return
 	}
 	m.rt.RadioOn()
-	m.rt.SetTimer(timerIdleDuty, m.jitter(m.cfg.IdleOnPeriod))
+	m.rt.SetTimer(timerIdleDuty, m.jitter(idleOnPeriod))
 }
 
 func (m *MNP) enterAdvertise() {
-	m.advInterval = m.cfg.AdvertiseInterval
+	m.advInterval = advertiseInterval
 	m.resumeAdvertise()
 }
 
@@ -466,7 +448,7 @@ func (m *MNP) scheduleAdvertise() {
 	// [0.5, 1.5] × the base interval to avoid synchronized collisions;
 	// the reduced advertisement frequency of a quiet network comes from
 	// the growing dormancy gaps between bursts, not wider spacing.
-	base := m.cfg.AdvertiseInterval
+	base := advertiseInterval
 	d := base/2 + time.Duration(m.rt.Rand().Int63n(int64(base)))
 	m.rt.SetTimer(timerAdvertise, d)
 }
@@ -491,7 +473,7 @@ func (m *MNP) advertiseTick() {
 	if m.state != StateAdvertise {
 		return
 	}
-	if m.advSent >= m.cfg.AdvertiseCount {
+	if m.advSent >= advertiseCount {
 		// End of round: forward if anyone asked; otherwise advertise
 		// with reduced frequency. A fully updated node realizes the
 		// reduction as radio-off dormancy between bursts — this is
@@ -505,8 +487,8 @@ func (m *MNP) advertiseTick() {
 			return
 		}
 		m.advInterval *= 2
-		if m.advInterval > m.cfg.MaxAdvertiseInterval {
-			m.advInterval = m.cfg.MaxAdvertiseInterval
+		if m.advInterval > maxAdvertiseInterval {
+			m.advInterval = maxAdvertiseInterval
 		}
 		if m.rvdSeg == m.geom.segments {
 			m.enterDormant()
@@ -537,8 +519,8 @@ func (m *MNP) advertiseTick() {
 // withAdvertisePower runs fn with the battery-aware power level
 // applied, restoring the base level afterwards.
 func (m *MNP) withAdvertisePower(fn func()) {
-	if m.cfg.BatteryAware && m.rt.Battery() < m.cfg.BatteryLowWater && m.cfg.LowPower != 0 {
-		m.rt.SetTxPower(m.cfg.LowPower)
+	if m.cfg.BatteryAware && m.rt.Battery() < batteryLowWater {
+		m.rt.SetTxPower(lowPower)
 		defer m.rt.SetTxPower(m.basePower)
 	}
 	fn()
@@ -550,7 +532,7 @@ func (m *MNP) enterSleep() {
 	m.dormant = false
 	// Losing the competition is a sign of nearby activity: advertise at
 	// full frequency again once awake.
-	m.advInterval = m.cfg.AdvertiseInterval
+	m.advInterval = advertiseInterval
 	m.setState(StateSleep)
 	d := m.sleepDuration()
 	if !m.cfg.NoSleep {
@@ -567,7 +549,7 @@ func (m *MNP) sleepDuration() time.Duration {
 	if pkts == 0 {
 		pkts = image.DefaultSegmentPackets
 	}
-	base := time.Duration(float64(pkts) * m.cfg.SleepFactor * float64(m.cfg.DataInterval))
+	base := time.Duration(float64(pkts) * sleepFactor * float64(dataInterval))
 	// Jitter ±25% so sleepers do not wake in lockstep.
 	quarter := base / 4
 	return base - quarter + time.Duration(m.rt.Rand().Int63n(int64(2*quarter)+1))
@@ -619,7 +601,7 @@ func (m *MNP) enterDownload(parent packet.NodeID, segPackets int) {
 	m.ensureMissing(segPackets)
 	m.setState(StateDownload)
 	m.rt.Event(node.Event{Kind: node.EventParentSet, Peer: parent, Seg: m.rvdSeg + 1})
-	m.rt.SetTimer(timerDownloadWatchdog, m.cfg.DownloadTimeout)
+	m.rt.SetTimer(timerDownloadWatchdog, downloadTimeout)
 }
 
 // ensureMissing materializes the MissingVector for segment rvdSeg+1.
@@ -648,7 +630,7 @@ func (m *MNP) enterForward() {
 		SegPackets: uint8(m.geom.packetsIn(m.advSeg)),
 	}
 	_ = m.rt.Send(start)
-	m.rt.SetTimer(timerForwardData, m.cfg.DataInterval)
+	m.rt.SetTimer(timerForwardData, dataInterval)
 }
 
 func (m *MNP) forwardTick() {
@@ -665,7 +647,7 @@ func (m *MNP) forwardTick() {
 	if payload != nil {
 		m.sendData(uint8(m.advSeg), uint8(pkt), payload)
 	}
-	m.rt.SetTimer(timerForwardData, m.cfg.DataInterval)
+	m.rt.SetTimer(timerForwardData, dataInterval)
 }
 
 // sendData sends one code packet of the segment being served.
@@ -707,7 +689,7 @@ func (m *MNP) endDownloadAndRepair() {
 // queryWindow is how long the sender waits for repair requests before
 // concluding the repair phase.
 func (m *MNP) queryWindow() time.Duration {
-	return 8 * m.cfg.DataInterval
+	return 8 * dataInterval
 }
 
 // finishSending ends a transmission round: the sender quits the
@@ -878,7 +860,7 @@ func (m *MNP) onDownloadRequest(r *packet.DownloadRequest) {
 			m.foldRequest(r)
 			// Demand means the network is updating: advertise at full
 			// frequency again.
-			m.advInterval = m.cfg.AdvertiseInterval
+			m.advInterval = advertiseInterval
 		}
 		return
 	}
@@ -965,7 +947,7 @@ func (m *MNP) onData(d *packet.Data) {
 			m.missing.Clear(pkt)
 		}
 		if m.state == StateDownload {
-			m.rt.SetTimer(timerDownloadWatchdog, m.cfg.DownloadTimeout)
+			m.rt.SetTimer(timerDownloadWatchdog, downloadTimeout)
 			return
 		}
 		// Update state: ask for the next missing packet, or finish.
@@ -1014,7 +996,7 @@ func (m *MNP) onEndDownload(e *packet.EndDownload) {
 		m.missing != nil && m.missing.Count() <= m.cfg.RepairThreshold {
 		m.rt.CancelTimer(timerDownloadWatchdog)
 		m.setState(StateUpdate)
-		m.rt.SetTimer(timerUpdateWait, m.cfg.DownloadTimeout)
+		m.rt.SetTimer(timerUpdateWait, downloadTimeout)
 		return
 	}
 	if e.Src == m.parent {
@@ -1067,7 +1049,7 @@ func (m *MNP) sendRepairRequest() {
 		PacketID:  uint8(pkt),
 	}
 	_ = m.rt.Send(rr)
-	m.rt.SetTimer(timerUpdateWait, m.cfg.DownloadTimeout)
+	m.rt.SetTimer(timerUpdateWait, downloadTimeout)
 }
 
 func (m *MNP) onRepairRequest(r *packet.RepairRequest) {
@@ -1212,7 +1194,7 @@ func (m *MNP) resetAllState() {
 	m.hasParent = false
 	m.dormant = false
 	m.resetRound()
-	m.advInterval = m.cfg.AdvertiseInterval
+	m.advInterval = advertiseInterval
 }
 
 // Outranks is the sender-selection order: source "other" (with

@@ -80,7 +80,7 @@ func buildNet(t *testing.T, o netOpts) *testnet {
 	}
 	medium.SetTap(chk.PacketSent)
 	tn := &testnet{kernel: kernel, medium: medium, img: img, checker: chk}
-	nw, err := node.NewNetwork(kernel, medium, layout, func(id packet.NodeID) (node.Protocol, node.Config) {
+	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
 		cfg := DefaultConfig()
 		if id == 0 {
 			cfg.Base = true
@@ -92,7 +92,7 @@ func buildNet(t *testing.T, o netOpts) *testnet {
 		m := New(cfg)
 		tn.protos = append(tn.protos, m)
 		return m, node.Config{TxPower: o.power}
-	}, chk)
+	}, func(packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer) { return kernel, medium, chk })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func (tn *testnet) verifyAll(t *testing.T) {
 
 func TestTwoNodeDissemination(t *testing.T) {
 	tn := buildNet(t, netOpts{rows: 1, cols: 2, segments: 1, seed: 1})
-	if !tn.network.RunUntilComplete(30 * time.Minute) {
+	if !tn.kernel.RunUntil(tn.network.AllCompleted, 30*time.Minute) {
 		t.Fatalf("dissemination incomplete: %d/%d", tn.network.CompletedCount(), len(tn.network.Nodes))
 	}
 	tn.verifyAll(t)
@@ -140,7 +140,7 @@ func TestTwoNodeDissemination(t *testing.T) {
 func TestLineMultihopDissemination(t *testing.T) {
 	// 1×6 line at 20 ft spacing, 27 ft range: strictly multihop.
 	tn := buildNet(t, netOpts{rows: 1, cols: 6, spacing: 20, segments: 1, seed: 2})
-	if !tn.network.RunUntilComplete(60 * time.Minute) {
+	if !tn.kernel.RunUntil(tn.network.AllCompleted, 60*time.Minute) {
 		t.Fatalf("dissemination incomplete: %d/%d", tn.network.CompletedCount(), len(tn.network.Nodes))
 	}
 	tn.verifyAll(t)
@@ -148,7 +148,7 @@ func TestLineMultihopDissemination(t *testing.T) {
 
 func TestGridDisseminationPipelined(t *testing.T) {
 	tn := buildNet(t, netOpts{rows: 5, cols: 5, segments: 3, seed: 3})
-	if !tn.network.RunUntilComplete(2 * time.Hour) {
+	if !tn.kernel.RunUntil(tn.network.AllCompleted, 2*time.Hour) {
 		t.Fatalf("dissemination incomplete: %d/%d", tn.network.CompletedCount(), len(tn.network.Nodes))
 	}
 	tn.verifyAll(t)
@@ -156,7 +156,7 @@ func TestGridDisseminationPipelined(t *testing.T) {
 
 func TestSegmentsArriveInOrder(t *testing.T) {
 	tn := buildNet(t, netOpts{rows: 1, cols: 4, spacing: 20, segments: 3, seed: 4})
-	if !tn.network.RunUntilComplete(2 * time.Hour) {
+	if !tn.kernel.RunUntil(tn.network.AllCompleted, 2*time.Hour) {
 		t.Fatal("dissemination incomplete")
 	}
 	// Pipelining invariant: every node's RvdSeg reached the total, and
@@ -177,7 +177,7 @@ func TestDisseminationUnderHeavyLoss(t *testing.T) {
 			p.BERCeil = 3e-2
 		},
 	})
-	if !tn.network.RunUntilComplete(4 * time.Hour) {
+	if !tn.kernel.RunUntil(tn.network.AllCompleted, 4*time.Hour) {
 		t.Fatalf("lossy dissemination incomplete: %d/%d", tn.network.CompletedCount(), len(tn.network.Nodes))
 	}
 	tn.verifyAll(t)
@@ -237,7 +237,7 @@ func TestMidStreamParentDeathTriggersFailAndRetry(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() time.Duration {
 		tn := buildNet(t, netOpts{rows: 3, cols: 3, segments: 1, seed: 9})
-		if !tn.network.RunUntilComplete(time.Hour) {
+		if !tn.kernel.RunUntil(tn.network.AllCompleted, time.Hour) {
 			t.Fatal("incomplete")
 		}
 		return tn.network.CompletionTime()
@@ -290,19 +290,19 @@ func TestAtMostOneSenderPerNeighborhood(t *testing.T) {
 		active = append(active, senderWindow{id: src, until: end})
 	}}
 	medium.SetSink(sink)
-	nw, err := node.NewNetwork(kernel, medium, layout, func(id packet.NodeID) (node.Protocol, node.Config) {
+	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
 		cfg := DefaultConfig()
 		if id == 0 {
 			cfg.Base = true
 			cfg.Image = img
 		}
 		return New(cfg), node.Config{TxPower: radio.PowerSim}
-	}, nil)
+	}, func(packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer) { return kernel, medium, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw.Start()
-	if !nw.RunUntilComplete(4 * time.Hour) {
+	if !kernel.RunUntil(nw.AllCompleted, 4*time.Hour) {
 		t.Fatalf("incomplete: %d/%d", nw.CompletedCount(), len(nw.Nodes))
 	}
 	totalData := 0
@@ -331,7 +331,7 @@ func (s *funcSink) FrameCollided(packet.NodeID, packet.NodeID, packet.Kind)     
 
 func TestRebootSignalFloodsNetwork(t *testing.T) {
 	tn := buildNet(t, netOpts{rows: 2, cols: 3, segments: 1, seed: 12})
-	if !tn.network.RunUntilComplete(time.Hour) {
+	if !tn.kernel.RunUntil(tn.network.AllCompleted, time.Hour) {
 		t.Fatal("incomplete")
 	}
 	tn.protos[0].Reboot()
@@ -352,7 +352,7 @@ func TestNoPipeliningStillCompletes(t *testing.T) {
 		rows: 1, cols: 4, spacing: 20, segments: 2, seed: 13,
 		cfgMod: func(_ packet.NodeID, c *Config) { c.NoPipelining = true },
 	})
-	if !tn.network.RunUntilComplete(4 * time.Hour) {
+	if !tn.kernel.RunUntil(tn.network.AllCompleted, 4*time.Hour) {
 		t.Fatalf("basic-mode dissemination incomplete: %d/%d", tn.network.CompletedCount(), len(tn.network.Nodes))
 	}
 	tn.verifyAll(t)
@@ -396,7 +396,7 @@ func TestDisseminationSurvivesJammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	const jammerID = packet.NodeID(4) // the center node
-	nw, err := node.NewNetwork(kernel, medium, layout, func(id packet.NodeID) (node.Protocol, node.Config) {
+	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
 		if id == jammerID {
 			return &jammer{interval: 120 * time.Millisecond}, node.Config{TxPower: radio.PowerSim}
 		}
@@ -406,7 +406,7 @@ func TestDisseminationSurvivesJammer(t *testing.T) {
 			cfg.Image = img
 		}
 		return New(cfg), node.Config{TxPower: radio.PowerSim}
-	}, nil)
+	}, func(packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer) { return kernel, medium, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +447,7 @@ func TestOverTheAirVersionUpgrade(t *testing.T) {
 	// program 2 at the base over serial; the network upgrades itself
 	// over the air.
 	tn := buildNet(t, netOpts{rows: 3, cols: 3, segments: 1, seed: 41})
-	if !tn.network.RunUntilComplete(time.Hour) {
+	if !tn.kernel.RunUntil(tn.network.AllCompleted, time.Hour) {
 		t.Fatal("initial dissemination incomplete")
 	}
 	img2, err := image.Random(2, 2, 141)
@@ -506,19 +506,19 @@ func TestRandomTopologyDissemination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := node.NewNetwork(kernel, medium, layout, func(id packet.NodeID) (node.Protocol, node.Config) {
+	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
 		cfg := DefaultConfig()
 		if id == 0 {
 			cfg.Base = true
 			cfg.Image = img
 		}
 		return New(cfg), node.Config{TxPower: radio.PowerSim}
-	}, nil)
+	}, func(packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer) { return kernel, medium, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw.Start()
-	if !nw.RunUntilComplete(6 * time.Hour) {
+	if !kernel.RunUntil(nw.AllCompleted, 6*time.Hour) {
 		t.Fatalf("random topology incomplete: %d/%d", nw.CompletedCount(), len(nw.Nodes))
 	}
 	for _, n := range nw.Nodes {
@@ -537,7 +537,7 @@ func TestQueryUpdateDisabledStillCompletes(t *testing.T) {
 		rows: 2, cols: 3, segments: 1, seed: 14,
 		cfgMod: func(_ packet.NodeID, c *Config) { c.QueryUpdate = false },
 	})
-	if !tn.network.RunUntilComplete(2 * time.Hour) {
+	if !tn.kernel.RunUntil(tn.network.AllCompleted, 2*time.Hour) {
 		t.Fatalf("no-repair dissemination incomplete: %d/%d", tn.network.CompletedCount(), len(tn.network.Nodes))
 	}
 	tn.verifyAll(t)

@@ -6,6 +6,7 @@ import (
 	"mnp/internal/bitvec"
 	"mnp/internal/image"
 	"mnp/internal/packet"
+	"mnp/internal/radio"
 )
 
 // testImage returns a small 2-segment image: 8 packets per segment,
@@ -224,7 +225,7 @@ func TestBecomeSenderAfterKAdvertisements(t *testing.T) {
 	m, rt := newBase(t, 0, 2, nil)
 	miss, _ := bitvec.AllSet(8)
 	m.OnPacket(&packet.DownloadRequest{Src: 7, DestID: 0, ProgramID: 1, SegID: 1, SegPackets: 8, Missing: miss}, 7)
-	advanceAdvRounds(m, DefaultConfig().AdvertiseCount+1)
+	advanceAdvRounds(m, advertiseCount+1)
 	if m.State() != StateForward {
 		t.Fatalf("state = %v, want forward", m.State())
 	}
@@ -243,7 +244,7 @@ func TestForwardSendsOnlyRequestedPackets(t *testing.T) {
 	miss.Set(1)
 	miss.Set(3)
 	m.OnPacket(&packet.DownloadRequest{Src: 7, DestID: 0, ProgramID: 1, SegID: 1, SegPackets: 8, Missing: miss}, 7)
-	advanceAdvRounds(m, DefaultConfig().AdvertiseCount+1)
+	advanceAdvRounds(m, advertiseCount+1)
 	// Drive the data pacer to exhaustion.
 	for i := 0; i < 20 && m.State() == StateForward; i++ {
 		m.OnTimer(timerForwardData)
@@ -272,7 +273,7 @@ func TestForwardWithoutQueryUpdateSleepsAfterEnd(t *testing.T) {
 	m, rt := newBase(t, 0, 1, func(c *Config) { c.QueryUpdate = false })
 	miss, _ := bitvec.AllSet(8)
 	m.OnPacket(&packet.DownloadRequest{Src: 7, DestID: 0, ProgramID: 1, SegID: 1, SegPackets: 8, Missing: miss}, 7)
-	advanceAdvRounds(m, DefaultConfig().AdvertiseCount+1)
+	advanceAdvRounds(m, advertiseCount+1)
 	for i := 0; i < 20 && m.State() == StateForward; i++ {
 		m.OnTimer(timerForwardData)
 	}
@@ -288,7 +289,7 @@ func TestRepairRequestServedInQueryState(t *testing.T) {
 	m, rt := newBase(t, 0, 1, nil)
 	miss, _ := bitvec.AllSet(8)
 	m.OnPacket(&packet.DownloadRequest{Src: 7, DestID: 0, ProgramID: 1, SegID: 1, SegPackets: 8, Missing: miss}, 7)
-	advanceAdvRounds(m, DefaultConfig().AdvertiseCount+1)
+	advanceAdvRounds(m, advertiseCount+1)
 	for i := 0; i < 20 && m.State() == StateForward; i++ {
 		m.OnTimer(timerForwardData)
 	}
@@ -317,7 +318,7 @@ func TestFruitlessRoundsDutyCycleWithBackoff(t *testing.T) {
 	base := m.advInterval
 	// A round of K advertisements with no requesters ends in radio-off
 	// dormancy with a doubled interval.
-	advanceAdvRounds(m, DefaultConfig().AdvertiseCount+1)
+	advanceAdvRounds(m, advertiseCount+1)
 	if m.State() != StateSleep {
 		t.Fatalf("state = %v, want dormant sleep", m.State())
 	}
@@ -335,12 +336,12 @@ func TestFruitlessRoundsDutyCycleWithBackoff(t *testing.T) {
 	if m.advInterval != 2*base {
 		t.Fatalf("wake reset the backoff: %v", m.advInterval)
 	}
-	// Repeated fruitless rounds cap at MaxAdvertiseInterval.
+	// Repeated fruitless rounds cap at maxAdvertiseInterval.
 	for i := 0; i < 100; i++ {
-		advanceAdvRounds(m, DefaultConfig().AdvertiseCount+1)
+		advanceAdvRounds(m, advertiseCount+1)
 		m.OnTimer(timerSleep)
 	}
-	if m.advInterval > DefaultConfig().MaxAdvertiseInterval {
+	if m.advInterval > maxAdvertiseInterval {
 		t.Fatalf("advInterval %v exceeds cap", m.advInterval)
 	}
 	// A download request restores full advertisement frequency.
@@ -679,19 +680,15 @@ func TestNoSleepKeepsRadioOn(t *testing.T) {
 }
 
 func TestBatteryAwareAdvertisementPower(t *testing.T) {
-	m, rt := newBase(t, 0, 1, func(c *Config) {
-		c.BatteryAware = true
-		c.LowPower = 3
-		c.BatteryLowWater = 0.25
-	})
+	m, rt := newBase(t, 0, 1, func(c *Config) { c.BatteryAware = true })
 	rt.battery = 0.1
 	m.OnTimer(timerAdvertise)
 	if len(rt.powers) == 0 {
 		t.Fatal("no packet sent")
 	}
 	last := rt.powers[len(rt.powers)-1]
-	if last != 3 {
-		t.Fatalf("advertisement power = %d, want low power 3", last)
+	if last != radio.PowerWeak {
+		t.Fatalf("advertisement power = %d, want low power %d", last, radio.PowerWeak)
 	}
 	if rt.txPower != 255 {
 		t.Fatalf("base power not restored: %d", rt.txPower)
@@ -834,11 +831,7 @@ func TestLoadProgram(t *testing.T) {
 }
 
 func TestIdleDutyCycleTogglesUntilFirstContact(t *testing.T) {
-	m, rt := newReceiver(t, 9, 1, func(c *Config) {
-		c.IdleDutyCycle = true
-		c.IdleOnPeriod = 500000000   // 500ms
-		c.IdleOffPeriod = 1500000000 // 1.5s
-	})
+	m, rt := newReceiver(t, 9, 1, func(c *Config) { c.IdleDutyCycle = true })
 	if !rt.radioOn {
 		t.Fatal("radio off at init")
 	}

@@ -41,7 +41,7 @@ func TestMultiProgramOverlappingSubsets(t *testing.T) {
 	wantsProg2 := func(id packet.NodeID) bool { return id%2 == 0 }
 
 	subsOf := make(map[packet.NodeID][]uint8)
-	nw, err := node.NewNetwork(kernel, medium, layout, func(id packet.NodeID) (node.Protocol, node.Config) {
+	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
 		ncfg := node.Config{TxPower: radio.PowerSim}
 		cfg1 := DefaultConfig()
 		if id == 0 {
@@ -67,12 +67,12 @@ func TestMultiProgramOverlappingSubsets(t *testing.T) {
 			t.Fatal(err)
 		}
 		return d, ncfg
-	}, nil)
+	}, func(packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer) { return kernel, medium, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw.Start()
-	if !nw.RunUntilComplete(6 * time.Hour) {
+	if !kernel.RunUntil(nw.AllCompleted, 6*time.Hour) {
 		t.Fatalf("multi-program dissemination incomplete: %d/%d", nw.CompletedCount(), len(nw.Nodes))
 	}
 

@@ -29,6 +29,18 @@ const (
 	timerRxWatchdog
 )
 
+// Deluge's published parameters adapted to the shared Mica-2 timing
+// model; the advertisement timer is trickle.DefaultConfig.
+const (
+	// dataInterval paces packet transmission within a page.
+	dataInterval = 30 * time.Millisecond
+	// requestDelayMax bounds the random delay before requesting after
+	// an advertisement (request suppression window).
+	requestDelayMax = 500 * time.Millisecond
+	// rxTimeout bounds the wait for page data before re-requesting.
+	rxTimeout = 2 * time.Second
+)
+
 // Config tunes the baseline.
 type Config struct {
 	// Base marks the seeding node, whose EEPROM is preloaded.
@@ -37,30 +49,16 @@ type Config struct {
 	Image *image.Image
 	// PagePackets is the page size; DefaultPagePackets if zero.
 	PagePackets int
-	// Trickle configures the advertisement timer.
-	Trickle trickle.Config
-	// DataInterval paces packet transmission within a page.
-	DataInterval time.Duration
-	// RequestDelayMax bounds the random delay before requesting after
-	// an advertisement (request suppression window).
-	RequestDelayMax time.Duration
-	// RxTimeout bounds the wait for page data before re-requesting.
-	RxTimeout time.Duration
 	// MaxRequests bounds consecutive re-requests for one page before
 	// falling back to maintenance.
 	MaxRequests int
 }
 
-// DefaultConfig returns Deluge's published parameters adapted to the
-// shared Mica-2 timing model.
+// DefaultConfig returns Deluge's published parameters.
 func DefaultConfig() Config {
 	return Config{
-		PagePackets:     DefaultPagePackets,
-		Trickle:         trickle.DefaultConfig(),
-		DataInterval:    30 * time.Millisecond,
-		RequestDelayMax: 500 * time.Millisecond,
-		RxTimeout:       2 * time.Second,
-		MaxRequests:     8,
+		PagePackets: DefaultPagePackets,
+		MaxRequests: 8,
 	}
 }
 
@@ -68,18 +66,6 @@ func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.PagePackets == 0 {
 		c.PagePackets = d.PagePackets
-	}
-	if c.Trickle.K == 0 {
-		c.Trickle = d.Trickle
-	}
-	if c.DataInterval == 0 {
-		c.DataInterval = d.DataInterval
-	}
-	if c.RequestDelayMax == 0 {
-		c.RequestDelayMax = d.RequestDelayMax
-	}
-	if c.RxTimeout == 0 {
-		c.RxTimeout = d.RxTimeout
 	}
 	if c.MaxRequests == 0 {
 		c.MaxRequests = d.MaxRequests
@@ -153,7 +139,7 @@ func (d *Deluge) HavePages() int { return d.havePages }
 func (d *Deluge) Init(rt node.Runtime) {
 	d.rt = rt
 	rt.RadioOn() // Deluge never turns the radio off
-	tr, err := trickle.New(d.cfg.Trickle, trickle.Hooks{
+	tr, err := trickle.New(trickle.DefaultConfig(), trickle.Hooks{
 		Rand:     rt.Rand(),
 		SetFire:  func(dur time.Duration) { rt.SetTimer(timerTrickleFire, dur) },
 		SetEnd:   func(dur time.Duration) { rt.SetTimer(timerTrickleEnd, dur) },
@@ -276,7 +262,7 @@ func (d *Deluge) scheduleRequest(from packet.NodeID) {
 	d.requests = 0
 	d.reqPending = true
 	d.reqSuppress = false
-	delay := time.Duration(d.rt.Rand().Int63n(int64(d.cfg.RequestDelayMax)))
+	delay := time.Duration(d.rt.Rand().Int63n(int64(requestDelayMax)))
 	d.rt.SetTimer(timerRequest, delay)
 }
 
@@ -321,7 +307,7 @@ func (d *Deluge) sendRequest() {
 func (d *Deluge) beginFetch() {
 	d.reqPending = false
 	d.fetching = true
-	d.rt.SetTimer(timerRxWatchdog, d.cfg.RxTimeout)
+	d.rt.SetTimer(timerRxWatchdog, rxTimeout)
 }
 
 func (d *Deluge) rxWatchdog() {
@@ -378,7 +364,7 @@ func (d *Deluge) onReq(r *packet.DelugeReq) {
 		}
 		d.txPage = page
 		d.txVector = v
-		d.rt.SetTimer(timerTxData, d.cfg.DataInterval)
+		d.rt.SetTimer(timerTxData, dataInterval)
 	}
 	if r.Missing != nil && r.Missing.Len() == d.txVector.Len() {
 		_ = d.txVector.Or(r.Missing)
@@ -412,7 +398,7 @@ func (d *Deluge) txTick() {
 		}
 		_ = d.rt.Send(data)
 	}
-	d.rt.SetTimer(timerTxData, d.cfg.DataInterval)
+	d.rt.SetTimer(timerTxData, dataInterval)
 }
 
 func (d *Deluge) onData(pkt *packet.DelugeData) {
@@ -438,7 +424,7 @@ func (d *Deluge) onData(pkt *packet.DelugeData) {
 		d.missing.Clear(id)
 	}
 	if d.fetching {
-		d.rt.SetTimer(timerRxWatchdog, d.cfg.RxTimeout)
+		d.rt.SetTimer(timerRxWatchdog, rxTimeout)
 	}
 	if d.missing.None() {
 		d.completePage()

@@ -40,7 +40,7 @@ func buildNet(t *testing.T, rows, cols int, spacing float64, packets int, seed i
 		t.Fatal(err)
 	}
 	tn := &testnet{kernel: kernel, img: img}
-	nw, err := node.NewNetwork(kernel, medium, layout, func(id packet.NodeID) (node.Protocol, node.Config) {
+	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
 		cfg := DefaultConfig()
 		if id == 0 {
 			cfg.Base = true
@@ -49,7 +49,7 @@ func buildNet(t *testing.T, rows, cols int, spacing float64, packets int, seed i
 		d := New(cfg)
 		tn.protos = append(tn.protos, d)
 		return d, node.Config{TxPower: radio.PowerSim}
-	}, nil)
+	}, func(packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer) { return kernel, medium, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func (tn *testnet) verifyAll(t *testing.T) {
 
 func TestTwoNodeTransfer(t *testing.T) {
 	tn := buildNet(t, 1, 2, 10, 100, 1) // 100 packets = 3 pages
-	if !tn.network.RunUntilComplete(time.Hour) {
+	if !tn.kernel.RunUntil(tn.network.AllCompleted, time.Hour) {
 		t.Fatalf("incomplete: %d/%d", tn.network.CompletedCount(), len(tn.network.Nodes))
 	}
 	tn.verifyAll(t)
@@ -93,7 +93,7 @@ func TestTwoNodeTransfer(t *testing.T) {
 func TestMultihopPipelinedTransfer(t *testing.T) {
 	// 1×5 line at 20 ft: strictly multihop; 96 packets = 2 pages.
 	tn := buildNet(t, 1, 5, 20, 96, 2)
-	if !tn.network.RunUntilComplete(2 * time.Hour) {
+	if !tn.kernel.RunUntil(tn.network.AllCompleted, 2*time.Hour) {
 		t.Fatalf("incomplete: %d/%d", tn.network.CompletedCount(), len(tn.network.Nodes))
 	}
 	tn.verifyAll(t)
@@ -101,7 +101,7 @@ func TestMultihopPipelinedTransfer(t *testing.T) {
 
 func TestGridTransfer(t *testing.T) {
 	tn := buildNet(t, 3, 3, 10, 96, 3)
-	if !tn.network.RunUntilComplete(2 * time.Hour) {
+	if !tn.kernel.RunUntil(tn.network.AllCompleted, 2*time.Hour) {
 		t.Fatalf("incomplete: %d/%d", tn.network.CompletedCount(), len(tn.network.Nodes))
 	}
 	tn.verifyAll(t)
@@ -130,7 +130,7 @@ func TestRadioNeverSleeps(t *testing.T) {
 
 func TestPagesArriveInOrder(t *testing.T) {
 	tn := buildNet(t, 1, 2, 10, 144, 5) // 3 pages
-	if !tn.network.RunUntilComplete(time.Hour) {
+	if !tn.kernel.RunUntil(tn.network.AllCompleted, time.Hour) {
 		t.Fatal("incomplete")
 	}
 	if got := tn.protos[1].HavePages(); got != 3 {
@@ -157,7 +157,7 @@ func TestBaseWithoutImagePanics(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	run := func() time.Duration {
 		tn := buildNet(t, 2, 2, 10, 48, 7)
-		if !tn.network.RunUntilComplete(time.Hour) {
+		if !tn.kernel.RunUntil(tn.network.AllCompleted, time.Hour) {
 			t.Fatal("incomplete")
 		}
 		return tn.network.CompletionTime()

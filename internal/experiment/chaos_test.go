@@ -89,7 +89,7 @@ func TestChaosRebootMidSegment(t *testing.T) {
 		slotsAtCrash = res.Network.Node(victim).EEPROM().Slots()
 	})
 	res.Network.Start()
-	if !res.Network.RunUntilComplete(6 * time.Hour) {
+	if !res.Kernel.RunUntil(res.Network.AllCompleted, 6*time.Hour) {
 		t.Fatalf("incomplete: %d/%d", res.Network.CompletedCount(), res.Layout.N())
 	}
 	if slotsAtCrash <= 0 || slotsAtCrash >= res.Setup.ImagePackets {

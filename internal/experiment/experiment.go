@@ -83,10 +83,10 @@ type Setup struct {
 	Protocol ProtocolKind
 	// ProtocolOptions are declarative, protocol-specific knobs applied
 	// to every node after the package defaults (keys are defined by
-	// each protocol's register.go — e.g. "no_sleep", "data_interval"
-	// for MNP). They are the one way to tune a protocol; scenario
-	// files compile into this map. Nil keeps the defaults,
-	// byte-identical to earlier releases.
+	// each protocol's register.go; only MNP has any: "no_sender_selection",
+	// "no_sleep", "query_update", "battery_aware", "idle_duty_cycle").
+	// They are the one way to tune a protocol; scenario files compile
+	// into this map. Nil keeps the defaults.
 	ProtocolOptions map[string]string
 	// BaseID places the base station (default node 0, a grid corner).
 	// The paper's scaling argument puts it at the center of a 4x
@@ -221,6 +221,9 @@ func (s Setup) Validate() error {
 	if n == 0 {
 		return fmt.Errorf("experiment %s: layout has no nodes", s.Name)
 	}
+	if int(s.BaseID) >= n {
+		return fmt.Errorf("experiment %s: base %v outside the %d-node layout", s.Name, s.BaseID, n)
+	}
 	if s.Shards < 0 || s.Shards == 0 && s.TileRows*s.TileCols == 0 {
 		return fmt.Errorf("experiment %s: shard count %d must be at least 1 (0 only with a tile grid: one executor per tile)", s.Name, s.Shards)
 	}
@@ -342,7 +345,7 @@ func (r *Result) RunToCompletion() {
 	if r.Engine != nil {
 		r.Completed = r.Engine.RunUntil(r.Network.AllCompleted, r.Setup.Limit)
 	} else {
-		r.Completed = r.Network.RunUntilComplete(r.Setup.Limit)
+		r.Completed = r.Kernel.RunUntil(r.Network.AllCompleted, r.Setup.Limit)
 	}
 	r.CompletionTime = r.Network.CompletionTime()
 	r.finalizeShards()
@@ -441,9 +444,6 @@ func Build(s Setup) (*Result, error) {
 		if err != nil {
 			return fail(err)
 		}
-	}
-	if int(s.BaseID) >= layout.N() {
-		return fail(fmt.Errorf("base %v outside the %d-node layout", s.BaseID, layout.N()))
 	}
 	rp := radio.DefaultParams()
 	if s.Radio != nil {
@@ -616,7 +616,6 @@ func Build(s Setup) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nw.Kernel, nw.Medium = res.Kernel, res.Medium
 	res.Network = nw
 
 	if s.Faults != nil {
@@ -721,7 +720,7 @@ func (s Setup) newNetwork(img *image.Image, layout *topology.Layout, place func(
 		return nil, fmt.Errorf("experiment %s: protocol %q not registered", s.Name, name)
 	}
 	var failed error
-	nw, err := node.NewPartitionedNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
+	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
 		ncfg := node.Config{TxPower: s.Power}
 		if s.Battery != nil {
 			ncfg.Battery = s.Battery(id)

@@ -39,17 +39,22 @@ func TestSetupValidate(t *testing.T) {
 		{"negative-protocol", func(s *Setup) { s.Protocol = " mnp" }, "unknown protocol"}, // names are not trimmed
 		{"known-protocol", func(s *Setup) { s.Protocol = ProtocolDeluge }, ""},
 		{"capitalized-protocol", func(s *Setup) { s.Protocol = "Deluge" }, ""},
+		{"base-outside", func(s *Setup) { s.BaseID = 4 }, "base n4 outside the 4-node layout"},
 		{"bad-option-value", func(s *Setup) {
 			s.Protocol = ProtocolMNP
-			s.ProtocolOptions = map[string]string{"advertise_count": "many"}
-		}, "advertise_count"},
+			s.ProtocolOptions = map[string]string{"no_sleep": "many"}
+		}, "no_sleep"},
 		{"unknown-option-key", func(s *Setup) {
 			s.ProtocolOptions = map[string]string{"warp_speed": "9"}
 		}, "unknown option warp_speed"},
 		{"good-options", func(s *Setup) {
+			s.Protocol = ProtocolMNP
+			s.ProtocolOptions = map[string]string{"battery_aware": "true", "idle_duty_cycle": "true"}
+		}, ""},
+		{"baseline-option", func(s *Setup) {
 			s.Protocol = ProtocolXNP
 			s.ProtocolOptions = map[string]string{"query_interval": "3s"}
-		}, ""},
+		}, "unknown option query_interval"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -614,10 +614,7 @@ func runA4(seed int64) (Report, error) {
 					}
 					return 1.0
 				},
-				ProtocolOptions: map[string]string{
-					"battery_aware": strconv.FormatBool(aware),
-					"low_power":     strconv.Itoa(radio.PowerWeak),
-				},
+				ProtocolOptions: map[string]string{"battery_aware": strconv.FormatBool(aware)},
 			})
 			if err != nil {
 				return Report{}, err
@@ -661,14 +658,10 @@ func runA5(seed int64) (Report, error) {
 		res, err := Run(Setup{
 			Name: fmt.Sprintf("A5 duty=%v", duty),
 			Rows: 20, Cols: 20,
-			ImagePackets: 5 * image.DefaultSegmentPackets,
-			Seed:         seed,
-			Limit:        12 * time.Hour,
-			ProtocolOptions: map[string]string{
-				"idle_duty_cycle": strconv.FormatBool(duty),
-				"idle_on_period":  (500 * time.Millisecond).String(),
-				"idle_off_period": (1500 * time.Millisecond).String(),
-			},
+			ImagePackets:    5 * image.DefaultSegmentPackets,
+			Seed:            seed,
+			Limit:           12 * time.Hour,
+			ProtocolOptions: map[string]string{"idle_duty_cycle": strconv.FormatBool(duty)},
 		})
 		if err != nil {
 			return Report{}, err

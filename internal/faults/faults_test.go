@@ -212,7 +212,7 @@ func twoTileEnv(t *testing.T) (Env, []*sim.Kernel) {
 		env.Mediums = append(env.Mediums, m)
 		env.Clocks = append(env.Clocks, k.Now)
 	}
-	env.Network, err = node.NewPartitionedNetwork(layout,
+	env.Network, err = node.NewNetwork(layout,
 		func(packet.NodeID) (node.Protocol, node.Config) { return &writer{}, node.Config{} },
 		func(id packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer) {
 			return kernels[tileOf(id)], env.Mediums[tileOf(id)], nil

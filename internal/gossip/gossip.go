@@ -14,7 +14,7 @@
 // packets round-robin (paced by the density estimate shared with rlnc,
 // so ten co-located servers aggregate to roughly one frame per
 // interval); the infection "dies" when no lagging beacon has refreshed
-// it for DemandTTL — GCP's infect-and-die counter expressed in time.
+// it for demandTTL — GCP's infect-and-die counter expressed in time.
 // Segments pipeline strictly in order and every EEPROM slot is written
 // once, so the MNP storage invariants hold unchanged; against MNP the
 // protocol trades a broadcast premium (duplicates from blind pushes)
@@ -37,47 +37,24 @@ const (
 	timerData
 )
 
+// The parameters used by the experiments.
+const (
+	// advInterval is the base beacon period; each beacon adds a uniform
+	// delay in [0, advJitter) to desynchronize neighbors.
+	advInterval = 2 * time.Second
+	advJitter   = 500 * time.Millisecond
+	// dataInterval paces the push sweep while an infection is live.
+	dataInterval = 30 * time.Millisecond
+	// demandTTL is how long one lagging beacon keeps this node pushing
+	// — the infect-and-die horizon.
+	demandTTL = 5 * time.Second
+)
+
 // Config tunes the protocol.
 type Config struct {
 	// Base marks the (single) source; Image is required there.
 	Base  bool
 	Image *image.Image
-	// AdvInterval is the base beacon period; each beacon adds a uniform
-	// delay in [0, AdvJitter) to desynchronize neighbors.
-	AdvInterval time.Duration
-	AdvJitter   time.Duration
-	// DataInterval paces the push sweep while an infection is live.
-	DataInterval time.Duration
-	// DemandTTL is how long one lagging beacon keeps this node pushing
-	// — the infect-and-die horizon.
-	DemandTTL time.Duration
-}
-
-// DefaultConfig returns the parameters used by the experiments.
-func DefaultConfig() Config {
-	return Config{
-		AdvInterval:  2 * time.Second,
-		AdvJitter:    500 * time.Millisecond,
-		DataInterval: 30 * time.Millisecond,
-		DemandTTL:    5 * time.Second,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.AdvInterval == 0 {
-		c.AdvInterval = d.AdvInterval
-	}
-	if c.AdvJitter == 0 {
-		c.AdvJitter = d.AdvJitter
-	}
-	if c.DataInterval == 0 {
-		c.DataInterval = d.DataInterval
-	}
-	if c.DemandTTL == 0 {
-		c.DemandTTL = d.DemandTTL
-	}
-	return c
 }
 
 // Gossip is one node's protocol instance.
@@ -126,8 +103,7 @@ var _ node.Protocol = (*Gossip)(nil)
 
 // New returns a Gossip instance.
 func New(cfg Config) *Gossip {
-	cfg = cfg.withDefaults()
-	return &Gossip{cfg: cfg, peers: density.New(cfg.AdvInterval, cfg.AdvJitter)}
+	return &Gossip{cfg: cfg, peers: density.New(advInterval, advJitter)}
 }
 
 // Init implements node.Protocol.
@@ -194,7 +170,7 @@ func (g *Gossip) OnPacket(p packet.Packet, from packet.NodeID) {
 // --- beacons / infection ---
 
 func (g *Gossip) scheduleAdv() {
-	d := g.cfg.AdvInterval + time.Duration(g.rt.Rand().Int63n(int64(g.cfg.AdvJitter)))
+	d := advInterval + time.Duration(g.rt.Rand().Int63n(int64(advJitter)))
 	g.rt.SetTimer(timerAdvertise, d)
 }
 
@@ -273,8 +249,8 @@ func (g *Gossip) learn(a *packet.GossipAdv) {
 // estimates do not lockstep.
 func (g *Gossip) dataPace() time.Duration {
 	servers := g.peers.Servers(g.rt.Now(), g.demandSeg)
-	base := time.Duration(servers) * g.cfg.DataInterval
-	return base + time.Duration(g.rt.Rand().Int63n(int64(g.cfg.DataInterval)))
+	base := time.Duration(servers) * dataInterval
+	return base + time.Duration(g.rt.Rand().Int63n(int64(dataInterval)))
 }
 
 func (g *Gossip) onAdv(a *packet.GossipAdv) {
@@ -293,7 +269,7 @@ func (g *Gossip) onAdv(a *packet.GossipAdv) {
 	// needing a higher segment do not refresh the TTL, so a mixed
 	// neighborhood cannot pin a server on its slowest segment forever.
 	need := int(a.CompleteSegs) + 1
-	until := g.rt.Now() + g.cfg.DemandTTL
+	until := g.rt.Now() + demandTTL
 	switch {
 	case g.demandSeg == 0 || need < g.demandSeg:
 		g.demandSeg = need
@@ -303,7 +279,7 @@ func (g *Gossip) onAdv(a *packet.GossipAdv) {
 		g.demandUntil = until
 	}
 	if !g.rt.TimerPending(timerData) {
-		g.rt.SetTimer(timerData, time.Duration(g.rt.Rand().Int63n(int64(4*g.cfg.DataInterval))))
+		g.rt.SetTimer(timerData, time.Duration(g.rt.Rand().Int63n(int64(4*dataInterval))))
 	}
 }
 
@@ -351,7 +327,7 @@ func (g *Gossip) onData(d *packet.GossipData) {
 		// Someone else is pushing a segment we already hold; if we are
 		// pushing it too, back off to thin duplicate coverage.
 		if seg == g.demandSeg && g.rt.TimerPending(timerData) {
-			d := g.dataPace() + time.Duration(g.rt.Rand().Int63n(int64(2*g.cfg.DataInterval)))
+			d := g.dataPace() + time.Duration(g.rt.Rand().Int63n(int64(2*dataInterval)))
 			g.rt.SetTimer(timerData, d)
 		}
 		return
@@ -392,5 +368,5 @@ func (g *Gossip) completeSegment(seg int) {
 	}
 	// Beacon the new state promptly so the next hop's pipeline starts
 	// without waiting out a full beacon period.
-	g.rt.SetTimer(timerAdvertise, time.Duration(g.rt.Rand().Int63n(int64(g.cfg.AdvJitter))))
+	g.rt.SetTimer(timerAdvertise, time.Duration(g.rt.Rand().Int63n(int64(advJitter))))
 }

@@ -86,7 +86,7 @@ func TestBeaconGeometryMustBeAnImages(t *testing.T) {
 		learn bool
 	}{{65535, false}, {8, false}, {12, true}, {9, true}} {
 		rt := nodetest.New(1)
-		rt.Attach(gossip.New(gossip.DefaultConfig()))
+		rt.Attach(gossip.New(gossip.Config{}))
 		rt.Deliver(&packet.GossipAdv{Src: 0, ProgramID: 1, Segments: 3, SegPackets: 4,
 			TotalPackets: tc.total, PayloadLen: 8, Tail: 8, CompleteSegs: 3}, 0)
 		if learned := len(rt.PendingTimers()) > 0; learned != tc.learn {

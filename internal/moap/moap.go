@@ -23,23 +23,27 @@ const (
 	timerRxWatchdog
 )
 
+// The parameters used by the experiments.
+const (
+	// dataInterval paces image transmission.
+	dataInterval = 30 * time.Millisecond
+	// publishInterval separates publish announcements.
+	publishInterval = 2 * time.Second
+	// subscribeDelayMax bounds the random delay before subscribing.
+	subscribeDelayMax = 500 * time.Millisecond
+	// rxTimeout bounds the wait for the next packet before NAKing.
+	rxTimeout = 2 * time.Second
+	// window is the sliding-window size: packets more than window ahead
+	// of the first missing packet are dropped (limited-RAM tracking).
+	window = 32
+)
+
 // Config tunes the baseline.
 type Config struct {
 	// Base marks the seeding node.
 	Base bool
 	// Image is required at the base.
 	Image *image.Image
-	// DataInterval paces image transmission.
-	DataInterval time.Duration
-	// PublishInterval separates publish announcements.
-	PublishInterval time.Duration
-	// SubscribeDelayMax bounds the random delay before subscribing.
-	SubscribeDelayMax time.Duration
-	// RxTimeout bounds the wait for the next packet before NAKing.
-	RxTimeout time.Duration
-	// Window is the sliding-window size: packets more than Window ahead
-	// of the first missing packet are dropped (limited-RAM tracking).
-	Window int
 	// MaxNaks bounds consecutive unanswered NAKs before abandoning the
 	// transfer (a later publish restarts it).
 	MaxNaks int
@@ -47,35 +51,12 @@ type Config struct {
 
 // DefaultConfig returns the parameters used by the experiments.
 func DefaultConfig() Config {
-	return Config{
-		DataInterval:      30 * time.Millisecond,
-		PublishInterval:   2 * time.Second,
-		SubscribeDelayMax: 500 * time.Millisecond,
-		RxTimeout:         2 * time.Second,
-		Window:            32,
-		MaxNaks:           8,
-	}
+	return Config{MaxNaks: 8}
 }
 
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.DataInterval == 0 {
-		c.DataInterval = d.DataInterval
-	}
-	if c.PublishInterval == 0 {
-		c.PublishInterval = d.PublishInterval
-	}
-	if c.SubscribeDelayMax == 0 {
-		c.SubscribeDelayMax = d.SubscribeDelayMax
-	}
-	if c.RxTimeout == 0 {
-		c.RxTimeout = d.RxTimeout
-	}
-	if c.Window == 0 {
-		c.Window = d.Window
-	}
 	if c.MaxNaks == 0 {
-		c.MaxNaks = d.MaxNaks
+		c.MaxNaks = DefaultConfig().MaxNaks
 	}
 	return c
 }
@@ -164,8 +145,8 @@ func (m *MOAP) becomeSource() {
 }
 
 func (m *MOAP) schedulePublish() {
-	jitter := time.Duration(m.rt.Rand().Int63n(int64(m.cfg.PublishInterval)))
-	m.rt.SetTimer(timerPublish, m.cfg.PublishInterval/2+jitter)
+	jitter := time.Duration(m.rt.Rand().Int63n(int64(publishInterval)))
+	m.rt.SetTimer(timerPublish, publishInterval/2+jitter)
 }
 
 // OnTimer implements node.Protocol.
@@ -203,7 +184,7 @@ func (m *MOAP) publishTick() {
 		return
 	}
 	// Link-local suppression: defer if a neighbor published recently.
-	if m.heardPub > 0 && m.rt.Now()-m.heardPub < m.cfg.PublishInterval {
+	if m.heardPub > 0 && m.rt.Now()-m.heardPub < publishInterval {
 		m.schedulePublish()
 		return
 	}
@@ -229,7 +210,7 @@ func (m *MOAP) onSubscribe(s *packet.MoapSubscribe) {
 	m.nextSeq = 0
 	m.resend = m.resend[:0]
 	m.rt.CancelTimer(timerPublish)
-	m.rt.SetTimer(timerTxData, m.cfg.DataInterval)
+	m.rt.SetTimer(timerTxData, dataInterval)
 }
 
 func (m *MOAP) txTick() {
@@ -265,7 +246,7 @@ func (m *MOAP) txTick() {
 		}
 		_ = m.rt.Send(d)
 	}
-	m.rt.SetTimer(timerTxData, m.cfg.DataInterval)
+	m.rt.SetTimer(timerTxData, dataInterval)
 }
 
 func (m *MOAP) onNak(n *packet.MoapNak) {
@@ -286,7 +267,7 @@ func (m *MOAP) onNak(n *packet.MoapNak) {
 		m.serving = true
 		m.nextSeq = m.total
 		m.rt.CancelTimer(timerPublish)
-		m.rt.SetTimer(timerTxData, m.cfg.DataInterval)
+		m.rt.SetTimer(timerTxData, dataInterval)
 	}
 }
 
@@ -310,7 +291,7 @@ func (m *MOAP) onPublish(p *packet.MoapPublish) {
 	}
 	m.subDue = true
 	m.subTo = p.Src
-	delay := time.Duration(m.rt.Rand().Int63n(int64(m.cfg.SubscribeDelayMax)))
+	delay := time.Duration(m.rt.Rand().Int63n(int64(subscribeDelayMax)))
 	m.rt.SetTimer(timerSubscribe, delay)
 }
 
@@ -330,7 +311,7 @@ func (m *MOAP) sendSubscribe() {
 	m.fetching = true
 	m.source = m.subTo
 	m.naks = 0
-	m.rt.SetTimer(timerRxWatchdog, m.cfg.RxTimeout)
+	m.rt.SetTimer(timerRxWatchdog, rxTimeout)
 }
 
 func (m *MOAP) firstMissing() int {
@@ -362,7 +343,7 @@ func (m *MOAP) onData(d *packet.MoapData) {
 		return
 	}
 	first := m.firstMissing()
-	if first >= 0 && seq >= first+m.cfg.Window {
+	if first >= 0 && seq >= first+window {
 		// Outside the sliding window: cannot track it; demand the
 		// window head instead.
 		m.nakFirstMissing()
@@ -376,7 +357,7 @@ func (m *MOAP) onData(d *packet.MoapData) {
 	m.haveCount++
 	m.naks = 0
 	if m.fetching {
-		m.rt.SetTimer(timerRxWatchdog, m.cfg.RxTimeout)
+		m.rt.SetTimer(timerRxWatchdog, rxTimeout)
 	}
 	if m.haveCount == m.total {
 		m.fetching = false
@@ -395,7 +376,7 @@ func (m *MOAP) rxWatchdog() {
 		return
 	}
 	m.nakFirstMissing()
-	m.rt.SetTimer(timerRxWatchdog, m.cfg.RxTimeout)
+	m.rt.SetTimer(timerRxWatchdog, rxTimeout)
 }
 
 func (m *MOAP) nakFirstMissing() {

@@ -160,20 +160,20 @@ func TestReceiverSubscribesAndBecomesSource(t *testing.T) {
 }
 
 func TestSlidingWindowRejectsFarAheadPackets(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Window = 4
-	m := New(cfg)
+	m := New(DefaultConfig())
 	rt := nodetest.New(9)
 	rt.Attach(m)
-	img, err := image.Random(1, 1, 29, image.WithSegmentPackets(32), image.WithPayloadSize(4))
+	img, err := image.Random(1, 2, 29, image.WithSegmentPackets(window), image.WithPayloadSize(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.OnPacket(&packet.MoapPublish{Src: 4, ProgramID: 1, Version: 1, Total: 32}, 4)
+	total := uint16(img.TotalPackets())
+	m.OnPacket(&packet.MoapPublish{Src: 4, ProgramID: 1, Version: 1, Total: total}, 4)
 	rt.Fire(timerSubscribe)
-	// seq 10 is outside [0, 4): dropped, and a NAK for 0 goes out.
-	p10, _ := img.FlatPayload(10)
-	m.OnPacket(&packet.MoapData{Src: 4, ProgramID: 1, Seq: 10, Total: 32, Payload: p10}, 4)
+	// seq window+8 is outside [0, window): dropped, and a NAK for 0 goes out.
+	far := window + 8
+	pFar, _ := img.FlatPayload(far)
+	m.OnPacket(&packet.MoapData{Src: 4, ProgramID: 1, Seq: uint16(far), Total: total, Payload: pFar}, 4)
 	if rt.EEPROM.Slots() != 0 {
 		t.Fatal("out-of-window packet stored")
 	}
@@ -190,7 +190,7 @@ func TestSlidingWindowRejectsFarAheadPackets(t *testing.T) {
 	}
 	// In-window packets are stored.
 	p2, _ := img.FlatPayload(2)
-	m.OnPacket(&packet.MoapData{Src: 4, ProgramID: 1, Seq: 2, Total: 32, Payload: p2}, 4)
+	m.OnPacket(&packet.MoapData{Src: 4, ProgramID: 1, Seq: 2, Total: total, Payload: p2}, 4)
 	if rt.EEPROM.Slots() != 1 {
 		t.Fatal("in-window packet not stored")
 	}

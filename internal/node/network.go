@@ -10,11 +10,11 @@ import (
 	"mnp/internal/topology"
 )
 
-// Network assembles one node per layout position and runs them against
-// a shared medium.
+// Network assembles one node per layout position. It is a facade over
+// every node of a run (Start, Restart, AllCompleted, CompletionTime),
+// whichever kernels and media place put them on; the caller drives
+// the kernels, e.g. Kernel.RunUntil(nw.AllCompleted, limit).
 type Network struct {
-	Kernel *sim.Kernel
-	Medium *radio.Medium
 	Layout *topology.Layout
 	Nodes  []*Node
 
@@ -24,7 +24,7 @@ type Network struct {
 
 	// satisfiedCursor counts the leading nodes known to be dead or
 	// completed. Both conditions are monotone for a run, so AllCompleted
-	// only ever rechecks the first node that wasn't — RunUntilComplete
+	// only ever rechecks the first node that wasn't — Kernel.RunUntil
 	// evaluates the predicate after every event, and a full O(N) scan
 	// there dominated large-grid runs.
 	satisfiedCursor int
@@ -34,24 +34,12 @@ type Network struct {
 // id. The base station typically gets a source-role protocol.
 type Factory func(id packet.NodeID) (Protocol, Config)
 
-// NewNetwork builds all nodes. Protocols are not started until Start.
-func NewNetwork(k *sim.Kernel, m *radio.Medium, layout *topology.Layout, f Factory, obs Observer) (*Network, error) {
-	place := func(packet.NodeID) (*sim.Kernel, *radio.Medium, Observer) { return k, m, obs }
-	nw, err := NewPartitionedNetwork(layout, f, place)
-	if err != nil {
-		return nil, err
-	}
-	nw.Kernel, nw.Medium = k, m
-	return nw, nil
-}
-
-// NewPartitionedNetwork builds all nodes, asking place for each node's
-// runtime — its kernel, its medium (possibly a shard of the channel),
-// and its observer. The sharded engine uses it to pin every node to the
-// shard that owns it; the Network value itself stays a global facade
-// (Restart, AllCompleted, CompletionTime span all shards), with Kernel
-// and Medium left nil because no single pair drives the whole run.
-func NewPartitionedNetwork(layout *topology.Layout, f Factory, place func(packet.NodeID) (*sim.Kernel, *radio.Medium, Observer)) (*Network, error) {
+// NewNetwork builds all nodes, asking place for each node's runtime —
+// its kernel, its medium (possibly a shard of the channel), and its
+// observer. A single-kernel run places every node on the same triple;
+// the sharded engine pins every node to the shard that owns it.
+// Protocols are not started until Start.
+func NewNetwork(layout *topology.Layout, f Factory, place func(packet.NodeID) (*sim.Kernel, *radio.Medium, Observer)) (*Network, error) {
 	if f == nil {
 		return nil, fmt.Errorf("node: nil factory")
 	}
@@ -121,13 +109,6 @@ func (nw *Network) AllCompleted() bool {
 		nw.satisfiedCursor++
 	}
 	return true
-}
-
-// RunUntilComplete drives the simulation until every live node
-// completes or limit passes; it reports whether full coverage was
-// reached.
-func (nw *Network) RunUntilComplete(limit time.Duration) bool {
-	return nw.Kernel.RunUntil(nw.AllCompleted, limit)
 }
 
 // CompletionTime returns the time the last node completed — the

@@ -410,11 +410,12 @@ func TestNetworkLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	protos := map[packet.NodeID]*echoProto{}
-	nw, err := NewNetwork(k, m, l, func(id packet.NodeID) (Protocol, Config) {
+	place := func(packet.NodeID) (*sim.Kernel, *radio.Medium, Observer) { return k, m, nil }
+	nw, err := NewNetwork(l, func(id packet.NodeID) (Protocol, Config) {
 		p := &echoProto{}
 		protos[id] = p
 		return p, Config{TxPower: radio.PowerSim}
-	}, nil)
+	}, place)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,10 +440,13 @@ func TestNetworkLifecycle(t *testing.T) {
 	if nw.CompletionTime() != nw.Node(1).CompletedAt() && nw.CompletionTime() != nw.Node(0).CompletedAt() {
 		t.Fatal("CompletionTime not max of completions")
 	}
-	if !nw.RunUntilComplete(time.Second) {
-		t.Fatal("RunUntilComplete false when already complete")
+	if !k.RunUntil(nw.AllCompleted, time.Second) {
+		t.Fatal("RunUntil(AllCompleted) false when already complete")
 	}
-	if _, err := NewNetwork(k, m, l, nil, nil); err == nil {
+	if _, err := NewNetwork(l, nil, place); err == nil {
 		t.Fatal("nil factory accepted")
+	}
+	if _, err := NewNetwork(l, func(packet.NodeID) (Protocol, Config) { return &echoProto{}, Config{} }, nil); err == nil {
+		t.Fatal("nil placement accepted")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"mnp/internal/image"
 	"mnp/internal/node"
@@ -32,8 +31,8 @@ type Build struct {
 	Image *image.Image
 	// Options are declarative protocol knobs, typically compiled from a
 	// scenario file. Keys are protocol-specific (see each package's
-	// register.go); an unknown key is an error. Nil leaves the protocol
-	// at its package defaults, byte-identical to pre-registry builds.
+	// register.go; only mnp has any); an unknown key is an error. Nil
+	// leaves the protocol at its package defaults.
 	Options map[string]string
 }
 
@@ -104,10 +103,10 @@ func ValidateOptions(name string, options map[string]string) error {
 	return nil
 }
 
-// Option-map decoding helpers shared by the per-protocol builders.
-// Each Opt* consumes a key (so the builder can reject leftovers with
-// CheckUnused), parses it into the destination, and accumulates the
-// first error.
+// Option-map decoding shared by the protocol builders. Bool consumes a
+// key (so Err can reject leftovers), parses it into the destination,
+// and accumulates the first error; a builder with no knobs calls Err
+// alone, so any key is an error.
 
 // Opts wraps an option map with single-error accumulation. Parsed
 // values are buffered and committed by Err() only when the whole map
@@ -149,42 +148,6 @@ func (o *Opts) Bool(key string, dst *bool) {
 			return
 		}
 		o.pending = append(o.pending, func() { *dst = b })
-	}
-}
-
-// Int parses key as an integer into dst when present.
-func (o *Opts) Int(key string, dst *int) {
-	if v, ok := o.lookup(key); ok {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			o.fail(key, v, err)
-			return
-		}
-		o.pending = append(o.pending, func() { *dst = n })
-	}
-}
-
-// Float parses key as a float into dst when present.
-func (o *Opts) Float(key string, dst *float64) {
-	if v, ok := o.lookup(key); ok {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			o.fail(key, v, err)
-			return
-		}
-		o.pending = append(o.pending, func() { *dst = f })
-	}
-}
-
-// Duration parses key as a time.Duration into dst when present.
-func (o *Opts) Duration(key string, dst *time.Duration) {
-	if v, ok := o.lookup(key); ok {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			o.fail(key, v, err)
-			return
-		}
-		o.pending = append(o.pending, func() { *dst = d })
 	}
 }
 

@@ -3,7 +3,6 @@ package protoreg_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	_ "mnp/internal/core"
 	_ "mnp/internal/deluge"
@@ -54,6 +53,54 @@ func TestLookupUnknown(t *testing.T) {
 	}
 }
 
+// TestAcceptedOptionKeys pins each registered protocol's option
+// surface: MNP accepts exactly the knobs the paper's ablations and
+// extensions turn, each a boolean, and the baselines accept none.
+func TestAcceptedOptionKeys(t *testing.T) {
+	accepted := map[string][]string{
+		"mnp":    {"battery_aware", "idle_duty_cycle", "no_sender_selection", "no_sleep", "query_update"},
+		"deluge": nil,
+		"gossip": nil,
+		"moap":   nil,
+		"rlnc":   nil,
+		"xnp":    nil,
+	}
+	if len(accepted) != len(protoreg.Names()) {
+		t.Fatalf("table covers %d protocols, registry has %v", len(accepted), protoreg.Names())
+	}
+	for _, name := range protoreg.Names() {
+		keys, ok := accepted[name]
+		if !ok {
+			t.Fatalf("protocol %q missing from the table", name)
+		}
+		for _, key := range keys {
+			for _, v := range []string{"true", "false"} {
+				if err := protoreg.ValidateOptions(name, map[string]string{key: v}); err != nil {
+					t.Errorf("%s %s=%s: %v", name, key, v, err)
+				}
+			}
+			err := protoreg.ValidateOptions(name, map[string]string{key: "maybe"})
+			if err == nil || !strings.Contains(err.Error(), key) {
+				t.Errorf("%s %s=maybe: error %v, want one naming the key", name, key, err)
+			}
+		}
+		// A key no protocol accepts, and the mnp keys on a baseline.
+		probes := []string{"data_interval"}
+		if len(keys) == 0 {
+			probes = append(probes, accepted["mnp"]...)
+		}
+		for _, key := range probes {
+			err := protoreg.ValidateOptions(name, map[string]string{key: "true"})
+			if err == nil || !strings.Contains(err.Error(), "unknown option "+key) {
+				t.Errorf("%s %s: error %v, want unknown option", name, key, err)
+			}
+		}
+		if err := protoreg.ValidateOptions(name, nil); err != nil {
+			t.Errorf("%s with no options: %v", name, err)
+		}
+	}
+}
+
 func TestValidateOptions(t *testing.T) {
 	cases := []struct {
 		proto   string
@@ -61,14 +108,13 @@ func TestValidateOptions(t *testing.T) {
 		wantErr string
 	}{
 		{"mnp", nil, ""},
-		{"mnp", map[string]string{"no_sleep": "true", "advertise_count": "3"}, ""},
+		{"mnp", map[string]string{"no_sleep": "true", "battery_aware": "true"}, ""},
 		{"mnp", map[string]string{"no_sleep": "maybe"}, "no_sleep"},
 		{"mnp", map[string]string{"nosleep": "true"}, "unknown option nosleep"},
-		{"deluge", map[string]string{"page_packets": "24", "trickle_k": "2"}, ""},
-		{"deluge", map[string]string{"window": "8"}, "unknown option"},
-		{"moap", map[string]string{"window": "8", "max_naks": "2"}, ""},
-		{"xnp", map[string]string{"query_interval": "3s"}, ""},
-		{"xnp", map[string]string{"query_interval": "fast"}, "query_interval"},
+		{"mnp", map[string]string{"advertise_count": "3"}, "unknown option advertise_count"},
+		{"deluge", map[string]string{"page_packets": "24"}, "unknown option page_packets"},
+		{"moap", map[string]string{"window": "8"}, "unknown option window"},
+		{"xnp", map[string]string{"query_interval": "3s"}, "unknown option query_interval"},
 	}
 	for _, c := range cases {
 		err := protoreg.ValidateOptions(c.proto, c.options)
@@ -91,37 +137,30 @@ func TestValidateOptions(t *testing.T) {
 // Build could leave a half-mutated Config behind — harmless for
 // builders that discard it, a haunting for any that reuse it.)
 func TestOptsAtomicCommit(t *testing.T) {
-	type config struct {
-		sleep    bool
-		count    int
-		rate     float64
-		interval time.Duration
-	}
-	base := config{sleep: true, count: 3, rate: 0.5, interval: time.Second}
+	type config struct{ sleep, repair bool }
+	base := config{sleep: true, repair: false}
 	decode := func(m map[string]string) (config, error) {
 		cfg := base
 		o := protoreg.NewOpts(m)
 		o.Bool("sleep", &cfg.sleep)
-		o.Int("count", &cfg.count)
-		o.Float("rate", &cfg.rate)
-		o.Duration("interval", &cfg.interval)
+		o.Bool("repair", &cfg.repair)
 		return cfg, o.Err()
 	}
 
-	good := map[string]string{"sleep": "false", "count": "9", "rate": "1.25", "interval": "250ms"}
+	good := map[string]string{"sleep": "false", "repair": "true"}
 	cfg, err := decode(good)
 	if err != nil {
 		t.Fatalf("clean map: %v", err)
 	}
-	if want := (config{false, 9, 1.25, 250 * time.Millisecond}); cfg != want {
+	if want := (config{false, true}); cfg != want {
 		t.Fatalf("clean map: cfg = %+v, want %+v", cfg, want)
 	}
 
 	bad := []map[string]string{
-		{"sleep": "false", "count": "nine"},          // parse error after a good key
-		{"count": "9", "sleep": "maybe"},             // parse error, other key good
-		{"count": "9", "rate": "1.25", "typo": "1"},  // unknown key, all others good
-		{"interval": "250ms", "count": "9", "x": ""}, // unknown empty-valued key
+		{"sleep": "false", "repair": "yes please"}, // parse error after a good key
+		{"repair": "true", "sleep": "maybe"},       // parse error, other key good
+		{"sleep": "false", "typo": "1"},            // unknown key, all others good
+		{"repair": "true", "x": ""},                // unknown empty-valued key
 	}
 	for _, m := range bad {
 		cfg, err := decode(m)
@@ -144,7 +183,7 @@ func TestMNPBuilderAppliesOptions(t *testing.T) {
 	}
 	p, err := b(protoreg.Build{
 		ID:      7,
-		Options: map[string]string{"data_interval": "45ms", "advertise_count": "9"},
+		Options: map[string]string{"idle_duty_cycle": "true", "battery_aware": "true"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +191,7 @@ func TestMNPBuilderAppliesOptions(t *testing.T) {
 	if p == nil {
 		t.Fatal("builder returned nil protocol")
 	}
-	if _, err := b(protoreg.Build{ID: 7, Options: map[string]string{"advertise_count": "nine"}}); err == nil {
+	if _, err := b(protoreg.Build{ID: 7, Options: map[string]string{"battery_aware": "nine"}}); err == nil {
 		t.Fatal("builder accepted a malformed option")
 	}
 }

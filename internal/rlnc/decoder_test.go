@@ -724,7 +724,7 @@ func TestAdvGeometryMustBeAnImages(t *testing.T) {
 		learn bool
 	}{{65535, false}, {8, false}, {12, true}, {9, true}} {
 		rt := nodetest.New(1)
-		r := New(DefaultConfig())
+		r := New(Config{})
 		rt.Attach(r)
 		rt.Deliver(&packet.RlncAdv{Src: 0, ProgramID: 1, Segments: 3, SegPackets: 4,
 			TotalPackets: tc.total, PayloadLen: 8, Tail: 8, CompleteSegs: 3}, 0)

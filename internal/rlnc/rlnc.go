@@ -31,48 +31,25 @@ const (
 	timerFlushRetry
 )
 
+// The parameters used by the experiments.
+const (
+	// advInterval is the base advertisement period; each advertisement
+	// adds a uniform delay in [0, advJitter) to desynchronize
+	// neighbors.
+	advInterval = 2 * time.Second
+	advJitter   = 500 * time.Millisecond
+	// dataInterval paces coded-packet bursts while demand is live.
+	dataInterval = 30 * time.Millisecond
+	// demandTTL is how long one heard advertisement from a lagging
+	// neighbor keeps this node transmitting coded packets.
+	demandTTL = 5 * time.Second
+)
+
 // Config tunes the protocol.
 type Config struct {
 	// Base marks the (single) source; Image is required there.
 	Base  bool
 	Image *image.Image
-	// AdvInterval is the base advertisement period; each advertisement
-	// adds a uniform delay in [0, AdvJitter) to desynchronize
-	// neighbors.
-	AdvInterval time.Duration
-	AdvJitter   time.Duration
-	// DataInterval paces coded-packet bursts while demand is live.
-	DataInterval time.Duration
-	// DemandTTL is how long one heard advertisement from a lagging
-	// neighbor keeps this node transmitting coded packets.
-	DemandTTL time.Duration
-}
-
-// DefaultConfig returns the parameters used by the experiments.
-func DefaultConfig() Config {
-	return Config{
-		AdvInterval:  2 * time.Second,
-		AdvJitter:    500 * time.Millisecond,
-		DataInterval: 30 * time.Millisecond,
-		DemandTTL:    5 * time.Second,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.AdvInterval == 0 {
-		c.AdvInterval = d.AdvInterval
-	}
-	if c.AdvJitter == 0 {
-		c.AdvJitter = d.AdvJitter
-	}
-	if c.DataInterval == 0 {
-		c.DataInterval = d.DataInterval
-	}
-	if c.DemandTTL == 0 {
-		c.DemandTTL = d.DemandTTL
-	}
-	return c
 }
 
 // flushRetryDelay spaces retries of EEPROM writes that failed (e.g.
@@ -114,7 +91,7 @@ type RLNC struct {
 	// peers caches the last advertisement heard per neighbor, feeding
 	// the server-density estimate that paces coded transmissions: ten
 	// co-located servers each send at a tenth of the solo rate, keeping
-	// the aggregate near one frame per DataInterval. Without this, a
+	// the aggregate near one frame per dataInterval. Without this, a
 	// dense neighborhood serving one straggler saturates the channel
 	// and collisions stop the straggler's rank from ever advancing.
 	peers density.Table
@@ -133,8 +110,7 @@ var _ node.Protocol = (*RLNC)(nil)
 
 // New returns an RLNC instance.
 func New(cfg Config) *RLNC {
-	cfg = cfg.withDefaults()
-	return &RLNC{cfg: cfg, peers: density.New(cfg.AdvInterval, cfg.AdvJitter)}
+	return &RLNC{cfg: cfg, peers: density.New(advInterval, advJitter)}
 }
 
 // Init implements node.Protocol.
@@ -209,7 +185,7 @@ func (r *RLNC) OnPacket(p packet.Packet, from packet.NodeID) {
 // --- advertisement / demand ---
 
 func (r *RLNC) scheduleAdv() {
-	d := r.cfg.AdvInterval + time.Duration(r.rt.Rand().Int63n(int64(r.cfg.AdvJitter)))
+	d := advInterval + time.Duration(r.rt.Rand().Int63n(int64(advJitter)))
 	r.rt.SetTimer(timerAdvertise, d)
 }
 
@@ -281,8 +257,8 @@ func (r *RLNC) learn(a *packet.RlncAdv) {
 // estimates do not lockstep.
 func (r *RLNC) dataPace() time.Duration {
 	servers := r.peers.Servers(r.rt.Now(), r.demandSeg)
-	base := time.Duration(servers) * r.cfg.DataInterval
-	return base + time.Duration(r.rt.Rand().Int63n(int64(r.cfg.DataInterval)))
+	base := time.Duration(servers) * dataInterval
+	return base + time.Duration(r.rt.Rand().Int63n(int64(dataInterval)))
 }
 
 func (r *RLNC) onAdv(a *packet.RlncAdv) {
@@ -300,7 +276,7 @@ func (r *RLNC) onAdv(a *packet.RlncAdv) {
 	// start (or keep) the coded burst, offset randomly so concurrent
 	// servers interleave instead of colliding.
 	need := int(a.CompleteSegs) + 1
-	until := r.rt.Now() + r.cfg.DemandTTL
+	until := r.rt.Now() + demandTTL
 	switch {
 	case r.demandSeg == 0 || need < r.demandSeg:
 		r.demandSeg = need
@@ -312,7 +288,7 @@ func (r *RLNC) onAdv(a *packet.RlncAdv) {
 	// refresh the TTL: the lower demand must be allowed to expire, or a
 	// mixed neighborhood pins the sender on its slowest segment forever.
 	if !r.rt.TimerPending(timerData) {
-		r.rt.SetTimer(timerData, time.Duration(r.rt.Rand().Int63n(int64(4*r.cfg.DataInterval))))
+		r.rt.SetTimer(timerData, time.Duration(r.rt.Rand().Int63n(int64(4*dataInterval))))
 	}
 }
 
@@ -395,7 +371,7 @@ func (r *RLNC) onData(d *packet.RlncData) {
 		// Someone else is serving a segment we already decoded; if we
 		// are serving it too, back off to thin duplicate coverage.
 		if seg == r.demandSeg && r.rt.TimerPending(timerData) {
-			d := r.dataPace() + time.Duration(r.rt.Rand().Int63n(int64(2*r.cfg.DataInterval)))
+			d := r.dataPace() + time.Duration(r.rt.Rand().Int63n(int64(2*dataInterval)))
 			r.rt.SetTimer(timerData, d)
 		}
 		return
@@ -450,5 +426,5 @@ func (r *RLNC) flushSegment() {
 	}
 	// Advertise the new state promptly so the next hop's pipeline
 	// starts without waiting out a full advertisement period.
-	r.rt.SetTimer(timerAdvertise, time.Duration(r.rt.Rand().Int63n(int64(r.cfg.AdvJitter))))
+	r.rt.SetTimer(timerAdvertise, time.Duration(r.rt.Rand().Int63n(int64(advJitter))))
 }

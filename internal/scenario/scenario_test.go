@@ -44,8 +44,7 @@ every = "5s"
 name = "mnp"
 [protocol.options]
 no_sleep = true
-advertise_count = 3
-data_interval = "45ms"
+query_update = "false"
 
 [run]
 seed = 7
@@ -91,8 +90,11 @@ func TestParseFullDocument(t *testing.T) {
 		time.Duration(m.Pause) != 20*time.Second || time.Duration(m.Every) != 5*time.Second {
 		t.Fatalf("mobility = %+v", sc.Mobility)
 	}
-	if got := sc.Protocol.Options["advertise_count"]; got != float64(3) {
-		t.Fatalf("advertise_count = %v (%T)", got, got)
+	if got := sc.Protocol.Options["no_sleep"]; got != true {
+		t.Fatalf("no_sleep = %v (%T)", got, got)
+	}
+	if got := sc.Protocol.Options["query_update"]; got != "false" {
+		t.Fatalf("query_update = %v (%T)", got, got)
 	}
 	if int(sc.Run.Power) != radio.PowerSim {
 		t.Fatalf("power = %d, want %d", sc.Run.Power, radio.PowerSim)
@@ -326,7 +328,7 @@ func TestCompileClosures(t *testing.T) {
 		}
 	}
 
-	if setup.ProtocolOptions["no_sleep"] != "true" || setup.ProtocolOptions["advertise_count"] != "3" {
+	if setup.ProtocolOptions["no_sleep"] != "true" || setup.ProtocolOptions["query_update"] != "false" {
 		t.Errorf("protocol options = %v", setup.ProtocolOptions)
 	}
 	if setup.Shards != 2 || setup.Workers != 1 || setup.Seed != 7 {

@@ -22,18 +22,22 @@ const (
 	timerStatusReply
 )
 
+// The parameters used by the experiments.
+const (
+	// dataInterval paces the broadcast.
+	dataInterval = 30 * time.Millisecond
+	// queryInterval separates retransmission query rounds.
+	queryInterval = 2 * time.Second
+	// statusDelayMax bounds the receivers' random status-reply delay.
+	statusDelayMax = 500 * time.Millisecond
+)
+
 // Config tunes the baseline.
 type Config struct {
 	// Base marks the (single) source.
 	Base bool
 	// Image is required at the base.
 	Image *image.Image
-	// DataInterval paces the broadcast.
-	DataInterval time.Duration
-	// QueryInterval separates retransmission query rounds.
-	QueryInterval time.Duration
-	// StatusDelayMax bounds the receivers' random status-reply delay.
-	StatusDelayMax time.Duration
 	// MaxQuietRounds is how many consecutive empty query rounds end the
 	// repair phase.
 	MaxQuietRounds int
@@ -41,27 +45,12 @@ type Config struct {
 
 // DefaultConfig returns the parameters used by the experiments.
 func DefaultConfig() Config {
-	return Config{
-		DataInterval:   30 * time.Millisecond,
-		QueryInterval:  2 * time.Second,
-		StatusDelayMax: 500 * time.Millisecond,
-		MaxQuietRounds: 3,
-	}
+	return Config{MaxQuietRounds: 3}
 }
 
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.DataInterval == 0 {
-		c.DataInterval = d.DataInterval
-	}
-	if c.QueryInterval == 0 {
-		c.QueryInterval = d.QueryInterval
-	}
-	if c.StatusDelayMax == 0 {
-		c.StatusDelayMax = d.StatusDelayMax
-	}
 	if c.MaxQuietRounds == 0 {
-		c.MaxQuietRounds = d.MaxQuietRounds
+		c.MaxQuietRounds = DefaultConfig().MaxQuietRounds
 	}
 	return c
 }
@@ -124,7 +113,7 @@ func (x *XNP) Init(rt node.Runtime) {
 		}
 	}
 	rt.Complete()
-	rt.SetTimer(timerTxData, x.cfg.DataInterval)
+	rt.SetTimer(timerTxData, dataInterval)
 }
 
 // slot maps a flat sequence number to its EEPROM (segment, packet)
@@ -176,7 +165,7 @@ func (x *XNP) txTick() {
 	default:
 		// Broadcast pass done: start (or continue) query rounds.
 		x.repairing = true
-		x.rt.SetTimer(timerQueryRound, x.cfg.QueryInterval)
+		x.rt.SetTimer(timerQueryRound, queryInterval)
 		return
 	}
 	seg, pkt, _ := x.slot(seq)
@@ -191,7 +180,7 @@ func (x *XNP) txTick() {
 		}
 		_ = x.rt.Send(d)
 	}
-	x.rt.SetTimer(timerTxData, x.cfg.DataInterval)
+	x.rt.SetTimer(timerTxData, dataInterval)
 }
 
 func (x *XNP) queryRound() {
@@ -201,14 +190,14 @@ func (x *XNP) queryRound() {
 	if len(x.retransmits) > 0 {
 		// Requests arrived during the round: serve them.
 		x.quietRounds = 0
-		x.rt.SetTimer(timerTxData, x.cfg.DataInterval)
+		x.rt.SetTimer(timerTxData, dataInterval)
 		return
 	}
 	x.quietRounds++
 	q := &x.out.query
 	*q = packet.XnpQueryStatus{Src: x.rt.ID(), ProgramID: x.programID}
 	_ = x.rt.Send(q)
-	interval := x.cfg.QueryInterval
+	interval := queryInterval
 	if x.quietRounds > x.cfg.MaxQuietRounds {
 		// In-range nodes look satisfied; keep probing slowly in case a
 		// status reply was simply lost.
@@ -270,7 +259,7 @@ func (x *XNP) onQuery(q *packet.XnpQueryStatus) {
 		return
 	}
 	x.statusDue = true
-	delay := time.Duration(x.rt.Rand().Int63n(int64(x.cfg.StatusDelayMax)))
+	delay := time.Duration(x.rt.Rand().Int63n(int64(statusDelayMax)))
 	x.rt.SetTimer(timerStatusReply, delay)
 }
 

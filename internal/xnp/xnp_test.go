@@ -23,14 +23,14 @@ func buildNet(t *testing.T, layout *topology.Layout, segments int, seed int64) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := node.NewNetwork(kernel, medium, layout, func(id packet.NodeID) (node.Protocol, node.Config) {
+	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
 		cfg := DefaultConfig()
 		if id == 0 {
 			cfg.Base = true
 			cfg.Image = img
 		}
 		return New(cfg), node.Config{TxPower: radio.PowerSim}
-	}, nil)
+	}, func(packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer) { return kernel, medium, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +43,8 @@ func TestSingleHopCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, _, img := buildNet(t, l, 1, 1)
-	if !nw.RunUntilComplete(time.Hour) {
+	nw, kernel, img := buildNet(t, l, 1, 1)
+	if !kernel.RunUntil(nw.AllCompleted, time.Hour) {
 		t.Fatalf("incomplete: %d/%d", nw.CompletedCount(), len(nw.Nodes))
 	}
 	for _, n := range nw.Nodes {
@@ -84,8 +84,8 @@ func TestRetransmissionRoundsRepairLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, _, _ := buildNet(t, l, 1, 3)
-	if !nw.RunUntilComplete(4 * time.Hour) {
+	nw, kernel, _ := buildNet(t, l, 1, 3)
+	if !kernel.RunUntil(nw.AllCompleted, 4*time.Hour) {
 		t.Fatalf("lossy XNP incomplete: %d/%d", nw.CompletedCount(), len(nw.Nodes))
 	}
 }
