@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"mnp/internal/imgdiff"
-	"mnp/internal/telemetry"
 )
 
 func main() {
@@ -25,18 +24,9 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("mnpdiff", flag.ContinueOnError)
 	blockSize := fs.Int("block", imgdiff.DefaultBlockSize, "diff block size in bytes")
-	pprofAddr := fs.String("pprof", "", "serve /debug/pprof on this address")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file (diffing large images)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProf, err := telemetry.StartProfiling(telemetry.ProfileConfig{
-		PprofAddr: *pprofAddr, CPUProfile: *cpuProfile,
-	})
-	if err != nil {
-		return err
-	}
-	defer stopProf()
 	rest := fs.Args()
 	if len(rest) == 0 {
 		return fmt.Errorf("usage: mnpdiff [-block N] diff|apply|inspect <files…>")

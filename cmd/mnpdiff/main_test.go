@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -76,6 +77,13 @@ func TestUsageErrors(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+	// The profiling flags are gone: -block is the only flag.
+	for _, flag := range []string{"-pprof", "-cpuprofile"} {
+		err := run([]string{flag, "x", "inspect", "/nonexistent"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
+			t.Errorf("%s: err = %v, want the flag package's not-defined error", flag, err)
 		}
 	}
 }

@@ -67,6 +67,13 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	printReport, ok := reports[strings.ToLower(*report)]
+	if !ok {
+		return fmt.Errorf("unknown report %q", *report)
+	}
+	if *traceID >= *rows**cols {
+		return fmt.Errorf("-trace %d: no such mote in a %dx%d grid", *traceID, *rows, *cols)
+	}
 	stopProf, err := telemetry.StartProfiling(telemetry.ProfileConfig{
 		PprofAddr: *pprofAddr, CPUProfile: *cpuProfile, TracePath: *tracePath,
 	})
@@ -167,18 +174,8 @@ func run(args []string) error {
 		res.Collector.MeanActiveRadioTimeAfterFirstAdv(ct).Round(time.Second))
 	fmt.Printf("concurrent same-neighborhood data senders: %d\n", res.Collector.ConcurrencyViolations())
 
-	switch strings.ToLower(*report) {
-	case "summary":
-	case "energy":
-		printEnergy(res)
-	case "traffic":
-		printTraffic(res)
-	case "parents":
-		printParents(res)
-	case "progress":
-		printProgress(res)
-	default:
-		return fmt.Errorf("unknown report %q", *report)
+	if printReport != nil {
+		printReport(res)
 	}
 	if tlog != nil {
 		fmt.Printf("\nevent trace of node %d:\n", *traceID)
@@ -187,6 +184,16 @@ func run(args []string) error {
 		}
 	}
 	return nil
+}
+
+// reports maps each -report name to its printer; the summary is the
+// lines every run prints.
+var reports = map[string]func(*experiment.Result){
+	"summary":  nil,
+	"energy":   printEnergy,
+	"traffic":  printTraffic,
+	"parents":  printParents,
+	"progress": printProgress,
 }
 
 func printEnergy(res *experiment.Result) {

@@ -93,10 +93,18 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-rows", "0"}); err == nil {
 		t.Error("zero rows accepted")
 	}
-	if _, err := capture(t, func() error {
-		return run([]string{"-rows", "1", "-cols", "2", "-packets", "16", "-report", "bogus"})
-	}); err == nil {
-		t.Error("bogus report accepted")
+	// A bad -report or -trace fails before anything is built or run.
+	for _, args := range [][]string{
+		{"-report", "bogus"},
+		{"-rows", "2", "-cols", "2", "-trace", "4"},
+	} {
+		out, err := capture(t, func() error { return run(args) })
+		if err == nil {
+			t.Errorf("%v accepted", args)
+		}
+		if strings.Contains(out, "topology:") {
+			t.Errorf("%v ran the simulation before failing:\n%s", args, out)
+		}
 	}
 	if err := run([]string{"-not-a-flag"}); err == nil {
 		t.Error("bad flag accepted")

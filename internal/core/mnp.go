@@ -72,6 +72,10 @@ const (
 // neighbors sleeping through the first broadcast still catch one.
 const startSignalRepeats = 3
 
+// repairThreshold is the largest number of missing packets a receiver
+// repairs through query/update rather than failing the segment.
+const repairThreshold = 16
+
 // Protocol timing. The paper's text lost these digits, so each value
 // is a reconstruction; DESIGN.md §2 lists them with the other
 // reconstructed constants.
@@ -122,13 +126,10 @@ type Config struct {
 	Image *image.Image
 
 	// NoPipelining selects the basic protocol (§3.1.1): a node becomes
-	// a source only once it holds the entire program.
+	// a source only once it holds the entire program. It is the only
+	// path to that protocol, which TestNoPipelining* and the fuzz
+	// target in fuzz_test.go pin.
 	NoPipelining bool
-	// NoUpgrade freezes the node on its current program: by default a
-	// node that hears advertisements for a newer program (serial-number
-	// ordering on ProgramID) abandons its state and acquires the new
-	// version — reprogramming is, after all, the point.
-	NoUpgrade bool
 	// NoSenderSelection disables the ReqCtr competition (ablation A1):
 	// sources never concede to better-placed sources.
 	NoSenderSelection bool
@@ -136,12 +137,9 @@ type Config struct {
 	// (ablation A2); the node still pauses its advertising.
 	NoSleep bool
 
-	// QueryUpdate enables the optional query/update repair phase.
+	// QueryUpdate enables the optional query/update repair phase for
+	// a segment missing at most repairThreshold packets.
 	QueryUpdate bool
-	// RepairThreshold is the largest number of missing packets the
-	// receiver will try to repair via query/update rather than failing
-	// the segment.
-	RepairThreshold int
 
 	// IdleDutyCycle enables the paper's S-MAC-style suggestion for
 	// removing initial idle listening: a node that has not yet heard
@@ -159,18 +157,7 @@ type Config struct {
 // DefaultConfig returns the configuration used by the paper-shaped
 // experiments (query/update enabled, pipelining on).
 func DefaultConfig() Config {
-	return Config{
-		QueryUpdate:     true,
-		RepairThreshold: 16,
-	}
-}
-
-// withDefaults fills zero fields from DefaultConfig.
-func (c Config) withDefaults() Config {
-	if c.RepairThreshold == 0 {
-		c.RepairThreshold = DefaultConfig().RepairThreshold
-	}
-	return c
+	return Config{QueryUpdate: true}
 }
 
 // geometry is what a node knows about the program being disseminated.
@@ -256,7 +243,7 @@ var _ node.Protocol = (*MNP)(nil)
 
 // New returns an MNP instance with the given configuration.
 func New(cfg Config) *MNP {
-	return &MNP{cfg: cfg.withDefaults()}
+	return &MNP{cfg: cfg}
 }
 
 // State returns the current protocol state (for tests and metrics).
@@ -766,7 +753,7 @@ func (m *MNP) onAdvertise(a *packet.Advertise) {
 		// A different program is circulating. If it is newer, abandon
 		// ours and acquire it; otherwise let the stale advertiser
 		// discover the new version the same way.
-		if !m.cfg.NoUpgrade && newerProgram(a.ProgramID, m.geom.programID) {
+		if newerProgram(a.ProgramID, m.geom.programID) {
 			m.upgradeTo(a)
 		}
 		return
@@ -993,7 +980,7 @@ func (m *MNP) onEndDownload(e *packet.EndDownload) {
 	// Losses remain. The paper offers two choices: fail immediately, or
 	// enter the query/update phase when the loss count is repairable.
 	if e.Src == m.parent && m.cfg.QueryUpdate &&
-		m.missing != nil && m.missing.Count() <= m.cfg.RepairThreshold {
+		m.missing != nil && m.missing.Count() <= repairThreshold {
 		m.rt.CancelTimer(timerDownloadWatchdog)
 		m.setState(StateUpdate)
 		m.rt.SetTimer(timerUpdateWait, downloadTimeout)

@@ -533,18 +533,25 @@ func TestQueryFromNonParentIgnored(t *testing.T) {
 }
 
 func TestTooManyLossesFailInsteadOfRepair(t *testing.T) {
-	m, _ := newReceiver(t, 9, 1, func(c *Config) { c.RepairThreshold = 2 })
-	im := testImage(t, 1)
-	m.OnPacket(advFrom(4, 1, 0, 1), 4)
-	m.OnPacket(&packet.StartDownload{Src: 4, ProgramID: 1, SegID: 1, SegPackets: 8}, 4)
-	// Only 3 of 8 arrive: 5 missing > threshold 2.
-	for pkt := 0; pkt < 3; pkt++ {
-		payload, _ := im.Payload(1, pkt)
-		m.OnPacket(&packet.Data{Src: 4, ProgramID: 1, SegID: 1, PacketID: uint8(pkt), Payload: payload}, 4)
-	}
-	m.OnPacket(&packet.EndDownload{Src: 4, ProgramID: 1, SegID: 1}, 4)
-	if m.State() != StateIdle {
-		t.Fatalf("state = %v, want idle (fail path)", m.State())
+	// One segment of repairThreshold+2 packets: repairThreshold losses
+	// are repaired through query/update, one more fails the segment.
+	const n = repairThreshold + 2
+	for _, tc := range []struct {
+		losses int
+		want   State
+	}{{repairThreshold, StateUpdate}, {repairThreshold + 1, StateIdle}} {
+		m, _ := newReceiver(t, 9, 1, nil)
+		adv := advFrom(4, 1, 0, 1)
+		adv.SegNominal, adv.TotalPackets = n, n
+		m.OnPacket(adv, 4)
+		m.OnPacket(&packet.StartDownload{Src: 4, ProgramID: 1, SegID: 1, SegPackets: n}, 4)
+		for pkt := 0; pkt < n-tc.losses; pkt++ {
+			m.OnPacket(&packet.Data{Src: 4, ProgramID: 1, SegID: 1, PacketID: uint8(pkt), Payload: []byte{1, 2, 3, 4}}, 4)
+		}
+		m.OnPacket(&packet.EndDownload{Src: 4, ProgramID: 1, SegID: 1}, 4)
+		if m.State() != tc.want {
+			t.Fatalf("%d losses: state = %v, want %v", tc.losses, m.State(), tc.want)
+		}
 	}
 }
 
@@ -791,17 +798,6 @@ func TestProgramIDWraparound(t *testing.T) {
 	m.OnPacket(wrapped, 5)
 	if m.geom.programID != 2 {
 		t.Fatalf("wraparound upgrade failed: program %d", m.geom.programID)
-	}
-}
-
-func TestNoUpgradeFreezesProgram(t *testing.T) {
-	m, _ := newReceiver(t, 9, 1, func(c *Config) { c.NoUpgrade = true })
-	m.OnPacket(advFrom(4, 1, 0, 1), 4)
-	newer := advFrom(5, 1, 0, 1)
-	newer.ProgramID = 2
-	m.OnPacket(newer, 5)
-	if m.geom.programID != 1 {
-		t.Fatalf("NoUpgrade node switched to program %d", m.geom.programID)
 	}
 }
 

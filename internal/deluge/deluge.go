@@ -20,6 +20,10 @@ import (
 // DefaultPagePackets is Deluge's page size: 48 packets per page.
 const DefaultPagePackets = 48
 
+// maxRequests bounds consecutive re-requests for one page before the
+// node falls back to maintenance.
+const maxRequests = 8
+
 // Timer IDs.
 const (
 	timerTrickleFire node.TimerID = iota + 1
@@ -47,30 +51,6 @@ type Config struct {
 	Base bool
 	// Image is required at the base.
 	Image *image.Image
-	// PagePackets is the page size; DefaultPagePackets if zero.
-	PagePackets int
-	// MaxRequests bounds consecutive re-requests for one page before
-	// falling back to maintenance.
-	MaxRequests int
-}
-
-// DefaultConfig returns Deluge's published parameters.
-func DefaultConfig() Config {
-	return Config{
-		PagePackets: DefaultPagePackets,
-		MaxRequests: 8,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.PagePackets == 0 {
-		c.PagePackets = d.PagePackets
-	}
-	if c.MaxRequests == 0 {
-		c.MaxRequests = d.MaxRequests
-	}
-	return c
 }
 
 type geometry struct {
@@ -129,7 +109,7 @@ var _ node.Protocol = (*Deluge)(nil)
 
 // New returns a Deluge instance.
 func New(cfg Config) *Deluge {
-	return &Deluge{cfg: cfg.withDefaults()}
+	return &Deluge{cfg: cfg}
 }
 
 // HavePages returns the number of complete in-order pages held.
@@ -154,7 +134,7 @@ func (d *Deluge) Init(rt node.Runtime) {
 			panic("deluge: base station requires an image")
 		}
 		im := d.cfg.Image
-		pageNominal := d.cfg.PagePackets
+		const pageNominal = DefaultPagePackets
 		pages := (im.TotalPackets() + pageNominal - 1) / pageNominal
 		d.geom = geometry{
 			known:        true,
@@ -314,7 +294,7 @@ func (d *Deluge) rxWatchdog() {
 	if !d.fetching {
 		return
 	}
-	if d.requests < d.cfg.MaxRequests {
+	if d.requests < maxRequests {
 		d.reqPending = true
 		d.reqSuppress = false
 		d.sendRequest()

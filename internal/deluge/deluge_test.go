@@ -41,7 +41,7 @@ func buildNet(t *testing.T, rows, cols int, spacing float64, packets int, seed i
 	}
 	tn := &testnet{kernel: kernel, img: img}
 	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
-		cfg := DefaultConfig()
+		cfg := Config{}
 		if id == 0 {
 			cfg.Base = true
 			cfg.Image = img

@@ -9,28 +9,22 @@ import (
 	"mnp/internal/packet"
 )
 
-// smallImage: 3 pages of 8 packets (4-byte payloads).
+// page is the page size the fixtures use: Deluge's own.
+const page = DefaultPagePackets
+
+// smallImage: 3 pages of 48 packets (4-byte payloads).
 func smallImage(t *testing.T) *image.Image {
 	t.Helper()
-	im, err := image.Random(1, 3, 17, image.WithSegmentPackets(8), image.WithPayloadSize(4))
+	im, err := image.Random(1, 3, 17, image.WithSegmentPackets(page), image.WithPayloadSize(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return im
 }
 
-func smallConfig() Config {
-	cfg := DefaultConfig()
-	cfg.PagePackets = 8
-	return cfg
-}
-
 func newBaseRig(t *testing.T) (*Deluge, *nodetest.Runtime) {
 	t.Helper()
-	cfg := smallConfig()
-	cfg.Base = true
-	cfg.Image = smallImage(t)
-	d := New(cfg)
+	d := New(Config{Base: true, Image: smallImage(t)})
 	rt := nodetest.New(0)
 	rt.Attach(d)
 	return d, rt
@@ -38,7 +32,7 @@ func newBaseRig(t *testing.T) (*Deluge, *nodetest.Runtime) {
 
 func newReceiverRig(t *testing.T) (*Deluge, *nodetest.Runtime) {
 	t.Helper()
-	d := New(smallConfig())
+	d := New(Config{})
 	rt := nodetest.New(9)
 	rt.Attach(d)
 	return d, rt
@@ -47,7 +41,7 @@ func newReceiverRig(t *testing.T) (*Deluge, *nodetest.Runtime) {
 func baseAdv(src packet.NodeID, have int) *packet.DelugeAdv {
 	return &packet.DelugeAdv{
 		Src: src, ProgramID: 1, Version: 1,
-		NumPages: 3, HavePages: uint8(have), PagePackets: 8, TotalPackets: 24,
+		NumPages: 3, HavePages: uint8(have), PagePackets: page, TotalPackets: 3 * page,
 	}
 }
 
@@ -87,7 +81,7 @@ func TestBasePreloadsAndAdvertises(t *testing.T) {
 	if !ok {
 		t.Fatal("no advertisement after trickle fire")
 	}
-	if adv.HavePages != 3 || adv.NumPages != 3 || adv.PagePackets != 8 || adv.TotalPackets != 24 {
+	if adv.HavePages != 3 || adv.NumPages != 3 || adv.PagePackets != page || adv.TotalPackets != 3*page {
 		t.Fatalf("bad adv: %+v", adv)
 	}
 }
@@ -119,10 +113,10 @@ func TestBehindAdvertiserTriggersRequest(t *testing.T) {
 	if !ok {
 		t.Fatal("no request sent")
 	}
-	if req.DestID != 4 || req.Page != 1 || req.PagePackets != 8 {
+	if req.DestID != 4 || req.Page != 1 || req.PagePackets != page {
 		t.Fatalf("bad request: %+v", req)
 	}
-	if req.Missing == nil || req.Missing.Count() != 8 {
+	if req.Missing == nil || req.Missing.Count() != page {
 		t.Fatalf("bad missing vector: %v", req.Missing)
 	}
 }
@@ -131,7 +125,7 @@ func TestOverheardRequestSuppressesOwn(t *testing.T) {
 	d, rt := newReceiverRig(t)
 	d.OnPacket(baseAdv(4, 3), 4)
 	// Someone else requests page 1 first (destined elsewhere).
-	other := &packet.DelugeReq{Src: 7, DestID: 4, ProgramID: 1, Page: 1, PagePackets: 8}
+	other := &packet.DelugeReq{Src: 7, DestID: 4, ProgramID: 1, Page: 1, PagePackets: page}
 	d.OnPacket(other, 7)
 	rt.Fire(timerRequest)
 	if countKind(rt, packet.KindDelugeReq) != 0 {
@@ -145,10 +139,10 @@ func TestOverheardRequestSuppressesOwn(t *testing.T) {
 
 func TestServeRequestedPacketsOnly(t *testing.T) {
 	d, rt := newBaseRig(t)
-	miss := bitvec.MustNew(8)
+	miss := bitvec.MustNew(page)
 	miss.Set(2)
 	miss.Set(5)
-	d.OnPacket(&packet.DelugeReq{Src: 9, DestID: 0, ProgramID: 1, Page: 2, PagePackets: 8, Missing: miss}, 9)
+	d.OnPacket(&packet.DelugeReq{Src: 9, DestID: 0, ProgramID: 1, Page: 2, PagePackets: page, Missing: miss}, 9)
 	for i := 0; i < 10 && rt.TimerPending(timerTxData); i++ {
 		rt.Fire(timerTxData)
 	}
@@ -169,7 +163,7 @@ func TestServeRequestedPacketsOnly(t *testing.T) {
 func TestCannotServePageNotHeld(t *testing.T) {
 	d, rt := newReceiverRig(t)
 	d.OnPacket(baseAdv(4, 3), 4) // learn geometry, havePages still 0
-	d.OnPacket(&packet.DelugeReq{Src: 7, DestID: 9, ProgramID: 1, Page: 1, PagePackets: 8}, 7)
+	d.OnPacket(&packet.DelugeReq{Src: 7, DestID: 9, ProgramID: 1, Page: 1, PagePackets: page}, 7)
 	if rt.TimerPending(timerTxData) {
 		t.Fatal("serving a page we do not hold")
 	}
@@ -186,13 +180,13 @@ func TestPagesInOrderAndCompletion(t *testing.T) {
 		t.Fatal("out-of-order page accepted")
 	}
 	// Feed pages in order.
-	for page := 1; page <= 3; page++ {
-		for pkt := 0; pkt < 8; pkt++ {
-			payload, _ := img.Payload(page, pkt)
-			d.OnPacket(&packet.DelugeData{Src: 4, ProgramID: 1, Page: uint8(page), PacketID: uint8(pkt), Payload: payload}, 4)
+	for pg := 1; pg <= 3; pg++ {
+		for pkt := 0; pkt < page; pkt++ {
+			payload, _ := img.Payload(pg, pkt)
+			d.OnPacket(&packet.DelugeData{Src: 4, ProgramID: 1, Page: uint8(pg), PacketID: uint8(pkt), Payload: payload}, 4)
 		}
-		if d.HavePages() != page {
-			t.Fatalf("HavePages = %d after page %d", d.HavePages(), page)
+		if d.HavePages() != pg {
+			t.Fatalf("HavePages = %d after page %d", d.HavePages(), pg)
 		}
 	}
 	if !rt.Done {
@@ -204,22 +198,19 @@ func TestPagesInOrderAndCompletion(t *testing.T) {
 }
 
 func TestRxWatchdogRetriesThenGivesUp(t *testing.T) {
-	cfg := smallConfig()
-	cfg.MaxRequests = 2
-	d := New(cfg)
-	rt := nodetest.New(9)
-	rt.Attach(d)
+	d, rt := newReceiverRig(t)
 	d.OnPacket(baseAdv(4, 3), 4)
 	rt.Fire(timerRequest) // request #1
-	rt.Fire(timerRxWatchdog)
-	if got := countKind(rt, packet.KindDelugeReq); got != 2 {
-		t.Fatalf("requests after first watchdog = %d, want 2", got)
+	for n := 2; n <= maxRequests; n++ {
+		rt.Fire(timerRxWatchdog)
+		if got := countKind(rt, packet.KindDelugeReq); got != n {
+			t.Fatalf("requests after watchdog %d = %d, want %d", n-1, got, n)
+		}
 	}
+	// maxRequests reached: the node abandons the fetch.
 	rt.Fire(timerRxWatchdog)
-	// MaxRequests reached: the node abandons the fetch.
-	rt.Fire(timerRxWatchdog)
-	if got := countKind(rt, packet.KindDelugeReq); got != 2 {
-		t.Fatalf("requests after giving up = %d, want 2", got)
+	if got := countKind(rt, packet.KindDelugeReq); got != maxRequests || rt.TimerPending(timerRxWatchdog) {
+		t.Fatalf("after giving up: %d requests (want %d), watchdog pending %v", got, maxRequests, rt.TimerPending(timerRxWatchdog))
 	}
 }
 

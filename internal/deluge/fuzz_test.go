@@ -14,7 +14,7 @@ func TestFuzzNeverPanics(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rt := nodetest.New(3)
-		rt.Attach(New(DefaultConfig()))
+		rt.Attach(New(Config{}))
 		rt.Fuzz(rng, 2500)
 	}
 	img, err := image.Random(1, 2, 5)
@@ -23,11 +23,8 @@ func TestFuzzNeverPanics(t *testing.T) {
 	}
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed + 500))
-		cfg := DefaultConfig()
-		cfg.Base = true
-		cfg.Image = img
 		rt := nodetest.New(0)
-		rt.Attach(New(cfg))
+		rt.Attach(New(Config{Base: true, Image: img}))
 		rt.Fuzz(rng, 2500)
 	}
 }

@@ -10,7 +10,7 @@ func init() {
 		if err := protoreg.NewOpts(b.Options).Err(); err != nil {
 			return nil, err
 		}
-		cfg := DefaultConfig()
+		cfg := Config{}
 		if b.Base {
 			cfg.Base = true
 			cfg.Image = b.Image

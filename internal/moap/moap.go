@@ -36,6 +36,9 @@ const (
 	// window is the sliding-window size: packets more than window ahead
 	// of the first missing packet are dropped (limited-RAM tracking).
 	window = 32
+	// maxNaks bounds consecutive unanswered NAKs before the receiver
+	// abandons the transfer (a later publish restarts it).
+	maxNaks = 8
 )
 
 // Config tunes the baseline.
@@ -44,21 +47,6 @@ type Config struct {
 	Base bool
 	// Image is required at the base.
 	Image *image.Image
-	// MaxNaks bounds consecutive unanswered NAKs before abandoning the
-	// transfer (a later publish restarts it).
-	MaxNaks int
-}
-
-// DefaultConfig returns the parameters used by the experiments.
-func DefaultConfig() Config {
-	return Config{MaxNaks: 8}
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxNaks == 0 {
-		c.MaxNaks = DefaultConfig().MaxNaks
-	}
-	return c
 }
 
 // MOAP is one node's protocol instance.
@@ -109,7 +97,7 @@ var _ node.Protocol = (*MOAP)(nil)
 
 // New returns a MOAP instance.
 func New(cfg Config) *MOAP {
-	return &MOAP{cfg: cfg.withDefaults(), nominal: image.DefaultSegmentPackets}
+	return &MOAP{cfg: cfg, nominal: image.DefaultSegmentPackets}
 }
 
 // Complete reports whether this node holds the whole image.
@@ -370,7 +358,7 @@ func (m *MOAP) rxWatchdog() {
 	if !m.fetching || m.complete {
 		return
 	}
-	if m.naks >= m.cfg.MaxNaks {
+	if m.naks >= maxNaks {
 		// Give up; the next publish restarts the handshake.
 		m.fetching = false
 		return

@@ -24,7 +24,7 @@ func buildNet(t *testing.T, layout *topology.Layout, segments int, seed int64) (
 		t.Fatal(err)
 	}
 	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
-		cfg := DefaultConfig()
+		cfg := Config{}
 		if id == 0 {
 			cfg.Base = true
 			cfg.Image = img

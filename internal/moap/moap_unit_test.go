@@ -22,10 +22,7 @@ func tinyImage(t *testing.T) *image.Image {
 func newSourceRig(t *testing.T) (*MOAP, *nodetest.Runtime, *image.Image) {
 	t.Helper()
 	img := tinyImage(t)
-	cfg := DefaultConfig()
-	cfg.Base = true
-	cfg.Image = img
-	m := New(cfg)
+	m := New(Config{Base: true, Image: img})
 	rt := nodetest.New(0)
 	rt.Attach(m)
 	return m, rt, img
@@ -33,7 +30,7 @@ func newSourceRig(t *testing.T) (*MOAP, *nodetest.Runtime, *image.Image) {
 
 func newSinkRig(t *testing.T) (*MOAP, *nodetest.Runtime) {
 	t.Helper()
-	m := New(DefaultConfig())
+	m := New(Config{})
 	rt := nodetest.New(9)
 	rt.Attach(m)
 	return m, rt
@@ -160,7 +157,7 @@ func TestReceiverSubscribesAndBecomesSource(t *testing.T) {
 }
 
 func TestSlidingWindowRejectsFarAheadPackets(t *testing.T) {
-	m := New(DefaultConfig())
+	m := New(Config{})
 	rt := nodetest.New(9)
 	rt.Attach(m)
 	img, err := image.Random(1, 2, 29, image.WithSegmentPackets(window), image.WithPayloadSize(4))
@@ -197,18 +194,20 @@ func TestSlidingWindowRejectsFarAheadPackets(t *testing.T) {
 }
 
 func TestReceiverWatchdogNaksThenAbandons(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxNaks = 2
-	m := New(cfg)
+	m := New(Config{})
 	rt := nodetest.New(9)
 	rt.Attach(m)
 	m.OnPacket(&packet.MoapPublish{Src: 4, ProgramID: 1, Version: 1, Total: 16}, 4)
 	rt.Fire(timerSubscribe)
-	rt.Fire(timerRxWatchdog) // NAK 1
-	rt.Fire(timerRxWatchdog) // NAK 2
+	for n := 1; n <= maxNaks; n++ {
+		rt.Fire(timerRxWatchdog)
+		if got := countKind(rt, packet.KindMoapNak); got != n {
+			t.Fatalf("NAKs after watchdog %d = %d, want %d", n, got, n)
+		}
+	}
 	rt.Fire(timerRxWatchdog) // gives up
-	if got := countKind(rt, packet.KindMoapNak); got != 2 {
-		t.Fatalf("NAKs = %d, want 2", got)
+	if got := countKind(rt, packet.KindMoapNak); got != maxNaks || rt.TimerPending(timerRxWatchdog) {
+		t.Fatalf("after giving up: %d NAKs (want %d), watchdog pending %v", got, maxNaks, rt.TimerPending(timerRxWatchdog))
 	}
 	// A later publish restarts the handshake.
 	m.OnPacket(&packet.MoapPublish{Src: 4, ProgramID: 1, Version: 1, Total: 16}, 4)

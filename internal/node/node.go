@@ -1,9 +1,9 @@
 // Package node is the mote runtime harness: it gives a protocol state
 // machine a Runtime (timers, CSMA MAC, radio power control, EEPROM,
 // randomness, completion reporting) and drives it from the simulation
-// kernel. Protocol logic is written once against Runtime and runs
-// unchanged on this discrete-event harness and on the goroutine-based
-// live runtime (internal/livenet).
+// kernel. Protocol logic is written once against Runtime; the
+// contract suite in internal/node/nodetest holds every runtime to the
+// same semantics.
 package node
 
 import (

@@ -12,13 +12,11 @@ import (
 
 // Contract is one node.Runtime implementation under RunContract: the
 // semantics every protocol relies on, checked the same way against
-// node.Node, the demux, this package's Runtime and livenet.
+// every runtime: node.Node, the demux and this package's Runtime.
 type Contract struct {
 	// New builds a fresh runtime and attaches p to it: p's Init has run,
 	// and p turns the radio on there.
 	New func(t *testing.T, p node.Protocol) Subject
-	// NoFiring, when set, waives the timer-firing row and says why.
-	NoFiring string
 }
 
 // Subject is one runtime built by Contract.New.
@@ -27,15 +25,13 @@ type Subject struct {
 	// last call, running it for as long as that takes.
 	Aired func() [][]byte
 	// Advance runs the runtime's clock forward by d, firing the timers
-	// that fall due. Nil when Contract.NoFiring is set.
+	// that fall due.
 	Advance func(d time.Duration)
 	// Refusals are the ways the runtime refuses a Send. The suite builds
 	// a fresh subject for each and applies that subject's refusal.
 	Refusals []Refusal
 	// Crash fails the runtime as a power failure does, and restart
-	// revives it with a fresh protocol instance, running its Init. Nil
-	// waives the crash-restart row: the runtime has no power-failure
-	// model.
+	// revives it with a fresh protocol instance, running its Init.
 	Crash func() (restart func(p node.Protocol))
 }
 
@@ -206,9 +202,6 @@ func RunContract(t *testing.T, c Contract) {
 			t.Fatalf("pending 1..4 = %v %v %v %v, want true true false false",
 				rt.TimerPending(1), rt.TimerPending(2), rt.TimerPending(3), rt.TimerPending(4))
 		}
-		if s.Advance == nil {
-			t.Skip("firing waived: " + c.NoFiring)
-		}
 		s.Advance(35 * time.Millisecond)
 		if len(p.fired) != 1 || p.fired[0] != 2 {
 			t.Fatalf("fired %v by 35 ms, want [2]: a re-armed timer must not fire at its old deadline", p.fired)
@@ -221,9 +214,6 @@ func RunContract(t *testing.T, c Contract) {
 
 	t.Run("crash-restart", func(t *testing.T) {
 		p, s := build(t)
-		if s.Crash == nil {
-			t.Skip("crash-restart waived: the runtime has no power-failure model")
-		}
 		const seg = 2
 		if err := p.rt.Store(seg, 0, 4, []byte{5, 6, 7}); err != nil {
 			t.Fatal(err)
@@ -234,9 +224,7 @@ func RunContract(t *testing.T, c Contract) {
 		if err := p.rt.Send(&packet.Query{Src: p.rt.ID(), ProgramID: 1, SegID: 1}); err == nil {
 			t.Fatal("a crashed runtime accepted a Send")
 		}
-		if s.Advance != nil {
-			s.Advance(20 * time.Millisecond)
-		}
+		s.Advance(20 * time.Millisecond)
 		if len(p.fired) != 0 {
 			t.Fatalf("timers %v fired on a crashed runtime", p.fired)
 		}
@@ -261,9 +249,6 @@ func RunContract(t *testing.T, c Contract) {
 		}
 		if got := s.Aired(); len(got) != 1 || !bytes.Equal(got[0], packet.Encode(next)) {
 			t.Fatalf("aired %x after restart, want only the frame sent then", got)
-		}
-		if s.Advance == nil {
-			return
 		}
 		q.rt.SetTimer(2, 10*time.Millisecond)
 		s.Advance(20 * time.Millisecond)

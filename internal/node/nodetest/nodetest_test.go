@@ -129,17 +129,23 @@ func TestRuntimeContract(t *testing.T) {
 		rt := New(1)
 		rt.Attach(p)
 		aired := 0
+		crash := func() {
+			rt.Full, rt.Radio = true, false
+			clear(rt.timers)
+		}
 		return Subject{
 			Aired: func() [][]byte {
 				f := rt.Frames[aired:]
 				aired = len(rt.Frames)
 				return f
 			},
-			Advance:  rt.Advance,
-			Refusals: []Refusal{{Name: "queue-full", Apply: func() { rt.Full = true }}},
+			Advance: rt.Advance,
+			Refusals: []Refusal{
+				{Name: "dead", Apply: crash},
+				{Name: "queue-full", Apply: func() { rt.Full = true }},
+			},
 			Crash: func() func(node.Protocol) {
-				rt.Full, rt.Radio = true, false
-				clear(rt.timers)
+				crash()
 				return func(p node.Protocol) {
 					rt.Full = false
 					rt.Attach(p)

@@ -30,6 +30,9 @@ const (
 	queryInterval = 2 * time.Second
 	// statusDelayMax bounds the receivers' random status-reply delay.
 	statusDelayMax = 500 * time.Millisecond
+	// maxQuietRounds is how many consecutive empty query rounds end the
+	// repair phase.
+	maxQuietRounds = 3
 )
 
 // Config tunes the baseline.
@@ -38,21 +41,6 @@ type Config struct {
 	Base bool
 	// Image is required at the base.
 	Image *image.Image
-	// MaxQuietRounds is how many consecutive empty query rounds end the
-	// repair phase.
-	MaxQuietRounds int
-}
-
-// DefaultConfig returns the parameters used by the experiments.
-func DefaultConfig() Config {
-	return Config{MaxQuietRounds: 3}
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxQuietRounds == 0 {
-		c.MaxQuietRounds = DefaultConfig().MaxQuietRounds
-	}
-	return c
 }
 
 // XNP is one node's protocol instance.
@@ -89,7 +77,7 @@ var _ node.Protocol = (*XNP)(nil)
 
 // New returns an XNP instance.
 func New(cfg Config) *XNP {
-	return &XNP{cfg: cfg.withDefaults(), nominal: image.DefaultSegmentPackets}
+	return &XNP{cfg: cfg, nominal: image.DefaultSegmentPackets}
 }
 
 // Init implements node.Protocol.
@@ -198,7 +186,7 @@ func (x *XNP) queryRound() {
 	*q = packet.XnpQueryStatus{Src: x.rt.ID(), ProgramID: x.programID}
 	_ = x.rt.Send(q)
 	interval := queryInterval
-	if x.quietRounds > x.cfg.MaxQuietRounds {
+	if x.quietRounds > maxQuietRounds {
 		// In-range nodes look satisfied; keep probing slowly in case a
 		// status reply was simply lost.
 		interval *= 10

@@ -21,10 +21,7 @@ func tinyImage(t *testing.T) *image.Image {
 func newBaseRig(t *testing.T) (*XNP, *nodetest.Runtime, *image.Image) {
 	t.Helper()
 	img := tinyImage(t)
-	cfg := DefaultConfig()
-	cfg.Base = true
-	cfg.Image = img
-	x := New(cfg)
+	x := New(Config{Base: true, Image: img})
 	rt := nodetest.New(0)
 	rt.Attach(x)
 	return x, rt, img
@@ -95,29 +92,34 @@ func TestQueryRoundsCollectAndRetransmit(t *testing.T) {
 }
 
 func TestQuietRoundsSlowDown(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Base = true
-	cfg.Image = tinyImage(t)
-	cfg.MaxQuietRounds = 2
-	x := New(cfg)
-	rt := nodetest.New(0)
-	rt.Attach(x)
-	_ = x
+	_, rt, _ := newBaseRig(t)
 	for i := 0; i < 40 && rt.TimerPending(timerTxData); i++ {
 		rt.Fire(timerTxData)
 	}
-	// Quiet rounds keep probing, eventually at a slower cadence; the
-	// timer must always be re-armed (never a dead stop).
-	for i := 0; i < 6; i++ {
-		if !rt.TimerPending(timerQueryRound) {
-			t.Fatalf("query round dead-stopped at round %d", i)
+	// The first maxQuietRounds quiet rounds keep the query cadence;
+	// after them the base keeps probing ten times slower, in case a
+	// status reply was simply lost, and never dead-stops.
+	for round := 1; round <= maxQuietRounds+2; round++ {
+		if ids := rt.PendingTimers(); len(ids) != 1 || ids[0] != timerQueryRound {
+			t.Fatalf("pending timers %v before round %d, want the query round alone", ids, round)
 		}
-		rt.Fire(timerQueryRound)
+		before := rt.Clock
+		rt.FireNext()
+		if round == 1 {
+			continue
+		}
+		want := queryInterval
+		if round-1 > maxQuietRounds {
+			want *= 10
+		}
+		if gap := rt.Clock - before; gap != want {
+			t.Fatalf("round %d came %v after round %d, want %v", round, gap, round-1, want)
+		}
 	}
 }
 
 func TestReceiverStoresAndCompletes(t *testing.T) {
-	x := New(DefaultConfig())
+	x := New(Config{})
 	rt := nodetest.New(9)
 	rt.Attach(x)
 	img := tinyImage(t)
@@ -140,7 +142,7 @@ func TestReceiverStoresAndCompletes(t *testing.T) {
 }
 
 func TestReceiverReportsMissingBatch(t *testing.T) {
-	x := New(DefaultConfig())
+	x := New(Config{})
 	rt := nodetest.New(9)
 	rt.Attach(x)
 	img := tinyImage(t)
@@ -171,7 +173,7 @@ func TestReceiverReportsMissingBatch(t *testing.T) {
 }
 
 func TestCompleteReceiverStaysSilent(t *testing.T) {
-	x := New(DefaultConfig())
+	x := New(Config{})
 	rt := nodetest.New(9)
 	rt.Attach(x)
 	img := tinyImage(t)
@@ -187,7 +189,7 @@ func TestCompleteReceiverStaysSilent(t *testing.T) {
 }
 
 func TestReceiverIgnoresForeignProgram(t *testing.T) {
-	x := New(DefaultConfig())
+	x := New(Config{})
 	rt := nodetest.New(9)
 	rt.Attach(x)
 	img := tinyImage(t)
