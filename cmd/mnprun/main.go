@@ -7,20 +7,18 @@
 //	mnprun plan.toml -out results/ -max-cells 3   # stop early (CI resume drills)
 //
 // A document with a [scenario] table or sweep axes (protocols, seeds,
-// [[topologies]], fault_plans) is a campaign plan; anything else is a
-// single scenario. A scenario whose [run] seeds lists several seeds is
-// a one-axis campaign over them. Campaigns write cells.ndjson (one
+// [[topologies]], [[mobilities]], fault_plans) is a campaign plan;
+// anything else is a single scenario. Campaigns write cells.ndjson (one
 // finished cell per line, resumable) and report.txt into -out; the
 // aggregated comparison report also goes to stdout and is
 // byte-deterministic: the same plan produces the same report regardless
 // of worker count or how many times the campaign was interrupted and
 // resumed.
 //
-// A single-seed scenario runs with its [telemetry] table honoured (an
-// NDJSON event stream and a Prometheus counters dump in dir, live
-// progress on stderr) and fails unless every survivor holds a
-// byte-identical image and, with [invariants] enabled, every protocol
-// invariant held.
+// A scenario runs with its [telemetry] table honoured (an NDJSON event
+// stream and a Prometheus counters dump in dir) and fails unless every
+// survivor holds a byte-identical image and, with [invariants] enabled,
+// every protocol invariant held.
 package main
 
 import (
@@ -46,7 +44,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("mnprun", flag.ContinueOnError)
 	var (
 		out      = fs.String("out", "", "campaign checkpoint directory (cells.ndjson, report.txt); campaigns re-run with the same -out resume")
-		workers  = fs.Int("workers", 0, "concurrent cells (0 = plan's setting, then GOMAXPROCS)")
+		workers  = fs.Int("workers", 0, "concurrent cells (0 = GOMAXPROCS)")
 		maxCells = fs.Int("max-cells", 0, "stop after running this many new cells (0 = run everything)")
 		quiet    = fs.Bool("quiet", false, "suppress per-cell progress on stderr")
 	)
@@ -84,15 +82,12 @@ func run(args []string) error {
 		return runCampaign(plan, *out, *workers, *maxCells, *quiet)
 	}
 	if *out != "" || *maxCells != 0 {
-		return fmt.Errorf("%s is a single scenario; -out/-max-cells apply to campaign plans and seed lists", path)
+		return fmt.Errorf("%s is a single scenario; -out/-max-cells apply to campaign plans", path)
 	}
 	return runScenario(sc)
 }
 
-// parse reads a document as a campaign plan, or as a single scenario
-// when it is one with one seed. A seed list makes a scenario a one-axis
-// campaign; its [telemetry] table would need one stream per cell, so
-// the two together are an error.
+// parse reads a document as a campaign plan or as a single scenario.
 func parse(path string, data []byte) (*campaign.Plan, *scenario.Scenario, error) {
 	if isCampaign(data) {
 		plan, err := campaign.ParsePlan(data)
@@ -105,19 +100,7 @@ func parse(path string, data []byte) (*campaign.Plan, *scenario.Scenario, error)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	seeds := sc.SeedList()
-	if len(seeds) == 1 {
-		sc.Run.Seed, sc.Run.Seeds = seeds[0], nil
-		return nil, sc, nil
-	}
-	if sc.Telemetry != nil {
-		return nil, nil, fmt.Errorf("%s: [telemetry] streams one run, but [run] seeds lists %d; drop the table or run one seed", path, len(seeds))
-	}
-	plan, err := campaign.PlanForScenario(*sc, seeds, 0)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return plan, nil, nil
+	return nil, sc, nil
 }
 
 // isCampaign sniffs the document kind: campaign plans have a nested
@@ -173,33 +156,17 @@ func runScenario(sc *scenario.Scenario) error {
 	if err != nil {
 		return err
 	}
-	var (
-		prog *telemetry.Progress
-		tel  *telemetry.Dir
-	)
-	if t := sc.Telemetry; t != nil {
-		if t.Progress {
-			n := setup.Rows * setup.Cols
-			if setup.Layout != nil {
-				n = setup.Layout.N()
-			}
-			prog = telemetry.NewProgress(os.Stderr, setup.Name, n, time.Second)
-			setup.Observer = prog
+	var tel *telemetry.Dir
+	if t := sc.Telemetry; t != nil && t.Dir != "" {
+		if tel, err = telemetry.CreateDir(t.Dir); err != nil {
+			return err
 		}
-		if t.Dir != "" {
-			if tel, err = telemetry.CreateDir(t.Dir); err != nil {
-				return err
-			}
-			defer tel.Close()
-			setup.Telemetry = tel.Recorder()
-		}
+		defer tel.Close()
+		setup.Telemetry = tel.Recorder()
 	}
 	res, err := experiment.Run(setup)
 	if err != nil {
 		return err
-	}
-	if prog != nil {
-		prog.Final()
 	}
 
 	dead, completed, eepromFaults := 0, 0, 0

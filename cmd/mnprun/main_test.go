@@ -1,9 +1,12 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,7 +21,6 @@ version = 1
 name = "e2e"
 protocols = ["mnp", "deluge"]
 seeds = [42, 7]
-workers = 4
 
 [[topologies]]
 kind = "grid"
@@ -146,26 +148,26 @@ func TestCampaignDeterministicAndResumable(t *testing.T) {
 	}
 }
 
-// seedListScenario is a 3x3 deployment swept over three seeds: a
-// one-axis campaign.
-const seedListScenario = `
+// seedListPlan sweeps a 3x3 deployment over three seeds: a plan whose
+// only axis is seeds, which is how a seed list is written.
+const seedListPlan = `
 version = 1
 name = "seed-list"
-[topology]
+seeds = [1, 2, 3]
+[scenario.topology]
 kind = "grid"
 rows = 3
 cols = 3
-[run]
-seeds = [1, 2, 3]
+[scenario.run]
 image_packets = 16
 limit = "4h"
 `
 
-// TestSeedListIsCampaign runs a scenario with a seed list as the
-// campaign it is: one cell per seed, checkpointed into -out, and a run
-// stopped by -max-cells resumes to the uninterrupted report's bytes.
+// TestSeedListIsCampaign runs a seed list as the campaign it is: one
+// cell per seed, checkpointed into -out, and a run stopped by
+// -max-cells resumes to the uninterrupted report's bytes.
 func TestSeedListIsCampaign(t *testing.T) {
-	path := writeFile(t, "seeds.toml", seedListScenario)
+	path := writeFile(t, "seeds.toml", seedListPlan)
 	full, part := t.TempDir(), t.TempDir()
 	if err := run([]string{"-quiet", path, "-out", full}); err != nil {
 		t.Fatal(err)
@@ -195,15 +197,16 @@ func TestSeedListIsCampaign(t *testing.T) {
 	}
 }
 
-// TestSeedListRejectsTelemetry: one telemetry directory holds one run's
-// stream, so a seed list with a [telemetry] table is refused by name
-// rather than run with the table dropped.
+// TestSeedListRejectsTelemetry: a scenario runs one seed, so a [run]
+// seeds list is an unknown key — refused by name before the
+// [telemetry] table's directory is created.
 func TestSeedListRejectsTelemetry(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "tel")
-	path := writeFile(t, "seeds.toml", seedListScenario+fmt.Sprintf("[telemetry]\ndir = %q\n", dir))
+	doc := strings.Replace(testScenario, "seed = 42\n", "seeds = [1, 2, 3]\n", 1)
+	path := writeFile(t, "seeds.toml", doc+fmt.Sprintf("[telemetry]\ndir = %q\n", dir))
 	err := run([]string{"-quiet", path})
-	if err == nil || !strings.Contains(err.Error(), "[telemetry]") {
-		t.Fatalf("err = %v, want an error naming the [telemetry] table", err)
+	if err == nil || !strings.Contains(err.Error(), `unknown field "seeds"`) {
+		t.Fatalf("err = %v, want the strict decoder's error naming seeds", err)
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Error("refused run created the telemetry directory")
@@ -244,7 +247,6 @@ limit = "12h"
 enabled = true
 [telemetry]
 dir = %q
-progress = true
 `, faults, rows, cols, packets, run, dir)
 }
 
@@ -389,9 +391,27 @@ func nonEmptyLines(s string) []string {
 	return out
 }
 
+// checkedInPlans pins each checked-in campaign plan's Fingerprint and
+// the SHA-256 of its sorted cell keys joined by newlines, as recorded
+// before the scenario schema lost the keys no checked-in document set:
+// a cells.ndjson checkpoint written then still resumes.
+var checkedInPlans = map[string]struct {
+	fingerprint string
+	cells       int
+	keys        string
+}{
+	"coding.toml":         {"30819bda67a288731d4583e2a8a52b23b6bdaa4068cbb00b2ef53feda54ebf64", 24, "173199e84070c34397e5b0c77d4fa52cd5ee5b1a3d1f61aacc94d7119ca824b8"},
+	"mobility.toml":       {"b7907012ee981d05c28ad3d643f2316523b03fc323630d4d0594717d9192cf16", 24, "7f7dce50e0c64af786d5bcd03509afe8712b202c1bd65e8963e153c4481ffb59"},
+	"robustness.toml":     {"fea1d676f9a2ebce18e09ab9ee660b4ca8ab6068a558e6665d449c515c34d7d1", 24, "602a16271235b50dd64a1ba6cad4b9e20d9d01b4bbb0835602617b79b352db7b"},
+	"smoke.toml":          {"2caace0c8ccaca2f391efb74214e4adf0d1f6c283faafecb7b136ac0a12317f6", 8, "f863dc0ba7f254b5354cc8f763e00ac41623102ce5da6839961b08f18e7f5575"},
+	"comparison.toml":     {"343f1ceae3d425ac90ba10718f4f7673407f9c72a8a71c841b539da3fc7a288f", 4, "1ac770584d210981d3cfbe4542ed0d74055b47704dfae8db62f3ee6a49102118"},
+	"campaign-slice.toml": {"f94cdec9c225a887e6bdfd0d8f40ebb89def96c542cb44df65a2b20a38bd56c1", 192, "1b05810da6746c822ec9d11e93dd2dcaa5df5ea64b0237553053d499e4a995e2"},
+}
+
 // TestCheckedInFilesParse reads every scenario and campaign plan kept
 // in the repository the way mnprun does, and expands or compiles it, so
-// a removed or renamed key cannot strand a checked-in file.
+// a removed or renamed key cannot strand a checked-in file. Plans must
+// keep their pinned fingerprint and cell keys.
 func TestCheckedInFilesParse(t *testing.T) {
 	var paths []string
 	for _, pattern := range []string{"../../examples/*/*.toml", "../../bench/workloads/*.toml"} {
@@ -404,6 +424,7 @@ func TestCheckedInFilesParse(t *testing.T) {
 	if len(paths) < 7 {
 		t.Fatalf("found %d checked-in files (%v), want at least 7", len(paths), paths)
 	}
+	plans := 0
 	for _, path := range paths {
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			data, err := os.ReadFile(path)
@@ -414,19 +435,36 @@ func TestCheckedInFilesParse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if plan != nil {
-				cells, err := plan.Expand()
-				if err != nil {
+			if sc != nil {
+				if _, err := sc.Compile(); err != nil {
 					t.Fatal(err)
-				}
-				if len(cells) == 0 {
-					t.Fatal("plan expands to no cells")
 				}
 				return
 			}
-			if _, err := sc.Compile(); err != nil {
+			plans++
+			cells, err := plan.Expand()
+			if err != nil {
 				t.Fatal(err)
 			}
+			keys := make([]string, len(cells))
+			for i, c := range cells {
+				keys[i] = c.Key
+			}
+			sort.Strings(keys)
+			sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
+			want, ok := checkedInPlans[filepath.Base(path)]
+			if !ok {
+				t.Fatalf("no pin for %s: fingerprint %s, %d cells, keys %x", path, plan.Fingerprint(), len(keys), sum)
+			}
+			if got := plan.Fingerprint(); got != want.fingerprint {
+				t.Errorf("fingerprint = %s, want %s: existing checkpoints would no longer resume", got, want.fingerprint)
+			}
+			if len(keys) != want.cells || hex.EncodeToString(sum[:]) != want.keys {
+				t.Errorf("%d cells with key hash %x, want %d cells with %s", len(keys), sum, want.cells, want.keys)
+			}
 		})
+	}
+	if plans != len(checkedInPlans) {
+		t.Errorf("found %d checked-in plans, %d pinned", plans, len(checkedInPlans))
 	}
 }

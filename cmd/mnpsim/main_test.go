@@ -130,6 +130,14 @@ func TestRunErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `want "RxC"`) {
 		t.Errorf("-tiles auto: err = %v, want the tile-grid error naming the RxC form", err)
 	}
+	// A spacing that is not finite, or whose far corner overflows to
+	// +Inf, is an error, not a hang in the spatial index.
+	for _, sp := range []string{"inf", "NaN", "1e308"} {
+		err := run([]string{"-rows", "1", "-cols", "3", "-packets", "16", "-spacing", sp})
+		if err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("-spacing %s: err = %v, want a not-finite error", sp, err)
+		}
+	}
 }
 
 func TestTelemetryAndLive(t *testing.T) {

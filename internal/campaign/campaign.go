@@ -1,10 +1,13 @@
 // Package campaign expands a declarative experiment matrix — protocol
-// × seed × topology × fault plan over a base scenario — into a run
-// set, executes it on a bounded worker pool, checkpoints each finished
-// cell to NDJSON so an interrupted campaign resumes without re-running
-// completed work, and renders a deterministic aggregated comparison
-// report. It is the batch layer above internal/scenario: a scenario
-// describes one deployment, a campaign sweeps a grid of them.
+// × topology × mobility × fault plan × seed over a base scenario — into
+// a run set, executes it on a bounded worker pool, checkpoints each
+// finished cell to NDJSON so an interrupted campaign resumes without
+// re-running completed work, and renders a deterministic aggregated
+// comparison report. It is the batch layer above internal/scenario: a
+// scenario describes one deployment, a campaign sweeps a grid of them.
+// A plan is a TOML document with eight keys: version, name, the axes
+// protocols, seeds, fault_plans, [[topologies]] and [[mobilities]], and
+// the base [scenario].
 package campaign
 
 import (
@@ -34,7 +37,7 @@ type Plan struct {
 	// Protocols is the protocol axis (protoreg names: mnp, deluge,
 	// moap, xnp, rlnc, gossip). Default: the base scenario's protocol.
 	Protocols []string `json:"protocols,omitempty"`
-	// Seeds is the seed axis. Default: the base scenario's seed list.
+	// Seeds is the seed axis. Default: the base scenario's seed.
 	Seeds []int64 `json:"seeds,omitempty"`
 	// FaultPlans is the fault axis, in the internal/faults spec
 	// grammar; "" is a valid point meaning no faults. Default: the
@@ -43,15 +46,11 @@ type Plan struct {
 	// Topologies is the topology axis. Default: the base scenario's
 	// topology.
 	Topologies []scenario.Topology `json:"topologies,omitempty"`
-	// Mobilities is the mobility axis (use kind = "static" for a
-	// no-motion point). Default: the base scenario's mobility section
-	// as the single point, with no mobility label in cell keys — so
-	// plans without the axis keep their historical keys and resume
-	// cleanly from old checkpoints.
+	// Mobilities is the mobility axis. Default: the base scenario's
+	// mobility section (possibly none) as the single point, with no
+	// mobility label in cell keys — so plans without the axis keep their
+	// historical keys and resume cleanly from old checkpoints.
 	Mobilities []scenario.Mobility `json:"mobilities,omitempty"`
-	// Workers bounds campaign parallelism (cells run concurrently, one
-	// single-threaded simulation each). 0 picks GOMAXPROCS.
-	Workers int `json:"workers,omitempty"`
 	// Scenario is the base deployment every cell derives from.
 	Scenario scenario.Scenario `json:"scenario"`
 }
@@ -70,10 +69,10 @@ type Cell struct {
 	Scenario *scenario.Scenario
 }
 
-// ParsePlan reads a campaign plan from TOML (default) or JSON (first
-// byte '{'), normalizes the axes, and validates everything checkable
-// without running: schema version, axis duplicates, protocol names,
-// fault grammars, and — via Expand — every derived cell scenario.
+// ParsePlan reads a TOML campaign plan, normalizes the axes, and
+// validates everything checkable without running: schema version, axis
+// duplicates, protocol names, fault grammars, and — via Expand — every
+// derived cell scenario.
 func ParsePlan(data []byte) (*Plan, error) {
 	generic, err := scenario.ParseDocument(data)
 	if err != nil {
@@ -92,30 +91,6 @@ func ParsePlan(data []byte) (*Plan, error) {
 	return &p, nil
 }
 
-// PlanForScenario wraps a single scenario as a degenerate campaign
-// sweeping only the given seeds — how mnprun runs a scenario whose
-// [run] seeds lists several.
-func PlanForScenario(sc scenario.Scenario, seeds []int64, workers int) (*Plan, error) {
-	name := sc.Name
-	if name == "" {
-		name = "scenario-sweep"
-	}
-	p := &Plan{
-		Version:  Version,
-		Name:     name,
-		Seeds:    seeds,
-		Workers:  workers,
-		Scenario: sc,
-	}
-	if err := p.normalize(); err != nil {
-		return nil, err
-	}
-	if _, err := p.Expand(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // normalize fills defaulted axes from the base scenario and rejects
 // malformed plans.
 func (p *Plan) normalize() error {
@@ -131,7 +106,11 @@ func (p *Plan) normalize() error {
 		p.Scenario.Version = scenario.Version
 	}
 	if len(p.Protocols) == 0 {
-		p.Protocols = []string{p.baseProtocol()}
+		base := p.Scenario.Protocol.Name
+		if base == "" {
+			base = "mnp"
+		}
+		p.Protocols = []string{base}
 	}
 	seen := map[string]bool{}
 	for i, name := range p.Protocols {
@@ -147,7 +126,7 @@ func (p *Plan) normalize() error {
 		p.Protocols[i] = name
 	}
 	if len(p.Seeds) == 0 {
-		p.Seeds = p.Scenario.SeedList()
+		p.Seeds = []int64{p.Scenario.Run.Seed}
 	}
 	seedSeen := map[int64]bool{}
 	for _, s := range p.Seeds {
@@ -170,18 +149,7 @@ func (p *Plan) normalize() error {
 			return fmt.Errorf("campaign %s: fault plan %d: %w", p.Name, i, err)
 		}
 	}
-	if p.Workers < 0 {
-		return fmt.Errorf("campaign %s: workers %d is negative", p.Name, p.Workers)
-	}
 	return nil
-}
-
-// baseProtocol is the base scenario's effective protocol name.
-func (p *Plan) baseProtocol() string {
-	if p.Scenario.Protocol.Name == "" {
-		return "mnp"
-	}
-	return strings.ToLower(p.Scenario.Protocol.Name)
 }
 
 // Expand materializes the matrix in deterministic order — protocols
@@ -232,19 +200,12 @@ func (p *Plan) Expand() ([]Cell, error) {
 // derive builds one cell's scenario from the base plus its axis
 // coordinates.
 func (p *Plan) derive(proto string, topo scenario.Topology, mob *scenario.Mobility, keyMobility bool, faultIdx int, faultSpec string, seed int64, keyFaults bool) (Cell, error) {
-	sc := p.Scenario // value copy; shared maps/slices are read-only
+	sc := p.Scenario // value copy; shared pointers are read-only
 	sc.Topology = topo
 	sc.Mobility = mob
 	sc.Run.Seed = seed
-	sc.Run.Seeds = nil
 	sc.Faults = faultSpec
 	sc.Protocol.Name = proto
-
-	// The base options carry over only to the base protocol (MNP knobs
-	// make no sense on Deluge cells).
-	if proto != p.baseProtocol() {
-		sc.Protocol.Options = nil
-	}
 
 	parts := []string{proto, fmt.Sprintf("s%d", seed), topo.Label()}
 	mobLabel := ""

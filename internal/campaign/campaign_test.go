@@ -17,7 +17,6 @@ version = 1
 name = "test-campaign"
 protocols = ["mnp", "deluge"]
 seeds = [42, 7]
-workers = 4
 
 [[topologies]]
 kind = "grid"
@@ -66,9 +65,6 @@ func TestExpand(t *testing.T) {
 	c := cells[5]
 	if c.Scenario.Run.Seed != 7 || c.Scenario.Protocol.Name != "deluge" || c.Scenario.Topology.Kind != "grid" {
 		t.Errorf("cell %s scenario mismatch: %+v", c.Key, c.Scenario)
-	}
-	if len(c.Scenario.Run.Seeds) != 0 {
-		t.Errorf("cell scenario kept the seed sweep list")
 	}
 }
 
@@ -166,9 +162,40 @@ cols = 2`, "protocls"},
 kind = "grid"
 rows = 2
 cols = 2
-[[scenario.battery.rules]]
-nodes = "99"
-level = 0.5`, "cell mnp_s0_grid-2x2: scenario mnp_s0_grid-2x2: battery rule 0"},
+[scenario.mobility]
+kind = "waypoint"
+speed_min = 3
+speed_max = 1`, "cell mnp_s0_grid-2x2: scenario mnp_s0_grid-2x2: mobility: speeds"},
+		// A cell that could only fail at run time fails here instead.
+		{"negative spacing", `version = 1
+seeds = [1, 2]
+[[topologies]]
+kind = "grid"
+rows = 2
+cols = 2
+spacing = -5`, "cell mnp_s1_grid-2x2-sp-5: scenario mnp_s1_grid-2x2-sp-5: topology: grid spacing -5 ft must be positive and finite"},
+		// Removed keys and kinds fail like any typo.
+		{"removed workers", `version = 1
+workers = 4
+[scenario.topology]
+kind = "grid"
+rows = 2
+cols = 2`, `unknown field "workers"`},
+		{"removed static mobility", `version = 1
+[[mobilities]]
+kind = "static"
+[scenario.topology]
+kind = "grid"
+rows = 2
+cols = 2`, `unknown kind "static"`},
+		{"removed scenario seeds", `version = 1
+[scenario.topology]
+kind = "grid"
+rows = 2
+cols = 2
+[scenario.run]
+seeds = [1, 2]`, `unknown field "seeds"`},
+		{"json", `{"version": 1, "scenario": {"topology": {"kind": "grid", "rows": 2, "cols": 2}}}`, "expected key = value"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,9 +207,9 @@ level = 0.5`, "cell mnp_s0_grid-2x2: scenario mnp_s0_grid-2x2: battery rule 0"},
 	}
 }
 
-// TestProtocolOptionRouting checks that only the base protocol's cells
-// inherit the base scenario's options, and that a plan has no
-// per-protocol option tables: the strict decoder rejects them.
+// TestProtocolOptionRouting: a plan carries no protocol options — not
+// on its base scenario, not per protocol — so every cell runs its
+// protocol's defaults. The strict decoder rejects both tables.
 func TestProtocolOptionRouting(t *testing.T) {
 	const base = `
 version = 1
@@ -193,29 +220,19 @@ seeds = [1]
 kind = "grid"
 rows = 2
 cols = 2
-[scenario.protocol.options]
-no_sleep = true
 `
-	p := parseTestPlan(t, base)
-	cells, err := p.Expand()
+	cells, err := parseTestPlan(t, base).Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	byProto := map[string]Cell{}
-	for _, c := range cells {
-		byProto[c.Protocol] = c
+	if len(cells) != 3 {
+		t.Fatalf("got %d cells, want one per protocol", len(cells))
 	}
-	if got := byProto["mnp"].Scenario.Protocol.Options["no_sleep"]; got != true {
-		t.Errorf("mnp cell lost the base options: %v", byProto["mnp"].Scenario.Protocol.Options)
-	}
-	for _, proto := range []string{"deluge", "xnp"} {
-		if opts := byProto[proto].Scenario.Protocol.Options; opts != nil {
-			t.Errorf("%s cell inherited mnp options: %v", proto, opts)
+	for _, table := range []string{"[scenario.protocol.options]\nno_sleep = true\n", "[protocol_options.deluge]\npage_packets = 32\n"} {
+		_, err := ParsePlan([]byte(base + table))
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("plan with %q: error %v, want the strict decoder to reject it", table, err)
 		}
-	}
-	_, err = ParsePlan([]byte(base + "[protocol_options.deluge]\npage_packets = 32\n"))
-	if err == nil || !strings.Contains(err.Error(), "protocol_options") {
-		t.Fatalf("plan with [protocol_options.deluge]: error %v, want the strict decoder to reject it", err)
 	}
 }
 

@@ -59,7 +59,8 @@ type Runner struct {
 	// the same Dir resumes, skipping them. The final report lands in
 	// report.txt.
 	Dir string
-	// Workers overrides the plan's worker bound when > 0.
+	// Workers bounds campaign parallelism (cells run concurrently, one
+	// single-threaded simulation each); 0 picks GOMAXPROCS.
 	Workers int
 	// MaxCells, when > 0, stops after executing that many new cells —
 	// the hook CI and tests use to interrupt a campaign mid-flight and
@@ -193,9 +194,6 @@ func (r *Runner) runPool(pending []Cell, ckpt *checkpointWriter) []CellResult {
 		return nil
 	}
 	workers := r.Workers
-	if workers == 0 {
-		workers = r.Plan.Workers
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -7,6 +7,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -85,8 +86,9 @@ type Setup struct {
 	// to every node after the package defaults (keys are defined by
 	// each protocol's register.go; only MNP has any: "no_sender_selection",
 	// "no_sleep", "query_update", "battery_aware", "idle_duty_cycle").
-	// They are the one way to tune a protocol; scenario files compile
-	// into this map. Nil keeps the defaults.
+	// They are the one way to tune a protocol, set from Go (the mnpexp
+	// A1–A5 specs, examples); scenario files do not reach them. Nil
+	// keeps the defaults.
 	ProtocolOptions map[string]string
 	// BaseID places the base station (default node 0, a grid corner).
 	// The paper's scaling argument puts it at the center of a 4x
@@ -202,6 +204,10 @@ func (s Setup) withDefaults() Setup {
 	return s
 }
 
+// maxImagePackets is the largest generated image: 255 segments, the
+// one-byte segment ID space.
+const maxImagePackets = 255 * image.DefaultSegmentPackets
+
 // Validate rejects malformed deployment descriptions with descriptive
 // errors before Build constructs anything. Build calls it (after
 // applying defaults); call it directly to vet user input early.
@@ -213,8 +219,8 @@ func (s Setup) Validate() error {
 		if s.Rows <= 0 || s.Cols <= 0 {
 			return fmt.Errorf("experiment %s: grid %dx%d is invalid: rows and cols must be positive", s.Name, s.Rows, s.Cols)
 		}
-		if s.Spacing <= 0 {
-			return fmt.Errorf("experiment %s: spacing %g ft must be positive", s.Name, s.Spacing)
+		if !(s.Spacing > 0) || math.IsInf(s.Spacing, 0) {
+			return fmt.Errorf("experiment %s: spacing %g ft must be positive and finite", s.Name, s.Spacing)
 		}
 		n = s.Rows * s.Cols
 	}
@@ -249,6 +255,11 @@ func (s Setup) Validate() error {
 	}
 	if s.ImagePackets < 0 {
 		return fmt.Errorf("experiment %s: image size %d packets is negative", s.Name, s.ImagePackets)
+	}
+	// Checked here because Build allocates the random image before
+	// image.New could refuse it.
+	if s.ImageData == nil && s.ImagePackets > maxImagePackets {
+		return fmt.Errorf("experiment %s: image size %d packets exceeds %d (255 segments)", s.Name, s.ImagePackets, maxImagePackets)
 	}
 	if s.MobilityEvery < 0 {
 		return fmt.Errorf("experiment %s: mobility step %v is negative", s.Name, s.MobilityEvery)

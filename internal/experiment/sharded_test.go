@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,11 +30,14 @@ func TestSetupValidate(t *testing.T) {
 		{"negative-cols", func(s *Setup) { s.Cols = -3 }, "rows and cols"},
 		{"zero-spacing", func(s *Setup) { s.Spacing = 0 }, "spacing"},
 		{"negative-spacing", func(s *Setup) { s.Spacing = -1 }, "spacing"},
+		{"nan-spacing", func(s *Setup) { s.Spacing = math.NaN() }, "spacing NaN ft"},
+		{"inf-spacing", func(s *Setup) { s.Spacing = math.Inf(1) }, "spacing +Inf ft"},
 		{"zero-shards", func(s *Setup) { s.Shards = 0 }, "at least 1"},
 		{"negative-shards", func(s *Setup) { s.Shards = -2 }, "at least 1"},
 		{"too-many-shards", func(s *Setup) { s.Shards = 5 }, "exceed"},
 		{"negative-workers", func(s *Setup) { s.Workers = -3 }, "worker count -3 is negative"},
 		{"negative-image", func(s *Setup) { s.ImagePackets = -1 }, "negative"},
+		{"huge-image", func(s *Setup) { s.ImagePackets = 1 << 40 }, "exceeds 32640 (255 segments)"},
 		{"negative-limit", func(s *Setup) { s.Limit = -time.Second }, "negative"},
 		{"unknown-protocol", func(s *Setup) { s.Protocol = "gcp" }, `unknown protocol "gcp"`},
 		{"negative-protocol", func(s *Setup) { s.Protocol = " mnp" }, "unknown protocol"}, // names are not trimmed
@@ -79,6 +83,12 @@ func TestSetupValidate(t *testing.T) {
 	// filled in, but a bad shard count is not).
 	if _, err := Build(Setup{Name: "b", Rows: 2, Cols: 2, Shards: 9}); err == nil {
 		t.Fatal("Build accepted 9 shards on a 4-node grid")
+	}
+	// A finite spacing whose far corner overflows (2 x 1e308 = +Inf)
+	// passes Validate; the layout rejects the point instead of the
+	// spatial index looping on an infinite bounding box.
+	if _, err := Build(Setup{Name: "b", Rows: 1, Cols: 3, Spacing: 1e308}); err == nil || !strings.Contains(err.Error(), "not finite") {
+		t.Fatalf("Build with spacing 1e308 = %v, want a not-finite point error", err)
 	}
 }
 

@@ -2,16 +2,13 @@ package scenario
 
 import (
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"mnp/internal/experiment"
-	"mnp/internal/packet"
+	"mnp/internal/invariant"
 	"mnp/internal/radio"
 )
 
@@ -27,12 +24,6 @@ rows = 6
 cols = 6
 spacing = 12.5
 
-[radio]
-ber_floor = 0.0002
-asym_sigma = 0.25
-[radio.range_feet]
-20 = 30
-
 [mobility]
 kind = "waypoint"
 speed_min = 1.5
@@ -42,13 +33,9 @@ every = "5s"
 
 [protocol]
 name = "mnp"
-[protocol.options]
-no_sleep = true
-query_update = "false"
 
 [run]
 seed = 7
-seeds = [7, 11, 13]
 image_packets = 128
 power = "sim"
 limit = "6h"
@@ -57,19 +44,11 @@ workers = 1
 tile_rows = 2
 tile_cols = 3
 
-[battery]
-default = 0.9
-[[battery.rules]]
-nodes = "0,3-4"
-level = 0.2
-
 [invariants]
 enabled = true
-sender_overlap_budget = 10
 
 [telemetry]
 dir = "out/"
-progress = true
 `
 
 func TestParseFullDocument(t *testing.T) {
@@ -83,18 +62,12 @@ func TestParseFullDocument(t *testing.T) {
 	if sc.Topology.Kind != "grid" || sc.Topology.Rows != 6 || sc.Topology.Spacing != 12.5 {
 		t.Fatalf("topology = %+v", sc.Topology)
 	}
-	if sc.Radio == nil || *sc.Radio.BERFloor != 0.0002 || sc.Radio.RangeFeet["20"] != 30 {
-		t.Fatalf("radio = %+v", sc.Radio)
-	}
 	if m := sc.Mobility; m == nil || m.Kind != "waypoint" || m.SpeedMin != 1.5 || m.SpeedMax != 4 ||
 		time.Duration(m.Pause) != 20*time.Second || time.Duration(m.Every) != 5*time.Second {
 		t.Fatalf("mobility = %+v", sc.Mobility)
 	}
-	if got := sc.Protocol.Options["no_sleep"]; got != true {
-		t.Fatalf("no_sleep = %v (%T)", got, got)
-	}
-	if got := sc.Protocol.Options["query_update"]; got != "false" {
-		t.Fatalf("query_update = %v (%T)", got, got)
+	if sc.Protocol.Name != "mnp" {
+		t.Fatalf("protocol = %+v", sc.Protocol)
 	}
 	if int(sc.Run.Power) != radio.PowerSim {
 		t.Fatalf("power = %d, want %d", sc.Run.Power, radio.PowerSim)
@@ -102,26 +75,24 @@ func TestParseFullDocument(t *testing.T) {
 	if time.Duration(sc.Run.Limit) != 6*time.Hour {
 		t.Fatalf("limit = %v", sc.Run.Limit)
 	}
-	if !reflect.DeepEqual(sc.SeedList(), []int64{7, 11, 13}) {
-		t.Fatalf("seeds = %v", sc.SeedList())
+	if sc.Run.Seed != 7 || sc.Run.ImagePackets != 128 {
+		t.Fatalf("run = %+v", sc.Run)
 	}
 	if sc.Run.TileRows != 2 || sc.Run.TileCols != 3 {
 		t.Fatalf("tile knobs = %+v", sc.Run)
 	}
-	if sc.Battery == nil || len(sc.Battery.Rules) != 1 {
-		t.Fatalf("battery = %+v", sc.Battery)
-	}
-	if sc.Invariants == nil || !sc.Invariants.Enabled || sc.Invariants.SenderOverlapBudget != 10 {
+	if sc.Invariants == nil || !sc.Invariants.Enabled {
 		t.Fatalf("invariants = %+v", sc.Invariants)
 	}
-	if sc.Telemetry == nil || sc.Telemetry.Dir != "out/" || !sc.Telemetry.Progress {
+	if sc.Telemetry == nil || sc.Telemetry.Dir != "out/" {
 		t.Fatalf("telemetry = %+v", sc.Telemetry)
 	}
 }
 
 // TestRoundTripStable parses and compiles each fixture, and pins that
 // its JSON encoding — the form a campaign plan's fingerprint hashes —
-// parses back to the identical document: the json tags are the schema.
+// decodes strictly back to the identical, valid document: the json tags
+// are the schema.
 func TestRoundTripStable(t *testing.T) {
 	docs := map[string]string{
 		"full": fullDoc,
@@ -144,15 +115,6 @@ radius = 30
 [run]
 seed = 3
 `,
-		"points": `
-version = 1
-name = "pts"
-[topology]
-kind = "points"
-points = [[0, 0], [10.5, 0], [0, 21]]
-[protocol]
-name = "deluge"
-`,
 		"mobile-gossip": `
 version = 1
 name = "mob"
@@ -165,22 +127,9 @@ kind = "waypoint"
 speed_min = 2
 speed_max = 6
 pause = "30s"
-width = 100
-height = 80
 every = "2s"
-seed = 11
 [protocol]
 name = "gossip"
-`,
-		"mobility-static-point": `
-version = 1
-name = "stat"
-[topology]
-kind = "grid"
-rows = 3
-cols = 3
-[mobility]
-kind = "static"
 `,
 		// A [run] section whose only content is the tile grid.
 		"tiles-only": `
@@ -208,9 +157,16 @@ tile_cols = 2
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, err := Parse(enc)
-			if err != nil {
-				t.Fatalf("re-parsing the JSON encoding: %v\n%s", err, enc)
+			var generic map[string]any
+			if err := json.Unmarshal(enc, &generic); err != nil {
+				t.Fatal(err)
+			}
+			again := &Scenario{}
+			if err := DecodeStrict(generic, again); err != nil {
+				t.Fatalf("decoding the JSON encoding: %v\n%s", err, enc)
+			}
+			if err := again.Validate(); err != nil {
+				t.Fatalf("the JSON encoding does not validate: %v\n%s", err, enc)
 			}
 			if !reflect.DeepEqual(sc, again) {
 				t.Fatalf("JSON round trip changed the document:\nfirst:  %+v\nsecond: %+v", sc, again)
@@ -219,81 +175,75 @@ tile_cols = 2
 	}
 }
 
+// TestParseJSON: scenario files are TOML only. A JSON document fails
+// at the TOML front end rather than being sniffed by its first byte.
 func TestParseJSON(t *testing.T) {
 	doc := `{
   "version": 1,
   "name": "json",
-  "topology": {"kind": "grid", "rows": 3, "cols": 5},
-  "run": {"seed": 42, "image_packets": 64, "limit": "2h"},
-  "protocol": {"name": "xnp"}
+  "topology": {"kind": "grid", "rows": 3, "cols": 5}
 }`
-	sc, err := Parse([]byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	setup, err := sc.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if setup.Protocol != experiment.ProtocolXNP || setup.Rows != 3 || setup.Cols != 5 {
-		t.Fatalf("setup = %+v", setup)
-	}
-	if setup.Limit != 2*time.Hour {
-		t.Fatalf("limit = %v", setup.Limit)
-	}
-	// The JSON document and its hand-written TOML twin parse
-	// identically.
-	twin, err := Parse([]byte(`
-version = 1
-name = "json"
-[topology]
-kind = "grid"
-rows = 3
-cols = 5
-[run]
-seed = 42
-image_packets = 64
-limit = "2h"
-[protocol]
-name = "xnp"
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sc, twin) {
-		t.Fatalf("JSON and TOML twins differ:\njson: %+v\ntoml: %+v", sc, twin)
+	if _, err := Parse([]byte(doc)); err == nil || !strings.Contains(err.Error(), "TOML: line 1: expected key = value") {
+		t.Fatalf("Parse(JSON) = %v, want the TOML syntax error", err)
 	}
 }
 
 func TestParseRejects(t *testing.T) {
+	const grid = "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n"
+	const walk = grid + "[mobility]\nkind = \"waypoint\"\nspeed_min = 1\nspeed_max = 2\n"
 	cases := []struct {
 		name, doc, wantErr string
 	}{
 		{"bad-version", "version = 2\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n", "version 2"},
 		{"no-topology", "version = 1\n", "kind is required"},
 		{"unknown-key", "version = 1\nbanana = true\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n", "banana"},
-		{"unknown-protocol", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[protocol]\nname = \"gcp\"\n", "unknown protocol"},
-		{"bad-option", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[protocol]\nname = \"mnp\"\n[protocol.options]\nwarp = 9\n", "unknown option"},
+		{"unknown-protocol", grid + "[protocol]\nname = \"gcp\"\n", "unknown protocol"},
 		{"bad-faults", "version = 1\nfaults = \"explode:*\"\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n", "unknown fault kind"},
-		{"bad-selector", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[battery]\n[[battery.rules]]\nnodes = \"0-99\"\nlevel = 0.5\n", "outside the 4-node fleet"},
-		{"bad-battery", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[battery]\n[[battery.rules]]\nnodes = \"*\"\nlevel = 1.5\n", "outside [0, 1]"},
-		{"bad-power", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\npower = 99\n", "power level 99"},
-		{"bad-base", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\nbase = 9\n", "base 9"},
-		{"mobility-no-kind", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[mobility]\nspeed_min = 1\nspeed_max = 2\n", "kind is required"},
-		{"mobility-bad-kind", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[mobility]\nkind = \"brownian\"\n", "unknown kind"},
-		{"mobility-bad-speeds", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[mobility]\nkind = \"waypoint\"\nspeed_min = 3\nspeed_max = 1\n", "speeds"},
-		{"mobility-trace-no-file", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[mobility]\nkind = \"trace\"\n", "requires a file"},
-		{"mobility-static-params", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[mobility]\nkind = \"static\"\nspeed_min = 1\n", "no parameters"},
-		{"mobility-unknown-key", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[mobility]\nkind = \"waypoint\"\nspeed_min = 1\nspeed_max = 2\nvelocity = 9\n", "velocity"},
+		{"bad-power", grid + "[run]\npower = 99\n", "power level 99"},
+		{"negative-spacing", grid + "spacing = -5\n", "grid spacing -5 ft must be positive and finite"},
+		{"negative-line-spacing", "version = 1\n[topology]\nkind = \"line\"\nn = 3\nspacing = -1\n", "line spacing -1 ft"},
+		{"mobility-no-kind", grid + "[mobility]\nspeed_min = 1\nspeed_max = 2\n", "kind is required"},
+		{"mobility-bad-kind", grid + "[mobility]\nkind = \"brownian\"\n", "unknown kind"},
+		{"mobility-bad-speeds", grid + "[mobility]\nkind = \"waypoint\"\nspeed_min = 3\nspeed_max = 1\n", "speeds"},
+		{"mobility-unknown-key", walk + "velocity = 9\n", "velocity"},
 		// Keys of the removed speculative engine mode fail like any typo.
-		{"removed-optimistic", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\noptimistic = true\n", "optimistic"},
-		{"removed-lookahead", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\nlookahead = 8\n", "lookahead"},
-		{"removed-repartition", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[run]\nrepartition = true\n", `unknown field "repartition"`},
+		{"removed-optimistic", grid + "[run]\noptimistic = true\n", "optimistic"},
+		{"removed-lookahead", grid + "[run]\nlookahead = 8\n", "lookahead"},
+		{"removed-repartition", grid + "[run]\nrepartition = true\n", `unknown field "repartition"`},
 		// Per-node tune rules are gone: a protocol is tuned by its
 		// fleet-wide options alone.
-		{"removed-tune", "version = 1\n[topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n[[protocol.tune]]\nnodes = \"*\"\n[protocol.tune.options]\nno_sleep = true\n", `unknown field "tune"`},
+		{"removed-tune", grid + "[[protocol.tune]]\nnodes = \"*\"\n[protocol.tune.options]\nno_sleep = true\n", `unknown field "tune"`},
+		// Keys and kinds no checked-in document set are gone: each fails
+		// as an unknown field or an unknown kind.
+		{"bad-option", grid + "[protocol]\nname = \"mnp\"\n[protocol.options]\nno_sleep = true\n", `unknown field "options"`},
+		{"bad-selector", grid + "[battery]\n[[battery.rules]]\nnodes = \"0-99\"\nlevel = 0.5\n", `unknown field "battery"`},
+		{"bad-battery", grid + "[battery]\ndefault = 0.5\n", `unknown field "battery"`},
+		{"removed-battery-rule-level", grid + "[[battery.rules]]\nlevel = 0.5\n", `unknown field "battery"`},
+		{"bad-base", grid + "[run]\nbase = 1\n", `unknown field "base"`},
+		{"removed-seeds", grid + "[run]\nseeds = [1, 2]\n", `unknown field "seeds"`},
+		{"removed-topology-seed", grid + "seed = 3\n", `unknown field "seed"`},
+		{"removed-attempts", "version = 1\n[topology]\nkind = \"random\"\nn = 5\nwidth = 20\nheight = 20\nradius = 30\nattempts = 9\n", `unknown field "attempts"`},
+		{"removed-points", "version = 1\n[topology]\nkind = \"points\"\npoints = [[0, 0], [1, 1]]\n", `unknown field "points"`},
+		{"removed-points-kind", "version = 1\n[topology]\nkind = \"points\"\n", `unknown kind "points"`},
+		{"removed-topology-file", "version = 1\n[topology]\nkind = \"file\"\nfile = \"pts.json\"\n", `unknown field "file"`},
+		{"removed-file-kind", "version = 1\n[topology]\nkind = \"file\"\n", `unknown kind "file"`},
+		{"mobility-width", walk + "width = 100\n", `unknown field "width"`},
+		{"mobility-height", walk + "height = 80\n", `unknown field "height"`},
+		{"mobility-seed", walk + "seed = 11\n", `unknown field "seed"`},
+		{"mobility-file", walk + "file = \"walk.json\"\n", `unknown field "file"`},
+		{"mobility-trace-no-file", grid + "[mobility]\nkind = \"trace\"\n", `unknown kind "trace"`},
+		{"mobility-static-params", grid + "[mobility]\nkind = \"static\"\n", `unknown kind "static"`},
+		{"removed-allow-radio-on-in-sleep", grid + "[invariants]\nenabled = true\nallow_radio_on_in_sleep = true\n", `unknown field "allow_radio_on_in_sleep"`},
+		{"removed-sender-overlap-budget", grid + "[invariants]\nenabled = true\nsender_overlap_budget = 10\n", `unknown field "sender_overlap_budget"`},
+		{"removed-progress", grid + "[telemetry]\nprogress = true\n", `unknown field "progress"`},
 		{"toml-syntax", "version = \n", "missing value"},
 		{"dup-key", "version = 1\nversion = 1\n", "duplicate key"},
+	}
+	for _, key := range []string{"bit_rate_bps = 9600", "ber_floor = 0.1", "ber_ceil = 0.1", "asym_sigma = 0.1", "capture_ratio = 2", "range_feet = 3"} {
+		name, _, _ := strings.Cut(key, " ")
+		cases = append(cases, struct{ name, doc, wantErr string }{
+			"removed-radio-" + name, grid + "[radio]\n" + key + "\n", `unknown field "radio"`,
+		})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -305,10 +255,9 @@ func TestParseRejects(t *testing.T) {
 	}
 }
 
-// TestCompileClosures verifies the declarative battery rules lower into
-// a closure with the documented semantics (later rules win, the
-// default applies elsewhere) and every other section maps onto its
-// Setup field.
+// TestCompileClosures verifies the mobility section lowers into the
+// Setup's model factory and every other section maps onto its Setup
+// field.
 func TestCompileClosures(t *testing.T) {
 	sc, err := Parse([]byte(fullDoc))
 	if err != nil {
@@ -319,17 +268,23 @@ func TestCompileClosures(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if setup.Battery == nil {
-		t.Fatal("battery rules did not compile")
+	if setup.Mobility == nil || setup.MobilityEvery != 5*time.Second {
+		t.Fatalf("mobility did not compile: every = %v", setup.MobilityEvery)
 	}
-	for id, want := range map[packet.NodeID]float64{0: 0.2, 3: 0.2, 4: 0.2, 1: 0.9, 35: 0.9} {
-		if got := setup.Battery(id); got != want {
-			t.Errorf("battery(%v) = %g, want %g", id, got, want)
-		}
+	layout, err := sc.Topology.Build(setup.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := setup.Mobility(layout, setup.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mv := model.Moves(time.Hour); len(mv) == 0 {
+		t.Error("compiled waypoint model moved no node in an hour")
 	}
 
-	if setup.ProtocolOptions["no_sleep"] != "true" || setup.ProtocolOptions["query_update"] != "false" {
-		t.Errorf("protocol options = %v", setup.ProtocolOptions)
+	if setup.ProtocolOptions != nil || setup.Radio != nil || setup.Battery != nil || setup.BaseID != 0 {
+		t.Errorf("Go-only Setup fields set from a document: %+v", setup)
 	}
 	if setup.Shards != 2 || setup.Workers != 1 || setup.Seed != 7 {
 		t.Errorf("run params = shards %d workers %d seed %d", setup.Shards, setup.Workers, setup.Seed)
@@ -337,14 +292,14 @@ func TestCompileClosures(t *testing.T) {
 	if setup.TileRows != 2 || setup.TileCols != 3 {
 		t.Errorf("tile knobs lost in compilation: %+v", setup)
 	}
-	if setup.Radio == nil || setup.Radio.TxRangeFeet[radio.PowerSim] != 30 {
-		t.Errorf("radio overlay missing: %+v", setup.Radio)
+	if setup.Power != radio.PowerSim || setup.Limit != 6*time.Hour || setup.ImagePackets != 128 {
+		t.Errorf("power %d limit %v image %d", setup.Power, setup.Limit, setup.ImagePackets)
 	}
 	if setup.Faults == nil || len(setup.Faults.Events) != 2 {
 		t.Errorf("faults = %+v", setup.Faults)
 	}
-	if setup.Invariants == nil || setup.Invariants.SenderOverlapBudget != 10 {
-		t.Errorf("invariants = %+v", setup.Invariants)
+	if setup.Invariants == nil || !reflect.DeepEqual(*setup.Invariants, invariant.Config{}) {
+		t.Errorf("invariants = %+v, want the default checker", setup.Invariants)
 	}
 }
 
@@ -373,15 +328,6 @@ func TestTopologyBuild(t *testing.T) {
 	}
 	if d3, _ := l3.Distance(0, 1); d3 == d1 {
 		t.Fatal("distinct run seeds produced identical placements (suspicious)")
-	}
-	// An explicit topology seed pins the placement across run seeds.
-	pinned := Topology{Kind: "random", N: 12, Width: 80, Height: 80, Seed: 9}
-	p1, _ := pinned.Build(5)
-	p2, _ := pinned.Build(6)
-	pd1, _ := p1.Distance(0, 1)
-	pd2, _ := p2.Distance(0, 1)
-	if pd1 != pd2 {
-		t.Fatal("pinned topology seed did not pin the placement")
 	}
 }
 
@@ -427,65 +373,6 @@ enabled = true
 	}
 	if setup.Shards != 0 {
 		t.Fatalf("shards = %d, want 0 (package default)", setup.Shards)
-	}
-}
-
-// TestMobilityTrace exercises the trace-playback kind end to end at the
-// document layer: the file is read and validated at Validate time and
-// again when the compiled factory builds the model.
-func TestMobilityTrace(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "walk.json")
-	trace := `[[2, 0, 5.5, 0], [4, 3, 0, 9], [2, 1, 1, 1]]`
-	if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	doc := fmt.Sprintf(`
-version = 1
-[topology]
-kind = "grid"
-rows = 2
-cols = 2
-[mobility]
-kind = "trace"
-file = %q
-every = "1s"
-`, path)
-	sc, err := Parse([]byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := sc.Mobility.Label(); got != "trace-walk" {
-		t.Fatalf("Label() = %q, want trace-walk", got)
-	}
-	setup, err := sc.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if setup.Mobility == nil || setup.MobilityEvery != time.Second {
-		t.Fatalf("trace mobility did not compile: every = %v", setup.MobilityEvery)
-	}
-	layout, err := sc.Topology.Build(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := setup.Mobility(layout, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mv := model.Moves(2 * time.Second); len(mv) != 2 {
-		t.Fatalf("trace at 2s moved %d nodes, want 2", len(mv))
-	}
-	if mv := model.Moves(4 * time.Second); len(mv) != 1 || mv[0].ID != 3 {
-		t.Fatalf("trace at 4s = %+v, want node 3", mv)
-	}
-	// A trace addressing a node past the layout must fail validation.
-	bad := strings.Replace(doc, "rows = 2", "rows = 1", 1)
-	if _, err := Parse([]byte(bad)); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("Parse() = %v, want node-out-of-range error", err)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // parseTOML parses the TOML subset scenario and campaign files use
-// into nested map[string]any — the same generic shape encoding/json
-// produces — so one typed decoder serves both formats.
+// into nested map[string]any — the generic shape encoding/json
+// produces — so DecodeStrict can decode it into the typed document.
 //
 // Supported: comments, [tables], [[arrays of tables]], dotted and
 // quoted keys, basic and literal strings, integers (with _

@@ -57,6 +57,11 @@ func NewIndex(l *Layout, cell float64) (*Index, error) {
 		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
 		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
 	}
+	// A non-finite box would keep the coarsening loop below doubling
+	// the cell forever.
+	if w, h := maxX-minX, maxY-minY; math.IsNaN(w) || math.IsInf(w, 0) || math.IsNaN(h) || math.IsInf(h, 0) {
+		return nil, fmt.Errorf("topology: index bounding box [%g, %g]x[%g, %g] is not finite", minX, maxX, minY, maxY)
+	}
 	ix := &Index{pts: pts, minX: minX, minY: minY, cell: cell}
 	budget := maxCellsFactor*len(pts) + 16
 	for {

@@ -129,6 +129,17 @@ func TestIndexRejectsBadArgs(t *testing.T) {
 			t.Fatalf("cell %g accepted", cell)
 		}
 	}
+	// A box that is not finite — a non-finite point, or finite corners
+	// too far apart to subtract — fails instead of coarsening forever.
+	for _, pts := range [][]Point{
+		{{0, 0}, {math.Inf(1), 0}},
+		{{0, math.NaN()}, {1, 1}},
+		{{-1e308, 0}, {1e308, 0}},
+	} {
+		if _, err := NewIndex(&Layout{points: pts}, 10); err == nil {
+			t.Fatalf("bounding box of %v accepted", pts)
+		}
+	}
 }
 
 // AppendWithin must append after an existing prefix without touching it.

@@ -1,10 +1,8 @@
 package topology
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"mnp/internal/packet"
@@ -55,10 +53,6 @@ type WaypointConfig struct {
 	// Pause is how long a node rests at each waypoint before picking the
 	// next destination.
 	Pause time.Duration
-	// Width and Height give the field nodes roam over, anchored at the
-	// layout's bounding-box minimum corner. Zero means "the layout's own
-	// extent" for that axis.
-	Width, Height float64
 	// Seed drives the per-node destination and speed draws.
 	Seed int64
 }
@@ -72,9 +66,9 @@ type wpLeg struct {
 }
 
 // Waypoint is the classic random-waypoint model: each node repeatedly
-// draws a uniform destination in the field and a uniform speed in
-// [SpeedMin, SpeedMax], travels there in a straight line, pauses, and
-// repeats. Every node carries its own splitmix64 stream seeded from
+// draws a uniform destination in the layout's bounding box and a
+// uniform speed in [SpeedMin, SpeedMax], travels there in a straight
+// line, pauses, and repeats. Every node carries its own splitmix64 stream seeded from
 // (Seed, id), so the trajectory of a node is independent of how often
 // Moves is sampled and of every other node.
 type Waypoint struct {
@@ -103,9 +97,6 @@ func NewWaypoint(l *Layout, cfg WaypointConfig) (*Waypoint, error) {
 	if cfg.Pause < 0 {
 		return nil, fmt.Errorf("topology: waypoint pause %v must be >= 0", cfg.Pause)
 	}
-	if cfg.Width < 0 || cfg.Height < 0 {
-		return nil, fmt.Errorf("topology: waypoint field %gx%g must be >= 0", cfg.Width, cfg.Height)
-	}
 	pts := l.Points()
 	minX, minY := pts[0].X, pts[0].Y
 	maxX, maxY := minX, minY
@@ -117,16 +108,10 @@ func NewWaypoint(l *Layout, cfg WaypointConfig) (*Waypoint, error) {
 		cfg:    cfg,
 		minX:   minX,
 		minY:   minY,
-		width:  cfg.Width,
-		height: cfg.Height,
+		width:  maxX - minX,
+		height: maxY - minY,
 		rng:    make([]splitmix, len(pts)),
 		legs:   make([]wpLeg, len(pts)),
-	}
-	if w.width == 0 {
-		w.width = maxX - minX
-	}
-	if w.height == 0 {
-		w.height = maxY - minY
 	}
 	for i := range w.rng {
 		// Mix id into the seed with the splitmix increment so adjacent
@@ -178,73 +163,4 @@ func (w *Waypoint) Moves(now time.Duration) []Move {
 		}
 	}
 	return w.buf
-}
-
-// A TraceEvent is one timestamped position update in a mobility trace.
-type TraceEvent struct {
-	At time.Duration
-	ID packet.NodeID
-	To Point
-}
-
-// Trace replays a recorded sequence of position updates: Moves returns
-// every event with At <= now that has not been delivered yet, in trace
-// order. Deterministic by construction.
-type Trace struct {
-	events []TraceEvent
-	next   int
-	buf    []Move
-}
-
-// NewTrace builds a playback model over the events, which must be
-// sorted by time with node ids below n.
-func NewTrace(events []TraceEvent, n int) (*Trace, error) {
-	for i, ev := range events {
-		if ev.At < 0 {
-			return nil, fmt.Errorf("topology: trace event %d at negative time %v", i, ev.At)
-		}
-		if i > 0 && ev.At < events[i-1].At {
-			return nil, fmt.Errorf("topology: trace event %d at %v precedes event %d at %v", i, ev.At, i-1, events[i-1].At)
-		}
-		if int(ev.ID) >= n {
-			return nil, fmt.Errorf("topology: trace event %d moves node %v, out of range (N=%d)", i, ev.ID, n)
-		}
-	}
-	return &Trace{events: events}, nil
-}
-
-// Moves returns the not-yet-delivered events with At <= now.
-func (tr *Trace) Moves(now time.Duration) []Move {
-	tr.buf = tr.buf[:0]
-	for tr.next < len(tr.events) && tr.events[tr.next].At <= now {
-		ev := tr.events[tr.next]
-		tr.buf = append(tr.buf, Move{ID: ev.ID, To: ev.To})
-		tr.next++
-	}
-	return tr.buf
-}
-
-// ParseTrace decodes a JSON mobility trace: an array of
-// [seconds, id, x, y] rows. Rows may be unsorted; the result is sorted
-// by time (stably, so same-instant rows keep file order) and validated
-// against the node count.
-func ParseTrace(data []byte, n int) (*Trace, error) {
-	var rows [][4]float64
-	if err := json.Unmarshal(data, &rows); err != nil {
-		return nil, fmt.Errorf("topology: trace: %w", err)
-	}
-	events := make([]TraceEvent, len(rows))
-	for i, r := range rows {
-		id := int(r[1])
-		if float64(id) != r[1] || id < 0 {
-			return nil, fmt.Errorf("topology: trace row %d: node id %g is not a non-negative integer", i, r[1])
-		}
-		events[i] = TraceEvent{
-			At: time.Duration(r[0] * float64(time.Second)),
-			ID: packet.NodeID(id),
-			To: Point{X: r[2], Y: r[3]},
-		}
-	}
-	sort.SliceStable(events, func(a, b int) bool { return events[a].At < events[b].At })
-	return NewTrace(events, n)
 }

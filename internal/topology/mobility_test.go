@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"mnp/internal/packet"
 )
 
 func wpCfg() WaypointConfig {
@@ -42,22 +40,20 @@ func TestWaypointDeterministic(t *testing.T) {
 	}
 }
 
-// Positions stay inside the configured field for the whole run.
+// Positions stay inside the layout's bounding box for the whole run.
 func TestWaypointStaysInField(t *testing.T) {
-	l, err := Grid(3, 3, 10)
+	l, err := Grid(3, 5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := wpCfg()
-	cfg.Width, cfg.Height = 40, 25
-	w, err := NewWaypoint(l, cfg)
+	w, err := NewWaypoint(l, wpCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for now := time.Second; now <= 10*time.Minute; now += time.Second {
 		for _, mv := range w.Moves(now) {
-			if mv.To.X < 0 || mv.To.X > 40 || mv.To.Y < 0 || mv.To.Y > 25 {
-				t.Fatalf("node %v left the 40x25 field at %v: %+v", mv.ID, now, mv.To)
+			if mv.To.X < 0 || mv.To.X > 40 || mv.To.Y < 0 || mv.To.Y > 20 {
+				t.Fatalf("node %v left the 40x20 field at %v: %+v", mv.ID, now, mv.To)
 			}
 		}
 	}
@@ -69,7 +65,6 @@ func TestWaypointConfigValidation(t *testing.T) {
 		{SpeedMin: 0, SpeedMax: 1},
 		{SpeedMin: 2, SpeedMax: 1},
 		{SpeedMin: 1, SpeedMax: 2, Pause: -time.Second},
-		{SpeedMin: 1, SpeedMax: 2, Width: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewWaypoint(l, cfg); err == nil {
@@ -78,65 +73,5 @@ func TestWaypointConfigValidation(t *testing.T) {
 	}
 	if _, err := NewWaypoint(nil, wpCfg()); err == nil {
 		t.Error("nil layout: want error, got nil")
-	}
-}
-
-func TestTracePlayback(t *testing.T) {
-	tr, err := NewTrace([]TraceEvent{
-		{At: time.Second, ID: 1, To: Point{X: 5, Y: 0}},
-		{At: 2 * time.Second, ID: 0, To: Point{X: 1, Y: 1}},
-		{At: 2 * time.Second, ID: 1, To: Point{X: 6, Y: 0}},
-		{At: 9 * time.Second, ID: 2, To: Point{X: 0, Y: 9}},
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := append([]Move(nil), tr.Moves(2*time.Second)...)
-	want := []Move{
-		{ID: 1, To: Point{X: 5, Y: 0}},
-		{ID: 0, To: Point{X: 1, Y: 1}},
-		{ID: 1, To: Point{X: 6, Y: 0}},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Moves(2s) = %+v, want %+v", got, want)
-	}
-	if mv := tr.Moves(5 * time.Second); len(mv) != 0 {
-		t.Fatalf("Moves(5s) = %+v, want none", mv)
-	}
-	got = append(got[:0], tr.Moves(time.Minute)...)
-	if len(got) != 1 || got[0].ID != packet.NodeID(2) {
-		t.Fatalf("Moves(1m) = %+v, want the node-2 event", got)
-	}
-}
-
-func TestTraceValidation(t *testing.T) {
-	if _, err := NewTrace([]TraceEvent{{At: -time.Second}}, 2); err == nil {
-		t.Error("negative time: want error")
-	}
-	if _, err := NewTrace([]TraceEvent{{At: 2 * time.Second}, {At: time.Second}}, 2); err == nil {
-		t.Error("unsorted events: want error")
-	}
-	if _, err := NewTrace([]TraceEvent{{At: 0, ID: 5}}, 2); err == nil {
-		t.Error("id out of range: want error")
-	}
-}
-
-func TestParseTrace(t *testing.T) {
-	tr, err := ParseTrace([]byte(`[[2, 1, 6, 0], [0.5, 0, 1, 2]]`), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := tr.Moves(time.Minute)
-	want := []Move{
-		{ID: 0, To: Point{X: 1, Y: 2}},
-		{ID: 1, To: Point{X: 6, Y: 0}},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("parsed trace = %+v, want %+v", got, want)
-	}
-	for _, bad := range []string{`{"a": 1}`, `[[0, 1.5, 0, 0]]`, `[[0, -1, 0, 0]]`, `[[0, 9, 0, 0]]`} {
-		if _, err := ParseTrace([]byte(bad), 2); err == nil {
-			t.Errorf("ParseTrace(%s): want error, got nil", bad)
-		}
 	}
 }

@@ -50,12 +50,14 @@ func Grid(rows, cols int, spacing float64) (*Layout, error) {
 			pts = append(pts, Point{X: float64(c) * spacing, Y: float64(r) * spacing})
 		}
 	}
-	return &Layout{
-		name:   fmt.Sprintf("grid-%dx%d@%gft", rows, cols, spacing),
-		points: pts,
-		rows:   rows,
-		cols:   cols,
-	}, nil
+	// FromPoints rejects the non-finite coordinates an infinite, NaN or
+	// overflowing spacing produces.
+	l, err := FromPoints(fmt.Sprintf("grid-%dx%d@%gft", rows, cols, spacing), pts)
+	if err != nil {
+		return nil, err
+	}
+	l.rows, l.cols = rows, cols
+	return l, nil
 }
 
 // Line places n motes in a straight line with the given spacing.
@@ -82,12 +84,12 @@ func Random(n int, w, h float64, seed int64) (*Layout, error) {
 	for i := range pts {
 		pts[i] = Point{X: rng.Float64() * w, Y: rng.Float64() * h}
 	}
-	return &Layout{name: fmt.Sprintf("random-%d@%gx%gft", n, w, h), points: pts}, nil
+	return FromPoints(fmt.Sprintf("random-%d@%gx%gft", n, w, h), pts)
 }
 
-// FromPoints places motes at explicit coordinates (feet) — the
-// escape hatch for surveyed field deployments and scenario files that
-// list positions directly. The slice is copied; node i sits at pts[i].
+// FromPoints places motes at explicit coordinates (feet), rejecting
+// non-finite ones; Grid and Random build their layouts through it. The
+// slice is copied; node i sits at pts[i].
 func FromPoints(name string, pts []Point) (*Layout, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("topology: point layout %q has no nodes", name)

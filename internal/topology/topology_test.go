@@ -47,6 +47,9 @@ func TestGridRejectsBadArgs(t *testing.T) {
 		// 65536×65537 nodes would need IDs past the 32-bit address
 		// space; the check fires before any allocation.
 		{0, 5, 10}, {5, 0, 10}, {5, 5, 0}, {5, 5, -1}, {65536, 65537, 10},
+		// Non-finite spacings, and one whose far corner overflows to
+		// +Inf (2 x 1e308), leave non-finite points.
+		{1, 3, math.Inf(1)}, {1, 3, math.NaN()}, {1, 3, 1e308},
 	} {
 		if _, err := Grid(tt.r, tt.c, tt.s); err == nil {
 			t.Errorf("Grid(%d,%d,%g) accepted", tt.r, tt.c, tt.s)
@@ -140,6 +143,9 @@ func TestRandomDeterministic(t *testing.T) {
 	}
 	if _, err := Random(5, -1, 10, 1); err == nil {
 		t.Fatal("negative field accepted")
+	}
+	if _, err := Random(5, math.Inf(1), 10, 1); err == nil {
+		t.Fatal("infinite field accepted")
 	}
 }
 
