@@ -103,12 +103,12 @@ func TestShardedStripOrientation(t *testing.T) {
 }
 
 // TestFleetBytesPerMote is the budget on what a mote costs before it
-// does anything: Build of a 20 000-mote fleet may keep at most 2 KB of
-// heap per mote. An eagerly seeded math/rand source alone is 4.9 KB, so
-// any per-mote state that should have been created on first use shows
-// up here.
+// does anything: Build of a 20 000-mote fleet may keep at most 1 280 B
+// of heap per mote (981 B today). An eagerly seeded math/rand source
+// alone is 4.9 KB, and an eager empty map 48 B, so any per-mote state
+// that should have been created on first use shows up here.
 func TestFleetBytesPerMote(t *testing.T) {
-	const rows, cols, budget = 100, 200, 2048
+	const rows, cols, budget = 100, 200, 1280
 	heap := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats

@@ -63,7 +63,10 @@ type nodeStats struct {
 	hasParent        bool
 	parentAtDone     packet.NodeID
 	hasParentAtDone  bool
-	segTimes         map[int]time.Duration
+	// segTimes is made on the node's first completed segment; most
+	// motes of a large fleet never complete one. Reads of a nil map
+	// find nothing.
+	segTimes map[int]time.Duration
 }
 
 // SenderEvent records a node becoming a sender.
@@ -104,15 +107,11 @@ func NewCollector(cfg Config, now func() time.Duration) (*Collector, error) {
 	if cfg.Costs == (energy.Costs{}) {
 		cfg.Costs = energy.Table1
 	}
-	c := &Collector{
+	return &Collector{
 		cfg:   cfg,
 		nodes: make([]nodeStats, cfg.Layout.N()),
 		now:   now,
-	}
-	for i := range c.nodes {
-		c.nodes[i].segTimes = make(map[int]time.Duration)
-	}
-	return c, nil
+	}, nil
 }
 
 var _ node.Observer = (*Collector)(nil)
@@ -189,6 +188,9 @@ func (c *Collector) NodeEvent(id packet.NodeID, at time.Duration, ev node.Event)
 	case node.EventBecameSender:
 		c.senders = append(c.senders, SenderEvent{At: at, Node: id, Seg: ev.Seg})
 	case node.EventGotSegment:
+		if st.segTimes == nil {
+			st.segTimes = make(map[int]time.Duration)
+		}
 		if _, ok := st.segTimes[ev.Seg]; !ok {
 			st.segTimes[ev.Seg] = at
 		}

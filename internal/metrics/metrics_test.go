@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -308,5 +309,62 @@ func TestSnapshotAggregates(t *testing.T) {
 	}
 	if s.SleepTotal != 4*10*time.Second-time.Second {
 		t.Fatalf("sleep = %v", s.SleepTotal)
+	}
+}
+
+// A mote that never completes a segment never gets a segTimes map: it
+// reads as no completions everywhere, and building the collector costs
+// the same few allocations whatever the deployment's size.
+func TestNodeWithoutSegments(t *testing.T) {
+	parts := make([]*Collector, 2)
+	for i := range parts {
+		parts[i], _ = newCollector(t)
+	}
+	parts[0].FrameSent(0, packet.KindAdvertise, 16)
+	parts[1].NodeEvent(1, time.Second, node.Event{Kind: node.EventGotSegment, Seg: 1})
+	c := parts[0]
+	if c.nodes[0].segTimes != nil {
+		t.Fatal("segTimes made before the mote's first segment")
+	}
+	if at, ok := c.SegmentTime(0, 1); ok || at != 0 {
+		t.Fatalf("SegmentTime = %v/%v, want 0/false", at, ok)
+	}
+	if s := c.Snapshot(time.Minute); len(s.SegmentCompletions) != 0 {
+		t.Fatalf("segment completions = %v, want none", s.SegmentCompletions)
+	}
+
+	merged, err := MergeShards(parts, []int{0, 1, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.nodes[0].segTimes != nil || merged.TxCount(0) != 1 {
+		t.Fatalf("merged row of mote 0 = %+v, want shard 0's", merged.nodes[0])
+	}
+	if _, ok := merged.SegmentTime(0, 1); ok {
+		t.Fatal("merged mote 0 completed a segment it never got")
+	}
+	if at, ok := merged.SegmentTime(1, 1); !ok || at != time.Second {
+		t.Fatalf("merged SegmentTime(1, 1) = %v/%v", at, ok)
+	}
+	if s := merged.Snapshot(time.Minute); !reflect.DeepEqual(s.SegmentCompletions, map[int]int{1: 1}) {
+		t.Fatalf("merged segment completions = %v", s.SegmentCompletions)
+	}
+
+	build := func(rows, cols int) float64 {
+		l, err := topology.Grid(rows, cols, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Layout: l, Airtime: func(int) time.Duration { return time.Millisecond }}
+		clock := func() time.Duration { return 0 }
+		runtime.GC() // the first collection starts its workers, which allocate
+		return testing.AllocsPerRun(10, func() {
+			if _, err := NewCollector(cfg, clock); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := build(2, 2), build(100, 100); large != small {
+		t.Fatalf("NewCollector made %v allocations on 4 motes and %v on 10 000, want the same", small, large)
 	}
 }

@@ -1,8 +1,11 @@
 package radio
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -166,7 +169,8 @@ func TestBusyMatchesActiveScan(t *testing.T) {
 // frameSuccess must be math.Pow to the last bit whether the answer came
 // from the table or not. Far more keys than slots go through it, so
 // every slot is overwritten by colliding keys, and two frame sizes
-// alternate on every link, as advertisements and data do.
+// alternate on every link, as advertisements and data do. A two-mote
+// medium has one of the smallest tables the size rule gives, 64 slots.
 func TestFrameSuccessIsPow(t *testing.T) {
 	layout, err := topology.Line(2, 10)
 	if err != nil {
@@ -187,7 +191,7 @@ func TestFrameSuccessIsPow(t *testing.T) {
 	check(0, 0)
 	rng := rand.New(rand.NewSource(3))
 	bers := []float64{0, 1, 1e-4, 2e-2, math.SmallestNonzeroFloat64, math.Copysign(0, -1)}
-	for len(bers) < 5<<successBits {
+	for len(bers) < 5<<maxSuccessBits {
 		bers = append(bers, 2e-2*rng.Float64())
 	}
 	for pass := 0; pass < 2; pass++ {
@@ -198,8 +202,119 @@ func TestFrameSuccessIsPow(t *testing.T) {
 			check(bers[i/2], 36*8) // an older key, evicted or not
 		}
 	}
-	if len(m.success) != 1<<successBits {
-		t.Fatalf("memo table has %d slots, want the fixed %d", len(m.success), 1<<successBits)
+	if len(m.success) != 64 {
+		t.Fatalf("a 2-mote medium's memo has %d slots, want 64", len(m.success))
+	}
+
+	// The table is sized at the first delivery from the motes the
+	// medium delivers to: 32 slots a mote, rounded up to a power of
+	// two, at most 4 096. A shard counts the motes it owns, not the
+	// deployment.
+	slots := func(motes int, owned []packet.NodeID) int {
+		t.Helper()
+		layout, err := topology.Line(motes, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		geo, err := NewGeometry(layout, DefaultParams(), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewShardMedium(sim.New(1), geo, owned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.success != nil {
+			t.Fatal("memo allocated before the first delivery")
+		}
+		m.frameSuccess(1e-3, 36*8)
+		if 64-m.successShift != uint(bits.TrailingZeros(uint(len(m.success)))) {
+			t.Fatalf("%d slots with shift %d", len(m.success), m.successShift)
+		}
+		return len(m.success)
+	}
+	for _, c := range []struct{ motes, slots int }{
+		{2, 64}, {16, 512}, {40, 2048}, {64, 2048}, {256, 4096}, {400, 4096},
+	} {
+		if got := slots(c.motes, nil); got != c.slots {
+			t.Errorf("%d motes: %d slots, want %d", c.motes, got, c.slots)
+		}
+	}
+	owned := make([]packet.NodeID, 24)
+	for i := range owned {
+		owned[i] = packet.NodeID(3 * i)
+	}
+	if got := slots(400, owned); got != 1024 {
+		t.Errorf("shard owning 24 of 400 motes: %d slots, want 1024", got)
+	}
+}
+
+// deliveryLog records every delivery decision a medium reports.
+type deliveryLog []string
+
+func (l *deliveryLog) FrameSent(src packet.NodeID, kind packet.Kind, bytes int) {}
+func (l *deliveryLog) FrameReceived(dst, src packet.NodeID, kind packet.Kind, bytes int) {
+	*l = append(*l, fmt.Sprintf("rx %v<-%v %v %d", dst, src, kind, bytes))
+}
+func (l *deliveryLog) FrameCollided(dst, src packet.NodeID, kind packet.Kind) {
+	*l = append(*l, fmt.Sprintf("collided %v<-%v %v", dst, src, kind))
+}
+
+// The memo's size decides which keys stay resident and nothing else:
+// the same transmit script on a 64-mote grid, run with the smallest
+// table the size rule gives and with the capped one, delivers the same
+// frames and leaves the kernel RNG at the same position.
+func TestFrameSuccessSizeInvisible(t *testing.T) {
+	layout, err := topology.Grid(8, 8, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(tableBits uint) (deliveryLog, int64) {
+		k := sim.New(5)
+		m, err := NewMedium(k, layout, DefaultParams(), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.success = make([]successEntry, 1<<tableBits)
+		m.successShift = 64 - tableBits
+		var log deliveryLog
+		m.SetSink(&log)
+		for i := 0; i < layout.N(); i++ {
+			m.SetRadio(packet.NodeID(i), true)
+		}
+		// Bursts from one sender, as a streaming sender draws them, so
+		// both tables hit as well as miss; a data burst carries an
+		// advertisement every third frame, so two sizes share each link.
+		rng := rand.New(rand.NewSource(11))
+		powers := []int{PowerWeak, PowerSim, PowerFull}
+		for burst := 0; burst < 300; burst++ {
+			src := packet.NodeID(rng.Intn(layout.N()))
+			power := powers[rng.Intn(len(powers))]
+			data := rng.Intn(2) == 0
+			for i := 0; i < 8; i++ {
+				var pkt packet.Packet = adv(src)
+				if data && i%3 != 2 {
+					pkt = &packet.Data{Src: src, ProgramID: 1, SegID: 1, PacketID: uint8(i), Payload: make([]byte, 22)}
+				}
+				m.Transmit(src, pkt, power) // busy or mid-frame: nothing sent
+				delta := time.Duration(10+rng.Intn(30)) * time.Millisecond
+				k.MustSchedule(delta, func() {})
+				k.Run(k.Now() + delta)
+			}
+		}
+		k.Run(k.Now() + time.Second)
+		return log, k.Rand().Int63()
+	}
+	small, smallNext := run(successTableBits(1))
+	large, largeNext := run(maxSuccessBits)
+	if len(small) == 0 {
+		t.Fatal("the script delivered nothing")
+	}
+	if !slices.Equal(small, large) {
+		t.Fatalf("delivery decisions differ: %d with the smallest table, %d with the largest", len(small), len(large))
+	}
+	if smallNext != largeNext {
+		t.Fatalf("kernel RNG moved to different positions: next draw %d vs %d", smallNext, largeNext)
 	}
 }
 

@@ -26,6 +26,7 @@ package radio
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -462,9 +463,11 @@ type Medium struct {
 	ghostSeq  uint64
 	delivered uint64 // cumulative successful frame deliveries
 
-	// success memoizes the per-delivery frame-success power; see
-	// frameSuccess.
-	success []successEntry
+	// success memoizes the per-delivery frame-success power, sized at
+	// the first delivery; successShift turns a key's hash into a slot
+	// of it. See frameSuccess.
+	success      []successEntry
+	successShift uint
 
 	// tap, when set, observes every transmitted frame in decoded form
 	// (invariant checkers need packet contents, which TrafficSink
@@ -1176,27 +1179,62 @@ type successEntry struct {
 	p   float64
 }
 
-// successBits sizes the memo: 4 096 slots, 96 KB per medium. A
-// streaming sender draws the same (link, frame size) pair once per data
-// packet, so a table far smaller than the link count still hits.
-const successBits = 12
+// successSlotsPerMote sizes the memo from the motes a medium delivers
+// to. A receiver hears a few dozen links, and a streaming sender repeats
+// one (link, frame size) key per data packet, so few keys per mote are
+// live at once. At 32 slots a mote a campaign of 16- to 64-mote cells
+// calls math.Pow about 1.7 times as often as with 4 096 slots, in 12 KB
+// to 48 KB instead of 96 KB per medium. At 16 it called math.Pow 2.8
+// times as often, and campaign wall time read slower in 7 of 10 paired
+// benchmark runs (EXPERIMENTS.md).
+const successSlotsPerMote = 32
+
+// maxSuccessBits caps the memo at 4 096 slots, 96 KB per medium: a
+// table far smaller than the link count of a large deployment still
+// hits, since a sender's keys repeat while it streams.
+const maxSuccessBits = 12
+
+// successTableBits returns log2 of the memo's slot count for a medium
+// that delivers to motes motes: the smallest power of two of at least
+// successSlotsPerMote slots a mote, capped at 1<<maxSuccessBits.
+func successTableBits(motes int) uint {
+	return min(uint(bits.Len(uint(successSlotsPerMote*motes-1))), maxSuccessBits)
+}
 
 // frameSuccess returns (1-ber)^bits, the probability that a frame of
 // the given size survives the link's bit errors. The power is computed
 // on a miss only and remembered, bit for bit, in a direct-mapped table
-// keyed by the exact (ber, bits) pair. The table is one fixed block per
-// medium, allocated on the first delivery — not a slice per link row,
-// which mobility would rebuild with every row.
+// keyed by the exact (ber, bits) pair. The table is one block per
+// medium, made at the first delivery by makeSuccessTable — not a slice
+// per link row, which mobility would rebuild with every row. Its size
+// changes which keys are resident, never a returned value.
 func (m *Medium) frameSuccess(ber float64, bits int) float64 {
 	if m.success == nil {
-		m.success = make([]successEntry, 1<<successBits)
+		m.makeSuccessTable()
 	}
 	key := math.Float64bits(ber)
-	e := &m.success[(key^uint64(bits))*0x9E3779B97F4A7C15>>(64-successBits)]
+	e := &m.success[(key^uint64(bits))*0x9E3779B97F4A7C15>>m.successShift]
 	if e.ber != key || e.n != bits+1 {
 		*e = successEntry{ber: key, n: bits + 1, p: math.Pow(1-ber, float64(bits))}
 	}
 	return e.p
+}
+
+// makeSuccessTable sizes the memo by successTableBits from the motes
+// this medium delivers to: the deployment, or the motes a shard owns.
+func (m *Medium) makeSuccessTable() {
+	motes := m.n
+	if m.owned != nil {
+		motes = 0
+		for _, own := range m.owned {
+			if own {
+				motes++
+			}
+		}
+	}
+	b := successTableBits(motes)
+	m.success = make([]successEntry, 1<<b)
+	m.successShift = 64 - b
 }
 
 // Deliveries returns the cumulative count of successful frame
