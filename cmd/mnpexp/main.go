@@ -13,7 +13,7 @@
 // Profiling hooks (all default off):
 //
 //	mnpexp -pprof localhost:6060 all         # live /debug/pprof + /debug/vars
-//	mnpexp -cpuprofile cpu.out -trace trace.out F8
+//	mnpexp -cpuprofile cpu.out -tracefile trace.out F8
 package main
 
 import (
@@ -50,7 +50,7 @@ func run(args []string) error {
 
 		pprofAddr  = fs.String("pprof", "", "serve /debug/pprof and /debug/vars on this address for the whole invocation")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		tracePath  = fs.String("trace", "", "write a runtime/trace capture to this file")
+		tracePath  = fs.String("tracefile", "", "write a runtime/trace capture to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -174,14 +174,14 @@ func TestMultiSeedRun(t *testing.T) {
 	}
 }
 
-// TestProfilingFlags smoke-tests -cpuprofile and -trace: both files
+// TestProfilingFlags smoke-tests -cpuprofile and -tracefile: both files
 // must exist and be non-empty after a short run.
 func TestProfilingFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.out")
 	trc := filepath.Join(dir, "trace.out")
 	_, err := capture(t, func() error {
-		return run([]string{"-cpuprofile", cpu, "-trace", trc, "T1"})
+		return run([]string{"-cpuprofile", cpu, "-tracefile", trc, "T1"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,10 +220,11 @@ func TestErrors(t *testing.T) {
 	// The repartitioner and the deploy modes are gone: deployments run
 	// through mnpsim (flags) and mnprun (files), and -workers sizes the
 	// one pool, so each removed flag fails like any unknown flag; main
-	// turns the error into exit 1.
+	// turns the error into exit 1. -trace is mnpsim's per-mote event
+	// log; a runtime/trace is -tracefile on both commands.
 	for _, args := range [][]string{
 		{"-repartition"}, {"-faults", "x"}, {"-scenario", "f"}, {"-telemetry", "d"},
-		{"-rows", "3"}, {"-shards", "2"}, {"-tiles", "2x2"}, {"-parallel"},
+		{"-rows", "3"}, {"-shards", "2"}, {"-tiles", "2x2"}, {"-parallel"}, {"-trace", "5"},
 	} {
 		err := run(append(args, "T1"))
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {

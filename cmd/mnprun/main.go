@@ -13,7 +13,8 @@
 // aggregated comparison report also goes to stdout and is
 // byte-deterministic: the same plan produces the same report regardless
 // of worker count or how many times the campaign was interrupted and
-// resumed.
+// resumed. A failed cell does not stop the campaign, but mnprun exits 1
+// if any finished cell failed, a -max-cells stop included.
 //
 // A scenario runs with its [telemetry] table honoured (an NDJSON event
 // stream and a Prometheus counters dump in dir) and fails unless every
@@ -129,17 +130,17 @@ func runCampaign(plan *campaign.Plan, dir string, workers, maxCells int, quiet b
 	if err != nil {
 		return err
 	}
-	if outcome.Remaining > 0 {
-		fmt.Printf("campaign %s: stopped with %d/%d cells done (%d still to run); re-run with the same -out to resume\n",
-			plan.Name, len(outcome.Results), len(outcome.Cells), outcome.Remaining)
-		return nil
-	}
-	fmt.Print(outcome.Report)
 	failed := 0
 	for _, res := range outcome.Results {
 		if res.Err != "" {
 			failed++
 		}
+	}
+	if outcome.Remaining > 0 {
+		fmt.Printf("campaign %s: stopped with %d/%d cells done (%d failed), %d still to run; re-run with the same -out to resume\n",
+			plan.Name, len(outcome.Results), len(outcome.Cells), failed, outcome.Remaining)
+	} else {
+		fmt.Print(outcome.Report)
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d cells failed", failed, len(outcome.Results))

@@ -213,6 +213,33 @@ func TestSeedListRejectsTelemetry(t *testing.T) {
 	}
 }
 
+// failingPlan's first cell reboots a mote the 3x3 grid does not have,
+// so it fails before it runs; its second cell is clean.
+const failingPlan = `
+version = 1
+name = "failing"
+seeds = [1]
+fault_plans = ["reboot:99@30s+10s", ""]
+[scenario.topology]
+kind = "grid"
+rows = 3
+cols = 3
+[scenario.run]
+image_packets = 16
+limit = "1h"
+`
+
+// TestStoppedCampaignCountsFailedCells: a campaign stopped by
+// -max-cells still counts the failed cells among those it finished,
+// and fails the run.
+func TestStoppedCampaignCountsFailedCells(t *testing.T) {
+	path := writeFile(t, "failing.toml", failingPlan)
+	err := run([]string{"-quiet", path, "-out", t.TempDir(), "-max-cells", "1"})
+	if err == nil || !strings.Contains(err.Error(), "1 of 1 cells failed") {
+		t.Fatalf("err = %v, want the stopped run to report its failed cell", err)
+	}
+}
+
 // artifactDir returns where a test should write its inspectable
 // output: MNP_ARTIFACT_DIR if set (CI uploads that directory when a
 // job fails), else a scratch dir.
@@ -400,8 +427,8 @@ var checkedInPlans = map[string]struct {
 	cells       int
 	keys        string
 }{
-	"coding.toml":         {"30819bda67a288731d4583e2a8a52b23b6bdaa4068cbb00b2ef53feda54ebf64", 24, "173199e84070c34397e5b0c77d4fa52cd5ee5b1a3d1f61aacc94d7119ca824b8"},
-	"mobility.toml":       {"b7907012ee981d05c28ad3d643f2316523b03fc323630d4d0594717d9192cf16", 24, "7f7dce50e0c64af786d5bcd03509afe8712b202c1bd65e8963e153c4481ffb59"},
+	"coding.toml":         {"de23c292a01b9854983fa015a26e561426703fffd45693db57149875c16443d0", 24, "173199e84070c34397e5b0c77d4fa52cd5ee5b1a3d1f61aacc94d7119ca824b8"},
+	"mobility.toml":       {"b6c39a7e7edc48b96e5725514dce072cfe38e0d22a1ec70b831e3998db91cbcb", 24, "7f7dce50e0c64af786d5bcd03509afe8712b202c1bd65e8963e153c4481ffb59"},
 	"robustness.toml":     {"fea1d676f9a2ebce18e09ab9ee660b4ca8ab6068a558e6665d449c515c34d7d1", 24, "602a16271235b50dd64a1ba6cad4b9e20d9d01b4bbb0835602617b79b352db7b"},
 	"smoke.toml":          {"2caace0c8ccaca2f391efb74214e4adf0d1f6c283faafecb7b136ac0a12317f6", 8, "f863dc0ba7f254b5354cc8f763e00ac41623102ce5da6839961b08f18e7f5575"},
 	"comparison.toml":     {"343f1ceae3d425ac90ba10718f4f7673407f9c72a8a71c841b539da3fc7a288f", 4, "1ac770584d210981d3cfbe4542ed0d74055b47704dfae8db62f3ee6a49102118"},

@@ -10,7 +10,6 @@ import (
 
 	"mnp/internal/experiment"
 	"mnp/internal/faults"
-	"mnp/internal/invariant"
 	"mnp/internal/scenario"
 	"mnp/internal/topology"
 )
@@ -58,7 +57,7 @@ func TestChaosRunMatchesGolden(t *testing.T) {
 			faults.CrashReboot(15, 30*time.Second, 10*time.Second),
 			faults.EEPROMErrors(faults.Wildcard, 0.02, 0, 0),
 		}},
-		Invariants: &invariant.Config{},
+		Invariants: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +146,7 @@ func TestShardedRunMatchesGolden(t *testing.T) {
 		res, err := experiment.Run(experiment.Setup{
 			Name: "sharded-golden", Rows: 8, Cols: 8, ImagePackets: 64, Seed: 42,
 			Shards: 4, Workers: workers, Limit: 4 * time.Hour,
-			Invariants: &invariant.Config{},
+			Invariants: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -198,7 +197,7 @@ func TestMobileRunMatchesGolden(t *testing.T) {
 					SpeedMin: 1, SpeedMax: 3, Pause: 5 * time.Second, Seed: seed,
 				})
 			},
-			Invariants: &invariant.Config{SenderOverlapBudget: 1 << 30},
+			Invariants: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -239,7 +238,7 @@ func TestRLNCRunMatchesGolden(t *testing.T) {
 	res, err := experiment.Run(experiment.Setup{
 		Name: "rlnc-golden", Rows: 2, Cols: 8, Spacing: 15, ImagePackets: 256, Seed: 42,
 		Protocol: experiment.ProtocolRLNC, Limit: 6 * time.Hour,
-		Invariants: &invariant.Config{SenderOverlapBudget: 1 << 30},
+		Invariants: true,
 	})
 	if err != nil {
 		t.Fatal(err)

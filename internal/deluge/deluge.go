@@ -34,7 +34,7 @@ const (
 )
 
 // Deluge's published parameters adapted to the shared Mica-2 timing
-// model; the advertisement timer is trickle.DefaultConfig.
+// model; the advertisement timer is package trickle's.
 const (
 	// dataInterval paces packet transmission within a page.
 	dataInterval = 30 * time.Millisecond
@@ -119,7 +119,7 @@ func (d *Deluge) HavePages() int { return d.havePages }
 func (d *Deluge) Init(rt node.Runtime) {
 	d.rt = rt
 	rt.RadioOn() // Deluge never turns the radio off
-	tr, err := trickle.New(trickle.DefaultConfig(), trickle.Hooks{
+	tr, err := trickle.New(trickle.Hooks{
 		Rand:     rt.Rand(),
 		SetFire:  func(dur time.Duration) { rt.SetTimer(timerTrickleFire, dur) },
 		SetEnd:   func(dur time.Duration) { rt.SetTimer(timerTrickleEnd, dur) },

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"mnp/internal/faults"
-	"mnp/internal/invariant"
 	"mnp/internal/packet"
+	"mnp/internal/protoreg"
 )
 
 // The chaos suite runs dissemination under declarative fault plans with
@@ -20,9 +20,7 @@ import (
 // checks: survivors complete, images verify, invariants held.
 func runChaos(t *testing.T, s Setup) *Result {
 	t.Helper()
-	if s.Invariants == nil {
-		s.Invariants = &invariant.Config{}
-	}
+	s.Invariants = true
 	if s.Limit == 0 {
 		s.Limit = 6 * time.Hour
 	}
@@ -41,6 +39,38 @@ func runChaos(t *testing.T, s Setup) *Result {
 		t.Fatalf("%s: %v", s.Name, err)
 	}
 	return res
+}
+
+// TestCheckerHoldsForEveryProtocol runs each registered protocol on a
+// clean 4×4 grid under the full invariant checker: no rule may break.
+// Single-hop XNP reaches the 8 motes in the base's range; every other
+// protocol covers all 16.
+func TestCheckerHoldsForEveryProtocol(t *testing.T) {
+	reach := map[string]int{"xnp": 8}
+	for _, name := range protoreg.Names() {
+		if name == "failnode" {
+			continue // a fixture whose constructor fails for one mote, not a protocol
+		}
+		t.Run(name, func(t *testing.T) {
+			res, err := Run(Setup{
+				Name: "checker-" + name, Rows: 4, Cols: 4, ImagePackets: 128, Seed: 42,
+				Protocol: ProtocolKind(name), Invariants: true, Limit: 6 * time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.VerifyInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			want := 16
+			if r, ok := reach[name]; ok {
+				want = r
+			}
+			if got := res.Network.CompletedCount(); got != want {
+				t.Fatalf("%d/16 motes completed, want %d", got, want)
+			}
+		})
+	}
 }
 
 // TestChaosCrashDuringForward kills an interior node — positioned to be
@@ -77,7 +107,7 @@ func TestChaosRebootMidSegment(t *testing.T) {
 		Faults: &faults.Plan{Events: []faults.Event{
 			faults.CrashReboot(victim, 30*time.Second, 10*time.Second),
 		}},
-		Invariants: &invariant.Config{},
+		Invariants: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -123,11 +123,11 @@ type Setup struct {
 	// Mobility is set). Finer steps cost more cache invalidations;
 	// coarser ones make motion visibly stepwise to the protocols.
 	MobilityEvery time.Duration
-	// Invariants, when non-nil, attaches an online protocol-invariant
-	// checker to the run. Build fills the clock, neighborhood, and
-	// airtime hooks; set fields like AllowRadioOnInSleep or
-	// SenderOverlapBudget here. Use &invariant.Config{} for defaults.
-	Invariants *invariant.Config
+	// Invariants attaches the online protocol-invariant checker to the
+	// run (Result.Invariants; Result.VerifyInvariants reports it). Build
+	// wires its clock, neighborhood, airtime and, with Telemetry set,
+	// its violation stream.
+	Invariants bool
 	// Telemetry, when non-nil, streams the run as NDJSON: a meta record,
 	// the fault plan, every observation, every invariant violation, and
 	// a final counters summary. Nil (the default) leaves the run
@@ -318,7 +318,7 @@ type Result struct {
 	Now func() time.Duration
 
 	// Invariants is the attached checker, nil unless Setup.Invariants
-	// was set.
+	// is true.
 	Invariants *invariant.Checker
 
 	// Completed reports whether every node finished within Limit.
@@ -569,21 +569,18 @@ func Build(s Setup) (*Result, error) {
 		}
 		shared = append(shared, s.Telemetry)
 	}
-	if s.Invariants != nil {
-		icfg := *s.Invariants
-		icfg.Now = now
-		icfg.Airtime = geo.Airtime
-		icfg.Neighbor = func(a, b packet.NodeID) bool {
-			d, err := layout.Distance(a, b)
-			return err == nil && d <= rangeFt
+	if s.Invariants {
+		icfg := invariant.Config{
+			Now:     now,
+			Airtime: geo.Airtime,
+			Neighbor: func(a, b packet.NodeID) bool {
+				d, err := layout.Distance(a, b)
+				return err == nil && d <= rangeFt
+			},
 		}
-		if s.Telemetry != nil {
-			rec, prev := s.Telemetry, icfg.OnViolation
+		if rec := s.Telemetry; rec != nil {
 			icfg.OnViolation = func(v invariant.Violation) {
 				rec.Violation(v.At, v.Node, v.Rule, v.Detail)
-				if prev != nil {
-					prev(v)
-				}
 			}
 		}
 		res.Invariants, err = invariant.New(icfg)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mnp/internal/image"
-	"mnp/internal/invariant"
 	"mnp/internal/packet"
 	"mnp/internal/radio"
 	"mnp/internal/topology"
@@ -93,7 +92,7 @@ func TestProtocolStrings(t *testing.T) {
 
 func TestSmallRunCompletesAndVerifies(t *testing.T) {
 	res, err := Run(Setup{Name: "small", Rows: 3, Cols: 3, ImagePackets: 64, Seed: 5, Limit: time.Hour,
-		Invariants: &invariant.Config{}})
+		Invariants: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +224,7 @@ func TestMOAPRunCompletes(t *testing.T) {
 	res, err := Run(Setup{
 		Name: "moap-small", Rows: 2, Cols: 3,
 		ImagePackets: 64, Protocol: ProtocolMOAP, Seed: 4,
-		Limit: 6 * time.Hour, Invariants: &invariant.Config{},
+		Limit: 6 * time.Hour, Invariants: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +247,7 @@ func TestCustomLayoutOverridesGrid(t *testing.T) {
 	}
 	res, err := Run(Setup{
 		Name: "custom-layout", Layout: layout, ImagePackets: 64,
-		Seed: 9, Limit: 4 * time.Hour, Invariants: &invariant.Config{},
+		Seed: 9, Limit: 4 * time.Hour, Invariants: true,
 	})
 	if err != nil {
 		t.Fatal(err)

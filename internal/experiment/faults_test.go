@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mnp/internal/faults"
-	"mnp/internal/invariant"
 	"mnp/internal/packet"
 )
 
@@ -23,7 +22,7 @@ func TestRandomNodeDeathsDuringDissemination(t *testing.T) {
 		Faults: &faults.Plan{Events: []faults.Event{
 			faults.RandomCrashes(6, 20*time.Second, 145*time.Second),
 		}},
-		Invariants: &invariant.Config{},
+		Invariants: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +53,7 @@ func TestRandomNodeDeathsDuringDissemination(t *testing.T) {
 func TestBaseStationDiesAfterSeeding(t *testing.T) {
 	res, err := Build(Setup{
 		Name: "base-death", Rows: 5, Cols: 5, ImagePackets: 128, Seed: 23,
-		Invariants: &invariant.Config{},
+		Invariants: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +85,7 @@ func TestBaseStationDiesAfterSeeding(t *testing.T) {
 func TestKilledMidTransferSenderRecovers(t *testing.T) {
 	res, err := Build(Setup{
 		Name: "sender-death", Rows: 4, Cols: 4, Spacing: 15, ImagePackets: 256, Seed: 24,
-		Invariants: &invariant.Config{},
+		Invariants: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,26 +4,15 @@ import (
 	"testing"
 	"time"
 
-	"mnp/internal/invariant"
 	"mnp/internal/packet"
 )
-
-// gossipInvariants returns the checker config for gossip runs: like
-// rlnc, the protocol has no sender-selection phase — any holder that
-// hears a lagging beacon pushes, paced by density — so the MNP
-// single-sender budget does not apply. Write-once EEPROM, in-order
-// segments, segment-image integrity, and the beacon-soundness rule
-// are enforced in full.
-func gossipInvariants() *invariant.Config {
-	return &invariant.Config{SenderOverlapBudget: 1 << 30}
-}
 
 // Clean-channel gossip dissemination on a small static grid: every
 // node must converge to a byte-identical image under the full checker.
 func TestGossipCompletesAndVerifies(t *testing.T) {
 	res, err := Run(Setup{
 		Name: "gossip-clean", Rows: 4, Cols: 4, ImagePackets: 128, Seed: 42,
-		Protocol: ProtocolGossip, Invariants: gossipInvariants(), Limit: 6 * time.Hour,
+		Protocol: ProtocolGossip, Invariants: true, Limit: 6 * time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

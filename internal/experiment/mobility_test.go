@@ -147,7 +147,7 @@ func TestMobilityChurnChaos(t *testing.T) {
 		Name: "mobile-churn", Rows: 4, Cols: 4, ImagePackets: 128, Seed: 42,
 		Protocol: ProtocolGossip, Limit: 6 * time.Hour,
 		Mobility: waypoint(1, 3, 10*time.Second), MobilityEvery: 2 * time.Second,
-		Invariants: gossipInvariants(),
+		Invariants: true,
 		Faults: &faults.Plan{Events: []faults.Event{
 			faults.CrashReboot(10, 40*time.Second, 10*time.Second),
 			faults.DegradeLink(faults.Wildcard, faults.Wildcard, false, 60*time.Second, 120*time.Second, 0.3),

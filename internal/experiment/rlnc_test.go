@@ -5,19 +5,8 @@ import (
 	"time"
 
 	"mnp/internal/faults"
-	"mnp/internal/invariant"
 	"mnp/internal/packet"
 )
-
-// rlncInvariants returns the checker config for RLNC runs: the rateless
-// protocol deliberately has no sender-selection phase, so the MNP
-// single-sender-per-neighborhood budget does not apply — concurrent
-// coded senders are the design, paced by density instead of elections.
-// The remaining invariants (write-once EEPROM, in-order segments,
-// rank monotonicity, segment-image integrity) are enforced in full.
-func rlncInvariants() *invariant.Config {
-	return &invariant.Config{SenderOverlapBudget: 1 << 30}
-}
 
 // TestRLNCCompletesAndVerifies: clean-channel dissemination on a small
 // grid, with the online checker armed. Byte-identical images are
@@ -26,7 +15,7 @@ func rlncInvariants() *invariant.Config {
 func TestRLNCCompletesAndVerifies(t *testing.T) {
 	res, err := Run(Setup{
 		Name: "rlnc-clean", Rows: 4, Cols: 4, ImagePackets: 128, Seed: 42,
-		Protocol: ProtocolRLNC, Invariants: rlncInvariants(), Limit: 6 * time.Hour,
+		Protocol: ProtocolRLNC, Invariants: true, Limit: 6 * time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +52,7 @@ func TestRLNCChaos(t *testing.T) {
 	const victim = packet.NodeID(10)
 	res, err := Run(Setup{
 		Name: "rlnc-chaos", Rows: 4, Cols: 4, ImagePackets: 128, Seed: 42,
-		Protocol: ProtocolRLNC, Invariants: rlncInvariants(), Limit: 6 * time.Hour,
+		Protocol: ProtocolRLNC, Invariants: true, Limit: 6 * time.Hour,
 		Faults: &faults.Plan{Events: []faults.Event{
 			faults.CrashReboot(victim, 40*time.Second, 10*time.Second),
 			faults.EEPROMErrors(faults.Wildcard, 0.05, 0, 0),

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mnp/internal/faults"
-	"mnp/internal/invariant"
 	"mnp/internal/node"
 	"mnp/internal/packet"
 	"mnp/internal/protoreg"
@@ -115,7 +114,7 @@ func TestShardedEquivalence(t *testing.T) {
 			base := Setup{
 				Name: "equiv", Rows: topo.rows, Cols: topo.cols,
 				ImagePackets: 64, Seed: seed, Limit: 4 * time.Hour,
-				Invariants: &invariant.Config{},
+				Invariants: true,
 			}
 			seq := base
 			seq.Shards = 1

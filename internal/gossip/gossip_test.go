@@ -6,7 +6,6 @@ import (
 
 	"mnp/internal/experiment"
 	"mnp/internal/gossip"
-	"mnp/internal/invariant"
 	"mnp/internal/node/nodetest"
 	"mnp/internal/packet"
 	"mnp/internal/radio"
@@ -35,7 +34,7 @@ func TestPeerTableStaysNeighbourhoodSized(t *testing.T) {
 	res, err := experiment.Build(experiment.Setup{
 		Name: "gossip-roam", Rows: 10, Cols: 10, Spacing: 20, ImagePackets: 256, Seed: 42,
 		Protocol:   experiment.ProtocolGossip,
-		Invariants: &invariant.Config{SenderOverlapBudget: 1 << 30},
+		Invariants: true,
 		Mobility: func(l *topology.Layout, seed int64) (topology.Mobility, error) {
 			return topology.NewWaypoint(l, topology.WaypointConfig{
 				SpeedMin: 1, SpeedMax: 3, Pause: 10 * time.Second, Seed: seed,

@@ -14,11 +14,10 @@
 //  3. Advertisement soundness: a node never advertises a segment it
 //     does not fully hold in EEPROM.
 //  4. Sleep discipline: a node in the sleep state never transmits,
-//     and (unless the ablation keeps radios powered) its radio is
-//     provably off strictly inside the sleep window.
+//     and its radio is provably off strictly inside the sleep window.
 //  5. Sender exclusivity: at most one active data sender per radio
-//     neighborhood, within a small tolerance the paper itself concedes
-//     to time-varying links.
+//     neighborhood, within a fixed tolerance of 25 overlapping sends
+//     per run that the paper itself concedes to time-varying links.
 //  6. Rank monotonicity (coded dissemination): the (complete segments,
 //     decode rank) pair a node advertises never decreases within a
 //     program epoch — Gaussian elimination only accumulates. A reboot
@@ -55,27 +54,20 @@ type Config struct {
 	// Airtime converts a frame size to channel occupancy (use
 	// Medium.Airtime); required for sender exclusivity.
 	Airtime func(bytes int) time.Duration
-	// SenderOverlapBudget tolerates this many same-neighborhood
-	// concurrent data transmissions before the run is a violation. The
-	// paper reports near-perfect but not perfect exclusion under
-	// time-varying links; 0 means use DefaultSenderOverlapBudget.
-	SenderOverlapBudget int
-	// AllowRadioOnInSleep skips the radio-off-in-sleep check (for the
-	// NoSleep ablation, which parks in the sleep state with the radio
-	// powered).
-	AllowRadioOnInSleep bool
-	// TraceCap bounds the internal trace ring (default 16384 entries).
-	TraceCap int
 	// OnViolation, when set, fires on every violation as it is
 	// detected (e.g. to t.Fatalf immediately). Violations are recorded
 	// either way.
 	OnViolation func(Violation)
 }
 
-// DefaultSenderOverlapBudget is the tolerated number of concurrent
-// same-neighborhood data sends per run, matching the slack the paper's
-// testbed data shows.
-const DefaultSenderOverlapBudget = 25
+// senderOverlapBudget is the tolerated number of concurrent
+// same-neighborhood data sends per run: the paper reports near-perfect
+// but not perfect exclusion under time-varying links, and this matches
+// the slack its testbed data shows.
+const senderOverlapBudget = 25
+
+// traceCap bounds the checker's trace ring, in entries.
+const traceCap = 16384
 
 // Violation is one detected invariant breach.
 type Violation struct {
@@ -153,13 +145,7 @@ func New(cfg Config) (*Checker, error) {
 	if cfg.Now == nil {
 		return nil, fmt.Errorf("invariant: Now clock is required")
 	}
-	if cfg.SenderOverlapBudget == 0 {
-		cfg.SenderOverlapBudget = DefaultSenderOverlapBudget
-	}
-	if cfg.TraceCap == 0 {
-		cfg.TraceCap = 16384
-	}
-	log, err := trace.NewLog(cfg.Now, trace.WithCap(cfg.TraceCap))
+	log, err := trace.NewLog(cfg.Now, trace.WithCap(traceCap))
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +260,7 @@ func (c *Checker) RadioState(id packet.NodeID, at time.Duration, on bool) {
 	c.log.RadioState(id, at, on)
 	st := c.state(id)
 	c.resolvePendingRadio(id, st, at)
-	if on && st.asleep && !c.cfg.AllowRadioOnInSleep {
+	if on && st.asleep {
 		st.pendingRadioOn = true
 		st.pendingRadioOnAt = at
 	}
@@ -447,11 +433,11 @@ func (c *Checker) checkSenderExclusive(src packet.NodeID, now time.Duration, air
 	for _, w := range c.activeData {
 		if w.id != src && c.cfg.Neighbor(src, w.id) {
 			c.overlaps++
-			if c.overlaps > c.cfg.SenderOverlapBudget && !c.overBudget {
+			if c.overlaps > senderOverlapBudget && !c.overBudget {
 				c.overBudget = true
 				c.violate(src, "single-sender-per-neighborhood",
 					"%d same-neighborhood concurrent data sends exceed the budget of %d (latest overlaps node %v)",
-					c.overlaps, c.cfg.SenderOverlapBudget, w.id)
+					c.overlaps, senderOverlapBudget, w.id)
 			}
 		}
 	}
@@ -501,7 +487,7 @@ func (c *Checker) checkSegmentImage(id packet.NodeID, seg int) {
 }
 
 // Overlaps returns the count of same-neighborhood concurrent data
-// transmissions observed (compare with the configured budget).
+// transmissions observed; past 25 the run is a violation.
 func (c *Checker) Overlaps() int { return c.overlaps }
 
 // Violations returns every recorded violation in detection order.

@@ -168,37 +168,34 @@ func TestWakeupSameInstantIsLegal(t *testing.T) {
 	}
 }
 
-func TestRadioOnInSleepAllowedByConfig(t *testing.T) {
-	chk, clk := newChecker(t, func(c *Config) { c.AllowRadioOnInSleep = true })
-	chk.NodeEvent(5, 0, node.Event{Kind: node.EventStateChange, State: "sleep"})
-	chk.RadioState(5, time.Second, true)
-	clk.at = 2 * time.Second
-	chk.RadioState(5, 2*time.Second, false)
-	if err := chk.Err(); err != nil {
-		t.Fatalf("NoSleep ablation flagged: %v", err)
-	}
-}
-
 func TestSenderExclusivityBudget(t *testing.T) {
 	chk, clk := newChecker(t, func(c *Config) {
 		c.Neighbor = func(a, b packet.NodeID) bool { return true }
 		c.Airtime = func(bytes int) time.Duration { return time.Second }
-		c.SenderOverlapBudget = 2
 	})
 	data := func(src packet.NodeID) *packet.Data {
 		return &packet.Data{Src: src, ProgramID: 1, SegID: 1, PacketID: 0}
 	}
-	chk.PacketSent(1, data(1), time.Second)
-	chk.PacketSent(2, data(2), time.Second) // overlap 1
-	chk.PacketSent(3, data(3), time.Second) // overlaps 2 and 3
-	if got := chk.Overlaps(); got != 3 {
-		t.Fatalf("Overlaps = %d, want 3", got)
+	// Node 1 holds the channel for an hour; each later sender's short
+	// frame overlaps it alone, one overlap apiece.
+	chk.PacketSent(1, data(1), time.Hour)
+	for src := packet.NodeID(2); src <= senderOverlapBudget+1; src++ {
+		clk.at = time.Duration(src) * time.Second
+		chk.PacketSent(src, data(src), time.Millisecond)
 	}
+	if got := chk.Overlaps(); got != senderOverlapBudget {
+		t.Fatalf("Overlaps = %d, want %d", got, senderOverlapBudget)
+	}
+	if err := chk.Err(); err != nil {
+		t.Fatalf("overlaps within the budget flagged: %v", err)
+	}
+	clk.at = time.Minute
+	chk.PacketSent(99, data(99), time.Millisecond)
 	firstRule(t, chk, "single-sender-per-neighborhood")
 	// Windows expire: a later lone sender adds no overlap.
-	clk.at = time.Hour
+	clk.at = 2 * time.Hour
 	before := chk.Overlaps()
-	chk.PacketSent(4, data(4), time.Second)
+	chk.PacketSent(100, data(100), time.Second)
 	if chk.Overlaps() != before {
 		t.Fatalf("expired windows still counted")
 	}
@@ -208,17 +205,13 @@ func TestSenderExclusivityIgnoresControlFrames(t *testing.T) {
 	chk, _ := newChecker(t, func(c *Config) {
 		c.Neighbor = func(a, b packet.NodeID) bool { return true }
 		c.Airtime = func(bytes int) time.Duration { return time.Second }
-		c.SenderOverlapBudget = 1
 	})
-	adv := &packet.Advertise{ProgramID: 1, ProgramSegments: 1, SegID: 0, SegNominal: 1, TotalPackets: 1}
 	// SegID 0 advertisements carry no held-segment claim; many
 	// concurrent ones are normal protocol behavior.
-	adv0 := *adv
-	adv0.Src = 1
-	adv1 := *adv
-	adv1.Src = 2
-	chk.PacketSent(1, &adv0, time.Second)
-	chk.PacketSent(2, &adv1, time.Second)
+	for src := packet.NodeID(1); src <= senderOverlapBudget+2; src++ {
+		adv := &packet.Advertise{Src: src, ProgramID: 1, ProgramSegments: 1, SegID: 0, SegNominal: 1, TotalPackets: 1}
+		chk.PacketSent(src, adv, time.Second)
+	}
 	if got := chk.Overlaps(); got != 0 {
 		t.Fatalf("control frames counted as data overlaps: %d", got)
 	}

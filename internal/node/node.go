@@ -172,18 +172,11 @@ var _ Observer = NopObserver{}
 type Config struct {
 	// TxPower is the initial TinyOS power level.
 	TxPower int
-	// EEPROMCapacity in bytes; DefaultCapacity if zero.
-	EEPROMCapacity int
-	// QueueCap bounds the MAC send queue; DefaultQueueCap if zero.
-	QueueCap int
 	// Battery is the starting battery fraction; 1.0 if zero.
 	Battery float64
-	// BackoffSlot is the CSMA backoff quantum; DefaultBackoffSlot if
-	// zero.
-	BackoffSlot time.Duration
 }
 
-// MAC timing defaults, approximating TinyOS B-MAC on the CC1000:
+// MAC timing, approximating TinyOS B-MAC on the CC1000:
 // initial backoff uniform over 1..32 slots, congestion backoff uniform
 // over 1..16 slots, one slot ≈ 0.4 ms.
 const (
@@ -208,7 +201,6 @@ type Node struct {
 	// source is 4.9 KB and 13 µs to seed, and in a windowed run of a
 	// large fleet most motes never draw.
 	rng *rand.Rand
-	cfg Config
 
 	// timers and timerFns are indexed by TimerID: protocol timer IDs
 	// are small and dense, so a slice beats a map on the per-event hot
@@ -235,22 +227,13 @@ func New(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Protocol, cfg C
 	if k == nil || m == nil || proto == nil {
 		return nil, fmt.Errorf("node: nil kernel, medium, or protocol")
 	}
-	if cfg.EEPROMCapacity == 0 {
-		cfg.EEPROMCapacity = eeprom.DefaultCapacity
-	}
-	if cfg.QueueCap == 0 {
-		cfg.QueueCap = DefaultQueueCap
-	}
 	if cfg.Battery == 0 {
 		cfg.Battery = 1.0
-	}
-	if cfg.BackoffSlot == 0 {
-		cfg.BackoffSlot = DefaultBackoffSlot
 	}
 	if obs == nil {
 		obs = NopObserver{}
 	}
-	store, err := eeprom.New(cfg.EEPROMCapacity)
+	store, err := eeprom.New(eeprom.DefaultCapacity)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +244,6 @@ func New(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Protocol, cfg C
 		proto:    proto,
 		store:    store,
 		observer: obs,
-		cfg:      cfg,
 		battery:  cfg.Battery,
 		txPower:  cfg.TxPower,
 	}
@@ -432,17 +414,17 @@ func (n *Node) Send(p packet.Packet) error {
 }
 
 // QueueFull implements Runtime.
-func (n *Node) QueueFull() bool { return len(n.queue) >= n.cfg.QueueCap }
+func (n *Node) QueueFull() bool { return len(n.queue) >= DefaultQueueCap }
 
 // QueueLen reports the number of frames waiting in the MAC queue.
 func (n *Node) QueueLen() int { return len(n.queue) }
 
 func (n *Node) initialBackoff() time.Duration {
-	return time.Duration(1+n.Rand().Intn(initialBackoffSlots)) * n.cfg.BackoffSlot
+	return time.Duration(1+n.Rand().Intn(initialBackoffSlots)) * DefaultBackoffSlot
 }
 
 func (n *Node) congestionBackoff() time.Duration {
-	return time.Duration(1+n.Rand().Intn(congestionSlots)) * n.cfg.BackoffSlot
+	return time.Duration(1+n.Rand().Intn(congestionSlots)) * DefaultBackoffSlot
 }
 
 func (n *Node) scheduleAttempt(after time.Duration) {

@@ -29,6 +29,9 @@ func cacheLayouts(t *testing.T) []*topology.Layout {
 	return []*topology.Layout{grid, line, random}
 }
 
+// powerLevels lists every power level with a transmit range.
+var powerLevels = []int{PowerWeak, PowerIndoorLow, PowerIndoorHigh, PowerSim, PowerOutdoorLow, PowerFull}
+
 // bruteWithin is the O(n) scan the spatial index replaced: every node
 // other than id at distance <= radius, in ascending ID order.
 func bruteWithin(l *topology.Layout, id packet.NodeID, radius float64) []packet.NodeID {
@@ -68,7 +71,8 @@ func TestCachedNeighborsMatchBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for power, rangeFt := range params.TxRangeFeet {
+		for _, power := range powerLevels {
+			rangeFt, _ := RangeFeet(power)
 			for id := 0; id < layout.N(); id++ {
 				want := bruteWithin(layout, packet.NodeID(id), rangeFt)
 				got, err := m.Neighbors(packet.NodeID(id), power)
@@ -110,12 +114,11 @@ func TestLinkCacheEvictionIsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := DefaultParams()
-	p.LinkCacheSources = 3
-	m, err := NewMedium(sim.New(1), layout, p, 7)
+	m, err := NewMedium(sim.New(1), layout, DefaultParams(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.lruCap = 3
 	first := make(map[packet.NodeID][]packet.NodeID)
 	firstBER := make(map[packet.NodeID][]float64)
 	for id := 0; id < layout.N(); id++ {

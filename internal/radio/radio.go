@@ -36,14 +36,8 @@ import (
 	"mnp/internal/topology"
 )
 
-// Params configures the channel model.
+// Params configures the channel model's link quality.
 type Params struct {
-	// BitRateBps is the radio bit rate; 19200 for the Mica-2 CC1000.
-	BitRateBps int
-	// TxRangeFeet maps a TinyOS power level to its communication (and
-	// carrier-sense) range in feet. Levels used by the experiments:
-	// indoor 3 and 4, outdoor 50 and 255 (full), simulation 20.
-	TxRangeFeet map[int]float64
 	// BERFloor is the bit-error rate of a perfect (zero-distance) link.
 	BERFloor float64
 	// BERCeil is the bit-error rate at exactly the communication range.
@@ -53,38 +47,22 @@ type Params struct {
 	// asymmetric links TOSSIM's empirical model exhibits. Zero disables
 	// link noise.
 	AsymSigma float64
-	// CaptureRatio enables the capture effect: when two frames overlap
-	// at a receiver and one transmitter is at most CaptureRatio times
-	// the distance of the other, the nearer (stronger) frame survives
-	// instead of both being lost. Zero disables capture (every overlap
-	// corrupts both frames, the conservative default).
-	CaptureRatio float64
-	// LinkCacheSources bounds how many (power, source) link rows each
-	// medium keeps cached; once full, the least recently transmitting
-	// source's row is recomputed on its next frame. Zero selects the
-	// default. Purely a memory/speed trade-off — cache hits and misses
-	// produce identical behavior.
-	LinkCacheSources int
 }
 
-// defaultLinkCacheSources caps the per-medium link cache when Params
-// leaves LinkCacheSources zero. At a typical degree of tens of
+// bitRateBps is the Mica-2 CC1000 bit rate.
+const bitRateBps = 19200
+
+// linkCacheSources caps how many (power, source) link rows a medium
+// keeps cached; once full, the least recently transmitting source's
+// row is recomputed on its next frame. At a typical degree of tens of
 // neighbors this is a few tens of megabytes — small next to the node
-// state of a deployment large enough to fill it.
-const defaultLinkCacheSources = 1 << 16
+// state of a deployment large enough to fill it. Cache hits and misses
+// produce identical behavior.
+const linkCacheSources = 1 << 16
 
 // DefaultParams returns the Mica-2 model used by the experiments.
 func DefaultParams() Params {
 	return Params{
-		BitRateBps: 19200,
-		TxRangeFeet: map[int]float64{
-			PowerWeak:       15,
-			PowerIndoorLow:  32,
-			PowerIndoorHigh: 55,
-			PowerSim:        27,
-			PowerOutdoorLow: 35,
-			PowerFull:       70,
-		},
 		BERFloor:  1e-4,
 		BERCeil:   2e-2,
 		AsymSigma: 0.3,
@@ -103,6 +81,30 @@ const (
 	PowerOutdoorLow = 50
 	PowerFull       = 255
 )
+
+// maxRangeFeet is the longest transmit range, PowerFull's; it is the
+// spatial index's cell edge.
+const maxRangeFeet = 70
+
+// RangeFeet returns the communication (and carrier-sense) range in feet
+// of a power level, and false for a level without one.
+func RangeFeet(power int) (float64, bool) {
+	switch power {
+	case PowerWeak:
+		return 15, true
+	case PowerIndoorLow:
+		return 32, true
+	case PowerIndoorHigh:
+		return 55, true
+	case PowerSim:
+		return 27, true
+	case PowerOutdoorLow:
+		return 35, true
+	case PowerFull:
+		return maxRangeFeet, true
+	}
+	return 0, false
+}
 
 // RxMeta describes a successful reception.
 type RxMeta struct {
@@ -245,22 +247,10 @@ func NewGeometry(layout *topology.Layout, p Params, seed int64) (*Geometry, erro
 	if layout == nil {
 		return nil, fmt.Errorf("radio: nil layout")
 	}
-	if p.BitRateBps <= 0 {
-		return nil, fmt.Errorf("radio: bit rate %d must be positive", p.BitRateBps)
-	}
 	if p.BERFloor < 0 || p.BERCeil <= p.BERFloor || p.BERCeil >= 1 {
 		return nil, fmt.Errorf("radio: BER bounds [%g, %g] invalid", p.BERFloor, p.BERCeil)
 	}
-	cell := 0.0
-	for _, r := range p.TxRangeFeet {
-		if r > cell {
-			cell = r
-		}
-	}
-	if cell <= 0 {
-		cell = 1 // no transmit ranges configured: nothing will query
-	}
-	index, err := topology.NewIndex(layout, cell)
+	index, err := topology.NewIndex(layout, maxRangeFeet)
 	if err != nil {
 		return nil, fmt.Errorf("radio: %w", err)
 	}
@@ -280,12 +270,12 @@ func NewGeometry(layout *topology.Layout, p Params, seed int64) (*Geometry, erro
 // channel.
 func (g *Geometry) Airtime(bytes int) time.Duration {
 	bits := bytes * 8
-	return time.Duration(float64(bits) / float64(g.params.BitRateBps) * float64(time.Second))
+	return time.Duration(float64(bits) / bitRateBps * float64(time.Second))
 }
 
 // RangeFor returns the communication range for a power level.
 func (g *Geometry) RangeFor(power int) (float64, error) {
-	r, ok := g.params.TxRangeFeet[power]
+	r, ok := RangeFeet(power)
 	if !ok {
 		return 0, fmt.Errorf("radio: no range configured for power level %d", power)
 	}
@@ -434,6 +424,7 @@ type Medium struct {
 
 	// links is the bounded LRU cache of per-(power, src) rows. Each
 	// medium has its own, so shards never contend on a shared table.
+	// lruCap is linkCacheSources; tests lower it to force evictions.
 	links                  map[linkKey]*linkRow
 	lruHead                *linkRow
 	lruTail                *linkRow
@@ -546,10 +537,7 @@ func NewShardMedium(k *sim.Kernel, geo *Geometry, owned []packet.NodeID) (*Mediu
 		sink:   NopSink{},
 		n:      geo.n,
 		links:  make(map[linkKey]*linkRow),
-		lruCap: geo.params.LinkCacheSources,
-	}
-	if m.lruCap <= 0 {
-		m.lruCap = defaultLinkCacheSources
+		lruCap: linkCacheSources,
 	}
 	if owned != nil {
 		m.owned = make([]bool, geo.n)
@@ -569,7 +557,7 @@ func (m *Medium) Geometry() *Geometry { return m.geo }
 
 // CacheStats reports link-cache hits, misses, mobility invalidations,
 // and resident rows since the medium was built — a diagnostic for
-// sizing LinkCacheSources and for seeing how hard mobility churns the
+// sizing the link cache and for seeing how hard mobility churns the
 // cache. An invalidation is a cached row discarded because its source
 // or audible set moved; the rebuild that follows is counted as a miss,
 // so hits+misses still totals the lookups.
@@ -892,8 +880,8 @@ func markMutualCorruption(t, u *transmission) {
 }
 
 // collide applies the collision semantics between a new transmission t
-// and an active one u: mutual corruption at common receivers (or the
-// capture rule), plus frame loss at the transmitters themselves.
+// and an active one u: mutual corruption at common receivers, plus
+// frame loss at the transmitters themselves.
 func (m *Medium) collide(t, u *transmission) {
 	// Transmitters farther apart than the sum of their ranges share no
 	// audible receiver and cannot hear each other: every marking below
@@ -902,11 +890,7 @@ func (m *Medium) collide(t, u *transmission) {
 	if m.geo.distance(t.src, u.src) > t.rangeFt+u.rangeFt {
 		return
 	}
-	if m.geo.params.CaptureRatio > 0 {
-		m.resolveWithCapture(t, u)
-	} else {
-		markMutualCorruption(t, u)
-	}
+	markMutualCorruption(t, u)
 	// A frame arriving at an active transmitter is lost there, and the
 	// new frame is garbled at the other transmitter too.
 	if ui := u.posOf(t.src); ui >= 0 {
@@ -970,8 +954,7 @@ func (m *Medium) TransmitFrame(src packet.NodeID, frame []byte, power int) (time
 	t.rangeFt = row.rangeFt
 	t.corrupted.ResetCap(len(row.full))
 	// Overlapping audible frames corrupt each other at the common
-	// receivers (this includes the hidden-terminal case), unless the
-	// capture effect lets the markedly stronger frame survive.
+	// receivers (this includes the hidden-terminal case).
 	for _, u := range m.active {
 		if u.end <= now {
 			continue
@@ -1082,33 +1065,6 @@ func (m *Medium) InsertGhost(g Ghost) error {
 		return fmt.Errorf("radio: ghost from %v: %w", g.Src, err)
 	}
 	return nil
-}
-
-// resolveWithCapture applies the per-receiver capture rule between a
-// new transmission t and an active one u, walking t's delivery view
-// (all audible receivers when unsharded) exactly as the dense model
-// did.
-func (m *Medium) resolveWithCapture(t, u *transmission) {
-	for di, nd := 0, t.deliverLen(); di < nd; di++ {
-		fi := t.deliverPos(di)
-		r := t.full[fi]
-		ui := u.posOf(r)
-		if ui < 0 {
-			continue
-		}
-		dt := m.geo.distance(r, t.src)
-		du := m.geo.distance(r, u.src)
-		if dt <= m.geo.params.CaptureRatio*du {
-			u.corrupted.Add(ui) // t captures the receiver
-			continue
-		}
-		if du <= m.geo.params.CaptureRatio*dt {
-			t.corrupted.Add(fi) // u holds the receiver
-			continue
-		}
-		t.corrupted.Add(fi)
-		u.corrupted.Add(ui)
-	}
 }
 
 func (m *Medium) finish(t *transmission) {

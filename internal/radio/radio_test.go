@@ -72,11 +72,6 @@ func TestNewMediumValidation(t *testing.T) {
 		t.Error("nil layout accepted")
 	}
 	p := DefaultParams()
-	p.BitRateBps = 0
-	if _, err := NewMedium(k, l, p, 1); err == nil {
-		t.Error("zero bit rate accepted")
-	}
-	p = DefaultParams()
 	p.BERCeil = p.BERFloor
 	if _, err := NewMedium(k, l, p, 1); err == nil {
 		t.Error("BERCeil <= BERFloor accepted")
@@ -278,67 +273,6 @@ func TestCollisionCorruptsBothFrames(t *testing.T) {
 	}
 	if collisions.collided == 0 {
 		t.Fatal("no collisions recorded")
-	}
-}
-
-func TestCaptureEffect(t *testing.T) {
-	// Receiver at one end: node 1 at 5 ft (strong), node 2 at 20 ft
-	// (weak). With capture at ratio 0.5, the strong frame survives the
-	// overlap; the weak one is lost.
-	p := cleanParams()
-	p.CaptureRatio = 0.5
-	l, _ := topology.Line(3, 0.1) // placeholder; use explicit positions via grid
-	_ = l
-	layout, _ := topology.Grid(1, 5, 5) // nodes at 0,5,10,15,20 ft
-	n := newTestNet(t, layout, p)
-	n.allOn()
-	// Receiver = node 0; strong sender = node 1 (5 ft); weak = node 4 (20 ft).
-	if _, err := n.m.Transmit(1, adv(1), PowerSim); err != nil {
-		t.Fatal(err)
-	}
-	n.k.MustSchedule(time.Millisecond, func() {
-		if _, err := n.m.Transmit(4, adv(4), PowerSim); err != nil {
-			t.Error(err)
-		}
-	})
-	n.k.Run(time.Second)
-	gotStrong, gotWeak := false, false
-	for _, r := range n.rxs {
-		if r.at == 0 && r.meta.From == 1 {
-			gotStrong = true
-		}
-		if r.at == 0 && r.meta.From == 4 {
-			gotWeak = true
-		}
-	}
-	if !gotStrong {
-		t.Fatal("strong frame did not capture the receiver")
-	}
-	if gotWeak {
-		t.Fatal("weak overlapping frame survived")
-	}
-}
-
-func TestNoCaptureWhenComparable(t *testing.T) {
-	// Equidistant transmitters: capture cannot break the tie; both lost.
-	p := cleanParams()
-	p.CaptureRatio = 0.5
-	layout, _ := topology.Grid(1, 3, 10) // receiver 1 centered
-	n := newTestNet(t, layout, p)
-	n.allOn()
-	if _, err := n.m.Transmit(0, adv(0), PowerSim); err != nil {
-		t.Fatal(err)
-	}
-	n.k.MustSchedule(time.Millisecond, func() {
-		if _, err := n.m.Transmit(2, adv(2), PowerSim); err != nil {
-			t.Error(err)
-		}
-	})
-	n.k.Run(time.Second)
-	for _, r := range n.rxs {
-		if r.at == 1 {
-			t.Fatalf("comparable-power collision delivered a frame from %v", r.meta.From)
-		}
 	}
 }
 

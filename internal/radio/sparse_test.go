@@ -28,7 +28,8 @@ func TestSparseGeometryMatchesBruteForceAcrossSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := layout.N()
-		for power, rangeFt := range params.TxRangeFeet {
+		for _, power := range powerLevels {
+			rangeFt, _ := RangeFeet(power)
 			for id := 0; id < n; id++ {
 				src := packet.NodeID(id)
 				want := bruteWithin(layout, src, rangeFt)

@@ -22,7 +22,6 @@ import (
 
 	"mnp/internal/experiment"
 	"mnp/internal/faults"
-	"mnp/internal/invariant"
 	"mnp/internal/protoreg"
 	"mnp/internal/radio"
 	"mnp/internal/topology"
@@ -117,8 +116,7 @@ type Run struct {
 	TileCols int `json:"tile_cols,omitempty"`
 }
 
-// Invariants attaches the online protocol-invariant checker with its
-// default configuration.
+// Invariants attaches the online protocol-invariant checker.
 type Invariants struct {
 	Enabled bool `json:"enabled"`
 }
@@ -264,7 +262,7 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("scenario %s: image_packets %d is negative", s.Name, s.Run.ImagePackets)
 	}
 	if p := int(s.Run.Power); p != 0 {
-		if _, ok := radio.DefaultParams().TxRangeFeet[p]; !ok {
+		if _, ok := radio.RangeFeet(p); !ok {
 			return fmt.Errorf("scenario %s: no radio range configured for power level %d", s.Name, p)
 		}
 	}
@@ -434,8 +432,6 @@ func (s *Scenario) Compile() (experiment.Setup, error) {
 		setup.Faults = plan
 	}
 
-	if s.Invariants != nil && s.Invariants.Enabled {
-		setup.Invariants = &invariant.Config{}
-	}
+	setup.Invariants = s.Invariants != nil && s.Invariants.Enabled
 	return setup, nil
 }

@@ -2,10 +2,10 @@
 // polite-gossip timers with suppression and adaptive intervals. The
 // Deluge baseline uses it to pace advertisements.
 //
-// Each interval τ ∈ [TauMin, TauMax]: pick a fire point t uniform in
+// Each interval τ ∈ [tauMin, tauMax]: pick a fire point t uniform in
 // [τ/2, τ); count consistent messages heard; at t transmit only if the
-// count is below the redundancy constant K; at τ double the interval
-// and restart. An inconsistency resets τ to TauMin.
+// count is below the redundancy constant k; at τ double the interval
+// and restart. An inconsistency resets τ to tauMin.
 package trickle
 
 import (
@@ -14,20 +14,14 @@ import (
 	"time"
 )
 
-// Config parameterizes a Trickle instance.
-type Config struct {
-	// K is the redundancy constant: hearing K or more consistent
-	// messages in an interval suppresses our own transmission.
-	K int
-	// TauMin and TauMax bound the interval.
-	TauMin, TauMax time.Duration
-}
-
-// DefaultConfig matches Deluge's maintenance parameters (k=1,
-// τ ∈ [500 ms, 64 s]).
-func DefaultConfig() Config {
-	return Config{K: 1, TauMin: 500 * time.Millisecond, TauMax: 64 * time.Second}
-}
+// Deluge's maintenance parameters: hearing k or more consistent
+// messages in an interval suppresses our own transmission, and the
+// interval stays within [tauMin, tauMax].
+const (
+	k      = 1
+	tauMin = 500 * time.Millisecond
+	tauMax = 64 * time.Second
+)
 
 // Hooks connect a Trickle instance to its owner's runtime.
 type Hooks struct {
@@ -46,31 +40,24 @@ type Hooks struct {
 // Trickle is a single timer instance. Drive it by calling Fire and
 // IntervalEnd from the owner's two timer callbacks.
 type Trickle struct {
-	cfg   Config
 	hooks Hooks
 	tau   time.Duration
 	heard int
 	fired bool
 }
 
-// New validates the configuration and returns a stopped instance;
-// call Start to begin the first interval.
-func New(cfg Config, hooks Hooks) (*Trickle, error) {
-	if cfg.K <= 0 {
-		return nil, fmt.Errorf("trickle: K must be positive, got %d", cfg.K)
-	}
-	if cfg.TauMin <= 0 || cfg.TauMax < cfg.TauMin {
-		return nil, fmt.Errorf("trickle: bad interval bounds [%v, %v]", cfg.TauMin, cfg.TauMax)
-	}
+// New validates the hooks and returns a stopped instance; call Start
+// to begin the first interval.
+func New(hooks Hooks) (*Trickle, error) {
 	if hooks.Rand == nil || hooks.SetFire == nil || hooks.SetEnd == nil || hooks.Transmit == nil {
 		return nil, fmt.Errorf("trickle: all hooks are required")
 	}
-	return &Trickle{cfg: cfg, hooks: hooks}, nil
+	return &Trickle{hooks: hooks}, nil
 }
 
-// Start begins the first interval at TauMin.
+// Start begins the first interval at tauMin.
 func (t *Trickle) Start() {
-	t.tau = t.cfg.TauMin
+	t.tau = tauMin
 	t.beginInterval()
 }
 
@@ -83,14 +70,14 @@ func (t *Trickle) Heard() int { return t.heard }
 // Hear records a consistent message, contributing to suppression.
 func (t *Trickle) Hear() { t.heard++ }
 
-// Reset reacts to an inconsistency: shrink τ to TauMin and restart,
+// Reset reacts to an inconsistency: shrink τ to tauMin and restart,
 // unless already there (per the Trickle rules, resetting an
 // already-minimal interval would cause a broadcast storm).
 func (t *Trickle) Reset() {
-	if t.tau == t.cfg.TauMin {
+	if t.tau == tauMin {
 		return
 	}
-	t.tau = t.cfg.TauMin
+	t.tau = tauMin
 	t.beginInterval()
 }
 
@@ -100,7 +87,7 @@ func (t *Trickle) Fire() {
 		return
 	}
 	t.fired = true
-	if t.heard < t.cfg.K {
+	if t.heard < k {
 		t.hooks.Transmit()
 	}
 }
@@ -108,8 +95,8 @@ func (t *Trickle) Fire() {
 // IntervalEnd is the owner's end-timer callback: double τ and restart.
 func (t *Trickle) IntervalEnd() {
 	t.tau *= 2
-	if t.tau > t.cfg.TauMax {
-		t.tau = t.cfg.TauMax
+	if t.tau > tauMax {
+		t.tau = tauMax
 	}
 	t.beginInterval()
 }

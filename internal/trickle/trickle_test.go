@@ -13,10 +13,10 @@ type harness struct {
 	sent      int
 }
 
-func newHarness(t *testing.T, cfg Config) *harness {
+func newHarness(t *testing.T) *harness {
 	t.Helper()
 	h := &harness{}
-	tr, err := New(cfg, Hooks{
+	tr, err := New(Hooks{
 		Rand:     rand.New(rand.NewSource(1)),
 		SetFire:  func(d time.Duration) { h.fireDelay = d },
 		SetEnd:   func(d time.Duration) { h.endDelay = d },
@@ -36,26 +36,17 @@ func TestNewValidation(t *testing.T) {
 		SetEnd:   func(time.Duration) {},
 		Transmit: func() {},
 	}
-	if _, err := New(Config{K: 0, TauMin: time.Second, TauMax: time.Minute}, hooks); err == nil {
-		t.Error("K=0 accepted")
-	}
-	if _, err := New(Config{K: 1, TauMin: 0, TauMax: time.Minute}, hooks); err == nil {
-		t.Error("TauMin=0 accepted")
-	}
-	if _, err := New(Config{K: 1, TauMin: time.Minute, TauMax: time.Second}, hooks); err == nil {
-		t.Error("TauMax < TauMin accepted")
-	}
 	bad := hooks
 	bad.Transmit = nil
-	if _, err := New(DefaultConfig(), bad); err == nil {
+	if _, err := New(bad); err == nil {
 		t.Error("missing hook accepted")
 	}
 }
 
 func TestStartSchedulesWithinBounds(t *testing.T) {
-	h := newHarness(t, DefaultConfig())
+	h := newHarness(t)
 	h.tr.Start()
-	if h.tr.Tau() != DefaultConfig().TauMin {
+	if h.tr.Tau() != tauMin {
 		t.Fatalf("tau = %v", h.tr.Tau())
 	}
 	if h.fireDelay < h.tr.Tau()/2 || h.fireDelay > h.tr.Tau() {
@@ -67,7 +58,7 @@ func TestStartSchedulesWithinBounds(t *testing.T) {
 }
 
 func TestFireTransmitsWhenQuiet(t *testing.T) {
-	h := newHarness(t, DefaultConfig())
+	h := newHarness(t)
 	h.tr.Start()
 	h.tr.Fire()
 	if h.sent != 1 {
@@ -81,32 +72,32 @@ func TestFireTransmitsWhenQuiet(t *testing.T) {
 }
 
 func TestSuppressionAtK(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.K = 2
-	h := newHarness(t, cfg)
+	h := newHarness(t)
 	h.tr.Start()
-	h.tr.Hear()
+	for i := 0; i < k-1; i++ {
+		h.tr.Hear()
+	}
 	h.tr.Fire()
 	if h.sent != 1 {
-		t.Fatal("suppressed below K")
+		t.Fatal("suppressed below k")
 	}
 	h.tr.IntervalEnd()
-	h.tr.Hear()
-	h.tr.Hear()
-	if h.tr.Heard() != 2 {
+	for i := 0; i < k; i++ {
+		h.tr.Hear()
+	}
+	if h.tr.Heard() != k {
 		t.Fatalf("Heard = %d", h.tr.Heard())
 	}
 	h.tr.Fire()
 	if h.sent != 1 {
-		t.Fatal("transmitted at K consistent messages")
+		t.Fatal("transmitted at k consistent messages")
 	}
 }
 
 func TestIntervalDoublingAndCap(t *testing.T) {
-	cfg := Config{K: 1, TauMin: time.Second, TauMax: 8 * time.Second}
-	h := newHarness(t, cfg)
+	h := newHarness(t)
 	h.tr.Start()
-	want := []time.Duration{2, 4, 8, 8, 8}
+	want := []time.Duration{1, 2, 4, 8, 16, 32, 64, 64, 64}
 	for i, w := range want {
 		h.tr.IntervalEnd()
 		if h.tr.Tau() != w*time.Second {
@@ -116,17 +107,16 @@ func TestIntervalDoublingAndCap(t *testing.T) {
 }
 
 func TestResetShrinksToMin(t *testing.T) {
-	cfg := Config{K: 1, TauMin: time.Second, TauMax: 8 * time.Second}
-	h := newHarness(t, cfg)
+	h := newHarness(t)
 	h.tr.Start()
 	h.tr.IntervalEnd()
 	h.tr.IntervalEnd()
-	if h.tr.Tau() != 4*time.Second {
+	if h.tr.Tau() != 2*time.Second {
 		t.Fatalf("setup: tau = %v", h.tr.Tau())
 	}
 	h.tr.Hear()
 	h.tr.Reset()
-	if h.tr.Tau() != time.Second {
+	if h.tr.Tau() != tauMin {
 		t.Fatalf("tau after reset = %v", h.tr.Tau())
 	}
 	if h.tr.Heard() != 0 {
@@ -143,7 +133,7 @@ func TestResetShrinksToMin(t *testing.T) {
 }
 
 func TestHeardClearsEachInterval(t *testing.T) {
-	h := newHarness(t, DefaultConfig())
+	h := newHarness(t)
 	h.tr.Start()
 	h.tr.Hear()
 	h.tr.IntervalEnd()
