@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -241,9 +243,6 @@ cols = 2
 // cells, and the final report is byte-identical to an uninterrupted
 // run of the same plan.
 func TestRunCampaignAndResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("8-cell campaign in -short mode")
-	}
 	p := parseTestPlan(t, planDoc)
 
 	// Reference: uninterrupted, no checkpoint dir.
@@ -314,9 +313,6 @@ func TestRunCampaignAndResume(t *testing.T) {
 // TestReportDeterministicAcrossWorkerCounts runs the same plan at 1
 // and 4 workers; the reports must be byte-identical.
 func TestReportDeterministicAcrossWorkerCounts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("repeated campaigns in -short mode")
-	}
 	p := parseTestPlan(t, `
 version = 1
 name = "det"
@@ -468,4 +464,117 @@ func TestFingerprintStable(t *testing.T) {
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Error("different plans share a fingerprint")
 	}
+}
+
+// A failed checkpoint write is an error, not a silently missing cell:
+// append reports it, and the pool hands the first one back after
+// running every cell.
+func TestCheckpointWriteFailure(t *testing.T) {
+	p := parseTestPlan(t, `
+version = 1
+seeds = [1, 2]
+[scenario]
+[scenario.topology]
+kind = "grid"
+rows = 2
+cols = 2
+[scenario.run]
+image_packets = 4
+limit = "2h"
+`)
+	cw, err := openCheckpoint(filepath.Join(t.TempDir(), CheckpointFile), p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw.f.Close() // the disk goes away under an open writer
+	if err := cw.append(CellResult{Key: "mnp_s1_grid-2x2"}); err == nil {
+		t.Fatal("append to a closed checkpoint reported no error")
+	}
+	cells, err := p.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := (&Runner{Plan: p, Workers: 2}).runPool(cells, cw)
+	if err == nil {
+		t.Fatal("runPool lost the checkpoint error")
+	}
+	for i, res := range out {
+		if res.Key != cells[i].Key || !res.Completed {
+			t.Errorf("cell %s did not run to completion after the failed write: %+v", cells[i].Key, res)
+		}
+	}
+}
+
+// pinCell is one 16-mote MNP line cell of 128 packets at seed 42.
+func pinCell(t *testing.T) Cell {
+	t.Helper()
+	cells, err := parseTestPlan(t, `
+version = 1
+name = "pin"
+seeds = [42]
+[scenario]
+[scenario.topology]
+kind = "line"
+n = 16
+[scenario.run]
+image_packets = 128
+limit = "6h"
+`).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells[0]
+}
+
+// A cell's motes hand their generators and EEPROM rows to the next
+// cell; the next cell's result must not show it.
+func TestRunCellRepeats(t *testing.T) {
+	c := pinCell(t)
+	first, second := RunCell(c), RunCell(c)
+	if first != second {
+		t.Fatalf("the same cell twice in one process:\n%+v\n%+v", first, second)
+	}
+	if first.Err != "" || !first.Completed {
+		t.Fatalf("pin cell did not complete: %+v", first)
+	}
+}
+
+// TestCellBytesAfterWarmCell is the budget on what a campaign cell
+// allocates once an earlier cell has handed on its motes' generators
+// and flash rows: at most 150 KB for the 16-mote, 128-packet MNP line
+// cell (99 328 B measured; 251 392 B when every cell built its own).
+func TestCellBytesAfterWarmCell(t *testing.T) {
+	const budget = 150 << 10
+	if raceEnabled() {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pools
+	c := pinCell(t)
+	RunCell(c)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := RunCell(c)
+	runtime.ReadMemStats(&after)
+	if res.Err != "" || !res.Completed {
+		t.Fatalf("pin cell did not complete: %+v", res)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d B for a warm cell", got)
+	if got > budget {
+		t.Fatalf("a warm cell allocates %d B, budget %d", got, budget)
+	}
+}
+
+// raceEnabled reports whether this test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

@@ -140,7 +140,6 @@ func (r *Runner) Run() (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		defer ckpt.Close()
 	}
 
 	pending := make([]Cell, 0, len(cells))
@@ -157,7 +156,15 @@ func (r *Runner) Run() (*Outcome, error) {
 	r.logf("campaign %s: %d cells, %d resumed, %d to run",
 		r.Plan.Name, len(cells), len(done), len(pending))
 
-	executed := r.runPool(pending, ckpt)
+	executed, err := r.runPool(pending, ckpt)
+	if ckpt != nil {
+		if cerr := ckpt.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("campaign %s: checkpoint: %w", r.Plan.Name, err)
+	}
 
 	out := &Outcome{
 		Cells:     cells,
@@ -188,10 +195,11 @@ func (r *Runner) Run() (*Outcome, error) {
 // runPool executes cells on the bounded pool, appending each finished
 // cell to the checkpoint as it lands. Results come back indexed by
 // cell, so the slice order is deterministic even though completion
-// order is not.
-func (r *Runner) runPool(pending []Cell, ckpt *checkpointWriter) []CellResult {
+// order is not. A failed append does not stop the pool; the first one
+// is returned once every cell has run.
+func (r *Runner) runPool(pending []Cell, ckpt *checkpointWriter) ([]CellResult, error) {
 	if len(pending) == 0 {
-		return nil
+		return nil, nil
 	}
 	workers := r.Workers
 	if workers <= 0 {
@@ -203,7 +211,8 @@ func (r *Runner) runPool(pending []Cell, ckpt *checkpointWriter) []CellResult {
 	out := make([]CellResult, len(pending))
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	var mu sync.Mutex // serializes checkpoint appends and progress lines
+	var mu sync.Mutex // serializes checkpoint appends, ckptErr and progress lines
+	var ckptErr error
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -213,7 +222,9 @@ func (r *Runner) runPool(pending []Cell, ckpt *checkpointWriter) []CellResult {
 				out[i] = res
 				mu.Lock()
 				if ckpt != nil {
-					ckpt.append(res)
+					if err := ckpt.append(res); err != nil && ckptErr == nil {
+						ckptErr = err
+					}
 				}
 				r.logf("  %s: done=%d/%d time=%v tx=%d%s",
 					res.Key, res.Covered, res.Nodes, res.Time(), res.Tx, errSuffix(res.Err))
@@ -226,7 +237,7 @@ func (r *Runner) runPool(pending []Cell, ckpt *checkpointWriter) []CellResult {
 	}
 	close(idx)
 	wg.Wait()
-	return out
+	return out, ckptErr
 }
 
 func errSuffix(err string) string {
@@ -239,7 +250,8 @@ func errSuffix(err string) string {
 // RunCell compiles and runs one cell's scenario and condenses the run
 // into a CellResult. Failures (compile errors, invariant violations)
 // are recorded on the result, not returned — one broken cell must not
-// sink a campaign.
+// sink a campaign. Once the result is read, the run's motes hand their
+// generators and EEPROM rows on to the next cell (Network.Release).
 func RunCell(c Cell) CellResult {
 	out := CellResult{
 		Key:      c.Key,
@@ -279,6 +291,7 @@ func RunCell(c Cell) CellResult {
 		l := res.Collector.Ledger(packet.NodeID(id), until)
 		out.EnergyNAh += l.RadioCharge() + l.DecodeCharge()
 	}
+	res.Network.Release()
 	return out
 }
 
@@ -381,14 +394,14 @@ func openCheckpoint(path string, p *Plan, resume bool) (*checkpointWriter, error
 	return cw, nil
 }
 
-func (c *checkpointWriter) append(res CellResult) {
+func (c *checkpointWriter) append(res CellResult) error {
 	line, err := json.Marshal(res)
 	if err != nil {
-		return // CellResult is plain data; cannot happen
+		return err // CellResult is plain data; cannot happen
 	}
 	c.w.Write(line)
 	c.w.WriteByte('\n')
-	c.flush()
+	return c.flush()
 }
 
 func (c *checkpointWriter) flush() error {

@@ -7,12 +7,15 @@
 //
 // Read lends: it returns a view into the store's memory, and the store
 // never again writes a byte it has lent, so a view keeps reading what
-// it read when taken for as long as anyone holds it.
+// it read when taken for as long as anyone holds it. Release ends every
+// loan at once: it hands the store's slabs on for a later store to
+// reuse, which is why only a finished run calls it.
 package eeprom
 
 import (
 	"bytes"
 	"fmt"
+	"sync"
 )
 
 // DefaultCapacity is the Mica-2/XSM external flash size in bytes.
@@ -42,12 +45,27 @@ type segRow struct {
 	data   []byte
 	stride int
 	slots  []slot
+	// mem is the holder the row's first slab came in from rowPool, nil
+	// when the pool was empty. Release puts the row back in it, so a
+	// recycled row boxes nothing.
+	mem *rowMem
 }
 
+// rowMem carries one released row's slab and slot array through
+// rowPool to the next store's row. It is empty while a row owns it.
+type rowMem struct {
+	data  []byte
+	slots []slot
+}
+
+// rowPool holds the rows of released stores: a campaign's cells build
+// the same 128-packet rows mote after mote, cell after cell.
+var rowPool sync.Pool
+
 // Store is a per-node packet store keyed by (segment, packet). It is
-// not safe for concurrent use; in the DES a node owns its store, and in
-// the live runtime each node goroutine owns its own. Views returned by
-// Read may be read from any goroutine while the owner keeps writing.
+// not safe for concurrent use; in the DES a node owns its store. Views
+// returned by Read may be read from any goroutine while the owner keeps
+// writing, up to Release.
 //
 // Slots live in dense per-segment rows rather than a map: segment and
 // packet IDs are small (MNP caps a segment at 128 packets), and the
@@ -95,20 +113,41 @@ func (r *segRow) payload(i int) []byte {
 }
 
 // reshape moves the row to a fresh slab of nSlots slots of the given
-// stride, neither smaller than the row's own.
+// stride, neither smaller than the row's own. A row's first slab and
+// slot array come from rowPool when a released row there is big enough,
+// cleared, so nothing a released store held is ever read. The old slab
+// is never put back: it may be on loan.
 func (r *segRow) reshape(nSlots, stride int) {
-	data := make([]byte, nSlots*stride)
+	var reuse rowMem
+	if r.mem == nil {
+		if m, ok := rowPool.Get().(*rowMem); ok {
+			reuse, r.mem = *m, m
+			*m = rowMem{}
+		}
+	}
+	data := reuseOrMake(reuse.data, nSlots*stride)
 	for i := range r.slots {
 		if r.slots[i].present() {
 			copy(data[i*stride:], r.payload(i))
 		}
 	}
 	if nSlots > len(r.slots) {
-		slots := make([]slot, nSlots)
+		slots := reuseOrMake(reuse.slots, nSlots)
 		copy(slots, r.slots)
 		r.slots = slots
 	}
 	r.data, r.stride = data, stride
+}
+
+// reuseOrMake returns buf cleared and cut to n elements when its
+// capacity allows, else a fresh slice of n.
+func reuseOrMake[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Write stores the payload for packet pkt of segment seg (copying it)
@@ -234,6 +273,26 @@ func (s *Store) Erase() {
 	s.segs = nil
 	s.used = 0
 	s.count = 0
+}
+
+// Release empties the store as Erase does and hands its slabs and slot
+// arrays on, through a package pool, for a later store's rows to reuse.
+// It ends every loan: no view an earlier Read returned may be read
+// after it, which is why only a run that is over calls it.
+func (s *Store) Release() {
+	for i := range s.segs {
+		r := &s.segs[i]
+		if r.data == nil && r.slots == nil {
+			continue
+		}
+		m := r.mem
+		if m == nil {
+			m = new(rowMem)
+		}
+		m.data, m.slots = r.data, r.slots
+		rowPool.Put(m)
+	}
+	s.Erase()
 }
 
 // EraseSegment drops the contents of one segment only.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 )
@@ -498,4 +499,86 @@ func TestLentViewReadConcurrently(t *testing.T) {
 	s.Erase()
 	close(stop)
 	<-done
+}
+
+// releaseStale fills segments 1..scriptSegs of a store with 31-byte
+// payloads, each written twice, in rows carved past every slot a script
+// probes, and releases it: the next store's rows take slabs and slot
+// arrays full of stale bytes and write counts. It returns the first
+// byte of every released slab.
+func releaseStale(t *testing.T) map[*byte]bool {
+	t.Helper()
+	s, _ := New(DefaultCapacity)
+	stale := bytes.Repeat([]byte{0xEE}, 31)
+	for seg := 1; seg <= scriptSegs; seg++ {
+		for _, pkt := range scriptPkts {
+			for range 2 {
+				if err := s.WriteSized(seg, pkt, 512, stale); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	slabs := map[*byte]bool{}
+	for _, r := range s.segs[1:] {
+		slabs[&r.data[0]] = true
+	}
+	s.Release()
+	if s.Used() != 0 || s.Slots() != 0 || s.MaxWriteCount() != 0 || s.Has(1, 0) {
+		t.Fatal("Release left state behind")
+	}
+	return slabs
+}
+
+// drainRows empties rowPool, so what one test released does not change
+// the allocation counts of the next.
+func drainRows() {
+	for rowPool.Get() != nil {
+	}
+}
+
+// A store built after another's Release takes the released rows,
+// cleared: a short payload over a longer stale one reads short, an
+// unwritten slot reads empty, and write counts start over.
+func TestReleasedRowsReadFresh(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // the pool keeps what Release put
+	t.Cleanup(drainRows)
+	// Enough rows go back that the race detector's random drops of
+	// pooled items cannot take them all.
+	slabs := map[*byte]bool{}
+	for range 4 {
+		for p := range releaseStale(t) {
+			slabs[p] = true
+		}
+	}
+	s, _ := New(DefaultCapacity)
+	short := []byte{1, 2, 3}
+	if err := s.WriteSized(1, 5, 128, short); err != nil {
+		t.Fatal(err)
+	}
+	if !slabs[&s.segs[1].data[0]] {
+		t.Fatal("the row was not carved from a released slab")
+	}
+	if got := s.Read(1, 5); !bytes.Equal(got, short) || cap(got) != len(short) {
+		t.Errorf("Read(1,5) = %v (cap %d), want %v", got, cap(got), short)
+	}
+	if s.Has(1, 6) || s.Read(1, 6) != nil || s.WriteCount(1, 6) != 0 {
+		t.Errorf("unwritten slot (1,6): Has %v Read %v WriteCount %d", s.Has(1, 6), s.Read(1, 6), s.WriteCount(1, 6))
+	}
+	if s.WriteCount(1, 5) != 1 || s.MaxWriteCount() != 1 || s.Used() != 3 || s.Slots() != 1 {
+		t.Errorf("WriteCount %d MaxWriteCount %d Used %d Slots %d, want 1 1 3 1",
+			s.WriteCount(1, 5), s.MaxWriteCount(), s.Used(), s.Slots())
+	}
+}
+
+// The model script holds on stores whose rows come from released ones.
+func TestStoreMatchesReferenceAfterRelease(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	t.Cleanup(drainRows)
+	for seed := int64(1); seed <= 40; seed++ {
+		releaseStale(t)
+		script := make([]byte, 3000)
+		rand.New(rand.NewSource(seed)).Read(script)
+		runStoreScript(t, script)
+	}
 }

@@ -86,6 +86,21 @@ func (nw *Network) Restart(id packet.NodeID) error {
 	return nil
 }
 
+// Release hands every mote's generator and EEPROM rows on for a later
+// network to reuse, once the run is over and its results are read.
+// Afterwards no view an earlier EEPROM Read returned may be read, every
+// store is empty, and a mote that draws again starts its stream over
+// exactly as a fresh mote would.
+func (nw *Network) Release() {
+	for _, n := range nw.Nodes {
+		if n.rng != nil {
+			randPool.Put(n.rng)
+			n.rng = nil
+		}
+		n.store.Release()
+	}
+}
+
 // CompletedCount returns how many nodes hold the full program.
 func (nw *Network) CompletedCount() int {
 	c := 0

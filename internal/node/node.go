@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"mnp/internal/eeprom"
@@ -197,9 +198,9 @@ type Node struct {
 	proto    Protocol
 	store    *eeprom.Store
 	observer Observer
-	// rng is nil until the mote first draws (see Rand): a math/rand
-	// source is 4.9 KB and 13 µs to seed, and in a windowed run of a
-	// large fleet most motes never draw.
+	// rng is nil until the mote first draws (see Rand), and again after
+	// Network.Release: a math/rand source is 4.9 KB and 13 µs to seed,
+	// and in a windowed run of a large fleet most motes never draw.
 	rng *rand.Rand
 
 	// timers and timerFns are indexed by TimerID: protocol timer IDs
@@ -347,15 +348,29 @@ func (n *Node) Now() time.Duration { return n.kernel.Now() }
 
 // Rand implements Runtime. The generator is seeded on the first call:
 // the seed depends only on the id, so the stream is the one an eagerly
-// seeded generator would give, and it outlives Crash/Restart. Only the
-// worker that owns the mote's tile runs its events, so no lock guards
-// the nil check.
+// seeded generator would give, and it outlives Crash/Restart. A
+// generator a released network handed back (Network.Release) is
+// re-seeded rather than a new one built: Seed runs the same source
+// seeding NewSource does and drops any buffered Read bytes, so the
+// stream is the same bit for bit. Only the worker that owns the mote's
+// tile runs its events, so no lock guards the nil check.
 func (n *Node) Rand() *rand.Rand {
 	if n.rng == nil {
-		n.rng = rand.New(rand.NewSource(int64(n.id)*0x9E3779B9 ^ 0x51F1))
+		seed := int64(n.id)*0x9E3779B9 ^ 0x51F1
+		if r, ok := randPool.Get().(*rand.Rand); ok {
+			r.Seed(seed)
+			n.rng = r
+		} else {
+			n.rng = rand.New(rand.NewSource(seed))
+		}
 	}
 	return n.rng
 }
+
+// randPool holds the generators of released networks for the next
+// network's motes: a source is 4.9 KB, and a campaign builds one per
+// drawing mote of every cell.
+var randPool sync.Pool
 
 // queuedFrame is one slot of the MAC queue: a frame encoded at Send,
 // with the transmit power selected then, so a later SetTxPower does not
