@@ -2,7 +2,7 @@
 //
 //	mnpsim -rows 10 -cols 10 -packets 640 -protocol mnp -report energy
 //
-// Protocols: mnp (default) or any other registered one (-h lists them).
+// Protocols: mnp (default), deluge, moap, xnp, rlnc or gossip (-h lists them).
 // Reports: summary (default), energy, traffic, parents, progress.
 //
 // Telemetry and profiling (all default off): -telemetry dir/ streams
@@ -28,7 +28,6 @@ import (
 	"mnp/internal/experiment"
 	"mnp/internal/node"
 	"mnp/internal/packet"
-	"mnp/internal/protoreg"
 	"mnp/internal/radio"
 	"mnp/internal/telemetry"
 	"mnp/internal/trace"
@@ -48,7 +47,7 @@ func run(args []string) error {
 		cols     = fs.Int("cols", 10, "grid columns")
 		spacing  = fs.Float64("spacing", 10, "inter-node spacing in feet")
 		packets  = fs.Int("packets", 640, "program size in 22-byte packets")
-		protocol = fs.String("protocol", "mnp", "protocol: "+strings.Join(protoreg.Names(), ", "))
+		protocol = fs.String("protocol", "mnp", "protocol: "+strings.Join(experiment.ProtocolNames(), ", "))
 		power    = fs.Int("power", radio.PowerSim, "TinyOS transmit power level (1,3,4,20,50,255)")
 		seed     = fs.Int64("seed", 1, "simulation seed")
 		shards   = fs.Int("shards", 0, "spatial shards run in lockstep (0 or 1 = classic sequential kernel); with -tiles: logical executors (0 = one per tile)")

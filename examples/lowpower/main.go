@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"mnp"
+	"mnp/internal/core"
 	"mnp/internal/packet"
 )
 
@@ -24,10 +25,6 @@ func main() {
 	lowBattery := func(id packet.NodeID) bool { return id != 0 && id%4 == 0 }
 
 	run := func(extensions bool) *mnp.Result {
-		var options map[string]string
-		if extensions {
-			options = map[string]string{"battery_aware": "true", "idle_duty_cycle": "true"}
-		}
 		res, err := mnp.Simulate(mnp.Setup{
 			Name:         fmt.Sprintf("lowpower ext=%v", extensions),
 			Rows:         8,
@@ -42,7 +39,7 @@ func main() {
 				}
 				return 1.0
 			},
-			ProtocolOptions: options,
+			Variant: core.Variant{BatteryAware: extensions, IdleDutyCycle: extensions},
 		})
 		if err != nil {
 			log.Fatal(err)

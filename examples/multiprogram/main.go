@@ -48,7 +48,7 @@ func main() {
 
 	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
 		ncfg := node.Config{TxPower: radio.PowerSim}
-		fw := core.DefaultConfig()
+		var fw core.Config
 		if id == 0 {
 			fw.Base = true
 			fw.Image = firmware
@@ -60,7 +60,7 @@ func main() {
 			}
 			return d, ncfg
 		}
-		cal := core.DefaultConfig()
+		var cal core.Config
 		if id == calibBase {
 			cal.Base = true
 			cal.Image = calib

@@ -17,8 +17,8 @@ import (
 	"fmt"
 	"strings"
 
+	"mnp/internal/experiment"
 	"mnp/internal/faults"
-	"mnp/internal/protoreg"
 	"mnp/internal/scenario"
 )
 
@@ -34,8 +34,8 @@ type Plan struct {
 	Version int `json:"version"`
 	// Name labels the report and the checkpoint header.
 	Name string `json:"name,omitempty"`
-	// Protocols is the protocol axis (protoreg names: mnp, deluge,
-	// moap, xnp, rlnc, gossip). Default: the base scenario's protocol.
+	// Protocols is the protocol axis (experiment.ProtocolNames: mnp,
+	// deluge, moap, xnp, rlnc, gossip). Default: the base scenario's protocol.
 	Protocols []string `json:"protocols,omitempty"`
 	// Seeds is the seed axis. Default: the base scenario's seed.
 	Seeds []int64 `json:"seeds,omitempty"`
@@ -112,18 +112,17 @@ func (p *Plan) normalize() error {
 		}
 		p.Protocols = []string{base}
 	}
-	seen := map[string]bool{}
+	seen := map[experiment.ProtocolKind]bool{}
 	for i, name := range p.Protocols {
-		name = strings.ToLower(strings.TrimSpace(name))
-		if _, ok := protoreg.Lookup(name); !ok {
-			return fmt.Errorf("campaign %s: unknown protocol %q (have %s)",
-				p.Name, name, strings.Join(protoreg.Names(), ", "))
+		kind, err := experiment.ParseProtocol(name)
+		if err != nil {
+			return fmt.Errorf("campaign %s: %w", p.Name, err)
 		}
-		if seen[name] {
-			return fmt.Errorf("campaign %s: duplicate protocol %q", p.Name, name)
+		if seen[kind] {
+			return fmt.Errorf("campaign %s: duplicate protocol %q", p.Name, kind)
 		}
-		seen[name] = true
-		p.Protocols[i] = name
+		seen[kind] = true
+		p.Protocols[i] = string(kind)
 	}
 	if len(p.Seeds) == 0 {
 		p.Seeds = []int64{p.Scenario.Run.Seed}

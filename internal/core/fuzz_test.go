@@ -17,7 +17,7 @@ func TestFuzzReceiverNeverPanics(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rt := nodetest.New(9)
-		rt.Attach(New(DefaultConfig()))
+		rt.Attach(New(Config{}))
 		rt.Fuzz(rng, 3000)
 	}
 }
@@ -27,7 +27,7 @@ func TestFuzzReceiverNeverPanics(t *testing.T) {
 func TestFuzzBaseNeverPanics(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed + 1000))
-		cfg := DefaultConfig()
+		var cfg Config
 		cfg.Base = true
 		cfg.Image = testImage(t, 2)
 		rt := nodetest.New(0)
@@ -43,13 +43,13 @@ func TestFuzzVariantsNeverPanic(t *testing.T) {
 		func(c *Config) { c.NoPipelining = true },
 		func(c *Config) { c.NoSenderSelection = true },
 		func(c *Config) { c.NoSleep = true },
-		func(c *Config) { c.QueryUpdate = false },
+		func(c *Config) { c.NoQueryUpdate = true },
 		func(c *Config) { c.BatteryAware = true },
 		func(c *Config) { c.IdleDutyCycle = true },
 	}
 	for i, mod := range mods {
 		rng := rand.New(rand.NewSource(int64(i) + 99))
-		cfg := DefaultConfig()
+		var cfg Config
 		mod(&cfg)
 		rt := nodetest.New(5)
 		rt.Attach(New(cfg))
@@ -62,7 +62,7 @@ func TestFuzzVariantsNeverPanic(t *testing.T) {
 func TestFuzzedNodeStillFunctions(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rt := nodetest.New(9)
-	m := New(DefaultConfig())
+	m := New(Config{})
 	rt.Attach(m)
 
 	// Storm of garbage on program IDs 1..3.

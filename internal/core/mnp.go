@@ -99,7 +99,7 @@ const (
 	sleepFactor = 1.0
 )
 
-// Energy extensions (Config.IdleDutyCycle, Config.BatteryAware).
+// Energy extensions (Variant.IdleDutyCycle, Variant.BatteryAware).
 const (
 	// idleOnPeriod is the listen window of the idle duty cycle.
 	idleOnPeriod = 500 * time.Millisecond
@@ -114,8 +114,8 @@ const (
 	batteryLowWater = 0.25
 )
 
-// Config tunes the protocol. Zero values select the defaults the
-// evaluation uses.
+// Config tunes the protocol. The zero value (plus Base and Image at
+// the base station) is the protocol the evaluation runs.
 type Config struct {
 	// Base marks the base station: its EEPROM is preloaded with Image
 	// and it starts in the advertise state.
@@ -130,34 +130,35 @@ type Config struct {
 	// path to that protocol, which TestNoPipelining* and the fuzz
 	// target in fuzz_test.go pin.
 	NoPipelining bool
+
+	Variant
+}
+
+// Variant holds the switches the paper's evaluation turns: the
+// ablations A1–A3 and the extensions A4–A5. The zero value is the
+// protocol as the paper describes it.
+type Variant struct {
 	// NoSenderSelection disables the ReqCtr competition (ablation A1):
 	// sources never concede to better-placed sources.
 	NoSenderSelection bool
 	// NoSleep keeps the radio on where the protocol would sleep
 	// (ablation A2); the node still pauses its advertising.
 	NoSleep bool
-
-	// QueryUpdate enables the optional query/update repair phase for
-	// a segment missing at most repairThreshold packets.
-	QueryUpdate bool
+	// NoQueryUpdate drops the optional query/update repair phase for
+	// a segment missing at most repairThreshold packets (ablation A3).
+	NoQueryUpdate bool
 
 	// IdleDutyCycle enables the paper's S-MAC-style suggestion for
-	// removing initial idle listening: a node that has not yet heard
-	// any advertisement duty-cycles its radio in the idle state,
+	// removing initial idle listening (A5): a node that has not yet
+	// heard any advertisement duty-cycles its radio in the idle state,
 	// listening for idleOnPeriod and sleeping for idleOffPeriod, until
 	// the propagation wave arrives.
 	IdleDutyCycle bool
-
-	// BatteryAware enables the §6 extension: advertisements are sent
-	// at lowPower when the battery is below batteryLowWater, shrinking
-	// the follower set so that drained nodes lose the sender election.
+	// BatteryAware enables the §6 extension (A4): advertisements are
+	// sent at lowPower when the battery is below batteryLowWater,
+	// shrinking the follower set so that drained nodes lose the sender
+	// election.
 	BatteryAware bool
-}
-
-// DefaultConfig returns the configuration used by the paper-shaped
-// experiments (query/update enabled, pipelining on).
-func DefaultConfig() Config {
-	return Config{QueryUpdate: true}
 }
 
 // geometry is what a node knows about the program being disseminated.
@@ -658,7 +659,7 @@ func (m *MNP) endDownloadAndRepair() {
 		SegID:     uint8(m.advSeg),
 	}
 	_ = m.rt.Send(end)
-	if m.cfg.QueryUpdate {
+	if !m.cfg.NoQueryUpdate {
 		m.setState(StateQuery)
 		q := &m.out().query
 		*q = packet.Query{
@@ -979,7 +980,7 @@ func (m *MNP) onEndDownload(e *packet.EndDownload) {
 	}
 	// Losses remain. The paper offers two choices: fail immediately, or
 	// enter the query/update phase when the loss count is repairable.
-	if e.Src == m.parent && m.cfg.QueryUpdate &&
+	if e.Src == m.parent && !m.cfg.NoQueryUpdate &&
 		m.missing != nil && m.missing.Count() <= repairThreshold {
 		m.rt.CancelTimer(timerDownloadWatchdog)
 		m.setState(StateUpdate)

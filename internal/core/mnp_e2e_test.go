@@ -81,7 +81,7 @@ func buildNet(t *testing.T, o netOpts) *testnet {
 	medium.SetTap(chk.PacketSent)
 	tn := &testnet{kernel: kernel, medium: medium, img: img, checker: chk}
 	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
-		cfg := DefaultConfig()
+		var cfg Config
 		if id == 0 {
 			cfg.Base = true
 			cfg.Image = img
@@ -291,7 +291,7 @@ func TestAtMostOneSenderPerNeighborhood(t *testing.T) {
 	}}
 	medium.SetSink(sink)
 	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
-		cfg := DefaultConfig()
+		var cfg Config
 		if id == 0 {
 			cfg.Base = true
 			cfg.Image = img
@@ -400,7 +400,7 @@ func TestDisseminationSurvivesJammer(t *testing.T) {
 		if id == jammerID {
 			return &jammer{interval: 120 * time.Millisecond}, node.Config{TxPower: radio.PowerSim}
 		}
-		cfg := DefaultConfig()
+		var cfg Config
 		if id == 0 {
 			cfg.Base = true
 			cfg.Image = img
@@ -507,7 +507,7 @@ func TestRandomTopologyDissemination(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
-		cfg := DefaultConfig()
+		var cfg Config
 		if id == 0 {
 			cfg.Base = true
 			cfg.Image = img
@@ -535,7 +535,7 @@ func TestRandomTopologyDissemination(t *testing.T) {
 func TestQueryUpdateDisabledStillCompletes(t *testing.T) {
 	tn := buildNet(t, netOpts{
 		rows: 2, cols: 3, segments: 1, seed: 14,
-		cfgMod: func(_ packet.NodeID, c *Config) { c.QueryUpdate = false },
+		cfgMod: func(_ packet.NodeID, c *Config) { c.NoQueryUpdate = true },
 	})
 	if !tn.kernel.RunUntil(tn.network.AllCompleted, 2*time.Hour) {
 		t.Fatalf("no-repair dissemination incomplete: %d/%d", tn.network.CompletedCount(), len(tn.network.Nodes))

@@ -23,7 +23,7 @@ func testImage(t *testing.T, segments int) *image.Image {
 // newBase returns an initialized base-station MNP over a fake runtime.
 func newBase(t *testing.T, id packet.NodeID, segments int, mod func(*Config)) (*MNP, *fakeRuntime) {
 	t.Helper()
-	cfg := DefaultConfig()
+	var cfg Config
 	cfg.Base = true
 	cfg.Image = testImage(t, segments)
 	if mod != nil {
@@ -39,7 +39,7 @@ func newBase(t *testing.T, id packet.NodeID, segments int, mod func(*Config)) (*
 // geometry from one advertisement sent by advSrc.
 func newReceiver(t *testing.T, id packet.NodeID, segments int, mod func(*Config)) (*MNP, *fakeRuntime) {
 	t.Helper()
-	cfg := DefaultConfig()
+	var cfg Config
 	if mod != nil {
 		mod(&cfg)
 	}
@@ -262,7 +262,7 @@ func TestForwardSendsOnlyRequestedPackets(t *testing.T) {
 		t.Fatal("no EndDownload sent")
 	}
 	if m.State() != StateQuery {
-		t.Fatalf("state = %v, want query (QueryUpdate on)", m.State())
+		t.Fatalf("state = %v, want query (NoQueryUpdate off)", m.State())
 	}
 	if rt.sentCount(packet.KindQuery) != 1 {
 		t.Fatal("no Query sent")
@@ -270,7 +270,7 @@ func TestForwardSendsOnlyRequestedPackets(t *testing.T) {
 }
 
 func TestForwardWithoutQueryUpdateSleepsAfterEnd(t *testing.T) {
-	m, rt := newBase(t, 0, 1, func(c *Config) { c.QueryUpdate = false })
+	m, rt := newBase(t, 0, 1, func(c *Config) { c.NoQueryUpdate = true })
 	miss, _ := bitvec.AllSet(8)
 	m.OnPacket(&packet.DownloadRequest{Src: 7, DestID: 0, ProgramID: 1, SegID: 1, SegPackets: 8, Missing: miss}, 7)
 	advanceAdvRounds(m, advertiseCount+1)

@@ -43,7 +43,7 @@ func TestMultiProgramOverlappingSubsets(t *testing.T) {
 	subsOf := make(map[packet.NodeID][]uint8)
 	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
 		ncfg := node.Config{TxPower: radio.PowerSim}
-		cfg1 := DefaultConfig()
+		var cfg1 Config
 		if id == 0 {
 			cfg1.Base = true
 			cfg1.Image = img1
@@ -56,7 +56,7 @@ func TestMultiProgramOverlappingSubsets(t *testing.T) {
 			}
 			return d, ncfg
 		}
-		cfg2 := DefaultConfig()
+		var cfg2 Config
 		if id == prog2Base {
 			cfg2.Base = true
 			cfg2.Image = img2

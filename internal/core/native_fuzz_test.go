@@ -41,7 +41,7 @@ func FuzzMNPPacketSequence(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rt := nodetest.New(1)
-		m := New(DefaultConfig())
+		m := New(Config{})
 		rt.Attach(m)
 		for len(data) > 0 {
 			n := int(data[0])

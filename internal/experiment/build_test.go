@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mnp/internal/engine"
-	"mnp/internal/protoreg"
 )
 
 // outcomeDigest hashes a finished run's observable outcome — verdict,
@@ -163,10 +162,7 @@ func TestRunAllocsPerFrame(t *testing.T) {
 		partial bool // the run may end at its limit, not on completion
 	}
 	rows := []row{{"mnp-10x10", Setup{Rows: 10, Cols: 10, ImagePackets: 128}, 0.6, false}}
-	for _, name := range protoreg.Names() {
-		if name == "failnode" {
-			continue // a fixture whose constructor fails for one mote, not a protocol
-		}
+	for _, name := range ProtocolNames() {
 		budget, ok := allocBudgets[name]
 		if !ok {
 			t.Errorf("protocol %q has no allocation budget", name)

@@ -6,7 +6,6 @@ import (
 
 	"mnp/internal/faults"
 	"mnp/internal/packet"
-	"mnp/internal/protoreg"
 )
 
 // The chaos suite runs dissemination under declarative fault plans with
@@ -47,10 +46,7 @@ func runChaos(t *testing.T, s Setup) *Result {
 // protocol covers all 16.
 func TestCheckerHoldsForEveryProtocol(t *testing.T) {
 	reach := map[string]int{"xnp": 8}
-	for _, name := range protoreg.Names() {
-		if name == "failnode" {
-			continue // a fixture whose constructor fails for one mote, not a protocol
-		}
+	for _, name := range ProtocolNames() {
 		t.Run(name, func(t *testing.T) {
 			res, err := Run(Setup{
 				Name: "checker-" + name, Rows: 4, Cols: 4, ImagePackets: 128, Seed: 42,

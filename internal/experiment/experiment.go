@@ -8,21 +8,20 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	// The protocol packages register themselves with protoreg from
-	// init; the experiment layer builds them only through the registry.
 	// MNP (core) is imported after the baselines: import order sets the
 	// linker's code layout, and the benchmark's wall times move with it.
-	_ "mnp/internal/deluge"
-	_ "mnp/internal/gossip"
-	_ "mnp/internal/moap"
-	_ "mnp/internal/rlnc"
-	_ "mnp/internal/xnp"
+	"mnp/internal/deluge"
+	"mnp/internal/gossip"
+	"mnp/internal/moap"
+	"mnp/internal/rlnc"
+	"mnp/internal/xnp"
 
-	_ "mnp/internal/core"
+	"mnp/internal/core"
 
 	"mnp/internal/engine"
 	"mnp/internal/faults"
@@ -31,19 +30,17 @@ import (
 	"mnp/internal/metrics"
 	"mnp/internal/node"
 	"mnp/internal/packet"
-	"mnp/internal/protoreg"
 	"mnp/internal/radio"
 	"mnp/internal/sim"
 	"mnp/internal/telemetry"
 	"mnp/internal/topology"
 )
 
-// ProtocolKind names the dissemination protocol under test: a protoreg
-// registration, matched case-insensitively. "" means MNP. Any
-// registered name works, not only the constants below.
+// ProtocolKind names the dissemination protocol under test: a key of
+// the protocols table, matched case-insensitively. "" means MNP.
 type ProtocolKind string
 
-// Protocols registered by this module's protocol packages.
+// The protocols this module implements, one row each in protocols.
 const (
 	ProtocolMNP    ProtocolKind = "mnp"
 	ProtocolDeluge ProtocolKind = "deluge"
@@ -53,11 +50,63 @@ const (
 	ProtocolGossip ProtocolKind = "gossip"
 )
 
-// String returns the protocol's registered display name ("MNP",
-// "Deluge"); an unregistered name prints as itself.
+// protocol is one row of the protocols table: the name reports print
+// and the constructor of one mote's instance. base is the image at the
+// base station and nil at every other mote; only MNP reads v.
+type protocol struct {
+	display string
+	build   func(base *image.Image, v core.Variant) node.Protocol
+}
+
+// protocols is the one list of protocols: Setup, scenario files,
+// campaign plans and mnpsim's -protocol accept exactly its keys.
+var protocols = map[ProtocolKind]protocol{
+	ProtocolMNP: {"MNP", func(base *image.Image, v core.Variant) node.Protocol {
+		return core.New(core.Config{Base: base != nil, Image: base, Variant: v})
+	}},
+	ProtocolDeluge: {"Deluge", func(base *image.Image, _ core.Variant) node.Protocol {
+		return deluge.New(deluge.Config{Base: base != nil, Image: base})
+	}},
+	ProtocolMOAP: {"MOAP", func(base *image.Image, _ core.Variant) node.Protocol {
+		return moap.New(moap.Config{Base: base != nil, Image: base})
+	}},
+	ProtocolXNP: {"XNP", func(base *image.Image, _ core.Variant) node.Protocol {
+		return xnp.New(xnp.Config{Base: base != nil, Image: base})
+	}},
+	ProtocolRLNC: {"RLNC", func(base *image.Image, _ core.Variant) node.Protocol {
+		return rlnc.New(rlnc.Config{Base: base != nil, Image: base})
+	}},
+	ProtocolGossip: {"Gossip", func(base *image.Image, _ core.Variant) node.Protocol {
+		return gossip.New(gossip.Config{Base: base != nil, Image: base})
+	}},
+}
+
+// ProtocolNames lists the protocols in sorted order.
+func ProtocolNames() []string {
+	out := make([]string, 0, len(protocols))
+	for p := range protocols {
+		out = append(out, string(p))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// ParseProtocol reads a protocol name the one way Setup, scenario
+// files and campaign plans take it: lower-cased, not trimmed, and one
+// of ProtocolNames.
+func ParseProtocol(name string) (ProtocolKind, error) {
+	p := ProtocolKind(strings.ToLower(name))
+	if _, ok := protocols[p]; !ok {
+		return "", fmt.Errorf("unknown protocol %q (have %s)", name, strings.Join(ProtocolNames(), ", "))
+	}
+	return p, nil
+}
+
+// String returns the protocol's display name ("MNP", "Deluge"); a
+// name outside the table prints as itself.
 func (p ProtocolKind) String() string {
-	if d, ok := protoreg.Display(string(p)); ok {
-		return d
+	if r, ok := protocols[ProtocolKind(strings.ToLower(string(p)))]; ok {
+		return r.display
 	}
 	return string(p)
 }
@@ -82,14 +131,11 @@ type Setup struct {
 	ImageData []byte
 	// Protocol selects the dissemination protocol (default MNP).
 	Protocol ProtocolKind
-	// ProtocolOptions are declarative, protocol-specific knobs applied
-	// to every node after the package defaults (keys are defined by
-	// each protocol's register.go; only MNP has any: "no_sender_selection",
-	// "no_sleep", "query_update", "battery_aware", "idle_duty_cycle").
-	// They are the one way to tune a protocol, set from Go (the mnpexp
-	// A1–A5 specs, examples); scenario files do not reach them. Nil
-	// keeps the defaults.
-	ProtocolOptions map[string]string
+	// Variant turns MNP's evaluation switches (ablations A1–A3,
+	// extensions A4–A5); the zero value is the paper's protocol. It is
+	// set from Go (the mnpexp A1–A5 specs, examples); scenario files do
+	// not reach it, and every other protocol rejects a non-zero one.
+	Variant core.Variant
 	// BaseID places the base station (default node 0, a grid corner).
 	// The paper's scaling argument puts it at the center of a 4x
 	// larger network.
@@ -208,10 +254,11 @@ func (s Setup) withDefaults() Setup {
 // one-byte segment ID space.
 const maxImagePackets = 255 * image.DefaultSegmentPackets
 
-// Validate rejects malformed deployment descriptions with descriptive
-// errors before Build constructs anything. Build calls it (after
-// applying defaults); call it directly to vet user input early.
-func (s Setup) Validate() error {
+// validate rejects malformed deployment descriptions with descriptive
+// errors before Build constructs anything. Build calls it after
+// withDefaults, so it rejects a zero Spacing or Shards that Build
+// would have defaulted.
+func (s Setup) validate() error {
 	n := 0
 	if s.Layout != nil {
 		n = s.Layout.N()
@@ -270,19 +317,14 @@ func (s Setup) Validate() error {
 	if s.Limit < 0 {
 		return fmt.Errorf("experiment %s: time limit %v is negative", s.Name, s.Limit)
 	}
-	// An unset protocol is MNP (withDefaults); anything else must be
-	// registered rather than fail at build time.
-	name := ProtocolMNP
+	// An unset protocol is MNP (withDefaults).
 	if s.Protocol != "" {
-		name = s.Protocol
-		if _, ok := protoreg.Lookup(string(name)); !ok {
-			return fmt.Errorf("experiment %s: unknown protocol %q (valid: %s)",
-				s.Name, name, strings.Join(protoreg.Names(), ", "))
-		}
-	}
-	if len(s.ProtocolOptions) > 0 {
-		if err := protoreg.ValidateOptions(string(name), s.ProtocolOptions); err != nil {
+		p, err := ParseProtocol(string(s.Protocol))
+		if err != nil {
 			return fmt.Errorf("experiment %s: %w", s.Name, err)
+		}
+		if p != ProtocolMNP && s.Variant != (core.Variant{}) {
+			return fmt.Errorf("experiment %s: %v takes no MNP variant, got %+v", s.Name, p, s.Variant)
 		}
 	}
 	return nil
@@ -433,7 +475,7 @@ func (r *Result) FinishTelemetry() {
 // through the now/at pair below.
 func Build(s Setup) (*Result, error) {
 	s = s.withDefaults()
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	fail := func(err error) (*Result, error) {
@@ -715,39 +757,21 @@ func armImageCheck(checker *invariant.Checker, proto ProtocolKind, img *image.Im
 	)
 }
 
-// newNetwork builds the network over place from the per-node protocol
-// factory, which resolves the configured protocol in the registry (each
-// protocol package registers itself from init). node.Factory has no
-// error result, so a builder that fails for a node hands it a nil
-// protocol, which node.New rejects, and the builder's error is reported
-// in place of that rejection.
+// newNetwork builds the network over place, each mote's protocol from
+// the configured row of the protocols table.
 func (s Setup) newNetwork(img *image.Image, layout *topology.Layout, place func(packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer)) (*node.Network, error) {
-	name := string(s.Protocol)
-	builder, ok := protoreg.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("experiment %s: protocol %q not registered", s.Name, name)
-	}
-	var failed error
+	build := protocols[s.Protocol].build
 	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
 		ncfg := node.Config{TxPower: s.Power}
 		if s.Battery != nil {
 			ncfg.Battery = s.Battery(id)
 		}
-		p, err := builder(protoreg.Build{
-			ID:      id,
-			Base:    id == s.BaseID,
-			Image:   img,
-			Options: s.ProtocolOptions,
-		})
-		if err != nil {
-			failed = fmt.Errorf("building %s for node %v: %w", name, id, err)
-			return nil, ncfg
+		var base *image.Image
+		if id == s.BaseID {
+			base = img
 		}
-		return p, ncfg
+		return build(base, s.Variant), ncfg
 	}, place)
-	if failed != nil {
-		err = failed
-	}
 	if err != nil {
 		return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
 	}

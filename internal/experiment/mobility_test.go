@@ -51,15 +51,15 @@ func TestMobilityValidate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.s.withDefaults()
 			tc.mutate(&s)
-			err := s.Validate()
+			err := s.validate()
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("Validate() = %v, want nil", err)
+					t.Fatalf("validate() = %v, want nil", err)
 				}
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Validate() = %v, want substring %q", err, tc.wantErr)
+				t.Fatalf("validate() = %v, want substring %q", err, tc.wantErr)
 			}
 		})
 	}

@@ -1,17 +1,15 @@
 package experiment
 
 import (
-	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"mnp/internal/core"
 	"mnp/internal/faults"
-	"mnp/internal/node"
 	"mnp/internal/packet"
-	"mnp/internal/protoreg"
 )
 
 // TestSetupValidate exercises the deployment validation Build applies
@@ -43,38 +41,38 @@ func TestSetupValidate(t *testing.T) {
 		{"known-protocol", func(s *Setup) { s.Protocol = ProtocolDeluge }, ""},
 		{"capitalized-protocol", func(s *Setup) { s.Protocol = "Deluge" }, ""},
 		{"base-outside", func(s *Setup) { s.BaseID = 4 }, "base n4 outside the 4-node layout"},
-		{"bad-option-value", func(s *Setup) {
-			s.Protocol = ProtocolMNP
-			s.ProtocolOptions = map[string]string{"no_sleep": "many"}
-		}, "no_sleep"},
-		{"unknown-option-key", func(s *Setup) {
-			s.ProtocolOptions = map[string]string{"warp_speed": "9"}
-		}, "unknown option warp_speed"},
 		{"good-options", func(s *Setup) {
 			s.Protocol = ProtocolMNP
-			s.ProtocolOptions = map[string]string{"battery_aware": "true", "idle_duty_cycle": "true"}
+			s.Variant = core.Variant{BatteryAware: true, IdleDutyCycle: true}
+		}, ""},
+		{"default-protocol-variant", func(s *Setup) {
+			s.Variant = core.Variant{NoQueryUpdate: true}
 		}, ""},
 		{"baseline-option", func(s *Setup) {
 			s.Protocol = ProtocolXNP
-			s.ProtocolOptions = map[string]string{"query_interval": "3s"}
-		}, "unknown option query_interval"},
+			s.Variant = core.Variant{NoSleep: true}
+		}, "XNP takes no MNP variant"},
+		{"deluge-variant", func(s *Setup) {
+			s.Protocol = ProtocolDeluge
+			s.Variant = core.Variant{NoSenderSelection: true}
+		}, "Deluge takes no MNP variant"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := valid
 			tc.mutate(&s)
-			err := s.Validate()
+			err := s.validate()
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("Validate() = %v, want nil", err)
+					t.Fatalf("validate() = %v, want nil", err)
 				}
 				return
 			}
 			if err == nil {
-				t.Fatalf("Validate() = nil, want error containing %q", tc.wantErr)
+				t.Fatalf("validate() = nil, want error containing %q", tc.wantErr)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Validate() = %q, want substring %q", err, tc.wantErr)
+				t.Fatalf("validate() = %q, want substring %q", err, tc.wantErr)
 			}
 		})
 	}
@@ -229,38 +227,5 @@ func TestShardedChaosPartitionHeal(t *testing.T) {
 	}
 	if res.CompletionTime <= 90*time.Second {
 		t.Fatalf("completed at %v, inside the partition window", res.CompletionTime)
-	}
-}
-
-// failnode is a protocol whose builder rejects node 2 and builds MNP
-// for every other node. Registered once per process: the registry
-// rejects duplicates, and -count reruns tests.
-func init() {
-	mnp, _ := protoreg.Lookup("mnp")
-	protoreg.Register("failnode", "FailNode", func(b protoreg.Build) (node.Protocol, error) {
-		if b.ID == 2 {
-			return nil, errors.New("no flash part fitted")
-		}
-		return mnp(b)
-	})
-}
-
-// TestBuildReportsBuilderFailure checks that a protocol builder failing
-// for one node surfaces as a Build error naming that node, on the
-// sequential and the sharded path alike.
-func TestBuildReportsBuilderFailure(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		_, err := Build(Setup{
-			Name: "failnode", Rows: 2, Cols: 2, ImagePackets: 8,
-			Protocol: "failnode", Shards: shards,
-		})
-		if err == nil {
-			t.Fatalf("shards=%d: Build accepted a builder that fails for node 2", shards)
-		}
-		for _, want := range []string{"building failnode for node n2", "no flash part fitted"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("shards=%d: Build error %q lacks %q", shards, err, want)
-			}
-		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"mnp/internal/core"
 	"mnp/internal/energy"
 	"mnp/internal/image"
 	"mnp/internal/packet"
@@ -509,10 +510,10 @@ func runA1(seed int64) (Report, error) {
 		res, err := Run(Setup{
 			Name: fmt.Sprintf("A1 selection-off=%v", off),
 			Rows: 10, Cols: 10,
-			ImagePackets:    2 * image.DefaultSegmentPackets,
-			Seed:            seed,
-			Limit:           12 * time.Hour,
-			ProtocolOptions: map[string]string{"no_sender_selection": strconv.FormatBool(off)},
+			ImagePackets: 2 * image.DefaultSegmentPackets,
+			Seed:         seed,
+			Limit:        12 * time.Hour,
+			Variant:      core.Variant{NoSenderSelection: off},
 		})
 		if err != nil {
 			return Report{}, err
@@ -539,10 +540,10 @@ func runA2(seed int64) (Report, error) {
 		res, err := Run(Setup{
 			Name: fmt.Sprintf("A2 nosleep=%v", off),
 			Rows: 10, Cols: 10,
-			ImagePackets:    2 * image.DefaultSegmentPackets,
-			Seed:            seed,
-			Limit:           12 * time.Hour,
-			ProtocolOptions: map[string]string{"no_sleep": strconv.FormatBool(off)},
+			ImagePackets: 2 * image.DefaultSegmentPackets,
+			Seed:         seed,
+			Limit:        12 * time.Hour,
+			Variant:      core.Variant{NoSleep: off},
 		})
 		if err != nil {
 			return Report{}, err
@@ -570,11 +571,11 @@ func runA3(seed int64) (Report, error) {
 		res, err := Run(Setup{
 			Name: fmt.Sprintf("A3 repair-off=%v", off),
 			Rows: 6, Cols: 6,
-			ImagePackets:    image.DefaultSegmentPackets,
-			Seed:            seed,
-			Radio:           &lossy,
-			Limit:           12 * time.Hour,
-			ProtocolOptions: map[string]string{"query_update": strconv.FormatBool(!off)},
+			ImagePackets: image.DefaultSegmentPackets,
+			Seed:         seed,
+			Radio:        &lossy,
+			Limit:        12 * time.Hour,
+			Variant:      core.Variant{NoQueryUpdate: off},
 		})
 		if err != nil {
 			return Report{}, err
@@ -614,7 +615,7 @@ func runA4(seed int64) (Report, error) {
 					}
 					return 1.0
 				},
-				ProtocolOptions: map[string]string{"battery_aware": strconv.FormatBool(aware)},
+				Variant: core.Variant{BatteryAware: aware},
 			})
 			if err != nil {
 				return Report{}, err
@@ -658,10 +659,10 @@ func runA5(seed int64) (Report, error) {
 		res, err := Run(Setup{
 			Name: fmt.Sprintf("A5 duty=%v", duty),
 			Rows: 20, Cols: 20,
-			ImagePackets:    5 * image.DefaultSegmentPackets,
-			Seed:            seed,
-			Limit:           12 * time.Hour,
-			ProtocolOptions: map[string]string{"idle_duty_cycle": strconv.FormatBool(duty)},
+			ImagePackets: 5 * image.DefaultSegmentPackets,
+			Seed:         seed,
+			Limit:        12 * time.Hour,
+			Variant:      core.Variant{IdleDutyCycle: duty},
 		})
 		if err != nil {
 			return Report{}, err

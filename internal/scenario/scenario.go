@@ -7,7 +7,7 @@
 // reproducible from a checked-in artifact rather than a hand-wired main
 // function. The schema holds only the keys checked-in documents set;
 // the rest of experiment.Setup (radio overrides, battery levels, the
-// base station, protocol options) is reached from Go. internal/campaign
+// base station, MNP's variant) is reached from Go. internal/campaign
 // expands matrices of scenarios into run sets.
 package scenario
 
@@ -22,7 +22,6 @@ import (
 
 	"mnp/internal/experiment"
 	"mnp/internal/faults"
-	"mnp/internal/protoreg"
 	"mnp/internal/radio"
 	"mnp/internal/topology"
 )
@@ -91,8 +90,8 @@ type Mobility struct {
 
 // Protocol selects the dissemination protocol.
 type Protocol struct {
-	// Name is a protoreg registration, any capitalization: mnp
-	// (default), deluge, moap, xnp, rlnc, gossip.
+	// Name is a protocol of experiment.ProtocolNames, any
+	// capitalization: mnp (default), deluge, moap, xnp, rlnc, gossip.
 	Name string `json:"name,omitempty"`
 }
 
@@ -246,9 +245,8 @@ func (s *Scenario) Validate() error {
 	if proto == "" {
 		proto = "mnp"
 	}
-	if _, ok := protoreg.Lookup(proto); !ok {
-		return fmt.Errorf("scenario %s: unknown protocol %q (have %s)",
-			s.Name, proto, strings.Join(protoreg.Names(), ", "))
+	if _, err := experiment.ParseProtocol(proto); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	if err := s.Mobility.validate(); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mnp/internal/core"
 	"mnp/internal/experiment"
 	"mnp/internal/radio"
 )
@@ -282,7 +283,7 @@ func TestCompileClosures(t *testing.T) {
 		t.Error("compiled waypoint model moved no node in an hour")
 	}
 
-	if setup.ProtocolOptions != nil || setup.Radio != nil || setup.Battery != nil || setup.BaseID != 0 {
+	if setup.Variant != (core.Variant{}) || setup.Radio != nil || setup.Battery != nil || setup.BaseID != 0 {
 		t.Errorf("Go-only Setup fields set from a document: %+v", setup)
 	}
 	if setup.Shards != 2 || setup.Workers != 1 || setup.Seed != 7 {
@@ -367,8 +368,8 @@ enabled = true
 	if setup.Limit != 6*time.Hour {
 		t.Fatalf("limit = %v", setup.Limit)
 	}
-	if setup.Radio != nil || setup.ProtocolOptions != nil || setup.Battery != nil {
-		t.Fatal("defaults must compile to nil overrides (golden-hash byte identity)")
+	if setup.Radio != nil || setup.Variant != (core.Variant{}) || setup.Battery != nil {
+		t.Fatal("defaults must compile to nil overrides and the zero variant (golden-hash byte identity)")
 	}
 	if setup.Shards != 0 {
 		t.Fatalf("shards = %d, want 0 (package default)", setup.Shards)

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -16,10 +15,10 @@ import (
 // follow the Prometheus text convention — a bare family name plus
 // optional {label="value"} pairs baked into the key, e.g.
 // "mnp_tx_total{class=\"data\"}" — so the same keys serve the NDJSON
-// summary record, the expvar export, and the Prometheus dump.
+// summary record and the Prometheus dump.
 //
-// The registry is safe for concurrent use: expvar handlers read it from
-// HTTP goroutines while a run is still writing.
+// The registry is safe for concurrent use: a reader may snapshot it
+// while a run is still writing.
 type Counters struct {
 	mu sync.Mutex
 	m  map[string]int64
@@ -92,17 +91,6 @@ func (c *Counters) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// PublishExpvar exposes the registry under the given expvar name
-// (reachable at /debug/vars once a pprof server is up). Publishing the
-// same name twice is a no-op rather than the panic expvar.Publish
-// raises, so tests and repeated runs in one process are safe.
-func (c *Counters) PublishExpvar(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return c.Snapshot() }))
 }
 
 // classLabels maps accounting classes to stable label values.

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"strings"
 	"testing"
 	"time"
@@ -54,21 +53,6 @@ func TestWritePrometheus(t *testing.T) {
 		`mnp_tx_frames_total{class="data"} 10` + "\n"
 	if sb.String() != want {
 		t.Errorf("dump:\n%s\nwant:\n%s", sb.String(), want)
-	}
-}
-
-func TestPublishExpvarIdempotent(t *testing.T) {
-	c := NewCounters()
-	c.Set("x", 1)
-	c.PublishExpvar("mnp_test_counters")
-	// A second publish of the same name must not panic.
-	c.PublishExpvar("mnp_test_counters")
-	v := expvar.Get("mnp_test_counters")
-	if v == nil {
-		t.Fatal("expvar name not published")
-	}
-	if !strings.Contains(v.String(), `"x":1`) {
-		t.Errorf("expvar value = %s, want it to contain x", v.String())
 	}
 }
 

@@ -44,11 +44,9 @@ func (d *Dir) Recorder() *Recorder { return d.rec }
 // can defer it to cover its error paths.
 func (d *Dir) Close() error { return d.rec.s.Close() }
 
-// Finish writes c into the directory, publishes it under the expvar
-// name "mnp", closes the event stream, and returns a one-line summary
-// naming both files.
+// Finish writes c into the directory, closes the event stream, and
+// returns a one-line summary naming both files.
 func (d *Dir) Finish(c *Counters) (string, error) {
-	c.PublishExpvar("mnp")
 	promPath := filepath.Join(d.path, countersFile)
 	f, err := os.Create(promPath)
 	if err != nil {

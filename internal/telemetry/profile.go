@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	_ "expvar" // registers /debug/vars (memstats, cmdline) on the default mux
 	"fmt"
 	"net"
 	"net/http"

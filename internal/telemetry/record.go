@@ -2,8 +2,8 @@
 // simulator: it streams everything a run observes — protocol events,
 // radio transitions, EEPROM traffic, invariant violations, the fault
 // plan — as schema-versioned NDJSON (one JSON object per line,
-// jq-friendly), exports the run's aggregate counters through expvar and
-// a Prometheus-style text dump, and provides the profiling hooks
+// jq-friendly), exports the run's aggregate counters as a
+// Prometheus-style text dump, and provides the profiling hooks
 // (pprof server, CPU profile, runtime/trace capture) and live stderr
 // progress the long-running CLIs use.
 //

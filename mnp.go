@@ -32,13 +32,13 @@ type (
 	// Spec reproduces one of the paper's tables or figures: its Run
 	// returns a Report, the rendered text plus the plotted series.
 	Spec = experiment.Spec
-	// ProtocolKind selects the dissemination protocol by its registry
-	// name (case-insensitive; "" means MNP).
+	// ProtocolKind selects the dissemination protocol by its name
+	// (case-insensitive; "" means MNP).
 	ProtocolKind = experiment.ProtocolKind
 )
 
-// Protocols runnable by Simulate. Any registered protocol name works
-// as well, as mnp.ProtocolKind(name).
+// Protocols runnable by Simulate: the whole protocol table. A name
+// works as well, as mnp.ProtocolKind(name), in any capitalization.
 const (
 	ProtocolMNP    = experiment.ProtocolMNP
 	ProtocolDeluge = experiment.ProtocolDeluge
