@@ -199,8 +199,8 @@ type MNP struct {
 	// Source side.
 	advSeg      int // segment being advertised
 	reqCtr      int
-	requesters  map[packet.NodeID]bool
-	forward     *bitvec.Vector // ForwardVector for advSeg
+	requesters  map[packet.NodeID]bool // made on the first request served
+	forward     *bitvec.Vector         // ForwardVector for advSeg
 	advSent     int
 	advInterval time.Duration
 
@@ -266,7 +266,6 @@ func (m *MNP) Rebooted() bool { return m.rebooted }
 func (m *MNP) Init(rt node.Runtime) {
 	m.rt = rt
 	m.basePower = rt.TxPower()
-	m.requesters = make(map[packet.NodeID]bool)
 	rt.RadioOn()
 	if m.cfg.Base {
 		if m.cfg.Image == nil {
@@ -842,6 +841,9 @@ func (m *MNP) onDownloadRequest(r *packet.DownloadRequest) {
 		}
 		if int(r.SegID) == m.advSeg {
 			if !m.requesters[r.Src] {
+				if m.requesters == nil {
+					m.requesters = make(map[packet.NodeID]bool)
+				}
 				m.requesters[r.Src] = true
 				m.reqCtr++
 			}

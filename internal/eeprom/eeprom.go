@@ -86,10 +86,22 @@ type Store struct {
 
 // New returns a store with the given capacity in bytes.
 func New(capacity int) (*Store, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("eeprom: capacity %d must be positive", capacity)
+	s := new(Store)
+	if err := s.Init(capacity); err != nil {
+		return nil, err
 	}
-	return &Store{capacity: capacity}, nil
+	return s, nil
+}
+
+// Init makes s an empty store with the given capacity in bytes, for a
+// store held by value (a mote carved from a network's slab embeds its
+// own).
+func (s *Store) Init(capacity int) error {
+	if capacity <= 0 {
+		return fmt.Errorf("eeprom: capacity %d must be positive", capacity)
+	}
+	*s = Store{capacity: capacity}
+	return nil
 }
 
 // at returns the slot for (seg, pkt), or nil if it was never written.

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -126,6 +127,47 @@ func TestFleetBytesPerMote(t *testing.T) {
 	if perMote > budget {
 		t.Fatalf("Build keeps %d B of heap per mote, budget %d", perMote, budget)
 	}
+}
+
+// TestBuildAllocsPerMote is the budget on how many heap objects Build
+// makes per mote of a 20 000-mote MNP fleet: at most 1.25. The one
+// object a mote must have is its protocol instance (Restart needs a
+// fresh one); node, flash store and frame handler are carved from the
+// network's slab, and CSMA callbacks, timer tables and the requester
+// set are bought on first use. Built one object at a time, a mote
+// cost 6.
+func TestBuildAllocsPerMote(t *testing.T) {
+	const rows, cols, budget = 100, 200, 1.25
+	if raceEnabled() {
+		t.Skip("the race detector allocates on its own account")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Build(Setup{Name: "fleet-objects", Rows: rows, Cols: cols, ImagePackets: 48, Seed: 42})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(res)
+	perMote := float64(after.Mallocs-before.Mallocs) / (rows * cols)
+	t.Logf("%.2f objects/mote", perMote)
+	if perMote > budget {
+		t.Fatalf("Build makes %.2f heap objects per mote, budget %.2f", perMote, budget)
+	}
+}
+
+// raceEnabled reports whether this test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // allocBudgets holds each registered protocol's budget on the 8×8 grid

@@ -11,9 +11,10 @@ import (
 )
 
 // specGolden pins the SHA-256 of every paper report at seed 42. The
-// digests were recorded before the ablation specs moved from tuning
-// closures to protocol options and must never be edited to make a
-// change pass: a moved digest is a moved report.
+// digests were recorded while the ablation specs still tuned MNP with
+// closures, and held unedited as those became protocol options and then
+// a typed core.Variant; they must never be edited to make a change
+// pass: a moved digest is a moved report.
 var specGolden = map[string]string{
 	"T1":   "00ead9434c8ba9b936135bcfc26d83a0fb93680ba13e60be486b760649aa9503",
 	"F5":   "2ff6fc32a47a653d8f38fbafdecc7bf1c64c1e2c25c3f4dd140808a105cada1c",

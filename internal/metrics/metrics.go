@@ -92,7 +92,22 @@ type Collector struct {
 	// Concurrent-sender tracking.
 	activeData []senderWindow
 	violations int
+
+	// radioChunk holds the first intervals of motes yet to report a
+	// radio state: a mote's first RadioState takes one slot from it
+	// instead of allocating, and most motes of a large fleet never
+	// report a second. radioCarved counts the slots taken so far and
+	// sizes the next chunk, so a collector that sees few motes (a tile
+	// of a large deployment, a campaign cell) buys few slots.
+	radioChunk  []radioInterval
+	radioCarved int
 }
+
+// Bounds on a radio-interval chunk, in intervals of 16 B.
+const (
+	minRadioChunk = 16
+	maxRadioChunk = 1024
+)
 
 type senderWindow struct {
 	id    packet.NodeID
@@ -201,7 +216,18 @@ func (c *Collector) NodeEvent(id packet.NodeID, at time.Duration, ev node.Event)
 
 // RadioState implements node.Observer.
 func (c *Collector) RadioState(id packet.NodeID, at time.Duration, on bool) {
-	c.nodes[id].radio = append(c.nodes[id].radio, radioInterval{at: at, on: on})
+	st := &c.nodes[id]
+	if st.radio == nil {
+		if len(c.radioChunk) == 0 {
+			c.radioChunk = make([]radioInterval, min(max(c.radioCarved, minRadioChunk), maxRadioChunk))
+		}
+		// One slot, capped, so the mote's second interval grows it
+		// exactly as an append to a fresh one-interval slice would.
+		st.radio = c.radioChunk[:0:1]
+		c.radioChunk = c.radioChunk[1:]
+		c.radioCarved++
+	}
+	st.radio = append(st.radio, radioInterval{at: at, on: on})
 }
 
 // StorageOp implements node.Observer.

@@ -46,16 +46,19 @@ func NewNetwork(layout *topology.Layout, f Factory, place func(packet.NodeID) (*
 	if place == nil {
 		return nil, fmt.Errorf("node: nil placement")
 	}
-	nw := &Network{Layout: layout, factory: f}
-	for i := 0; i < layout.N(); i++ {
+	// The motes are carved from one slab, and one handler serves them
+	// all: the medium names the receiver in RxMeta.To.
+	slab := make([]Node, layout.N())
+	onFrame := func(p packet.Packet, meta radio.RxMeta) { slab[meta.To].onFrame(p, meta) }
+	nw := &Network{Layout: layout, Nodes: make([]*Node, len(slab)), factory: f}
+	for i := range slab {
 		id := packet.NodeID(i)
 		proto, cfg := f(id)
 		k, m, obs := place(id)
-		n, err := New(id, k, m, proto, cfg, obs)
-		if err != nil {
+		if err := slab[i].init(id, k, m, proto, cfg, obs, onFrame); err != nil {
 			return nil, fmt.Errorf("node %v: %w", id, err)
 		}
-		nw.Nodes = append(nw.Nodes, n)
+		nw.Nodes[i] = &slab[i]
 	}
 	return nw, nil
 }

@@ -196,21 +196,21 @@ type Node struct {
 	kernel   *sim.Kernel
 	medium   *radio.Medium
 	proto    Protocol
-	store    *eeprom.Store
+	store    eeprom.Store
 	observer Observer
 	// rng is nil until the mote first draws (see Rand), and again after
 	// Network.Release: a math/rand source is 4.9 KB and 13 µs to seed,
 	// and in a windowed run of a large fleet most motes never draw.
 	rng *rand.Rand
 
-	// timers and timerFns are indexed by TimerID: protocol timer IDs
-	// are small and dense, so a slice beats a map on the per-event hot
-	// path, and the per-ID callbacks are built once instead of
-	// allocating a closure per SetTimer.
-	timers   []sim.Timer
-	timerFns []func()
-	// attemptFn and afterTxFn are the CSMA callbacks, bound once so the
-	// MAC schedules them without allocating.
+	// timers is indexed by TimerID: protocol timer IDs are small and
+	// dense, so a slice beats a map on the per-event hot path, and each
+	// ID's callback is built once instead of allocating a closure per
+	// SetTimer.
+	timers []timerSlot
+	// attemptFn and afterTxFn are the CSMA callbacks, bound on the
+	// mote's first attempt (most motes of a large fleet never send) so
+	// the MAC schedules them without allocating.
 	attemptFn func()
 	afterTxFn func()
 	queue     []queuedFrame
@@ -223,10 +223,28 @@ type Node struct {
 	txPower     int
 }
 
+// timerSlot is one protocol timer: its pending kernel entry and the
+// callback that fires it.
+type timerSlot struct {
+	t  sim.Timer
+	fn func()
+}
+
 // New builds a node. The protocol is not started until Start.
 func New(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Protocol, cfg Config, obs Observer) (*Node, error) {
+	n := new(Node)
+	if err := n.init(id, k, m, proto, cfg, obs, n.onFrame); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// init sets up n in place and registers h as its frame handler: New
+// passes the node's own onFrame, NewNetwork one handler for every mote
+// of its slab.
+func (n *Node) init(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Protocol, cfg Config, obs Observer, h radio.FrameHandler) error {
 	if k == nil || m == nil || proto == nil {
-		return nil, fmt.Errorf("node: nil kernel, medium, or protocol")
+		return fmt.Errorf("node: nil kernel, medium, or protocol")
 	}
 	if cfg.Battery == 0 {
 		cfg.Battery = 1.0
@@ -234,26 +252,12 @@ func New(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Protocol, cfg C
 	if obs == nil {
 		obs = NopObserver{}
 	}
-	store, err := eeprom.New(eeprom.DefaultCapacity)
-	if err != nil {
-		return nil, err
+	if err := n.store.Init(eeprom.DefaultCapacity); err != nil {
+		return err
 	}
-	n := &Node{
-		id:       id,
-		kernel:   k,
-		medium:   m,
-		proto:    proto,
-		store:    store,
-		observer: obs,
-		battery:  cfg.Battery,
-		txPower:  cfg.TxPower,
-	}
-	n.attemptFn = n.attempt
-	n.afterTxFn = n.afterTx
-	if err := m.Register(id, n.onFrame); err != nil {
-		return nil, err
-	}
-	return n, nil
+	n.id, n.kernel, n.medium, n.proto, n.observer = id, k, m, proto, obs
+	n.battery, n.txPower = cfg.Battery, cfg.TxPower
+	return m.Register(id, h)
 }
 
 // Start runs the protocol's Init.
@@ -263,11 +267,10 @@ func (n *Node) Start() { n.proto.Init(n) }
 // queue dropped. Used for failure injection.
 func (n *Node) Kill() {
 	n.dead = true
-	for _, t := range n.timers {
-		t.Cancel()
+	for _, ts := range n.timers {
+		ts.t.Cancel()
 	}
 	n.timers = n.timers[:0]
-	n.timerFns = n.timerFns[:0]
 	n.queue = nil
 	n.sending = false
 	n.medium.Destroy(n.id)
@@ -283,13 +286,10 @@ func (n *Node) Crash() {
 		return
 	}
 	n.dead = true
-	for _, t := range n.timers {
-		t.Cancel()
+	for _, ts := range n.timers {
+		ts.t.Cancel()
 	}
-	// timers and timerFns grow in lockstep in SetTimer; truncate both so
-	// a restarted node rebuilds them together.
 	n.timers = n.timers[:0]
-	n.timerFns = n.timerFns[:0]
 	n.queue = nil
 	n.sending = false
 	n.medium.SetRadio(n.id, false)
@@ -326,7 +326,7 @@ func (n *Node) Completed() bool { return n.completed }
 func (n *Node) CompletedAt() time.Duration { return n.completedAt }
 
 // EEPROM exposes the node's flash store for verification.
-func (n *Node) EEPROM() *eeprom.Store { return n.store }
+func (n *Node) EEPROM() *eeprom.Store { return &n.store }
 
 // Protocol returns the node's protocol instance.
 func (n *Node) Protocol() Protocol { return n.proto }
@@ -443,6 +443,10 @@ func (n *Node) congestionBackoff() time.Duration {
 }
 
 func (n *Node) scheduleAttempt(after time.Duration) {
+	if n.attemptFn == nil {
+		n.attemptFn = n.attempt
+		n.afterTxFn = n.afterTx
+	}
 	n.kernel.MustSchedule(after, n.attemptFn)
 }
 
@@ -494,14 +498,13 @@ func (n *Node) SetTimer(id TimerID, d time.Duration) {
 	if n.dead || id < 0 {
 		return
 	}
-	for int(id) >= len(n.timers) {
-		n.timers = append(n.timers, sim.Timer{})
-		n.timerFns = append(n.timerFns, nil)
+	if grow := int(id) + 1 - len(n.timers); grow > 0 {
+		n.timers = append(n.timers, make([]timerSlot, grow)...)
 	}
-	if n.timerFns[id] == nil {
-		id := id
-		n.timerFns[id] = func() {
-			n.timers[id] = sim.Timer{}
+	ts := &n.timers[id]
+	if ts.fn == nil {
+		ts.fn = func() {
+			n.timers[id].t = sim.Timer{}
 			if !n.dead {
 				n.proto.OnTimer(id)
 			}
@@ -509,20 +512,20 @@ func (n *Node) SetTimer(id TimerID, d time.Duration) {
 	}
 	// Reset replaces a pending timer where it sits in the kernel's queue:
 	// a watchdog pushed out by every packet heard stays one entry.
-	n.timers[id] = n.kernel.Reset(n.timers[id], d, n.timerFns[id])
+	ts.t = n.kernel.Reset(ts.t, d, ts.fn)
 }
 
 // CancelTimer implements Runtime.
 func (n *Node) CancelTimer(id TimerID) {
 	if id >= 0 && int(id) < len(n.timers) {
-		n.timers[id].Cancel()
-		n.timers[id] = sim.Timer{}
+		n.timers[id].t.Cancel()
+		n.timers[id].t = sim.Timer{}
 	}
 }
 
 // TimerPending implements Runtime.
 func (n *Node) TimerPending(id TimerID) bool {
-	return id >= 0 && int(id) < len(n.timers) && n.timers[id].Active()
+	return id >= 0 && int(id) < len(n.timers) && n.timers[id].t.Active()
 }
 
 // RadioOn implements Runtime.

@@ -399,6 +399,49 @@ func TestCSMADefersOnBusyChannel(t *testing.T) {
 	}
 }
 
+// TestNetworkDeliversAcrossMedia: a network whose placement splits its
+// motes over two media (even IDs on one, odd on the other) still hands
+// every frame to the protocol of the mote it reached, through the one
+// handler the network registers for all of them.
+func TestNetworkDeliversAcrossMedia(t *testing.T) {
+	k := sim.New(1)
+	l, err := topology.Line(4, 5) // every mote within range of every other
+	if err != nil {
+		t.Fatal(err)
+	}
+	var media [2]*radio.Medium
+	for i := range media {
+		if media[i], err = radio.NewMedium(k, l, cleanRadio(), int64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	protos := make([]*echoProto, l.N())
+	nw, err := NewNetwork(l, func(id packet.NodeID) (Protocol, Config) {
+		protos[id] = &echoProto{}
+		return protos[id], Config{TxPower: radio.PowerSim}
+	}, func(id packet.NodeID) (*sim.Kernel, *radio.Medium, Observer) { return k, media[id%2], nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Start()
+	for _, n := range nw.Nodes {
+		n.RadioOn()
+		if err := n.Send(&packet.Data{Src: n.ID(), ProgramID: 1, SegID: 1, Payload: []byte{byte(n.ID())}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.Run(time.Minute)
+	for id, p := range protos {
+		peer := packet.NodeID(id ^ 2) // the other mote on the same medium
+		if len(p.froms) != 1 || p.froms[0] != peer {
+			t.Fatalf("mote %d heard %v, want exactly its medium's peer %v", id, p.froms, peer)
+		}
+		if d, ok := p.packets[0].(*packet.Data); !ok || d.Src != peer || d.Payload[0] != byte(peer) {
+			t.Fatalf("mote %d got %#v from %v", id, p.packets[0], peer)
+		}
+	}
+}
+
 func TestNetworkLifecycle(t *testing.T) {
 	k := sim.New(1)
 	l, err := topology.Line(3, 10)

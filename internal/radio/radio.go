@@ -108,7 +108,10 @@ func RangeFeet(power int) (float64, bool) {
 
 // RxMeta describes a successful reception.
 type RxMeta struct {
-	From  packet.NodeID
+	From packet.NodeID
+	// To is the receiving mote, so one handler can serve every mote of
+	// a medium.
+	To    packet.NodeID
 	Bytes int
 	At    time.Duration
 }
@@ -1112,7 +1115,7 @@ func (m *Medium) finish(t *transmission) {
 		m.delivered++
 		m.sink.FrameReceived(r, t.src, t.kind, t.bytes)
 		if st.handler != nil {
-			st.handler(decoded, RxMeta{From: t.src, Bytes: t.bytes, At: m.kernel.Now()})
+			st.handler(decoded, RxMeta{From: t.src, To: r, Bytes: t.bytes, At: m.kernel.Now()})
 		}
 	}
 	// Only now does t leave the active list, so a repair a handler above

@@ -115,6 +115,38 @@ func TestBasicDelivery(t *testing.T) {
 	}
 }
 
+// TestRxMetaNamesReceiver: every delivered frame's RxMeta.To is the
+// mote whose handler got it, so one handler can serve a whole network.
+func TestRxMetaNamesReceiver(t *testing.T) {
+	l, err := topology.Grid(3, 3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newTestNet(t, l, cleanParams())
+	n.allOn()
+	for i := 0; i < l.N(); i++ {
+		src := packet.NodeID(i)
+		n.k.MustSchedule(time.Duration(i)*100*time.Millisecond, func() {
+			if _, err := n.m.Transmit(src, adv(src), PowerSim); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	n.k.Run(time.Duration(l.N()) * 100 * time.Millisecond)
+	heard := make([]int, l.N())
+	for _, r := range n.rxs {
+		if r.meta.To != r.at {
+			t.Fatalf("frame from %v delivered to %v with To %v", r.meta.From, r.at, r.meta.To)
+		}
+		heard[r.at]++
+	}
+	for id, c := range heard {
+		if c == 0 {
+			t.Fatalf("mote %d received nothing from its neighbours", id)
+		}
+	}
+}
+
 // TestTransmitFrame: the medium takes the kind from the frame header,
 // refuses a malformed header, copies the frame so the caller may reuse
 // its buffer at once, and hands a tap a packet decoded for it alone.
