@@ -263,6 +263,15 @@ func TestBarrierGoroutinesExit(t *testing.T) {
 	for _, sh := range shards {
 		tick(sh.Kernel, e.window, func() {})
 	}
+	// A worker of an earlier test's engine may still be returning from
+	// its deferred Done; count from after the last of them is gone.
+	deadline := time.Now().Add(5 * time.Second)
+	for engineWorkers() != 0 && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if n := engineWorkers(); n != 0 {
+		t.Fatalf("%d worker goroutines of earlier engines still running", n)
+	}
 	before := runtime.NumGoroutine()
 	for run := 1; run <= 2; run++ {
 		windows := 0
@@ -285,6 +294,17 @@ func TestBarrierGoroutinesExit(t *testing.T) {
 	}
 	if got := e.Stats().Windows; got != 200 {
 		t.Fatalf("Stats.Windows = %d over two runs, want 200", got)
+	}
+}
+
+// engineWorkers counts the goroutines inside an engine worker's body.
+func engineWorkers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return bytes.Count(buf[:n], []byte("engine.(*Engine).work("))
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 

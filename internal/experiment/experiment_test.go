@@ -90,24 +90,11 @@ func TestProtocolStrings(t *testing.T) {
 	}
 }
 
+// TestSmallRunCompletesAndVerifies: MNP with an image shorter than one
+// segment on a 3×3 grid completes under the checker with identical
+// images; the kit's rows all carry a whole segment.
 func TestSmallRunCompletesAndVerifies(t *testing.T) {
-	res, err := Run(Setup{Name: "small", Rows: 3, Cols: 3, ImagePackets: 64, Seed: 5, Limit: time.Hour,
-		Invariants: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("incomplete: %d/%d", res.Network.CompletedCount(), len(res.Network.Nodes))
-	}
-	if err := res.VerifyImages(); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.VerifyInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if res.CompletionTime <= 0 {
-		t.Fatal("nonpositive completion time")
-	}
+	conform(t, Setup{Name: "small", Rows: 3, Cols: 3, ImagePackets: 64, Seed: 5}, verdict{}, nil)
 }
 
 func TestPowerChangesSenderCount(t *testing.T) {
@@ -203,41 +190,11 @@ func TestDelugeComparisonShape(t *testing.T) {
 	}
 }
 
-func TestXNPRunOnGridLeavesFarNodesIncomplete(t *testing.T) {
-	res, err := Run(Setup{
-		Name: "xnp-limit", Rows: 1, Cols: 5, Spacing: 20,
-		ImagePackets: 64, Protocol: ProtocolXNP, Seed: 3,
-		Limit: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed {
-		t.Fatal("XNP covered a multihop line — single-hop limitation lost")
-	}
-	if !res.Network.Node(1).Completed() {
-		t.Fatal("in-range node incomplete")
-	}
-}
-
+// TestMOAPRunCompletes: MOAP with an image shorter than one segment on
+// a 2×3 grid completes under the checker with identical images.
 func TestMOAPRunCompletes(t *testing.T) {
-	res, err := Run(Setup{
-		Name: "moap-small", Rows: 2, Cols: 3,
-		ImagePackets: 64, Protocol: ProtocolMOAP, Seed: 4,
-		Limit: 6 * time.Hour, Invariants: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("MOAP incomplete: %d/%d", res.Network.CompletedCount(), len(res.Network.Nodes))
-	}
-	if err := res.VerifyImages(); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.VerifyInvariants(); err != nil {
-		t.Fatal(err)
-	}
+	conform(t, Setup{Name: "moap-small", Rows: 2, Cols: 3, ImagePackets: 64, Protocol: ProtocolMOAP, Seed: 4},
+		verdict{}, nil)
 }
 
 func TestCustomLayoutOverridesGrid(t *testing.T) {

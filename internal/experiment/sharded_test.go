@@ -215,13 +215,13 @@ func TestShardedDeterminism(t *testing.T) {
 // blocked cross-shard ghost frames.
 func TestShardedChaosPartitionHeal(t *testing.T) {
 	cut := []packet.NodeID{8, 9, 10, 11, 12, 13, 14, 15}
-	res := runChaos(t, Setup{
+	res := conform(t, Setup{
 		Name: "chaos-partition-sharded", Rows: 4, Cols: 4, ImagePackets: 128, Seed: 42,
 		Shards: 4, Workers: 1,
 		Faults: &faults.Plan{Events: []faults.Event{
 			faults.Partition(cut, 10*time.Second, 90*time.Second),
 		}},
-	})
+	}, verdict{}, nil)
 	if res.Engine == nil {
 		t.Fatal("run did not go through the sharded engine")
 	}

@@ -166,14 +166,14 @@ func TestTiledChaosPartitionHeal(t *testing.T) {
 	cut := []packet.NodeID{8, 9, 10, 11, 12, 13, 14, 15}
 	for _, g := range []engine.Grid{{Rows: 2, Cols: 2}, {Rows: 4, Cols: 4}} {
 		t.Run(g.String(), func(t *testing.T) {
-			res := runChaos(t, Setup{
+			res := conform(t, Setup{
 				Name: "chaos-partition-tiled-" + g.String(),
 				Rows: 4, Cols: 4, ImagePackets: 128, Seed: 42,
 				TileRows: g.Rows, TileCols: g.Cols, Shards: 4, Workers: 1,
 				Faults: &faults.Plan{Events: []faults.Event{
 					faults.Partition(cut, 10*time.Second, 90*time.Second),
 				}},
-			})
+			}, verdict{}, nil)
 			if res.Engine == nil || res.TileGrid != g {
 				t.Fatalf("run did not go through the %s tile engine", g)
 			}
@@ -185,28 +185,19 @@ func TestTiledChaosPartitionHeal(t *testing.T) {
 }
 
 // TestTiledChaosCrashDuringForward kills two mid-grid forwarders with
-// the deployment split into 2×2 tiles; the survivors must converge and
-// the dead stay exactly the crashed pair.
+// the deployment split into 2×2 tiles; conform holds the survivors to
+// convergence and the dead to exactly the crashed pair.
 func TestTiledChaosCrashDuringForward(t *testing.T) {
-	res := runChaos(t, Setup{
+	res := conform(t, Setup{
 		Name: "chaos-crash-tiled", Rows: 5, Cols: 5, ImagePackets: 128, Seed: 42,
 		TileRows: 2, TileCols: 2, Shards: 4, Workers: 1,
 		Faults: &faults.Plan{Events: []faults.Event{
 			faults.Crash(6, 40*time.Second),
 			faults.Crash(12, 70*time.Second),
 		}},
-	})
+	}, verdict{}, nil)
 	if res.Engine == nil {
 		t.Fatal("run did not go through the tile engine")
-	}
-	dead := 0
-	for _, n := range res.Network.Nodes {
-		if n.Dead() {
-			dead++
-		}
-	}
-	if dead != 2 {
-		t.Fatalf("dead = %d, want the 2 crashed forwarders", dead)
 	}
 }
 
