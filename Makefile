@@ -23,14 +23,18 @@ race-short:
 	$(GO) test -race -short ./...
 
 # race-engine exercises the lockstep engine under the race detector:
-# the engine, tile-partition, and kernel unit tests (the window
+# the engine, tile-partition, kernel and node unit tests (the window
 # primitives and the model test: Reset against cancel-and-schedule, the
-# queue against the reference kernel), the sharded
+# queue against the reference kernel, both driven through plain and
+# argument-form callbacks; a mote's timer and CSMA callbacks and the
+# chunks its tile carves), the sharded
 # experiment suite (one-tile-vs-strips equivalence at shards 1 and 4,
 # determinism with inline and parallel workers, sharded chaos, strip
 # orientation), the tiled suite (the grid x workers{1,2,4} equivalence
 # matrix, the one-tile Build contract, tiled chaos, observer-replay
-# ordering with parallel workers), the
+# ordering with parallel workers; every tile's motes share one
+# network's timer and CSMA callbacks and carve from their own tile's
+# chunks, raced through TestTiled), the
 # mobility suite (the mobile equivalence matrix, churn chaos, and the
 # static zero-cost check), and the sharded + mobile golden hashes
 # (shards=4, workers 1 and 4). The barrier tests run a second time on
@@ -38,7 +42,7 @@ race-short:
 # (yield, then park) is raced on every push whatever the CI host's core
 # count.
 race-engine:
-	$(GO) test -race ./internal/engine/ ./internal/sim/
+	$(GO) test -race ./internal/engine/ ./internal/sim/ ./internal/node/
 	GOMAXPROCS=1 $(GO) test -race ./internal/engine/ -run 'Barrier'
 	$(GO) test -race ./internal/experiment/ -run 'TestSetupValidate|TestSharded|TestTiled|TestMobility'
 	$(GO) test -race . -run 'TestShardedRunMatchesGolden|TestMobileRunMatchesGolden'

@@ -8,6 +8,8 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+
+	"mnp/internal/race"
 )
 
 // planDoc is a small but full-width campaign: 2 protocols x 2 seeds x
@@ -545,7 +547,7 @@ func TestRunCellRepeats(t *testing.T) {
 // cell (99 328 B measured; 251 392 B when every cell built its own).
 func TestCellBytesAfterWarmCell(t *testing.T) {
 	const budget = 150 << 10
-	if raceEnabled() {
+	if race.Enabled {
 		t.Skip("the race detector drops pooled items at random")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pools
@@ -563,18 +565,4 @@ func TestCellBytesAfterWarmCell(t *testing.T) {
 	if got > budget {
 		t.Fatalf("a warm cell allocates %d B, budget %d", got, budget)
 	}
-}
-
-// raceEnabled reports whether this test binary was built with -race.
-func raceEnabled() bool {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
 }

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"testing"
 	"time"
 
 	"mnp/internal/packet"
+	"mnp/internal/race"
 	"mnp/internal/radio"
 	"mnp/internal/sim"
 	"mnp/internal/topology"
@@ -191,20 +191,6 @@ func beaconRun(tb testing.TB, workers int, procs int, simTime time.Duration) (di
 	return h.Sum64(), wall
 }
 
-// raceEnabled reports whether this test binary was built with -race.
-func raceEnabled() bool {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
-
 // TestBarrierOversubscribedRun: four workers on one processor must
 // produce the inline run's digest, and in the inline run's order of
 // time — every wait has to hand the processor over, not spin against
@@ -221,7 +207,7 @@ func raceEnabled() bool {
 func TestBarrierOversubscribedRun(t *testing.T) {
 	const simTime, tries = 60 * time.Second, 3
 	bound := 3.0
-	if raceEnabled() {
+	if race.Enabled {
 		bound = 10
 	}
 	best := func(workers int) (uint64, time.Duration) {

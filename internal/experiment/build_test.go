@@ -5,12 +5,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
 
 	"mnp/internal/engine"
+	"mnp/internal/race"
 )
 
 // outcomeDigest hashes a finished run's observable outcome — verdict,
@@ -133,12 +133,12 @@ func TestFleetBytesPerMote(t *testing.T) {
 // makes per mote of a 20 000-mote MNP fleet: at most 1.25. The one
 // object a mote must have is its protocol instance (Restart needs a
 // fresh one); node, flash store and frame handler are carved from the
-// network's slab, and CSMA callbacks, timer tables and the requester
-// set are bought on first use. Built one object at a time, a mote
-// cost 6.
+// network's slab, its timer and CSMA callbacks are the network's, and
+// timer tables, queue slots and the requester set are bought on first
+// use. Built one object at a time, a mote cost 6.
 func TestBuildAllocsPerMote(t *testing.T) {
 	const rows, cols, budget = 100, 200, 1.25
-	if raceEnabled() {
+	if race.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	var before, after runtime.MemStats
@@ -156,31 +156,17 @@ func TestBuildAllocsPerMote(t *testing.T) {
 	}
 }
 
-// raceEnabled reports whether this test binary was built with -race.
-func raceEnabled() bool {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
-
 // allocBudgets holds each registered protocol's budget on the 8×8 grid
 // of TestRunAllocsPerFrame: its measured objects per frame plus half.
 // What is left per frame is per-mote state bought once (random source,
 // queue slots, messages, flash rows) spread over a short run's frames.
 var allocBudgets = map[string]float64{
-	"deluge": 0.62, // 0.41
-	"gossip": 0.11, // 0.07
-	"mnp":    0.45, // 0.30
-	"moap":   0.17, // 0.11
-	"rlnc":   0.08, // 0.05
-	"xnp":    0.44, // 0.29
+	"deluge": 0.41, // 0.27
+	"gossip": 0.07, // 0.045
+	"mnp":    0.25, // 0.165
+	"moap":   0.06, // 0.040
+	"rlnc":   0.05, // 0.032
+	"xnp":    0.26, // 0.17
 }
 
 // partialRuns names the registered protocols whose 8×8 row may stop at

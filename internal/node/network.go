@@ -46,16 +46,31 @@ func NewNetwork(layout *topology.Layout, f Factory, place func(packet.NodeID) (*
 	if place == nil {
 		return nil, fmt.Errorf("node: nil placement")
 	}
+	if layout.N() > maxMotes {
+		return nil, fmt.Errorf("node: %d motes, at most %d", layout.N(), maxMotes)
+	}
 	// The motes are carved from one slab, and one handler serves them
-	// all: the medium names the receiver in RxMeta.To.
+	// all: the medium names the receiver in RxMeta.To. Likewise one
+	// timer callback and one pair of CSMA callbacks serve every mote,
+	// told apart by the event's argument, and the motes on each kernel
+	// share a tile to carve their timer tables and queue slots from.
 	slab := make([]Node, layout.N())
 	onFrame := func(p packet.Packet, meta radio.RxMeta) { slab[meta.To].onFrame(p, meta) }
+	timer := func(arg uint32) { slab[arg>>timerBits].fireTimer(TimerID(arg) & MaxTimerID) }
+	attempt := func(arg uint32) { slab[arg].attempt() }
+	afterTx := func(arg uint32) { slab[arg].afterTx() }
+	tiles := make(map[*sim.Kernel]*tile)
 	nw := &Network{Layout: layout, Nodes: make([]*Node, len(slab)), factory: f}
 	for i := range slab {
 		id := packet.NodeID(i)
 		proto, cfg := f(id)
 		k, m, obs := place(id)
-		if err := slab[i].init(id, k, m, proto, cfg, obs, onFrame); err != nil {
+		t := tiles[k]
+		if t == nil {
+			t = &tile{timer: timer, attempt: attempt, afterTx: afterTx}
+			tiles[k] = t
+		}
+		if err := slab[i].init(id, k, m, proto, cfg, obs, onFrame, t); err != nil {
 			return nil, fmt.Errorf("node %v: %w", id, err)
 		}
 		nw.Nodes[i] = &slab[i]

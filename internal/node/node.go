@@ -20,8 +20,8 @@ import (
 )
 
 // TimerID names a protocol timer. Each protocol defines its own
-// constants; a node keyes pending timers by ID, and setting an ID
-// replaces any pending timer with that ID.
+// constants, from 0 to MaxTimerID; a node keyes pending timers by ID,
+// and setting an ID replaces any pending timer with that ID.
 type TimerID int
 
 // Runtime is the mote-facing API protocols program against.
@@ -203,19 +203,19 @@ type Node struct {
 	// and in a windowed run of a large fleet most motes never draw.
 	rng *rand.Rand
 
+	// tile holds the kernel callbacks behind the mote's timers and CSMA
+	// MAC, shared with every mote of its network on the same kernel,
+	// and the chunks its timer table and MAC-queue slots are carved
+	// from.
+	tile *tile
 	// timers is indexed by TimerID: protocol timer IDs are small and
-	// dense, so a slice beats a map on the per-event hot path, and each
-	// ID's callback is built once instead of allocating a closure per
-	// SetTimer.
-	timers []timerSlot
-	// attemptFn and afterTxFn are the CSMA callbacks, bound on the
-	// mote's first attempt (most motes of a large fleet never send) so
-	// the MAC schedules them without allocating.
-	attemptFn func()
-	afterTxFn func()
-	queue     []queuedFrame
-	sending   bool
-	dead      bool
+	// dense, so a slice beats a map on the per-event hot path. It is
+	// carved from the tile on the first SetTimer; most motes of a large
+	// fleet never arm one.
+	timers  []sim.Timer
+	queue   []queuedFrame
+	sending bool
+	dead    bool
 
 	completed   bool
 	completedAt time.Duration
@@ -223,26 +223,24 @@ type Node struct {
 	txPower     int
 }
 
-// timerSlot is one protocol timer: its pending kernel entry and the
-// callback that fires it.
-type timerSlot struct {
-	t  sim.Timer
-	fn func()
-}
-
 // New builds a node. The protocol is not started until Start.
 func New(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Protocol, cfg Config, obs Observer) (*Node, error) {
 	n := new(Node)
-	if err := n.init(id, k, m, proto, cfg, obs, n.onFrame); err != nil {
+	t := &tile{
+		timer:   func(arg uint32) { n.fireTimer(TimerID(arg) & MaxTimerID) },
+		attempt: func(uint32) { n.attempt() },
+		afterTx: func(uint32) { n.afterTx() },
+	}
+	if err := n.init(id, k, m, proto, cfg, obs, n.onFrame, t); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
-// init sets up n in place and registers h as its frame handler: New
-// passes the node's own onFrame, NewNetwork one handler for every mote
-// of its slab.
-func (n *Node) init(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Protocol, cfg Config, obs Observer, h radio.FrameHandler) error {
+// init sets up n in place on tile t and registers h as its frame
+// handler: New passes the node's own onFrame and tile, NewNetwork one
+// handler for every mote of its slab and one tile per kernel.
+func (n *Node) init(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Protocol, cfg Config, obs Observer, h radio.FrameHandler, t *tile) error {
 	if k == nil || m == nil || proto == nil {
 		return fmt.Errorf("node: nil kernel, medium, or protocol")
 	}
@@ -255,7 +253,7 @@ func (n *Node) init(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Prot
 	if err := n.store.Init(eeprom.DefaultCapacity); err != nil {
 		return err
 	}
-	n.id, n.kernel, n.medium, n.proto, n.observer = id, k, m, proto, obs
+	n.id, n.kernel, n.medium, n.proto, n.observer, n.tile = id, k, m, proto, obs, t
 	n.battery, n.txPower = cfg.Battery, cfg.TxPower
 	return m.Register(id, h)
 }
@@ -264,15 +262,10 @@ func (n *Node) init(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Prot
 func (n *Node) Start() { n.proto.Init(n) }
 
 // Kill destroys the node: radio permanently off, timers cancelled,
-// queue dropped. Used for failure injection.
+// queue emptied. Used for failure injection.
 func (n *Node) Kill() {
 	n.dead = true
-	for _, ts := range n.timers {
-		ts.t.Cancel()
-	}
-	n.timers = n.timers[:0]
-	n.queue = nil
-	n.sending = false
+	n.clearRAM()
 	n.medium.Destroy(n.id)
 	n.observer.RadioState(n.id, n.kernel.Now(), false)
 }
@@ -286,14 +279,21 @@ func (n *Node) Crash() {
 		return
 	}
 	n.dead = true
-	for _, ts := range n.timers {
-		ts.t.Cancel()
-	}
-	n.timers = n.timers[:0]
-	n.queue = nil
-	n.sending = false
+	n.clearRAM()
 	n.medium.SetRadio(n.id, false)
 	n.observer.RadioState(n.id, n.kernel.Now(), false)
+}
+
+// clearRAM cancels every timer and empties the MAC queue. The timer
+// table and the queue's slots are kept, so a rebooted mote arms and
+// sends without carving them again.
+func (n *Node) clearRAM() {
+	for i := range n.timers {
+		n.timers[i].Cancel()
+		n.timers[i] = sim.Timer{}
+	}
+	n.queue = n.queue[:0]
+	n.sending = false
 }
 
 // Restart revives a crashed node with a fresh protocol instance, as a
@@ -381,9 +381,9 @@ type queuedFrame struct {
 	power int
 }
 
-// slotBytes is a new slot's buffer: room for every frame of the default
-// 22-byte payload in one allocation, instead of one per doubling. A
-// larger frame grows its slot once.
+// slotBytes is a new slot's buffer, carved from the mote's tile: room
+// for every frame of the default 22-byte payload. A larger frame grows
+// its slot once.
 const slotBytes = 64
 
 // Send's refusals. Protocols send best-effort and drop the error, a
@@ -394,7 +394,7 @@ var (
 )
 
 // Send implements Runtime: encode p into the MAC queue's next slot for
-// CSMA transmission at the current transmit power. Slots are made on
+// CSMA transmission at the current transmit power. Slots are carved on
 // demand and reused, so a mote that never sends owns none. A packet
 // whose frame the radio cannot carry (a body too long for the length
 // byte) is refused here, not left at the head of the queue.
@@ -406,14 +406,13 @@ func (n *Node) Send(p packet.Packet) error {
 		return errQueueFull
 	}
 	i := len(n.queue)
-	if i < cap(n.queue) {
-		n.queue = n.queue[:i+1]
-	} else {
-		n.queue = append(n.queue, queuedFrame{})
+	if i == cap(n.queue) {
+		n.queue = n.tile.growQueue(n.queue)
 	}
+	n.queue = n.queue[:i+1]
 	q := &n.queue[i]
 	if q.frame == nil {
-		q.frame = make([]byte, 0, slotBytes)
+		q.frame = n.tile.frameBuf()
 	}
 	q.frame = packet.AppendEncode(q.frame[:0], p)
 	if _, err := packet.FrameKind(q.frame); err != nil {
@@ -443,11 +442,7 @@ func (n *Node) congestionBackoff() time.Duration {
 }
 
 func (n *Node) scheduleAttempt(after time.Duration) {
-	if n.attemptFn == nil {
-		n.attemptFn = n.attempt
-		n.afterTxFn = n.afterTx
-	}
-	n.kernel.MustSchedule(after, n.attemptFn)
+	n.kernel.MustScheduleArg(after, n.tile.attempt, uint32(n.id))
 }
 
 // attempt is the CSMA step: carrier-sense, then transmit or back off.
@@ -480,7 +475,7 @@ func (n *Node) attempt() {
 	last := copy(n.queue, n.queue[1:])
 	n.queue[last] = q
 	n.queue = n.queue[:last]
-	n.kernel.MustSchedule(air+interFrameGap, n.afterTxFn)
+	n.kernel.MustScheduleArg(air+interFrameGap, n.tile.afterTx, uint32(n.id))
 }
 
 // afterTx runs one inter-frame gap after a transmission: move on to the
@@ -493,39 +488,41 @@ func (n *Node) afterTx() {
 	}
 }
 
-// SetTimer implements Runtime.
+// SetTimer implements Runtime. It panics on an ID above MaxTimerID.
 func (n *Node) SetTimer(id TimerID, d time.Duration) {
 	if n.dead || id < 0 {
 		return
 	}
-	if grow := int(id) + 1 - len(n.timers); grow > 0 {
-		n.timers = append(n.timers, make([]timerSlot, grow)...)
+	if id > MaxTimerID {
+		panic(fmt.Sprintf("node %v: timer ID %d above %d", n.id, id, MaxTimerID))
 	}
-	ts := &n.timers[id]
-	if ts.fn == nil {
-		ts.fn = func() {
-			n.timers[id].t = sim.Timer{}
-			if !n.dead {
-				n.proto.OnTimer(id)
-			}
-		}
+	if int(id) >= len(n.timers) {
+		n.timers = n.tile.growTimers(n.timers, int(id)+1)
 	}
 	// Reset replaces a pending timer where it sits in the kernel's queue:
 	// a watchdog pushed out by every packet heard stays one entry.
-	ts.t = n.kernel.Reset(ts.t, d, ts.fn)
+	n.timers[id] = n.kernel.ResetArg(n.timers[id], d, n.tile.timer, uint32(n.id)<<timerBits|uint32(id))
+}
+
+// fireTimer runs timer id's expiry.
+func (n *Node) fireTimer(id TimerID) {
+	n.timers[id] = sim.Timer{}
+	if !n.dead {
+		n.proto.OnTimer(id)
+	}
 }
 
 // CancelTimer implements Runtime.
 func (n *Node) CancelTimer(id TimerID) {
 	if id >= 0 && int(id) < len(n.timers) {
-		n.timers[id].t.Cancel()
-		n.timers[id].t = sim.Timer{}
+		n.timers[id].Cancel()
+		n.timers[id] = sim.Timer{}
 	}
 }
 
 // TimerPending implements Runtime.
 func (n *Node) TimerPending(id TimerID) bool {
-	return id >= 0 && int(id) < len(n.timers) && n.timers[id].t.Active()
+	return id >= 0 && int(id) < len(n.timers) && n.timers[id].Active()
 }
 
 // RadioOn implements Runtime.

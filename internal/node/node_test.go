@@ -261,6 +261,31 @@ func TestTimerRearmKeepsOneKernelEntry(t *testing.T) {
 	}
 }
 
+// A timer event's argument names its mote and its ID: on a network,
+// whose motes share one timer callback, each mote hears exactly the
+// IDs it armed, the lowest and the highest an argument carries
+// included, and an ID past those is refused.
+func TestSharedTimerCallbackRoutesByMoteAndID(t *testing.T) {
+	nw := newLineNetwork(t, 4)
+	for _, n := range nw.Nodes {
+		n.SetTimer(MaxTimerID, time.Duration(n.ID()+1)*time.Second)
+		n.SetTimer(TimerID(n.ID()), time.Duration(n.ID()+1)*time.Millisecond)
+	}
+	nw.Node(0).kernel.Run(time.Minute)
+	for _, n := range nw.Nodes {
+		got := n.Protocol().(*echoProto).timers
+		if len(got) != 2 || got[0] != TimerID(n.ID()) || got[1] != MaxTimerID {
+			t.Fatalf("mote %v fired %v, want [%d %d]", n.ID(), got, n.ID(), MaxTimerID)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetTimer accepted an ID above MaxTimerID")
+		}
+	}()
+	nw.Node(0).SetTimer(MaxTimerID+1, time.Second)
+}
+
 func TestKillSilencesNode(t *testing.T) {
 	r := newRig(t, 2, 10)
 	r.nodes[0].RadioOn()

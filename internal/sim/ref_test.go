@@ -12,7 +12,9 @@ import (
 // pointers. It is the reference the model test and the fuzz target
 // compare Kernel against, so it is kept as it was — same key
 // assignment, same settle rule, same Reset fast path — and nothing here
-// is shared with sim.go.
+// is shared with sim.go. The one addition is the argument form: an
+// event runs fn() or fnArg(arg), and an argument-form schedule or
+// re-arm follows the same rules as the plain one.
 type refKernel struct {
 	now     time.Duration
 	seq     uint64
@@ -27,6 +29,8 @@ type refEvent struct {
 	due       time.Duration
 	dueSeq    uint64
 	fn        func()
+	fnArg     func(uint32)
+	arg       uint32
 	gen       uint32
 	cancelled bool
 	fired     bool
@@ -53,12 +57,19 @@ func (k *refKernel) MustSchedule(delay time.Duration, fn func()) refTimer {
 	if delay < 0 {
 		panic(fmt.Errorf("sim: negative delay %v", delay))
 	}
-	return k.at(k.now+delay, fn)
+	return k.at(k.now+delay, fn, nil, 0)
+}
+
+func (k *refKernel) MustScheduleArg(delay time.Duration, fn func(uint32), arg uint32) refTimer {
+	if delay < 0 {
+		panic(fmt.Errorf("sim: negative delay %v", delay))
+	}
+	return k.at(k.now+delay, nil, fn, arg)
 }
 
 func (k *refKernel) Reset(t refTimer, delay time.Duration, fn func()) refTimer {
 	if ev := t.ev; delay >= 0 && t.Active() && k.now+delay >= ev.at {
-		ev.due, ev.dueSeq, ev.fn = k.now+delay, k.seq, fn
+		ev.due, ev.dueSeq, ev.fn, ev.fnArg = k.now+delay, k.seq, fn, nil
 		k.seq++
 		return t
 	}
@@ -66,7 +77,17 @@ func (k *refKernel) Reset(t refTimer, delay time.Duration, fn func()) refTimer {
 	return k.MustSchedule(delay, fn)
 }
 
-func (k *refKernel) at(when time.Duration, fn func()) refTimer {
+func (k *refKernel) ResetArg(t refTimer, delay time.Duration, fn func(uint32), arg uint32) refTimer {
+	if ev := t.ev; delay >= 0 && t.Active() && k.now+delay >= ev.at {
+		ev.due, ev.dueSeq, ev.fn, ev.fnArg, ev.arg = k.now+delay, k.seq, nil, fn, arg
+		k.seq++
+		return t
+	}
+	t.Cancel()
+	return k.MustScheduleArg(delay, fn, arg)
+}
+
+func (k *refKernel) at(when time.Duration, fn func(), fnArg func(uint32), arg uint32) refTimer {
 	var ev *refEvent
 	if n := len(k.free); n > 0 {
 		ev = k.free[n-1]
@@ -75,7 +96,7 @@ func (k *refKernel) at(when time.Duration, fn func()) refTimer {
 	} else {
 		ev = &refEvent{}
 	}
-	ev.at, ev.seq, ev.fn = when, k.seq, fn
+	ev.at, ev.seq, ev.fn, ev.fnArg, ev.arg = when, k.seq, fn, fnArg, arg
 	ev.due, ev.dueSeq = when, k.seq
 	k.seq++
 	k.push(ev)
@@ -84,7 +105,7 @@ func (k *refKernel) at(when time.Duration, fn func()) refTimer {
 
 func (k *refKernel) recycle(ev *refEvent) {
 	ev.gen++
-	ev.fn = nil
+	ev.fn, ev.fnArg = nil, nil
 	k.free = append(k.free, ev)
 }
 
@@ -108,9 +129,13 @@ func (k *refKernel) Step() bool {
 		}
 		k.now = ev.at
 		ev.fired = true
-		fn := ev.fn
+		fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
 		k.recycle(ev)
-		fn()
+		if fnArg != nil {
+			fnArg(arg)
+		} else {
+			fn()
+		}
 		return true
 	}
 	return false

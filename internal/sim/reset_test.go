@@ -17,7 +17,11 @@ import (
 // agree on everything observable and on Pending exactly, after every
 // step, through every way of running, with callbacks that schedule
 // nothing, one event or several, cancel and re-arm their own and other
-// handles, and look at the queue while they run.
+// handles, and look at the queue while they run. Callbacks come in
+// both forms, a closure of their own or one of two handlers shared by
+// every argument-form event and told which event it runs by the
+// argument, and a re-arm may switch a pending timer from one form to
+// the other.
 
 // handle is what a script holds for an armed slot.
 type handle interface {
@@ -25,8 +29,16 @@ type handle interface {
 	Active() bool
 }
 
+// callback is a scheduled callback in either form: fn(), or fnArg(arg)
+// when fnArg is set.
+type callback struct {
+	fn    func()
+	fnArg func(uint32)
+	arg   uint32
+}
+
 // scripted is the part of the kernel API a script drives. rearm and
-// schedule hide the two Timer types.
+// schedule hide the two Timer types and pick the form's entry point.
 type scripted interface {
 	Now() time.Duration
 	Step() bool
@@ -37,46 +49,75 @@ type scripted interface {
 	NextEventAt() (time.Duration, bool)
 	Pending() int
 	Stop()
-	schedule(delay time.Duration, fn func()) handle
-	rearm(h handle, delay time.Duration, fn func()) handle
+	schedule(delay time.Duration, c callback) handle
+	rearm(h handle, delay time.Duration, c callback) handle
 }
 
 type newKernel struct{ *Kernel }
 
-func (k newKernel) schedule(d time.Duration, fn func()) handle { return k.MustSchedule(d, fn) }
-func (k newKernel) rearm(h handle, d time.Duration, fn func()) handle {
+func (k newKernel) schedule(d time.Duration, c callback) handle {
+	if c.fnArg != nil {
+		return k.MustScheduleArg(d, c.fnArg, c.arg)
+	}
+	return k.MustSchedule(d, c.fn)
+}
+func (k newKernel) rearm(h handle, d time.Duration, c callback) handle {
 	t, _ := h.(Timer) // a slot never armed holds the zero Timer
-	return k.Reset(t, d, fn)
+	if c.fnArg != nil {
+		return k.ResetArg(t, d, c.fnArg, c.arg)
+	}
+	return k.Reset(t, d, c.fn)
 }
 
 type oldKernel struct{ *refKernel }
 
-func (k oldKernel) schedule(d time.Duration, fn func()) handle { return k.MustSchedule(d, fn) }
-func (k oldKernel) rearm(h handle, d time.Duration, fn func()) handle {
+func (k oldKernel) schedule(d time.Duration, c callback) handle {
+	if c.fnArg != nil {
+		return k.MustScheduleArg(d, c.fnArg, c.arg)
+	}
+	return k.MustSchedule(d, c.fn)
+}
+func (k oldKernel) rearm(h handle, d time.Duration, c callback) handle {
 	t, _ := h.(refTimer)
-	return k.Reset(t, d, fn)
+	if c.fnArg != nil {
+		return k.ResetArg(t, d, c.fnArg, c.arg)
+	}
+	return k.Reset(t, d, c.fn)
 }
 
 // record is one thing a run made observable, in order: a callback that
-// fired ('f': when, and which arm call in script order), what
-// NextEventAt said inside a callback ('n': the instant, 1 if there was
-// one), or what a run call returned ('r': events executed, or RunUntil's
+// fired ('f': when, which arm call in script order, and form: 0 for a
+// closure, 1 or 2 for the shared handler that ran it), what NextEventAt
+// said inside a callback ('n': the instant, 1 if there was one), or
+// what a run call returned ('r': events executed, or RunUntil's
 // verdict).
 type record struct {
 	what byte
 	at   time.Duration
 	id   int
+	form byte
 }
 
 // scriptDriver runs a script against one kernel. reset selects how a
 // slot is re-armed; nothing else differs between the drivers.
 type scriptDriver struct {
-	k      scripted
-	reset  bool
-	slots  [6]handle
-	log    []record
-	pend   []int // Pending as seen from inside callbacks
-	nextID int
+	k     scripted
+	reset bool
+	slots [6]handle
+	log   []record
+	pend  []int    // Pending as seen from inside callbacks
+	progs [][]byte // each arm call's program, by id
+	// shared are the argument-form handlers: an event's argument is its
+	// id, so the handler that runs it finds its program.
+	shared [2]func(uint32)
+}
+
+func newScriptDriver(k scripted, reset bool) *scriptDriver {
+	d := &scriptDriver{k: k, reset: reset}
+	for h := range d.shared {
+		d.shared[h] = func(arg uint32) { d.fire(int(arg), byte(h+1)) }
+	}
+	return d
 }
 
 // scriptDelay maps a script byte to a delay. The range is small, and
@@ -88,26 +129,35 @@ func scriptDelay(b byte) time.Duration {
 }
 
 // arm re-arms slot s with a callback that logs itself and then runs
-// prog.
-func (d *scriptDriver) arm(s int, delay time.Duration, prog []byte) {
-	fn := d.callback(prog)
+// prog; b, the script byte the delay came from, selects the form.
+func (d *scriptDriver) arm(s int, b byte, prog []byte) {
+	c := d.callback(b, prog)
 	if d.reset {
-		d.slots[s] = d.k.rearm(d.slots[s], delay, fn)
+		d.slots[s] = d.k.rearm(d.slots[s], scriptDelay(b), c)
 		return
 	}
 	if d.slots[s] != nil {
 		d.slots[s].Cancel()
 	}
-	d.slots[s] = d.k.schedule(delay, fn)
+	d.slots[s] = d.k.schedule(scriptDelay(b), c)
 }
 
-func (d *scriptDriver) callback(prog []byte) func() {
-	id := d.nextID
-	d.nextID++
-	return func() {
-		d.log = append(d.log, record{'f', d.k.Now(), id})
-		d.exec(prog)
+// callback makes the next arm call's callback: a closure of its own, or
+// when b has bit 0x10 set one of the shared handlers, with the call's
+// id as the argument.
+func (d *scriptDriver) callback(b byte, prog []byte) callback {
+	id := len(d.progs)
+	d.progs = append(d.progs, prog)
+	if b&0x10 != 0 {
+		return callback{fnArg: d.shared[id%2], arg: uint32(id)}
 	}
+	return callback{fn: func() { d.fire(id, 0) }}
+}
+
+// fire logs that call id's callback ran, in form, and runs its program.
+func (d *scriptDriver) fire(id int, form byte) {
+	d.log = append(d.log, record{'f', d.k.Now(), id, form})
+	d.exec(d.progs[id])
 }
 
 // exec interprets a callback's program, (op, arg) pairs, from inside
@@ -120,12 +170,12 @@ func (d *scriptDriver) exec(prog []byte) {
 		slot := int(op>>3) % len(d.slots)
 		switch op % 8 {
 		case 0, 1: // re-arm a slot — its own, by then a stale handle, or another; the rest of the program moves into that callback
-			d.arm(slot, scriptDelay(arg), prog)
+			d.arm(slot, arg, prog)
 			return
 		case 2: // re-arm a slot and carry on: several schedules from one callback
-			d.arm(slot, scriptDelay(arg), nil)
+			d.arm(slot, arg, nil)
 		case 3: // a one-shot beside the timers
-			d.k.schedule(scriptDelay(arg), d.callback(nil))
+			d.k.schedule(scriptDelay(arg), d.callback(arg, nil))
 		case 4:
 			if h := d.slots[slot]; h != nil {
 				h.Cancel()
@@ -136,7 +186,7 @@ func (d *scriptDriver) exec(prog []byte) {
 			if ok {
 				n = 1
 			}
-			d.log = append(d.log, record{'n', at, n})
+			d.log = append(d.log, record{'n', at, n, 0})
 		case 6: // counts without looking
 			d.pend = append(d.pend, d.k.Pending())
 		case 7:
@@ -157,7 +207,7 @@ func (d *scriptDriver) step(data []byte) []byte {
 		data = data[n:]
 		return a
 	}
-	ran := func(n int) { d.log = append(d.log, record{'r', d.k.Now(), n}) }
+	ran := func(n int) { d.log = append(d.log, record{'r', d.k.Now(), n, 0}) }
 	op := take(1)
 	if op == nil {
 		return nil
@@ -169,7 +219,7 @@ func (d *scriptDriver) step(data []byte) []byte {
 			return nil
 		}
 		prog := take(2 * int(a[2]%5))
-		d.arm(int(a[0])%len(d.slots), scriptDelay(a[1]), prog)
+		d.arm(int(a[0])%len(d.slots), a[1], prog)
 	case 3: // cancel a slot (re-armed or not, pending or not)
 		if a := take(1); a != nil {
 			if h := d.slots[int(a[0])%len(d.slots)]; h != nil {
@@ -178,7 +228,7 @@ func (d *scriptDriver) step(data []byte) []byte {
 		}
 	case 4: // a plain one-shot beside the timers
 		if a := take(1); a != nil {
-			d.k.schedule(scriptDelay(a[0]), d.callback(nil))
+			d.k.schedule(scriptDelay(a[0]), d.callback(a[0], nil))
 		}
 	case 5:
 		d.k.Step()
@@ -216,9 +266,9 @@ func (d *scriptDriver) step(data []byte) []byte {
 // first observable difference.
 func runScript(t *testing.T, data []byte) {
 	t.Helper()
-	a := &scriptDriver{k: newKernel{New(1)}, reset: true}
-	b := &scriptDriver{k: newKernel{New(1)}}
-	c := &scriptDriver{k: oldKernel{&refKernel{}}, reset: true}
+	a := newScriptDriver(newKernel{New(1)}, true)
+	b := newScriptDriver(newKernel{New(1)}, false)
+	c := newScriptDriver(oldKernel{&refKernel{}}, true)
 	compared := 0 // records already found equal
 	// same compares what every pair of drivers must agree on.
 	same := func(step int, x *scriptDriver, xn string, y *scriptDriver, yn string, look bool) {
@@ -310,6 +360,9 @@ func FuzzKernelReset(f *testing.F) {
 	f.Add([]byte{4, 5, 0, 0, 1, 2, 6, 0, 5, 0, 0x85, 5})                      // Pending, then NextEventAt, from inside a callback: the hole is discounted, then closed
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 6, 0, 0x86, 2, 0, 0, 7, 0, 0x85, 7, 7})    // a stale root surfaces, sinks to its due key, and is re-armed again
 	f.Add([]byte{4, 5, 0, 0, 1, 3, 7, 0, 8, 1, 7, 0, 7, 7, 7, 0x5F, 7, 7})    // Stop from inside a callback, under Run and under RunUntil
+	f.Add([]byte{0, 0, 0x15, 0, 0, 0, 0x17, 0, 0, 0, 0x12, 0, 5, 5})          // an argument-form timer pushed out, then pulled in
+	f.Add([]byte{0, 0, 0x17, 0, 0, 0, 6, 0, 0, 0, 0x17, 0, 4, 0x14, 5, 5, 5}) // re-armed in place from one form to the other and back
+	f.Add([]byte{4, 0x13, 4, 3, 0, 1, 0x12, 1, 0x11, 0x34, 7, 7, 7})          // shared handlers interleaved with closures at one instant
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
@@ -391,5 +444,27 @@ func TestResetAllocFreeAndEventSize(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() { tm = k.Reset(tm, time.Second, fn) })
 	if allocs > 0 {
 		t.Fatalf("in-place re-arm allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// The argument form is as cheap as the plain one: a warm schedule of a
+// shared handler and an in-place re-arm of it allocate nothing.
+func TestArgFormAllocFree(t *testing.T) {
+	k := New(1)
+	fn := func(uint32) {}
+	k.MustScheduleArg(0, fn, 1)
+	k.Run(time.Second) // warm the pool
+	if allocs := testing.AllocsPerRun(1000, func() {
+		k.MustScheduleArg(time.Microsecond, fn, 7)
+		k.Step()
+	}); allocs > 0 {
+		t.Fatalf("argument-form scheduling allocates %.1f per op, want 0", allocs)
+	}
+	tm := k.MustScheduleArg(time.Second, fn, 3)
+	if allocs := testing.AllocsPerRun(1000, func() { tm = k.ResetArg(tm, time.Second, fn, 4) }); allocs > 0 {
+		t.Fatalf("argument-form in-place re-arm allocates %.1f per op, want 0", allocs)
+	}
+	if k.Pending() != 1 {
+		t.Fatalf("after 1000 re-arms the queue holds %d entries, want 1", k.Pending())
 	}
 }

@@ -106,10 +106,11 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Fired and cancelled events are recycled through a free list, so a
 // Timer remembers the generation of the event it was issued for and
 // quietly expires when the event's slot is reused — a stale handle
-// cannot cancel someone else's event. The generation is 32 bits wide
-// (it shares a word with the event's flags so the due key fits in 48
-// bytes), so the guarantee holds until one slot has been reused 2³²
-// times under a single live handle.
+// cannot cancel someone else's event. An event's generation moves on
+// as it fires, so the handle of a fired timer has expired by the time
+// its callback runs. The generation is 32 bits wide, so the guarantee
+// holds until one slot has been reused 2³² times under a single live
+// handle.
 type Timer struct {
 	ev  *event
 	gen uint32
@@ -119,13 +120,13 @@ type Timer struct {
 // already-fired or already-cancelled timer is a no-op.
 func (t Timer) Cancel() {
 	if t.ev != nil && t.ev.gen == t.gen {
-		t.ev.cancelled = true
+		t.ev.dueSeq = cancelled
 	}
 }
 
 // Active reports whether the timer is still pending.
 func (t Timer) Active() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.cancelled && !t.ev.fired
+	return t.ev != nil && t.ev.gen == t.gen && t.ev.dueSeq != cancelled
 }
 
 // Schedule runs fn after delay of virtual time. A negative delay is an
@@ -135,7 +136,7 @@ func (k *Kernel) Schedule(delay time.Duration, fn func()) (Timer, error) {
 	if delay < 0 {
 		return Timer{}, fmt.Errorf("sim: negative delay %v", delay)
 	}
-	return k.at(k.now+delay, fn), nil
+	return k.at(k.now+delay, fn, nil, 0), nil
 }
 
 // MustSchedule is Schedule for delays known to be non-negative; it
@@ -156,7 +157,18 @@ func (k *Kernel) ScheduleAt(when time.Duration, fn func()) (Timer, error) {
 	if when < k.now {
 		return Timer{}, fmt.Errorf("sim: schedule at %v before now %v", when, k.now)
 	}
-	return k.at(when, fn), nil
+	return k.at(when, fn, nil, 0), nil
+}
+
+// MustScheduleArg is MustSchedule for a callback that takes an
+// argument: fn(arg) runs after delay. One fn shared by many owners —
+// every mote of a network, told apart by arg — schedules without
+// binding a closure per owner.
+func (k *Kernel) MustScheduleArg(delay time.Duration, fn func(uint32), arg uint32) Timer {
+	if delay < 0 {
+		panic(fmt.Errorf("sim: negative delay %v", delay))
+	}
+	return k.at(k.now+delay, nil, fn, arg)
 }
 
 // Reset re-arms t: it is exactly t.Cancel() followed by
@@ -170,18 +182,35 @@ func (k *Kernel) ScheduleAt(when time.Duration, fn func()) (Timer, error) {
 // re-armed, instead of leaving a cancelled entry behind each time. Like
 // MustSchedule, Reset panics on a negative delay.
 func (k *Kernel) Reset(t Timer, delay time.Duration, fn func()) Timer {
+	return k.reset(t, delay, fn, nil, 0)
+}
+
+// ResetArg is Reset for a callback that takes an argument: exactly
+// t.Cancel() followed by MustScheduleArg(delay, fn, arg), re-armed in
+// place when Reset would be.
+func (k *Kernel) ResetArg(t Timer, delay time.Duration, fn func(uint32), arg uint32) Timer {
+	return k.reset(t, delay, nil, fn, arg)
+}
+
+func (k *Kernel) reset(t Timer, delay time.Duration, fn func(), fnArg func(uint32), arg uint32) Timer {
 	if ev := t.ev; delay >= 0 && t.Active() && k.now+delay >= ev.at {
 		// The new sequence number exceeds the slot's, so the due key is
 		// after the position key and the heap invariant still holds.
-		ev.due, ev.dueSeq, ev.fn = k.now+delay, k.seq, fn
+		ev.due, ev.dueSeq = k.now+delay, k.seq
+		ev.fn, ev.fnArg, ev.arg = fn, fnArg, arg
 		k.seq++
 		return t
 	}
 	t.Cancel()
-	return k.MustSchedule(delay, fn)
+	if delay < 0 {
+		panic(fmt.Errorf("sim: negative delay %v", delay))
+	}
+	return k.at(k.now+delay, fn, fnArg, arg)
 }
 
-func (k *Kernel) at(when time.Duration, fn func()) Timer {
+// at queues one event: fn() or, when fnArg is set, fnArg(arg) at when.
+// Every schedule comes through here and consumes one sequence number.
+func (k *Kernel) at(when time.Duration, fn func(), fnArg func(uint32), arg uint32) Timer {
 	var id uint32
 	if n := len(k.free); n > 0 {
 		id = k.free[n-1]
@@ -194,8 +223,8 @@ func (k *Kernel) at(when time.Duration, fn func()) Timer {
 		k.next++
 	}
 	ev := k.event(id)
-	ev.at, ev.due, ev.dueSeq, ev.fn = when, when, k.seq, fn
-	ev.cancelled, ev.fired = false, false
+	ev.at, ev.due, ev.dueSeq = when, when, k.seq
+	ev.fn, ev.fnArg, ev.arg = fn, fnArg, arg
 	k.push(slot{at: when, seq: k.seq, id: id})
 	k.seq++
 	return Timer{ev: ev, gen: ev.gen}
@@ -205,14 +234,15 @@ func (k *Kernel) at(when time.Duration, fn func()) Timer {
 // bumping its generation so stale Timer handles expire.
 func (k *Kernel) recycle(ev *event, id uint32) {
 	ev.gen++
-	ev.fn = nil
+	ev.fn, ev.fnArg = nil, nil
 	k.free = append(k.free, id)
 }
 
 // stale reports whether an entry that surfaced under position sequence
-// seq must be settled instead of run: it was cancelled, or Reset moved
-// its due key past its position.
-func (e *event) stale(seq uint64) bool { return e.cancelled || e.dueSeq != seq }
+// seq must be settled instead of run: it was cancelled (its dueSeq is
+// cancelled, which no position sequence equals), or Reset moved its due
+// key past its position.
+func (e *event) stale(seq uint64) bool { return e.dueSeq != seq }
 
 // settle disposes of the stale entry at the root: a cancelled one is
 // popped and recycled, a re-armed one sinks from the root to its due
@@ -221,7 +251,7 @@ func (e *event) stale(seq uint64) bool { return e.cancelled || e.dueSeq != seq }
 // entries — and the clock is never set from an entry that still has to
 // move.
 func (k *Kernel) settle(ev *event, id uint32) {
-	if ev.cancelled {
+	if ev.dueSeq == cancelled {
 		k.pop()
 		k.recycle(ev, id)
 		return
@@ -253,11 +283,14 @@ func (k *Kernel) Step() bool {
 			continue
 		}
 		k.now = s.at
-		ev.fired = true
-		fn := ev.fn
+		fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
 		k.recycle(ev, s.id)
 		k.hole = true
-		fn()
+		if fnArg != nil {
+			fnArg(arg)
+		} else {
+			fn()
+		}
 		k.closeHole()
 		return true
 	}
@@ -395,15 +428,24 @@ func (k *Kernel) peek() (time.Duration, bool) {
 // equal unless Reset pushed the callback out in place, and position ≤
 // due always holds, so when an entry with equal keys is the heap
 // minimum no live callback anywhere in the queue is due before it.
+//
+// The callback is fn, or fnArg called with arg. The event has no flags:
+// a cancelled one has dueSeq set to cancelled, and a fired one has
+// already been recycled, its generation bumped, so the six words fill
+// 48 bytes exactly.
 type event struct {
-	at        time.Duration
-	due       time.Duration
-	dueSeq    uint64
-	fn        func()
-	gen       uint32
-	cancelled bool
-	fired     bool
+	at     time.Duration
+	due    time.Duration
+	dueSeq uint64
+	fn     func()
+	fnArg  func(uint32)
+	gen    uint32
+	arg    uint32
 }
+
+// cancelled is the dueSeq of a cancelled event. Sequence numbers count
+// up from zero, so no schedule ever reaches it.
+const cancelled = ^uint64(0)
 
 // slot is one heap element: the position key and the id of the event it
 // stands for. It holds no pointer, so the collector neither scans the
