@@ -85,7 +85,7 @@ func main() {
 		if mode == "patch only" {
 			// Every mote applies the received patch to its local v1.
 			for _, n := range res.Network.Nodes {
-				received, err := res.Image.Reassemble(func(seg, pkt int) []byte {
+				received, err := res.Image.Reassemble(res.Image.Geometry(), func(seg, pkt int) []byte {
 					return n.EEPROM().Read(seg, pkt)
 				})
 				if err != nil {

@@ -85,14 +85,14 @@ func main() {
 		nw.CompletionTime().Round(time.Second))
 
 	for _, n := range nw.Nodes {
-		fwData, err := firmware.Reassemble(func(seg, pkt int) []byte {
+		fwData, err := firmware.Reassemble(firmware.Geometry(), func(seg, pkt int) []byte {
 			return n.EEPROM().Read(seg, pkt) // firmware is subprotocol 0
 		})
 		if err != nil || !firmware.Verify(fwData) {
 			log.Fatalf("mote %v firmware corrupt: %v", n.ID(), err)
 		}
 		if wantsCalib(n.ID()) {
-			calData, err := calib.Reassemble(func(seg, pkt int) []byte {
+			calData, err := calib.Reassemble(calib.Geometry(), func(seg, pkt int) []byte {
 				return n.EEPROM().Read(node.SegSpace+seg, pkt) // subprotocol 1
 			})
 			if err != nil || !calib.Verify(calData) {

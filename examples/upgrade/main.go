@@ -66,7 +66,7 @@ func main() {
 		(res.Kernel.Now() - upgradeStart).Round(time.Second))
 
 	for _, n := range res.Network.Nodes {
-		data, err := v2.Reassemble(func(seg, pkt int) []byte {
+		data, err := v2.Reassemble(v2.Geometry(), func(seg, pkt int) []byte {
 			return n.EEPROM().Read(seg, pkt)
 		})
 		if err != nil || !v2.Verify(data) {

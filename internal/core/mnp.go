@@ -161,34 +161,18 @@ type Variant struct {
 	BatteryAware bool
 }
 
-// geometry is what a node knows about the program being disseminated.
-type geometry struct {
-	known        bool
-	programID    uint8
-	segments     int
-	segNominal   int
-	totalPackets int
-}
-
-// packetsIn returns the number of packets in segment seg.
-func (g geometry) packetsIn(seg int) int {
-	if seg < 1 || seg > g.segments {
-		return 0
-	}
-	rest := g.totalPackets - (seg-1)*g.segNominal
-	if rest > g.segNominal {
-		return g.segNominal
-	}
-	return rest
-}
-
 // MNP is one node's protocol instance.
 type MNP struct {
 	cfg Config
 	rt  node.Runtime
 
 	state State
-	geom  geometry
+
+	// The program being disseminated: the base takes it from its
+	// image, everyone else from the first advertisement heard. geom is
+	// zero until then.
+	programID uint8
+	geom      image.Geometry
 
 	// Receiver side.
 	rvdSeg    int            // highest segment held completely (my.RvdSegID)
@@ -272,26 +256,11 @@ func (m *MNP) Init(rt node.Runtime) {
 			panic("core: base station requires an image")
 		}
 		im := m.cfg.Image
-		m.geom = geometry{
-			known:        true,
-			programID:    im.ProgramID(),
-			segments:     im.Segments(),
-			segNominal:   im.SegmentPackets(),
-			totalPackets: im.TotalPackets(),
+		m.programID, m.geom = im.ProgramID(), im.Geometry()
+		if err := image.Preload(rt, im, m.geom); err != nil {
+			panic(fmt.Sprintf("core: %v", err))
 		}
-		for seg := 1; seg <= im.Segments(); seg++ {
-			n, _ := im.PacketsIn(seg)
-			for pkt := 0; pkt < n; pkt++ {
-				if rt.HasPacket(seg, pkt) {
-					continue // rebooting base: flash already holds the image
-				}
-				payload, _ := im.Payload(seg, pkt)
-				if err := rt.Store(seg, pkt, n, payload); err != nil {
-					panic(fmt.Sprintf("core: preloading base image: %v", err))
-				}
-			}
-		}
-		m.rvdSeg = im.Segments()
+		m.rvdSeg = m.geom.Units()
 		rt.Complete()
 		m.enterAdvertise()
 		return
@@ -477,7 +446,7 @@ func (m *MNP) advertiseTick() {
 		if m.advInterval > maxAdvertiseInterval {
 			m.advInterval = maxAdvertiseInterval
 		}
-		if m.rvdSeg == m.geom.segments {
+		if m.rvdSeg == m.geom.Units() {
 			m.enterDormant()
 			return
 		}
@@ -489,11 +458,11 @@ func (m *MNP) advertiseTick() {
 	adv := &m.out().adv
 	*adv = packet.Advertise{
 		Src:             m.rt.ID(),
-		ProgramID:       m.geom.programID,
-		ProgramSegments: uint8(m.geom.segments),
+		ProgramID:       m.programID,
+		ProgramSegments: uint8(m.geom.Units()),
 		SegID:           uint8(m.advSeg),
-		SegNominal:      uint8(m.geom.segNominal),
-		TotalPackets:    uint16(m.geom.totalPackets),
+		SegNominal:      uint8(m.geom.Unit()),
+		TotalPackets:    uint16(m.geom.Total()),
 		ReqCtr:          clampUint8(m.reqCtr),
 	}
 	m.withAdvertisePower(func() {
@@ -532,7 +501,7 @@ func (m *MNP) enterSleep() {
 // segment (the paper sleeps losers for about one code-transmission
 // time so the winner can finish).
 func (m *MNP) sleepDuration() time.Duration {
-	pkts := m.geom.segNominal
+	pkts := m.geom.Unit()
 	if pkts == 0 {
 		pkts = image.DefaultSegmentPackets
 	}
@@ -560,11 +529,11 @@ func (m *MNP) wake() {
 // pipelining, any node holding at least one segment; in the basic
 // protocol, only nodes holding the entire program.
 func (m *MNP) canAdvertise() bool {
-	if !m.geom.known || m.rvdSeg == 0 {
+	if !m.known() || m.rvdSeg == 0 {
 		return false
 	}
 	if m.cfg.NoPipelining {
-		return m.rvdSeg == m.geom.segments
+		return m.rvdSeg == m.geom.Units()
 	}
 	return true
 }
@@ -612,9 +581,9 @@ func (m *MNP) enterForward() {
 	start := &m.out().start
 	*start = packet.StartDownload{
 		Src:        m.rt.ID(),
-		ProgramID:  m.geom.programID,
+		ProgramID:  m.programID,
 		SegID:      uint8(m.advSeg),
-		SegPackets: uint8(m.geom.packetsIn(m.advSeg)),
+		SegPackets: uint8(m.geom.PacketsIn(m.advSeg)),
 	}
 	_ = m.rt.Send(start)
 	m.rt.SetTimer(timerForwardData, dataInterval)
@@ -642,7 +611,7 @@ func (m *MNP) sendData(seg, pkt uint8, payload []byte) {
 	d := &m.out().data
 	*d = packet.Data{
 		Src:       m.rt.ID(),
-		ProgramID: m.geom.programID,
+		ProgramID: m.programID,
 		SegID:     seg,
 		PacketID:  pkt,
 		Payload:   payload,
@@ -654,7 +623,7 @@ func (m *MNP) endDownloadAndRepair() {
 	end := &m.out().end
 	*end = packet.EndDownload{
 		Src:       m.rt.ID(),
-		ProgramID: m.geom.programID,
+		ProgramID: m.programID,
 		SegID:     uint8(m.advSeg),
 	}
 	_ = m.rt.Send(end)
@@ -663,7 +632,7 @@ func (m *MNP) endDownloadAndRepair() {
 		q := &m.out().query
 		*q = packet.Query{
 			Src:       m.rt.ID(),
-			ProgramID: m.geom.programID,
+			ProgramID: m.programID,
 			SegID:     uint8(m.advSeg),
 		}
 		_ = m.rt.Send(q)
@@ -688,20 +657,18 @@ func (m *MNP) finishSending() {
 
 // --- message handlers ---
 
+// known reports whether the node has learned the program's geometry.
+func (m *MNP) known() bool { return m.geom.Units() > 0 }
+
 func (m *MNP) learnGeometry(a *packet.Advertise) {
-	if m.geom.known {
+	if m.known() {
 		return
 	}
-	if a.ProgramSegments == 0 || a.SegNominal == 0 || a.TotalPackets == 0 {
+	g, err := image.NewGeometry(int(a.ProgramSegments), int(a.SegNominal), int(a.TotalPackets))
+	if err != nil {
 		return
 	}
-	m.geom = geometry{
-		known:        true,
-		programID:    a.ProgramID,
-		segments:     int(a.ProgramSegments),
-		segNominal:   int(a.SegNominal),
-		totalPackets: int(a.TotalPackets),
-	}
+	m.programID, m.geom = a.ProgramID, g
 	m.recoverFromStore()
 	if m.rvdSeg > 0 && m.state == StateIdle && m.canAdvertise() {
 		// A rebooted node recovered whole segments: resume the source
@@ -717,8 +684,8 @@ func (m *MNP) learnGeometry(a *packet.Advertise) {
 // packets it already holds, breaking the write-once guarantee. On a
 // fresh node the store is empty and the scan changes nothing.
 func (m *MNP) recoverFromStore() {
-	for seg := 1; seg <= m.geom.segments; seg++ {
-		n := m.geom.packetsIn(seg)
+	for seg := 1; seg <= m.geom.Units(); seg++ {
+		n := m.geom.PacketsIn(seg)
 		held := 0
 		for pkt := 0; pkt < n; pkt++ {
 			if m.rt.HasPacket(seg, pkt) {
@@ -742,23 +709,23 @@ func (m *MNP) recoverFromStore() {
 		}
 		return
 	}
-	if m.rvdSeg == m.geom.segments && m.geom.segments > 0 {
+	if m.rvdSeg == m.geom.Units() && m.geom.Units() > 0 {
 		m.rt.Complete()
 	}
 }
 
 func (m *MNP) onAdvertise(a *packet.Advertise) {
 	m.learnGeometry(a)
-	if m.geom.known && a.ProgramID != m.geom.programID {
+	if m.known() && a.ProgramID != m.programID {
 		// A different program is circulating. If it is newer, abandon
 		// ours and acquire it; otherwise let the stale advertiser
 		// discover the new version the same way.
-		if newerProgram(a.ProgramID, m.geom.programID) {
+		if newerProgram(a.ProgramID, m.programID) {
 			m.upgradeTo(a)
 		}
 		return
 	}
-	if !m.geom.known {
+	if !m.known() {
 		return
 	}
 	// A node advertising after the reboot signal circulated was asleep
@@ -771,7 +738,7 @@ func (m *MNP) onAdvertise(a *packet.Advertise) {
 	case StateIdle, StateAdvertise:
 		// Requester role: ask for the next segment we need if the
 		// advertiser has something beyond what we hold.
-		if int(a.SegID) > m.rvdSeg && m.rvdSeg < m.geom.segments {
+		if int(a.SegID) > m.rvdSeg && m.rvdSeg < m.geom.Units() {
 			m.sendDownloadRequest(a)
 		}
 		if m.state != StateAdvertise {
@@ -798,7 +765,7 @@ func (m *MNP) onAdvertise(a *packet.Advertise) {
 
 func (m *MNP) sendDownloadRequest(a *packet.Advertise) {
 	want := m.rvdSeg + 1
-	segPkts := m.geom.packetsIn(want)
+	segPkts := m.geom.PacketsIn(want)
 	if segPkts <= 0 || segPkts > bitvec.MaxBits {
 		return
 	}
@@ -807,7 +774,7 @@ func (m *MNP) sendDownloadRequest(a *packet.Advertise) {
 	*req = packet.DownloadRequest{
 		Src:        m.rt.ID(),
 		DestID:     a.Src,
-		ProgramID:  m.geom.programID,
+		ProgramID:  m.programID,
 		SegID:      uint8(want),
 		SegPackets: uint8(segPkts),
 		EchoReqCtr: a.ReqCtr,
@@ -817,7 +784,7 @@ func (m *MNP) sendDownloadRequest(a *packet.Advertise) {
 }
 
 func (m *MNP) onDownloadRequest(r *packet.DownloadRequest) {
-	if !m.geom.known || r.ProgramID != m.geom.programID {
+	if !m.known() || r.ProgramID != m.programID {
 		return
 	}
 	if m.state == StateForward && r.DestID == m.rt.ID() && int(r.SegID) == m.advSeg {
@@ -873,7 +840,7 @@ func (m *MNP) onDownloadRequest(r *packet.DownloadRequest) {
 // ForwardVector: "an advertising node's ForwardVector is the union of
 // the missing packets in the download requests the node has received."
 func (m *MNP) foldRequest(r *packet.DownloadRequest) {
-	segPkts := m.geom.packetsIn(int(r.SegID))
+	segPkts := m.geom.PacketsIn(int(r.SegID))
 	if m.forward == nil || m.forward.Len() != segPkts {
 		v, err := bitvec.New(segPkts)
 		if err != nil {
@@ -890,7 +857,7 @@ func (m *MNP) foldRequest(r *packet.DownloadRequest) {
 }
 
 func (m *MNP) onStartDownload(s *packet.StartDownload) {
-	if !m.geom.known || s.ProgramID != m.geom.programID {
+	if !m.known() || s.ProgramID != m.programID {
 		return
 	}
 	switch m.state {
@@ -917,7 +884,7 @@ func (m *MNP) onStartDownload(s *packet.StartDownload) {
 }
 
 func (m *MNP) onData(d *packet.Data) {
-	if !m.geom.known || d.ProgramID != m.geom.programID {
+	if !m.known() || d.ProgramID != m.programID {
 		return
 	}
 	seg := int(d.SegID)
@@ -950,13 +917,13 @@ func (m *MNP) onData(d *packet.Data) {
 		// Data for the segment we need, from a transfer whose start we
 		// missed: join it (the paper allows receiving from any sender
 		// with a matching segment ID).
-		if seg == m.rvdSeg+1 && m.geom.packetsIn(seg) > 0 {
-			m.enterDownload(d.Src, m.geom.packetsIn(seg))
+		if seg == m.rvdSeg+1 && m.geom.PacketsIn(seg) > 0 {
+			m.enterDownload(d.Src, m.geom.PacketsIn(seg))
 			m.onData(d)
 		}
 	case StateAdvertise:
 		if seg == m.rvdSeg+1 {
-			m.enterDownload(d.Src, m.geom.packetsIn(seg))
+			m.enterDownload(d.Src, m.geom.PacketsIn(seg))
 			m.onData(d)
 			return
 		}
@@ -970,7 +937,7 @@ func (m *MNP) onData(d *packet.Data) {
 }
 
 func (m *MNP) onEndDownload(e *packet.EndDownload) {
-	if !m.geom.known || e.ProgramID != m.geom.programID {
+	if !m.known() || e.ProgramID != m.programID {
 		return
 	}
 	if m.state != StateDownload || int(e.SegID) != m.rvdSeg+1 {
@@ -1001,7 +968,7 @@ func (m *MNP) completeSegment() {
 	m.missing = nil
 	m.hasParent = false
 	m.rt.Event(node.Event{Kind: node.EventGotSegment, Seg: m.rvdSeg})
-	if m.rvdSeg == m.geom.segments {
+	if m.rvdSeg == m.geom.Units() {
 		m.rt.Complete()
 	}
 	if m.canAdvertise() {
@@ -1034,7 +1001,7 @@ func (m *MNP) sendRepairRequest() {
 	*rr = packet.RepairRequest{
 		Src:       m.rt.ID(),
 		DestID:    m.parent,
-		ProgramID: m.geom.programID,
+		ProgramID: m.programID,
 		SegID:     uint8(m.rvdSeg + 1),
 		PacketID:  uint8(pkt),
 	}
@@ -1066,7 +1033,7 @@ func (m *MNP) onStartSignal(s *packet.StartSignal) {
 	// Gossip the signal outward, then reboot if we hold the code. The
 	// gossip repeats so neighbors asleep right now still catch one.
 	m.gossipStartSignal()
-	if m.geom.known && m.rvdSeg == m.geom.segments {
+	if m.known() && m.rvdSeg == m.geom.Units() {
 		m.rebooted = true
 		m.rt.Event(node.Event{Kind: node.EventRebooted})
 		// A rebooted node's dissemination duty is over; it keeps its
@@ -1097,14 +1064,14 @@ func (m *MNP) gossipStartSignal() {
 
 func (m *MNP) sendStartSignal() {
 	s := &m.out().sig
-	*s = packet.StartSignal{Src: m.rt.ID(), ProgramID: m.geom.programID}
+	*s = packet.StartSignal{Src: m.rt.ID(), ProgramID: m.programID}
 	_ = m.rt.Send(s)
 }
 
 // Reboot injects the external start signal at this node (used at the
 // base station once dissemination is observed complete).
 func (m *MNP) Reboot() {
-	m.onStartSignal(&packet.StartSignal{Src: m.rt.ID(), ProgramID: m.geom.programID})
+	m.onStartSignal(&packet.StartSignal{Src: m.rt.ID(), ProgramID: m.programID})
 }
 
 // newerProgram compares program IDs with RFC 1982 serial-number
@@ -1119,18 +1086,13 @@ func newerProgram(a, b uint8) bool {
 // newer one advertised by a: all protocol state is reset and the old
 // image's EEPROM space is erased (the flash must be rewritten anyway).
 func (m *MNP) upgradeTo(a *packet.Advertise) {
-	if a.ProgramSegments == 0 || a.SegNominal == 0 || a.TotalPackets == 0 {
+	g, err := image.NewGeometry(int(a.ProgramSegments), int(a.SegNominal), int(a.TotalPackets))
+	if err != nil {
 		return
 	}
 	m.resetAllState()
 	m.rt.EraseStore()
-	m.geom = geometry{
-		known:        true,
-		programID:    a.ProgramID,
-		segments:     int(a.ProgramSegments),
-		segNominal:   int(a.SegNominal),
-		totalPackets: int(a.TotalPackets),
-	}
+	m.programID, m.geom = a.ProgramID, g
 	m.enterIdle()
 	// Act on the advertisement that brought the news.
 	m.onAdvertise(a)
@@ -1143,28 +1105,16 @@ func (m *MNP) LoadProgram(img *image.Image) error {
 	if img == nil {
 		return fmt.Errorf("core: nil image")
 	}
-	if m.geom.known && !newerProgram(img.ProgramID(), m.geom.programID) {
-		return fmt.Errorf("core: program %d is not newer than %d", img.ProgramID(), m.geom.programID)
+	if m.known() && !newerProgram(img.ProgramID(), m.programID) {
+		return fmt.Errorf("core: program %d is not newer than %d", img.ProgramID(), m.programID)
 	}
 	m.resetAllState()
 	m.rt.EraseStore()
-	m.geom = geometry{
-		known:        true,
-		programID:    img.ProgramID(),
-		segments:     img.Segments(),
-		segNominal:   img.SegmentPackets(),
-		totalPackets: img.TotalPackets(),
+	m.programID, m.geom = img.ProgramID(), img.Geometry()
+	if err := image.Preload(m.rt, img, m.geom); err != nil {
+		return fmt.Errorf("core: loading program: %w", err)
 	}
-	for seg := 1; seg <= img.Segments(); seg++ {
-		n, _ := img.PacketsIn(seg)
-		for pkt := 0; pkt < n; pkt++ {
-			payload, _ := img.Payload(seg, pkt)
-			if err := m.rt.Store(seg, pkt, n, payload); err != nil {
-				return fmt.Errorf("core: loading program: %w", err)
-			}
-		}
-	}
-	m.rvdSeg = img.Segments()
+	m.rvdSeg = m.geom.Units()
 	m.rt.Complete()
 	m.enterAdvertise()
 	return nil

@@ -113,7 +113,7 @@ func (tn *testnet) verifyAll(t *testing.T) {
 		if !n.Completed() {
 			t.Fatalf("node %v did not complete", n.ID())
 		}
-		data, err := tn.img.Reassemble(func(seg, pkt int) []byte {
+		data, err := tn.img.Reassemble(tn.img.Geometry(), func(seg, pkt int) []byte {
 			return n.EEPROM().Read(seg, pkt)
 		})
 		if err != nil {
@@ -432,7 +432,7 @@ func TestDisseminationSurvivesJammer(t *testing.T) {
 		if n.ID() == jammerID {
 			continue
 		}
-		data, err := img.Reassemble(func(seg, pkt int) []byte { return n.EEPROM().Read(seg, pkt) })
+		data, err := img.Reassemble(img.Geometry(), func(seg, pkt int) []byte { return n.EEPROM().Read(seg, pkt) })
 		if err != nil {
 			t.Fatalf("node %v: %v", n.ID(), err)
 		}
@@ -475,7 +475,7 @@ func TestOverTheAirVersionUpgrade(t *testing.T) {
 		t.Fatalf("upgrade incomplete: %d/%d nodes on v2", done, len(tn.protos))
 	}
 	for _, n := range tn.network.Nodes {
-		data, err := img2.Reassemble(func(seg, pkt int) []byte {
+		data, err := img2.Reassemble(img2.Geometry(), func(seg, pkt int) []byte {
 			return n.EEPROM().Read(seg, pkt)
 		})
 		if err != nil {
@@ -522,7 +522,7 @@ func TestRandomTopologyDissemination(t *testing.T) {
 		t.Fatalf("random topology incomplete: %d/%d", nw.CompletedCount(), len(nw.Nodes))
 	}
 	for _, n := range nw.Nodes {
-		data, err := img.Reassemble(func(seg, pkt int) []byte { return n.EEPROM().Read(seg, pkt) })
+		data, err := img.Reassemble(img.Geometry(), func(seg, pkt int) []byte { return n.EEPROM().Read(seg, pkt) })
 		if err != nil {
 			t.Fatalf("node %v: %v", n.ID(), err)
 		}

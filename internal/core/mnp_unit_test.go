@@ -771,7 +771,7 @@ func TestNewerProgramTriggersUpgrade(t *testing.T) {
 	newer := advFrom(7, 1, 0, 3)
 	newer.ProgramID = 2
 	m.OnPacket(newer, 7)
-	if m.geom.programID != 2 || m.geom.segments != 3 {
+	if m.programID != 2 || m.geom.Units() != 3 {
 		t.Fatalf("geometry not upgraded: %+v", m.geom)
 	}
 	if m.RvdSeg() != 0 {
@@ -787,6 +787,24 @@ func TestNewerProgramTriggersUpgrade(t *testing.T) {
 	}
 }
 
+// An advertisement whose segment count is not the one its segment size
+// and total imply is neither learned from nor upgraded to.
+func TestAdvGeometryMustBeAnImages(t *testing.T) {
+	m, _ := newReceiver(t, 9, 2, nil)
+	bad := advFrom(4, 1, 0, 2)
+	bad.ProgramSegments = 3
+	m.OnPacket(bad, 4)
+	if m.known() {
+		t.Fatalf("learned 3 segments of 8 packets from %d packets", bad.TotalPackets)
+	}
+	m.OnPacket(advFrom(4, 1, 0, 2), 4)
+	bad.ProgramID = 2
+	m.OnPacket(bad, 4)
+	if m.programID != 1 || m.geom.Units() != 2 {
+		t.Fatalf("upgraded to an impossible program: %d, %+v", m.programID, m.geom)
+	}
+}
+
 func TestProgramIDWraparound(t *testing.T) {
 	m, _ := newReceiver(t, 9, 1, nil)
 	old := advFrom(4, 1, 0, 1)
@@ -796,8 +814,8 @@ func TestProgramIDWraparound(t *testing.T) {
 	wrapped := advFrom(5, 1, 0, 1)
 	wrapped.ProgramID = 2
 	m.OnPacket(wrapped, 5)
-	if m.geom.programID != 2 {
-		t.Fatalf("wraparound upgrade failed: program %d", m.geom.programID)
+	if m.programID != 2 {
+		t.Fatalf("wraparound upgrade failed: program %d", m.programID)
 	}
 }
 
@@ -817,8 +835,8 @@ func TestLoadProgram(t *testing.T) {
 	if m.State() != StateAdvertise || m.RvdSeg() != 1 || !rt.done {
 		t.Fatalf("LoadProgram state: %v rvd=%d done=%v", m.State(), m.RvdSeg(), rt.done)
 	}
-	if m.geom.programID != 2 {
-		t.Fatalf("program = %d", m.geom.programID)
+	if m.programID != 2 {
+		t.Fatalf("program = %d", m.programID)
 	}
 	// Loading the same (non-newer) version is rejected.
 	if err := m.LoadProgram(img2); err == nil {

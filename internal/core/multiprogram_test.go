@@ -84,7 +84,7 @@ func TestMultiProgramOverlappingSubsets(t *testing.T) {
 				img = img2
 			}
 			offset := subIdx * node.SegSpace
-			data, err := img.Reassemble(func(seg, pkt int) []byte {
+			data, err := img.Reassemble(img.Geometry(), func(seg, pkt int) []byte {
 				return n.EEPROM().Read(offset+seg, pkt)
 			})
 			if err != nil {

@@ -53,24 +53,12 @@ type Config struct {
 	Image *image.Image
 }
 
-type geometry struct {
-	known        bool
-	programID    uint8
-	version      uint8
-	pages        int
-	pageNominal  int
-	totalPackets int
-}
-
-func (g geometry) packetsIn(page int) int {
-	if page < 1 || page > g.pages {
-		return 0
-	}
-	rest := g.totalPackets - (page-1)*g.pageNominal
-	if rest > g.pageNominal {
-		return g.pageNominal
-	}
-	return rest
+// Geometry is Deluge's flash layout of im: pages of DefaultPagePackets
+// packets, in the image's flat packet order. An image has packets, so
+// Split cannot fail.
+func Geometry(im *image.Image) image.Geometry {
+	g, _ := image.Split(im.TotalPackets(), DefaultPagePackets)
+	return g
 }
 
 // Deluge is one node's protocol instance.
@@ -79,7 +67,11 @@ type Deluge struct {
 	rt  node.Runtime
 	tr  *trickle.Trickle
 
-	geom      geometry
+	// The program: the base takes it from its image, everyone else
+	// from the first advertisement heard. geom is zero until then.
+	programID uint8
+	version   uint8
+	geom      image.Geometry
 	havePages int
 	missing   *bitvec.Vector // page havePages+1
 
@@ -134,25 +126,11 @@ func (d *Deluge) Init(rt node.Runtime) {
 			panic("deluge: base station requires an image")
 		}
 		im := d.cfg.Image
-		const pageNominal = DefaultPagePackets
-		pages := (im.TotalPackets() + pageNominal - 1) / pageNominal
-		d.geom = geometry{
-			known:        true,
-			programID:    im.ProgramID(),
-			version:      1,
-			pages:        pages,
-			pageNominal:  pageNominal,
-			totalPackets: im.TotalPackets(),
+		d.programID, d.version, d.geom = im.ProgramID(), 1, Geometry(im)
+		if err := image.Preload(rt, im, d.geom); err != nil {
+			panic(fmt.Sprintf("deluge: %v", err))
 		}
-		for seq := 0; seq < im.TotalPackets(); seq++ {
-			payload, _ := im.FlatPayload(seq)
-			page := seq/pageNominal + 1
-			pkt := seq % pageNominal
-			if err := rt.Store(page, pkt, d.geom.packetsIn(page), payload); err != nil {
-				panic(fmt.Sprintf("deluge: preloading base image: %v", err))
-			}
-		}
-		d.havePages = pages
+		d.havePages = d.geom.Units()
 		rt.Complete()
 	}
 	d.tr.Start()
@@ -186,38 +164,35 @@ func (d *Deluge) OnPacket(p packet.Packet, from packet.NodeID) {
 	}
 }
 
+// known reports whether the mote has learned the program's geometry.
+func (d *Deluge) known() bool { return d.geom.Units() > 0 }
+
 func (d *Deluge) sendAdv() {
-	if !d.geom.known {
+	if !d.known() {
 		return
 	}
 	adv := &d.out.adv
 	*adv = packet.DelugeAdv{
 		Src:          d.rt.ID(),
-		ProgramID:    d.geom.programID,
-		Version:      d.geom.version,
-		NumPages:     uint8(d.geom.pages),
+		ProgramID:    d.programID,
+		Version:      d.version,
+		NumPages:     uint8(d.geom.Units()),
 		HavePages:    uint8(d.havePages),
-		PagePackets:  uint8(d.geom.pageNominal),
-		TotalPackets: uint16(d.geom.totalPackets),
+		PagePackets:  uint8(d.geom.Unit()),
+		TotalPackets: uint16(d.geom.Total()),
 	}
 	_ = d.rt.Send(adv)
 }
 
 func (d *Deluge) onAdv(a *packet.DelugeAdv) {
-	if !d.geom.known {
-		if a.NumPages == 0 || a.PagePackets == 0 || a.TotalPackets == 0 {
+	if !d.known() {
+		g, err := image.NewGeometry(int(a.NumPages), int(a.PagePackets), int(a.TotalPackets))
+		if err != nil {
 			return
 		}
-		d.geom = geometry{
-			known:        true,
-			programID:    a.ProgramID,
-			version:      a.Version,
-			pages:        int(a.NumPages),
-			pageNominal:  int(a.PagePackets),
-			totalPackets: int(a.TotalPackets),
-		}
+		d.programID, d.version, d.geom = a.ProgramID, a.Version, g
 	}
-	if a.ProgramID != d.geom.programID {
+	if a.ProgramID != d.programID {
 		return
 	}
 	switch {
@@ -259,7 +234,7 @@ func (d *Deluge) sendRequest() {
 		return
 	}
 	page := d.havePages + 1
-	if page > d.geom.pages {
+	if page > d.geom.Units() {
 		d.reqPending = false
 		return
 	}
@@ -274,7 +249,7 @@ func (d *Deluge) sendRequest() {
 	*req = packet.DelugeReq{
 		Src:         d.rt.ID(),
 		DestID:      d.fetchFrom,
-		ProgramID:   d.geom.programID,
+		ProgramID:   d.programID,
 		Page:        uint8(page),
 		PagePackets: uint8(d.missing.Len()),
 		Missing:     d.missing,
@@ -305,7 +280,7 @@ func (d *Deluge) rxWatchdog() {
 }
 
 func (d *Deluge) ensureMissing() {
-	want := d.geom.packetsIn(d.havePages + 1)
+	want := d.geom.PacketsIn(d.havePages + 1)
 	if d.missing != nil && d.missing.Len() == want {
 		return
 	}
@@ -318,7 +293,7 @@ func (d *Deluge) ensureMissing() {
 }
 
 func (d *Deluge) onReq(r *packet.DelugeReq) {
-	if !d.geom.known || r.ProgramID != d.geom.programID {
+	if !d.known() || r.ProgramID != d.programID {
 		return
 	}
 	page := int(r.Page)
@@ -333,7 +308,7 @@ func (d *Deluge) onReq(r *packet.DelugeReq) {
 	if page < 1 || page > d.havePages {
 		return // cannot serve a page we do not hold
 	}
-	want := d.geom.packetsIn(page)
+	want := d.geom.PacketsIn(page)
 	if d.txVector == nil || d.txPage != page {
 		if d.txVector != nil && d.txPage != page {
 			return // busy serving another page; requester will retry
@@ -371,7 +346,7 @@ func (d *Deluge) txTick() {
 		data := &d.out.data
 		*data = packet.DelugeData{
 			Src:       d.rt.ID(),
-			ProgramID: d.geom.programID,
+			ProgramID: d.programID,
 			Page:      uint8(d.txPage),
 			PacketID:  uint8(pkt),
 			Payload:   payload,
@@ -382,7 +357,7 @@ func (d *Deluge) txTick() {
 }
 
 func (d *Deluge) onData(pkt *packet.DelugeData) {
-	if !d.geom.known || pkt.ProgramID != d.geom.programID {
+	if !d.known() || pkt.ProgramID != d.programID {
 		return
 	}
 	page := int(pkt.Page)
@@ -418,7 +393,7 @@ func (d *Deluge) completePage() {
 	d.requests = 0
 	d.rt.CancelTimer(timerRxWatchdog)
 	d.rt.Event(node.Event{Kind: node.EventGotSegment, Seg: d.havePages})
-	if d.havePages == d.geom.pages {
+	if d.havePages == d.geom.Units() {
 		d.rt.Complete()
 	}
 	// New state: reset the maintenance timer so neighbors learn fast.

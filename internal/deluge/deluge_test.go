@@ -60,18 +60,13 @@ func buildNet(t *testing.T, rows, cols int, spacing float64, packets int, seed i
 
 func (tn *testnet) verifyAll(t *testing.T) {
 	t.Helper()
-	nominal := DefaultPagePackets
 	for _, n := range tn.network.Nodes {
 		if !n.Completed() {
 			t.Fatalf("node %v incomplete", n.ID())
 		}
-		var data []byte
-		for seq := 0; seq < tn.img.TotalPackets(); seq++ {
-			p := n.EEPROM().Read(seq/nominal+1, seq%nominal)
-			if p == nil {
-				t.Fatalf("node %v missing flat packet %d", n.ID(), seq)
-			}
-			data = append(data, p...)
+		data, err := tn.img.Reassemble(Geometry(tn.img), n.EEPROM().Read)
+		if err != nil {
+			t.Fatalf("node %v: %v", n.ID(), err)
 		}
 		if !tn.img.Verify(data) {
 			t.Fatalf("node %v image mismatch", n.ID())

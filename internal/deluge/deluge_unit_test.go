@@ -160,6 +160,20 @@ func TestServeRequestedPacketsOnly(t *testing.T) {
 	}
 }
 
+// An advertisement whose page count is not the one its page size and
+// total imply is not learned from.
+func TestAdvGeometryMustBeAnImages(t *testing.T) {
+	for pages, learn := range map[uint8]bool{2: false, 3: true, 4: false} {
+		d, _ := newReceiverRig(t)
+		adv := baseAdv(4, 3)
+		adv.NumPages = pages
+		d.OnPacket(adv, 4)
+		if d.known() != learn {
+			t.Errorf("%d pages of %d packets, %d in all: learned %v, want %v", pages, page, adv.TotalPackets, d.known(), learn)
+		}
+	}
+}
+
 func TestCannotServePageNotHeld(t *testing.T) {
 	d, rt := newReceiverRig(t)
 	d.OnPacket(baseAdv(4, 3), 4) // learn geometry, havePages still 0

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mnp/internal/eeprom"
 	"mnp/internal/engine"
 	"mnp/internal/race"
 )
@@ -228,5 +229,48 @@ func TestRunAllocsPerFrame(t *testing.T) {
 				t.Fatalf("the run allocates %.2f heap objects per transmitted frame, budget %.2f", perFrame, row.budget)
 			}
 		})
+	}
+}
+
+// TestImageTooBigForFlashIsAnError: an image the base's 512 KiB flash
+// cannot hold fails Build for every protocol, before any mote starts,
+// whether it is generated (24 000 packets of 22 bytes) or given as
+// bytes.
+func TestImageTooBigForFlashIsAnError(t *testing.T) {
+	for _, name := range ProtocolNames() {
+		t.Run(name, func(t *testing.T) {
+			grid := Setup{Name: "too-big", Rows: 2, Cols: 2, Protocol: ProtocolKind(name)}
+			generated, given := grid, grid
+			generated.ImagePackets = 24000
+			given.ImageData = make([]byte, eeprom.DefaultCapacity+1)
+			for _, s := range []Setup{generated, given} {
+				res, err := Build(s)
+				if err != nil {
+					continue
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("Build accepted the image and Start panicked: %v", r)
+						}
+					}()
+					res.Network.Start()
+					t.Error("Build accepted an image the flash cannot hold")
+				}()
+			}
+		})
+	}
+}
+
+// TestUnitsFitTheirByte: Deluge numbers its 48-packet pages in one
+// byte, so an image of more than 255 pages fails Build instead of being
+// advertised with a wrapped page count; the same image is 102 segments
+// to every other protocol.
+func TestUnitsFitTheirByte(t *testing.T) {
+	for _, name := range ProtocolNames() {
+		_, err := Build(Setup{Name: "pages", Rows: 1, Cols: 2, ImagePackets: 13000, Protocol: ProtocolKind(name)})
+		if (err != nil) != (name == string(ProtocolDeluge)) {
+			t.Errorf("%s: Build = %v", name, err)
+		}
 	}
 }

@@ -6,6 +6,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -23,6 +24,7 @@ import (
 
 	"mnp/internal/core"
 
+	"mnp/internal/eeprom"
 	"mnp/internal/engine"
 	"mnp/internal/faults"
 	"mnp/internal/image"
@@ -50,33 +52,35 @@ const (
 	ProtocolGossip ProtocolKind = "gossip"
 )
 
-// protocol is one row of the protocols table: the name reports print
-// and the constructor of one mote's instance. base is the image at the
-// base station and nil at every other mote; only MNP reads v.
+// protocol is one row of the protocols table: the name reports print,
+// how the protocol lays an image out in flash, and the constructor of
+// one mote's instance. base is the image at the base station and nil
+// at every other mote; only MNP reads v.
 type protocol struct {
-	display string
-	build   func(base *image.Image, v core.Variant) node.Protocol
+	display  string
+	geometry func(*image.Image) image.Geometry
+	build    func(base *image.Image, v core.Variant) node.Protocol
 }
 
 // protocols is the one list of protocols: Setup, scenario files,
 // campaign plans and mnpsim's -protocol accept exactly its keys.
 var protocols = map[ProtocolKind]protocol{
-	ProtocolMNP: {"MNP", func(base *image.Image, v core.Variant) node.Protocol {
+	ProtocolMNP: {"MNP", (*image.Image).Geometry, func(base *image.Image, v core.Variant) node.Protocol {
 		return core.New(core.Config{Base: base != nil, Image: base, Variant: v})
 	}},
-	ProtocolDeluge: {"Deluge", func(base *image.Image, _ core.Variant) node.Protocol {
+	ProtocolDeluge: {"Deluge", deluge.Geometry, func(base *image.Image, _ core.Variant) node.Protocol {
 		return deluge.New(deluge.Config{Base: base != nil, Image: base})
 	}},
-	ProtocolMOAP: {"MOAP", func(base *image.Image, _ core.Variant) node.Protocol {
+	ProtocolMOAP: {"MOAP", moap.Geometry, func(base *image.Image, _ core.Variant) node.Protocol {
 		return moap.New(moap.Config{Base: base != nil, Image: base})
 	}},
-	ProtocolXNP: {"XNP", func(base *image.Image, _ core.Variant) node.Protocol {
+	ProtocolXNP: {"XNP", xnp.Geometry, func(base *image.Image, _ core.Variant) node.Protocol {
 		return xnp.New(xnp.Config{Base: base != nil, Image: base})
 	}},
-	ProtocolRLNC: {"RLNC", func(base *image.Image, _ core.Variant) node.Protocol {
+	ProtocolRLNC: {"RLNC", (*image.Image).Geometry, func(base *image.Image, _ core.Variant) node.Protocol {
 		return rlnc.New(rlnc.Config{Base: base != nil, Image: base})
 	}},
-	ProtocolGossip: {"Gossip", func(base *image.Image, _ core.Variant) node.Protocol {
+	ProtocolGossip: {"Gossip", (*image.Image).Geometry, func(base *image.Image, _ core.Variant) node.Protocol {
 		return gossip.New(gossip.Config{Base: base != nil, Image: base})
 	}},
 }
@@ -250,8 +254,9 @@ func (s Setup) withDefaults() Setup {
 	return s
 }
 
-// maxImagePackets is the largest generated image: 255 segments, the
-// one-byte segment ID space.
+// maxImagePackets is the most packets the one-byte segment ID space
+// numbers: 255 segments. The base's flash holds fewer, 23 831 packets
+// of 22 bytes, which validate checks on its own.
 const maxImagePackets = 255 * image.DefaultSegmentPackets
 
 // validate rejects malformed deployment descriptions with descriptive
@@ -308,6 +313,13 @@ func (s Setup) validate() error {
 	if s.ImageData == nil && s.ImagePackets > maxImagePackets {
 		return fmt.Errorf("experiment %s: image size %d packets exceeds %d (255 segments)", s.Name, s.ImagePackets, maxImagePackets)
 	}
+	size := len(s.ImageData)
+	if s.ImageData == nil {
+		size = s.ImagePackets * image.DefaultPayloadSize
+	}
+	if size > eeprom.DefaultCapacity {
+		return fmt.Errorf("experiment %s: image of %d bytes exceeds the base's %d-byte flash", s.Name, size, eeprom.DefaultCapacity)
+	}
 	if s.MobilityEvery < 0 {
 		return fmt.Errorf("experiment %s: mobility step %v is negative", s.Name, s.MobilityEvery)
 	}
@@ -362,6 +374,8 @@ type Result struct {
 	// Invariants is the attached checker, nil unless Setup.Invariants
 	// is true.
 	Invariants *invariant.Checker
+	// geom is how the protocol lays Image out in flash.
+	geom image.Geometry
 
 	// Completed reports whether every node finished within Limit.
 	Completed bool
@@ -491,6 +505,11 @@ func Build(s Setup) (*Result, error) {
 	if err != nil {
 		return fail(err)
 	}
+	// Unit IDs travel in one byte (Deluge's pages wrap past 255).
+	geom := protocols[s.Protocol].geometry(img)
+	if geom.Units() > 255 {
+		return fail(fmt.Errorf("%d packets make %d units of %d under %v, past the one-byte unit ID", img.TotalPackets(), geom.Units(), geom.Unit(), s.Protocol))
+	}
 	layout := s.Layout
 	if layout == nil {
 		layout, err = topology.Grid(s.Rows, s.Cols, s.Spacing)
@@ -552,7 +571,7 @@ func Build(s Setup) (*Result, error) {
 		bounds := cut.Bounds
 		tiles[i] = &engine.Shard{Kernel: kernel, Medium: medium, Owned: cut.Owned, Bounds: &bounds}
 	}
-	res := &Result{Setup: s, Layout: layout, Image: img, tiles: tiles}
+	res := &Result{Setup: s, Layout: layout, Image: img, geom: geom, tiles: tiles}
 
 	// now and at are the only two things that differ between one tile
 	// and several: the observation clock, and how a whole-deployment
@@ -711,7 +730,7 @@ func Build(s Setup) (*Result, error) {
 		}
 		arm(s.MobilityEvery)
 	}
-	armImageCheck(res.Invariants, s.Protocol, img, nw)
+	armImageCheck(res.Invariants, img, res.geom, nw)
 	return res, nil
 }
 
@@ -732,19 +751,22 @@ func (s Setup) partition(layout *topology.Layout) (engine.Grid, []engine.Tile, e
 }
 
 // armImageCheck installs the segment-image-integrity invariant on a
-// checker: stored payloads of every completed segment must match the
-// source image byte-for-byte. Deluge is excluded — its EEPROM slots
-// follow page geometry, not the image's (seg, pkt) layout. The stored
-// hook reads the node's EEPROM directly (not through the runtime), so
+// checker: stored payloads of every completed unit must match the
+// source image byte-for-byte, the unit read through g, the protocol's
+// geometry (Deluge's pages, everyone else's segments). The stored hook
+// reads the node's EEPROM directly (not through the runtime), so
 // checking stays observation-only: no StorageOp events, no energy
 // charge, no behavior perturbation.
-func armImageCheck(checker *invariant.Checker, proto ProtocolKind, img *image.Image, nw *node.Network) {
-	if checker == nil || proto == ProtocolDeluge {
+func armImageCheck(checker *invariant.Checker, img *image.Image, g image.Geometry, nw *node.Network) {
+	if checker == nil {
 		return
 	}
 	checker.SetImageCheck(
 		func(seg, pkt int) ([]byte, bool) {
-			p, err := img.Payload(seg, pkt)
+			if pkt >= g.PacketsIn(seg) {
+				return nil, false
+			}
+			p, err := img.FlatPayload(g.Seq(seg, pkt))
 			return p, err == nil
 		},
 		func(id packet.NodeID, seg, pkt int) []byte {
@@ -802,34 +824,41 @@ func (r *Result) VerifyInvariants() error {
 	return r.Invariants.Err()
 }
 
-// VerifyImages checks the reliability requirement on every node and
-// returns an error naming the first violation. Only MNP-geometry
-// protocols (MNP, XNP, MOAP, RLNC, which all use 128-packet segment
-// slots) are verified packet-by-packet; Deluge uses page-numbered
-// slots and is verified by completion plus write-once.
+// VerifyImages checks the reliability requirement on every live mote
+// and returns its findings joined, nil when there are none: a mote that
+// did not complete, a mote that wrote a slot twice, and a completed
+// mote whose flash, reassembled through the protocol's geometry, is not
+// the image byte for byte. A rewrite is a finding of its own; the
+// mote's bytes are compared all the same.
 func (r *Result) VerifyImages() error {
+	var errs []error
 	for _, n := range r.Network.Nodes {
 		if n.Dead() {
 			continue
 		}
 		if !n.Completed() {
-			return fmt.Errorf("node %v incomplete", n.ID())
-		}
-		if w := n.EEPROM().MaxWriteCount(); w > 1 {
-			return fmt.Errorf("node %v rewrote EEPROM (max %d writes)", n.ID(), w)
-		}
-		if r.Setup.Protocol == ProtocolDeluge {
+			errs = append(errs, fmt.Errorf("node %v incomplete", n.ID()))
 			continue
 		}
-		data, err := r.Image.Reassemble(func(seg, pkt int) []byte {
-			return n.EEPROM().Read(seg, pkt)
-		})
-		if err != nil {
-			return fmt.Errorf("node %v: %w", n.ID(), err)
+		if w := n.EEPROM().MaxWriteCount(); w > 1 {
+			errs = append(errs, fmt.Errorf("node %v rewrote EEPROM (max %d writes)", n.ID(), w))
 		}
-		if !r.Image.Verify(data) {
-			return fmt.Errorf("node %v: image mismatch", n.ID())
+		if err := r.verifyBytes(n); err != nil {
+			errs = append(errs, err)
 		}
+	}
+	return errors.Join(errs...)
+}
+
+// verifyBytes reassembles n's flash through the protocol's geometry and
+// compares it with the image.
+func (r *Result) verifyBytes(n *node.Node) error {
+	data, err := r.Image.Reassemble(r.geom, n.EEPROM().Read)
+	if err != nil {
+		return fmt.Errorf("node %v: %w", n.ID(), err)
+	}
+	if !r.Image.Verify(data) {
+		return fmt.Errorf("node %v: image mismatch", n.ID())
 	}
 	return nil
 }

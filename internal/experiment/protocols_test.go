@@ -122,6 +122,19 @@ func FuzzProtocolPackets(f *testing.F) {
 			&packet.DelugeReq{Src: 2, DestID: 0, ProgramID: 1, Page: 1, PagePackets: 4, Missing: missing},
 			&packet.DelugeData{Src: 0, ProgramID: 1, Page: 1, PacketID: 0, Payload: payload},
 		},
+		// Geometries no image has, which every protocol must drop: three
+		// segments of four packets cannot hold eight, nor two 48-packet
+		// pages eight.
+		{
+			&packet.Advertise{Src: 0, ProgramID: 1, ProgramSegments: 3, SegID: 3, SegNominal: 4, TotalPackets: 8, ReqCtr: 1},
+			&packet.StartDownload{Src: 0, ProgramID: 1, SegID: 1, SegPackets: 4},
+			&packet.Data{Src: 0, ProgramID: 1, SegID: 3, PacketID: 0, Payload: payload},
+		},
+		{
+			&packet.DelugeAdv{Src: 0, ProgramID: 1, Version: 1, NumPages: 2, HavePages: 2, PagePackets: 48, TotalPackets: 8},
+			&packet.DelugeReq{Src: 2, DestID: 1, ProgramID: 1, Page: 2, PagePackets: 4, Missing: missing},
+			&packet.DelugeData{Src: 0, ProgramID: 1, Page: 2, PacketID: 0, Payload: payload},
+		},
 		{
 			&packet.MoapPublish{Src: 0, ProgramID: 1, Version: 1, Total: 8},
 			&packet.MoapSubscribe{Src: 2, DestID: 0, ProgramID: 1},

@@ -64,14 +64,12 @@ type Gossip struct {
 
 	// Image geometry, RAM-resident: the base takes it from the image,
 	// everyone else learns it from the first beacon heard (and
-	// re-learns it the same way after a reboot).
-	known      bool
+	// re-learns it the same way after a reboot). geom is zero until
+	// then.
 	programID  uint8
-	segments   int
-	nominal    int // packets per full segment
-	total      int // packets in the whole image
-	payloadLen int // bytes per data payload
-	tail       int // bytes in the image's final packet
+	geom       image.Geometry // the image's segments
+	payloadLen int            // bytes per data payload
+	tail       int            // bytes in the image's final packet
 
 	completeSegs int    // segments fully stored
 	got          []bool // receipt map of segment completeSegs+1
@@ -117,35 +115,19 @@ func (g *Gossip) Init(rt node.Runtime) {
 	if im == nil {
 		panic("gossip: base station requires an image")
 	}
-	g.known = true
-	g.programID = im.ProgramID()
-	g.segments = im.Segments()
-	g.nominal = im.SegmentPackets()
-	g.total = im.TotalPackets()
+	g.programID, g.geom = im.ProgramID(), im.Geometry()
 	g.payloadLen = im.PayloadSize()
-	g.tail = im.Size() - (g.total-1)*g.payloadLen
-	for seq := 0; seq < g.total; seq++ {
-		seg, pkt := seq/g.nominal+1, seq%g.nominal
-		if rt.HasPacket(seg, pkt) {
-			continue // rebooted base: EEPROM survived
-		}
-		payload, _ := im.FlatPayload(seq)
-		if err := rt.Store(seg, pkt, g.packetsIn(seg), payload); err != nil {
-			panic(fmt.Sprintf("gossip: preloading base image: %v", err))
-		}
+	g.tail = im.Size() - (g.geom.Total()-1)*g.payloadLen
+	if err := image.Preload(rt, im, g.geom); err != nil {
+		panic(fmt.Sprintf("gossip: %v", err))
 	}
-	g.completeSegs = g.segments
+	g.completeSegs = g.geom.Units()
 	rt.Complete()
 	g.scheduleAdv()
 }
 
-// packetsIn returns the packet count of a segment.
-func (g *Gossip) packetsIn(seg int) int {
-	if seg == g.segments {
-		return g.total - (g.segments-1)*g.nominal
-	}
-	return g.nominal
-}
+// known reports whether the mote has learned the image's geometry.
+func (g *Gossip) known() bool { return g.geom.Units() > 0 }
 
 // OnTimer implements node.Protocol.
 func (g *Gossip) OnTimer(id node.TimerID) {
@@ -175,16 +157,16 @@ func (g *Gossip) scheduleAdv() {
 }
 
 func (g *Gossip) advTick() {
-	if !g.known {
+	if !g.known() {
 		return
 	}
 	adv := &g.out.adv
 	*adv = packet.GossipAdv{
 		Src:          g.rt.ID(),
 		ProgramID:    g.programID,
-		Segments:     uint8(g.segments),
-		SegPackets:   uint8(g.nominal),
-		TotalPackets: uint16(g.total),
+		Segments:     uint8(g.geom.Units()),
+		SegPackets:   uint8(g.geom.Unit()),
+		TotalPackets: uint16(g.geom.Total()),
 		PayloadLen:   uint8(g.payloadLen),
 		Tail:         uint8(g.tail),
 		CompleteSegs: uint8(g.completeSegs),
@@ -200,24 +182,18 @@ func (g *Gossip) advTick() {
 // (unlike rlnc, gossip stores each packet on reception, so partial
 // segments persist too).
 func (g *Gossip) learn(a *packet.GossipAdv) {
-	if a.Segments == 0 || a.SegPackets == 0 || a.TotalPackets == 0 || a.PayloadLen == 0 {
+	// Any geometry but an image's would carve flash for packets no
+	// frame can address.
+	geom, err := image.NewGeometry(int(a.Segments), int(a.SegPackets), int(a.TotalPackets))
+	if err != nil || a.PayloadLen == 0 {
 		return
 	}
-	// An image's last segment holds one packet to a full segment; any
-	// other geometry would carve flash for packets no frame can address.
-	if last := int(a.TotalPackets) - (int(a.Segments)-1)*int(a.SegPackets); last < 1 || last > int(a.SegPackets) {
-		return
-	}
-	g.known = true
-	g.programID = a.ProgramID
-	g.segments = int(a.Segments)
-	g.nominal = int(a.SegPackets)
-	g.total = int(a.TotalPackets)
+	g.programID, g.geom = a.ProgramID, geom
 	g.payloadLen = int(a.PayloadLen)
 	g.tail = int(a.Tail)
-	for s := 1; s <= g.segments; s++ {
+	for s := 1; s <= geom.Units(); s++ {
 		full := true
-		for i, k := 0, g.packetsIn(s); i < k; i++ {
+		for i, k := 0, geom.PacketsIn(s); i < k; i++ {
 			if !g.rt.HasPacket(s, i) {
 				full = false
 				break
@@ -228,9 +204,9 @@ func (g *Gossip) learn(a *packet.GossipAdv) {
 		}
 		g.completeSegs = s
 	}
-	if g.completeSegs < g.segments {
+	if g.completeSegs < geom.Units() {
 		next := g.completeSegs + 1
-		g.got = make([]bool, g.packetsIn(next))
+		g.got = make([]bool, geom.PacketsIn(next))
 		g.have = 0
 		for i := range g.got {
 			if g.rt.HasPacket(next, i) {
@@ -254,10 +230,10 @@ func (g *Gossip) dataPace() time.Duration {
 }
 
 func (g *Gossip) onAdv(a *packet.GossipAdv) {
-	if !g.known {
+	if !g.known() {
 		g.learn(a)
 	}
-	if !g.known || a.ProgramID != g.programID {
+	if !g.known() || a.ProgramID != g.programID {
 		return
 	}
 	g.peers.Heard(a.Src, g.rt.Now(), int(a.CompleteSegs))
@@ -274,7 +250,7 @@ func (g *Gossip) onAdv(a *packet.GossipAdv) {
 	case g.demandSeg == 0 || need < g.demandSeg:
 		g.demandSeg = need
 		g.demandUntil = until
-		g.cursor = int(g.rt.Rand().Int63n(int64(g.packetsIn(need))))
+		g.cursor = int(g.rt.Rand().Int63n(int64(g.geom.PacketsIn(need))))
 	case need == g.demandSeg && until > g.demandUntil:
 		g.demandUntil = until
 	}
@@ -296,7 +272,7 @@ func (g *Gossip) dataTick() {
 
 // pushNext broadcasts the sweep's next packet of seg.
 func (g *Gossip) pushNext(seg int) {
-	k := g.packetsIn(seg)
+	k := g.geom.PacketsIn(seg)
 	if g.cursor >= k {
 		g.cursor = 0
 	}
@@ -319,7 +295,7 @@ func (g *Gossip) pushNext(seg int) {
 // --- receive side ---
 
 func (g *Gossip) onData(d *packet.GossipData) {
-	if !g.known || d.ProgramID != g.programID {
+	if !g.known() || d.ProgramID != g.programID {
 		return // geometry arrives with beacons
 	}
 	seg := int(d.Seg)
@@ -336,7 +312,7 @@ func (g *Gossip) onData(d *packet.GossipData) {
 		return // segments pipeline strictly in order
 	}
 	i := int(d.Pkt) - 1
-	k := g.packetsIn(seg)
+	k := g.geom.PacketsIn(seg)
 	if i < 0 || i >= k {
 		return
 	}
@@ -363,7 +339,7 @@ func (g *Gossip) completeSegment(seg int) {
 	g.got = nil
 	g.have = 0
 	g.rt.Event(node.Event{Kind: node.EventGotSegment, Seg: seg})
-	if g.completeSegs == g.segments {
+	if g.completeSegs == g.geom.Units() {
 		g.rt.Complete()
 	}
 	// Beacon the new state promptly so the next hop's pipeline starts

@@ -32,7 +32,8 @@ type Image struct {
 	programID   uint8
 	data        []byte
 	payloadSize int
-	segPackets  int
+	segPackets  int      // set by the options
+	geom        Geometry // segPackets-packet segments over the data
 }
 
 // Option customizes image geometry.
@@ -68,6 +69,9 @@ func New(programID uint8, data []byte, opts ...Option) (*Image, error) {
 	if im.segPackets <= 0 || im.segPackets > 128 {
 		return nil, fmt.Errorf("image: segment packets %d out of range (0, 128]", im.segPackets)
 	}
+	// Data and segPackets are non-empty by the checks above, so Split
+	// cannot fail.
+	im.geom, _ = Split((len(im.data)+im.payloadSize-1)/im.payloadSize, im.segPackets)
 	if im.Segments() > 255 {
 		return nil, fmt.Errorf("image: %d segments exceeds the 1-byte segment ID space", im.Segments())
 	}
@@ -106,26 +110,23 @@ func (im *Image) PayloadSize() int { return im.payloadSize }
 func (im *Image) SegmentPackets() int { return im.segPackets }
 
 // TotalPackets returns the number of packets across all segments.
-func (im *Image) TotalPackets() int {
-	return (len(im.data) + im.payloadSize - 1) / im.payloadSize
-}
+func (im *Image) TotalPackets() int { return im.geom.Total() }
 
 // Segments returns the number of segments. Segment IDs are 1-based,
 // 1..Segments().
-func (im *Image) Segments() int {
-	return (im.TotalPackets() + im.segPackets - 1) / im.segPackets
-}
+func (im *Image) Segments() int { return im.geom.Units() }
+
+// Geometry returns the image's own segment geometry, the flash layout
+// of protocols that store packets by the image's segments.
+func (im *Image) Geometry() Geometry { return im.geom }
 
 // PacketsIn returns the number of packets in segment seg (1-based);
 // only the final segment may be short.
 func (im *Image) PacketsIn(seg int) (int, error) {
-	if seg < 1 || seg > im.Segments() {
+	n := im.geom.PacketsIn(seg)
+	if n == 0 {
 		return 0, fmt.Errorf("image: segment %d out of range [1,%d]", seg, im.Segments())
 	}
-	if seg < im.Segments() {
-		return im.segPackets, nil
-	}
-	n := im.TotalPackets() - (im.Segments()-1)*im.segPackets
 	return n, nil
 }
 
@@ -140,7 +141,7 @@ func (im *Image) Payload(seg, pkt int) ([]byte, error) {
 	if pkt < 0 || pkt >= n {
 		return nil, fmt.Errorf("image: packet %d out of range [0,%d) in segment %d", pkt, n, seg)
 	}
-	return im.FlatPayload((seg-1)*im.segPackets + pkt)
+	return im.FlatPayload(im.geom.Seq(seg, pkt))
 }
 
 // FlatPayload returns the payload of packet seq in flat (whole-image)
@@ -149,12 +150,13 @@ func (im *Image) FlatPayload(seq int) ([]byte, error) {
 	if seq < 0 || seq >= im.TotalPackets() {
 		return nil, fmt.Errorf("image: flat packet %d out of range [0,%d)", seq, im.TotalPackets())
 	}
+	return append([]byte(nil), im.packet(seq)...), nil
+}
+
+// packet returns the bytes of packet seq, a view into the image.
+func (im *Image) packet(seq int) []byte {
 	lo := seq * im.payloadSize
-	hi := lo + im.payloadSize
-	if hi > len(im.data) {
-		hi = len(im.data)
-	}
-	return append([]byte(nil), im.data[lo:hi]...), nil
+	return im.data[lo:min(lo+im.payloadSize, len(im.data))]
 }
 
 // Digest returns the SHA-256 of the program data; receivers compare it
@@ -169,30 +171,24 @@ func (im *Image) Bytes() []byte {
 	return append([]byte(nil), im.data...)
 }
 
-// Reassemble rebuilds the image from stored per-packet payloads; get
-// must return the payload stored for (seg, pkt) or nil if absent. It
-// fails on the first missing or mis-sized packet.
-func (im *Image) Reassemble(get func(seg, pkt int) []byte) ([]byte, error) {
+// Reassemble rebuilds the image from per-packet payloads stored in
+// geometry g; get must return the payload stored for (unit, pkt) or nil
+// if absent. It fails on the first missing or mis-sized packet.
+func (im *Image) Reassemble(g Geometry, get func(unit, pkt int) []byte) ([]byte, error) {
+	if g.Total() != im.TotalPackets() {
+		return nil, fmt.Errorf("image: geometry of %d packets for a %d-packet image", g.Total(), im.TotalPackets())
+	}
 	out := make([]byte, 0, len(im.data))
-	for seg := 1; seg <= im.Segments(); seg++ {
-		n, err := im.PacketsIn(seg)
-		if err != nil {
-			return nil, err
+	for seq := 0; seq < g.Total(); seq++ {
+		u, pkt := g.Slot(seq)
+		p := get(u, pkt)
+		if p == nil {
+			return nil, fmt.Errorf("image: packet (%d,%d) missing", u, pkt)
 		}
-		for pkt := 0; pkt < n; pkt++ {
-			p := get(seg, pkt)
-			if p == nil {
-				return nil, fmt.Errorf("image: packet (%d,%d) missing", seg, pkt)
-			}
-			want, err := im.Payload(seg, pkt)
-			if err != nil {
-				return nil, err
-			}
-			if len(p) != len(want) {
-				return nil, fmt.Errorf("image: packet (%d,%d) is %d bytes, want %d", seg, pkt, len(p), len(want))
-			}
-			out = append(out, p...)
+		if want := len(im.packet(seq)); len(p) != want {
+			return nil, fmt.Errorf("image: packet (%d,%d) is %d bytes, want %d", u, pkt, len(p), want)
 		}
+		out = append(out, p...)
 	}
 	return out, nil
 }

@@ -136,7 +136,7 @@ func TestReassembleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := im.Reassemble(func(seg, pkt int) []byte {
+	got, err := im.Reassemble(im.Geometry(), func(seg, pkt int) []byte {
 		p, err := im.Payload(seg, pkt)
 		if err != nil {
 			return nil
@@ -164,7 +164,7 @@ func TestReassembleDetectsMissingAndCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := im.Reassemble(func(seg, pkt int) []byte {
+	if _, err := im.Reassemble(im.Geometry(), func(seg, pkt int) []byte {
 		if pkt == 60 {
 			return nil
 		}
@@ -173,7 +173,7 @@ func TestReassembleDetectsMissingAndCorrupt(t *testing.T) {
 	}); err == nil {
 		t.Error("missing packet not detected")
 	}
-	if _, err := im.Reassemble(func(seg, pkt int) []byte {
+	if _, err := im.Reassemble(im.Geometry(), func(seg, pkt int) []byte {
 		p, _ := im.Payload(seg, pkt)
 		if pkt == 3 {
 			return p[:len(p)-1]

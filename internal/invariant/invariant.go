@@ -24,8 +24,8 @@
 //     resets the RAM-resident rank but not the EEPROM-backed segment
 //     count.
 //  7. Segment-image integrity (opt-in via SetImageCheck): every
-//     completed segment's stored payloads are byte-identical to the
-//     source image.
+//     completed segment's (or Deluge page's) stored payloads are
+//     byte-identical to the source image.
 //
 // The checker keeps its own bounded trace ring; every violation
 // carries an excerpt of the offending node's recent history so a
@@ -38,6 +38,7 @@ import (
 	"strings"
 	"time"
 
+	"mnp/internal/image"
 	"mnp/internal/node"
 	"mnp/internal/packet"
 	"mnp/internal/trace"
@@ -324,18 +325,27 @@ func (c *Checker) checkAdvertise(src packet.NodeID, st *nodeState, adv *packet.A
 			segID, nominal, total)
 		return
 	}
-	for s := 1; s <= segID; s++ {
-		want := total - (s-1)*nominal
-		if want > nominal {
-			want = nominal
-		}
-		if want <= 0 || st.perSeg[s] < want {
-			c.violate(src, "advertise-soundness",
-				"advertised segment %d of program %d but holds %d/%d packets of segment %d",
-				segID, adv.ProgramID, st.perSeg[s], want, s)
-			return
+	if s, want := st.firstUnheld(segID, nominal, total); s > 0 {
+		c.violate(src, "advertise-soundness",
+			"advertised segment %d of program %d but holds %d/%d packets of segment %d",
+			segID, adv.ProgramID, st.perSeg[s], want, s)
+	}
+}
+
+// firstUnheld returns the first of segments 1..segs that the writes
+// seen this epoch do not fill, in the geometry of nominal-packet
+// segments over total packets, with the packet count it should hold
+// (0 past the image's end); 0, 0 when every one is full. An empty
+// geometry, Split's only error, holds no packets, so every segment is
+// reported unheld.
+func (st *nodeState) firstUnheld(segs, nominal, total int) (seg, want int) {
+	g, _ := image.Split(total, nominal)
+	for s := 1; s <= segs; s++ {
+		if want := g.PacketsIn(s); want == 0 || st.perSeg[s] < want {
+			return s, want
 		}
 	}
+	return 0, 0
 }
 
 // checkRlncAdv validates coded-dissemination progress: the advertised
@@ -358,17 +368,10 @@ func (c *Checker) checkRlncAdv(src packet.NodeID, st *nodeState, adv *packet.Rln
 	if nominal <= 0 || total <= 0 {
 		return // a bootstrap advertisement carries no geometry to check
 	}
-	for s := 1; s <= segs; s++ {
-		want := total - (s-1)*nominal
-		if want > nominal {
-			want = nominal
-		}
-		if want <= 0 || st.perSeg[s] < want {
-			c.violate(src, "advertise-soundness",
-				"advertised %d complete coded segments of program %d but holds %d/%d packets of segment %d",
-				segs, adv.ProgramID, st.perSeg[s], want, s)
-			return
-		}
+	if s, want := st.firstUnheld(segs, nominal, total); s > 0 {
+		c.violate(src, "advertise-soundness",
+			"advertised %d complete coded segments of program %d but holds %d/%d packets of segment %d",
+			segs, adv.ProgramID, st.perSeg[s], want, s)
 	}
 }
 
@@ -395,17 +398,11 @@ func (c *Checker) checkGossipAdv(src packet.NodeID, st *nodeState, adv *packet.G
 			segs, adv.Segments)
 		return
 	}
-	for s := 1; s <= segs; s++ {
-		want := total - (s-1)*nominal
-		if want > nominal {
-			want = nominal
-		}
-		if want <= 0 || st.perSeg[s] < want {
-			c.violate(src, rule,
-				"beacon claims %d complete segments of program %d but holds %d/%d packets of segment %d",
-				segs, adv.ProgramID, st.perSeg[s], want, s)
-			return
-		}
+	if s, want := st.firstUnheld(segs, nominal, total); s > 0 {
+		c.violate(src, rule,
+			"beacon claims %d complete segments of program %d but holds %d/%d packets of segment %d",
+			segs, adv.ProgramID, st.perSeg[s], want, s)
+		return
 	}
 	if have := int(adv.Have); have > 0 {
 		if segs >= int(adv.Segments) {
@@ -448,10 +445,10 @@ func (c *Checker) checkSenderExclusive(src packet.NodeID, now time.Duration, air
 // EventGotSegment the completed segment's stored payloads are compared
 // byte-for-byte against the source image. expected returns the source
 // payload of (seg, pkt) and false past the segment's end; stored
-// returns the node's EEPROM payload for the slot. The rule only
-// applies to protocols whose EEPROM slots mirror image (seg, pkt)
-// geometry — Deluge's pages do not, so the experiment layer leaves it
-// unarmed there.
+// returns the node's EEPROM payload for the slot. Both read the slot
+// through the protocol's own geometry, so "segment" is whatever unit
+// the protocol stores by: the experiment layer arms the rule for every
+// protocol, Deluge's 48-packet pages included.
 func (c *Checker) SetImageCheck(
 	expected func(seg, pkt int) ([]byte, bool),
 	stored func(id packet.NodeID, seg, pkt int) []byte,

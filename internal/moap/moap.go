@@ -54,9 +54,10 @@ type MOAP struct {
 	cfg Config
 	rt  node.Runtime
 
+	// The program: the base takes it from its image, everyone else
+	// from the first publish or data frame heard.
 	programID uint8
-	total     int
-	nominal   int
+	geom      image.Geometry
 	complete  bool
 
 	// Receiver side.
@@ -86,18 +87,19 @@ type msgs struct {
 	nak  packet.MoapNak
 }
 
-// slot maps a flat sequence number to its EEPROM (segment, packet)
-// slot and the packet count of that segment.
-func (m *MOAP) slot(seq int) (seg, pkt, segPackets int) {
-	seg = seq/m.nominal + 1
-	return seg, seq % m.nominal, min(m.nominal, m.total-(seg-1)*m.nominal)
+// Geometry is MOAP's flash layout of im: packets numbered flat across
+// the image, stored in units of image.DefaultSegmentPackets. An image
+// has packets, so Split cannot fail.
+func Geometry(im *image.Image) image.Geometry {
+	g, _ := image.Split(im.TotalPackets(), image.DefaultSegmentPackets)
+	return g
 }
 
 var _ node.Protocol = (*MOAP)(nil)
 
 // New returns a MOAP instance.
 func New(cfg Config) *MOAP {
-	return &MOAP{cfg: cfg, nominal: image.DefaultSegmentPackets}
+	return &MOAP{cfg: cfg}
 }
 
 // Complete reports whether this node holds the whole image.
@@ -114,14 +116,9 @@ func (m *MOAP) Init(rt node.Runtime) {
 		panic("moap: base station requires an image")
 	}
 	im := m.cfg.Image
-	m.programID = im.ProgramID()
-	m.total = im.TotalPackets()
-	for seq := 0; seq < m.total; seq++ {
-		payload, _ := im.FlatPayload(seq)
-		seg, pkt, n := m.slot(seq)
-		if err := rt.Store(seg, pkt, n, payload); err != nil {
-			panic(fmt.Sprintf("moap: preloading base image: %v", err))
-		}
+	m.programID, m.geom = im.ProgramID(), Geometry(im)
+	if err := image.Preload(rt, im, m.geom); err != nil {
+		panic(fmt.Sprintf("moap: %v", err))
 	}
 	m.becomeSource()
 }
@@ -181,7 +178,7 @@ func (m *MOAP) publishTick() {
 		Src:       m.rt.ID(),
 		ProgramID: m.programID,
 		Version:   1,
-		Total:     uint16(m.total),
+		Total:     uint16(m.geom.Total()),
 	}
 	_ = m.rt.Send(pub)
 	m.schedulePublish()
@@ -212,7 +209,7 @@ func (m *MOAP) txTick() {
 		seq = int(m.resend[0])
 		// Shift down rather than re-slice, so the next NAK reuses the room.
 		m.resend = m.resend[:copy(m.resend, m.resend[1:])]
-	case m.nextSeq < m.total:
+	case m.nextSeq < m.geom.Total():
 		seq = m.nextSeq
 		m.nextSeq++
 	default:
@@ -222,14 +219,13 @@ func (m *MOAP) txTick() {
 		m.schedulePublish()
 		return
 	}
-	seg, pkt, _ := m.slot(seq)
-	if payload := m.rt.Load(seg, pkt); payload != nil {
+	if payload := m.rt.Load(m.geom.Slot(seq)); payload != nil {
 		d := &m.out.data
 		*d = packet.MoapData{
 			Src:       m.rt.ID(),
 			ProgramID: m.programID,
 			Seq:       uint16(seq),
-			Total:     uint16(m.total),
+			Total:     uint16(m.geom.Total()),
 			Payload:   payload,
 		}
 		_ = m.rt.Send(d)
@@ -241,7 +237,7 @@ func (m *MOAP) onNak(n *packet.MoapNak) {
 	if !m.complete || n.DestID != m.rt.ID() || n.ProgramID != m.programID {
 		return
 	}
-	if int(n.Seq) >= m.total {
+	if int(n.Seq) >= m.geom.Total() {
 		return
 	}
 	for _, r := range m.resend {
@@ -253,7 +249,7 @@ func (m *MOAP) onNak(n *packet.MoapNak) {
 	if !m.serving {
 		// Post-pass repair: reopen the data pump just for the repairs.
 		m.serving = true
-		m.nextSeq = m.total
+		m.nextSeq = m.geom.Total()
 		m.rt.CancelTimer(timerPublish)
 		m.rt.SetTimer(timerTxData, dataInterval)
 	}
@@ -266,13 +262,8 @@ func (m *MOAP) onPublish(p *packet.MoapPublish) {
 		m.heardPub = m.rt.Now() // suppression among publishers
 		return
 	}
-	if m.have == nil {
-		if p.Total == 0 {
-			return
-		}
-		m.programID = p.ProgramID
-		m.total = int(p.Total)
-		m.have = make([]bool, m.total)
+	if m.have == nil && !m.learn(p.ProgramID, p.Total) {
+		return
 	}
 	if p.ProgramID != m.programID || m.fetching || m.subDue {
 		return
@@ -302,6 +293,18 @@ func (m *MOAP) sendSubscribe() {
 	m.rt.SetTimer(timerRxWatchdog, rxTimeout)
 }
 
+// learn adopts the program a publish or data frame names, and reports
+// whether its size is one an image can have.
+func (m *MOAP) learn(programID uint8, total uint16) bool {
+	g, err := image.Split(int(total), image.DefaultSegmentPackets)
+	if err != nil {
+		return false
+	}
+	m.programID, m.geom = programID, g
+	m.have = make([]bool, g.Total())
+	return true
+}
+
 func (m *MOAP) firstMissing() int {
 	for seq, ok := range m.have {
 		if !ok {
@@ -315,19 +318,14 @@ func (m *MOAP) onData(d *packet.MoapData) {
 	if m.complete {
 		return
 	}
-	if m.have == nil {
-		if d.Total == 0 {
-			return
-		}
-		m.programID = d.ProgramID
-		m.total = int(d.Total)
-		m.have = make([]bool, m.total)
+	if m.have == nil && !m.learn(d.ProgramID, d.Total) {
+		return
 	}
 	if d.ProgramID != m.programID {
 		return
 	}
 	seq := int(d.Seq)
-	if seq >= m.total || m.have[seq] {
+	if seq >= m.geom.Total() || m.have[seq] {
 		return
 	}
 	first := m.firstMissing()
@@ -337,8 +335,8 @@ func (m *MOAP) onData(d *packet.MoapData) {
 		m.nakFirstMissing()
 		return
 	}
-	seg, pkt, n := m.slot(seq)
-	if err := m.rt.Store(seg, pkt, n, d.Payload); err != nil {
+	seg, pkt := m.geom.Slot(seq)
+	if err := m.rt.Store(seg, pkt, m.geom.PacketsIn(seg), d.Payload); err != nil {
 		return
 	}
 	m.have[seq] = true
@@ -347,7 +345,7 @@ func (m *MOAP) onData(d *packet.MoapData) {
 	if m.fetching {
 		m.rt.SetTimer(timerRxWatchdog, rxTimeout)
 	}
-	if m.haveCount == m.total {
+	if m.haveCount == m.geom.Total() {
 		m.fetching = false
 		m.rt.CancelTimer(timerRxWatchdog)
 		m.becomeSource() // hop-by-hop: now a publisher

@@ -41,7 +41,7 @@ func buildNet(t *testing.T, layout *topology.Layout, segments int, seed int64) (
 func verify(t *testing.T, nw *node.Network, img *image.Image) {
 	t.Helper()
 	for _, n := range nw.Nodes {
-		data, err := img.Reassemble(func(seg, pkt int) []byte { return n.EEPROM().Read(seg, pkt) })
+		data, err := img.Reassemble(Geometry(img), n.EEPROM().Read)
 		if err != nil {
 			t.Fatalf("node %v: %v", n.ID(), err)
 		}

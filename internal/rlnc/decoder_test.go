@@ -728,8 +728,8 @@ func TestAdvGeometryMustBeAnImages(t *testing.T) {
 		rt.Attach(r)
 		rt.Deliver(&packet.RlncAdv{Src: 0, ProgramID: 1, Segments: 3, SegPackets: 4,
 			TotalPackets: tc.total, PayloadLen: 8, Tail: 8, CompleteSegs: 3}, 0)
-		if r.known != tc.learn {
-			t.Errorf("3 segments of 4 packets, %d in all: learned %v, want %v", tc.total, r.known, tc.learn)
+		if r.known() != tc.learn {
+			t.Errorf("3 segments of 4 packets, %d in all: learned %v, want %v", tc.total, r.known(), tc.learn)
 		}
 	}
 }

@@ -63,14 +63,12 @@ type RLNC struct {
 
 	// Image geometry, RAM-resident: the base takes it from the image,
 	// everyone else learns it from the first advertisement heard (and
-	// re-learns it the same way after a reboot).
-	known      bool
+	// re-learns it the same way after a reboot). geom is zero until
+	// then.
 	programID  uint8
-	segments   int
-	nominal    int // packets per full segment
-	total      int // packets in the whole image
-	payloadLen int // bytes per coded payload
-	tail       int // bytes in the image's final packet
+	geom       image.Geometry // the image's segments
+	payloadLen int            // bytes per coded payload
+	tail       int            // bytes in the image's final packet
 
 	completeSegs int      // segments fully decoded and stored
 	dec          *decoder // decoder of segment completeSegs+1, nil when idle
@@ -124,41 +122,25 @@ func (r *RLNC) Init(rt node.Runtime) {
 	if im == nil {
 		panic("rlnc: base station requires an image")
 	}
-	r.known = true
-	r.programID = im.ProgramID()
-	r.segments = im.Segments()
-	r.nominal = im.SegmentPackets()
-	r.total = im.TotalPackets()
+	r.programID, r.geom = im.ProgramID(), im.Geometry()
 	r.payloadLen = im.PayloadSize()
-	r.tail = im.Size() - (r.total-1)*r.payloadLen
+	r.tail = im.Size() - (r.geom.Total()-1)*r.payloadLen
 	// A mote refuses a frame whose body overflows the length byte, so
 	// an image whose coded frames cannot fit would never spread.
-	widest := &packet.RlncData{Coeffs: make([]byte, r.nominal), Payload: make([]byte, r.payloadLen)}
+	widest := &packet.RlncData{Coeffs: make([]byte, r.geom.Unit()), Payload: make([]byte, r.payloadLen)}
 	if _, err := packet.FrameKind(packet.Encode(widest)); err != nil {
-		panic(fmt.Sprintf("rlnc: %d-packet segments of %d-byte payloads do not fit a frame: %v", r.nominal, r.payloadLen, err))
+		panic(fmt.Sprintf("rlnc: %d-packet segments of %d-byte payloads do not fit a frame: %v", r.geom.Unit(), r.payloadLen, err))
 	}
-	for seq := 0; seq < r.total; seq++ {
-		seg, pkt := seq/r.nominal+1, seq%r.nominal
-		if rt.HasPacket(seg, pkt) {
-			continue // rebooted base: EEPROM survived
-		}
-		payload, _ := im.FlatPayload(seq)
-		if err := rt.Store(seg, pkt, r.packetsIn(seg), payload); err != nil {
-			panic(fmt.Sprintf("rlnc: preloading base image: %v", err))
-		}
+	if err := image.Preload(rt, im, r.geom); err != nil {
+		panic(fmt.Sprintf("rlnc: %v", err))
 	}
-	r.completeSegs = r.segments
+	r.completeSegs = r.geom.Units()
 	rt.Complete()
 	r.scheduleAdv()
 }
 
-// packetsIn returns the packet count (coefficient width) of a segment.
-func (r *RLNC) packetsIn(seg int) int {
-	if seg == r.segments {
-		return r.total - (r.segments-1)*r.nominal
-	}
-	return r.nominal
-}
+// known reports whether the mote has learned the image's geometry.
+func (r *RLNC) known() bool { return r.geom.Units() > 0 }
 
 // OnTimer implements node.Protocol.
 func (r *RLNC) OnTimer(id node.TimerID) {
@@ -190,7 +172,7 @@ func (r *RLNC) scheduleAdv() {
 }
 
 func (r *RLNC) advTick() {
-	if !r.known {
+	if !r.known() {
 		return
 	}
 	rank := 0
@@ -201,9 +183,9 @@ func (r *RLNC) advTick() {
 	*adv = packet.RlncAdv{
 		Src:          r.rt.ID(),
 		ProgramID:    r.programID,
-		Segments:     uint8(r.segments),
-		SegPackets:   uint8(r.nominal),
-		TotalPackets: uint16(r.total),
+		Segments:     uint8(r.geom.Units()),
+		SegPackets:   uint8(r.geom.Unit()),
+		TotalPackets: uint16(r.geom.Total()),
 		PayloadLen:   uint8(r.payloadLen),
 		Tail:         uint8(r.tail),
 		CompleteSegs: uint8(r.completeSegs),
@@ -217,25 +199,18 @@ func (r *RLNC) advTick() {
 // and recovers any segments that survived in EEPROM across a reboot
 // (RAM state is lost, flash is not).
 func (r *RLNC) learn(a *packet.RlncAdv) {
-	if a.Segments == 0 || a.SegPackets == 0 || a.TotalPackets == 0 || a.PayloadLen == 0 {
+	// Any geometry but an image's would size a decoder for a segment no
+	// frame can complete.
+	geom, err := image.NewGeometry(int(a.Segments), int(a.SegPackets), int(a.TotalPackets))
+	if err != nil || a.PayloadLen == 0 {
 		return
 	}
-	// An image's last segment holds one packet to a full segment; any
-	// other geometry would size a decoder for a segment no frame can
-	// complete.
-	if last := int(a.TotalPackets) - (int(a.Segments)-1)*int(a.SegPackets); last < 1 || last > int(a.SegPackets) {
-		return
-	}
-	r.known = true
-	r.programID = a.ProgramID
-	r.segments = int(a.Segments)
-	r.nominal = int(a.SegPackets)
-	r.total = int(a.TotalPackets)
+	r.programID, r.geom = a.ProgramID, geom
 	r.payloadLen = int(a.PayloadLen)
 	r.tail = int(a.Tail)
-	for s := 1; s <= r.segments; s++ {
+	for s := 1; s <= geom.Units(); s++ {
 		full := true
-		for i, k := 0, r.packetsIn(s); i < k; i++ {
+		for i, k := 0, geom.PacketsIn(s); i < k; i++ {
 			if !r.rt.HasPacket(s, i) {
 				full = false
 				break
@@ -246,7 +221,7 @@ func (r *RLNC) learn(a *packet.RlncAdv) {
 		}
 		r.completeSegs = s
 	}
-	if r.completeSegs == r.segments {
+	if r.completeSegs == geom.Units() {
 		r.rt.Complete()
 	}
 	r.scheduleAdv()
@@ -262,10 +237,10 @@ func (r *RLNC) dataPace() time.Duration {
 }
 
 func (r *RLNC) onAdv(a *packet.RlncAdv) {
-	if !r.known {
+	if !r.known() {
 		r.learn(a)
 	}
-	if !r.known || a.ProgramID != r.programID {
+	if !r.known() || a.ProgramID != r.programID {
 		return
 	}
 	r.peers.Heard(a.Src, r.rt.Now(), int(a.CompleteSegs))
@@ -305,7 +280,7 @@ func (r *RLNC) dataTick() {
 
 // sendCoded broadcasts one fresh random linear combination of seg.
 func (r *RLNC) sendCoded(seg int) {
-	k := r.packetsIn(seg)
+	k := r.geom.PacketsIn(seg)
 	if r.enc.seg != seg {
 		load := func(i int) []byte { return r.rt.Load(seg, i) }
 		if !r.enc.fill(seg, k, r.payloadLen, load) {
@@ -363,7 +338,7 @@ func drawCoeffs(dst []byte, src packet.NodeID, seg int, attempt uint32) {
 // --- receiver side ---
 
 func (r *RLNC) onData(d *packet.RlncData) {
-	if !r.known || d.ProgramID != r.programID {
+	if !r.known() || d.ProgramID != r.programID {
 		return // geometry arrives with advertisements
 	}
 	seg := int(d.Seg)
@@ -376,11 +351,11 @@ func (r *RLNC) onData(d *packet.RlncData) {
 		}
 		return
 	}
-	if seg != r.completeSegs+1 {
+	if seg != r.completeSegs+1 || seg > r.geom.Units() {
 		return // segments pipeline strictly in order
 	}
 	if r.dec == nil {
-		r.dec = newDecoder(r.packetsIn(seg), r.payloadLen)
+		r.dec = newDecoder(r.geom.PacketsIn(seg), r.payloadLen)
 	}
 	ops, _ := r.dec.addRow(d.Coeffs, d.Payload)
 	if r.dec.complete() {
@@ -404,12 +379,12 @@ func (r *RLNC) flushSegment() {
 	if seg == 0 || r.dec == nil || !r.dec.complete() {
 		return
 	}
-	for i, k := 0, r.packetsIn(seg); i < k; i++ {
+	for i, k := 0, r.geom.PacketsIn(seg); i < k; i++ {
 		if r.rt.HasPacket(seg, i) {
 			continue
 		}
 		payload := r.dec.packet(i)
-		if flat := (seg-1)*r.nominal + i; flat == r.total-1 {
+		if r.geom.Seq(seg, i) == r.geom.Total()-1 {
 			payload = payload[:r.tail]
 		}
 		if err := r.rt.Store(seg, i, k, payload); err != nil {
@@ -421,7 +396,7 @@ func (r *RLNC) flushSegment() {
 	r.dec = nil
 	r.completeSegs = seg
 	r.rt.Event(node.Event{Kind: node.EventGotSegment, Seg: seg})
-	if r.completeSegs == r.segments {
+	if r.completeSegs == r.geom.Units() {
 		r.rt.Complete()
 	}
 	// Advertise the new state promptly so the next hop's pipeline

@@ -54,12 +54,14 @@ type XNP struct {
 	quietRounds int
 	repairing   bool
 
-	// Receiver side.
+	// The program: the base takes it from its image, receivers from
+	// the first data frame heard.
 	programID uint8
-	total     int
+	geom      image.Geometry
+
+	// Receiver side.
 	have      []bool
 	haveCount int
-	nominal   int
 	statusDue bool
 
 	out msgs
@@ -77,7 +79,7 @@ var _ node.Protocol = (*XNP)(nil)
 
 // New returns an XNP instance.
 func New(cfg Config) *XNP {
-	return &XNP{cfg: cfg, nominal: image.DefaultSegmentPackets}
+	return &XNP{cfg: cfg}
 }
 
 // Init implements node.Protocol.
@@ -91,24 +93,20 @@ func (x *XNP) Init(rt node.Runtime) {
 		panic("xnp: base station requires an image")
 	}
 	im := x.cfg.Image
-	x.programID = im.ProgramID()
-	x.total = im.TotalPackets()
-	for seq := 0; seq < x.total; seq++ {
-		payload, _ := im.FlatPayload(seq)
-		seg, pkt, n := x.slot(seq)
-		if err := rt.Store(seg, pkt, n, payload); err != nil {
-			panic(fmt.Sprintf("xnp: preloading base image: %v", err))
-		}
+	x.programID, x.geom = im.ProgramID(), Geometry(im)
+	if err := image.Preload(rt, im, x.geom); err != nil {
+		panic(fmt.Sprintf("xnp: %v", err))
 	}
 	rt.Complete()
 	rt.SetTimer(timerTxData, dataInterval)
 }
 
-// slot maps a flat sequence number to its EEPROM (segment, packet)
-// slot and the packet count of that segment.
-func (x *XNP) slot(seq int) (seg, pkt, segPackets int) {
-	seg = seq/x.nominal + 1
-	return seg, seq % x.nominal, min(x.nominal, x.total-(seg-1)*x.nominal)
+// Geometry is XNP's flash layout of im: packets numbered flat across
+// the image, stored in units of image.DefaultSegmentPackets. An image
+// has packets, so Split cannot fail.
+func Geometry(im *image.Image) image.Geometry {
+	g, _ := image.Split(im.TotalPackets(), image.DefaultSegmentPackets)
+	return g
 }
 
 // OnTimer implements node.Protocol.
@@ -143,7 +141,7 @@ func (x *XNP) txTick() {
 	}
 	var seq int
 	switch {
-	case x.nextSeq < x.total:
+	case x.nextSeq < x.geom.Total():
 		seq = x.nextSeq
 		x.nextSeq++
 	case len(x.retransmits) > 0:
@@ -156,14 +154,13 @@ func (x *XNP) txTick() {
 		x.rt.SetTimer(timerQueryRound, queryInterval)
 		return
 	}
-	seg, pkt, _ := x.slot(seq)
-	if payload := x.rt.Load(seg, pkt); payload != nil {
+	if payload := x.rt.Load(x.geom.Slot(seq)); payload != nil {
 		d := &x.out.data
 		*d = packet.XnpData{
 			Src:       x.rt.ID(),
 			ProgramID: x.programID,
 			Seq:       uint16(seq),
-			Total:     uint16(x.total),
+			Total:     uint16(x.geom.Total()),
 			Payload:   payload,
 		}
 		_ = x.rt.Send(d)
@@ -214,33 +211,33 @@ func (x *XNP) onData(d *packet.XnpData) {
 		return
 	}
 	if x.have == nil {
-		if d.Total == 0 {
+		g, err := image.Split(int(d.Total), image.DefaultSegmentPackets)
+		if err != nil {
 			return
 		}
-		x.programID = d.ProgramID
-		x.total = int(d.Total)
-		x.have = make([]bool, x.total)
+		x.programID, x.geom = d.ProgramID, g
+		x.have = make([]bool, g.Total())
 	}
 	if d.ProgramID != x.programID {
 		return
 	}
 	seq := int(d.Seq)
-	if seq >= x.total || x.have[seq] {
+	if seq >= x.geom.Total() || x.have[seq] {
 		return
 	}
-	seg, pkt, n := x.slot(seq)
-	if err := x.rt.Store(seg, pkt, n, d.Payload); err != nil {
+	seg, pkt := x.geom.Slot(seq)
+	if err := x.rt.Store(seg, pkt, x.geom.PacketsIn(seg), d.Payload); err != nil {
 		return
 	}
 	x.have[seq] = true
 	x.haveCount++
-	if x.haveCount == x.total {
+	if x.haveCount == x.geom.Total() {
 		x.rt.Complete()
 	}
 }
 
 func (x *XNP) onQuery(q *packet.XnpQueryStatus) {
-	if x.cfg.Base || x.have == nil || x.haveCount == x.total {
+	if x.cfg.Base || x.have == nil || x.haveCount == x.geom.Total() {
 		return
 	}
 	if x.statusDue {
@@ -253,7 +250,7 @@ func (x *XNP) onQuery(q *packet.XnpQueryStatus) {
 
 func (x *XNP) sendStatus() {
 	x.statusDue = false
-	if x.have == nil || x.haveCount == x.total {
+	if x.have == nil || x.haveCount == x.geom.Total() {
 		return
 	}
 	// Report up to statusBatch missing packets per round, one fix

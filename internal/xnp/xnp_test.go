@@ -48,7 +48,7 @@ func TestSingleHopCompletes(t *testing.T) {
 		t.Fatalf("incomplete: %d/%d", nw.CompletedCount(), len(nw.Nodes))
 	}
 	for _, n := range nw.Nodes {
-		data, err := img.Reassemble(func(seg, pkt int) []byte { return n.EEPROM().Read(seg, pkt) })
+		data, err := img.Reassemble(Geometry(img), n.EEPROM().Read)
 		if err != nil {
 			t.Fatalf("node %v: %v", n.ID(), err)
 		}
