@@ -140,7 +140,9 @@ func run(args []string) error {
 	if res, err = experiment.Build(setup); err != nil {
 		return err
 	}
-	res.RunToCompletion()
+	if err := res.RunToCompletion(); err != nil {
+		return err
+	}
 	res.FinishTelemetry()
 	if prog != nil {
 		prog.Final()

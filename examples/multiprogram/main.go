@@ -74,7 +74,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nw.Start()
+	if err := nw.Start(); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("disseminating firmware (%.1f KB) to all %d motes and calibration (%.1f KB) to the %d even motes…\n",
 		float64(firmware.Size())/1024, layout.N(), float64(calib.Size())/1024, layout.N()/2)

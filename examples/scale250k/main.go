@@ -75,7 +75,9 @@ func main() {
 
 	// Stage 3: a short dissemination window from the corner base.
 	start = time.Now()
-	res.Network.Start()
+	if err := res.Network.Start(); err != nil {
+		log.Fatal(err)
+	}
 	res.Kernel.Run(*window)
 	wall := time.Since(start)
 

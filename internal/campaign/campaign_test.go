@@ -544,7 +544,9 @@ func TestRunCellRepeats(t *testing.T) {
 // TestCellBytesAfterWarmCell is the budget on what a campaign cell
 // allocates once an earlier cell has handed on its motes' generators
 // and flash rows: at most 150 KB for the 16-mote, 128-packet MNP line
-// cell (99 328 B measured; 251 392 B when every cell built its own).
+// cell (55 008 B measured once kernels, memos and node chunks are
+// handed on too; 99 328 B before; 251 392 B when every cell built its
+// own).
 func TestCellBytesAfterWarmCell(t *testing.T) {
 	const budget = 150 << 10
 	if race.Enabled {
@@ -564,5 +566,53 @@ func TestCellBytesAfterWarmCell(t *testing.T) {
 	t.Logf("%d B for a warm cell", got)
 	if got > budget {
 		t.Fatalf("a warm cell allocates %d B, budget %d", got, budget)
+	}
+}
+
+// TestGridCellBytesAfterWarmCell is the budget on a repeated 8×8,
+// 128-packet MNP cell, campaign-slice's grid, once a warm-up cell has
+// handed on its kernel, frame-success memo, node chunks, generators and
+// flash rows (experiment.Result.Release): at most 1.25× the 221 976 B
+// measured (371 736 B when only generators and flash rows were handed
+// on).
+func TestGridCellBytesAfterWarmCell(t *testing.T) {
+	const budget = 277_470 // 1.25 × 221 976
+	if race.Enabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	// No collection empties the pools, and one P holds them all: a Get
+	// does not look in another P's private slot.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cells, err := parseTestPlan(t, `
+version = 1
+name = "grid-pin"
+seeds = [42]
+[scenario]
+[scenario.topology]
+kind = "grid"
+rows = 8
+cols = 8
+spacing = 10
+[scenario.run]
+image_packets = 128
+limit = "6h"
+`).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cells[0]
+	RunCell(c)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := RunCell(c)
+	runtime.ReadMemStats(&after)
+	if res.Err != "" || !res.Completed {
+		t.Fatalf("grid cell did not complete: %+v", res)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d B for a warm 8x8 cell", got)
+	if got > budget {
+		t.Fatalf("a warm 8x8 cell allocates %d B, budget %d", got, budget)
 	}
 }

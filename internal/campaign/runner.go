@@ -250,8 +250,8 @@ func errSuffix(err string) string {
 // RunCell compiles and runs one cell's scenario and condenses the run
 // into a CellResult. Failures (compile errors, invariant violations)
 // are recorded on the result, not returned — one broken cell must not
-// sink a campaign. Once the result is read, the run's motes hand their
-// generators and EEPROM rows on to the next cell (Network.Release).
+// sink a campaign. Once the result is read, the run hands its kernel,
+// memo and motes' state on to the next cell (experiment.Result.Release).
 func RunCell(c Cell) CellResult {
 	out := CellResult{
 		Key:      c.Key,
@@ -291,7 +291,7 @@ func RunCell(c Cell) CellResult {
 		l := res.Collector.Ledger(packet.NodeID(id), until)
 		out.EnergyNAh += l.RadioCharge() + l.DecodeCharge()
 	}
-	res.Network.Release()
+	res.Release()
 	return out
 }
 

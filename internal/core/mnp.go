@@ -247,7 +247,7 @@ func (m *MNP) Parent() (packet.NodeID, bool) { return m.parent, m.hasParent }
 func (m *MNP) Rebooted() bool { return m.rebooted }
 
 // Init implements node.Protocol.
-func (m *MNP) Init(rt node.Runtime) {
+func (m *MNP) Init(rt node.Runtime) error {
 	m.rt = rt
 	m.basePower = rt.TxPower()
 	rt.RadioOn()
@@ -258,14 +258,15 @@ func (m *MNP) Init(rt node.Runtime) {
 		im := m.cfg.Image
 		m.programID, m.geom = im.ProgramID(), im.Geometry()
 		if err := image.Preload(rt, im, m.geom); err != nil {
-			panic(fmt.Sprintf("core: %v", err))
+			return fmt.Errorf("core: %w", err)
 		}
 		m.rvdSeg = m.geom.Units()
 		rt.Complete()
 		m.enterAdvertise()
-		return
+		return nil
 	}
 	m.enterIdle()
+	return nil
 }
 
 // OnTimer implements node.Protocol.

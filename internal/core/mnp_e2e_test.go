@@ -365,10 +365,11 @@ type jammer struct {
 	interval time.Duration
 }
 
-func (j *jammer) Init(rt node.Runtime) {
+func (j *jammer) Init(rt node.Runtime) error {
 	j.rt = rt
 	rt.RadioOn()
 	rt.SetTimer(1, j.interval)
+	return nil
 }
 
 func (j *jammer) OnPacket(packet.Packet, packet.NodeID) {}

@@ -108,7 +108,7 @@ func New(cfg Config) *Deluge {
 func (d *Deluge) HavePages() int { return d.havePages }
 
 // Init implements node.Protocol.
-func (d *Deluge) Init(rt node.Runtime) {
+func (d *Deluge) Init(rt node.Runtime) error {
 	d.rt = rt
 	rt.RadioOn() // Deluge never turns the radio off
 	tr, err := trickle.New(trickle.Hooks{
@@ -118,7 +118,7 @@ func (d *Deluge) Init(rt node.Runtime) {
 		Transmit: d.sendAdv,
 	})
 	if err != nil {
-		panic(fmt.Sprintf("deluge: %v", err))
+		return fmt.Errorf("deluge: %w", err)
 	}
 	d.tr = tr
 	if d.cfg.Base {
@@ -128,12 +128,13 @@ func (d *Deluge) Init(rt node.Runtime) {
 		im := d.cfg.Image
 		d.programID, d.version, d.geom = im.ProgramID(), 1, Geometry(im)
 		if err := image.Preload(rt, im, d.geom); err != nil {
-			panic(fmt.Sprintf("deluge: %v", err))
+			return fmt.Errorf("deluge: %w", err)
 		}
 		d.havePages = d.geom.Units()
 		rt.Complete()
 	}
 	d.tr.Start()
+	return nil
 }
 
 // OnTimer implements node.Protocol.

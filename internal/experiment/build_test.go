@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"mnp/internal/eeprom"
 	"mnp/internal/engine"
 	"mnp/internal/race"
+	"mnp/internal/sim"
 )
 
 // outcomeDigest hashes a finished run's observable outcome — verdict,
@@ -56,7 +58,9 @@ func TestTiledOneTileContract(t *testing.T) {
 				t.Fatalf("%s: kernel %v medium %v collector %v, want all set before the run",
 					s.Name, res.Kernel != nil, res.Medium != nil, res.Collector != nil)
 			}
-			res.Network.Start()
+			if err := res.Network.Start(); err != nil {
+				t.Fatal(err)
+			}
 			res.Completed = res.Kernel.RunUntil(res.Network.AllCompleted, res.Setup.Limit)
 			res.CompletionTime = res.Network.CompletionTime()
 			if !res.Completed {
@@ -212,8 +216,11 @@ func TestRunAllocsPerFrame(t *testing.T) {
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			res.RunToCompletion()
+			err = res.RunToCompletion()
 			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
 			until := res.CompletionTime
 			if !res.Completed {
 				if !row.partial {
@@ -271,6 +278,51 @@ func TestUnitsFitTheirByte(t *testing.T) {
 		_, err := Build(Setup{Name: "pages", Rows: 1, Cols: 2, ImagePackets: 13000, Protocol: ProtocolKind(name)})
 		if (err != nil) != (name == string(ProtocolDeluge)) {
 			t.Errorf("%s: Build = %v", name, err)
+		}
+	}
+}
+
+// TestReleaseTwiceIsANoOp: Result.Release hands each tile's kernel on
+// once, however often it is called, on one tile and on several, and
+// leaves no kernel or medium to drive. Were a kernel put into the pool
+// twice, two later runs would share it.
+func TestReleaseTwiceIsANoOp(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	gc, procs := debug.SetGCPercent(-1), runtime.GOMAXPROCS(1) // what Release puts, the next Get takes
+	defer func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+		runtime.GC()
+		runtime.GC()
+	}()
+	for _, shards := range []int{1, 2} {
+		res, err := Run(Setup{Name: "release", Rows: 3, Cols: 4, ImagePackets: 64, Seed: 42, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		released := map[*sim.Kernel]bool{}
+		for _, tile := range res.tiles {
+			released[tile.Kernel] = true
+		}
+		res.Release()
+		res.Release()
+		if res.Kernel != nil || res.Medium != nil || res.tiles != nil {
+			t.Fatalf("%d tiles: a released result still holds a kernel or medium", shards)
+		}
+		taken := map[*sim.Kernel]bool{}
+		for range len(released) + 1 {
+			k := sim.NewSized(1, 1)
+			if taken[k] {
+				t.Fatalf("%d tiles: two runs took one kernel: a second Release put it back", shards)
+			}
+			taken[k] = true
+		}
+		for k := range released {
+			if !taken[k] {
+				t.Fatalf("%d tiles: a released kernel did not come back", shards)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -224,7 +225,9 @@ func TestBaseWritesOnceAcrossReboot(t *testing.T) {
 			}
 			down := false
 			res.Kernel.MustSchedule(25*time.Second, func() { down = res.Network.Node(0).Dead() })
-			res.RunToCompletion()
+			if err := res.RunToCompletion(); err != nil {
+				t.Fatal(err)
+			}
 			if !down {
 				t.Fatal("the base was up at 25 s: the reboot did not land")
 			}
@@ -235,6 +238,26 @@ func TestBaseWritesOnceAcrossReboot(t *testing.T) {
 				if v.Node == 0 && v.Rule == "write-once-eeprom" {
 					t.Fatalf("base: %v", v)
 				}
+			}
+		})
+	}
+}
+
+// TestFlashFaultOnBaseFailsTheRun: a base whose flash refuses a write
+// at t = 0 cannot hold the image it is to spread. Every protocol
+// returns that as the run's error, naming the injected fault, instead
+// of panicking inside Init.
+func TestFlashFaultOnBaseFailsTheRun(t *testing.T) {
+	plan, err := faults.ParseSpec("eeprom:0:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range ProtocolNames() {
+		t.Run(name, func(t *testing.T) {
+			s := Setup{Name: "base-flash-fault", Protocol: ProtocolKind(name), Rows: 2, Cols: 2, ImagePackets: 64, Seed: 42, Faults: plan}
+			res, err := Run(s)
+			if err == nil || !strings.Contains(err.Error(), "injected write fault") {
+				t.Fatalf("Run = %v, %v; want the injected write fault", res, err)
 			}
 		})
 	}
@@ -298,11 +321,15 @@ func conform(t *testing.T, s Setup, v verdict, drive func(*Result) (func(), func
 	}
 	premises := armPremises(res, v)
 	if drive == nil {
-		res.RunToCompletion()
+		if err := res.RunToCompletion(); err != nil {
+			t.Fatal(err)
+		}
 	} else {
 		poll, premise := drive(res)
 		premises = append(premises, premise)
-		res.Network.Start()
+		if err := res.Network.Start(); err != nil {
+			t.Fatal(err)
+		}
 		res.Completed = res.Kernel.RunUntil(func() bool {
 			poll()
 			return res.Network.AllCompleted()

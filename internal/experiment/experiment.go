@@ -395,7 +395,9 @@ func Run(s Setup) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.RunToCompletion()
+	if err := res.RunToCompletion(); err != nil {
+		return nil, err
+	}
 	res.FinishTelemetry()
 	return res, nil
 }
@@ -406,9 +408,13 @@ func Run(s Setup) (*Result, error) {
 // and the run use it in place of driving res.Kernel by hand; single-tile
 // results can still be driven manually. The two drivers stay distinct
 // because they stop at different instants: the kernel tests the
-// predicate after every event, the engine at window barriers.
-func (r *Result) RunToCompletion() {
-	r.Network.Start()
+// predicate after every event, the engine at window barriers. A
+// protocol that cannot start (a base whose flash refuses its image)
+// fails the run: its error is returned and nothing runs.
+func (r *Result) RunToCompletion() error {
+	if err := r.Network.Start(); err != nil {
+		return fmt.Errorf("experiment %s: %w", r.Setup.Name, err)
+	}
 	if r.Engine != nil {
 		r.Completed = r.Engine.RunUntil(r.Network.AllCompleted, r.Setup.Limit)
 	} else {
@@ -416,6 +422,25 @@ func (r *Result) RunToCompletion() {
 	}
 	r.CompletionTime = r.Network.CompletionTime()
 	r.finalizeShards()
+	return nil
+}
+
+// Release hands on what the run owns for a later run to reuse, once it
+// is over and its results are read: each tile's kernel and its
+// medium's frame-success memo, and the network's generators, flash
+// rows and carved chunks (Network.Release). Kernel and Medium are nil
+// afterwards, and nothing of the run may be driven or read again but
+// the fields already copied out. A second Release does nothing.
+func (r *Result) Release() {
+	if r.tiles == nil {
+		return
+	}
+	r.Network.Release()
+	for _, t := range r.tiles {
+		t.Medium.Release()
+		t.Kernel.Release()
+	}
+	r.tiles, r.Kernel, r.Medium = nil, nil, nil
 }
 
 // finalizeShards merges per-tile collectors into Result.Collector
@@ -498,8 +523,9 @@ func Build(s Setup) (*Result, error) {
 	raw := s.ImageData
 	if raw == nil {
 		raw = make([]byte, s.ImagePackets*image.DefaultPayloadSize)
-		fill := sim.New(s.Seed + 77)
-		fill.Rand().Read(raw)
+		fill := sim.NewRand(s.Seed + 77)
+		fill.Read(raw)
+		sim.ReleaseRand(fill)
 	}
 	img, err := image.New(1, raw)
 	if err != nil {

@@ -178,9 +178,10 @@ type writer struct {
 	next int
 }
 
-func (w *writer) Init(rt node.Runtime) {
+func (w *writer) Init(rt node.Runtime) error {
 	w.rt = rt
 	rt.SetTimer(1, time.Second)
+	return nil
 }
 func (w *writer) OnPacket(packet.Packet, packet.NodeID) {}
 func (w *writer) OnTimer(id node.TimerID) {

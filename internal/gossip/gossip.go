@@ -105,11 +105,11 @@ func New(cfg Config) *Gossip {
 }
 
 // Init implements node.Protocol.
-func (g *Gossip) Init(rt node.Runtime) {
+func (g *Gossip) Init(rt node.Runtime) error {
 	g.rt = rt
 	rt.RadioOn() // beacon exchange needs everyone listening
 	if !g.cfg.Base {
-		return // geometry arrives with the first beacon
+		return nil // geometry arrives with the first beacon
 	}
 	im := g.cfg.Image
 	if im == nil {
@@ -119,11 +119,12 @@ func (g *Gossip) Init(rt node.Runtime) {
 	g.payloadLen = im.PayloadSize()
 	g.tail = im.Size() - (g.geom.Total()-1)*g.payloadLen
 	if err := image.Preload(rt, im, g.geom); err != nil {
-		panic(fmt.Sprintf("gossip: %v", err))
+		return fmt.Errorf("gossip: %w", err)
 	}
 	g.completeSegs = g.geom.Units()
 	rt.Complete()
 	g.scheduleAdv()
+	return nil
 }
 
 // known reports whether the mote has learned the image's geometry.

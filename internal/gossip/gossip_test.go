@@ -60,7 +60,9 @@ func TestPeerTableStaysNeighbourhoodSized(t *testing.T) {
 		res.Kernel.MustSchedule(time.Second, sample)
 	}
 	res.Kernel.MustSchedule(time.Second, sample)
-	res.RunToCompletion()
+	if err := res.RunToCompletion(); err != nil {
+		t.Fatal(err)
+	}
 	if !res.Completed {
 		t.Fatalf("incomplete: %d/%d", res.Network.CompletedCount(), res.Layout.N())
 	}

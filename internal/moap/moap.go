@@ -106,11 +106,11 @@ func New(cfg Config) *MOAP {
 func (m *MOAP) Complete() bool { return m.complete }
 
 // Init implements node.Protocol.
-func (m *MOAP) Init(rt node.Runtime) {
+func (m *MOAP) Init(rt node.Runtime) error {
 	m.rt = rt
 	rt.RadioOn() // MOAP keeps the radio on throughout
 	if !m.cfg.Base {
-		return
+		return nil
 	}
 	if m.cfg.Image == nil {
 		panic("moap: base station requires an image")
@@ -118,9 +118,10 @@ func (m *MOAP) Init(rt node.Runtime) {
 	im := m.cfg.Image
 	m.programID, m.geom = im.ProgramID(), Geometry(im)
 	if err := image.Preload(rt, im, m.geom); err != nil {
-		panic(fmt.Sprintf("moap: %v", err))
+		return fmt.Errorf("moap: %w", err)
 	}
 	m.becomeSource()
+	return nil
 }
 
 func (m *MOAP) becomeSource() {

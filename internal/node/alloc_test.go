@@ -16,7 +16,7 @@ import (
 // buys.
 type nopProto struct{}
 
-func (nopProto) Init(Runtime)                          {}
+func (nopProto) Init(Runtime) error                    { return nil }
 func (nopProto) OnPacket(packet.Packet, packet.NodeID) {}
 func (nopProto) OnTimer(TimerID)                       {}
 

@@ -78,7 +78,7 @@ func TestRuntimeContract(t *testing.T) {
 // idle is a subprotocol that does nothing, not even turn the radio on.
 type idle struct{}
 
-func (idle) Init(node.Runtime)                     {}
+func (idle) Init(node.Runtime) error               { return nil }
 func (idle) OnPacket(packet.Packet, packet.NodeID) {}
 func (idle) OnTimer(node.TimerID)                  {}
 

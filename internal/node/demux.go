@@ -50,7 +50,7 @@ func NewDemux(classify Classifier, subs ...Protocol) (*Demux, error) {
 }
 
 // Init implements Protocol.
-func (d *Demux) Init(rt Runtime) {
+func (d *Demux) Init(rt Runtime) error {
 	d.rt = rt
 	d.rts = make([]*subRuntime, len(d.subs))
 	for i := range d.subs {
@@ -59,8 +59,11 @@ func (d *Demux) Init(rt Runtime) {
 	// Initialize after all runtimes exist: a subprotocol may touch the
 	// radio during Init, which consults the whole want-list.
 	for i, s := range d.subs {
-		s.Init(d.rts[i])
+		if err := s.Init(d.rts[i]); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // OnPacket implements Protocol.

@@ -17,7 +17,7 @@ type subProto struct {
 	timers  []TimerID
 }
 
-func (p *subProto) Init(rt Runtime) { p.rt = rt }
+func (p *subProto) Init(rt Runtime) error { p.rt = rt; return nil }
 func (p *subProto) OnPacket(pk packet.Packet, _ packet.NodeID) {
 	p.packets = append(p.packets, pk)
 }

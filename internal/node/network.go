@@ -21,6 +21,9 @@ type Network struct {
 	// factory is kept so crashed nodes can be rebooted with a fresh
 	// protocol instance (Restart).
 	factory Factory
+	// tiles holds one tile per kernel, in order of first use; Release
+	// hands them on.
+	tiles []*tile
 
 	// satisfiedCursor counts the leading nodes known to be dead or
 	// completed. Both conditions are monotone for a run, so AllCompleted
@@ -67,8 +70,9 @@ func NewNetwork(layout *topology.Layout, f Factory, place func(packet.NodeID) (*
 		k, m, obs := place(id)
 		t := tiles[k]
 		if t == nil {
-			t = &tile{timer: timer, attempt: attempt, afterTx: afterTx}
+			t = newTile(timer, attempt, afterTx)
 			tiles[k] = t
+			nw.tiles = append(nw.tiles, t)
 		}
 		if err := slab[i].init(id, k, m, proto, cfg, obs, onFrame, t); err != nil {
 			return nil, fmt.Errorf("node %v: %w", id, err)
@@ -78,11 +82,15 @@ func NewNetwork(layout *topology.Layout, f Factory, place func(packet.NodeID) (*
 	return nw, nil
 }
 
-// Start initializes every node's protocol in ID order.
-func (nw *Network) Start() {
+// Start initializes every node's protocol in ID order. It stops at the
+// first protocol whose Init fails and returns that error.
+func (nw *Network) Start() error {
 	for _, n := range nw.Nodes {
-		n.Start()
+		if err := n.Start(); err != nil {
+			return fmt.Errorf("node %v: %w", n.id, err)
+		}
 	}
+	return nil
 }
 
 // Node returns the node with the given ID.
@@ -104,19 +112,26 @@ func (nw *Network) Restart(id packet.NodeID) error {
 	return nil
 }
 
-// Release hands every mote's generator and EEPROM rows on for a later
-// network to reuse, once the run is over and its results are read.
-// Afterwards no view an earlier EEPROM Read returned may be read, every
-// store is empty, and a mote that draws again starts its stream over
-// exactly as a fresh mote would.
+// Release hands every mote's generator and EEPROM rows, and the chunks
+// their timer tables and MAC-queue slots were carved from, on for a
+// later network to reuse, once the run is over and its results are
+// read. Afterwards no view an earlier EEPROM Read returned may be
+// read, every store is empty, no mote may run again, and a mote that
+// draws again starts its stream over exactly as a fresh mote would. A
+// second Release does nothing.
 func (nw *Network) Release() {
 	for _, n := range nw.Nodes {
 		if n.rng != nil {
-			randPool.Put(n.rng)
+			sim.ReleaseRand(n.rng)
 			n.rng = nil
 		}
 		n.store.Release()
+		n.timers, n.queue = nil, nil
 	}
+	for _, t := range nw.tiles {
+		t.release()
+	}
+	nw.tiles = nil
 }
 
 // CompletedCount returns how many nodes hold the full program.

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"mnp/internal/eeprom"
@@ -86,8 +85,10 @@ type Runtime interface {
 
 // Protocol is a dissemination state machine.
 type Protocol interface {
-	// Init starts the protocol; called once, before any events.
-	Init(rt Runtime)
+	// Init starts the protocol; called once, before any events, and
+	// again with a fresh instance when a crashed node reboots. An error
+	// (a base that cannot store its image) fails the run.
+	Init(rt Runtime) error
 	// OnPacket delivers a received frame.
 	OnPacket(p packet.Packet, from packet.NodeID)
 	// OnTimer delivers a timer expiry.
@@ -259,7 +260,7 @@ func (n *Node) init(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Prot
 }
 
 // Start runs the protocol's Init.
-func (n *Node) Start() { n.proto.Init(n) }
+func (n *Node) Start() error { return n.proto.Init(n) }
 
 // Kill destroys the node: radio permanently off, timers cancelled,
 // queue emptied. Used for failure injection.
@@ -298,7 +299,8 @@ func (n *Node) clearRAM() {
 
 // Restart revives a crashed node with a fresh protocol instance, as a
 // rebooting mote does: EEPROM contents persist, everything in RAM is
-// new. The protocol's Init runs immediately.
+// new. The protocol's Init runs immediately, and its error is
+// returned.
 func (n *Node) Restart(proto Protocol) error {
 	if !n.dead {
 		return fmt.Errorf("node %v: restart of a live node", n.id)
@@ -312,8 +314,7 @@ func (n *Node) Restart(proto Protocol) error {
 	n.dead = false
 	n.proto = proto
 	n.observer.NodeEvent(n.id, n.kernel.Now(), Event{Kind: EventRebooted})
-	proto.Init(n)
-	return nil
+	return proto.Init(n)
 }
 
 // Dead reports whether the node has been killed.
@@ -350,27 +351,15 @@ func (n *Node) Now() time.Duration { return n.kernel.Now() }
 // the seed depends only on the id, so the stream is the one an eagerly
 // seeded generator would give, and it outlives Crash/Restart. A
 // generator a released network handed back (Network.Release) is
-// re-seeded rather than a new one built: Seed runs the same source
-// seeding NewSource does and drops any buffered Read bytes, so the
-// stream is the same bit for bit. Only the worker that owns the mote's
-// tile runs its events, so no lock guards the nil check.
+// re-seeded rather than a new one built (sim.NewRand), so the stream
+// is the same bit for bit. Only the worker that owns the mote's tile
+// runs its events, so no lock guards the nil check.
 func (n *Node) Rand() *rand.Rand {
 	if n.rng == nil {
-		seed := int64(n.id)*0x9E3779B9 ^ 0x51F1
-		if r, ok := randPool.Get().(*rand.Rand); ok {
-			r.Seed(seed)
-			n.rng = r
-		} else {
-			n.rng = rand.New(rand.NewSource(seed))
-		}
+		n.rng = sim.NewRand(int64(n.id)*0x9E3779B9 ^ 0x51F1)
 	}
 	return n.rng
 }
-
-// randPool holds the generators of released networks for the next
-// network's motes: a source is 4.9 KB, and a campaign builds one per
-// drawing mote of every cell.
-var randPool sync.Pool
 
 // queuedFrame is one slot of the MAC queue: a frame encoded at Send,
 // with the transmit power selected then, so a later SetTxPower does not

@@ -18,7 +18,7 @@ type echoProto struct {
 	timers  []TimerID
 }
 
-func (p *echoProto) Init(rt Runtime) { p.rt = rt }
+func (p *echoProto) Init(rt Runtime) error { p.rt = rt; return nil }
 func (p *echoProto) OnPacket(pk packet.Packet, f packet.NodeID) {
 	// A delivered packet is only valid during the callback — the radio
 	// reuses decoded messages — so retain an independent copy via a

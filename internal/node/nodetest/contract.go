@@ -48,7 +48,7 @@ type contractProto struct {
 	fired []node.TimerID
 }
 
-func (p *contractProto) Init(rt node.Runtime)                  { p.rt = rt; rt.RadioOn() }
+func (p *contractProto) Init(rt node.Runtime) error            { p.rt = rt; rt.RadioOn(); return nil }
 func (p *contractProto) OnPacket(packet.Packet, packet.NodeID) {}
 func (p *contractProto) OnTimer(id node.TimerID)               { p.fired = append(p.fired, id) }
 

@@ -55,10 +55,10 @@ func New(id packet.NodeID) *Runtime {
 }
 
 // Attach wires a protocol so FireNext can dispatch timers, and runs
-// its Init.
-func (r *Runtime) Attach(p node.Protocol) {
+// its Init, returning its error.
+func (r *Runtime) Attach(p node.Protocol) error {
 	r.proto = p
-	p.Init(r)
+	return p.Init(r)
 }
 
 var _ node.Runtime = (*Runtime)(nil)

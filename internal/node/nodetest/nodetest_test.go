@@ -19,7 +19,7 @@ type recorder struct {
 	froms   []packet.NodeID
 }
 
-func (r *recorder) Init(rt node.Runtime) { r.rt = rt; r.inits++ }
+func (r *recorder) Init(rt node.Runtime) error { r.rt = rt; r.inits++; return nil }
 func (r *recorder) OnTimer(id node.TimerID) {
 	r.timers = append(r.timers, id)
 }

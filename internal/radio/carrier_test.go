@@ -5,12 +5,15 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
 	"unsafe"
 
 	"mnp/internal/packet"
+	"mnp/internal/race"
 	"mnp/internal/sim"
 	"mnp/internal/topology"
 )
@@ -323,5 +326,74 @@ func TestFrameSuccessSizeInvisible(t *testing.T) {
 func TestNodeStateSize(t *testing.T) {
 	if sz := unsafe.Sizeof(nodeState{}); sz != 48 {
 		t.Fatalf("nodeState is %d bytes, want 48", sz)
+	}
+}
+
+// A memo a released medium handed on answers as a cold one does, bit
+// for bit: an entry holds (1-ber)^bits under its exact key, so what the
+// earlier medium left in it is what the new one would compute. A
+// second Release puts nothing back, and a memo goes only to a medium of
+// its own size.
+func TestWarmSuccessMemoMatchesCold(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	gc, procs := debug.SetGCPercent(-1), runtime.GOMAXPROCS(1) // what Release puts, the next Get takes
+	defer func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+		runtime.GC()
+		runtime.GC()
+	}()
+	medium := func(motes int) *Medium {
+		t.Helper()
+		layout, err := topology.Line(motes, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMedium(sim.New(1), layout, DefaultParams(), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	rng := rand.New(rand.NewSource(5))
+	bers := []float64{0, 1, 1e-4, math.SmallestNonzeroFloat64}
+	for len(bers) < 300 {
+		bers = append(bers, 2e-2*rng.Float64())
+	}
+	old := medium(2)
+	for _, ber := range bers {
+		old.frameSuccess(ber, 36*8)
+		old.frameSuccess(ber/2, 10*8)
+	}
+	table := old.success
+	old.Release()
+	old.Release()
+	if old.success != nil {
+		t.Fatal("Release kept the memo")
+	}
+	warm, cold := medium(2), medium(2)
+	for _, ber := range bers {
+		for _, bits := range []int{36 * 8, 10 * 8, 0} {
+			for _, key := range []float64{ber, ber / 2} {
+				w, c := warm.frameSuccess(key, bits), math.Pow(1-key, float64(bits))
+				if math.Float64bits(w) != math.Float64bits(c) {
+					t.Fatalf("warm memo: frameSuccess(%g, %d) = %x, cold %x", key, bits, math.Float64bits(w), math.Float64bits(c))
+				}
+			}
+		}
+	}
+	if &warm.success[0] != &table[0] {
+		t.Fatal("test premise broken: the new medium did not take the released memo")
+	}
+	if cold.frameSuccess(0.5, 8); &cold.success[0] == &table[0] {
+		t.Fatal("one memo went to two media: the second Release put it back twice")
+	}
+	warm.Release()
+	other := medium(64)
+	other.frameSuccess(0.5, 8)
+	if len(other.success) != 2048 || &other.success[0] == &table[0] {
+		t.Fatal("a 64-slot memo went to a medium that sizes its memo at 2 048 slots")
 	}
 }

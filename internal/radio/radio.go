@@ -28,6 +28,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 	"time"
 
 	"mnp/internal/bitvec"
@@ -1181,6 +1182,10 @@ func (m *Medium) frameSuccess(ber float64, bits int) float64 {
 
 // makeSuccessTable sizes the memo by successTableBits from the motes
 // this medium delivers to: the deployment, or the motes a shard owns.
+// It takes a table of that size a released medium handed back, warm:
+// an entry holds (1-ber)^bits under its exact key, a pure function of
+// the key, so what an earlier run left there is what this run would
+// compute.
 func (m *Medium) makeSuccessTable() {
 	motes := m.n
 	if m.owned != nil {
@@ -1192,9 +1197,29 @@ func (m *Medium) makeSuccessTable() {
 		}
 	}
 	b := successTableBits(motes)
-	m.success = make([]successEntry, 1<<b)
+	if t, ok := successPools[b].Get().(*[]successEntry); ok {
+		m.success = *t
+	} else {
+		m.success = make([]successEntry, 1<<b)
+	}
 	m.successShift = 64 - b
 }
+
+// Release hands the medium's frame-success memo on, through a pool per
+// table size, for a later medium's first delivery, once the run is
+// over. The medium must not deliver again. A second Release does
+// nothing.
+func (m *Medium) Release() {
+	if m.success == nil {
+		return
+	}
+	t := m.success
+	successPools[64-m.successShift].Put(&t)
+	m.success = nil
+}
+
+// successPools holds released memos, indexed by log2 of their size.
+var successPools [maxSuccessBits + 1]sync.Pool
 
 // Deliveries returns the cumulative count of successful frame
 // deliveries to this medium's nodes. It is a pure function of

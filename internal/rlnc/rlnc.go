@@ -112,11 +112,11 @@ func New(cfg Config) *RLNC {
 }
 
 // Init implements node.Protocol.
-func (r *RLNC) Init(rt node.Runtime) {
+func (r *RLNC) Init(rt node.Runtime) error {
 	r.rt = rt
 	rt.RadioOn() // rank exchange needs everyone listening
 	if !r.cfg.Base {
-		return // geometry arrives with the first advertisement
+		return nil // geometry arrives with the first advertisement
 	}
 	im := r.cfg.Image
 	if im == nil {
@@ -132,11 +132,12 @@ func (r *RLNC) Init(rt node.Runtime) {
 		panic(fmt.Sprintf("rlnc: %d-packet segments of %d-byte payloads do not fit a frame: %v", r.geom.Unit(), r.payloadLen, err))
 	}
 	if err := image.Preload(rt, im, r.geom); err != nil {
-		panic(fmt.Sprintf("rlnc: %v", err))
+		return fmt.Errorf("rlnc: %w", err)
 	}
 	r.completeSegs = r.geom.Units()
 	rt.Complete()
 	r.scheduleAdv()
+	return nil
 }
 
 // known reports whether the mote has learned the image's geometry.

@@ -1,10 +1,16 @@
 package sim
 
 import (
+	"math/rand"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
+
+	"mnp/internal/race"
 )
 
 // Fired and cancelled events return to the free list, by id, and are
@@ -179,5 +185,134 @@ func TestSlotIsPointerFree(t *testing.T) {
 	}
 	if sz := unsafe.Sizeof(slot{}); sz > 24 {
 		t.Fatalf("slot is %d bytes, want at most 24", sz)
+	}
+}
+
+// holdPools makes what a test puts into a pool the next Get's: no
+// collection empties the pools, and one P holds them all (a Get does
+// not look in another P's private slot). When the test ends the pools
+// are drained — a collection moves a pool's items to its victim cache,
+// and the next one drops them — so no later test takes a kernel it
+// released.
+func holdPools(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector drops pooled items at random")
+	}
+	gc, procs := debug.SetGCPercent(-1), runtime.GOMAXPROCS(1)
+	t.Cleanup(func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+		runtime.GC()
+		runtime.GC()
+	})
+}
+
+// exercise runs a small schedule on k: timers that fire, one that is
+// cancelled, one re-armed, one left pending, and draws from the
+// generator. It returns what a run of it observes.
+func exercise(k *Kernel) []int64 {
+	var log []int64
+	note := func(v int64) { log = append(log, int64(k.Now()), v) }
+	for i := range 20 {
+		k.MustSchedule(time.Duration(i%7)*time.Millisecond, func() { note(k.Rand().Int63n(1000)) })
+	}
+	k.MustSchedule(3*time.Millisecond, func() { note(-1) }).Cancel()
+	re := k.MustScheduleArg(time.Millisecond, func(a uint32) { note(int64(a)) }, 7)
+	k.ResetArg(re, 5*time.Millisecond, func(a uint32) { note(int64(a)) }, 8)
+	k.MustSchedule(time.Hour, func() { note(-2) })
+	k.Run(time.Second)
+	return append(log, int64(k.Pending()), k.Rand().Int63())
+}
+
+// A released kernel that NewSized takes runs as a fresh one would: the
+// same clock, order, pending count and generator stream.
+func TestReleasedKernelRunsAsFresh(t *testing.T) {
+	holdPools(t)
+	want := exercise(NewSized(9, 64))
+	k := NewSized(1, 100) // grows past its hint below
+	for i := range 300 {
+		k.MustSchedule(time.Duration(i)*time.Second, func() {})
+	}
+	k.Run(time.Minute)
+	k.Rand().Read(make([]byte, 3)) // leaves buffered bytes the re-seed must drop
+	k.Release()
+	again := NewSized(9, 64)
+	if again != k {
+		t.Fatal("NewSized did not take the released kernel")
+	}
+	if got := exercise(again); !slices.Equal(got, want) {
+		t.Fatalf("a reused kernel ran\n%v\nwant\n%v", got, want)
+	}
+}
+
+// A Timer from a released kernel is inert in the kernel's next life: it
+// reports inactive, and its Cancel leaves the event now in its slot
+// alone. That holds for a timer still pending at the release and for
+// one that had fired.
+func TestTimerFromReleasedKernelIsInert(t *testing.T) {
+	holdPools(t)
+	k := NewSized(1, 64)
+	fired := k.MustSchedule(time.Millisecond, func() {})
+	pending := k.MustSchedule(time.Hour, func() {})
+	k.Run(time.Second)
+	k.Release()
+	k = NewSized(2, 64)
+	ran := 0
+	a := k.MustSchedule(time.Millisecond, func() { ran++ })
+	b := k.MustSchedule(time.Millisecond, func() { ran++ })
+	if a.ev != fired.ev && a.ev != pending.ev || b.ev != fired.ev && b.ev != pending.ev {
+		t.Fatal("test premise broken: the new events are not in the old timers' slots")
+	}
+	for _, old := range []Timer{fired, pending} {
+		if old.Active() {
+			t.Fatal("a timer from the released run reports active")
+		}
+		old.Cancel()
+	}
+	if !a.Active() || !b.Active() {
+		t.Fatal("a stale Cancel killed an event of the next run")
+	}
+	k.Run(time.Second)
+	if ran != 2 {
+		t.Fatalf("%d of 2 events of the next run fired", ran)
+	}
+}
+
+// NewSized takes a released kernel only if it has carved the hint; a
+// smaller one is dropped and the kernel is built as without the pool,
+// its first block holding the hint.
+func TestPooledKernelSmallerThanHintNotTaken(t *testing.T) {
+	holdPools(t)
+	small := NewSized(1, 64)
+	small.Release()
+	k := NewSized(1, 1000)
+	if k == small {
+		t.Fatal("NewSized took a kernel of 64 events for a hint of 1000")
+	}
+	if len(k.first) != 1000 || k.carved != 1000 || cap(k.queue) != 1000 || len(k.more) != 0 {
+		t.Fatalf("first block %d, carved %d, queue %d, %d more blocks; want 1000, 1000, 1000, 0",
+			len(k.first), k.carved, cap(k.queue), len(k.more))
+	}
+	if again := NewSized(1, 64); again == small {
+		t.Fatal("the too-small kernel went back to the pool")
+	}
+}
+
+// NewRand gives rand.New(rand.NewSource(seed))'s stream, whether it
+// builds a generator or re-seeds one ReleaseRand handed back mid-Read.
+func TestNewRandMatchesFreshSource(t *testing.T) {
+	t.Cleanup(func() { runtime.GC(); runtime.GC() })
+	used := NewRand(3)
+	used.Read(make([]byte, 5))
+	ReleaseRand(used)
+	for _, seed := range []int64{0, 42, -7} {
+		r, want := NewRand(seed), rand.New(rand.NewSource(seed))
+		buf, wantBuf := make([]byte, 11), make([]byte, 11)
+		r.Read(buf)
+		want.Read(wantBuf)
+		if !slices.Equal(buf, wantBuf) || r.Int63() != want.Int63() {
+			t.Fatalf("seed %d: NewRand's stream is not NewSource's", seed)
+		}
+		ReleaseRand(r)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -58,14 +59,74 @@ func New(seed int64) *Kernel {
 // event slab a block at a time; a hint of zero or less is New, which
 // carves its first block at the first schedule. Capacity never changes
 // scheduling order.
+//
+// With a hint, NewSized takes a kernel an earlier run handed back
+// (Release) when that kernel has already carved at least hint events;
+// a smaller one is dropped and a kernel is built exactly as without
+// the pool, so the first block still holds the hint.
 func NewSized(seed int64, hint int) *Kernel {
-	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
+	if hint > 0 {
+		if k, ok := kernelPool.Get().(*Kernel); ok {
+			if int(k.carved) >= hint {
+				k.rng.Seed(seed)
+				if cap(k.queue) < hint {
+					k.queue = make(eventHeap, 0, k.carved)
+				}
+				return k
+			}
+			ReleaseRand(k.rng)
+		}
+	}
+	k := &Kernel{rng: NewRand(seed)}
 	if hint > 0 {
 		k.grow(max(hint, minBlock))
 		k.queue = make(eventHeap, 0, k.carved)
 	}
 	return k
 }
+
+// Release hands the kernel on, through a package pool, for a later
+// NewSized to reuse once its run is over. Every event handed out so far
+// drops its callbacks and moves to its next generation, so a Timer
+// from this run stays inert: Active reports false and Cancel touches
+// nothing, however the kernel is used next. The clock, sequence
+// numbers, queue and free list start over, and NewSized re-seeds the
+// generator, so the next run is the one a fresh kernel would give. The
+// kernel must not be used after Release, and released only once.
+func (k *Kernel) Release() {
+	for id := range k.next {
+		ev := k.event(id)
+		ev.gen++
+		ev.fn, ev.fnArg = nil, nil
+	}
+	k.now, k.seq, k.next = 0, 0, 0
+	k.hole, k.stopped = false, false
+	k.queue, k.free = k.queue[:0], k.free[:0]
+	kernelPool.Put(k)
+}
+
+// kernelPool holds the kernels finished runs handed back (Release).
+var kernelPool sync.Pool
+
+// NewRand returns a generator seeded with seed: the stream
+// rand.New(rand.NewSource(seed)) gives, bit for bit. It re-seeds one
+// that ReleaseRand handed back when it can — Seed runs the same source
+// seeding NewSource does and drops any buffered Read bytes — since a
+// source is 4.9 KB and a campaign seeds several per cell.
+func NewRand(seed int64) *rand.Rand {
+	if r, ok := randPool.Get().(*rand.Rand); ok {
+		r.Seed(seed)
+		return r
+	}
+	return rand.New(rand.NewSource(seed))
+}
+
+// ReleaseRand hands r on for a later NewRand. Nothing may draw from r
+// afterwards.
+func ReleaseRand(r *rand.Rand) { randPool.Put(r) }
+
+// randPool holds the generators handed back through ReleaseRand.
+var randPool sync.Pool
 
 // grow carves one more block of n events. It runs only when every
 // carved event is queued, so the free list is empty and is re-made with

@@ -83,11 +83,11 @@ func New(cfg Config) *XNP {
 }
 
 // Init implements node.Protocol.
-func (x *XNP) Init(rt node.Runtime) {
+func (x *XNP) Init(rt node.Runtime) error {
 	x.rt = rt
 	rt.RadioOn() // XNP keeps the radio on throughout
 	if !x.cfg.Base {
-		return
+		return nil
 	}
 	if x.cfg.Image == nil {
 		panic("xnp: base station requires an image")
@@ -95,10 +95,11 @@ func (x *XNP) Init(rt node.Runtime) {
 	im := x.cfg.Image
 	x.programID, x.geom = im.ProgramID(), Geometry(im)
 	if err := image.Preload(rt, im, x.geom); err != nil {
-		panic(fmt.Sprintf("xnp: %v", err))
+		return fmt.Errorf("xnp: %w", err)
 	}
 	rt.Complete()
 	rt.SetTimer(timerTxData, dataInterval)
+	return nil
 }
 
 // Geometry is XNP's flash layout of im: packets numbered flat across
