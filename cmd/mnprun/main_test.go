@@ -387,6 +387,8 @@ func TestShardedScenarioTelemetry(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	bad := writeFile(t, "bad.toml", "version = 1\nprotocols = [\"warp\"]\n[scenario.topology]\nkind = \"grid\"\nrows = 2\ncols = 2\n")
 	single := writeFile(t, "scenario.toml", testScenario)
+	reboots := writeFile(t, "reboots.toml", "version = 1\nname = \"r\"\nfaults = \"reboot:5@10s+20s; reboot:5@15s+20s\"\n"+
+		"[topology]\nkind = \"grid\"\nrows = 4\ncols = 4\n")
 	cases := []struct {
 		name    string
 		args    []string
@@ -397,6 +399,7 @@ func TestUsageErrors(t *testing.T) {
 		{"bad-plan", []string{bad}, "unknown protocol"},
 		{"scenario-max-cells", []string{single, "-max-cells", "2"}, "single scenario; -out/-max-cells apply"},
 		{"resume-removed", []string{bad, "-resume", t.TempDir()}, "flag provided but not defined: -resume"},
+		{"overlapping-reboots", []string{reboots}, "reboots of n5 overlap"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -421,7 +424,9 @@ func nonEmptyLines(s string) []string {
 // checkedInPlans pins each checked-in campaign plan's Fingerprint and
 // the SHA-256 of its sorted cell keys joined by newlines, as recorded
 // before the scenario schema lost the keys no checked-in document set:
-// a cells.ndjson checkpoint written then still resumes.
+// a cells.ndjson checkpoint written then still resumes. robustness.toml's
+// fingerprint moved when its cells gained the invariant checker, so a
+// checkpoint of cells run without it does not resume.
 var checkedInPlans = map[string]struct {
 	fingerprint string
 	cells       int
@@ -429,7 +434,7 @@ var checkedInPlans = map[string]struct {
 }{
 	"coding.toml":         {"de23c292a01b9854983fa015a26e561426703fffd45693db57149875c16443d0", 24, "173199e84070c34397e5b0c77d4fa52cd5ee5b1a3d1f61aacc94d7119ca824b8"},
 	"mobility.toml":       {"b6c39a7e7edc48b96e5725514dce072cfe38e0d22a1ec70b831e3998db91cbcb", 24, "7f7dce50e0c64af786d5bcd03509afe8712b202c1bd65e8963e153c4481ffb59"},
-	"robustness.toml":     {"fea1d676f9a2ebce18e09ab9ee660b4ca8ab6068a558e6665d449c515c34d7d1", 24, "602a16271235b50dd64a1ba6cad4b9e20d9d01b4bbb0835602617b79b352db7b"},
+	"robustness.toml":     {"e073a78b1919ef59cedf407a3d1bb05df81d93a3786560014c8d83fb9ec8b553", 24, "602a16271235b50dd64a1ba6cad4b9e20d9d01b4bbb0835602617b79b352db7b"},
 	"smoke.toml":          {"2caace0c8ccaca2f391efb74214e4adf0d1f6c283faafecb7b136ac0a12317f6", 8, "f863dc0ba7f254b5354cc8f763e00ac41623102ce5da6839961b08f18e7f5575"},
 	"comparison.toml":     {"343f1ceae3d425ac90ba10718f4f7673407f9c72a8a71c841b539da3fc7a288f", 4, "1ac770584d210981d3cfbe4542ed0d74055b47704dfae8db62f3ee6a49102118"},
 	"campaign-slice.toml": {"f94cdec9c225a887e6bdfd0d8f40ebb89def96c542cb44df65a2b20a38bd56c1", 192, "1b05810da6746c822ec9d11e93dd2dcaa5df5ea64b0237553053d499e4a995e2"},

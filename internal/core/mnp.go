@@ -670,48 +670,14 @@ func (m *MNP) learnGeometry(a *packet.Advertise) {
 		return
 	}
 	m.programID, m.geom = a.ProgramID, g
-	m.recoverFromStore()
+	m.rvdSeg, m.missing, _ = image.Resume(m.rt, g, nil)
+	if m.rvdSeg == g.Units() {
+		m.rt.Complete()
+	}
 	if m.rvdSeg > 0 && m.state == StateIdle && m.canAdvertise() {
 		// A rebooted node recovered whole segments: resume the source
 		// role it held before the crash.
 		m.enterAdvertise()
-	}
-}
-
-// recoverFromStore rebuilds the receiver's RAM progress (RvdSegID and
-// the MissingVector) from EEPROM contents once the program geometry is
-// known. On a mote flash survives a reboot while RAM does not; without
-// this scan a crashed-and-rebooted node would download — and rewrite —
-// packets it already holds, breaking the write-once guarantee. On a
-// fresh node the store is empty and the scan changes nothing.
-func (m *MNP) recoverFromStore() {
-	for seg := 1; seg <= m.geom.Units(); seg++ {
-		n := m.geom.PacketsIn(seg)
-		held := 0
-		for pkt := 0; pkt < n; pkt++ {
-			if m.rt.HasPacket(seg, pkt) {
-				held++
-			}
-		}
-		if held == n && n > 0 {
-			m.rvdSeg = seg
-			continue
-		}
-		if held > 0 && n <= bitvec.MaxBits {
-			// Partial next segment: resume its download where it stopped.
-			if v, err := bitvec.AllSet(n); err == nil {
-				for pkt := 0; pkt < n; pkt++ {
-					if m.rt.HasPacket(seg, pkt) {
-						v.Clear(pkt)
-					}
-				}
-				m.missing = v
-			}
-		}
-		return
-	}
-	if m.rvdSeg == m.geom.Units() && m.geom.Units() > 0 {
-		m.rt.Complete()
 	}
 }
 

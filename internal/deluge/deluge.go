@@ -192,6 +192,10 @@ func (d *Deluge) onAdv(a *packet.DelugeAdv) {
 			return
 		}
 		d.programID, d.version, d.geom = a.ProgramID, a.Version, g
+		d.havePages, d.missing, _ = image.Resume(d.rt, g, nil)
+		if d.havePages == g.Units() {
+			d.rt.Complete()
+		}
 	}
 	if a.ProgramID != d.programID {
 		return

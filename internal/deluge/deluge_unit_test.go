@@ -244,3 +244,32 @@ func TestForeignProgramIgnored(t *testing.T) {
 		}
 	}
 }
+
+// TestRebootedReceiverResumesFromFlash: flash outlives a reboot, so a
+// receiver that learns the geometry resumes from the pages it holds and
+// writes no slot twice; holding them all, it is complete at once.
+func TestRebootedReceiverResumesFromFlash(t *testing.T) {
+	img := smallImage(t)
+	for _, held := range []int{page + 5, 3 * page} {
+		d, rt := newReceiverRig(t)
+		for seq := range held {
+			payload, _ := img.Payload(seq/page+1, seq%page)
+			if err := rt.Store(seq/page+1, seq%page, page, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.OnPacket(baseAdv(4, 3), 4)
+		if want := held / page; d.HavePages() != want || rt.Done != (want == 3) {
+			t.Fatalf("holding %d packets: HavePages %d, done %v", held, d.HavePages(), rt.Done)
+		}
+		for pg := 1; pg <= 3; pg++ {
+			for pkt := 0; pkt < page; pkt++ {
+				payload, _ := img.Payload(pg, pkt)
+				d.OnPacket(&packet.DelugeData{Src: 4, ProgramID: 1, Page: uint8(pg), PacketID: uint8(pkt), Payload: payload}, 4)
+			}
+		}
+		if d.HavePages() != 3 || !rt.Done || rt.EEPROM.MaxWriteCount() != 1 {
+			t.Fatalf("holding %d packets: HavePages %d, done %v, max writes %d", held, d.HavePages(), rt.Done, rt.EEPROM.MaxWriteCount())
+		}
+	}
+}

@@ -15,9 +15,11 @@ import (
 // the same rows with the invariant checker on, and holds each run to
 // the paper's reliability requirement: every live mote ends with a
 // byte-identical image, and no slot of its EEPROM is written twice,
-// across a reboot included. A protocol that falls short declares so
-// once, in its row of declared; an undeclared shortfall fails, and so
-// does a declared one that stops happening.
+// across a reboot included: every protocol resumes from its flash. No
+// row excuses a broken invariant. A protocol that leaves live motes
+// without the image declares so once, in its row of declared; an
+// undeclared shortfall fails, and so does a declared one that stops
+// happening.
 
 // verdict is how one run must end. The zero value is a full pass:
 // every live mote completes, VerifyImages holds and no invariant
@@ -26,8 +28,6 @@ type verdict struct {
 	// completed, when non-zero, is the exact number of motes holding
 	// the image when a run that does not cover every live mote ends.
 	completed int
-	// broken lists, sorted, every invariant rule the run breaks.
-	broken []string
 	// limit ends a run declared incomplete early instead of at the
 	// kit's 6 h.
 	limit time.Duration
@@ -81,11 +81,6 @@ var kitRows = []kitRow{
 	{name: "random-crashes", setup: denseGrid, faults: "randkill:2@20s-60s"},
 }
 
-// writeOnce is the rule a baseline breaks when it restarts a segment
-// after a reboot instead of re-reading what its EEPROM already holds
-// (MNP's reboot path): it rewrites the slots it had written.
-var writeOnce = []string{"write-once-eeprom"}
-
 // declared is every protocol's row. XNP is single-hop, so each of its
 // rows counts the motes in the base's range that complete.
 var declared = map[ProtocolKind]declaration{
@@ -101,10 +96,8 @@ var declared = map[ProtocolKind]declaration{
 				drive: killFirstSender},
 		},
 	},
-	ProtocolDeluge: {verdicts: map[string]verdict{
-		"reboot": {broken: []string{"in-order-segments", "write-once-eeprom"}},
-	}},
-	ProtocolMOAP:   {verdicts: map[string]verdict{"reboot": {broken: writeOnce}}},
+	ProtocolDeluge: {},
+	ProtocolMOAP:   {},
 	ProtocolGossip: {},
 	ProtocolRLNC: {
 		decodes: true,
@@ -123,7 +116,7 @@ var declared = map[ProtocolKind]declaration{
 		"clean-sparse":   {completed: 3},
 		"clean-corridor": {completed: 4},
 		"crash-forward":  {completed: 7},
-		"reboot":         {completed: 8, broken: writeOnce},
+		"reboot":         {completed: 8},
 		"flaky-eeprom":   {completed: 8},
 		"loss30":         {completed: 8},
 		"partition":      {completed: 8},
@@ -263,6 +256,29 @@ func TestFlashFaultOnBaseFailsTheRun(t *testing.T) {
 	}
 }
 
+// TestUnrestartableRebootIsAnError: a plan that reboots a mote still
+// down from another reboot, or one a crash has destroyed, used to panic
+// at the restart mid-run. ParseSpec refuses the spec, and Run refuses
+// the same plan built in Go, each naming the mote.
+func TestUnrestartableRebootIsAnError(t *testing.T) {
+	for spec, events := range map[string][]faults.Event{
+		"reboot:5@10s+20s; reboot:5@15s+20s": {
+			faults.CrashReboot(5, 10*time.Second, 20*time.Second), faults.CrashReboot(5, 15*time.Second, 20*time.Second)},
+		"crash:5@5s; reboot:5@10s+10s": {
+			faults.Crash(5, 5*time.Second), faults.CrashReboot(5, 10*time.Second, 10*time.Second)},
+	} {
+		t.Run(spec, func(t *testing.T) {
+			if _, err := faults.ParseSpec(spec); err == nil || !strings.Contains(err.Error(), "n5") {
+				t.Errorf("ParseSpec(%q) = %v, want an error naming n5", spec, err)
+			}
+			s := Setup{Name: "unrestartable", Rows: 4, Cols: 4, ImagePackets: 64, Seed: 42, Faults: &faults.Plan{Events: events}}
+			if _, err := Run(s); err == nil || !strings.Contains(err.Error(), "n5") {
+				t.Errorf("Run = %v, want an error naming n5", err)
+			}
+		})
+	}
+}
+
 // TestChaosSpecRoundTrip: MNP's reboot row with its plan built in Go
 // instead of parsed from the -faults grammar is the same run, to the
 // completion time and tx count.
@@ -319,7 +335,7 @@ func conform(t *testing.T, s Setup, v verdict, drive func(*Result) (func(), func
 	if err != nil {
 		t.Fatal(err)
 	}
-	premises := armPremises(res, v)
+	premises := armPremises(res)
 	if drive == nil {
 		if err := res.RunToCompletion(); err != nil {
 			t.Fatal(err)
@@ -344,17 +360,16 @@ func conform(t *testing.T, s Setup, v verdict, drive func(*Result) (func(), func
 	case v.completed != 0 && (res.Completed || done != v.completed):
 		t.Errorf("%d/%d motes completed (all live: %v), declared %d", done, n, res.Completed, v.completed)
 	}
-	if got := brokenRules(res); !slices.Equal(got, v.broken) {
-		t.Errorf("broken rules %v, declared %v; first: %v", got, v.broken, res.VerifyInvariants())
+	if err := res.VerifyInvariants(); err != nil {
+		t.Error(err)
 	}
-	if v.completed == 0 && v.broken == nil {
+	if v.completed == 0 {
 		if err := res.VerifyImages(); err != nil {
 			t.Error(err)
 		}
 	} else {
-		// A declared shortfall excuses the motes that did not finish and
-		// the slots written twice, not a wrong byte on a mote that did
-		// finish.
+		// A declared shortfall excuses the motes that did not finish,
+		// not a wrong byte on a mote that did finish.
 		for _, n := range res.Network.Nodes {
 			if !n.Dead() && n.Completed() {
 				if err := res.verifyBytes(n); err != nil {
@@ -382,7 +397,7 @@ func conform(t *testing.T, s Setup, v verdict, drive func(*Result) (func(), func
 // armPremises schedules the probes that show each fault of the run's
 // plan landed where its row says, and returns the checks that read
 // them once the run is over.
-func armPremises(res *Result, v verdict) []func() error {
+func armPremises(res *Result) []func() error {
 	if res.Setup.Faults == nil {
 		return nil
 	}
@@ -401,7 +416,7 @@ func armPremises(res *Result, v verdict) []func() error {
 		case faults.KindRandomCrashes:
 			kills += ev.Count
 		case faults.KindReboot:
-			checks = append(checks, armRebootProbe(res, ev, slices.Contains(v.broken, "write-once-eeprom")))
+			checks = append(checks, armRebootProbe(res, ev))
 		case faults.KindEEPROM:
 			checks = append(checks, func() error {
 				injected := 0
@@ -453,8 +468,8 @@ func armPremises(res *Result, v verdict) []func() error {
 // part of the image and not all of it. A protocol that decodes before
 // it stores (rlnc) holds its part in RAM, shown by the row operations
 // it has charged. After the run the victim must be alive and complete
-// with no slot written twice, unless the row declares that break.
-func armRebootProbe(res *Result, ev faults.Event, writeOnceBroken bool) func() error {
+// with no slot written twice: every protocol resumes from its flash.
+func armRebootProbe(res *Result, ev faults.Event) func() error {
 	slots, ops := -1, 0
 	at(res, ev.At-time.Millisecond, func() {
 		slots = res.Network.Node(ev.Node).EEPROM().Slots()
@@ -469,7 +484,7 @@ func armRebootProbe(res *Result, ev faults.Event, writeOnceBroken bool) func() e
 		if n.Dead() || !n.Completed() {
 			return fmt.Errorf("rebooted %v: dead %v, completed %v", ev.Node, n.Dead(), n.Completed())
 		}
-		if w := n.EEPROM().MaxWriteCount(); w != 1 && !writeOnceBroken {
+		if w := n.EEPROM().MaxWriteCount(); w != 1 {
 			return fmt.Errorf("rebooted %v wrote a slot %d times", ev.Node, w)
 		}
 		return nil
@@ -578,17 +593,6 @@ func logBroadcastTriple(t *testing.T, res *Result) {
 	t.Logf("%v %s: reachability %.3f, redundant receptions %.2f, latency %v",
 		res.Setup.Protocol, res.Setup.Name, float64(res.Network.CompletedCount())/float64(n),
 		float64(rx)/float64((n-1)*res.Setup.ImagePackets), res.CompletionTime.Round(time.Second))
-}
-
-// brokenRules lists, sorted and once each, the rules the checker saw
-// broken.
-func brokenRules(res *Result) []string {
-	var rules []string
-	for _, v := range res.Invariants.Violations() {
-		rules = append(rules, v.Rule)
-	}
-	slices.Sort(rules)
-	return slices.Compact(rules)
 }
 
 func totalTx(res *Result) int {

@@ -12,7 +12,7 @@
 //     destroyed and the node never returns.
 //   - Crash+reboot: power blip. RAM — protocol state, timers, pending
 //     queue — is lost; EEPROM contents survive, exactly the property
-//     MNP's reboot recovery depends on.
+//     every protocol's reboot recovery (image.Resume) depends on.
 //   - Link faults: extra delivery loss layered on top of the channel
 //     model. Carrier sensing is unaffected: a partitioned node still
 //     hears energy, it just cannot decode, which is the conservative
@@ -164,7 +164,8 @@ type linkRule struct {
 	match    func(src, dst packet.NodeID) float64
 }
 
-// Validate checks the plan for malformed events.
+// Validate checks the plan for malformed events, and for reboots that
+// could not restart their mote.
 func (p *Plan) Validate() error {
 	for i, ev := range p.Events {
 		switch ev.Kind {
@@ -202,6 +203,30 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("faults: event %d: unknown kind %d", i, ev.Kind)
 		}
 	}
+	return p.validateRestarts()
+}
+
+// validateRestarts checks that every reboot can restart its mote: the
+// mote must be down when its restart fires, so no other reboot of it
+// may overlap the down window, and no crash may destroy it at or
+// before the restart.
+func (p *Plan) validateRestarts() error {
+	for i, r := range p.Events {
+		if r.Kind != KindReboot {
+			continue
+		}
+		up := r.At + r.Downtime
+		for j, ev := range p.Events {
+			switch {
+			case j == i || ev.Node != r.Node:
+			case ev.Kind == KindCrash && ev.At <= up:
+				return fmt.Errorf("faults: event %d: crash of %v at %v leaves event %d no mote to restart at %v", j, ev.Node, ev.At, i, up)
+			case ev.Kind == KindReboot && j > i && ev.At <= up && r.At <= ev.At+ev.Downtime:
+				return fmt.Errorf("faults: events %d and %d: reboots of %v overlap ([%v, %v] and [%v, %v])",
+					i, j, r.Node, r.At, up, ev.At, ev.At+ev.Downtime)
+			}
+		}
+	}
 	return nil
 }
 
@@ -221,8 +246,16 @@ func (p *Plan) Apply(env Env) error {
 		return fmt.Errorf("faults: env needs scheduler, network, per-tile mediums with clocks, and a tile map for several tiles")
 	}
 	// Private RNG: decoupled from the kernel RNG so installing a plan
-	// never perturbs the protocol's random draws.
-	rng := rand.New(rand.NewSource(env.Seed<<16 ^ 0xFA17))
+	// never perturbs the protocol's random draws. It is built for the
+	// first event that draws from it; crashes, reboots and link faults
+	// draw nothing.
+	var rng *rand.Rand
+	planRand := func() *rand.Rand {
+		if rng == nil {
+			rng = rand.New(rand.NewSource(env.Seed<<16 ^ 0xFA17))
+		}
+		return rng
+	}
 
 	var rules []linkRule
 	for _, ev := range p.Events {
@@ -267,11 +300,11 @@ func (p *Plan) Apply(env Env) error {
 				match: degradeMatch(ev),
 			})
 		case KindEEPROM:
-			if err := p.applyEEPROM(env, ev, rng); err != nil {
+			if err := p.applyEEPROM(env, ev, planRand); err != nil {
 				return err
 			}
 		case KindRandomCrashes:
-			p.applyRandomCrashes(env, ev, rng)
+			p.applyRandomCrashes(env, ev, planRand())
 		}
 	}
 	if len(rules) > 0 {
@@ -295,7 +328,7 @@ func (p *Plan) Apply(env Env) error {
 	return nil
 }
 
-func (p *Plan) applyEEPROM(env Env, ev Event, rng *rand.Rand) error {
+func (p *Plan) applyEEPROM(env Env, ev Event, planRand func() *rand.Rand) error {
 	var targets []packet.NodeID
 	if ev.Node == Wildcard {
 		for i := range env.Network.Nodes {
@@ -310,8 +343,10 @@ func (p *Plan) applyEEPROM(env Env, ev Event, rng *rand.Rand) error {
 		targets = []packet.NodeID{ev.Node}
 	}
 	for _, id := range targets {
-		now, draws := env.Clocks[0], rng
-		if len(env.Mediums) > 1 {
+		now, draws := env.Clocks[0], (*rand.Rand)(nil)
+		if len(env.Mediums) == 1 {
+			draws = planRand()
+		} else {
 			// One kernel has one total write order, so on one tile every
 			// target draws from the shared plan stream (the chaos goldens
 			// pin that sequence). Across tiles the interleaving of writes

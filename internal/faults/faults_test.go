@@ -140,6 +140,34 @@ func TestValidateCatchesBadEvents(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesUnrestartableReboots: a reboot's restart needs its
+// mote down and whole, so a second reboot whose down window touches the
+// first, or a crash of the mote at or before the restart, is refused;
+// a later, disjoint fault on the same mote, or an overlap on another
+// mote, is not.
+func TestValidateRefusesUnrestartableReboots(t *testing.T) {
+	for spec, ok := range map[string]bool{
+		"reboot:5@10s+20s; reboot:5@15s+20s": false,
+		"reboot:5@15s+20s; reboot:5@10s+20s": false,
+		"reboot:5@10s+10s; reboot:5@20s+10s": false, // the second crash lands on the restart
+		"crash:5@5s; reboot:5@10s+10s":       false,
+		"reboot:5@10s+10s; crash:5@15s":      false, // killed while down
+		"reboot:5@10s+10s; crash:5@20s":      false,
+		"reboot:5@10s+10s; reboot:5@21s+10s": true,
+		"reboot:5@10s+10s; crash:5@21s":      true,
+		"reboot:5@10s+20s; reboot:6@15s+20s": true,
+		"crash:6@5s; reboot:5@10s+10s":       true,
+	} {
+		_, err := ParseSpec(spec)
+		if (err == nil) != ok {
+			t.Errorf("ParseSpec(%q) = %v, want ok %v", spec, err, ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "n5") {
+			t.Errorf("ParseSpec(%q) = %v, which does not name n5", spec, err)
+		}
+	}
+}
+
 func TestApplyRejectsIncompleteEnv(t *testing.T) {
 	plan := &Plan{Events: []Event{Crash(1, time.Second)}}
 	if err := plan.Apply(Env{}); err == nil {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"time"
 
+	"mnp/internal/bitvec"
 	"mnp/internal/density"
 	"mnp/internal/image"
 	"mnp/internal/node"
@@ -71,9 +72,8 @@ type Gossip struct {
 	payloadLen int            // bytes per data payload
 	tail       int            // bytes in the image's final packet
 
-	completeSegs int    // segments fully stored
-	got          []bool // receipt map of segment completeSegs+1
-	have         int    // packets stored of segment completeSegs+1
+	completeSegs int            // segments fully stored
+	missing      *bitvec.Vector // packets of segment completeSegs+1 not stored; nil until one is
 
 	// Sender side: the infection. demandSeg is the lowest segment a
 	// lagging neighbor needs, cursor the round-robin position of the
@@ -161,6 +161,10 @@ func (g *Gossip) advTick() {
 	if !g.known() {
 		return
 	}
+	have := 0 // packets stored of segment completeSegs+1
+	if g.missing != nil {
+		have = g.missing.Len() - g.missing.Count()
+	}
 	adv := &g.out.adv
 	*adv = packet.GossipAdv{
 		Src:          g.rt.ID(),
@@ -171,17 +175,17 @@ func (g *Gossip) advTick() {
 		PayloadLen:   uint8(g.payloadLen),
 		Tail:         uint8(g.tail),
 		CompleteSegs: uint8(g.completeSegs),
-		Have:         uint8(g.have),
+		Have:         uint8(have),
 	}
 	_ = g.rt.Send(adv)
 	g.scheduleAdv()
 }
 
 // learn adopts the image geometry from the first beacon heard and
-// recovers state that survived in EEPROM across a reboot: complete
-// segments, plus the partial receipt map of the segment in progress
-// (unlike rlnc, gossip stores each packet on reception, so partial
-// segments persist too).
+// resumes from what survived in EEPROM across a reboot: complete
+// segments, plus the packets of the segment in progress (unlike rlnc,
+// gossip stores each packet on reception, so partial segments persist
+// too).
 func (g *Gossip) learn(a *packet.GossipAdv) {
 	// Any geometry but an image's would carve flash for packets no
 	// frame can address.
@@ -192,30 +196,8 @@ func (g *Gossip) learn(a *packet.GossipAdv) {
 	g.programID, g.geom = a.ProgramID, geom
 	g.payloadLen = int(a.PayloadLen)
 	g.tail = int(a.Tail)
-	for s := 1; s <= geom.Units(); s++ {
-		full := true
-		for i, k := 0, geom.PacketsIn(s); i < k; i++ {
-			if !g.rt.HasPacket(s, i) {
-				full = false
-				break
-			}
-		}
-		if !full {
-			break
-		}
-		g.completeSegs = s
-	}
-	if g.completeSegs < geom.Units() {
-		next := g.completeSegs + 1
-		g.got = make([]bool, geom.PacketsIn(next))
-		g.have = 0
-		for i := range g.got {
-			if g.rt.HasPacket(next, i) {
-				g.got[i] = true
-				g.have++
-			}
-		}
-	} else {
+	g.completeSegs, g.missing, _ = image.Resume(g.rt, geom, nil)
+	if g.completeSegs == geom.Units() {
 		g.rt.Complete()
 	}
 	g.scheduleAdv()
@@ -317,18 +299,21 @@ func (g *Gossip) onData(d *packet.GossipData) {
 	if i < 0 || i >= k {
 		return
 	}
-	if g.got == nil {
-		g.got = make([]bool, k)
+	if g.missing == nil {
+		v, err := bitvec.AllSet(k)
+		if err != nil {
+			return
+		}
+		g.missing = v
 	}
-	if g.got[i] || g.rt.HasPacket(seg, i) {
+	if !g.missing.Get(i) || g.rt.HasPacket(seg, i) {
 		return // duplicate rumor
 	}
 	if err := g.rt.Store(seg, i, k, d.Payload); err != nil {
 		return // flash fault: the sweep will bring the packet again
 	}
-	g.got[i] = true
-	g.have++
-	if g.have == k {
+	g.missing.Clear(i)
+	if g.missing.None() {
 		g.completeSegment(seg)
 	}
 }
@@ -337,8 +322,7 @@ func (g *Gossip) onData(d *packet.GossipData) {
 // in-progress segment is stored.
 func (g *Gossip) completeSegment(seg int) {
 	g.completeSegs = seg
-	g.got = nil
-	g.have = 0
+	g.missing = nil
 	g.rt.Event(node.Event{Kind: node.EventGotSegment, Seg: seg})
 	if g.completeSegs == g.geom.Units() {
 		g.rt.Complete()

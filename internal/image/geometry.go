@@ -1,6 +1,10 @@
 package image
 
-import "fmt"
+import (
+	"fmt"
+
+	"mnp/internal/bitvec"
+)
 
 // Geometry is how an image's packets lie in flash: consecutive units
 // (MNP's segments, Deluge's pages) of a fixed packet count, every unit
@@ -70,7 +74,8 @@ func (g Geometry) Seq(u, pkt int) int {
 	return (u-1)*g.unit + pkt
 }
 
-// Flash is the part of a mote's runtime that Preload writes through.
+// Flash is the part of a mote's runtime that Preload writes through
+// and Resume reads.
 type Flash interface {
 	HasPacket(seg, pkt int) bool
 	Store(seg, pkt, segPackets int, payload []byte) error
@@ -93,4 +98,45 @@ func Preload(f Flash, im *Image, g Geometry) error {
 		}
 	}
 	return nil
+}
+
+// Resume reads what f holds of an image laid out by g. A rebooted mote
+// has lost its RAM but not its flash, so a protocol calls Resume when
+// it learns g, and neither downloads nor writes again a slot it holds;
+// on a fresh mote f is empty and Resume allocates nothing. whole is the
+// number of leading units f holds in full. missing has a bit set for
+// each packet of unit whole+1 that f lacks; it is nil when f holds none
+// of that unit, or when the unit is wider than bitvec.MaxBits.
+//
+// A flat tracker, whose slots need not fill in unit order, passes held
+// with g.Total() entries: Resume sets held[seq] for every slot f holds
+// and returns their count as n.
+func Resume(f Flash, g Geometry, held []bool) (whole int, missing *bitvec.Vector, n int) {
+	for ; whole < g.units; whole++ {
+		u, k, got := whole+1, g.PacketsIn(whole+1), 0
+		for pkt := range k {
+			if f.HasPacket(u, pkt) {
+				got++
+			}
+		}
+		if got == k {
+			continue
+		}
+		if got > 0 && k <= bitvec.MaxBits {
+			missing = bitvec.MustNew(k)
+			for pkt := range k {
+				if !f.HasPacket(u, pkt) {
+					missing.Set(pkt)
+				}
+			}
+		}
+		break
+	}
+	for seq := range held {
+		if f.HasPacket(g.Slot(seq)) {
+			held[seq] = true
+			n++
+		}
+	}
+	return whole, missing, n
 }

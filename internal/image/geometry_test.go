@@ -3,7 +3,10 @@ package image
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
+
+	"mnp/internal/bitvec"
 )
 
 func TestNewGeometryRejectsInconsistentTriples(t *testing.T) {
@@ -153,5 +156,91 @@ func TestPreloadReturnsStoreError(t *testing.T) {
 	}
 	if _, err := im.Reassemble(other, func(int, int) []byte { return nil }); err == nil {
 		t.Fatal("Reassemble accepted the geometry of another image")
+	}
+}
+
+func TestResumeReadsWhatFlashHolds(t *testing.T) {
+	span := func(lo, hi int) []int { // flat slots lo..hi-1
+		var s []int
+		for seq := lo; seq < hi; seq++ {
+			s = append(s, seq)
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name        string
+		total, unit int
+		stored      []int // flat slots the flash holds
+		flat        bool  // pass held, as MOAP and XNP do
+		whole       int
+		missing     []int // packets of unit whole+1 still missing; nil for no vector
+	}{
+		{name: "empty", total: 256, unit: 128},
+		{name: "part-of-unit-1", total: 256, unit: 128, stored: []int{0, 5, 127},
+			missing: slices.DeleteFunc(span(0, 128), func(p int) bool { return p == 0 || p == 5 || p == 127 })},
+		{name: "whole-units-and-part", total: 384, unit: 128, stored: append(span(0, 256), 256+3),
+			whole: 2, missing: slices.DeleteFunc(span(0, 128), func(p int) bool { return p == 3 })},
+		{name: "every-unit", total: 384, unit: 128, stored: span(0, 384), whole: 3},
+		{name: "short-last-unit", total: 300, unit: 128, stored: span(0, 299), whole: 2, missing: []int{43}},
+		{name: "deluge-pages", total: 300, unit: 48, stored: span(0, 100), whole: 2, missing: span(4, 48)},
+		{name: "flat-scattered", total: 300, unit: 128, stored: []int{1, 127, 128, 299}, flat: true,
+			missing: slices.DeleteFunc(span(0, 128), func(p int) bool { return p == 1 || p == 127 })},
+		// A unit wider than a vector has whole units counted but no vector.
+		{name: "wider-than-a-vector", total: 400, unit: bitvec.MaxBits + 72, stored: span(0, 210), whole: 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := Split(c.total, c.unit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := newFlash()
+			for _, seq := range c.stored {
+				u, pkt := g.Slot(seq)
+				f.slots[[2]int{u, pkt}] = []byte{1}
+			}
+			var held []bool
+			if c.flat {
+				held = make([]bool, g.Total())
+			}
+			whole, missing, n := Resume(f, g, held)
+			if whole != c.whole {
+				t.Errorf("whole = %d, want %d", whole, c.whole)
+			}
+			switch {
+			case c.missing == nil && missing != nil:
+				t.Errorf("missing = %v, want nil", missing.Indices())
+			case c.missing != nil && missing == nil:
+				t.Errorf("missing = nil, want %v", c.missing)
+			case c.missing != nil && (missing.Len() != g.PacketsIn(whole+1) || !slices.Equal(missing.Indices(), c.missing)):
+				t.Errorf("missing = %v of %d, want %v of %d", missing.Indices(), missing.Len(), c.missing, g.PacketsIn(whole+1))
+			}
+			if !c.flat {
+				if n != 0 {
+					t.Errorf("n = %d without held", n)
+				}
+				return
+			}
+			if n != len(c.stored) {
+				t.Errorf("n = %d, want %d", n, len(c.stored))
+			}
+			for seq, ok := range held {
+				if ok != slices.Contains(c.stored, seq) {
+					t.Errorf("held[%d] = %v", seq, ok)
+				}
+			}
+		})
+	}
+}
+
+// TestResumeOnEmptyFlashAllocatesNothing: every fresh mote resumes when
+// it learns a geometry, so the common case must cost no garbage.
+func TestResumeOnEmptyFlashAllocatesNothing(t *testing.T) {
+	g, err := Split(300, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFlash()
+	if a := testing.AllocsPerRun(100, func() { Resume(f, g, nil) }); a != 0 {
+		t.Fatalf("Resume on empty flash: %v allocs, want 0", a)
 	}
 }

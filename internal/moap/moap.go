@@ -266,7 +266,7 @@ func (m *MOAP) onPublish(p *packet.MoapPublish) {
 	if m.have == nil && !m.learn(p.ProgramID, p.Total) {
 		return
 	}
-	if p.ProgramID != m.programID || m.fetching || m.subDue {
+	if m.complete || p.ProgramID != m.programID || m.fetching || m.subDue {
 		return
 	}
 	m.subDue = true
@@ -295,7 +295,8 @@ func (m *MOAP) sendSubscribe() {
 }
 
 // learn adopts the program a publish or data frame names, and reports
-// whether its size is one an image can have.
+// whether its size is one an image can have. A rebooted mote resumes
+// from the packets its flash holds, and serves if it holds them all.
 func (m *MOAP) learn(programID uint8, total uint16) bool {
 	g, err := image.Split(int(total), image.DefaultSegmentPackets)
 	if err != nil {
@@ -303,6 +304,9 @@ func (m *MOAP) learn(programID uint8, total uint16) bool {
 	}
 	m.programID, m.geom = programID, g
 	m.have = make([]bool, g.Total())
+	if _, _, m.haveCount = image.Resume(m.rt, g, m.have); m.haveCount == g.Total() {
+		m.becomeSource()
+	}
 	return true
 }
 

@@ -215,3 +215,33 @@ func TestReceiverWatchdogNaksThenAbandons(t *testing.T) {
 		t.Fatal("abandoned fetch not restartable")
 	}
 }
+
+// TestRebootedSinkResumesFromFlash: flash outlives a reboot, so a sink
+// that learns the image resumes from the packets it holds and writes
+// no slot twice; holding them all, it publishes instead of subscribing.
+func TestRebootedSinkResumesFromFlash(t *testing.T) {
+	img := tinyImage(t)
+	g := Geometry(img)
+	for _, held := range []int{10, 16} {
+		m, rt := newSinkRig(t)
+		for seq := range held {
+			u, pkt := g.Slot(seq)
+			payload, _ := img.FlatPayload(seq)
+			if err := rt.Store(u, pkt, g.PacketsIn(u), payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.OnPacket(&packet.MoapPublish{Src: 5, ProgramID: 1, Version: 1, Total: 16}, 5)
+		if full := held == 16; m.Complete() != full || rt.Done != full || rt.TimerPending(timerSubscribe) == full {
+			t.Fatalf("holding %d of 16: complete %v, done %v, subscribing %v", held, m.Complete(), rt.Done, rt.TimerPending(timerSubscribe))
+		}
+		for seq := range 16 {
+			payload, _ := img.FlatPayload(seq)
+			m.OnPacket(&packet.MoapData{Src: 5, ProgramID: 1, Seq: uint16(seq), Total: 16, Payload: payload}, 5)
+		}
+		if !m.Complete() || !rt.TimerPending(timerPublish) || rt.EEPROM.MaxWriteCount() != 1 {
+			t.Fatalf("holding %d of 16: complete %v, publishing %v, max writes %d",
+				held, m.Complete(), rt.TimerPending(timerPublish), rt.EEPROM.MaxWriteCount())
+		}
+	}
+}

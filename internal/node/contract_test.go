@@ -13,8 +13,8 @@ import (
 )
 
 // moteContract puts node 0 of a two-mote line under the runtime
-// contract, running wrap(p): what goes on the air is read from a tap
-// on the medium.
+// contract, running wrap(p) beside an idle mote: what goes on the air
+// is read from a tap on the medium.
 func moteContract(wrap func(p node.Protocol) node.Protocol) nodetest.Contract {
 	return nodetest.Contract{New: func(t *testing.T, p node.Protocol) nodetest.Subject {
 		k := sim.New(1)
@@ -32,11 +32,17 @@ func moteContract(wrap func(p node.Protocol) node.Protocol) nodetest.Contract {
 		m.SetTap(func(_ packet.NodeID, p packet.Packet, _ time.Duration) {
 			aired = append(aired, packet.Encode(p))
 		})
-		n, err := node.New(0, k, m, wrap(p), node.Config{TxPower: radio.PowerSim}, nil)
+		nw, err := node.NewNetwork(l, func(id packet.NodeID) (node.Protocol, node.Config) {
+			if id == 0 {
+				return wrap(p), node.Config{TxPower: radio.PowerSim}
+			}
+			return idle{}, node.Config{TxPower: radio.PowerSim}
+		}, func(packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer) { return k, m, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.Start()
+		nw.Start()
+		n := nw.Node(0)
 		return nodetest.Subject{
 			Crash: func() func(node.Protocol) {
 				n.Crash()

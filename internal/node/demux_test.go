@@ -41,12 +41,17 @@ func demuxRig(t *testing.T) (*sim.Kernel, *Node, *Demux, *subProto, *subProto) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(0, k, m, d, Config{TxPower: radio.PowerSim}, nil)
+	nw, err := NewNetwork(l, func(id packet.NodeID) (Protocol, Config) {
+		if id == 0 {
+			return d, Config{TxPower: radio.PowerSim}
+		}
+		return &subProto{}, Config{TxPower: radio.PowerSim}
+	}, func(packet.NodeID) (*sim.Kernel, *radio.Medium, Observer) { return k, m, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Start()
-	return k, n, d, a, b
+	nw.Start()
+	return k, nw.Node(0), d, a, b
 }
 
 func TestNewDemuxValidation(t *testing.T) {

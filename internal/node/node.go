@@ -224,23 +224,9 @@ type Node struct {
 	txPower     int
 }
 
-// New builds a node. The protocol is not started until Start.
-func New(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Protocol, cfg Config, obs Observer) (*Node, error) {
-	n := new(Node)
-	t := &tile{
-		timer:   func(arg uint32) { n.fireTimer(TimerID(arg) & MaxTimerID) },
-		attempt: func(uint32) { n.attempt() },
-		afterTx: func(uint32) { n.afterTx() },
-	}
-	if err := n.init(id, k, m, proto, cfg, obs, n.onFrame, t); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
 // init sets up n in place on tile t and registers h as its frame
-// handler: New passes the node's own onFrame and tile, NewNetwork one
-// handler for every mote of its slab and one tile per kernel.
+// handler: NewNetwork passes one handler for every mote of its slab and
+// one tile per kernel.
 func (n *Node) init(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Protocol, cfg Config, obs Observer, h radio.FrameHandler, t *tile) error {
 	if k == nil || m == nil || proto == nil {
 		return fmt.Errorf("node: nil kernel, medium, or protocol")

@@ -80,35 +80,44 @@ func newRig(t *testing.T, count int, spacing float64) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &rig{k: k, m: m, obs: &recordingObserver{}}
-	for i := 0; i < count; i++ {
-		p := &echoProto{}
-		n, err := New(packet.NodeID(i), k, m, p, Config{TxPower: radio.PowerSim}, r.obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n.Start()
-		r.nodes = append(r.nodes, n)
-		r.protos = append(r.protos, p)
+	r := &rig{k: k, m: m, obs: &recordingObserver{}, protos: make([]*echoProto, count)}
+	nw, err := NewNetwork(l, func(id packet.NodeID) (Protocol, Config) {
+		r.protos[id] = &echoProto{}
+		return r.protos[id], Config{TxPower: radio.PowerSim}
+	}, func(packet.NodeID) (*sim.Kernel, *radio.Medium, Observer) { return k, m, r.obs })
+	if err != nil {
+		t.Fatal(err)
 	}
+	nw.Start()
+	r.nodes = nw.Nodes
 	return r
 }
 
-func TestNewValidation(t *testing.T) {
+// TestNewNetworkValidation: NewNetwork refuses a factory, a placement
+// or a mote it cannot build on, naming the mote.
+func TestNewNetworkValidation(t *testing.T) {
 	k := sim.New(1)
 	l, _ := topology.Line(2, 10)
 	m, _ := radio.NewMedium(k, l, cleanRadio(), 1)
-	if _, err := New(0, nil, m, &echoProto{}, Config{}, nil); err == nil {
-		t.Error("nil kernel accepted")
-	}
-	if _, err := New(0, k, nil, &echoProto{}, Config{}, nil); err == nil {
-		t.Error("nil medium accepted")
-	}
-	if _, err := New(0, k, m, nil, Config{}, nil); err == nil {
-		t.Error("nil protocol accepted")
-	}
-	if _, err := New(99, k, m, &echoProto{}, Config{}, nil); err == nil {
-		t.Error("out-of-layout id accepted")
+	one, _ := topology.Line(1, 10)
+	small, _ := radio.NewMedium(k, one, cleanRadio(), 1) // no room for n1
+	echo := func(packet.NodeID) (Protocol, Config) { return &echoProto{}, Config{} }
+	for _, c := range []struct {
+		name  string
+		f     Factory
+		place func(packet.NodeID) (*sim.Kernel, *radio.Medium, Observer)
+	}{
+		{"nil factory", nil, func(packet.NodeID) (*sim.Kernel, *radio.Medium, Observer) { return k, m, nil }},
+		{"nil placement", echo, nil},
+		{"nil kernel", echo, func(packet.NodeID) (*sim.Kernel, *radio.Medium, Observer) { return nil, m, nil }},
+		{"nil medium", echo, func(packet.NodeID) (*sim.Kernel, *radio.Medium, Observer) { return k, nil, nil }},
+		{"nil protocol", func(packet.NodeID) (Protocol, Config) { return nil, Config{} },
+			func(packet.NodeID) (*sim.Kernel, *radio.Medium, Observer) { return k, m, nil }},
+		{"out-of-layout mote", echo, func(packet.NodeID) (*sim.Kernel, *radio.Medium, Observer) { return k, small, nil }},
+	} {
+		if _, err := NewNetwork(l, c.f, c.place); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
@@ -510,11 +519,5 @@ func TestNetworkLifecycle(t *testing.T) {
 	}
 	if !k.RunUntil(nw.AllCompleted, time.Second) {
 		t.Fatal("RunUntil(AllCompleted) false when already complete")
-	}
-	if _, err := NewNetwork(l, nil, place); err == nil {
-		t.Fatal("nil factory accepted")
-	}
-	if _, err := NewNetwork(l, func(packet.NodeID) (Protocol, Config) { return &echoProto{}, Config{} }, nil); err == nil {
-		t.Fatal("nil placement accepted")
 	}
 }

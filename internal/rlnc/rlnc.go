@@ -197,8 +197,8 @@ func (r *RLNC) advTick() {
 }
 
 // learn adopts the image geometry from the first advertisement heard
-// and recovers any segments that survived in EEPROM across a reboot
-// (RAM state is lost, flash is not).
+// and resumes from the segments that survived in EEPROM across a
+// reboot (RAM state is lost, flash is not).
 func (r *RLNC) learn(a *packet.RlncAdv) {
 	// Any geometry but an image's would size a decoder for a segment no
 	// frame can complete.
@@ -209,19 +209,9 @@ func (r *RLNC) learn(a *packet.RlncAdv) {
 	r.programID, r.geom = a.ProgramID, geom
 	r.payloadLen = int(a.PayloadLen)
 	r.tail = int(a.Tail)
-	for s := 1; s <= geom.Units(); s++ {
-		full := true
-		for i, k := 0, geom.PacketsIn(s); i < k; i++ {
-			if !r.rt.HasPacket(s, i) {
-				full = false
-				break
-			}
-		}
-		if !full {
-			break
-		}
-		r.completeSegs = s
-	}
+	// A segment is stored only once decoded, so a partial one is a
+	// flush a reboot cut short: decoding it again skips the held slots.
+	r.completeSegs, _, _ = image.Resume(r.rt, geom, nil)
 	if r.completeSegs == geom.Units() {
 		r.rt.Complete()
 	}

@@ -7,9 +7,9 @@ package topology
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"mnp/internal/packet"
+	"mnp/internal/sim"
 )
 
 // Point is a position in feet.
@@ -79,11 +79,12 @@ func Random(n int, w, h float64, seed int64) (*Layout, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("topology: field %gx%g must be positive", w, h)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := sim.NewRand(seed)
 	pts := make([]Point, n)
 	for i := range pts {
 		pts[i] = Point{X: rng.Float64() * w, Y: rng.Float64() * h}
 	}
+	sim.ReleaseRand(rng)
 	return FromPoints(fmt.Sprintf("random-%d@%gx%gft", n, w, h), pts)
 }
 

@@ -218,6 +218,9 @@ func (x *XNP) onData(d *packet.XnpData) {
 		}
 		x.programID, x.geom = d.ProgramID, g
 		x.have = make([]bool, g.Total())
+		if _, _, x.haveCount = image.Resume(x.rt, g, x.have); x.haveCount == g.Total() {
+			x.rt.Complete()
+		}
 	}
 	if d.ProgramID != x.programID {
 		return

@@ -6,6 +6,7 @@ import (
 
 	"mnp/internal/image"
 	"mnp/internal/node"
+	"mnp/internal/node/nodetest"
 	"mnp/internal/packet"
 	"mnp/internal/radio"
 	"mnp/internal/sim"
@@ -96,12 +97,5 @@ func TestBaseWithoutImagePanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	k := sim.New(1)
-	l, _ := topology.Line(1, 10)
-	m, _ := radio.NewMedium(k, l, radio.DefaultParams(), 1)
-	n, err := node.New(0, k, m, New(Config{Base: true}), node.Config{TxPower: radio.PowerSim}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
+	New(Config{Base: true}).Init(nodetest.New(0))
 }

@@ -200,3 +200,41 @@ func TestReceiverIgnoresForeignProgram(t *testing.T) {
 		t.Fatalf("stored %d slots, want 1 (foreign program ignored)", rt.EEPROM.Slots())
 	}
 }
+
+// TestRebootedReceiverResumesFromFlash: flash outlives a reboot, so a
+// receiver that learns the image from its first frame resumes from the
+// packets it holds, scattered as a broadcast with losses leaves them,
+// and writes no slot twice; its status reports name only what it lacks.
+func TestRebootedReceiverResumesFromFlash(t *testing.T) {
+	img := tinyImage(t)
+	g := Geometry(img)
+	x := New(Config{})
+	rt := nodetest.New(9)
+	rt.Attach(x)
+	for seq := 0; seq < 16; seq += 2 {
+		u, pkt := g.Slot(seq)
+		payload, _ := img.FlatPayload(seq)
+		if err := rt.Store(u, pkt, g.PacketsIn(u), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p0, _ := img.FlatPayload(0)
+	x.OnPacket(&packet.XnpData{Src: 0, ProgramID: 1, Seq: 0, Total: 16, Payload: p0}, 0)
+	x.OnPacket(&packet.XnpQueryStatus{Src: 0, ProgramID: 1}, 0)
+	rt.Fire(timerStatusReply)
+	if len(rt.Sent) == 0 {
+		t.Fatal("no status reply")
+	}
+	for _, p := range rt.Sent {
+		if s := p.(*packet.XnpStatus); s.Seq%2 == 0 {
+			t.Fatalf("status asks for packet %d, which flash holds", s.Seq)
+		}
+	}
+	for seq := range 16 {
+		payload, _ := img.FlatPayload(seq)
+		x.OnPacket(&packet.XnpData{Src: 0, ProgramID: 1, Seq: uint16(seq), Total: 16, Payload: payload}, 0)
+	}
+	if !rt.Done || rt.EEPROM.MaxWriteCount() != 1 || rt.EEPROM.Slots() != 16 {
+		t.Fatalf("done %v, max writes %d, %d slots", rt.Done, rt.EEPROM.MaxWriteCount(), rt.EEPROM.Slots())
+	}
+}
