@@ -62,6 +62,7 @@ fmt-check:
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzMNPPacketSequence' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz 'FuzzProtocolPackets' -fuzztime $(FUZZTIME) ./internal/experiment/
+	$(GO) test -run '^$$' -fuzz 'FuzzFaultPlan' -fuzztime $(FUZZTIME) ./internal/experiment/
 	$(GO) test -run '^$$' -fuzz 'FuzzRuntimeOps' -fuzztime $(FUZZTIME) ./internal/node/nodetest/
 	$(GO) test -run '^$$' -fuzz 'FuzzRecordRoundTrip' -fuzztime $(FUZZTIME) ./internal/telemetry/
 	$(GO) test -run '^$$' -fuzz 'FuzzScenarioParse' -fuzztime $(FUZZTIME) ./internal/scenario/

@@ -170,17 +170,21 @@ func runScenario(sc *scenario.Scenario) error {
 		return err
 	}
 
-	dead, completed, eepromFaults := 0, 0, 0
+	dead, down, completed, eepromFaults := 0, 0, 0, 0
 	for _, n := range res.Network.Nodes {
-		if n.Dead() {
+		switch {
+		case n.Dead():
 			dead++
-		} else if n.Completed() {
+		case n.Down():
+			down++
+		}
+		if !n.Dead() && n.Completed() {
 			completed++
 		}
 		eepromFaults += n.EEPROM().FaultCount()
 	}
-	fmt.Printf("scenario %s: %d nodes, %d dead, %d survivors completed\n",
-		setup.Name, res.Layout.N(), dead, completed)
+	fmt.Printf("scenario %s: %d nodes, %d dead, %d down, %d survivors completed\n",
+		setup.Name, res.Layout.N(), dead, down, completed)
 	if eepromFaults > 0 {
 		fmt.Printf("eeprom: absorbed %d injected write faults\n", eepromFaults)
 	}

@@ -389,6 +389,8 @@ func TestUsageErrors(t *testing.T) {
 	single := writeFile(t, "scenario.toml", testScenario)
 	reboots := writeFile(t, "reboots.toml", "version = 1\nname = \"r\"\nfaults = \"reboot:5@10s+20s; reboot:5@15s+20s\"\n"+
 		"[topology]\nkind = \"grid\"\nrows = 4\ncols = 4\n")
+	early := writeFile(t, "early.toml", "version = 1\nname = \"e\"\nfaults = \"crash:1@-5s\"\n"+
+		"[topology]\nkind = \"grid\"\nrows = 4\ncols = 4\n")
 	cases := []struct {
 		name    string
 		args    []string
@@ -400,6 +402,7 @@ func TestUsageErrors(t *testing.T) {
 		{"scenario-max-cells", []string{single, "-max-cells", "2"}, "single scenario; -out/-max-cells apply"},
 		{"resume-removed", []string{bad, "-resume", t.TempDir()}, "flag provided but not defined: -resume"},
 		{"overlapping-reboots", []string{reboots}, "reboots of n5 overlap"},
+		{"negative-time", []string{early}, "time -5s is negative"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

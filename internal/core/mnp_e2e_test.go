@@ -191,7 +191,7 @@ func TestSenderDeathRecovery(t *testing.T) {
 	tn.kernel.RunUntil(func() bool {
 		if !killed && tn.network.Node(1).Completed() {
 			killed = true
-			tn.network.Node(0).Kill()
+			tn.network.Kill(0)
 		}
 		return tn.network.AllCompleted()
 	}, 2*time.Hour)
@@ -213,7 +213,7 @@ func TestMidStreamParentDeathTriggersFailAndRetry(t *testing.T) {
 			for _, p := range tn.protos[1:] {
 				if p.State() == StateDownload {
 					sawDownload = true
-					tn.network.Node(0).Kill()
+					tn.network.Kill(0)
 					break
 				}
 			}

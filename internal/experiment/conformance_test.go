@@ -217,7 +217,7 @@ func TestBaseWritesOnceAcrossReboot(t *testing.T) {
 				t.Fatal(err)
 			}
 			down := false
-			res.Kernel.MustSchedule(25*time.Second, func() { down = res.Network.Node(0).Dead() })
+			res.Kernel.MustSchedule(25*time.Second, func() { down = res.Network.Node(0).Down() })
 			if err := res.RunToCompletion(); err != nil {
 				t.Fatal(err)
 			}
@@ -257,8 +257,8 @@ func TestFlashFaultOnBaseFailsTheRun(t *testing.T) {
 }
 
 // TestUnrestartableRebootIsAnError: a plan that reboots a mote still
-// down from another reboot, or one a crash has destroyed, used to panic
-// at the restart mid-run. ParseSpec refuses the spec, and Run refuses
+// down from another reboot, or one a crash has killed, is refused
+// before it runs. ParseSpec refuses the spec, and Run refuses
 // the same plan built in Go, each naming the mote.
 func TestUnrestartableRebootIsAnError(t *testing.T) {
 	for spec, events := range map[string][]faults.Event{
@@ -481,8 +481,8 @@ func armRebootProbe(res *Result, ev faults.Event) func() error {
 				ev.Node, slots, res.Setup.ImagePackets, ops, ev.At)
 		}
 		n := res.Network.Node(ev.Node)
-		if n.Dead() || !n.Completed() {
-			return fmt.Errorf("rebooted %v: dead %v, completed %v", ev.Node, n.Dead(), n.Completed())
+		if n.Dead() || n.Down() || !n.Completed() {
+			return fmt.Errorf("rebooted %v: dead %v, down %v, completed %v", ev.Node, n.Dead(), n.Down(), n.Completed())
 		}
 		if w := n.EEPROM().MaxWriteCount(); w != 1 {
 			return fmt.Errorf("rebooted %v wrote a slot %d times", ev.Node, w)
@@ -521,7 +521,7 @@ func killBaseAfterSeeding(res *Result) (func(), func() error) {
 	return func() {
 			if !killed && res.Network.CompletedCount() >= res.Layout.N()/3 {
 				killed = true
-				res.Network.Node(res.Setup.BaseID).Kill()
+				res.Network.Kill(res.Setup.BaseID)
 			}
 		}, func() error {
 			if !killed {
@@ -544,7 +544,7 @@ func killFirstSender(res *Result) (func(), func() error) {
 			for _, ev := range res.Collector.SenderEvents() {
 				if ev.Node != res.Setup.BaseID {
 					victim, found = ev.Node, true
-					at(res, res.Kernel.Now()+500*time.Millisecond, res.Network.Node(victim).Kill)
+					at(res, res.Kernel.Now()+500*time.Millisecond, func() { res.Network.Kill(victim) })
 					return
 				}
 			}

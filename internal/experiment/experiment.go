@@ -850,11 +850,12 @@ func (r *Result) VerifyInvariants() error {
 	return r.Invariants.Err()
 }
 
-// VerifyImages checks the reliability requirement on every live mote
-// and returns its findings joined, nil when there are none: a mote that
-// did not complete, a mote that wrote a slot twice, and a completed
-// mote whose flash, reassembled through the protocol's geometry, is not
-// the image byte for byte. A rewrite is a finding of its own; the
+// VerifyImages checks the reliability requirement on every mote that
+// is not dead, down ones included (their flash survives), and returns
+// its findings joined, nil when there are none: a mote that did not
+// complete, a mote that wrote a slot twice, and a completed mote whose
+// flash, reassembled through the protocol's geometry, is not the image
+// byte for byte. A rewrite is a finding of its own; the
 // mote's bytes are compared all the same.
 func (r *Result) VerifyImages() error {
 	var errs []error

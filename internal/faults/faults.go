@@ -8,17 +8,21 @@
 //
 // Semantics mirror the hardware the paper targets:
 //
-//   - Crash: the mote dies permanently (battery removed). The radio is
-//     destroyed and the node never returns.
-//   - Crash+reboot: power blip. RAM — protocol state, timers, pending
-//     queue — is lost; EEPROM contents survive, exactly the property
-//     every protocol's reboot recovery (image.Resume) depends on.
+//   - Crash: the mote dies permanently (battery removed). It is dead,
+//     and nothing brings it back: a later restart of it does nothing.
+//   - Crash+reboot: power blip. The mote is down until its restart.
+//     RAM — protocol state, timers, pending queue — is lost; EEPROM
+//     contents survive, exactly the property every protocol's reboot
+//     recovery (image.Resume) depends on.
 //   - Link faults: extra delivery loss layered on top of the channel
 //     model. Carrier sensing is unaffected: a partitioned node still
 //     hears energy, it just cannot decode, which is the conservative
 //     model for interference-induced partitions.
 //   - EEPROM write errors: the flash driver reports a failed page
 //     program; the write does not happen and the protocol must retry.
+//
+// A mote's lifecycle (live, down or dead) belongs to node.Network: a
+// plan only asks it to Kill, Crash and Restart.
 package faults
 
 import (
@@ -51,7 +55,8 @@ const (
 	// targeted nodes during [At, Until) (Until zero = forever).
 	KindEEPROM
 	// KindRandomCrashes kills Count random live non-base nodes at
-	// evenly spaced instants across [At, Until].
+	// evenly spaced instants across [At, Until]; a mote that is down is
+	// not live.
 	KindRandomCrashes
 )
 
@@ -168,11 +173,14 @@ type linkRule struct {
 // could not restart their mote.
 func (p *Plan) Validate() error {
 	for i, ev := range p.Events {
+		if ev.At < 0 {
+			return fmt.Errorf("faults: event %d: time %v is negative", i, ev.At)
+		}
 		switch ev.Kind {
 		case KindCrash:
 		case KindReboot:
-			if ev.Downtime <= 0 {
-				return fmt.Errorf("faults: event %d: reboot downtime %v must be positive", i, ev.Downtime)
+			if ev.Downtime <= 0 || ev.At+ev.Downtime < 0 {
+				return fmt.Errorf("faults: event %d: reboot downtime %v must be positive and end within the clock's range", i, ev.Downtime)
 			}
 		case KindPartition:
 			if len(ev.Group) == 0 {
@@ -182,19 +190,19 @@ func (p *Plan) Validate() error {
 				return fmt.Errorf("faults: event %d: partition window [%v, %v) is empty", i, ev.At, ev.Until)
 			}
 		case KindDegrade:
-			if ev.Drop <= 0 || ev.Drop > 1 {
+			if !(ev.Drop > 0 && ev.Drop <= 1) { // NaN too
 				return fmt.Errorf("faults: event %d: drop %v must be in (0, 1]", i, ev.Drop)
 			}
 			if ev.Until <= ev.At {
 				return fmt.Errorf("faults: event %d: degrade window [%v, %v) is empty", i, ev.At, ev.Until)
 			}
 		case KindEEPROM:
-			if ev.Drop <= 0 || ev.Drop > 1 {
+			if !(ev.Drop > 0 && ev.Drop <= 1) { // NaN too
 				return fmt.Errorf("faults: event %d: eeprom error rate %v must be in (0, 1]", i, ev.Drop)
 			}
 		case KindRandomCrashes:
-			if ev.Count <= 0 {
-				return fmt.Errorf("faults: event %d: random crash count %d must be positive", i, ev.Count)
+			if ev.Count <= 0 || ev.Count > int(Wildcard) {
+				return fmt.Errorf("faults: event %d: random crash count %d must be in [1, %d]", i, ev.Count, Wildcard)
 			}
 			if ev.Until < ev.At {
 				return fmt.Errorf("faults: event %d: window [%v, %v] is inverted", i, ev.At, ev.Until)
@@ -208,7 +216,7 @@ func (p *Plan) Validate() error {
 
 // validateRestarts checks that every reboot can restart its mote: the
 // mote must be down when its restart fires, so no other reboot of it
-// may overlap the down window, and no crash may destroy it at or
+// may overlap the down window, and no crash may kill it at or
 // before the restart.
 func (p *Plan) validateRestarts() error {
 	for i, r := range p.Events {
@@ -265,21 +273,13 @@ func (p *Plan) Apply(env Env) error {
 			if int(ev.Node) >= len(env.Network.Nodes) {
 				return fmt.Errorf("faults: crash target %v does not exist", ev.Node)
 			}
-			env.At(ev.At, func() {
-				env.Network.Nodes[ev.Node].Kill()
-			})
+			env.At(ev.At, func() { env.Network.Kill(ev.Node) })
 		case KindReboot:
 			if int(ev.Node) >= len(env.Network.Nodes) {
 				return fmt.Errorf("faults: reboot target %v does not exist", ev.Node)
 			}
-			env.At(ev.At, func() {
-				env.Network.Nodes[ev.Node].Crash()
-			})
-			env.At(ev.At+ev.Downtime, func() {
-				if err := env.Network.Restart(ev.Node); err != nil {
-					panic(fmt.Sprintf("faults: restart %v: %v", ev.Node, err))
-				}
-			})
+			env.At(ev.At, func() { env.Network.Crash(ev.Node) })
+			env.At(ev.At+ev.Downtime, func() { env.Network.Restart(ev.Node) })
 		case KindPartition:
 			inside := make(map[packet.NodeID]bool, len(ev.Group))
 			for _, id := range ev.Group {
@@ -372,22 +372,22 @@ func (p *Plan) applyEEPROM(env Env, ev Event, planRand func() *rand.Rand) error 
 func (p *Plan) applyRandomCrashes(env Env, ev Event, rng *rand.Rand) {
 	span := ev.Until - ev.At
 	for i := 0; i < ev.Count; i++ {
+		// span*i/(Count-1), split so that no product overflows.
 		at := ev.At
-		if ev.Count > 1 {
-			at += span * time.Duration(i) / time.Duration(ev.Count-1)
+		if c := time.Duration(ev.Count - 1); c > 0 {
+			at += span/c*time.Duration(i) + span%c*time.Duration(i)/c
 		}
 		env.At(at, func() {
 			var candidates []packet.NodeID
 			for i, n := range env.Network.Nodes {
-				if id := packet.NodeID(i); id != env.Base && !n.Dead() {
+				if id := packet.NodeID(i); id != env.Base && !n.Dead() && !n.Down() {
 					candidates = append(candidates, id)
 				}
 			}
 			if len(candidates) == 0 {
 				return
 			}
-			victim := candidates[rng.Intn(len(candidates))]
-			env.Network.Nodes[victim].Kill()
+			env.Network.Kill(candidates[rng.Intn(len(candidates))])
 		})
 	}
 }

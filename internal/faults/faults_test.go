@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -99,20 +101,26 @@ func TestParseSpecRejectsMalformed(t *testing.T) {
 	for _, spec := range []string{
 		"",
 		"  ;  ",
-		"crash:5",                 // no time
-		"crash:x@20s",             // bad node
-		"reboot:7@30s",            // no downtime
-		"partition:0-3@60s",       // no window end
-		"partition:3-0@1s-2s",     // inverted range
-		"degrade:5->7@10s-50s",    // no drop
-		"degrade:5->7@10s-50s:0",  // drop out of range
-		"degrade:5->7@10s-50s:2",  // drop out of range
-		"degrade:5->7@50s-10s:.5", // inverted window
-		"eeprom:*",                // no rate
-		"eeprom:*:1.5",            // rate out of range
-		"randkill:0@1s-2s",        // zero count
-		"randkill:six@1s-2s",      // bad count
-		"teleport:5@20s",          // unknown kind
+		"crash:5",                    // no time
+		"crash:x@20s",                // bad node
+		"reboot:7@30s",               // no downtime
+		"partition:0-3@60s",          // no window end
+		"partition:3-0@1s-2s",        // inverted range
+		"degrade:5->7@10s-50s",       // no drop
+		"degrade:5->7@10s-50s:0",     // drop out of range
+		"degrade:5->7@10s-50s:2",     // drop out of range
+		"degrade:5->7@50s-10s:.5",    // inverted window
+		"eeprom:*",                   // no rate
+		"eeprom:*:1.5",               // rate out of range
+		"eeprom:*:NaN",               // rate not a number
+		"degrade:*->*@0s-1m:NaN",     // drop not a number
+		"randkill:0@1s-2s",           // zero count
+		"randkill:65536@1s-2s",       // more kills than motes a plan can name
+		"partition:0-65535@1s-2s",    // the wildcard is no mote
+		"crash:0@-10s",               // before the run
+		"reboot:1@2000000h+2000000h", // the restart's time overflows
+		"randkill:six@1s-2s",         // bad count
+		"teleport:5@20s",             // unknown kind
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) accepted a malformed spec", spec)
@@ -164,6 +172,30 @@ func TestValidateRefusesUnrestartableReboots(t *testing.T) {
 		}
 		if err != nil && !strings.Contains(err.Error(), "n5") {
 			t.Errorf("ParseSpec(%q) = %v, which does not name n5", spec, err)
+		}
+	}
+}
+
+// TestRandomCrashInstants: the kills are spread evenly across the
+// window, ends included, even where the window times the count would
+// overflow.
+func TestRandomCrashInstants(t *testing.T) {
+	for _, c := range []struct {
+		ev   Event
+		want []time.Duration
+	}{
+		{RandomCrashes(5, 10*time.Second, 50*time.Second), []time.Duration{10e9, 20e9, 30e9, 40e9, 50e9}},
+		{RandomCrashes(1, 7*time.Second, 9*time.Second), []time.Duration{7e9}},
+		{RandomCrashes(3, 0, math.MaxInt64), []time.Duration{0, math.MaxInt64 / 2, math.MaxInt64}},
+	} {
+		env, _ := twoTileEnv(t)
+		var got []time.Duration
+		env.At = func(at time.Duration, _ func()) { got = append(got, at) }
+		if err := (&Plan{Events: []Event{c.ev}}).Apply(env); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: kills at %v, want %v", c.ev.Describe(), got, c.want)
 		}
 	}
 }

@@ -212,7 +212,7 @@ func parseRange(s string) (lo, hi int, err error) {
 	if hi, err = strconv.Atoi(b); err != nil {
 		return 0, 0, fmt.Errorf("bad range end %q", b)
 	}
-	if lo < 0 || hi < lo {
+	if lo < 0 || hi < lo || hi >= int(Wildcard) {
 		return 0, 0, fmt.Errorf("bad node range %d-%d", lo, hi)
 	}
 	return lo, hi, nil

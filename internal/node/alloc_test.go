@@ -112,10 +112,8 @@ func TestCrashKeepsQueueSlots(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		n.Crash()
-		if err := n.Restart(nopProto{}); err != nil {
-			t.Fatal(err)
-		}
+		nw.Crash(1)
+		nw.Restart(1)
 		k.Run(k.Now() + time.Hour) // retire the cancelled entries
 	}
 	cycle()

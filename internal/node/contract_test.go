@@ -32,9 +32,11 @@ func moteContract(wrap func(p node.Protocol) node.Protocol) nodetest.Contract {
 		m.SetTap(func(_ packet.NodeID, p packet.Packet, _ time.Duration) {
 			aired = append(aired, packet.Encode(p))
 		})
+		// next is what node 0 runs when the network builds or restarts it.
+		next := p
 		nw, err := node.NewNetwork(l, func(id packet.NodeID) (node.Protocol, node.Config) {
 			if id == 0 {
-				return wrap(p), node.Config{TxPower: radio.PowerSim}
+				return wrap(next), node.Config{TxPower: radio.PowerSim}
 			}
 			return idle{}, node.Config{TxPower: radio.PowerSim}
 		}, func(packet.NodeID) (*sim.Kernel, *radio.Medium, node.Observer) { return k, m, nil })
@@ -45,10 +47,12 @@ func moteContract(wrap func(p node.Protocol) node.Protocol) nodetest.Contract {
 		n := nw.Node(0)
 		return nodetest.Subject{
 			Crash: func() func(node.Protocol) {
-				n.Crash()
+				nw.Crash(0)
 				return func(p node.Protocol) {
-					if err := n.Restart(wrap(p)); err != nil {
-						t.Fatal(err)
+					next = p
+					nw.Restart(0)
+					if n.Down() || n.Dead() {
+						t.Fatal("node 0 did not come back up")
 					}
 				}
 			},
@@ -64,7 +68,8 @@ func moteContract(wrap func(p node.Protocol) node.Protocol) nodetest.Contract {
 				k.AdvanceTo(until)
 			},
 			Refusals: []nodetest.Refusal{
-				{Name: "dead", Apply: n.Crash},
+				{Name: "dead", Apply: func() { nw.Kill(0) }},
+				{Name: "down", Apply: func() { nw.Crash(0) }},
 				{Name: "queue-full", Apply: func() {
 					for !n.QueueFull() {
 						if err := n.Send(&packet.Query{Src: 0, ProgramID: 1, SegID: 1}); err != nil {

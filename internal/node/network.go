@@ -11,25 +11,26 @@ import (
 )
 
 // Network assembles one node per layout position. It is a facade over
-// every node of a run (Start, Restart, AllCompleted, CompletionTime),
-// whichever kernels and media place put them on; the caller drives
-// the kernels, e.g. Kernel.RunUntil(nw.AllCompleted, limit).
+// every node of a run (Start, AllCompleted, CompletionTime), whichever
+// kernels and media place put them on, and the one owner of each mote's
+// lifecycle (Kill, Crash, Restart); the caller drives the kernels, e.g.
+// Kernel.RunUntil(nw.AllCompleted, limit).
 type Network struct {
 	Layout *topology.Layout
 	Nodes  []*Node
 
-	// factory is kept so crashed nodes can be rebooted with a fresh
-	// protocol instance (Restart).
+	// factory builds a restarted mote its fresh protocol instance.
 	factory Factory
 	// tiles holds one tile per kernel, in order of first use; Release
 	// hands them on.
 	tiles []*tile
 
 	// satisfiedCursor counts the leading nodes known to be dead or
-	// completed. Both conditions are monotone for a run, so AllCompleted
-	// only ever rechecks the first node that wasn't — Kernel.RunUntil
-	// evaluates the predicate after every event, and a full O(N) scan
-	// there dominated large-grid runs.
+	// completed. Both are monotone: no transition leaves dead, and
+	// nothing clears completion. So AllCompleted only ever rechecks the
+	// first node that wasn't — Kernel.RunUntil evaluates the predicate
+	// after every event, and a full O(N) scan there dominated large-grid
+	// runs.
 	satisfiedCursor int
 }
 
@@ -96,20 +97,40 @@ func (nw *Network) Start() error {
 // Node returns the node with the given ID.
 func (nw *Network) Node(id packet.NodeID) *Node { return nw.Nodes[id] }
 
-// Restart reboots a crashed node: the factory builds it a fresh
-// protocol instance (RAM state is lost in the crash) while its EEPROM
-// survives. The node's original harness config is kept.
-func (nw *Network) Restart(id packet.NodeID) error {
-	proto, _ := nw.factory(id)
-	if err := nw.Nodes[id].Restart(proto); err != nil {
-		return err
+// Kill ends mote id for good, as a removed battery does: its RAM is
+// lost and its radio goes off. A dead mote stays as it is.
+func (nw *Network) Kill(id packet.NodeID) {
+	if n := nw.Nodes[id]; n.state != dead {
+		n.stop(dead)
 	}
-	// The node may now be live-but-incomplete again; rewind the
-	// monotone completion cursor so AllCompleted rechecks it.
-	if int(id) < nw.satisfiedCursor {
-		nw.satisfiedCursor = int(id)
+}
+
+// Crash takes live mote id down, as a power failure does: timers, the
+// MAC queue and the protocol's RAM state are lost, and the radio goes
+// off, but the EEPROM survives for Restart. A mote that is down or dead
+// stays as it is.
+func (nw *Network) Crash(id packet.NodeID) {
+	if n := nw.Nodes[id]; n.state == live {
+		n.stop(down)
 	}
-	return nil
+}
+
+// Restart brings down mote id back up, as a rebooting mote does: the
+// factory builds it a fresh protocol instance whose Init runs at once,
+// its EEPROM and its original harness config are kept. A restart that
+// finds its mote live or dead does nothing, and a mote whose fresh
+// protocol cannot start is dead.
+func (nw *Network) Restart(id packet.NodeID) {
+	n := nw.Nodes[id]
+	if n.state != down {
+		return
+	}
+	n.proto, _ = nw.factory(id)
+	n.state = live
+	n.observer.NodeEvent(id, n.kernel.Now(), Event{Kind: EventRebooted})
+	if n.proto.Init(n) != nil {
+		n.stop(dead)
+	}
 }
 
 // Release hands every mote's generator and EEPROM rows, and the chunks
@@ -145,9 +166,9 @@ func (nw *Network) CompletedCount() int {
 	return c
 }
 
-// AllCompleted reports whether every live node holds the full program
-// (dead nodes are excluded: the paper requires coverage of the
-// connected network).
+// AllCompleted reports whether every mote that is not dead holds the
+// full program: the paper requires coverage of the connected network,
+// and a mote that is down comes back to it.
 func (nw *Network) AllCompleted() bool {
 	for nw.satisfiedCursor < len(nw.Nodes) {
 		n := nw.Nodes[nw.satisfiedCursor]

@@ -35,9 +35,9 @@ type Runtime interface {
 	// Send queues p for CSMA broadcast at the current transmit power.
 	// The frame is encoded before Send returns, so the caller may reuse
 	// p, and anything p points to, once it does. A frame refused for a
-	// dead mote or a full queue is never encoded; one whose encoding
-	// the radio cannot carry (a body over 255 bytes) is refused too,
-	// and the mote keeps sending.
+	// mote that is down or dead, or for a full queue, is never encoded;
+	// one whose encoding the radio cannot carry (a body over 255 bytes)
+	// is refused too, and the mote keeps sending.
 	Send(p packet.Packet) error
 	// QueueFull reports whether Send would refuse a frame for want of
 	// room, so a protocol can skip building one that costs something.
@@ -87,7 +87,8 @@ type Runtime interface {
 type Protocol interface {
 	// Init starts the protocol; called once, before any events, and
 	// again with a fresh instance when a crashed node reboots. An error
-	// (a base that cannot store its image) fails the run.
+	// (a base that cannot store its image) fails the run, or at a
+	// reboot leaves the mote dead.
 	Init(rt Runtime) error
 	// OnPacket delivers a received frame.
 	OnPacket(p packet.Packet, from packet.NodeID)
@@ -216,7 +217,7 @@ type Node struct {
 	timers  []sim.Timer
 	queue   []queuedFrame
 	sending bool
-	dead    bool
+	state   lifecycle
 
 	completed   bool
 	completedAt time.Duration
@@ -248,63 +249,39 @@ func (n *Node) init(id packet.NodeID, k *sim.Kernel, m *radio.Medium, proto Prot
 // Start runs the protocol's Init.
 func (n *Node) Start() error { return n.proto.Init(n) }
 
-// Kill destroys the node: radio permanently off, timers cancelled,
-// queue emptied. Used for failure injection.
-func (n *Node) Kill() {
-	n.dead = true
-	n.clearRAM()
-	n.medium.Destroy(n.id)
-	n.observer.RadioState(n.id, n.kernel.Now(), false)
-}
+// lifecycle is a mote's power state. Completion is kept apart from it:
+// a mote that completed and went down still holds the image.
+type lifecycle uint8
 
-// Crash stops the node the way a power failure does: timers, the MAC
-// queue, and the protocol's RAM state are lost, but the EEPROM store
-// survives and the radio hardware stays registered. Unlike Kill, a
-// crashed node can be revived with Restart.
-func (n *Node) Crash() {
-	if n.dead {
-		return
-	}
-	n.dead = true
-	n.clearRAM()
-	n.medium.SetRadio(n.id, false)
-	n.observer.RadioState(n.id, n.kernel.Now(), false)
-}
+const (
+	// live: powered, its protocol running.
+	live lifecycle = iota
+	// down: crashed, RAM lost, flash kept; a restart is due.
+	down
+	// dead: gone for good. Nothing brings a dead mote back.
+	dead
+)
 
-// clearRAM cancels every timer and empties the MAC queue. The timer
-// table and the queue's slots are kept, so a rebooted mote arms and
-// sends without carving them again.
-func (n *Node) clearRAM() {
+// stop takes the mote out of service in state s: timers cancelled,
+// queue emptied, radio off. The timer table and the queue's slots are
+// kept, so a rebooted mote arms and sends without carving them again.
+func (n *Node) stop(s lifecycle) {
+	n.state = s
 	for i := range n.timers {
 		n.timers[i].Cancel()
 		n.timers[i] = sim.Timer{}
 	}
 	n.queue = n.queue[:0]
 	n.sending = false
+	n.medium.SetRadio(n.id, false)
+	n.observer.RadioState(n.id, n.kernel.Now(), false)
 }
 
-// Restart revives a crashed node with a fresh protocol instance, as a
-// rebooting mote does: EEPROM contents persist, everything in RAM is
-// new. The protocol's Init runs immediately, and its error is
-// returned.
-func (n *Node) Restart(proto Protocol) error {
-	if !n.dead {
-		return fmt.Errorf("node %v: restart of a live node", n.id)
-	}
-	if n.medium.Destroyed(n.id) {
-		return fmt.Errorf("node %v: destroyed, cannot restart", n.id)
-	}
-	if proto == nil {
-		return fmt.Errorf("node %v: nil protocol", n.id)
-	}
-	n.dead = false
-	n.proto = proto
-	n.observer.NodeEvent(n.id, n.kernel.Now(), Event{Kind: EventRebooted})
-	return proto.Init(n)
-}
+// Dead reports whether the mote is dead: killed, never to return.
+func (n *Node) Dead() bool { return n.state == dead }
 
-// Dead reports whether the node has been killed.
-func (n *Node) Dead() bool { return n.dead }
+// Down reports whether the mote is down: crashed, its restart due.
+func (n *Node) Down() bool { return n.state == down }
 
 // Completed reports whether the protocol called Complete.
 func (n *Node) Completed() bool { return n.completed }
@@ -319,7 +296,7 @@ func (n *Node) EEPROM() *eeprom.Store { return &n.store }
 func (n *Node) Protocol() Protocol { return n.proto }
 
 func (n *Node) onFrame(p packet.Packet, meta radio.RxMeta) {
-	if n.dead {
+	if n.state != live {
 		return
 	}
 	n.proto.OnPacket(p, meta.From)
@@ -364,7 +341,7 @@ const slotBytes = 64
 // Send's refusals. Protocols send best-effort and drop the error, a
 // saturated sender thousands of times per run, so they are made once.
 var (
-	errDead      = errors.New("node: dead")
+	errStopped   = errors.New("node: down or dead")
 	errQueueFull = errors.New("node: MAC queue full")
 )
 
@@ -374,8 +351,8 @@ var (
 // whose frame the radio cannot carry (a body too long for the length
 // byte) is refused here, not left at the head of the queue.
 func (n *Node) Send(p packet.Packet) error {
-	if n.dead {
-		return errDead
+	if n.state != live {
+		return errStopped
 	}
 	if n.QueueFull() {
 		return errQueueFull
@@ -422,7 +399,7 @@ func (n *Node) scheduleAttempt(after time.Duration) {
 
 // attempt is the CSMA step: carrier-sense, then transmit or back off.
 func (n *Node) attempt() {
-	if n.dead || len(n.queue) == 0 {
+	if n.state != live || len(n.queue) == 0 {
 		n.sending = false
 		return
 	}
@@ -465,7 +442,7 @@ func (n *Node) afterTx() {
 
 // SetTimer implements Runtime. It panics on an ID above MaxTimerID.
 func (n *Node) SetTimer(id TimerID, d time.Duration) {
-	if n.dead || id < 0 {
+	if n.state != live || id < 0 {
 		return
 	}
 	if id > MaxTimerID {
@@ -482,7 +459,7 @@ func (n *Node) SetTimer(id TimerID, d time.Duration) {
 // fireTimer runs timer id's expiry.
 func (n *Node) fireTimer(id TimerID) {
 	n.timers[id] = sim.Timer{}
-	if !n.dead {
+	if n.state == live {
 		n.proto.OnTimer(id)
 	}
 }
@@ -502,7 +479,7 @@ func (n *Node) TimerPending(id TimerID) bool {
 
 // RadioOn implements Runtime.
 func (n *Node) RadioOn() {
-	if n.dead || n.medium.RadioOn(n.id) {
+	if n.state != live || n.medium.RadioOn(n.id) {
 		return
 	}
 	n.medium.SetRadio(n.id, true)
@@ -515,7 +492,7 @@ func (n *Node) RadioOn() {
 
 // RadioOff implements Runtime.
 func (n *Node) RadioOff() {
-	if n.dead || !n.medium.RadioOn(n.id) {
+	if n.state != live || !n.medium.RadioOn(n.id) {
 		return
 	}
 	n.medium.SetRadio(n.id, false)

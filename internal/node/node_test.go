@@ -1,6 +1,8 @@
 package node
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -64,6 +66,7 @@ func cleanRadio() radio.Params {
 type rig struct {
 	k      *sim.Kernel
 	m      *radio.Medium
+	nw     *Network
 	nodes  []*Node
 	protos []*echoProto
 	obs    *recordingObserver
@@ -89,7 +92,7 @@ func newRig(t *testing.T, count int, spacing float64) *rig {
 		t.Fatal(err)
 	}
 	nw.Start()
-	r.nodes = nw.Nodes
+	r.nw, r.nodes = nw, nw.Nodes
 	return r
 }
 
@@ -210,9 +213,9 @@ func TestQueueCapEnforced(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, refused); allocs != 0 {
 		t.Fatalf("a send refused by a full queue allocates %.1f times, want 0", allocs)
 	}
-	r.nodes[0].Crash()
+	r.nw.Crash(0)
 	if allocs := testing.AllocsPerRun(100, refused); allocs != 0 {
-		t.Fatalf("a send refused by a dead node allocates %.1f times, want 0", allocs)
+		t.Fatalf("a send refused by a down node allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -300,9 +303,9 @@ func TestKillSilencesNode(t *testing.T) {
 	r.nodes[0].RadioOn()
 	r.nodes[1].RadioOn()
 	r.nodes[0].SetTimer(1, 10*time.Millisecond)
-	r.nodes[0].Kill()
-	if !r.nodes[0].Dead() {
-		t.Fatal("Dead = false")
+	r.nw.Kill(0)
+	if !r.nodes[0].Dead() || r.nodes[0].Down() {
+		t.Fatalf("Dead = %v, Down = %v; want true, false", r.nodes[0].Dead(), r.nodes[0].Down())
 	}
 	if err := r.nodes[0].Send(&packet.Query{Src: 0, ProgramID: 1, SegID: 1}); err == nil {
 		t.Fatal("dead node accepted Send")
@@ -320,10 +323,81 @@ func TestKillSilencesNode(t *testing.T) {
 	if len(r.protos[0].packets) != 0 {
 		t.Fatal("dead node received a packet")
 	}
-	// RadioOn after death is ignored.
+	// Dead is terminal: RadioOn is ignored, and neither a crash nor a
+	// restart brings the mote back.
 	r.nodes[0].RadioOn()
 	if r.nodes[0].IsRadioOn() {
 		t.Fatal("dead node's radio turned on")
+	}
+	events := len(r.obs.events)
+	r.nw.Crash(0)
+	r.nw.Restart(0)
+	r.nodes[0].RadioOn()
+	if !r.nodes[0].Dead() || r.nodes[0].IsRadioOn() || len(r.obs.events) != events {
+		t.Fatalf("after crash and restart: dead %v, radio on %v, %d new events; want true, false, 0",
+			r.nodes[0].Dead(), r.nodes[0].IsRadioOn(), len(r.obs.events)-events)
+	}
+}
+
+// TestCrashRestartKill: a crash takes a live mote down and a restart brings it
+// back live with a fresh protocol; a kill of a down mote makes it dead.
+// A restart of a live mote, and a crash of a down one, do nothing.
+func TestCrashRestartKill(t *testing.T) {
+	r := newRig(t, 2, 10)
+	state := func(id packet.NodeID) string {
+		n := r.nodes[id]
+		return fmt.Sprintf("dead %v down %v", n.Dead(), n.Down())
+	}
+	const live, down, dead = "dead false down false", "dead false down true", "dead true down false"
+	first := r.protos[0]
+	r.nw.Restart(0)
+	if got := state(0); got != live || r.protos[0] != first {
+		t.Fatalf("restart of a live mote: %s, fresh protocol %v", got, r.protos[0] != first)
+	}
+	r.nw.Crash(0)
+	r.nw.Crash(0)
+	if got := state(0); got != down {
+		t.Fatalf("after crash: %s, want %s", got, down)
+	}
+	r.nw.Restart(0)
+	if got := state(0); got != live || r.protos[0] == first || r.protos[0].rt == nil {
+		t.Fatalf("after restart: %s, fresh protocol started %v", got, r.protos[0] != first && r.protos[0].rt != nil)
+	}
+	if ev := r.obs.events[len(r.obs.events)-1]; ev.Kind != EventRebooted {
+		t.Fatalf("last event %v, want EventRebooted", ev.Kind)
+	}
+	r.nw.Crash(1)
+	r.nw.Kill(1)
+	if got := state(1); got != dead {
+		t.Fatalf("kill of a down mote: %s, want %s", got, dead)
+	}
+}
+
+// refuser is a protocol that cannot start.
+type refuser struct{ nopProto }
+
+func (refuser) Init(Runtime) error { return errors.New("refused") }
+
+// TestRestartThatCannotStartIsDead: a mote whose fresh protocol fails
+// its Init at a reboot cannot run again, so it is dead.
+func TestRestartThatCannotStartIsDead(t *testing.T) {
+	k := sim.New(1)
+	l, _ := topology.Line(1, 10)
+	m, _ := radio.NewMedium(k, l, cleanRadio(), 1)
+	var next Protocol = nopProto{}
+	nw, err := NewNetwork(l, func(packet.NodeID) (Protocol, Config) { return next, Config{} },
+		func(packet.NodeID) (*sim.Kernel, *radio.Medium, Observer) { return k, m, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Start(); err != nil {
+		t.Fatal(err)
+	}
+	next = refuser{}
+	nw.Crash(0)
+	nw.Restart(0)
+	if n := nw.Node(0); !n.Dead() || n.IsRadioOn() {
+		t.Fatalf("dead %v, radio on %v; want true, false", n.Dead(), n.IsRadioOn())
 	}
 }
 
@@ -506,10 +580,15 @@ func TestNetworkLifecycle(t *testing.T) {
 		t.Fatal("fresh network reports completion")
 	}
 	nw.Node(0).Complete()
+	nw.Crash(0) // a down mote that completed holds the image
 	nw.Node(1).Complete()
-	nw.Node(2).Kill() // dead nodes don't block coverage
+	nw.Crash(2) // a down mote that has not completed comes back to finish
+	if nw.AllCompleted() {
+		t.Fatal("AllCompleted true with a down mote incomplete")
+	}
+	nw.Kill(2) // dead nodes don't block coverage
 	if !nw.AllCompleted() {
-		t.Fatal("AllCompleted false with all live nodes done")
+		t.Fatal("AllCompleted false with every mote but the dead one done")
 	}
 	if nw.CompletedCount() != 2 {
 		t.Fatalf("CompletedCount = %d", nw.CompletedCount())

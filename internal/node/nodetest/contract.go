@@ -220,7 +220,7 @@ func RunContract(t *testing.T, c Contract) {
 		}
 		p.rt.SetTimer(1, 10*time.Millisecond)
 		restart := s.Crash()
-		// Dead: nothing goes on the air and no timer fires.
+		// Down: nothing goes on the air and no timer fires.
 		if err := p.rt.Send(&packet.Query{Src: p.rt.ID(), ProgramID: 1, SegID: 1}); err == nil {
 			t.Fatal("a crashed runtime accepted a Send")
 		}

@@ -73,10 +73,8 @@ func TestRestartContinuesRandStream(t *testing.T) {
 		drawn.Rand().Int63()
 	}
 	for _, n := range r.nodes {
-		n.Crash()
-		if err := n.Restart(&echoProto{}); err != nil {
-			t.Fatal(err)
-		}
+		r.nw.Crash(n.ID())
+		r.nw.Restart(n.ID())
 	}
 	for i := 10; i < 20; i++ {
 		if w, g := want.Int63(), drawn.Rand().Int63(); w != g {

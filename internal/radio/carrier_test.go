@@ -72,9 +72,10 @@ func (r *carrierRig) check(when string) {
 }
 
 // run drives random overlapping transmissions at mixed powers, radio
-// toggles, mid-frame Destroy and (with two media) ghost insertion after
-// a random part of the frame has passed, checking after every action
-// and at each frame's exact end instant on either side of its finish.
+// toggles, a radio switched off mid-frame and (with two media) ghost
+// insertion after a random part of the frame has passed, checking after
+// every action and at each frame's exact end instant on either side of
+// its finish.
 func (r *carrierRig) run(rng *rand.Rand, steps int) {
 	powers := []int{PowerWeak, PowerSim, PowerFull}
 	n := r.media[0].n
@@ -89,7 +90,7 @@ func (r *carrierRig) run(rng *rand.Rand, steps int) {
 			r.k.MustSchedule(m.Airtime(len(packet.Encode(pkt))), func() { r.check("at end of frame, before finish") })
 			air, err := m.Transmit(id, pkt, powers[rng.Intn(len(powers))])
 			if err != nil {
-				break // radio off, destroyed or mid-frame: nothing went on the air
+				break // radio off or mid-frame: nothing went on the air
 			}
 			r.k.MustSchedule(air, func() { r.check("at end of frame, after finish") })
 			for _, g := range m.TakeOutbox() {
@@ -110,7 +111,7 @@ func (r *carrierRig) run(rng *rand.Rand, steps int) {
 		case op < 8:
 			m.SetRadio(id, rng.Intn(3) > 0)
 		case op == 8 && rng.Intn(4) == 0:
-			m.Destroy(id) // possibly mid-frame: the frame stays on the air
+			m.SetRadio(id, false) // possibly mid-frame: the frame stays on the air
 		}
 		r.check("after an action")
 		delta := time.Duration(rng.Intn(12)) * time.Millisecond

@@ -145,7 +145,7 @@ func (NopSink) FrameCollided(packet.NodeID, packet.NodeID, packet.Kind) {}
 
 var _ TrafficSink = NopSink{}
 
-// nodeState is one mote's radio. The three flags sit together so the
+// nodeState is one mote's radio. The two flags sit together so the
 // struct stays 48 bytes: every tile's medium holds one per mote of the
 // whole deployment.
 type nodeState struct {
@@ -155,12 +155,12 @@ type nodeState struct {
 	txEnd   time.Duration
 	// carrierUntil is the latest end-of-frame among the transmissions,
 	// local and ghost, that this mote transmitted or could hear when they
-	// started. Frames are never withdrawn from the air early (Destroy and
-	// a crash leave them to finish), so the maximum alone answers Busy.
+	// started. Frames are never withdrawn from the air early (a radio
+	// switched off leaves them to finish), so the maximum alone answers
+	// Busy.
 	carrierUntil time.Duration
 	on           bool
 	everTx       bool
-	destroyed    bool
 }
 
 // transmission is one frame in the air. full, ber, and deliver are
@@ -756,7 +756,7 @@ func (m *Medium) Register(id packet.NodeID, h FrameHandler) error {
 // aborts any in-progress reception (the frame is simply not delivered).
 func (m *Medium) SetRadio(id packet.NodeID, on bool) {
 	st := &m.nodes[id]
-	if st.destroyed || st.on == on {
+	if st.on == on {
 		return
 	}
 	st.on = on
@@ -767,17 +767,6 @@ func (m *Medium) SetRadio(id packet.NodeID, on bool) {
 
 // RadioOn reports whether node id's radio is on.
 func (m *Medium) RadioOn(id packet.NodeID) bool { return m.nodes[id].on }
-
-// Destroy removes node id from the network permanently (failure
-// injection: "the sender dies as it is sending packets").
-func (m *Medium) Destroy(id packet.NodeID) {
-	st := &m.nodes[id]
-	st.on = false
-	st.destroyed = true
-}
-
-// Destroyed reports whether the node has been destroyed.
-func (m *Medium) Destroyed(id packet.NodeID) bool { return m.nodes[id].destroyed }
 
 // Airtime returns how long a frame of the given size occupies the
 // channel.
@@ -918,13 +907,10 @@ func (m *Medium) Transmit(src packet.NodeID, pkt packet.Packet, power int) (time
 // level and returns its airtime. The medium copies the frame, so the
 // caller may reuse it once TransmitFrame returns. The caller must keep
 // the radio on for the duration. Transmission fails if the radio is
-// off, the node is destroyed, a previous transmission is still in the
-// air, or the frame's header is malformed.
+// off, a previous transmission is still in the air, or the frame's
+// header is malformed.
 func (m *Medium) TransmitFrame(src packet.NodeID, frame []byte, power int) (time.Duration, error) {
 	st := &m.nodes[src]
-	if st.destroyed {
-		return 0, fmt.Errorf("radio: node %v is destroyed", src)
-	}
 	if !st.on {
 		return 0, fmt.Errorf("radio: node %v radio is off", src)
 	}
@@ -1083,7 +1069,7 @@ func (m *Medium) finish(t *transmission) {
 		fi := t.deliverPos(di)
 		r := t.full[fi]
 		st := &m.nodes[r]
-		if st.destroyed || !st.on || st.onSince > t.start {
+		if !st.on || st.onSince > t.start {
 			continue // radio off for part of the frame
 		}
 		if st.everTx && st.txEnd > t.start && st.txStart < t.end {

@@ -230,12 +230,9 @@ func TestTransmitPreconditions(t *testing.T) {
 	if _, err := n.m.Transmit(0, adv(0), PowerSim); err != nil {
 		t.Fatalf("transmit after airtime rejected: %v", err)
 	}
-	n.m.Destroy(1)
+	n.m.SetRadio(1, false)
 	if _, err := n.m.Transmit(1, adv(1), PowerSim); err == nil {
-		t.Fatal("destroyed node transmitted")
-	}
-	if !n.m.Destroyed(1) {
-		t.Fatal("Destroyed not reported")
+		t.Fatal("node transmitted with its radio switched off")
 	}
 }
 
@@ -506,7 +503,10 @@ func TestRegisterOutOfRange(t *testing.T) {
 	}
 }
 
-func TestSetRadioIdempotentAndDestroySticky(t *testing.T) {
+// TestSetRadioIdempotent: the radio knows only on and off. That a dead
+// mote's radio stays off is the node's to keep (node's
+// TestKillSilencesNode).
+func TestSetRadioIdempotent(t *testing.T) {
 	l, _ := topology.Line(2, 10)
 	n := newTestNet(t, l, cleanParams())
 	n.m.SetRadio(0, true)
@@ -514,9 +514,13 @@ func TestSetRadioIdempotentAndDestroySticky(t *testing.T) {
 	if !n.m.RadioOn(0) {
 		t.Fatal("radio not on")
 	}
-	n.m.Destroy(0)
-	n.m.SetRadio(0, true)
+	n.m.SetRadio(0, false)
+	n.m.SetRadio(0, false)
 	if n.m.RadioOn(0) {
-		t.Fatal("destroyed node's radio turned on")
+		t.Fatal("radio not off")
+	}
+	n.m.SetRadio(0, true)
+	if !n.m.RadioOn(0) {
+		t.Fatal("radio not back on")
 	}
 }
