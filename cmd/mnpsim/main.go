@@ -173,7 +173,8 @@ func run(args []string) error {
 	fmt.Printf("mean active radio time: %s (%s excluding initial idle listening)\n",
 		res.Collector.MeanActiveRadioTime(ct).Round(time.Second),
 		res.Collector.MeanActiveRadioTimeAfterFirstAdv(ct).Round(time.Second))
-	fmt.Printf("concurrent same-neighborhood data senders: %d\n", res.Collector.ConcurrencyViolations())
+	fmt.Printf("concurrent same-neighborhood data senders: %d (two-hop overlaps: %d)\n",
+		res.Collector.ConcurrencyViolations(), res.Collector.TwoHopOverlaps())
 
 	if printReport != nil {
 		printReport(res)

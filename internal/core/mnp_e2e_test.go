@@ -6,6 +6,7 @@ import (
 
 	"mnp/internal/image"
 	"mnp/internal/invariant"
+	"mnp/internal/metrics"
 	"mnp/internal/node"
 	"mnp/internal/packet"
 	"mnp/internal/radio"
@@ -69,11 +70,7 @@ func buildNet(t *testing.T, o netOpts) *testnet {
 	}
 	chk, err := invariant.New(invariant.Config{
 		Now:     kernel.Now,
-		Airtime: medium.Airtime,
-		Neighbor: func(a, b packet.NodeID) bool {
-			d, err := layout.Distance(a, b)
-			return err == nil && d <= rangeFt
-		},
+		Senders: metrics.NewSenderWindows(layout, rangeFt),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,33 +259,16 @@ func TestAtMostOneSenderPerNeighborhood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type senderWindow struct {
-		id    packet.NodeID
-		until time.Duration
+	rangeFt, err := medium.RangeFor(radio.PowerSim)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var active []senderWindow
-	violations := 0
-	sink := &funcSink{onSent: func(src packet.NodeID, kind packet.Kind, bytes int) {
-		if kind != packet.KindData {
-			return
-		}
-		now := kernel.Now()
-		end := now + medium.Airtime(bytes)
-		live := active[:0]
-		for _, w := range active {
-			if w.until > now {
-				live = append(live, w)
-			}
-		}
-		active = live
-		for _, w := range active {
-			d, err := layout.Distance(src, w.id)
-			if err == nil && d <= 27 { // PowerSim range: same neighborhood
-				violations++
-			}
-		}
-		active = append(active, senderWindow{id: src, until: end})
-	}}
+	sink, err := metrics.NewCollector(metrics.Config{
+		Layout: layout, Airtime: medium.Airtime, NeighborhoodRange: rangeFt,
+	}, kernel.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
 	medium.SetSink(sink)
 	nw, err := node.NewNetwork(layout, func(id packet.NodeID) (node.Protocol, node.Config) {
 		var cfg Config
@@ -305,29 +285,13 @@ func TestAtMostOneSenderPerNeighborhood(t *testing.T) {
 	if !kernel.RunUntil(nw.AllCompleted, 4*time.Hour) {
 		t.Fatalf("incomplete: %d/%d", nw.CompletedCount(), len(nw.Nodes))
 	}
-	totalData := 0
-	for range nw.Nodes {
-		totalData++
-	}
 	// Time-varying links make perfection impossible (the paper says the
 	// same); require the overlap count to be a tiny fraction of data
 	// transmissions.
-	if violations > 25 {
-		t.Fatalf("concurrent same-neighborhood data senders: %d overlaps", violations)
+	if v := sink.ConcurrencyViolations(); v > 25 {
+		t.Fatalf("concurrent same-neighborhood data senders: %d overlaps", v)
 	}
 }
-
-type funcSink struct {
-	onSent func(packet.NodeID, packet.Kind, int)
-}
-
-func (s *funcSink) FrameSent(src packet.NodeID, k packet.Kind, b int) {
-	if s.onSent != nil {
-		s.onSent(src, k, b)
-	}
-}
-func (s *funcSink) FrameReceived(packet.NodeID, packet.NodeID, packet.Kind, int) {}
-func (s *funcSink) FrameCollided(packet.NodeID, packet.NodeID, packet.Kind)      {}
 
 func TestRebootSignalFloodsNetwork(t *testing.T) {
 	tn := buildNet(t, netOpts{rows: 2, cols: 3, segments: 1, seed: 12})

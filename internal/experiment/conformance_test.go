@@ -581,7 +581,8 @@ func checkDecodes(res *Result, decodes bool) error {
 // logBroadcastTriple logs Mehta & Kwak's broadcast-comparison triple
 // for a clean run: reachability (completed motes over N), redundant
 // receptions (data frames heard by non-base motes per packet each
-// needed) and latency (completion time).
+// needed) and latency (completion time), with the run's two-hop
+// sender overlaps beside it.
 func logBroadcastTriple(t *testing.T, res *Result) {
 	n := res.Layout.N()
 	rx := 0
@@ -590,9 +591,10 @@ func logBroadcastTriple(t *testing.T, res *Result) {
 			rx += res.Collector.RxByClass(packet.NodeID(id), packet.ClassData)
 		}
 	}
-	t.Logf("%v %s: reachability %.3f, redundant receptions %.2f, latency %v",
+	t.Logf("%v %s: reachability %.3f, redundant receptions %.2f, latency %v, two-hop overlaps %d",
 		res.Setup.Protocol, res.Setup.Name, float64(res.Network.CompletedCount())/float64(n),
-		float64(rx)/float64((n-1)*res.Setup.ImagePackets), res.CompletionTime.Round(time.Second))
+		float64(rx)/float64((n-1)*res.Setup.ImagePackets), res.CompletionTime.Round(time.Second),
+		res.Collector.TwoHopOverlaps())
 }
 
 func totalTx(res *Result) int {

@@ -657,14 +657,7 @@ func Build(s Setup) (*Result, error) {
 		shared = append(shared, s.Telemetry)
 	}
 	if s.Invariants {
-		icfg := invariant.Config{
-			Now:     now,
-			Airtime: geo.Airtime,
-			Neighbor: func(a, b packet.NodeID) bool {
-				d, err := layout.Distance(a, b)
-				return err == nil && d <= rangeFt
-			},
-		}
+		icfg := invariant.Config{Now: now, Senders: metrics.NewSenderWindows(layout, rangeFt)}
 		if rec := s.Telemetry; rec != nil {
 			icfg.OnViolation = func(v invariant.Violation) {
 				rec.Violation(v.At, v.Node, v.Rule, v.Detail)

@@ -505,7 +505,12 @@ func runEDEL(seed int64) (Report, error) {
 func runA1(seed int64) (Report, error) {
 	var b strings.Builder
 	b.WriteString("A1: sender selection on vs off (10x10, 2 segments)\n")
-	b.WriteString("variant            completion  concurrent-senders  collisions\n")
+	b.WriteString("variant            completion  concurrent-senders  collisions  two-hop-overlaps\n")
+	series := Series{
+		Name:     "a1_selection",
+		Header:   []string{"selection", "completion_s", "tx_frames", "data_frames", "collisions", "near_overlaps", "two_hop_overlaps"},
+		Decimals: []int{0, 1, 0, 0, 0, 0, 0},
+	}
 	for _, off := range []bool{false, true} {
 		res, err := Run(Setup{
 			Name: fmt.Sprintf("A1 selection-off=%v", off),
@@ -518,18 +523,25 @@ func runA1(seed int64) (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		collisions := 0
+		c := res.Collector
+		tx, data, collisions := 0, 0, 0
 		for i := 0; i < res.Layout.N(); i++ {
-			collisions += res.Collector.Collisions(packet.NodeID(i))
+			id := packet.NodeID(i)
+			tx += c.TxCount(id)
+			data += c.TxByClass(id, packet.ClassData)
+			collisions += c.Collisions(id)
 		}
-		name := "with selection"
+		name, selection := "with selection", 1.0
 		if off {
-			name = "without selection"
+			name, selection = "without selection", 0
 		}
-		fmt.Fprintf(&b, "%-18s %11s %19d %11d\n", name, fmtDur(res.CompletionTime),
-			res.Collector.ConcurrencyViolations(), collisions)
+		fmt.Fprintf(&b, "%-18s %11s %19d %11d %17d\n", name, fmtDur(res.CompletionTime),
+			c.ConcurrencyViolations(), collisions, c.TwoHopOverlaps())
+		series.Rows = append(series.Rows, []float64{selection, res.CompletionTime.Seconds(),
+			float64(tx), float64(data), float64(collisions),
+			float64(c.ConcurrencyViolations()), float64(c.TwoHopOverlaps())})
 	}
-	return Report{Text: b.String()}, nil
+	return Report{Text: b.String(), Series: []Series{series}}, nil
 }
 
 func runA2(seed int64) (Report, error) {

@@ -18,6 +18,9 @@
 //  5. Sender exclusivity: at most one active data sender per radio
 //     neighborhood, within a fixed tolerance of 25 overlapping sends
 //     per run that the paper itself concedes to time-varying links.
+//     Overlaps are metrics.SenderWindows' near ones; its two-hop ones
+//     are too common under every protocol for any such tolerance
+//     (EXPERIMENTS.md, A1).
 //  6. Rank monotonicity (coded dissemination): the (complete segments,
 //     decode rank) pair a node advertises never decreases within a
 //     program epoch — Gaussian elimination only accumulates. A reboot
@@ -39,6 +42,7 @@ import (
 	"time"
 
 	"mnp/internal/image"
+	"mnp/internal/metrics"
 	"mnp/internal/node"
 	"mnp/internal/packet"
 	"mnp/internal/trace"
@@ -49,12 +53,9 @@ import (
 type Config struct {
 	// Now supplies timestamps (use Kernel.Now).
 	Now func() time.Duration
-	// Neighbor reports whether two nodes share a radio neighborhood;
-	// nil disables the sender-exclusivity check.
-	Neighbor func(a, b packet.NodeID) bool
-	// Airtime converts a frame size to channel occupancy (use
-	// Medium.Airtime); required for sender exclusivity.
-	Airtime func(bytes int) time.Duration
+	// Senders, the checker's own tracker (never a collector's), decides
+	// which data frames overlap; nil disables sender exclusivity.
+	Senders *metrics.SenderWindows
 	// OnViolation, when set, fires on every violation as it is
 	// detected (e.g. to t.Fatalf immediately). Violations are recorded
 	// either way.
@@ -114,12 +115,6 @@ type nodeState struct {
 	rlncRank int
 }
 
-// senderWindow is one in-flight data transmission.
-type senderWindow struct {
-	id    packet.NodeID
-	until time.Duration
-}
-
 // Checker validates invariants as observations arrive. It is not safe
 // for concurrent use; in the DES all observations arrive on one
 // goroutine.
@@ -129,9 +124,7 @@ type Checker struct {
 	nodes      map[packet.NodeID]*nodeState
 	violations []Violation
 
-	activeData []senderWindow
-	overlaps   int
-	overBudget bool
+	overlaps int
 
 	// Segment-image integrity hooks (nil = check disabled); see
 	// SetImageCheck.
@@ -305,10 +298,14 @@ func (c *Checker) PacketSent(src packet.NodeID, p packet.Packet, air time.Durati
 	if adv, ok := p.(*packet.GossipAdv); ok {
 		c.checkGossipAdv(src, st, adv)
 	}
-	if c.cfg.Neighbor != nil && c.cfg.Airtime != nil &&
-		packet.ClassOf(p.Kind()) == packet.ClassData {
-		c.checkSenderExclusive(src, now, air)
+	// Sender exclusivity fires once, on the frame that passes the budget.
+	o := c.cfg.Senders.Sent(src, p.Kind(), now, air)
+	if c.overlaps <= senderOverlapBudget && c.overlaps+o.Near > senderOverlapBudget {
+		c.violate(src, "single-sender-per-neighborhood",
+			"%d same-neighborhood concurrent data sends exceed the budget of %d (latest overlaps node %v)",
+			c.overlaps+o.Near, senderOverlapBudget, o.Peer)
 	}
+	c.overlaps += o.Near
 }
 
 // checkAdvertise validates that the advertiser fully holds every
@@ -419,28 +416,6 @@ func (c *Checker) checkGossipAdv(src packet.NodeID, st *nodeState, adv *packet.G
 	}
 }
 
-func (c *Checker) checkSenderExclusive(src packet.NodeID, now time.Duration, air time.Duration) {
-	live := c.activeData[:0]
-	for _, w := range c.activeData {
-		if w.until > now {
-			live = append(live, w)
-		}
-	}
-	c.activeData = live
-	for _, w := range c.activeData {
-		if w.id != src && c.cfg.Neighbor(src, w.id) {
-			c.overlaps++
-			if c.overlaps > senderOverlapBudget && !c.overBudget {
-				c.overBudget = true
-				c.violate(src, "single-sender-per-neighborhood",
-					"%d same-neighborhood concurrent data sends exceed the budget of %d (latest overlaps node %v)",
-					c.overlaps, senderOverlapBudget, w.id)
-			}
-		}
-	}
-	c.activeData = append(c.activeData, senderWindow{id: src, until: now + air})
-}
-
 // SetImageCheck arms the segment-image-integrity rule: on every
 // EventGotSegment the completed segment's stored payloads are compared
 // byte-for-byte against the source image. expected returns the source
@@ -483,8 +458,8 @@ func (c *Checker) checkSegmentImage(id packet.NodeID, seg int) {
 	}
 }
 
-// Overlaps returns the count of same-neighborhood concurrent data
-// transmissions observed; past 25 the run is a violation.
+// Overlaps returns the near overlaps observed (metrics.Overlap.Near);
+// past 25 the run is a violation.
 func (c *Checker) Overlaps() int { return c.overlaps }
 
 // Violations returns every recorded violation in detection order.

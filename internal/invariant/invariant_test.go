@@ -1,12 +1,15 @@
 package invariant
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"mnp/internal/metrics"
 	"mnp/internal/node"
 	"mnp/internal/packet"
+	"mnp/internal/topology"
 )
 
 // clock is a settable time source.
@@ -168,11 +171,19 @@ func TestWakeupSameInstantIsLegal(t *testing.T) {
 	}
 }
 
+// withSenders gives the checker a tracker over a 10×11 grid at 1 ft
+// with a 20 ft range: every pair of its 110 motes is near.
+func withSenders(t *testing.T) func(*Config) {
+	t.Helper()
+	l, err := topology.Grid(10, 11, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(c *Config) { c.Senders = metrics.NewSenderWindows(l, 20) }
+}
+
 func TestSenderExclusivityBudget(t *testing.T) {
-	chk, clk := newChecker(t, func(c *Config) {
-		c.Neighbor = func(a, b packet.NodeID) bool { return true }
-		c.Airtime = func(bytes int) time.Duration { return time.Second }
-	})
+	chk, clk := newChecker(t, withSenders(t))
 	data := func(src packet.NodeID) *packet.Data {
 		return &packet.Data{Src: src, ProgramID: 1, SegID: 1, PacketID: 0}
 	}
@@ -191,7 +202,11 @@ func TestSenderExclusivityBudget(t *testing.T) {
 	}
 	clk.at = time.Minute
 	chk.PacketSent(99, data(99), time.Millisecond)
-	firstRule(t, chk, "single-sender-per-neighborhood")
+	v := firstRule(t, chk, "single-sender-per-neighborhood")
+	if want := fmt.Sprintf("%d same-neighborhood concurrent data sends exceed the budget of %d (latest overlaps node %v)",
+		senderOverlapBudget+1, senderOverlapBudget, packet.NodeID(1)); v.Detail != want {
+		t.Fatalf("detail = %q, want %q", v.Detail, want)
+	}
 	// Windows expire: a later lone sender adds no overlap.
 	clk.at = 2 * time.Hour
 	before := chk.Overlaps()
@@ -202,10 +217,7 @@ func TestSenderExclusivityBudget(t *testing.T) {
 }
 
 func TestSenderExclusivityIgnoresControlFrames(t *testing.T) {
-	chk, _ := newChecker(t, func(c *Config) {
-		c.Neighbor = func(a, b packet.NodeID) bool { return true }
-		c.Airtime = func(bytes int) time.Duration { return time.Second }
-	})
+	chk, _ := newChecker(t, withSenders(t))
 	// SegID 0 advertisements carry no held-segment claim; many
 	// concurrent ones are normal protocol behavior.
 	for src := packet.NodeID(1); src <= senderOverlapBudget+2; src++ {

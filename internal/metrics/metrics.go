@@ -3,8 +3,7 @@
 // without the initial idle-listening period), transmission/reception
 // distributions by message class, per-minute traffic timelines,
 // parent–child relationships, sender order, energy ledgers built from
-// the Table 1 costs, and same-neighborhood sender-concurrency
-// violations.
+// the Table 1 costs, and overlapping data senders (SenderWindows).
 //
 // A Collector plugs into the simulation as both the radio traffic sink
 // and the node observer.
@@ -30,8 +29,8 @@ type Config struct {
 	Airtime func(bytes int) time.Duration
 	// Costs is the energy cost table; Table1 if zero.
 	Costs energy.Costs
-	// NeighborhoodRange (feet) defines "nearby" for the concurrent-
-	// sender check; 0 disables the check.
+	// NeighborhoodRange (feet) is the R of the collector's
+	// SenderWindows; 0 disables its overlap counts.
 	NeighborhoodRange float64
 }
 
@@ -89,9 +88,9 @@ type Collector struct {
 
 	now func() time.Duration
 
-	// Concurrent-sender tracking.
-	activeData []senderWindow
-	violations int
+	// Sender overlaps: each data frame's (inFlight), summed over the run.
+	inFlight     *SenderWindows
+	near, twoHop int
 
 	// radioChunk holds the first intervals of motes yet to report a
 	// radio state: a mote's first RadioState takes one slot from it
@@ -109,9 +108,61 @@ const (
 	maxRadioChunk = 1024
 )
 
+// SenderWindows is the one place that decides when data senders
+// overlap. It holds the data frames in the air and counts, for each new
+// one, the frames of other senders within R of its sender (near: they
+// hear each other, so CSMA should keep them apart) and within 2R
+// (two-hop, near included: some mote may hear both, the hidden-terminal
+// pair sender selection aims at). Control frames are never counted.
+type SenderWindows struct {
+	layout *topology.Layout
+	r      float64
+	live   []senderWindow
+}
+
 type senderWindow struct {
 	id    packet.NodeID
 	until time.Duration
+}
+
+// Overlap is what one data frame met in the air; Peer is the sender of
+// the last near frame.
+type Overlap struct {
+	Near, TwoHop int
+	Peer         packet.NodeID
+}
+
+// NewSenderWindows builds a tracker over layout with range r in feet,
+// or nil, which counts nothing, when r is not positive.
+func NewSenderWindows(layout *topology.Layout, r float64) *SenderWindows {
+	if r <= 0 {
+		return nil
+	}
+	return &SenderWindows{layout: layout, r: r}
+}
+
+// Sent records a frame of kind that src puts on the air at now for air
+// and returns what it overlaps.
+func (w *SenderWindows) Sent(src packet.NodeID, kind packet.Kind, now, air time.Duration) Overlap {
+	var o Overlap
+	if w == nil || packet.ClassOf(kind) != packet.ClassData {
+		return o
+	}
+	live := w.live[:0]
+	for _, sw := range w.live {
+		if sw.until <= now {
+			continue // off the air
+		}
+		live = append(live, sw)
+		if d, err := w.layout.Distance(src, sw.id); err == nil && sw.id != src && d <= 2*w.r {
+			o.TwoHop++
+			if d <= w.r {
+				o.Near, o.Peer = o.Near+1, sw.id
+			}
+		}
+	}
+	w.live = append(live, senderWindow{id: src, until: now + air})
+	return o
 }
 
 // NewCollector builds a collector for the given layout.
@@ -123,9 +174,10 @@ func NewCollector(cfg Config, now func() time.Duration) (*Collector, error) {
 		cfg.Costs = energy.Table1
 	}
 	return &Collector{
-		cfg:   cfg,
-		nodes: make([]nodeStats, cfg.Layout.N()),
-		now:   now,
+		cfg:      cfg,
+		nodes:    make([]nodeStats, cfg.Layout.N()),
+		now:      now,
+		inFlight: NewSenderWindows(cfg.Layout, cfg.NeighborhoodRange),
 	}, nil
 }
 
@@ -147,22 +199,9 @@ func (c *Collector) FrameSent(src packet.NodeID, kind packet.Kind, bytes int) {
 	}
 	c.windows[minute][class]++
 
-	if c.cfg.NeighborhoodRange > 0 && class == packet.ClassData {
-		now := c.now()
-		live := c.activeData[:0]
-		for _, sw := range c.activeData {
-			if sw.until > now {
-				live = append(live, sw)
-			}
-		}
-		c.activeData = live
-		for _, sw := range c.activeData {
-			if d, err := c.cfg.Layout.Distance(src, sw.id); err == nil && d <= c.cfg.NeighborhoodRange {
-				c.violations++
-			}
-		}
-		c.activeData = append(c.activeData, senderWindow{id: src, until: now + air})
-	}
+	o := c.inFlight.Sent(src, kind, c.now(), air)
+	c.near += o.Near
+	c.twoHop += o.TwoHop
 }
 
 // FrameReceived implements radio.TrafficSink.
@@ -246,9 +285,9 @@ func (c *Collector) StorageOp(id packet.NodeID, write bool, seg, pkt, bytes int)
 // (FrameSent keys on the source, FrameReceived/FrameCollided on the
 // destination, node observations on the node itself), so per-node rows
 // are taken verbatim from the owner named by ownerOf; the per-minute traffic windows are summed; sender
-// events are merged by (At, Node); and concurrency violations are
-// summed (each shard checks its own senders — cross-shard concurrent
-// senders are a documented approximation of the sharded engine).
+// events are merged by (At, Node); and overlap counts are summed: a
+// tile's SenderWindows sees only its own senders, so pairs across
+// tiles count nowhere (the invariant checker sees the merged stream).
 func MergeShards(parts []*Collector, ownerOf []int) (*Collector, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("metrics: no collectors to merge")
@@ -281,7 +320,8 @@ func MergeShards(parts []*Collector, ownerOf []int) (*Collector, error) {
 				out.windows[m][c] += p.windows[m][c]
 			}
 		}
-		out.violations += p.violations
+		out.near += p.near
+		out.twoHop += p.twoHop
 	}
 	// Each shard's sender log is already time-ordered; a k-way merge by
 	// (At, Node) yields one global, deterministic order.
@@ -341,18 +381,7 @@ func (c *Collector) ActiveRadioTime(id packet.NodeID, from, until time.Duration)
 }
 
 func overlap(aLo, aHi, bLo, bHi time.Duration) time.Duration {
-	lo := aLo
-	if bLo > lo {
-		lo = bLo
-	}
-	hi := aHi
-	if bHi < hi {
-		hi = bHi
-	}
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
+	return max(0, min(aHi, bHi)-max(aLo, bLo))
 }
 
 // FirstAdvertisementHeard returns when node id first heard an
@@ -446,10 +475,14 @@ func (c *Collector) SenderEvents() []SenderEvent {
 	return out
 }
 
-// ConcurrencyViolations returns how many data transmissions started
-// while another data transmission was in flight within
-// NeighborhoodRange of the new sender.
-func (c *Collector) ConcurrencyViolations() int { return c.violations }
+// ConcurrencyViolations returns the near overlaps: how many times a
+// data frame went on the air while another sender's data frame within
+// NeighborhoodRange was in flight.
+func (c *Collector) ConcurrencyViolations() int { return c.near }
+
+// TwoHopOverlaps returns the same count within twice NeighborhoodRange,
+// where some mote may hear both senders (near overlaps included).
+func (c *Collector) TwoHopOverlaps() int { return c.twoHop }
 
 // MessageMix returns the per-minute (advertisement, request, data)
 // transmission counts of Figure 12, one row per minute from minute 0
@@ -521,7 +554,7 @@ func (c *Collector) Snapshot(until time.Duration) Snapshot {
 		TxByClass:             make(map[packet.Class]int, numClasses),
 		RxByClass:             make(map[packet.Class]int, numClasses),
 		SenderEvents:          len(c.senders),
-		ConcurrencyViolations: c.violations,
+		ConcurrencyViolations: c.near,
 		SegmentCompletions:    make(map[int]int),
 	}
 	for i := range c.nodes {
@@ -569,12 +602,8 @@ func (c *Collector) MeanActiveRadioTimeAfterFirstAdv(until time.Duration) time.D
 	}
 	var sum time.Duration
 	for i := range c.nodes {
-		id := packet.NodeID(i)
-		from, ok := c.FirstAdvertisementHeard(id)
-		if !ok {
-			from = 0
-		}
-		sum += c.ActiveRadioTime(id, from, until)
+		// firstAdvHeard stays 0 on a mote that never heard one.
+		sum += c.ActiveRadioTime(packet.NodeID(i), c.nodes[i].firstAdvHeard, until)
 	}
 	return sum / time.Duration(len(c.nodes))
 }

@@ -216,6 +216,18 @@ func TestConcurrencyViolations(t *testing.T) {
 	if c.ConcurrencyViolations() != 1 {
 		t.Fatalf("advertisement counted as data violation")
 	}
+	// Every pair of the 2x2 grid is within 2R, so the one near overlap
+	// is the one two-hop overlap; merged tiles sum both counts.
+	if c.TwoHopOverlaps() != 1 {
+		t.Fatalf("two-hop overlaps = %d, want 1", c.TwoHopOverlaps())
+	}
+	merged, err := MergeShards([]*Collector{c, c}, []int{0, 0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.ConcurrencyViolations() != 2 || merged.TwoHopOverlaps() != 2 {
+		t.Fatalf("merged near %d, two-hop %d, want 2 and 2", merged.ConcurrencyViolations(), merged.TwoHopOverlaps())
+	}
 }
 
 func TestMeanActiveRadioTimes(t *testing.T) {
@@ -366,5 +378,51 @@ func TestNodeWithoutSegments(t *testing.T) {
 	}
 	if small, large := build(2, 2), build(100, 100); large != small {
 		t.Fatalf("NewCollector made %v allocations on 4 motes and %v on 10 000, want the same", small, large)
+	}
+}
+
+// TestSenderWindows puts data frames from inAir (control frames when
+// ctl) on the air at t = 0 for 10 ms, then a frame from src, and
+// checks what that frame overlaps. On a 1×5 line at 10 ft with
+// R = 15 ft, n1 is near n0, n2 and n3 are within 2R only (n3 exactly
+// at 2R), and n4 is beyond it.
+func TestSenderWindows(t *testing.T) {
+	l, err := topology.Grid(1, 5, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const air = 10 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		inAir []packet.NodeID
+		ctl   bool
+		src   packet.NodeID
+		kind  packet.Kind
+		at    time.Duration
+		want  Overlap
+	}{
+		{"near", []packet.NodeID{0}, false, 1, packet.KindData, air / 2, Overlap{Near: 1, TwoHop: 1, Peer: 0}},
+		{"two-hop only", []packet.NodeID{0}, false, 2, packet.KindData, air / 2, Overlap{TwoHop: 1}},
+		{"two-hop edge", []packet.NodeID{0}, false, 3, packet.KindData, air / 2, Overlap{TwoHop: 1}},
+		{"far", []packet.NodeID{0}, false, 4, packet.KindData, air / 2, Overlap{}},
+		{"own sender", []packet.NodeID{0}, false, 0, packet.KindData, air / 2, Overlap{}},
+		{"expired window", []packet.NodeID{0}, false, 1, packet.KindData, air, Overlap{}},
+		{"control frame sent", []packet.NodeID{0}, false, 1, packet.KindAdvertise, air / 2, Overlap{}},
+		{"control frame in the air", []packet.NodeID{0}, true, 1, packet.KindData, air / 2, Overlap{}},
+		{"every frame counts", []packet.NodeID{0, 4, 1, 3}, false, 2, packet.KindData, air / 2, Overlap{Near: 2, TwoHop: 4, Peer: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewSenderWindows(l, 15)
+			kind := packet.KindData
+			if tc.ctl {
+				kind = packet.KindAdvertise
+			}
+			for _, id := range tc.inAir {
+				w.Sent(id, kind, 0, air)
+			}
+			if got := w.Sent(tc.src, tc.kind, tc.at, air); got != tc.want {
+				t.Fatalf("Sent(n%d, %v, %v) = %+v, want %+v", tc.src, tc.kind, tc.at, got, tc.want)
+			}
+		})
 	}
 }
