@@ -65,6 +65,27 @@ func TestQuickOutranksTransitive(t *testing.T) {
 	}
 }
 
+// Property: more requesters win whatever the IDs — the order serves the
+// source most neighbors asked for. The three properties above also
+// hold for an order by node ID alone; this one does not.
+func TestQuickMoreRequestersOutrank(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cs := randomCompetitors(rng, 2)
+		a, b := cs[0], cs[1]
+		if a.ctr == b.ctr {
+			a.ctr++
+		}
+		if a.ctr < b.ctr {
+			a, b = b, a
+		}
+		return outranks(a, b) && !outranks(b, a)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: every nonempty set of competitors has exactly one member
 // that concedes to nobody — the unique surviving sender.
 func TestQuickUniqueWinner(t *testing.T) {

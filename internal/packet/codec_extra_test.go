@@ -3,6 +3,8 @@ package packet
 import (
 	"bytes"
 	"testing"
+
+	"mnp/internal/race"
 )
 
 // AppendEncode into a non-empty buffer appends exactly the bytes Encode
@@ -103,5 +105,25 @@ func TestCRCTableMatchesBitwiseReference(t *testing.T) {
 		if got, want := crc16(in), crc16Reference(in); got != want {
 			t.Fatalf("crc16(% x) = %#04x, want %#04x", in, got, want)
 		}
+	}
+}
+
+// A coded frame is wider than a MAC slot's 64-byte buffer: encoding one
+// there grows the buffer once, not once per field it appends.
+func TestAppendEncodeGrowsWideFrameOnce(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	p := &RlncData{Src: 3, ProgramID: 1, Seg: 2, Coeffs: make([]byte, 128), Payload: make([]byte, 22)}
+	for i := range p.Coeffs {
+		p.Coeffs[i] = byte(i)
+	}
+	slot := make([]byte, 0, 64)
+	var frame []byte
+	if n := testing.AllocsPerRun(100, func() { frame = AppendEncode(slot, p) }); n != 1 {
+		t.Errorf("encoding a %d-byte frame into a 64-byte slot allocates %v times, want 1", len(frame), n)
+	}
+	if !bytes.Equal(frame, Encode(p)) {
+		t.Fatal("the frame encoded into a slot differs from Encode's")
 	}
 }

@@ -1,6 +1,9 @@
 package packet
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // RlncAdv is the rateless-coding advertisement: instead of MNP's
 // MissingVector round trips, a node broadcasts how far it has decoded —
@@ -70,6 +73,9 @@ func (*RlncData) Dest() NodeID { return Broadcast }
 func (d *RlncData) Source() NodeID { return d.Src }
 
 func (d *RlncData) appendPayload(b []byte) []byte {
+	// A coded frame outgrows a default MAC slot: reserve the body and
+	// the CRC AppendEncode adds after it, so the slot grows once.
+	b = slices.Grow(b, nodeIDWireSize(d.Src)+3+len(d.Coeffs)+len(d.Payload)+2)
 	b = appendNodeID(b, d.Src)
 	b = append(b, d.ProgramID, d.Seg, uint8(len(d.Coeffs)))
 	b = append(b, d.Coeffs...)

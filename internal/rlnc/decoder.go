@@ -1,5 +1,7 @@
 package rlnc
 
+import "slices"
+
 // decoder runs incremental Gaussian elimination over one segment: each
 // coded packet contributes a row [coeffs | payload]; rows are reduced
 // against the pivoted basis on arrival, so completing a segment is
@@ -17,11 +19,21 @@ type decoder struct {
 	// slab backs every row: k rows of k+w bytes. Row number rank is the
 	// next free one, and an arriving frame is reduced in it, so a
 	// dependent frame leaves nothing behind and addRow never allocates.
+	// Like the encoder's table it is kept across segments.
 	slab []byte
 }
 
-func newDecoder(k, w int) *decoder {
-	return &decoder{k: k, w: w, rows: make([][]byte, k), slab: make([]byte, k*(k+w))}
+// reset readies d for a segment of k packets of w-byte payloads: rank
+// 0 and no pivot rows. rows and slab are re-cut from what d already
+// holds and regrow only when the segment needs more room. The slab is
+// not cleared: addRow writes every byte of the row it takes, zero pad
+// included, and reads no row it has not written.
+func (d *decoder) reset(k, w int) {
+	d.k, d.w, d.rank = k, w, 0
+	d.rows = slices.Grow(d.rows[:0], k)[:k]
+	clear(d.rows)
+	n := k * (k + w)
+	d.slab = slices.Grow(d.slab[:0], n)[:n]
 }
 
 // addRow folds one coded packet into the basis. It returns the number

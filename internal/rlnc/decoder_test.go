@@ -105,6 +105,14 @@ func (d *refDecoder) reduce() (ops int) {
 	return ops
 }
 
+// newDecoder returns a decoder reset for one segment of k packets of
+// w bytes.
+func newDecoder(k, w int) *decoder {
+	d := new(decoder)
+	d.reset(k, w)
+	return d
+}
+
 // decoderPair feeds the decoder and its reference the same rows and
 // fails on the first difference in what either reports.
 type decoderPair struct {
@@ -275,8 +283,9 @@ func TestEncoderMatchesReference(t *testing.T) {
 
 // The bounds the single-pass decoder and the table encoder are held
 // to: folding a frame into the basis allocates nothing, nor does a
-// coded frame once its buffer exists, and the table is 12 KB at the
-// default geometry and survives a change of segment.
+// coded frame once its buffer exists; the decoder's slab and the
+// encoder's table (12 KB at the default geometry) both survive a
+// change of segment.
 func TestCodingAllocations(t *testing.T) {
 	const k, w = 128, 22
 	rng := rand.New(rand.NewSource(23))
@@ -290,12 +299,75 @@ func TestCodingAllocations(t *testing.T) {
 		t.Errorf("addRow allocates %v objects per frame, want 0", n)
 	}
 
-	im, err := image.Random(1, 2, 42)
-	if err != nil {
-		t.Fatal(err)
+	// A warm decoder takes the next segment, and a shorter final one,
+	// in the slab it has; a wider segment regrows it once.
+	decodeSegment := func(k, w int) {
+		d.reset(k, w)
+		for tries := 0; !d.complete(); tries++ {
+			if tries > 2*k {
+				t.Fatalf("a reset decoder did not reach rank %d", k)
+			}
+			rng.Read(coeffs[:k])
+			d.addRow(coeffs[:k], src[0])
+		}
+		d.reduce()
 	}
+	slab := &d.slab[0]
+	for _, seg := range []struct {
+		what string
+		k    int
+	}{{"another", k}, {"a shorter final", k/2 + 3}} {
+		if n := testing.AllocsPerRun(3, func() { decodeSegment(seg.k, w) }); n != 0 || &d.slab[0] != slab {
+			t.Errorf("decoding %s segment allocates %v objects (slab kept: %v), want 0 in the same slab",
+				seg.what, n, &d.slab[0] == slab)
+		}
+	}
+	regrown := 0
+	for i := 0; i < 3; i++ {
+		decodeSegment(k, 2*w)
+		if &d.slab[0] != slab {
+			slab = &d.slab[0]
+			regrown++
+		}
+	}
+	if regrown != 1 {
+		t.Errorf("three segments of %d-byte payloads regrew a %d-byte slab %d times, want once", 2*w, w, regrown)
+	}
+
+	// A mote that stored segment 1 decodes segment 2 in the same slab,
+	// and segment 1's EEPROM bytes stay as stored: no view into the
+	// slab outlives the flush.
+	sent, got := nodetest.New(0), nodetest.New(1)
+	base, mote := New(Config{Base: true, Image: im2(t)}), New(Config{})
+	sent.Attach(base)
+	got.Attach(mote)
+	base.advTick()
+	got.Deliver(sent.Sent[len(sent.Sent)-1], 0)
+	var moteSlab *byte
+	for seg := 1; seg <= 2; seg++ {
+		for tries := 0; mote.completeSegs < seg; tries++ {
+			if tries > 2*k {
+				t.Fatalf("segment %d did not decode", seg)
+			}
+			base.sendCoded(seg)
+			got.Deliver(sent.Sent[len(sent.Sent)-1], 0)
+		}
+		if seg == 1 {
+			moteSlab = &mote.dec.slab[0]
+		}
+	}
+	if &mote.dec.slab[0] != moteSlab {
+		t.Error("the mote decoded segment 2 in a new slab")
+	}
+	for i := 0; i < k; i++ {
+		want, _ := base.cfg.Image.Payload(1, i)
+		if !bytes.Equal(got.Load(1, i), want) {
+			t.Fatalf("segment 1 packet %d changed in EEPROM while segment 2 decoded", i)
+		}
+	}
+
 	rt := quietRuntime{nodetest.New(0)}
-	r := New(Config{Base: true, Image: im})
+	r := New(Config{Base: true, Image: im2(t)})
 	r.Init(rt)
 	r.sendCoded(1)
 	if n := testing.AllocsPerRun(100, func() { r.sendCoded(1) }); n != 0 {
@@ -309,6 +381,16 @@ func TestCodingAllocations(t *testing.T) {
 	if r.enc.seg != 2 || &r.enc.table[0] != table {
 		t.Error("serving another segment reallocated the encoder table")
 	}
+}
+
+// im2 is a two-segment image of the default geometry.
+func im2(t *testing.T) *image.Image {
+	t.Helper()
+	im, err := image.Random(1, 2, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im
 }
 
 // quietRuntime drops sends instead of recording them, so allocation
@@ -526,61 +608,80 @@ func TestDrawCoeffsMatchesReference(t *testing.T) {
 // innovative) and leave the same rank, rank is monotone and bounded by
 // k, and addRow never panics. Random rows then complete whatever basis
 // the fuzz rows built; both must back-substitute to the same packets,
-// and those packets must satisfy every row that was accepted.
+// and those packets must satisfy every row that was accepted. The
+// decoder is then reset, as a mote's is, for a second segment whose
+// shape the input's first byte picks — narrower, equal or wider — and
+// the same rows go through again against a fresh reference, so a row
+// of the first segment that survives the reset fails the test.
 func FuzzRLNCDecode(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 9, 9, 9})
 	f.Add([]byte{0, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0xFF}, 40))
 	f.Add([]byte{2, 4, 8, 16, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add([]byte{0x2B, 1, 0, 0, 0, 9, 9, 9, 7, 0, 1, 0, 0, 0, 0, 0, 3}) // the second segment is 4×6 again
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const k, w = 4, 6
-		dp := newDecoderPair(t, k, w)
-		var accepted [][]byte // [coeffs | zero-padded payload] of innovative rows
-		add := func(what string, coeffs, payload []byte) {
-			before := dp.got.rank
-			dp.addRow(what, coeffs, payload)
-			if dp.got.rank < before || dp.got.rank > k {
-				t.Fatalf("rank %d -> %d (k=%d)", before, dp.got.rank, k)
-			}
-			if dp.got.rank == before+1 {
-				row := make([]byte, k+w)
-				copy(row, coeffs[:k])
-				copy(row[k:], payload)
-				accepted = append(accepted, row)
-			}
+		var pick int
+		if len(data) > 0 {
+			pick = int(data[0])
 		}
-		// Slice the fuzz input into (coeffs, payload) chunks of varying
-		// shape, including deliberately short and long ones.
-		for len(data) > 0 {
-			n := int(data[0])%(k+w+4) + 1
-			if n > len(data) {
-				n = len(data)
-			}
-			chunk := data[:n]
-			data = data[n:]
-			cut := len(chunk) / 2
-			add("fuzz", chunk[:cut], chunk[cut:])
-		}
-		rng := rand.New(rand.NewSource(1))
-		row := make([]byte, k+w)
-		for tries := 0; !dp.got.complete(); tries++ {
-			if tries > 200 {
-				t.Fatal("random rows failed to reach full rank")
-			}
-			rng.Read(row)
-			add("completing", row[:k], row[k:])
-		}
-		dp.finish()
-		decoded := make([][]byte, k)
-		for p := range decoded {
-			decoded[p] = dp.got.packet(p)
-		}
-		for _, row := range accepted {
-			if !bytes.Equal(encode(decoded, row[:k], w), row[k:]) {
-				t.Fatalf("decoded packets do not satisfy accepted row %x", row)
-			}
+		var d decoder
+		for seg, shape := range [][2]int{{4, 6}, {1 + pick%8, 1 + pick/8%8}} {
+			k, w := shape[0], shape[1]
+			d.reset(k, w)
+			fuzzSegment(t, &decoderPair{t: t, got: &d, ref: newRefDecoder(k, w)}, data, int64(seg))
 		}
 	})
+}
+
+// fuzzSegment is one segment of FuzzRLNCDecode: the input's rows, then
+// random rows (seeded by seed) to full rank, then the checks.
+func fuzzSegment(t *testing.T, dp *decoderPair, data []byte, seed int64) {
+	k, w := dp.ref.k, dp.ref.w
+	var accepted [][]byte // [coeffs | zero-padded payload] of innovative rows
+	add := func(what string, coeffs, payload []byte) {
+		before := dp.got.rank
+		dp.addRow(what, coeffs, payload)
+		if dp.got.rank < before || dp.got.rank > k {
+			t.Fatalf("rank %d -> %d (k=%d)", before, dp.got.rank, k)
+		}
+		if dp.got.rank == before+1 {
+			row := make([]byte, k+w)
+			copy(row, coeffs[:k])
+			copy(row[k:], payload)
+			accepted = append(accepted, row)
+		}
+	}
+	// Slice the fuzz input into (coeffs, payload) chunks of varying
+	// shape, including deliberately short and long ones.
+	for len(data) > 0 {
+		n := int(data[0])%(k+w+4) + 1
+		if n > len(data) {
+			n = len(data)
+		}
+		chunk := data[:n]
+		data = data[n:]
+		cut := len(chunk) / 2
+		add("fuzz", chunk[:cut], chunk[cut:])
+	}
+	rng := rand.New(rand.NewSource(seed))
+	row := make([]byte, k+w)
+	for tries := 0; !dp.got.complete(); tries++ {
+		if tries > 200 {
+			t.Fatal("random rows failed to reach full rank")
+		}
+		rng.Read(row)
+		add("completing", row[:k], row[k:])
+	}
+	dp.finish()
+	decoded := make([][]byte, k)
+	for p := range decoded {
+		decoded[p] = dp.got.packet(p)
+	}
+	for _, row := range accepted {
+		if !bytes.Equal(encode(decoded, row[:k], w), row[k:]) {
+			t.Fatalf("k=%d w=%d: decoded packets do not satisfy accepted row %x", k, w, row)
+		}
+	}
 }
 
 // FuzzRLNCEncode picks a segment shape, its source bytes, the length of
@@ -627,8 +728,9 @@ func FuzzRLNCEncode(f *testing.F) {
 }
 
 // BenchmarkRLNCDecode measures decoding one full 128-packet segment of
-// 22-byte payloads — the per-segment CPU cost a mote pays, and the
-// number BENCH_sim.json tracks for regressions.
+// 22-byte payloads through a warm decoder, reset per segment as a
+// mote's is — the per-segment CPU cost a mote pays, and the number
+// BENCH_sim.json tracks for regressions.
 func BenchmarkRLNCDecode(b *testing.B) {
 	const k, w = 128, 22
 	rng := rand.New(rand.NewSource(42))
@@ -642,10 +744,12 @@ func BenchmarkRLNCDecode(b *testing.B) {
 		rng.Read(c)
 		rows[i] = coded{coeffs: c, payload: encode(src, c, w)}
 	}
+	var d decoder
 	b.SetBytes(int64(k * w))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := newDecoder(k, w)
+		d.reset(k, w)
 		for _, r := range rows {
 			if d.complete() {
 				break

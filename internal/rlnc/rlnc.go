@@ -70,9 +70,13 @@ type RLNC struct {
 	payloadLen int            // bytes per coded payload
 	tail       int            // bytes in the image's final packet
 
-	completeSegs int      // segments fully decoded and stored
-	dec          *decoder // decoder of segment completeSegs+1, nil when idle
-	flushSeg     int      // decoded segment mid-flush to EEPROM (0 = none)
+	completeSegs int // segments fully decoded and stored
+	// dec decodes segment completeSegs+1 while decoding is set. Its
+	// slab is the mote's decode RAM, kept and reset across segments
+	// like enc's table.
+	dec      decoder
+	decoding bool
+	flushSeg int // decoded segment mid-flush to EEPROM (0 = none)
 
 	// Sender side: RAM cache of the segment currently being served, so
 	// each coded packet costs one pass over the cached table instead of
@@ -177,7 +181,7 @@ func (r *RLNC) advTick() {
 		return
 	}
 	rank := 0
-	if r.dec != nil {
+	if r.decoding {
 		rank = r.dec.rank
 	}
 	adv := &r.out.adv
@@ -345,8 +349,9 @@ func (r *RLNC) onData(d *packet.RlncData) {
 	if seg != r.completeSegs+1 || seg > r.geom.Units() {
 		return // segments pipeline strictly in order
 	}
-	if r.dec == nil {
-		r.dec = newDecoder(r.geom.PacketsIn(seg), r.payloadLen)
+	if !r.decoding {
+		r.dec.reset(r.geom.PacketsIn(seg), r.payloadLen)
+		r.decoding = true
 	}
 	ops, _ := r.dec.addRow(d.Coeffs, d.Payload)
 	if r.dec.complete() {
@@ -367,7 +372,7 @@ func (r *RLNC) onData(d *packet.RlncData) {
 // instead of losing the decoded data.
 func (r *RLNC) flushSegment() {
 	seg := r.flushSeg
-	if seg == 0 || r.dec == nil || !r.dec.complete() {
+	if seg == 0 || !r.decoding || !r.dec.complete() {
 		return
 	}
 	for i, k := 0, r.geom.PacketsIn(seg); i < k; i++ {
@@ -384,7 +389,7 @@ func (r *RLNC) flushSegment() {
 		}
 	}
 	r.flushSeg = 0
-	r.dec = nil
+	r.decoding = false
 	r.completeSegs = seg
 	r.rt.Event(node.Event{Kind: node.EventGotSegment, Seg: seg})
 	if r.completeSegs == r.geom.Units() {
