@@ -1,12 +1,11 @@
 # Development targets for the MNP reproduction. Everything uses only
 # the standard Go toolchain.
 
-GO        ?= go
-BENCH_OUT ?= BENCH_sim.json
+GO ?= go
 
 FUZZTIME ?= 10s
 
-.PHONY: build test race race-short race-engine vet fmt-check fuzz-short bench bench-smoke clean
+.PHONY: build test race race-short race-engine vet fmt-check fuzz-short
 
 build:
 	$(GO) build ./...
@@ -75,68 +74,3 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzRLNCEncode' -fuzztime $(FUZZTIME) ./internal/rlnc/
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelReset' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz 'FuzzStoreOps' -fuzztime $(FUZZTIME) ./internal/eeprom/
-
-# bench runs the simulation-substrate micro-benchmarks plus the
-# end-to-end Figure 8 regeneration and the sharded-engine scaling
-# series, and appends the numbers (ns/op, B/op, allocs/op) as a
-# history entry — keyed by git SHA and date — to $(BENCH_OUT), so the
-# committed file accumulates a timeline across revisions. The
-# micro-benchmarks get a large fixed iteration count so the lazily
-# built radio tables amortize out (the kernel's nanosecond lines get a
-# million, as in bench-smoke: at 2 000 they scattered by ±30 %); the
-# Fig8 and engine runs are seconds per iteration, so a couple suffice. BenchmarkEngineBarrier
-# is the engine layer's own micro-benchmark: the cost of one lockstep
-# window over empty tiles ("ns/window") at 1, 2 and 4 workers.
-# BenchmarkKernelSchedule's chain lines are a callback rescheduling
-# itself against 1 024 pending events, alone and (chain-gc) beside a
-# goroutine that keeps the collector's mark phase on.
-# BenchmarkFleetBuild is fleet set-up per mote ("B/mote", "allocs/mote",
-# "ns/mote") on a 10 000-mote Build; BenchmarkStoreFill is one 128x22
-# segment written to a mote's flash model and read back. The rlnc lines
-# are one 128x22 segment decoded, one coded frame drawn and encoded
-# (against the table, and through the row-at-a-time reference loop the
-# table replaced) and one segment tabulated.
-bench: build
-	@rm -f bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkMediumTransmit' \
-		-benchmem -benchtime 2000x . | tee bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkKernelSchedule' \
-		-benchmem -benchtime 1000000x . | tee -a bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkGeometryBuild' \
-		-benchmem -benchtime 20x . | tee -a bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetBuild|BenchmarkStoreFill' \
-		-benchmem -benchtime 20x . | tee -a bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkRLNCDecode|BenchmarkRLNCEncode' \
-		-benchmem -benchtime 2000x ./internal/rlnc/ | tee -a bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkIndexMove' \
-		-benchmem -benchtime 2000x ./internal/topology/ | tee -a bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineBarrier' \
-		-benchmem -benchtime 200000x ./internal/engine/ | tee -a bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkFig8ActiveRadioTime$$' \
-		-benchmem -benchtime 2x . | tee -a bench.out
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineGrid' \
-		-benchmem -benchtime 2x -timeout 30m . | tee -a bench.out
-	$(GO) run ./tools/benchjson -out $(BENCH_OUT) < bench.out
-	@echo "appended to $(BENCH_OUT)"
-
-# bench-smoke is the CI-sized slice of `make bench`: the tiled
-# engine-grid series (2x2, 4x4, 4x4 mobile), one iteration per config, appended to the same SHA-keyed
-# $(BENCH_OUT) history. The tiled lines carry the custom "imbalance"
-# metric, so every revision records a balance datapoint without paying
-# for the full micro-benchmark sweep. The barrier micro-benchmark
-# ("ns/window") and the kernel's schedule/fire/re-arm/chain cycles ride
-# along: each takes under a second, and a million iterations keep the
-# nanosecond lines out of the timer's noise.
-bench-smoke: build
-	@rm -f bench-smoke.out
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineBarrier' \
-		-benchmem -benchtime 200000x ./internal/engine/ | tee bench-smoke.out
-	$(GO) test -run '^$$' -bench 'BenchmarkKernelSchedule' \
-		-benchmem -benchtime 1000000x . | tee -a bench-smoke.out
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineGrid/tiles' \
-		-benchmem -benchtime 1x -timeout 40m . | tee -a bench-smoke.out
-	$(GO) run ./tools/benchjson -out $(BENCH_OUT) < bench-smoke.out
-	@echo "appended to $(BENCH_OUT)"
-
-clean:
-	rm -f bench.out bench-smoke.out $(BENCH_OUT)

@@ -1,127 +1,34 @@
 package mnp
 
-// The regeneration harness: one benchmark per table and figure of the
-// paper's evaluation, plus the section-5 Deluge comparison and the
-// ablations from DESIGN.md. Each benchmark runs the corresponding
-// experiment spec end to end and reports paper-shaped metrics as
-// custom benchmark outputs. Regenerate everything with
+// Layer micro-benchmarks for the simulation substrate. Each isolates
+// one hot path whose end-to-end counterpart bench's traced per-layer
+// pass records (`go run ./bench -trace 1`):
 //
-//	go test -bench=. -benchmem
+//	BenchmarkMediumTransmit  radio.ns_per_tx
+//	BenchmarkKernelSchedule  sim.ns_per_event
+//	BenchmarkGeometryBuild   topology.index_build_s
+//	BenchmarkFleetBuild      experiment.bytes_per_node, build_allocs_per_node
+//	BenchmarkStoreFill       eeprom.ns_per_op
 //
-// and the per-figure reports with cmd/mnpexp.
+// The paper's tables and figures are produced by cmd/mnpexp and pinned
+// by TestAllSpecsProduceReports; simulator speed is judged by
+// `go run ./bench`. Run these with, for example,
+//
+//	go test -run '^$' -bench 'MediumTransmit|KernelSchedule' -benchmem .
 
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"mnp/internal/eeprom"
 	"mnp/internal/experiment"
-	"mnp/internal/metrics"
 	"mnp/internal/packet"
 	"mnp/internal/radio"
 	"mnp/internal/sim"
 	"mnp/internal/topology"
 )
-
-// benchSpec runs one experiment spec per benchmark iteration.
-func benchSpec(b *testing.B, id string) {
-	b.Helper()
-	spec, ok := experiment.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := spec.Run(42 + int64(i))
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if i == 0 && !strings.Contains(rep.Text, "\n") {
-			b.Fatalf("%s produced an empty report", id)
-		}
-		b.SetBytes(int64(len(rep.Text)))
-	}
-}
-
-// BenchmarkTable1EnergyCosts regenerates Table 1 (per-operation energy
-// costs of Mica motes).
-func BenchmarkTable1EnergyCosts(b *testing.B) { benchSpec(b, "T1") }
-
-// BenchmarkFig5Indoor regenerates Figure 5: the indoor 3x5 testbed at
-// power levels 4 and 3 — parent maps, sender order, completion time.
-func BenchmarkFig5Indoor(b *testing.B) { benchSpec(b, "F5") }
-
-// BenchmarkFig6Outdoor5x5 regenerates Figure 6: the outdoor 5x5 grid
-// at full and reduced power.
-func BenchmarkFig6Outdoor5x5(b *testing.B) { benchSpec(b, "F6") }
-
-// BenchmarkFig7Outdoor2x10 regenerates Figure 7: the outdoor 2x10
-// grid, the paper's long-multihop deployment.
-func BenchmarkFig7Outdoor2x10(b *testing.B) { benchSpec(b, "F7") }
-
-// BenchmarkFig8ActiveRadioTime regenerates Figure 8: per-node active
-// radio time in a 20x20 network disseminating 5 segments.
-func BenchmarkFig8ActiveRadioTime(b *testing.B) { benchSpec(b, "F8") }
-
-// BenchmarkFig9ARTNoInitialIdle regenerates Figure 9: the same
-// distribution with the initial idle-listening period removed.
-func BenchmarkFig9ARTNoInitialIdle(b *testing.B) { benchSpec(b, "F9") }
-
-// BenchmarkFig10ProgramSizeSweep regenerates Figure 10: completion
-// time and active radio time across program sizes of 1..10 segments.
-func BenchmarkFig10ProgramSizeSweep(b *testing.B) { benchSpec(b, "F10") }
-
-// BenchmarkFig11TxRxDistribution regenerates Figure 11: transmission
-// and reception distributions across the 20x20 grid.
-func BenchmarkFig11TxRxDistribution(b *testing.B) { benchSpec(b, "F11") }
-
-// BenchmarkFig12MessageTimeline regenerates Figure 12: advertisements,
-// requests and data messages per one-minute window.
-func BenchmarkFig12MessageTimeline(b *testing.B) { benchSpec(b, "F12") }
-
-// BenchmarkFig13PropagationProgress regenerates Figure 13: the
-// propagation wavefront of a single segment, including the
-// diagonal-vs-edge uniformity check.
-func BenchmarkFig13PropagationProgress(b *testing.B) { benchSpec(b, "F13") }
-
-// BenchmarkDelugeComparison regenerates the section-5 comparison:
-// MNP vs Deluge on the same 20x20 workload.
-func BenchmarkDelugeComparison(b *testing.B) { benchSpec(b, "EDEL") }
-
-// BenchmarkAblationNoSenderSelection measures dissemination with the
-// ReqCtr competition disabled (design ablation A1).
-func BenchmarkAblationNoSenderSelection(b *testing.B) { benchSpec(b, "A1") }
-
-// BenchmarkAblationNoSleep measures dissemination with radio sleeping
-// disabled (design ablation A2).
-func BenchmarkAblationNoSleep(b *testing.B) { benchSpec(b, "A2") }
-
-// BenchmarkAblationQueryUpdate measures the effect of the optional
-// query/update repair phase on a lossy network (design ablation A3).
-func BenchmarkAblationQueryUpdate(b *testing.B) { benchSpec(b, "A3") }
-
-// BenchmarkBatteryAware measures the section-6 battery-aware
-// advertisement-power extension (design ablation A4).
-func BenchmarkBatteryAware(b *testing.B) { benchSpec(b, "A4") }
-
-// BenchmarkIdleDutyCycle measures the paper's S-MAC-style suggestion
-// for eliminating initial idle listening (design extension A5).
-func BenchmarkIdleDutyCycle(b *testing.B) { benchSpec(b, "A5") }
-
-// BenchmarkScaleCentralBase validates the section-6 scaling claim: a
-// 4x larger network with the base station at its center completes in
-// about the same time (design extension A6).
-func BenchmarkScaleCentralBase(b *testing.B) { benchSpec(b, "A6") }
-
-// --- Substrate micro-benchmarks ---
-//
-// The figure benchmarks above measure whole experiments; the two below
-// isolate the simulation substrate's hot paths: Medium.Transmit (the
-// per-frame channel work) and Kernel scheduling (the per-event queue
-// work). They feed BENCH_sim.json via `make bench`.
 
 // BenchmarkMediumTransmit measures one batch of concurrent frame
 // transmissions plus their deliveries on a 400-node (20x20) grid, for
@@ -170,10 +77,9 @@ func BenchmarkMediumTransmit(b *testing.B) {
 // the simulator's startup cost — across three decades of deployment
 // size up to the 250k-node scaling target. The curve should be
 // near-linear in n (the spatial index is two O(n) passes), and the
-// geo-B metric reports the geometry's resident bytes so benchjson can
-// record the memory series alongside the timings: roughly 24 B/node
-// versus the 8n² B the dense distance matrix would need (500 GB at
-// 250k nodes).
+// geo-B metric reports the geometry's resident bytes beside the
+// timings: roughly 24 B/node versus the 8n² B the dense distance matrix
+// would need (500 GB at 250k nodes).
 func BenchmarkGeometryBuild(b *testing.B) {
 	for _, dims := range []struct{ rows, cols int }{
 		{25, 40},   // 1000
@@ -206,9 +112,9 @@ func BenchmarkGeometryBuild(b *testing.B) {
 // BenchmarkFleetBuild measures what a mote costs before it does
 // anything: experiment.Build of a 10 000-mote (100x100) MNP fleet,
 // reported per mote as wall time, allocations and live heap (HeapAlloc
-// across the build, GC on both sides). It is the ledger series for
-// fleet set-up — the cost the 100k benchmark workload and the 250k
-// scale example pay N times. Feeds BENCH_sim.json via `make bench`.
+// across the build, GC on both sides). It isolates fleet set-up — the
+// cost the 100k benchmark workload and the 250k scale example pay N
+// times.
 func BenchmarkFleetBuild(b *testing.B) {
 	const motes = 100 * 100
 	heap := func() (alloc, mallocs uint64) {
@@ -243,8 +149,8 @@ func BenchmarkFleetBuild(b *testing.B) {
 // BenchmarkStoreFill measures what one segment costs a mote's flash
 // model: 128 packets of 22 B written in order to a fresh store, carved
 // at the segment's packet count as a mote's writes are, then read back.
-// B/op and allocs/op are the ledger: every mote of every run pays them
-// once per segment. Feeds BENCH_sim.json via `make bench`.
+// B/op and allocs/op are the point: every mote of every run pays them
+// once per segment.
 func BenchmarkStoreFill(b *testing.B) {
 	const packets, size = 128, 22
 	payload := make([]byte, size)
@@ -269,86 +175,6 @@ func BenchmarkStoreFill(b *testing.B) {
 	}
 	if read != b.N*packets*size {
 		b.Fatalf("read back %d bytes, want %d", read, b.N*packets*size)
-	}
-}
-
-// BenchmarkEngineGrid measures the sharded lockstep engine against the
-// sequential kernel: one full 60x60-grid (3600-node) dissemination per
-// iteration at 1, 2, 4, and 8 spatial shards. The shards=1 case is the
-// classic single-kernel path; higher counts exercise partitioning,
-// per-window advancement, and barrier ghost exchange. The window phase
-// parallelizes across cores (Workers=0 auto-selects); on a single-core
-// host the series instead bounds the lockstep overhead — sharded runs
-// should stay within a few percent of sequential despite the ~300k
-// barrier exchanges a run this size performs. Feeds BENCH_sim.json via
-// `make bench`.
-func BenchmarkEngineGrid(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.Run(experiment.Setup{
-					Name: "engine-grid", Rows: 60, Cols: 60, ImagePackets: 64,
-					Seed: 42 + int64(i), Shards: shards,
-					Limit: 12 * time.Hour,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Completed {
-					b.Fatalf("shards=%d seed=%d: dissemination incomplete", shards, 42+int64(i))
-				}
-			}
-		})
-	}
-	// Tiled series: the same 3600-node dissemination on explicit 2D
-	// tile grids, all at four executors. Each run reports the mean
-	// per-window load imbalance (max/mean across executors, 1.0 is
-	// perfect) alongside the timing, so BENCH_sim.json records the
-	// balance of each grid. `make bench-smoke` runs just this series,
-	// one iteration per config.
-	for _, tc := range []struct {
-		name       string
-		rows, cols int
-		mobile     bool
-	}{
-		{"tiles=2x2", 2, 2, false},
-		{"tiles=4x4", 4, 4, false},
-		// The mobile cell prices barrier-quantized position updates: a
-		// random-waypoint walk moves every node through the run, so each
-		// window pays index maintenance plus link-row invalidation on top
-		// of the static baseline above it.
-		{"tiles=4x4-mobile", 4, 4, true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var imbalance float64
-			for i := 0; i < b.N; i++ {
-				setup := experiment.Setup{
-					Name: "engine-grid-tiled", Rows: 60, Cols: 60, ImagePackets: 64,
-					Seed: 42 + int64(i), Shards: 4,
-					TileRows: tc.rows, TileCols: tc.cols,
-					Limit: 12 * time.Hour,
-				}
-				if tc.mobile {
-					setup.Mobility = func(l *topology.Layout, seed int64) (topology.Mobility, error) {
-						return topology.NewWaypoint(l, topology.WaypointConfig{
-							SpeedMin: 1, SpeedMax: 3, Pause: 10 * time.Second, Seed: seed,
-						})
-					}
-					setup.MobilityEvery = 5 * time.Second
-				}
-				res, err := experiment.Run(setup)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Completed {
-					b.Fatalf("%s seed=%d: dissemination incomplete", tc.name, 42+int64(i))
-				}
-				imbalance = metrics.SummarizeLoads(res.LoadMatrix()).Mean
-			}
-			b.ReportMetric(imbalance, "imbalance")
-		})
 	}
 }
 

@@ -70,7 +70,7 @@ func run(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown report %q", *report)
 	}
-	if *traceID >= *rows**cols {
+	if *traceID < -1 || *traceID >= *rows**cols {
 		return fmt.Errorf("-trace %d: no such mote in a %dx%d grid", *traceID, *rows, *cols)
 	}
 	stopProf, err := telemetry.StartProfiling(telemetry.ProfileConfig{

@@ -97,6 +97,7 @@ func TestRunErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-report", "bogus"},
 		{"-rows", "2", "-cols", "2", "-trace", "4"},
+		{"-rows", "2", "-cols", "2", "-trace", "-5"},
 	} {
 		out, err := capture(t, func() error { return run(args) })
 		if err == nil {

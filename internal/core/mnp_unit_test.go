@@ -190,16 +190,52 @@ func TestAdvertiserWithNoRequestersDoesNotForceSleep(t *testing.T) {
 }
 
 func TestOverheardRequestTriggersConcession(t *testing.T) {
-	// The hidden-terminal defence: node 5 never heard node 3's
-	// advertisements, but a request destined to 3 carrying ReqCtr=4
-	// still silences node 5.
-	m, _ := newBase(t, 5, 2, nil)
-	req := &packet.DownloadRequest{
-		Src: 9, DestID: 3, ProgramID: 1, SegID: 2, SegPackets: 8, EchoReqCtr: 4,
-	}
-	m.OnPacket(req, 9)
-	if m.State() != StateSleep {
-		t.Fatalf("state = %v, want sleep", m.State())
+	// The hidden-terminal defence: node 5 advertises segment 2 of 3
+	// with `ours` requesters and overhears a request from Src to
+	// another advertiser DestID that echoes DestID's ReqCtr. It
+	// concedes when DestID outranks it on the same segment (more
+	// requesters; a tie goes to the higher ID of the advertiser, not of
+	// the requester), or when the request is for a lower segment; never
+	// for a higher segment, and never to an echo of 0.
+	for _, tc := range []struct {
+		name      string
+		ours      int
+		echo      uint8
+		dest, src packet.NodeID
+		seg       uint8
+		sleep     bool
+	}{
+		{"more requesters, lower ID", 1, 4, 3, 9, 2, true},
+		{"echo above ours", 2, 3, 3, 9, 2, true},
+		{"echo below ours, higher ID", 2, 1, 9, 3, 2, false},
+		{"tie, destination ID above ours", 2, 2, 9, 3, 2, true},
+		{"tie, destination ID below ours", 2, 2, 3, 9, 2, false},
+		{"lower segment, fewer requesters", 2, 1, 3, 9, 1, true},
+		{"higher segment, more requesters", 2, 4, 9, 3, 3, false},
+		{"echo 0, lower segment", 2, 0, 9, 3, 1, false},
+		{"echo 0, same segment, higher ID", 1, 0, 9, 3, 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, _ := newBase(t, 5, 3, nil)
+			miss, _ := bitvec.AllSet(8)
+			for i := 0; i < tc.ours; i++ {
+				src := packet.NodeID(20 + i)
+				m.OnPacket(&packet.DownloadRequest{Src: src, DestID: 5, ProgramID: 1, SegID: 2, SegPackets: 8, Missing: miss}, src)
+			}
+			if m.ReqCtr() != tc.ours || m.State() != StateAdvertise {
+				t.Fatalf("setup: ReqCtr = %d, state = %v", m.ReqCtr(), m.State())
+			}
+			m.OnPacket(&packet.DownloadRequest{
+				Src: tc.src, DestID: tc.dest, ProgramID: 1, SegID: tc.seg, SegPackets: 8, EchoReqCtr: tc.echo,
+			}, tc.src)
+			want := StateAdvertise
+			if tc.sleep {
+				want = StateSleep
+			}
+			if m.State() != want {
+				t.Fatalf("state = %v, want %v", m.State(), want)
+			}
+		})
 	}
 }
 

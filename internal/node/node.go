@@ -333,9 +333,9 @@ type queuedFrame struct {
 	power int
 }
 
-// slotBytes is a new slot's buffer, carved from the mote's tile: room
-// for every frame of the default 22-byte payload. A larger frame grows
-// its slot once.
+// slotBytes is a new slot's buffer, carved from the mote's tile. Every
+// default-payload frame fits (packet.WireSize: 36 B at most) but rlnc's
+// coded frame: 162 B with 128 coefficients, it grows its slot once.
 const slotBytes = 64
 
 // Send's refusals. Protocols send best-effort and drop the error, a

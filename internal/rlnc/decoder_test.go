@@ -729,8 +729,8 @@ func FuzzRLNCEncode(f *testing.F) {
 
 // BenchmarkRLNCDecode measures decoding one full 128-packet segment of
 // 22-byte payloads through a warm decoder, reset per segment as a
-// mote's is — the per-segment CPU cost a mote pays, and the number
-// BENCH_sim.json tracks for regressions.
+// mote's is — the per-segment CPU cost a mote pays. Bench's traced
+// pass counts the same row operations end to end as rlnc.decode_ops.
 func BenchmarkRLNCDecode(b *testing.B) {
 	const k, w = 128, 22
 	rng := rand.New(rand.NewSource(42))
